@@ -457,7 +457,9 @@ BENCHMARK(BM_UkkonenVsInsertion)
     ->Args({1000, 0})
     ->Args({1000, 1})
     ->Args({20000, 0})
-    ->Args({20000, 1});
+    ->Args({20000, 1})
+    ->Args({100000, 0})
+    ->Args({100000, 1});
 
 // --- Unified search driver vs pre-refactor inlined DFS ------------------
 // The categorized tree search used to be one hand-inlined serial loop in

@@ -1,6 +1,7 @@
 #ifndef TSWARP_COMMON_STATUS_H_
 #define TSWARP_COMMON_STATUS_H_
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <ostream>
@@ -144,6 +145,20 @@ namespace internal_status {
 template <typename T>
 void StatusOr<T>::Fail(const char* what) {
   internal_status::DieStatusOr(what);
+}
+
+/// Narrows `value` to a 32-bit id or offset, or returns OutOfRange naming
+/// `what`. The largest accepted value is 2^32 - 2: 2^32 - 1 is the nil
+/// sentinel of 32-bit node and occurrence ids, so no count or offset may
+/// reach it.
+inline StatusOr<std::uint32_t> CheckedU32(std::uint64_t value,
+                                          const char* what) {
+  if (value >= 0xFFFFFFFFull) {
+    return Status::OutOfRange(std::string(what) + " " +
+                              std::to_string(value) +
+                              " does not fit a 32-bit id");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 /// Propagates an error Status from a callee expression.

@@ -139,8 +139,8 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
   tier->db = db;
 
   // 1. Discretize the element values. The symbol database is construction
-  // scratch: the tree materializes its labels, so it is dropped once the
-  // tier is assembled.
+  // scratch: the tree keeps its own copy of the text its labels
+  // reference, so the database is dropped once the tier is assembled.
   IndexBuildInfo base_info;
   suffixtree::SymbolDatabase symbols;
   TSW_RETURN_IF_ERROR(DeriveSymbols(*db, options, &symbols, &tier->alphabet,
@@ -160,6 +160,7 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
     }
     skipped = builder.skipped_suffixes();
     tier->memory_tree = builder.Build();
+    TSW_RETURN_IF_ERROR(tier->memory_tree->status());
   } else {
     suffixtree::DiskBuildOptions disk;
     disk.build = build;
@@ -254,11 +255,13 @@ IndexSnapshot::IndexSnapshot(IndexOptions options, IndexBuildInfo base_info,
   // stays exact because appended tiers re-add their own skip counts via
   // `elements - occurrences` below.
   build_info_.index_bytes = 0;
+  build_info_.table1_bytes = 0;
   build_info_.num_nodes = 0;
   build_info_.num_occurrences = 0;
   std::uint64_t elements = 0;
   for (const std::shared_ptr<const Tier>& tier : tiers_) {
     build_info_.index_bytes += tier->info.index_bytes;
+    build_info_.table1_bytes += tier->info.table1_bytes;
     build_info_.num_nodes += tier->info.nodes;
     build_info_.num_occurrences += tier->info.occurrences;
     elements += tier->info.elements;
@@ -298,7 +301,6 @@ std::optional<suffixtree::RegionStats> IndexSnapshot::PoolStats() const {
     } else {
       total.nodes += s.nodes;
       total.occs += s.occs;
-      total.labels += s.labels;
     }
     any = true;
   }

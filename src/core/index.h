@@ -90,7 +90,10 @@ struct IndexOptions {
 
 /// Summary statistics of a built index.
 struct IndexBuildInfo {
-  std::uint64_t index_bytes = 0;       // Serialized footprint (Table 1).
+  std::uint64_t index_bytes = 0;       // Stored (serialized) footprint.
+  /// The paper's Table-1 index size: index_bytes with every edge label
+  /// materialized instead of referenced. Computed, not stored.
+  std::uint64_t table1_bytes = 0;
   std::uint64_t num_nodes = 0;
   std::uint64_t num_occurrences = 0;   // Stored suffixes.
   std::uint64_t stored_suffixes = 0;

@@ -21,6 +21,7 @@ TierInfo ComputeTierInfo(const Tier& tier) {
   info.nodes = view->NumNodes();
   info.occurrences = view->NumOccurrences();
   info.index_bytes = view->SizeBytes();
+  info.table1_bytes = view->Table1Bytes();
   info.on_disk = tier.disk_tree != nullptr;
   info.memtable = tier.is_memtable;
   if (tier.disk_tree != nullptr) {

@@ -25,7 +25,8 @@ struct TierInfo {
   std::uint64_t elements = 0;    // Raw element values covered.
   std::uint64_t nodes = 0;
   std::uint64_t occurrences = 0;  // Stored suffixes.
-  std::uint64_t index_bytes = 0;
+  std::uint64_t index_bytes = 0;   // Stored footprint (SizeBytes()).
+  std::uint64_t table1_bytes = 0;  // Paper's Table-1 figure (Table1Bytes()).
   bool on_disk = false;
   bool memtable = false;  // The mutable-logically, immutable-physically top.
   /// Read path of a disk tier (meaningless for in-memory tiers).

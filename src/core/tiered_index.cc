@@ -125,6 +125,7 @@ void TieredIndex::PublishLocked() {
 }
 
 std::size_t TieredIndex::PendingMergesLocked() const {
+  if (!merge_status_.ok()) return 0;
   return sealed_tiers_.size() > options_.max_sealed_tiers
              ? sealed_tiers_.size() - options_.max_sealed_tiers
              : 0;
@@ -175,6 +176,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   suffixtree::SuffixTreeBuilder builder(&one_sym, build);
   builder.InsertSequence(0);
   suffixtree::SuffixTree single_tree = builder.Build();
+  TSW_RETURN_IF_ERROR(single_tree.status());
 
   {
     std::lock_guard<std::recursive_mutex> cq_lock(cq_mu_);
@@ -220,6 +222,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
     const bool done = suffixtree::MergeTrees(*memtable_tier_->view(),
                                              offset_view, &mem_tree);
     TSW_CHECK(done);  // No cancel token: memtable merges always finish.
+    TSW_RETURN_IF_ERROR(mem_tree.status());
   }
   memtable_values_.push_back(std::move(values));
   memtable_symbols_.push_back(std::move(syms));
@@ -280,7 +283,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   return global_id;
 }
 
-std::shared_ptr<const Tier> TieredIndex::BuildMergedTier(
+StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
     const std::shared_ptr<const Tier>& a,
     const std::shared_ptr<const Tier>& b, std::uint64_t generation) {
   const std::size_t na = a->info.sequences;
@@ -308,8 +311,9 @@ std::shared_ptr<const Tier> TieredIndex::BuildMergedTier(
     suffixtree::SuffixTree out;
     if (!suffixtree::MergeTrees(*a->view(), b_view, &out,
                                 &cancel_merges_)) {
-      return nullptr;
+      return std::shared_ptr<const Tier>();
     }
+    TSW_RETURN_IF_ERROR(out.status());
     tier->memory_tree = std::move(out);
     if (options_.index.node_summaries) {
       // Recompute over the merged tree: the inputs' summaries describe
@@ -323,22 +327,19 @@ std::shared_ptr<const Tier> TieredIndex::BuildMergedTier(
     StatusOr<std::unique_ptr<suffixtree::DiskTreeWriter>> writer =
         suffixtree::DiskTreeWriter::Create(
             tmp, TreeOptionsFromIndexOptions(options_.index));
-    if (!writer.ok()) return nullptr;
+    TSW_RETURN_IF_ERROR(writer.status());
     const bool done = suffixtree::MergeTrees(*a->view(), b_view,
                                              writer->get(), &cancel_merges_);
-    if (!done || !(*writer)->status().ok()) {
-      // Merge-cancel cleanup: release the buffer managers, then unlink
-      // the partial bundle so no orphan survives the abort.
-      writer->reset();
-      suffixtree::RemoveDiskTree(tmp);
-      return nullptr;
-    }
-    if (!(*writer)->Close().ok()) {
-      writer->reset();
-      suffixtree::RemoveDiskTree(tmp);
-      return nullptr;
-    }
+    const Status closed =
+        done ? (*writer)->Close() : (*writer)->status();
+    // Release the buffer managers; on cancel or failure unlink the partial
+    // bundle so no orphan survives the abort.
     writer->reset();
+    if (!done || !closed.ok()) {
+      suffixtree::RemoveDiskTree(tmp);
+      if (!done) return std::shared_ptr<const Tier>();
+      return closed;
+    }
 
     if (options_.index.node_summaries) {
       // Build the merged tier's summaries and attach them to the tmp
@@ -349,14 +350,15 @@ std::shared_ptr<const Tier> TieredIndex::BuildMergedTier(
               tmp, TreeOptionsFromIndexOptions(options_.index));
       if (!tmp_tree.ok()) {
         suffixtree::RemoveDiskTree(tmp);
-        return nullptr;
+        return tmp_tree.status();
       }
       const std::vector<suffixtree::NodeSummaryRecord> records =
           suffixtree::BuildNodeSummaries(**tmp_tree, TierSymbolHulls(*tier));
       tmp_tree->reset();  // Release the bundle before rewriting its meta.
-      if (!suffixtree::AttachNodeSummaries(tmp, records).ok()) {
+      const Status attached = suffixtree::AttachNodeSummaries(tmp, records);
+      if (!attached.ok()) {
         suffixtree::RemoveDiskTree(tmp);
-        return nullptr;
+        return attached;
       }
     }
 
@@ -374,30 +376,31 @@ std::shared_ptr<const Tier> TieredIndex::BuildMergedTier(
     if (!renamed) {
       suffixtree::RemoveDiskTree(tmp);
       suffixtree::RemoveDiskTree(final_base);
-      return nullptr;
+      return Status::IOError("renaming merged tier " + tmp + " -> " +
+                             final_base + " failed");
     }
     // Persist the renames: without the directory fsync a power loss here
     // could roll the directory back to a state where the published tier's
     // files never existed, even though every byte inside them is durable.
-    if (!storage::SyncDir(
-             fs::path(options_.index.disk_path).parent_path().string())
-             .ok()) {
+    const Status synced = storage::SyncDir(
+        fs::path(options_.index.disk_path).parent_path().string());
+    if (!synced.ok()) {
       suffixtree::RemoveDiskTree(final_base);
-      return nullptr;
+      return synced;
     }
     StatusOr<std::unique_ptr<suffixtree::DiskSuffixTree>> opened =
         suffixtree::DiskSuffixTree::Open(
             final_base, TreeOptionsFromIndexOptions(options_.index));
     if (!opened.ok()) {
       suffixtree::RemoveDiskTree(final_base);
-      return nullptr;
+      return opened.status();
     }
     tier->disk_tree = std::move(*opened);
     tier->disk_base = final_base;
     tier->owns_disk_files = true;
   }
   tier->info = ComputeTierInfo(*tier);
-  return tier;
+  return std::shared_ptr<const Tier>(std::move(tier));
 }
 
 bool TieredIndex::MergeOnce() {
@@ -422,16 +425,24 @@ bool TieredIndex::MergeOnce() {
   // Run the compaction itself as a task on the shared work-stealing
   // scheduler — merges are throughput work and should obey the same
   // executor as searches (the coordinating thread helps execute it).
-  std::shared_ptr<const Tier> merged;
+  StatusOr<std::shared_ptr<const Tier>> built = std::shared_ptr<const Tier>();
   TaskScheduler::Get().EnsureWorkers(1);
   {
     TaskScope scope;
-    scope.Submit([&] { merged = BuildMergedTier(a, b, generation); });
+    scope.Submit([&] { built = BuildMergedTier(a, b, generation); });
     scope.Wait();
   }
 
   std::unique_lock<std::mutex> lock(mu_);
   merge_running_ = false;
+  if (!built.ok()) {
+    // Not retried (PendingMergesLocked now owes nothing): the same inputs
+    // would fail the same way.
+    merge_status_ = built.status();
+    merge_done_cv_.notify_all();
+    return false;
+  }
+  std::shared_ptr<const Tier> merged = std::move(*built);
   if (merged == nullptr) {
     ++merges_cancelled_;
     merge_done_cv_.notify_all();
@@ -468,6 +479,11 @@ void TieredIndex::WaitForMerges() {
     return stop_.load(std::memory_order_relaxed) ||
            (PendingMergesLocked() == 0 && !merge_running_);
   });
+}
+
+Status TieredIndex::merge_status() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return merge_status_;
 }
 
 TieredStats TieredIndex::Stats() const {

@@ -137,6 +137,11 @@ class TieredIndex {
 
   TieredStats Stats() const;
 
+  /// OK, or the first error a compaction failed with (for instance a
+  /// merged tier too large for 32-bit offsets). A failed compaction is not
+  /// retried: its tiers stay live and searchable, unmerged.
+  Status merge_status() const;
+
   /// Registers a standing query: every future Append whose new sequence
   /// contains a subsequence within `epsilon` of `query` invokes `callback`
   /// with those matches. Returns the query id for Unregister.
@@ -163,7 +168,8 @@ class TieredIndex {
   /// Requires mu_ held.
   void PublishLocked();
 
-  /// Compactions owed under the sealed-tier budget. Requires mu_ held.
+  /// Compactions owed under the sealed-tier budget (none once a merge
+  /// has failed). Requires mu_ held.
   std::size_t PendingMergesLocked() const;
 
   /// Merges the two oldest sealed tiers if one is owed. Returns false when
@@ -172,8 +178,9 @@ class TieredIndex {
   bool MergeOnce();
 
   /// Builds the merged tier from two adjacent sealed tiers (no locks
-  /// held). Returns nullptr on cancellation or disk failure.
-  std::shared_ptr<const Tier> BuildMergedTier(
+  /// held). Returns nullptr on cancellation and an error Status when the
+  /// merge fails.
+  StatusOr<std::shared_ptr<const Tier>> BuildMergedTier(
       const std::shared_ptr<const Tier>& a,
       const std::shared_ptr<const Tier>& b, std::uint64_t generation);
 
@@ -200,6 +207,7 @@ class TieredIndex {
   std::size_t appended_sequences_ = 0;
   std::uint64_t merges_completed_ = 0;
   std::uint64_t merges_cancelled_ = 0;
+  Status merge_status_;
   std::uint64_t merge_generation_ = 0;
   bool merge_running_ = false;
   std::condition_variable merge_cv_;     // Signals worker: work or stop.

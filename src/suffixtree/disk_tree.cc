@@ -22,7 +22,7 @@ constexpr std::uint32_t kMetaVersionV2 = 2;
 
 // On-disk node record: 32 bytes, no padding.
 struct NodeRecord {
-  std::uint64_t label_offset;  // Symbol index into the label region.
+  std::uint64_t label_offset;  // Symbol index into the text (.labels).
   std::uint32_t label_len;
   std::uint32_t first_child;
   std::uint32_t next_sibling;
@@ -181,9 +181,9 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
 /// (a read guard) is held until the next Get() on a different page or the
 /// cursor dies. Holding a read guard across further pins is explicitly
 /// allowed by the manager, so cursors for several regions can be live at
-/// once (GetChildren walks nodes and labels together) — but to keep the
+/// once (GetOccurrences walks nodes and occs together) — but to keep the
 /// latch-order graph acyclic, accessors must only pin in the region
-/// order nodes -> occs -> labels while a guard is held.
+/// order nodes -> occs while a guard is held.
 template <typename T>
 class RecordCursor {
  public:
@@ -208,44 +208,6 @@ class RecordCursor {
   storage::PageGuard guard_;
 };
 
-/// Copies a run of label symbols out of pinned pages, reusing one guard
-/// across the pages of a single run. The guard is NOT cached across Copy
-/// calls: the accessors pin latches in the fixed region order
-/// nodes -> occs -> labels, and a label guard surviving into the next
-/// nodes Get() would add a labels -> nodes edge that closes a cycle in
-/// the latch-order graph (harmless for shared latches, but it trips
-/// TSan's deadlock detector and is a trap for future exclusive users).
-class LabelReader {
- public:
-  explicit LabelReader(storage::BufferManager* mgr) : mgr_(mgr) {}
-
-  void Copy(std::uint64_t first_symbol, std::uint32_t n, Symbol* dst) {
-    storage::PageGuard guard;
-    std::uint64_t offset = first_symbol * sizeof(Symbol);
-    std::size_t remaining = static_cast<std::size_t>(n) * sizeof(Symbol);
-    auto* out = reinterpret_cast<std::byte*>(dst);
-    while (remaining > 0) {
-      const std::uint64_t page_no = offset / storage::PagedFile::kPageSize;
-      const std::size_t in_page = offset % storage::PagedFile::kPageSize;
-      if (!guard.valid() || guard.page_no() != page_no) {
-        guard.Release();
-        auto pinned = mgr_->Pin(page_no, storage::PinIntent::kRead);
-        TSW_CHECK(pinned.ok()) << pinned.status();
-        guard = std::move(pinned).value();
-      }
-      const std::size_t chunk =
-          std::min(remaining, storage::PagedFile::kPageSize - in_page);
-      std::memcpy(out, guard.bytes().data() + in_page, chunk);
-      out += chunk;
-      offset += chunk;
-      remaining -= chunk;
-    }
-  }
-
- private:
-  storage::BufferManager* mgr_;
-};
-
 // Writer-side helpers on the byte-copy shim (records are patched in
 // place, and the writer is single-threaded, so guards buy nothing here).
 
@@ -266,6 +228,94 @@ Status ReadOcc(storage::BufferManager& mgr, std::uint32_t id,
                   sizeof(OccRecord));
 }
 
+/// Writes `bytes` as a fresh region file at `path` (the last page
+/// zero-padded) and syncs it.
+Status WriteRegionFile(const std::string& path,
+                       std::span<const std::byte> bytes) {
+  TSW_ASSIGN_OR_RETURN(auto file, storage::PagedFile::Create(path));
+  std::vector<std::byte> page(storage::PagedFile::kPageSize);
+  std::uint64_t written = 0;
+  for (std::uint64_t page_no = 0; written < bytes.size(); ++page_no) {
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(bytes.size() - written, page.size());
+    std::memcpy(page.data(), bytes.data() + written, chunk);
+    if (chunk < page.size()) {
+      std::fill(page.begin() + static_cast<std::ptrdiff_t>(chunk), page.end(),
+                std::byte{0});
+    }
+    TSW_RETURN_IF_ERROR(file.WritePage(page_no, page));
+    written += chunk;
+  }
+  return file.Sync();
+}
+
+/// Fills `out` from the start of region file `path`; Corruption when the
+/// file is shorter than the section table claims.
+Status ReadRegionFile(const std::string& path, std::span<std::byte> out,
+                      const char* what) {
+  TSW_ASSIGN_OR_RETURN(auto file, storage::PagedFile::Open(path, false));
+  if (file.SizeBytes() < out.size()) {
+    return Status::Corruption(
+        std::string(what) + " section truncated: " + path + " holds " +
+        std::to_string(file.SizeBytes()) + " bytes, section table claims " +
+        std::to_string(out.size()));
+  }
+  std::vector<std::byte> page(storage::PagedFile::kPageSize);
+  std::uint64_t copied = 0;
+  for (std::uint64_t page_no = 0; copied < out.size(); ++page_no) {
+    TSW_RETURN_IF_ERROR(file.ReadPage(page_no, page));
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(out.size() - copied, page.size());
+    std::memcpy(out.data() + copied, page.data(), chunk);
+    copied += chunk;
+  }
+  return Status::OK();
+}
+
+/// One pass over every node and occurrence record of a bundle: child,
+/// sibling and occurrence ids must be nil or below their counts, and every
+/// label must lie inside the text. After it, no accessor can read outside
+/// a region, whatever the records say. Returns the sum of the label
+/// lengths (MaterializedLabelSymbols) on success. `node_at(i)` and
+/// `occ_at(i)` return record i by value.
+template <typename NodeAt, typename OccAt>
+StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
+                                        const ParsedMeta& meta,
+                                        NodeAt node_at, OccAt occ_at) {
+  const auto bad = [&](const char* what, std::uint64_t index,
+                       std::uint64_t value) {
+    return Status::Corruption(std::string(what) + " " +
+                              std::to_string(value) + " of record " +
+                              std::to_string(index) + " out of range in " +
+                              base_path);
+  };
+  const auto node_ok = [&](std::uint32_t id) {
+    return id == kNilNode || id < meta.num_nodes;
+  };
+  const auto occ_ok = [&](std::uint32_t id) {
+    return id == kNilOcc || id < meta.num_occs;
+  };
+  std::uint64_t label_symbols = 0;
+  for (std::uint64_t i = 0; i < meta.num_nodes; ++i) {
+    const NodeRecord rec = node_at(i);
+    if (rec.label_offset > meta.num_label_symbols ||
+        rec.label_len > meta.num_label_symbols - rec.label_offset) {
+      return bad("label offset", i, rec.label_offset);
+    }
+    if (!node_ok(rec.first_child)) return bad("child id", i, rec.first_child);
+    if (!node_ok(rec.next_sibling)) {
+      return bad("sibling id", i, rec.next_sibling);
+    }
+    if (!occ_ok(rec.first_occ)) return bad("occurrence id", i, rec.first_occ);
+    label_symbols += rec.label_len;
+  }
+  for (std::uint64_t i = 0; i < meta.num_occs; ++i) {
+    const std::uint32_t next = occ_at(i).next;
+    if (!occ_ok(next)) return bad("occurrence id", i, next);
+  }
+  return label_symbols;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -280,9 +330,15 @@ class TreeAccess {
  public:
   virtual ~TreeAccess() = default;
 
+  /// Fills out->edges only; the caller supplies the text.
   virtual void GetChildren(NodeId node, Children* out) const = 0;
   virtual void GetOccurrences(NodeId node,
                               std::vector<OccurrenceRec>* out) const = 0;
+  /// The bundle's text; empty when opened without it.
+  virtual std::span<const Symbol> Text() const = 0;
+  /// ValidateRecords over this backend's records.
+  virtual StatusOr<std::uint64_t> Validate(const std::string& base_path,
+                                           const ParsedMeta& meta) const = 0;
   virtual std::uint32_t SubtreeOccCount(NodeId node) const = 0;
   virtual Pos MaxRun(NodeId node) const = 0;
   virtual void HintSequentialScan() const = 0;
@@ -301,60 +357,56 @@ class TreeAccess {
 
 namespace {
 
-/// The PR 3 read path: three sharded BufferManagers with a bounded frame
-/// budget. Handles bundles larger than RAM and v1 bundles; also the only
-/// backend usable while a writer still exists (construction, merges).
+/// The buffered read path: sharded BufferManagers with a bounded frame budget
+/// for the node and occurrence records. Handles bundles larger than RAM
+/// and v1 bundles; also the only backend usable while a writer still
+/// exists (construction, merges). The text is read into memory at Open.
 class BufferedTreeAccess : public internal::TreeAccess {
  public:
   static StatusOr<std::unique_ptr<internal::TreeAccess>> Open(
       const std::string& base_path, const DiskTreeOptions& options,
-      const ParsedMeta& meta) {
+      const ParsedMeta& meta, bool load_text) {
     auto access = std::unique_ptr<BufferedTreeAccess>(new BufferedTreeAccess);
     access->readahead_pages_ = options.readahead_pages;
     if (meta.has_summaries && options.load_node_summaries) {
-      TSW_RETURN_IF_ERROR(LoadSummaries(base_path, meta.num_nodes,
-                                        &access->summaries_));
+      access->summaries_.resize(static_cast<std::size_t>(meta.num_nodes));
+      TSW_RETURN_IF_ERROR(ReadRegionFile(
+          SumsPath(base_path), std::as_writable_bytes(std::span(
+                                   access->summaries_)),
+          "summary"));
+    }
+    if (load_text) {
+      access->text_.resize(static_cast<std::size_t>(meta.num_label_symbols));
+      TSW_RETURN_IF_ERROR(ReadRegionFile(
+          LabelsPath(base_path),
+          std::as_writable_bytes(std::span(access->text_)), "labels"));
     }
     TSW_ASSIGN_OR_RETURN(
         auto nodes_file, storage::PagedFile::Open(NodesPath(base_path), false));
     TSW_ASSIGN_OR_RETURN(
         auto occs_file, storage::PagedFile::Open(OccsPath(base_path), false));
-    TSW_ASSIGN_OR_RETURN(
-        auto labels_file,
-        storage::PagedFile::Open(LabelsPath(base_path), false));
     access->node_file_ =
         std::make_unique<storage::PagedFile>(std::move(nodes_file));
     access->occ_file_ =
         std::make_unique<storage::PagedFile>(std::move(occs_file));
-    access->label_file_ =
-        std::make_unique<storage::PagedFile>(std::move(labels_file));
     const storage::BufferManagerOptions mgr_options =
         options.ToManagerOptions();
     access->nodes_ = std::make_unique<storage::BufferManager>(
         access->node_file_.get(), mgr_options);
     access->occs_ = std::make_unique<storage::BufferManager>(
         access->occ_file_.get(), mgr_options);
-    access->labels_ = std::make_unique<storage::BufferManager>(
-        access->label_file_.get(), mgr_options);
     return std::unique_ptr<internal::TreeAccess>(std::move(access));
   }
 
   void GetChildren(NodeId node, Children* out) const override {
-    out->Clear();
+    out->edges.clear();
     RecordCursor<NodeRecord> nodes(nodes_.get());
-    LabelReader labels(labels_.get());
     // Copy out scalars before the next cursor call invalidates the pointer.
     const NodeId first_child = nodes.Get(node)->first_child;
     for (NodeId c = first_child; c != kNilNode;) {
       const NodeRecord* crec = nodes.Get(c);
-      const std::uint64_t label_offset = crec->label_offset;
-      const std::uint32_t label_len = crec->label_len;
-      const NodeId next = crec->next_sibling;
-      const auto begin = static_cast<std::uint32_t>(out->label_pool.size());
-      out->label_pool.resize(begin + label_len);
-      labels.Copy(label_offset, label_len, out->label_pool.data() + begin);
-      out->edges.push_back({c, begin, label_len});
-      c = next;
+      out->edges.push_back({c, crec->label_len, crec->label_offset});
+      c = crec->next_sibling;
     }
   }
 
@@ -368,6 +420,17 @@ class BufferedTreeAccess : public internal::TreeAccess {
       out->push_back({orec->seq, orec->pos, orec->run});
       o = orec->next;
     }
+  }
+
+  std::span<const Symbol> Text() const override { return text_; }
+
+  StatusOr<std::uint64_t> Validate(const std::string& base_path,
+                                   const ParsedMeta& meta) const override {
+    RecordCursor<NodeRecord> nodes(nodes_.get());
+    RecordCursor<OccRecord> occs(occs_.get());
+    return ValidateRecords(
+        base_path, meta, [&](std::uint64_t i) { return *nodes.Get(i); },
+        [&](std::uint64_t i) { return *occs.Get(i); });
   }
 
   std::uint32_t SubtreeOccCount(NodeId node) const override {
@@ -387,14 +450,12 @@ class BufferedTreeAccess : public internal::TreeAccess {
     // of a primed run, the managers' sequential fault detection takes over.
     nodes_->ReadAhead(0, window);
     occs_->ReadAhead(0, window);
-    labels_->ReadAhead(0, window);
   }
 
   RegionStats PoolStats() const override {
     RegionStats stats;
     stats.nodes = nodes_->stats();
     stats.occs = occs_->stats();
-    stats.labels = labels_->stats();
     return stats;
   }
 
@@ -415,55 +476,29 @@ class BufferedTreeAccess : public internal::TreeAccess {
  private:
   BufferedTreeAccess() = default;
 
-  // Summaries are consulted on every edge of every query, so the
-  // buffered path reads the whole section into an owned array at Open
-  // (one flat 64 B/node sidecar) instead of pinning pages per probe.
-  // This is the one deliberate exception to the bounded-pool promise;
-  // open with load_node_summaries=false to keep the strict bound.
-  static Status LoadSummaries(const std::string& base_path,
-                              std::uint64_t num_nodes,
-                              std::vector<NodeSummaryRecord>* out) {
-    TSW_ASSIGN_OR_RETURN(auto file,
-                         storage::PagedFile::Open(SumsPath(base_path), false));
-    const std::uint64_t need = num_nodes * sizeof(NodeSummaryRecord);
-    if (file.SizeBytes() < need) {
-      return Status::Corruption(
-          "summary section truncated: " + SumsPath(base_path) + " holds " +
-          std::to_string(file.SizeBytes()) + " bytes, section table claims " +
-          std::to_string(need));
-    }
-    out->resize(static_cast<std::size_t>(num_nodes));
-    std::vector<std::byte> page(storage::PagedFile::kPageSize);
-    auto* dst = reinterpret_cast<std::byte*>(out->data());
-    std::uint64_t copied = 0;
-    for (std::uint64_t page_no = 0; copied < need; ++page_no) {
-      TSW_RETURN_IF_ERROR(file.ReadPage(page_no, page));
-      const std::uint64_t chunk =
-          std::min<std::uint64_t>(need - copied, page.size());
-      std::memcpy(dst + copied, page.data(), chunk);
-      copied += chunk;
-    }
-    return Status::OK();
-  }
-
   std::size_t readahead_pages_ = 0;
+  // Summaries are consulted on every edge of every query, and labels on
+  // every edge, so the buffered path reads both sections into owned arrays
+  // at Open (64 B/node and 4 B/text symbol) instead of pinning pages per
+  // probe. These are the deliberate exceptions to the bounded-pool
+  // promise; open with load_node_summaries=false to drop the larger one.
   std::vector<NodeSummaryRecord> summaries_;
+  std::vector<Symbol> text_;
   std::unique_ptr<storage::PagedFile> node_file_;
   std::unique_ptr<storage::PagedFile> occ_file_;
-  std::unique_ptr<storage::PagedFile> label_file_;
   // Managers are mutable in effect: reads fault pages in and move policy
   // state; BufferManager is internally synchronized.
   mutable std::unique_ptr<storage::BufferManager> nodes_;
   mutable std::unique_ptr<storage::BufferManager> occs_;
-  mutable std::unique_ptr<storage::BufferManager> labels_;
 };
 
 /// The zero-copy read path: every region file is mapped read-only at Open
 /// and accessors dereference records straight out of the mapping. No pins,
 /// no locks, no private cache — the kernel page cache is the only cache
 /// and is shared with every other process serving the same bundle.
-/// MappedRegion::Create validated the byte lengths up front, so every
-/// RecordAt below is in-bounds by construction.
+/// MappedRegion::Create validated the byte lengths up front and Validate()
+/// every record id and label range, so every RecordAt below and every
+/// label span handed out is in-bounds.
 class MappedTreeAccess : public internal::TreeAccess {
  public:
   static StatusOr<std::unique_ptr<internal::TreeAccess>> Open(
@@ -485,9 +520,12 @@ class MappedTreeAccess : public internal::TreeAccess {
         storage::MappedRegion::Create(access->occs_file_, sizeof(OccRecord),
                                       meta.num_occs, "occs"));
     TSW_ASSIGN_OR_RETURN(
-        access->labels_,
+        const storage::MappedRegion labels,
         storage::MappedRegion::Create(access->labels_file_, sizeof(Symbol),
                                       meta.num_label_symbols, "labels"));
+    access->text_ = std::span<const Symbol>(
+        reinterpret_cast<const Symbol*>(labels.data()),
+        static_cast<std::size_t>(meta.num_label_symbols));
     if (meta.has_summaries && load_summaries) {
       // The summary section maps like any other region: extents are
       // validated before any pointer is handed out, so a truncated
@@ -510,15 +548,10 @@ class MappedTreeAccess : public internal::TreeAccess {
   }
 
   void GetChildren(NodeId node, Children* out) const override {
-    out->Clear();
-    const auto* labels = reinterpret_cast<const Symbol*>(labels_.data());
+    out->edges.clear();
     for (NodeId c = Node(node).first_child; c != kNilNode;) {
       const NodeRecord& crec = Node(c);
-      const auto begin = static_cast<std::uint32_t>(out->label_pool.size());
-      out->label_pool.resize(begin + crec.label_len);
-      std::memcpy(out->label_pool.data() + begin, labels + crec.label_offset,
-                  static_cast<std::size_t>(crec.label_len) * sizeof(Symbol));
-      out->edges.push_back({c, begin, crec.label_len});
+      out->edges.push_back({c, crec.label_len, crec.label_offset});
       c = crec.next_sibling;
     }
   }
@@ -533,6 +566,17 @@ class MappedTreeAccess : public internal::TreeAccess {
     }
   }
 
+  std::span<const Symbol> Text() const override { return text_; }
+
+  StatusOr<std::uint64_t> Validate(const std::string& base_path,
+                                   const ParsedMeta& meta) const override {
+    return ValidateRecords(
+        base_path, meta, [&](std::uint64_t i) { return Node(i); },
+        [&](std::uint64_t i) {
+          return *reinterpret_cast<const OccRecord*>(occs_.RecordAt(i));
+        });
+  }
+
   std::uint32_t SubtreeOccCount(NodeId node) const override {
     return Node(node).subtree_occ;
   }
@@ -540,9 +584,10 @@ class MappedTreeAccess : public internal::TreeAccess {
   Pos MaxRun(NodeId node) const override { return Node(node).max_run; }
 
   void HintSequentialScan() const override {
+    // Only the records are scanned front to back; labels are read at
+    // wherever each edge references the text.
     nodes_file_.Advise(storage::AccessHint::kSequential);
     occs_file_.Advise(storage::AccessHint::kSequential);
-    labels_file_.Advise(storage::AccessHint::kSequential);
   }
 
   RegionStats PoolStats() const override { return RegionStats{}; }
@@ -572,7 +617,7 @@ class MappedTreeAccess : public internal::TreeAccess {
  private:
   MappedTreeAccess() = default;
 
-  const NodeRecord& Node(NodeId id) const {
+  const NodeRecord& Node(std::uint64_t id) const {
     return *reinterpret_cast<const NodeRecord*>(nodes_.RecordAt(id));
   }
 
@@ -582,8 +627,8 @@ class MappedTreeAccess : public internal::TreeAccess {
   storage::MappedFile sums_file_;
   storage::MappedRegion nodes_;
   storage::MappedRegion occs_;
-  storage::MappedRegion labels_;
   storage::MappedRegion sums_;
+  std::span<const Symbol> text_;
 };
 
 }  // namespace
@@ -601,7 +646,6 @@ storage::BufferManager::Stats RegionStats::Total() const {
   storage::BufferManager::Stats total;
   total += nodes;
   total += occs;
-  total += labels;
   return total;
 }
 
@@ -610,13 +654,19 @@ storage::BufferManager::Stats RegionStats::Total() const {
 // ---------------------------------------------------------------------------
 
 DiskTreeWriter::DiskTreeWriter(const std::string& base_path,
-                               DiskTreeOptions options)
-    : base_path_(base_path), options_(options) {}
+                               DiskTreeOptions options, bool persist_text)
+    : base_path_(base_path), options_(options), persist_text_(persist_text) {}
 
 StatusOr<std::unique_ptr<DiskTreeWriter>> DiskTreeWriter::Create(
     const std::string& base_path, DiskTreeOptions options) {
+  return Create(base_path, options, /*persist_text=*/true);
+}
+
+StatusOr<std::unique_ptr<DiskTreeWriter>> DiskTreeWriter::Create(
+    const std::string& base_path, DiskTreeOptions options,
+    bool persist_text) {
   std::unique_ptr<DiskTreeWriter> writer(
-      new DiskTreeWriter(base_path, options));
+      new DiskTreeWriter(base_path, options, persist_text));
   TSW_RETURN_IF_ERROR(writer->Init());
   return writer;
 }
@@ -626,24 +676,38 @@ Status DiskTreeWriter::Init() {
                        storage::PagedFile::Create(NodesPath(base_path_)));
   TSW_ASSIGN_OR_RETURN(auto occs_file,
                        storage::PagedFile::Create(OccsPath(base_path_)));
-  TSW_ASSIGN_OR_RETURN(auto labels_file,
-                       storage::PagedFile::Create(LabelsPath(base_path_)));
+  if (persist_text_) {
+    // An empty text until SetText: a root-only tree is a complete bundle.
+    TSW_RETURN_IF_ERROR(WriteRegionFile(LabelsPath(base_path_), {}));
+  }
   node_file_ = std::make_unique<storage::PagedFile>(std::move(nodes_file));
   occ_file_ = std::make_unique<storage::PagedFile>(std::move(occs_file));
-  label_file_ = std::make_unique<storage::PagedFile>(std::move(labels_file));
   const storage::BufferManagerOptions mgr_options =
       options_.ToManagerOptions();
   nodes_ = std::make_unique<storage::BufferManager>(node_file_.get(),
                                                     mgr_options);
   occs_ = std::make_unique<storage::BufferManager>(occ_file_.get(),
                                                    mgr_options);
-  labels_ = std::make_unique<storage::BufferManager>(label_file_.get(),
-                                                     mgr_options);
   return Status::OK();
 }
 
-NodeId DiskTreeWriter::AddNode(NodeId parent, std::span<const Symbol> label) {
-  const auto id = static_cast<NodeId>(num_nodes_);
+void DiskTreeWriter::SetText(std::span<const Symbol> text) {
+  TSW_CHECK(num_nodes_ <= 1) << "the text must precede every edge";
+  num_label_symbols_ = text.size();
+  if (persist_text_) {
+    Latch(WriteRegionFile(LabelsPath(base_path_), std::as_bytes(text)));
+  }
+}
+
+NodeId DiskTreeWriter::AddNode(NodeId parent, LabelRef label) {
+  if (!status_.ok()) return 0;  // Failed: Close() reports it.
+  const StatusOr<std::uint32_t> checked_id =
+      CheckedU32(num_nodes_, "node count");
+  if (!checked_id.ok()) {
+    Latch(checked_id.status());
+    return 0;
+  }
+  const NodeId id = *checked_id;
   NodeRecord rec{};
   rec.first_child = kNilNode;
   rec.next_sibling = kNilNode;
@@ -651,11 +715,12 @@ NodeId DiskTreeWriter::AddNode(NodeId parent, std::span<const Symbol> label) {
   if (parent == kNilNode) {
     TSW_CHECK(num_nodes_ == 0) << "root must be the first node";
   } else {
-    rec.label_offset = num_label_symbols_;
-    rec.label_len = static_cast<std::uint32_t>(label.size());
-    Latch(labels_->Write(num_label_symbols_ * sizeof(Symbol), label.data(),
-                         label.size() * sizeof(Symbol)));
-    num_label_symbols_ += label.size();
+    TSW_CHECK(label.len > 0 &&
+              label.offset + label.len <= num_label_symbols_)
+        << "label [" << label.offset << ", +" << label.len
+        << ") outside a text of " << num_label_symbols_ << " symbols";
+    rec.label_offset = label.offset;
+    rec.label_len = label.len;
     // Prepend into the parent's child chain.
     NodeRecord parent_rec;
     Latch(ReadNode(*nodes_, parent, &parent_rec));
@@ -669,10 +734,17 @@ NodeId DiskTreeWriter::AddNode(NodeId parent, std::span<const Symbol> label) {
 }
 
 void DiskTreeWriter::AddOccurrence(NodeId node, const OccurrenceRec& occ) {
+  if (!status_.ok()) return;
+  const StatusOr<std::uint32_t> checked_id =
+      CheckedU32(num_occs_, "occurrence count");
+  if (!checked_id.ok()) {
+    Latch(checked_id.status());
+    return;
+  }
+  const std::uint32_t id = *checked_id;
   NodeRecord node_rec;
   Latch(ReadNode(*nodes_, node, &node_rec));
   OccRecord rec{occ.seq, occ.pos, occ.run, node_rec.first_occ};
-  const auto id = static_cast<std::uint32_t>(num_occs_);
   Latch(occs_->Write(num_occs_ * sizeof(OccRecord), &rec, sizeof(OccRecord)));
   node_rec.first_occ = id;
   Latch(WriteNode(*nodes_, node, node_rec));
@@ -747,7 +819,6 @@ Status DiskTreeWriter::CloseInternal() {
   }
   TSW_RETURN_IF_ERROR(nodes_->Flush());
   TSW_RETURN_IF_ERROR(occs_->Flush());
-  TSW_RETURN_IF_ERROR(labels_->Flush());
   TSW_ASSIGN_OR_RETURN(auto meta_file,
                        storage::PagedFile::Create(MetaPath(base_path_)));
   MetaRecord meta{kMetaMagic, kMetaVersionV2, 1u, num_nodes_, num_occs_,
@@ -786,6 +857,12 @@ DiskSuffixTree::~DiskSuffixTree() = default;
 
 StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
     const std::string& base_path, DiskTreeOptions options) {
+  return OpenImpl(base_path, options, nullptr);
+}
+
+StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::OpenImpl(
+    const std::string& base_path, DiskTreeOptions options,
+    const std::span<const Symbol>* external_text) {
   TSW_ASSIGN_OR_RETURN(const ParsedMeta meta, ReadMeta(base_path));
   if (options.io_mode == storage::IoMode::kMmap &&
       meta.version < kMetaVersionV2) {
@@ -802,13 +879,23 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   tree->num_label_symbols_ = meta.num_label_symbols;
   tree->format_version_ = meta.version;
   if (options.io_mode == storage::IoMode::kMmap) {
+    TSW_CHECK(external_text == nullptr);
     TSW_ASSIGN_OR_RETURN(
         tree->access_,
         MappedTreeAccess::Open(base_path, meta, options.load_node_summaries));
   } else {
     TSW_ASSIGN_OR_RETURN(tree->access_,
-                         BufferedTreeAccess::Open(base_path, options, meta));
+                         BufferedTreeAccess::Open(base_path, options, meta,
+                                                  external_text == nullptr));
   }
+  if (external_text != nullptr) {
+    TSW_CHECK(external_text->size() == meta.num_label_symbols);
+    tree->text_ = *external_text;
+  } else {
+    tree->text_ = tree->access_->Text();
+  }
+  TSW_ASSIGN_OR_RETURN(tree->materialized_label_symbols_,
+                       tree->access_->Validate(base_path, meta));
   return tree;
 }
 
@@ -817,6 +904,7 @@ std::span<const NodeSummaryRecord> DiskSuffixTree::node_summaries() const {
 }
 
 void DiskSuffixTree::GetChildren(NodeId node, Children* out) const {
+  out->text = text_;
   access_->GetChildren(node, out);
 }
 
@@ -892,26 +980,8 @@ Status AttachNodeSummaries(const std::string& base_path,
   // Write and sync the section data before announcing it in the meta
   // page: a crash in between leaves a 3-section meta plus an
   // unreferenced .sums file, which reopens cleanly without summaries.
-  {
-    TSW_ASSIGN_OR_RETURN(auto sums_file,
-                         storage::PagedFile::Create(SumsPath(base_path)));
-    const auto* src = reinterpret_cast<const std::byte*>(records.data());
-    const std::uint64_t total = records.size() * sizeof(NodeSummaryRecord);
-    std::vector<std::byte> page(storage::PagedFile::kPageSize);
-    std::uint64_t written = 0;
-    for (std::uint64_t page_no = 0; written < total; ++page_no) {
-      const std::uint64_t chunk =
-          std::min<std::uint64_t>(total - written, page.size());
-      std::memcpy(page.data(), src + written, chunk);
-      if (chunk < page.size()) {
-        std::fill(page.begin() + static_cast<std::ptrdiff_t>(chunk),
-                  page.end(), std::byte{0});
-      }
-      TSW_RETURN_IF_ERROR(sums_file.WritePage(page_no, page));
-      written += chunk;
-    }
-    TSW_RETURN_IF_ERROR(sums_file.Sync());
-  }
+  TSW_RETURN_IF_ERROR(
+      WriteRegionFile(SumsPath(base_path), std::as_bytes(records)));
   TSW_ASSIGN_OR_RETURN(auto meta_file,
                        storage::PagedFile::Open(MetaPath(base_path), true));
   std::vector<std::byte> page(storage::PagedFile::kPageSize);
@@ -943,11 +1013,20 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SymbolDatabase& db, const std::string& base_path,
     DiskBuildOptions options) {
   TSW_CHECK(options.batch_sequences >= 1);
+  if (db.size() == 0) {
+    return Status::InvalidArgument("empty symbol database");
+  }
   // Intermediate trees are written, scanned once in a merge, and deleted;
   // they are always accessed buffered (the mmap path would remap every
   // short-lived tmp bundle for no reuse).
   DiskTreeOptions scratch = options.tree;
   scratch.io_mode = storage::IoMode::kBuffered;
+
+  // Every batch tree references this one text. Intermediate bundles carry
+  // no .labels: merges read labels from `text` and write only node and
+  // occurrence records. The text is written once, into the survivor.
+  const auto shared_text = std::make_shared<const SymbolText>(db);
+  const std::span<const Symbol> text = shared_text->symbols;
 
   // Phase 1: spill batch trees.
   std::vector<std::string> pending;
@@ -956,15 +1035,16 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
        begin += static_cast<SeqId>(options.batch_sequences)) {
     const SeqId end = static_cast<SeqId>(
         std::min<std::size_t>(db.size(), begin + options.batch_sequences));
-    SuffixTreeBuilder builder(&db, options.build);
+    SuffixTreeBuilder builder(shared_text, options.build);
     for (SeqId id = begin; id < end; ++id) builder.InsertSequence(id);
-    SuffixTree batch = builder.Build();
+    const SuffixTree batch = builder.Build();
+    TSW_RETURN_IF_ERROR(batch.status());
     const std::string tmp = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_RETURN_IF_ERROR(WriteTreeToDisk(batch, tmp, scratch));
+    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(
+                                          tmp, scratch, /*persist_text=*/false));
+    CopyTree(batch, writer.get());
+    TSW_RETURN_IF_ERROR(writer->Close());
     pending.push_back(tmp);
-  }
-  if (pending.empty()) {
-    return Status::InvalidArgument("empty symbol database");
   }
 
   // Phase 2: binary merges of trees of increasing size (FIFO pairing).
@@ -972,10 +1052,13 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   while (pending.size() - head > 1) {
     const std::string a = pending[head++];
     const std::string b = pending[head++];
-    TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(a, scratch));
-    TSW_ASSIGN_OR_RETURN(auto view_b, DiskSuffixTree::Open(b, scratch));
+    TSW_ASSIGN_OR_RETURN(auto view_a,
+                         DiskSuffixTree::OpenImpl(a, scratch, &text));
+    TSW_ASSIGN_OR_RETURN(auto view_b,
+                         DiskSuffixTree::OpenImpl(b, scratch, &text));
     const std::string out = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(out, scratch));
+    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(
+                                          out, scratch, /*persist_text=*/false));
     MergeTrees(*view_a, *view_b, writer.get());
     TSW_RETURN_IF_ERROR(writer->Close());
     RemoveDiskTree(a);
@@ -983,8 +1066,10 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     pending.push_back(out);
   }
 
-  // Rename the survivor into place, then persist the renames.
+  // Give the survivor its text, rename it into place, then persist the
+  // renames.
   const std::string last = pending[head];
+  TSW_RETURN_IF_ERROR(WriteRegionFile(LabelsPath(last), std::as_bytes(text)));
   RemoveDiskTree(base_path);
   for (const char* suffix : {".meta", ".nodes", ".occs", ".labels"}) {
     const std::string from = last + suffix;

@@ -21,22 +21,30 @@ namespace internal {
 class TreeAccess;  // Pluggable node-access backend (buffered or mmap).
 }  // namespace internal
 
+class DiskSuffixTree;
+struct DiskBuildOptions;
+
 /// A disk-resident suffix tree is a bundle of four files, plus an
 /// optional fifth:
 ///   <base>.meta    counts + magic + v2 section table
 ///   <base>.nodes   fixed 32-byte node records
 ///   <base>.occs    fixed 16-byte occurrence records
-///   <base>.labels  materialized edge-label symbols (4 bytes each)
+///   <base>.labels  the tree's symbol text (4 bytes per symbol); node
+///                  records reference their edge labels in it by
+///                  (label_offset, label_len)
 ///   <base>.sums    fixed 64-byte node-summary records (optional; v2
 ///                  only, announced by a 4th section-table entry)
 /// The bundle is relocatable: records reference each other by index only
 /// (no absolute offsets or embedded paths), so the files can be moved or
-/// renamed together freely.
+/// renamed together freely. Open validates every node and occurrence
+/// record against the counts, so a corrupt record is a Corruption at Open,
+/// never a read outside the bundle.
 ///
 /// Two read paths exist, selected per open via `io_mode`:
 ///   - buffered: per-region sharded buffer managers with a bounded page
-///     budget — trees larger than RAM can be built, merged, and searched.
-///     The only path that can read v1 bundles.
+///     budget for the node and occurrence records — trees larger than RAM
+///     can be built, merged, and searched; the text is read into memory at
+///     Open. The only path that can read v1 bundles.
 ///   - mmap: the region files are mapped read-only and cursors read
 ///     records straight out of the mapping — zero pins, zero private
 ///     cache, kernel page cache shared across processes. Requires a
@@ -74,30 +82,32 @@ struct DiskTreeOptions {
   storage::BufferManagerOptions ToManagerOptions() const;
 };
 
-/// Buffer-manager statistics of one tree, broken down by region. On the
-/// mmap path all counters are zero — there is no pool to hit or miss.
+/// Buffer-manager statistics of one tree, broken down by region (the text
+/// is never paged). On the mmap path all counters are zero — there is no
+/// pool to hit or miss.
 struct RegionStats {
   storage::BufferManager::Stats nodes;
   storage::BufferManager::Stats occs;
-  storage::BufferManager::Stats labels;
 
   storage::BufferManager::Stats Total() const;
 };
 
 /// TreeSink that writes a disk tree bundle (always buffered; mappings are
-/// read-only). Nodes and occurrences are appended; parent/sibling links
-/// are patched in place through the managers' byte-granular Read/Write
-/// shim (patching a record rewrites a few dozen bytes mid-page, so
-/// pin-copy-unpin is the right shape here). Close() syncs the meta file
-/// and then fsyncs the containing directory, so a bundle that Close()
-/// reported durable cannot vanish on power loss.
+/// read-only). SetText writes the `.labels` region in one pass. Nodes and
+/// occurrences are appended; parent/sibling links are patched in place
+/// through the managers' byte-granular Read/Write shim (patching a record
+/// rewrites a few dozen bytes mid-page, so pin-copy-unpin is the right
+/// shape here). Close() syncs the meta file and then fsyncs the containing
+/// directory, so a bundle that Close() reported durable cannot vanish on
+/// power loss.
 class DiskTreeWriter : public TreeSink {
  public:
   static StatusOr<std::unique_ptr<DiskTreeWriter>> Create(
       const std::string& base_path, DiskTreeOptions options = {});
 
   // --- TreeSink ---
-  NodeId AddNode(NodeId parent, std::span<const Symbol> label) override;
+  void SetText(std::span<const Symbol> text) override;
+  NodeId AddNode(NodeId parent, LabelRef label) override;
   void AddOccurrence(NodeId node, const OccurrenceRec& occ) override;
   void Finalize() override;
 
@@ -113,7 +123,19 @@ class DiskTreeWriter : public TreeSink {
   const Status& status() const { return status_; }
 
  private:
-  DiskTreeWriter(const std::string& base_path, DiskTreeOptions options);
+  friend StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
+      const SymbolDatabase& db, const std::string& base_path,
+      DiskBuildOptions options);
+
+  DiskTreeWriter(const std::string& base_path, DiskTreeOptions options,
+                 bool persist_text);
+
+  /// `persist_text` false: SetText only records the text's length and no
+  /// `.labels` file is written (BuildDiskTree's intermediate bundles,
+  /// which all share one text held in memory).
+  static StatusOr<std::unique_ptr<DiskTreeWriter>> Create(
+      const std::string& base_path, DiskTreeOptions options,
+      bool persist_text);
 
   Status Init();
   Status CloseInternal();
@@ -123,12 +145,11 @@ class DiskTreeWriter : public TreeSink {
 
   std::string base_path_;
   DiskTreeOptions options_;
+  bool persist_text_ = true;
   std::unique_ptr<storage::PagedFile> node_file_;
   std::unique_ptr<storage::PagedFile> occ_file_;
-  std::unique_ptr<storage::PagedFile> label_file_;
   std::unique_ptr<storage::BufferManager> nodes_;
   std::unique_ptr<storage::BufferManager> occs_;
-  std::unique_ptr<storage::BufferManager> labels_;
   std::uint64_t num_nodes_ = 0;
   std::uint64_t num_occs_ = 0;
   std::uint64_t num_label_symbols_ = 0;
@@ -140,14 +161,18 @@ class DiskTreeWriter : public TreeSink {
 /// Read-only TreeView over a disk tree bundle, backed by one of two
 /// node-access layers chosen at Open time (DiskTreeOptions::io_mode):
 ///
-///   - Buffered: every accessor pins the pages it touches through three
-///     sharded BufferManagers and reads records zero-copy out of the
-///     pinned frames. Parallel searchers contend only on same-shard
-///     pages. Works for v1 and v2 bundles, any size vs RAM.
+///   - Buffered: every accessor pins the pages it touches through two
+///     sharded BufferManagers (nodes, occurrences) and reads records
+///     zero-copy out of the pinned frames; the text is read into memory
+///     at Open. Parallel searchers contend only on same-shard pages.
+///     Works for v1 and v2 bundles.
 ///   - Mapped: the three region files are mmap'd read-only at Open
 ///     (validated up front — truncation is a clean Status::Corruption,
 ///     never a SIGBUS) and accessors read records directly from the
 ///     mapping with no pinning or locking at all.
+///
+/// Either way GetChildren hands out label spans straight into the text,
+/// with no copy.
 ///
 /// Thread safety: the read accessors (GetChildren, GetOccurrences,
 /// SubtreeOccCount, MaxRun, CollectSubtreeOccurrences, PoolStats) may be
@@ -169,8 +194,12 @@ class DiskSuffixTree : public TreeView {
   Pos MaxRun(NodeId node) const override;
   std::uint64_t NumNodes() const override { return num_nodes_; }
   std::uint64_t NumOccurrences() const override { return num_occs_; }
+  std::span<const Symbol> Text() const override { return text_; }
   std::uint64_t NumLabelSymbols() const override {
     return num_label_symbols_;
+  }
+  std::uint64_t MaterializedLabelSymbols() const override {
+    return materialized_label_symbols_;
   }
   std::uint64_t SizeBytes() const override;
 
@@ -207,14 +236,27 @@ class DiskSuffixTree : public TreeView {
   std::span<const NodeSummaryRecord> node_summaries() const;
 
  private:
+  friend StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
+      const SymbolDatabase& db, const std::string& base_path,
+      DiskBuildOptions options);
+
   DiskSuffixTree() = default;
+
+  /// Open(); a non-null `external_text` supplies the text instead of the
+  /// bundle's `.labels` (which need not exist) and must outlive the tree.
+  /// BuildDiskTree opens its intermediate bundles this way.
+  static StatusOr<std::unique_ptr<DiskSuffixTree>> OpenImpl(
+      const std::string& base_path, DiskTreeOptions options,
+      const std::span<const Symbol>* external_text);
 
   std::string base_path_;
   DiskTreeOptions options_;
   std::unique_ptr<internal::TreeAccess> access_;
+  std::span<const Symbol> text_;
   std::uint64_t num_nodes_ = 0;
   std::uint64_t num_occs_ = 0;
   std::uint64_t num_label_symbols_ = 0;
+  std::uint64_t materialized_label_symbols_ = 0;
   std::uint32_t format_version_ = 0;
 };
 
@@ -245,9 +287,12 @@ struct DiskBuildOptions {
 
 /// Builds a disk tree over all sequences of `db`: batches are built in
 /// memory, spilled, then pairwise-merged on disk until one tree remains at
-/// `base_path`. Intermediate trees are always opened buffered (they are
-/// scanned once and deleted); only the final open honors
-/// `options.tree.io_mode`.
+/// `base_path`. Every batch tree references one text, the database's
+/// sequences concatenated, held in memory for the build: spills and merges
+/// write only node and occurrence records, and the text is written once,
+/// as the final bundle's `.labels`. Intermediate trees are always opened
+/// buffered (they are scanned once and deleted); only the final open
+/// honors `options.tree.io_mode`.
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SymbolDatabase& db, const std::string& base_path,
     DiskBuildOptions options = {});

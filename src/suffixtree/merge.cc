@@ -9,9 +9,30 @@
 namespace tswarp::suffixtree {
 namespace {
 
+/// An edge label pending in the merge: its symbols in the source view and
+/// its reference into the output text.
+struct Pending {
+  std::span<const Symbol> symbols;
+  std::uint64_t ref;
+
+  std::size_t size() const { return symbols.size(); }
+  Symbol front() const { return symbols.front(); }
+  LabelRef Ref() const {
+    return {ref, static_cast<std::uint32_t>(symbols.size())};
+  }
+  LabelRef Prefix(std::size_t k) const {
+    return {ref, static_cast<std::uint32_t>(k)};
+  }
+  Pending Drop(std::size_t k) const { return {symbols.subspan(k), ref + k}; }
+};
+
+bool SameText(std::span<const Symbol> x, std::span<const Symbol> y) {
+  return x.data() == y.data() && x.size() == y.size();
+}
+
 /// Recursive merge machinery. Each recursion frame owns its Children
-/// buffers; label spans passed down the recursion point into a live
-/// ancestor frame.
+/// buffers; label spans passed down the recursion point into the source
+/// views' texts.
 class Merger {
  public:
   Merger(const TreeView& a, const TreeView& b, TreeSink* out,
@@ -25,6 +46,18 @@ class Merger {
     // allocated in creation order); let disk-backed views stream.
     a_.HintSequentialScan();
     b_.HintSequentialScan();
+    const std::span<const Symbol> text_a = a_.Text();
+    const std::span<const Symbol> text_b = b_.Text();
+    if (SameText(text_a, text_b)) {
+      out_->SetText(text_a);
+    } else {
+      std::vector<Symbol> joined;
+      joined.reserve(text_a.size() + text_b.size());
+      joined.insert(joined.end(), text_a.begin(), text_a.end());
+      joined.insert(joined.end(), text_b.begin(), text_b.end());
+      out_->SetText(joined);
+      b_shift_ = text_a.size();
+    }
     const NodeId root = out_->AddNode(kNilNode, {});
     try {
       MergeNodes(a_.Root(), b_.Root(), root);
@@ -51,6 +84,12 @@ class Merger {
     if (cancel_->load(std::memory_order_relaxed)) throw Cancelled{};
   }
 
+  /// The label of edge `e` of view `v`, referenced in the output text.
+  Pending Label(const TreeView& v, const Children& c,
+                const Children::Edge& e) const {
+    return {c.Label(e), e.label_offset + (&v == &b_ ? b_shift_ : 0)};
+  }
+
   void CopyOccurrences(const TreeView& v, NodeId from, NodeId to) {
     occ_buf_.clear();
     v.GetOccurrences(from, &occ_buf_);
@@ -59,15 +98,15 @@ class Merger {
 
   /// Copies the subtree of `node` (in `v`) under `out_parent`, where the
   /// edge into `node` still has `label` pending.
-  void CopySubtree(const TreeView& v, std::span<const Symbol> label,
-                   NodeId node, NodeId out_parent) {
+  void CopySubtree(const TreeView& v, const Pending& label, NodeId node,
+                   NodeId out_parent) {
     PollCancel();
-    const NodeId m = out_->AddNode(out_parent, label);
+    const NodeId m = out_->AddNode(out_parent, label.Ref());
     CopyOccurrences(v, node, m);
     Children children;
     v.GetChildren(node, &children);
     for (const Children::Edge& e : children.edges) {
-      CopySubtree(v, children.Label(e), e.child, m);
+      CopySubtree(v, Label(v, children, e), e.child, m);
     }
   }
 
@@ -91,50 +130,50 @@ class Merger {
         }
       }
       if (match == cb.edges.size()) {
-        CopySubtree(a_, ca.Label(ea), ea.child, on);
+        CopySubtree(a_, Label(a_, ca, ea), ea.child, on);
       } else {
         b_used[match] = true;
         const Children::Edge& eb = cb.edges[match];
-        MergeEdges(ca.Label(ea), ea.child, cb.Label(eb), eb.child, on);
+        MergeEdges(Label(a_, ca, ea), ea.child, Label(b_, cb, eb), eb.child,
+                   on);
       }
     }
     for (std::size_t i = 0; i < cb.edges.size(); ++i) {
       if (!b_used[i]) {
-        CopySubtree(b_, cb.Label(cb.edges[i]), cb.edges[i].child, on);
+        CopySubtree(b_, Label(b_, cb, cb.edges[i]), cb.edges[i].child, on);
       }
     }
   }
 
   /// Merges two edges with equal first symbols under output node `on`.
-  void MergeEdges(std::span<const Symbol> la, NodeId child_a,
-                  std::span<const Symbol> lb, NodeId child_b, NodeId on) {
+  void MergeEdges(const Pending& la, NodeId child_a, const Pending& lb,
+                  NodeId child_b, NodeId on) {
     std::size_t k = 0;
     const std::size_t limit = std::min(la.size(), lb.size());
-    while (k < limit && la[k] == lb[k]) ++k;
+    while (k < limit && la.symbols[k] == lb.symbols[k]) ++k;
     TSW_DCHECK(k >= 1);
     if (k == la.size() && k == lb.size()) {
-      const NodeId m = out_->AddNode(on, la);
+      const NodeId m = out_->AddNode(on, la.Ref());
       MergeNodes(child_a, child_b, m);
     } else if (k == la.size()) {
       // A reaches its node; B is still mid-edge with lb[k:] pending.
-      const NodeId m = out_->AddNode(on, la);
-      MergeNodeWithEdge(a_, child_a, b_, lb.subspan(k), child_b, m);
+      const NodeId m = out_->AddNode(on, la.Ref());
+      MergeNodeWithEdge(a_, child_a, b_, lb.Drop(k), child_b, m);
     } else if (k == lb.size()) {
-      const NodeId m = out_->AddNode(on, lb);
-      MergeNodeWithEdge(b_, child_b, a_, la.subspan(k), child_a, m);
+      const NodeId m = out_->AddNode(on, lb.Ref());
+      MergeNodeWithEdge(b_, child_b, a_, la.Drop(k), child_a, m);
     } else {
       // Divergence strictly inside both edges: fresh branching node.
-      const NodeId m = out_->AddNode(on, la.subspan(0, k));
-      CopySubtree(a_, la.subspan(k), child_a, m);
-      CopySubtree(b_, lb.subspan(k), child_b, m);
+      const NodeId m = out_->AddNode(on, la.Prefix(k));
+      CopySubtree(a_, la.Drop(k), child_a, m);
+      CopySubtree(b_, lb.Drop(k), child_b, m);
     }
   }
 
   /// Merges node `nv` of view `v` with a pending edge (rest -> child_w) of
   /// view `w`, writing into existing output node `mo`.
   void MergeNodeWithEdge(const TreeView& v, NodeId nv, const TreeView& w,
-                         std::span<const Symbol> rest, NodeId child_w,
-                         NodeId mo) {
+                         const Pending& rest, NodeId child_w, NodeId mo) {
     CopyOccurrences(v, nv, mo);
     Children cv;
     v.GetChildren(nv, &cv);
@@ -146,12 +185,12 @@ class Merger {
         // but binds its first edge to a_ and second to b_; dispatch on
         // which view `v` actually is.
         if (&v == &a_) {
-          MergeEdges(cv.Label(e), e.child, rest, child_w, mo);
+          MergeEdges(Label(v, cv, e), e.child, rest, child_w, mo);
         } else {
-          MergeEdges(rest, child_w, cv.Label(e), e.child, mo);
+          MergeEdges(rest, child_w, Label(v, cv, e), e.child, mo);
         }
       } else {
-        CopySubtree(v, cv.Label(e), e.child, mo);
+        CopySubtree(v, Label(v, cv, e), e.child, mo);
       }
     }
     if (!matched) CopySubtree(w, rest, child_w, mo);
@@ -161,6 +200,9 @@ class Merger {
   const TreeView& b_;
   TreeSink* out_;
   const std::atomic<bool>* cancel_;
+  // Added to b's label references when the output text is a's text
+  // followed by b's.
+  std::uint64_t b_shift_ = 0;
   std::uint32_t cancel_polls_ = 0;
   std::vector<OccurrenceRec> occ_buf_;
 };
@@ -176,6 +218,7 @@ bool MergeTrees(const TreeView& a, const TreeView& b, TreeSink* out,
 void CopyTree(const TreeView& view, TreeSink* sink) {
   TSW_CHECK(sink != nullptr);
   view.HintSequentialScan();
+  sink->SetText(view.Text());
   const NodeId root = sink->AddNode(kNilNode, {});
   std::vector<OccurrenceRec> occ_buf;
   view.GetOccurrences(view.Root(), &occ_buf);
@@ -194,7 +237,7 @@ void CopyTree(const TreeView& view, TreeSink* sink) {
     stack.pop_back();
     view.GetChildren(f.src, &children);
     for (const Children::Edge& e : children.edges) {
-      const NodeId m = sink->AddNode(f.dst, children.Label(e));
+      const NodeId m = sink->AddNode(f.dst, children.Ref(e));
       occs.clear();
       view.GetOccurrences(e.child, &occs);
       for (const OccurrenceRec& o : occs) sink->AddOccurrence(m, o);

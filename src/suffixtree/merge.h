@@ -15,6 +15,12 @@ namespace tswarp::suffixtree {
 /// so disk-resident trees stream through their buffer pools; the output is
 /// written once through TreeSink.
 ///
+/// Labels are carried through as references, never copied. When `a` and
+/// `b` reference the same text (disk construction: every batch tree
+/// references the one database text), the output references it too.
+/// Otherwise the output's text is a's text followed by b's, and b's label
+/// references are shifted by the length of a's text (tier compaction).
+///
 /// Complexity O(|A| + |B|) tree operations plus the symbol comparisons on
 /// shared label prefixes. Finalize() is called on `out`.
 ///
@@ -25,16 +31,18 @@ namespace tswarp::suffixtree {
 bool MergeTrees(const TreeView& a, const TreeView& b, TreeSink* out,
                 const std::atomic<bool>* cancel = nullptr);
 
-/// Structural copy of `view` into `sink` (pre-order). Finalize() is called
-/// on `sink`. Used to serialize an in-memory tree to disk and vice versa.
+/// Structural copy of `view` into `sink` (pre-order); the sink gets the
+/// view's text, so labels keep their references. Finalize() is called on
+/// `sink`. Used to serialize an in-memory tree to disk and vice versa.
 void CopyTree(const TreeView& view, TreeSink* sink);
 
 /// Read-only adaptor that rebases every occurrence's sequence id by a
-/// fixed offset, leaving the structure untouched. Tier compaction merges
-/// two tiers whose occurrences are tier-local (each tier's ids start at
-/// 0 over its own database fragment); wrapping the second tier in
-/// SeqOffsetTreeView(b, a.num_sequences) makes the merged tier's ids
-/// local to the concatenated fragment.
+/// fixed offset, leaving the structure and the text untouched. Tier
+/// compaction merges two tiers whose occurrences are tier-local (each
+/// tier's ids start at 0 over its own database fragment); wrapping the
+/// second tier in SeqOffsetTreeView(b, a.num_sequences) makes the merged
+/// tier's ids local to the concatenated fragment, just as MergeTrees
+/// makes b's label references local to the concatenated text.
 class SeqOffsetTreeView : public TreeView {
  public:
   SeqOffsetTreeView(const TreeView& base, SeqId offset)
@@ -60,8 +68,12 @@ class SeqOffsetTreeView : public TreeView {
   std::uint64_t NumOccurrences() const override {
     return base_.NumOccurrences();
   }
+  std::span<const Symbol> Text() const override { return base_.Text(); }
   std::uint64_t NumLabelSymbols() const override {
     return base_.NumLabelSymbols();
+  }
+  std::uint64_t MaterializedLabelSymbols() const override {
+    return base_.MaterializedLabelSymbols();
   }
   std::uint64_t SizeBytes() const override { return base_.SizeBytes(); }
   void HintSequentialScan() const override { base_.HintSequentialScan(); }

@@ -8,11 +8,16 @@ namespace tswarp::suffixtree {
 namespace {
 
 // Serialized record sizes; SizeBytes() reports the on-disk footprint so
-// in-memory and disk trees are comparable (Table 1 accounting).
+// in-memory and disk trees are comparable.
 constexpr std::uint64_t kNodeRecordBytes = 32;
 constexpr std::uint64_t kOccRecordBytes = 16;
 constexpr std::uint64_t kLabelSymbolBytes = sizeof(Symbol);
 constexpr std::uint64_t kHeaderBytes = 64;
+
+std::shared_ptr<const SymbolText> TextOf(const SymbolDatabase* db) {
+  TSW_CHECK(db != nullptr);
+  return std::make_shared<const SymbolText>(*db);
+}
 
 std::uint64_t ChildKey(NodeId parent, Symbol s) {
   return (static_cast<std::uint64_t>(parent) << 32) |
@@ -21,22 +26,19 @@ std::uint64_t ChildKey(NodeId parent, Symbol s) {
 
 }  // namespace
 
-SuffixTree::SuffixTree() {
+SuffixTree::SuffixTree()
+    : text_(std::make_shared<const std::vector<Symbol>>()) {
   nodes_.push_back(Node{});  // Root: id 0, empty label.
 }
 
 void SuffixTree::GetChildren(NodeId node, Children* out) const {
   out->Clear();
   TSW_DCHECK(node < nodes_.size());
+  out->text = *text_;
   for (NodeId c = nodes_[node].first_child; c != kNilNode;
        c = nodes_[c].next_sibling) {
     const Node& cn = nodes_[c];
-    const auto begin = static_cast<std::uint32_t>(out->label_pool.size());
-    out->label_pool.insert(out->label_pool.end(),
-                           label_pool_.begin() + cn.label_begin,
-                           label_pool_.begin() + cn.label_begin +
-                               cn.label_len);
-    out->edges.push_back({c, begin, cn.label_len});
+    out->edges.push_back({c, cn.label_len, cn.label_begin});
   }
 }
 
@@ -60,36 +62,76 @@ Pos SuffixTree::MaxRun(NodeId node) const {
   return nodes_[node].max_run;
 }
 
+std::uint64_t SuffixTree::MaterializedLabelSymbols() const {
+  std::uint64_t total = 0;
+  for (const Node& n : nodes_) total += n.label_len;
+  return total;
+}
+
 std::uint64_t SuffixTree::SizeBytes() const {
   return kHeaderBytes + NumNodes() * kNodeRecordBytes +
          NumOccurrences() * kOccRecordBytes +
          NumLabelSymbols() * kLabelSymbolBytes;
 }
 
-NodeId SuffixTree::AddNode(NodeId parent, std::span<const Symbol> label) {
+void SuffixTree::AdoptText(std::shared_ptr<const std::vector<Symbol>> text) {
+  TSW_CHECK(nodes_.size() == 1) << "the text must precede every edge";
+  const StatusOr<std::uint32_t> fits =
+      CheckedU32(text->size(), "text length (symbols)");
+  if (!fits.ok() && status_.ok()) status_ = fits.status();
+  text_ = std::move(text);
+}
+
+void SuffixTree::SetText(std::span<const Symbol> text) {
+  AdoptText(std::make_shared<const std::vector<Symbol>>(text.begin(),
+                                                        text.end()));
+}
+
+NodeId SuffixTree::NextNodeId() {
+  if (!status_.ok()) return kNilNode;
+  const StatusOr<std::uint32_t> id = CheckedU32(nodes_.size(), "node count");
+  if (!id.ok()) {
+    status_ = id.status();
+    return kNilNode;
+  }
+  return *id;
+}
+
+NodeId SuffixTree::AddNode(NodeId parent, LabelRef label) {
   if (parent == kNilNode) {
     // Root creation: the constructor already made it.
     TSW_CHECK(nodes_.size() == 1 && occurrences_.empty());
     return 0;
   }
+  TSW_CHECK(label.len > 0) << "non-root edges need a non-empty label";
+  const NodeId id = NextNodeId();
+  // A failed tree keeps accepting calls so producers can run to their
+  // end; everything lands on the root and the caller discards the tree.
+  if (id == kNilNode) return 0;
   TSW_CHECK(parent < nodes_.size());
-  TSW_CHECK(!label.empty()) << "non-root edges need a non-empty label";
+  TSW_CHECK(label.offset + label.len <= text_->size())
+      << "label [" << label.offset << ", +" << label.len
+      << ") outside a text of " << text_->size() << " symbols";
   Node n;
-  n.label_begin = static_cast<std::uint32_t>(label_pool_.size());
-  n.label_len = static_cast<std::uint32_t>(label.size());
-  label_pool_.insert(label_pool_.end(), label.begin(), label.end());
+  n.label_begin = static_cast<std::uint32_t>(label.offset);  // < text size.
+  n.label_len = label.len;
   n.next_sibling = nodes_[parent].first_child;
-  const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(n);
   nodes_[parent].first_child = id;
   return id;
 }
 
 void SuffixTree::AddOccurrence(NodeId node, const OccurrenceRec& occ) {
+  if (!status_.ok()) return;
   TSW_CHECK(node < nodes_.size());
-  Occ o{occ.seq, occ.pos, occ.run, nodes_[node].first_occ};
-  nodes_[node].first_occ = static_cast<std::uint32_t>(occurrences_.size());
-  occurrences_.push_back(o);
+  const StatusOr<std::uint32_t> id =
+      CheckedU32(occurrences_.size(), "occurrence count");
+  if (!id.ok()) {
+    status_ = id.status();
+    return;
+  }
+  occurrences_.push_back({occ.seq, occ.pos, occ.run, nodes_[node].first_occ});
+  nodes_[node].first_occ = *id;
 }
 
 void SuffixTree::Finalize() {
@@ -129,8 +171,15 @@ void SuffixTree::Finalize() {
 
 SuffixTreeBuilder::SuffixTreeBuilder(const SymbolDatabase* db,
                                      BuildOptions options)
-    : db_(db), options_(options) {
-  TSW_CHECK(db != nullptr);
+    : SuffixTreeBuilder(TextOf(db), options) {}
+
+SuffixTreeBuilder::SuffixTreeBuilder(std::shared_ptr<const SymbolText> text,
+                                     BuildOptions options)
+    : text_(std::move(text)), options_(options) {
+  TSW_CHECK(text_ != nullptr);
+  // The tree shares the symbols of the text (aliasing the SymbolText).
+  tree_.AdoptText(
+      std::shared_ptr<const std::vector<Symbol>>(text_, &text_->symbols));
 }
 
 NodeId SuffixTreeBuilder::FindChild(NodeId parent, Symbol s) const {
@@ -139,15 +188,13 @@ NodeId SuffixTreeBuilder::FindChild(NodeId parent, Symbol s) const {
 }
 
 void SuffixTreeBuilder::LinkChild(NodeId parent, Symbol s, NodeId child) {
-  child_index_.emplace(ChildKey(parent, s), child);
   // Sibling chaining is done by SuffixTree::AddNode for new nodes; for
   // split nodes the chain is adjusted in place (see InsertSuffix).
-  (void)parent;
-  (void)child;
+  child_index_.emplace(ChildKey(parent, s), child);
 }
 
 void SuffixTreeBuilder::InsertSequence(SeqId id) {
-  const SymbolSequence& s = db_->sequence(id);
+  const std::span<const Symbol> s = text_->sequence(id);
   const auto n = static_cast<Pos>(s.size());
   Pos p = 0;
   while (p < n) {
@@ -172,19 +219,23 @@ void SuffixTreeBuilder::InsertSequence(SeqId id) {
 }
 
 void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
-  std::span<const Symbol> sfx = db_->Suffix(id, start);
-  if (options_.max_suffix_length != 0 &&
-      sfx.size() > options_.max_suffix_length) {
-    sfx = sfx.subspan(0, options_.max_suffix_length);
+  const std::span<const Symbol> seq = text_->sequence(id);
+  TSW_CHECK(start < seq.size());
+  // The suffix is text[base, base + n).
+  const std::uint64_t base = text_->begin[id] + start;
+  std::size_t n = seq.size() - start;
+  if (options_.max_suffix_length != 0 && n > options_.max_suffix_length) {
+    n = options_.max_suffix_length;
   }
   ++stored_suffixes_;
+  if (!tree_.status().ok()) return;  // Spent: the tree is discarded.
   const OccurrenceRec occ{id, start, run};
   auto& nodes = tree_.nodes_;
-  auto& pool = tree_.label_pool_;
+  const Symbol* text = text_->symbols.data();
+  const Symbol* sfx = text + base;
 
   NodeId cur = 0;
   std::size_t i = 0;
-  const std::size_t n = sfx.size();
   while (true) {
     if (i == n) {
       tree_.AddOccurrence(cur, occ);
@@ -192,7 +243,8 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     }
     const NodeId child = FindChild(cur, sfx[i]);
     if (child == kNilNode) {
-      const NodeId leaf = tree_.AddNode(cur, sfx.subspan(i));
+      const NodeId leaf = tree_.AddNode(
+          cur, {base + i, static_cast<std::uint32_t>(n - i)});
       LinkChild(cur, sfx[i], leaf);
       tree_.AddOccurrence(leaf, occ);
       return;
@@ -200,7 +252,7 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     const std::uint32_t lb = nodes[child].label_begin;
     const std::uint32_t ll = nodes[child].label_len;
     std::uint32_t j = 1;
-    while (j < ll && i + j < n && pool[lb + j] == sfx[i + j]) ++j;
+    while (j < ll && i + j < n && text[lb + j] == sfx[i + j]) ++j;
     if (j == ll) {
       cur = child;
       i += j;
@@ -209,7 +261,8 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     // Split the edge above `child` at offset j. `child` keeps its identity
     // (slot in the parent's sibling chain and its child-index key) and
     // becomes the upper split node; a fresh node takes over the deep part.
-    const auto deep = static_cast<NodeId>(nodes.size());
+    const NodeId deep = tree_.NextNodeId();
+    if (deep == kNilNode) return;
     SuffixTree::Node deep_node;
     deep_node.label_begin = lb + j;
     deep_node.label_len = ll - j;
@@ -220,20 +273,21 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     // Re-key the grandchildren from `child` to `deep`.
     for (NodeId gc = deep_node.first_child; gc != kNilNode;
          gc = nodes[gc].next_sibling) {
-      const Symbol gs = pool[nodes[gc].label_begin];
+      const Symbol gs = text[nodes[gc].label_begin];
       child_index_.erase(ChildKey(child, gs));
       child_index_.emplace(ChildKey(deep, gs), gc);
     }
     nodes[child].label_len = j;
     nodes[child].first_child = deep;
     nodes[child].first_occ = SuffixTree::kNilOcc;
-    child_index_.emplace(ChildKey(child, pool[lb + j]), deep);
+    child_index_.emplace(ChildKey(child, text[lb + j]), deep);
 
     if (i + j == n) {
       tree_.AddOccurrence(child, occ);
       return;
     }
-    const NodeId leaf = tree_.AddNode(child, sfx.subspan(i + j));
+    const NodeId leaf = tree_.AddNode(
+        child, {base + i + j, static_cast<std::uint32_t>(n - i - j)});
     LinkChild(child, sfx[i + j], leaf);
     tree_.AddOccurrence(leaf, occ);
     return;

@@ -2,10 +2,12 @@
 #define TSWARP_SUFFIXTREE_SUFFIX_TREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "suffixtree/symbol_database.h"
 #include "suffixtree/tree_view.h"
@@ -14,15 +16,22 @@ namespace tswarp::suffixtree {
 
 /// In-memory generalized suffix tree over symbol sequences.
 ///
-/// Edge labels are materialized into an internal symbol pool (the tree does
-/// not reference the SymbolDatabase after construction), which makes
-/// SizeBytes() equal to the serialized footprint — the quantity Table 1 of
-/// the paper reports. Edge splits alias sub-ranges of the pool, so the pool
-/// grows only by the unmatched remainder of each inserted suffix.
+/// The tree owns its symbol text (shared, immutable): for a tree built
+/// over a database, the database's sequences concatenated in id order.
+/// Every edge label is a (text offset, length) reference into it, the
+/// usual suffix-tree representation, so the tree stores O(text) label
+/// symbols and the database it was built from may be destroyed after
+/// Build(). SizeBytes() equals the serialized footprint; Table1Bytes()
+/// reports what materialized labels would cost, the quantity Table 1 of
+/// the paper reports.
 ///
 /// Construction is suffix-by-suffix insertion (see SuffixTreeBuilder);
 /// trees can also be produced structurally via the TreeSink interface (used
 /// by MergeTrees and the disk loader).
+///
+/// Node, occurrence and text offsets are 32-bit. A tree that would
+/// outgrow them latches OutOfRange in status() and ignores further nodes
+/// and occurrences; callers must check status() before using the tree.
 class SuffixTree : public TreeView, public TreeSink {
  public:
   SuffixTree();
@@ -41,21 +50,27 @@ class SuffixTree : public TreeView, public TreeSink {
   Pos MaxRun(NodeId node) const override;
   std::uint64_t NumNodes() const override { return nodes_.size(); }
   std::uint64_t NumOccurrences() const override { return occurrences_.size(); }
-  std::uint64_t NumLabelSymbols() const override { return label_pool_.size(); }
+  std::span<const Symbol> Text() const override { return *text_; }
+  std::uint64_t NumLabelSymbols() const override { return text_->size(); }
+  std::uint64_t MaterializedLabelSymbols() const override;
   std::uint64_t SizeBytes() const override;
 
   // --- TreeSink ---
-  NodeId AddNode(NodeId parent, std::span<const Symbol> label) override;
+  void SetText(std::span<const Symbol> text) override;
+  NodeId AddNode(NodeId parent, LabelRef label) override;
   void AddOccurrence(NodeId node, const OccurrenceRec& occ) override;
   void Finalize() override;
 
   bool finalized() const { return finalized_; }
 
+  /// OK, or the OutOfRange latched when the tree outgrew its 32-bit ids.
+  const Status& status() const { return status_; }
+
  private:
   friend class SuffixTreeBuilder;
 
   struct Node {
-    std::uint32_t label_begin = 0;
+    std::uint32_t label_begin = 0;  // Offset into the text.
     std::uint32_t label_len = 0;
     NodeId first_child = kNilNode;
     NodeId next_sibling = kNilNode;
@@ -73,13 +88,18 @@ class SuffixTree : public TreeView, public TreeSink {
 
   static constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
 
-  Symbol FirstLabelSymbol(NodeId n) const {
-    return label_pool_[nodes_[n].label_begin];
-  }
+  /// Installs `text` after checking that its offsets fit the 32-bit node
+  /// records.
+  void AdoptText(std::shared_ptr<const std::vector<Symbol>> text);
 
+  /// Id the next node will get, or kNilNode (with status_ latched) when
+  /// the 32-bit id space is exhausted.
+  NodeId NextNodeId();
+
+  std::shared_ptr<const std::vector<Symbol>> text_;
   std::vector<Node> nodes_;
   std::vector<Occ> occurrences_;
-  std::vector<Symbol> label_pool_;
+  Status status_;
   bool finalized_ = false;
 };
 
@@ -102,16 +122,24 @@ struct BuildOptions {
 
 /// Incremental construction of a SuffixTree by inserting suffixes. Keeps a
 /// (node, first-symbol) hash index that is discarded when Build() is called.
+/// The tree references the database's text (SymbolText), which it shares,
+/// so the database may be destroyed once the builder exists.
 class SuffixTreeBuilder {
  public:
   explicit SuffixTreeBuilder(const SymbolDatabase* db,
+                             BuildOptions options = {});
+
+  /// Builds over an existing text: every tree built this way references
+  /// the same text (disk construction builds each batch tree this way).
+  explicit SuffixTreeBuilder(std::shared_ptr<const SymbolText> text,
                              BuildOptions options = {});
 
   /// Inserts the suffixes of sequence `id` selected by the build options.
   void InsertSequence(SeqId id);
 
   /// Inserts the single suffix starting at (id, start); `run` must be
-  /// db->RunLength(id, start) (passed in to avoid rescanning).
+  /// the run length of equal symbols at (id, start) (passed in to avoid
+  /// rescanning).
   void InsertSuffix(SeqId id, Pos start, Pos run);
 
   /// Number of suffixes inserted / skipped so far (compaction accounting,
@@ -120,14 +148,15 @@ class SuffixTreeBuilder {
   std::uint64_t skipped_suffixes() const { return skipped_suffixes_; }
 
   /// Finalizes statistics and returns the tree. The builder is spent.
+  /// Check the tree's status(): a text or tree beyond 32-bit offsets
+  /// yields OutOfRange instead of a wrapped tree.
   SuffixTree Build();
 
  private:
   NodeId FindChild(NodeId parent, Symbol s) const;
   void LinkChild(NodeId parent, Symbol s, NodeId child);
-  void RekeyChild(NodeId parent, Symbol s, NodeId child);
 
-  const SymbolDatabase* db_;
+  std::shared_ptr<const SymbolText> text_;
   BuildOptions options_;
   SuffixTree tree_;
   // (parent << 32 | symbol) -> child node.

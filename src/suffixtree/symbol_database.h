@@ -1,6 +1,7 @@
 #ifndef TSWARP_SUFFIXTREE_SYMBOL_DATABASE_H_
 #define TSWARP_SUFFIXTREE_SYMBOL_DATABASE_H_
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -73,6 +74,37 @@ class SymbolDatabase {
  private:
   std::vector<SymbolSequence> sequences_;
   std::size_t total_symbols_ = 0;
+};
+
+/// The symbol text of a SymbolDatabase: its sequences concatenated in id
+/// order, plus the offset where each one begins. Suffix-tree edge labels
+/// are (offset, length) references into `symbols`; trees share the text
+/// through a shared_ptr, so it outlives the database it was copied from.
+struct SymbolText {
+  explicit SymbolText(const SymbolDatabase& db) {
+    symbols.reserve(db.TotalSymbols());
+    begin.reserve(db.size() + 1);
+    for (SeqId id = 0; id < db.size(); ++id) {
+      begin.push_back(symbols.size());
+      const SymbolSequence& s = db.sequence(id);
+      symbols.insert(symbols.end(), s.begin(), s.end());
+    }
+    begin.push_back(symbols.size());
+  }
+
+  std::size_t num_sequences() const { return begin.size() - 1; }
+
+  /// Symbols of sequence `id`, as a span of the text.
+  std::span<const Symbol> sequence(SeqId id) const {
+    TSW_CHECK(id < num_sequences());
+    return std::span<const Symbol>(symbols).subspan(
+        begin[id], begin[id + 1] - begin[id]);
+  }
+
+  std::vector<Symbol> symbols;
+  /// num_sequences() + 1 entries: sequence id spans
+  /// symbols[begin[id], begin[id + 1]).
+  std::vector<std::uint64_t> begin;
 };
 
 }  // namespace tswarp::suffixtree

@@ -25,29 +25,38 @@ struct OccurrenceRec {
   friend bool operator==(const OccurrenceRec&, const OccurrenceRec&) = default;
 };
 
-/// Children of one node, with edge-label symbols gathered into a shared
-/// pool to avoid per-edge allocations.
+/// An edge label as a reference into the tree's symbol text
+/// (TreeView::Text()): `len` symbols starting at `offset`. Labels are never
+/// copied out of the text, so a tree stores O(text) label symbols.
+struct LabelRef {
+  std::uint64_t offset = 0;
+  std::uint32_t len = 0;
+};
+
+/// Children of one node. Edge labels are references into the view's text;
+/// Label() returns a span straight into it, valid for the view's lifetime.
 struct Children {
   struct Edge {
     NodeId child;
-    std::uint32_t label_begin;  // Offset into label_pool.
-    std::uint32_t label_len;    // >= 1 for non-root edges.
+    std::uint32_t label_len;     // >= 1 for non-root edges.
+    std::uint64_t label_offset;  // Into `text`.
   };
 
-  std::vector<Symbol> label_pool;
+  std::span<const Symbol> text;
   std::vector<Edge> edges;
 
   void Clear() {
-    label_pool.clear();
+    text = {};
     edges.clear();
   }
 
   std::span<const Symbol> Label(const Edge& e) const {
-    return std::span<const Symbol>(label_pool.data() + e.label_begin,
-                                   e.label_len);
+    return std::span<const Symbol>(text.data() + e.label_offset, e.label_len);
   }
 
-  Symbol FirstSymbol(const Edge& e) const { return label_pool[e.label_begin]; }
+  Symbol FirstSymbol(const Edge& e) const { return text[e.label_offset]; }
+
+  LabelRef Ref(const Edge& e) const { return {e.label_offset, e.label_len}; }
 };
 
 /// Reusable buffers for subtree-occurrence collection (see
@@ -88,12 +97,30 @@ class TreeView {
   virtual std::uint64_t NumNodes() const = 0;
   virtual std::uint64_t NumOccurrences() const = 0;
 
-  /// Total label symbols stored by the tree (materialized edge labels).
+  /// The symbol text every edge label references: for a tree built over
+  /// a database, its sequences concatenated in id order. Valid for the
+  /// view's lifetime.
+  virtual std::span<const Symbol> Text() const = 0;
+
+  /// Label symbols the tree stores: the length of its text.
   virtual std::uint64_t NumLabelSymbols() const = 0;
 
-  /// Index size in bytes: node records + occurrence records + materialized
-  /// edge labels, matching the serialized footprint.
+  /// Sum of the edge-label lengths over all edges: the label symbols a
+  /// tree that copies every label would store (the accounting behind the
+  /// paper's Table 1). Computed from the node records, not stored.
+  virtual std::uint64_t MaterializedLabelSymbols() const = 0;
+
+  /// Stored index size in bytes: header + node records + occurrence
+  /// records + the text, matching the serialized footprint.
   virtual std::uint64_t SizeBytes() const = 0;
+
+  /// The paper's Table-1 index size: SizeBytes() with the text replaced by
+  /// every edge label materialized. A derived figure for comparison with
+  /// the paper; no tree stores it.
+  std::uint64_t Table1Bytes() const {
+    return SizeBytes() - NumLabelSymbols() * sizeof(Symbol) +
+           MaterializedLabelSymbols() * sizeof(Symbol);
+  }
 
   /// Hint that the caller is about to scan the whole tree front to back
   /// (merge, serialization). Disk-backed views prime their sequential
@@ -119,9 +146,15 @@ class TreeSink {
  public:
   virtual ~TreeSink() = default;
 
-  /// Adds a node under `parent` with the given edge label (copied). Pass
-  /// kNilNode as parent to create the root (label ignored, must be first).
-  virtual NodeId AddNode(NodeId parent, std::span<const Symbol> label) = 0;
+  /// Declares the symbol text that the labels of later AddNode calls
+  /// reference. Called once, before any non-root node; `text` need only
+  /// stay valid for the call (sinks copy or persist it).
+  virtual void SetText(std::span<const Symbol> text) = 0;
+
+  /// Adds a node under `parent` whose edge label is `label`, a reference
+  /// into the text given to SetText. Pass kNilNode as parent to create the
+  /// root (label ignored, must be first).
+  virtual NodeId AddNode(NodeId parent, LabelRef label) = 0;
 
   /// Attaches an occurrence to an existing node.
   virtual void AddOccurrence(NodeId node, const OccurrenceRec& occ) = 0;

@@ -18,6 +18,14 @@ constexpr Symbol kTerminator = std::numeric_limits<Symbol>::min();
 class Ukkonen {
  public:
   explicit Ukkonen(std::vector<Symbol> x) : x_(std::move(x)) {
+    // A suffix tree over m symbols has at most 2m nodes; sizing the
+    // tables once keeps rehashing off the linear-time path.
+    const std::size_t max_nodes = 2 * x_.size() + 1;
+    start_.reserve(max_nodes);
+    end_.reserve(max_nodes);
+    slink_.reserve(max_nodes);
+    child_index_.reserve(max_nodes);
+    children_.reserve(max_nodes);
     // Node 0 is the root.
     NewNode(0, 0);
     start_[0] = 0;
@@ -32,9 +40,12 @@ class Ukkonen {
   /// Converts to the library SuffixTree representation, stripping the
   /// terminator and attaching one occurrence per suffix of sequence `id`
   /// (with run lengths taken from `db`, matching the insertion builder).
+  /// The tree's text is the sequence itself; Ukkonen's (start, end) edge
+  /// pairs carry over as label references.
   SuffixTree ToSuffixTree(const SymbolDatabase& db, SeqId id) const {
     SuffixTree out;
     const auto m = static_cast<std::int32_t>(x_.size());  // Includes T.
+    out.SetText(std::span<const Symbol>(x_.data(), x_.size() - 1));
     struct Frame {
       std::int32_t node;
       NodeId out_node;
@@ -67,18 +78,16 @@ class Ukkonen {
             continue;
           }
           const NodeId leaf = out.AddNode(
-              f.out_node,
-              std::span<const Symbol>(x_.data() + lo,
-                                      static_cast<std::size_t>(label_len)));
+              f.out_node, {static_cast<std::uint64_t>(lo),
+                           static_cast<std::uint32_t>(label_len)});
           out.AddOccurrence(leaf,
                             {id, static_cast<Pos>(suffix),
                              db.RunLength(id, static_cast<Pos>(suffix))});
           continue;
         }
         const NodeId inner = out.AddNode(
-            f.out_node,
-            std::span<const Symbol>(x_.data() + lo,
-                                    static_cast<std::size_t>(label_len)));
+            f.out_node, {static_cast<std::uint64_t>(lo),
+                         static_cast<std::uint32_t>(label_len)});
         stack.push_back({child, inner, f.depth + label_len});
       }
     }

@@ -212,6 +212,84 @@ TEST_F(DiskTreeTest, BuildDiskTreeCleansTemporaries) {
   EXPECT_EQ(files, 4u);  // meta, nodes, occs, labels.
 }
 
+TEST_F(DiskTreeTest, BuildDiskTreeStoresTheTextOnce) {
+  // Every batch tree references the database's text, so the final bundle's
+  // text is the database concatenated: one label symbol per element.
+  const SymbolDatabase db = RandomSymbolDb(22, 9, 15, 3);
+  DiskBuildOptions options;
+  options.batch_sequences = 2;
+  auto disk = BuildDiskTree(db, Path("once"), options);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  EXPECT_EQ((*disk)->NumLabelSymbols(), db.TotalSymbols());
+  const SymbolText text(db);
+  EXPECT_TRUE(std::ranges::equal((*disk)->Text(), text.symbols));
+  EXPECT_EQ((*disk)->MaterializedLabelSymbols(),
+            BuildSuffixTree(db).MaterializedLabelSymbols());
+}
+
+TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
+  // Bundles from builds that copied every edge label into `.labels` use
+  // the same record layout (each label_offset points at its own copy), so
+  // both read paths serve them unchanged.
+  const SymbolDatabase db = RandomSymbolDb(6, 6, 20, 3);
+  const SuffixTree tree = BuildSuffixTree(db);
+  // Pass 1 lays every label out in pre-order; pass 2 replays the same
+  // traversal, referencing each label's copy.
+  std::vector<Symbol> pool;
+  struct Frame {
+    NodeId src;
+    NodeId dst;
+  };
+  Children children;
+  std::vector<Frame> stack = {{tree.Root(), kNilNode}};
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    tree.GetChildren(f.src, &children);
+    for (const Children::Edge& e : children.edges) {
+      const std::span<const Symbol> label = children.Label(e);
+      pool.insert(pool.end(), label.begin(), label.end());
+      stack.push_back({e.child, kNilNode});
+    }
+  }
+  auto writer = DiskTreeWriter::Create(Path("old"));
+  ASSERT_TRUE(writer.ok());
+  (*writer)->SetText(pool);
+  std::vector<OccurrenceRec> occs;
+  const NodeId root = (*writer)->AddNode(kNilNode, {});
+  tree.GetOccurrences(tree.Root(), &occs);
+  for (const OccurrenceRec& o : occs) (*writer)->AddOccurrence(root, o);
+  std::uint64_t next = 0;
+  stack = {{tree.Root(), root}};
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    tree.GetChildren(f.src, &children);
+    for (const Children::Edge& e : children.edges) {
+      const NodeId m = (*writer)->AddNode(f.dst, {next, e.label_len});
+      next += e.label_len;
+      occs.clear();
+      tree.GetOccurrences(e.child, &occs);
+      for (const OccurrenceRec& o : occs) (*writer)->AddOccurrence(m, o);
+      stack.push_back({e.child, m});
+    }
+  }
+  (*writer)->Finalize();
+  ASSERT_TRUE((*writer)->Close().ok());
+
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    DiskTreeOptions options;
+    options.io_mode = mode;
+    auto disk = DiskSuffixTree::Open(Path("old"), options);
+    ASSERT_TRUE(disk.ok()) << disk.status();
+    EXPECT_EQ(Canonicalize(**disk), Canonicalize(tree));
+    EXPECT_EQ((*disk)->NumLabelSymbols(), tree.MaterializedLabelSymbols());
+    EXPECT_EQ((*disk)->MaterializedLabelSymbols(),
+              tree.MaterializedLabelSymbols());
+  }
+}
+
 TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
   datagen::RandomWalkOptions data_options;
   data_options.num_sequences = 10;

@@ -134,6 +134,89 @@ TEST_F(FailureInjectionTest, CorruptSectionTableRejected) {
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
 
+// --- record validation: Open checks every node record's label range and
+// child / sibling / occurrence ids against the counts on both read paths,
+// so a corrupt record is a Corruption at Open, never a read outside the
+// bundle mid-query.
+
+template <typename T>
+void PatchRecordField(const std::string& path, std::size_t offset, T value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+constexpr std::size_t kNodeRecordBytes = 32;
+
+TEST_F(FailureInjectionTest, OutOfRangeLabelRejectedOnBothReadPaths) {
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    const std::string base = Path(storage::IoModeToString(mode));
+    WriteBundle(base);
+    // Node 1's label_offset (u64 at byte 0 of its record) points far past
+    // the text.
+    PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
+                                    std::uint64_t{1} << 40);
+    suffixtree::DiskTreeOptions options;
+    options.io_mode = mode;
+    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
+    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
+    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(tree.status().message().find("label"), std::string::npos)
+        << tree.status();
+  }
+}
+
+TEST_F(FailureInjectionTest, LabelRunningPastTheTextRejected) {
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    const std::string base = Path(storage::IoModeToString(mode));
+    WriteBundle(base);
+    // In-range offset, but label_len (u32 at byte 8) runs off the end.
+    PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8,
+                                    1000);
+    suffixtree::DiskTreeOptions options;
+    options.io_mode = mode;
+    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
+    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
+    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST_F(FailureInjectionTest, OutOfRangeChildIdRejectedOnBothReadPaths) {
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    const std::string base = Path(storage::IoModeToString(mode));
+    WriteBundle(base);
+    // The root's first_child (u32 at byte 12) names a node that does not
+    // exist.
+    PatchRecordField<std::uint32_t>(base + ".nodes", 12, 0x7FFFFFFFu);
+    suffixtree::DiskTreeOptions options;
+    options.io_mode = mode;
+    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
+    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
+    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(tree.status().message().find("child"), std::string::npos)
+        << tree.status();
+  }
+}
+
+TEST_F(FailureInjectionTest, OutOfRangeOccurrenceIdRejected) {
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    const std::string base = Path(storage::IoModeToString(mode));
+    WriteBundle(base);
+    // Occurrence 0's `next` (u32 at byte 12 of its 16-byte record).
+    PatchRecordField<std::uint32_t>(base + ".occs", 12, 0x12345678u);
+    suffixtree::DiskTreeOptions options;
+    options.io_mode = mode;
+    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
+    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
+    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST_F(FailureInjectionTest, V1BundleRejectedByMmapOpensBuffered) {
   WriteBundle(Path("t"));
   ASSERT_TRUE(suffixtree::DowngradeBundleToV1ForTest(Path("t")).ok());

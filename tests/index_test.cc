@@ -71,8 +71,8 @@ TEST(IndexBuildTest, IndexSizeOrderingMatchesPaperTable1) {
   const auto i2 = Index::Build(&db, stc);
   const auto i3 = Index::Build(&db, sstc);
   ASSERT_TRUE(i1.ok() && i2.ok() && i3.ok());
-  EXPECT_GT(i1->build_info().index_bytes, i2->build_info().index_bytes);
-  EXPECT_GT(i2->build_info().index_bytes, i3->build_info().index_bytes);
+  EXPECT_GT(i1->build_info().table1_bytes, i2->build_info().table1_bytes);
+  EXPECT_GT(i2->build_info().table1_bytes, i3->build_info().table1_bytes);
 }
 
 TEST(IndexBuildTest, MoreCategoriesGrowCategorizedIndex) {
@@ -84,9 +84,34 @@ TEST(IndexBuildTest, MoreCategoriesGrowCategorizedIndex) {
     options.num_categories = c;
     auto index = Index::Build(&db, options);
     ASSERT_TRUE(index.ok());
-    EXPECT_GE(index->build_info().index_bytes, prev);
-    prev = index->build_info().index_bytes;
+    EXPECT_GE(index->build_info().table1_bytes, prev);
+    prev = index->build_info().table1_bytes;
   }
+}
+
+TEST(IndexBuildTest, StockStandInFootprintIsLinear) {
+  // Edge labels reference the tier's text instead of copying suffixes, so
+  // the stored index is linear in the input: the paper's stock stand-in
+  // under SST_C(ME, 40) stays within 6 bytes per input byte, and the only
+  // label symbols stored are the text itself, one per element.
+  const seqdb::SequenceDatabase db = datagen::GenerateStocks({});
+  IndexOptions options;
+  options.kind = IndexKind::kSparse;
+  options.method = categorize::Method::kMaxEntropy;
+  options.num_categories = 40;
+  auto index = Index::Build(&db, options);
+  ASSERT_TRUE(index.ok()) << index.status();
+  const IndexBuildInfo& info = index->build_info();
+  const std::uint64_t input_bytes = db.TotalElements() * sizeof(Value);
+  EXPECT_LE(info.index_bytes, 6 * input_bytes);
+  const suffixtree::TreeView& tree = *index->snapshot()->tiers().front()->view();
+  EXPECT_EQ(tree.NumLabelSymbols(), db.TotalElements());
+  // The paper's Table-1 figure counts every label materialized.
+  EXPECT_EQ(info.table1_bytes,
+            info.index_bytes +
+                (tree.MaterializedLabelSymbols() - tree.NumLabelSymbols()) *
+                    sizeof(Symbol));
+  EXPECT_GT(info.table1_bytes, 6 * input_bytes);
 }
 
 TEST(IndexSearchTest, AllKindsAgreeWithEachOther) {

@@ -1,6 +1,7 @@
 #include "suffixtree/merge.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -149,6 +150,48 @@ TEST(CopyTreeTest, CopyIsIdentityOnCanonicalForm) {
   EXPECT_EQ(copy.NumNodes(), tree.NumNodes());
   EXPECT_EQ(copy.NumOccurrences(), tree.NumOccurrences());
   EXPECT_EQ(copy.NumLabelSymbols(), tree.NumLabelSymbols());
+}
+
+TEST(MergeTest, SharedTextStaysShared) {
+  // Trees built over one text (disk construction's batch trees) merge into
+  // a tree over that same text: no label or text symbol is copied.
+  const SymbolDatabase db = RandomSymbolDb(15, 6, 20, 3);
+  const auto text = std::make_shared<const SymbolText>(db);
+  SuffixTreeBuilder left(text);
+  SuffixTreeBuilder right(text);
+  for (SeqId id = 0; id < 3; ++id) left.InsertSequence(id);
+  for (SeqId id = 3; id < 6; ++id) right.InsertSequence(id);
+  const SuffixTree a = left.Build();
+  const SuffixTree b = right.Build();
+  SuffixTree merged;
+  MergeTrees(a, b, &merged);
+  EXPECT_EQ(merged.NumLabelSymbols(), db.TotalSymbols());
+  EXPECT_TRUE(std::ranges::equal(merged.Text(), text->symbols));
+  EXPECT_EQ(Canonicalize(merged), Canonicalize(BuildRange(db, 0, 6)));
+}
+
+TEST(MergeTest, DistinctTextsConcatenate) {
+  // Tier compaction: the merged text is a's followed by b's, and b's
+  // label references are shifted past a's text.
+  SymbolDatabase da;
+  da.Add({0, 1, 2, 1});
+  SymbolDatabase db;
+  db.Add({1, 2, 1, 0});
+  const SuffixTree a = BuildRange(da, 0, 1);
+  const SuffixTree b = BuildRange(db, 0, 1);
+  SuffixTree merged;
+  MergeTrees(a, b, &merged);
+  const std::vector<Symbol> joined = {0, 1, 2, 1, 1, 2, 1, 0};
+  EXPECT_TRUE(std::ranges::equal(merged.Text(), joined));
+  // The canonical form differs from a direct build only in b's sequence
+  // ids (both trees call their sequence 0).
+  SymbolDatabase both;
+  both.Add({0, 1, 2, 1});
+  both.Add({1, 2, 1, 0});
+  Canon expected = Canonicalize(BuildRange(both, 0, 2));
+  for (auto& [path, occ] : expected) std::get<0>(occ) = 0;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(Canonicalize(merged), expected);
 }
 
 TEST(MergeTest, DisjointAlphabetsConcatenateUnderRoot) {

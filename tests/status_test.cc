@@ -85,5 +85,29 @@ TEST(StatusMacrosTest, AssignOrReturn) {
   EXPECT_EQ(AssignOrReturnHelper(true, &out).code(), StatusCode::kOutOfRange);
 }
 
+TEST(CheckedU32Test, AcceptsValuesBelowTheNilSentinel) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, (std::uint64_t{1} << 31),
+        (std::uint64_t{1} << 32) - 3, (std::uint64_t{1} << 32) - 2}) {
+    const StatusOr<std::uint32_t> narrowed = CheckedU32(v, "node count");
+    ASSERT_TRUE(narrowed.ok()) << v;
+    EXPECT_EQ(*narrowed, v);
+  }
+}
+
+TEST(CheckedU32Test, RejectsTheSentinelAndEverythingAbove) {
+  for (const std::uint64_t v :
+       {(std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 32) + 1, ~std::uint64_t{0}}) {
+    const StatusOr<std::uint32_t> narrowed = CheckedU32(v, "text length");
+    ASSERT_FALSE(narrowed.ok()) << v;
+    EXPECT_EQ(narrowed.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(narrowed.status().message().find("text length"),
+              std::string::npos);
+    EXPECT_NE(narrowed.status().message().find(std::to_string(v)),
+              std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace tswarp

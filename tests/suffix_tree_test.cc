@@ -1,6 +1,8 @@
 #include "suffixtree/suffix_tree.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -137,11 +139,12 @@ TEST(SuffixTreeTest, IdenticalSequencesShareAllPaths) {
   db.Add({1, 2, 3, 4});
   const SuffixTree tree = BuildSuffixTree(db);
   CheckTreeAgainstDb(tree, db, /*sparse=*/false);
-  // The second copy adds occurrences, not label symbols.
+  // The second copy adds occurrences, not edge labels (the text, which
+  // holds both copies, is the only label storage that grows).
   SymbolDatabase single;
   single.Add({1, 2, 3, 4});
   const SuffixTree tree1 = BuildSuffixTree(single);
-  EXPECT_EQ(tree.NumLabelSymbols(), tree1.NumLabelSymbols());
+  EXPECT_EQ(tree.MaterializedLabelSymbols(), tree1.MaterializedLabelSymbols());
   EXPECT_EQ(tree.NumNodes(), tree1.NumNodes());
   EXPECT_EQ(tree.NumOccurrences(), 2 * tree1.NumOccurrences());
 }
@@ -236,6 +239,36 @@ TEST(SuffixTreeTest, SizeBytesTracksComponents) {
   EXPECT_EQ(tree.SizeBytes(), 64 + tree.NumNodes() * 32 +
                                   tree.NumOccurrences() * 16 +
                                   tree.NumLabelSymbols() * sizeof(Symbol));
+}
+
+TEST(SuffixTreeTest, TextIsTheConcatenatedSequences) {
+  SymbolDatabase db;
+  db.Add({0, 1, 2, 0, 1});
+  db.Add({2, 2, 1});
+  const SuffixTree tree = BuildSuffixTree(db);
+  const std::vector<Symbol> expected = {0, 1, 2, 0, 1, 2, 2, 1};
+  EXPECT_TRUE(std::ranges::equal(tree.Text(), expected));
+  EXPECT_EQ(tree.NumLabelSymbols(), db.TotalSymbols());
+  // Labels are spans of the text itself, not copies.
+  Children children;
+  tree.GetChildren(tree.Root(), &children);
+  for (const Children::Edge& e : children.edges) {
+    EXPECT_EQ(children.Label(e).data(), tree.Text().data() + e.label_offset);
+  }
+}
+
+TEST(SuffixTreeTest, TreeOutlivesItsDatabase) {
+  std::optional<SuffixTree> tree;
+  SymbolDatabase copy;
+  {
+    SymbolDatabase db = RandomSymbolDb(17, 5, 20, 3);
+    for (SeqId id = 0; id < db.size(); ++id) copy.Add(db.sequence(id));
+    SuffixTreeBuilder builder(&db);
+    for (SeqId id = 0; id < db.size(); ++id) builder.InsertSequence(id);
+    tree = builder.Build();
+  }  // The builder's database is gone; the tree owns its text.
+  ASSERT_TRUE(tree->status().ok());
+  CheckTreeAgainstDb(*tree, copy, /*sparse=*/false);
 }
 
 TEST(SuffixTreeTest, CollectSubtreeOccurrencesFindsAll) {

@@ -129,6 +129,38 @@ TEST(TieredIndexTest, AppendedSequenceIsImmediatelySearchable) {
   }
 }
 
+TEST(TieredIndexTest, EveryTierStoresItsTextOnce) {
+  // Memtable appends, seals and merges carry label references through, so
+  // each tier's only label storage is its text: one symbol per element,
+  // the tier's sequences in order.
+  const seqdb::SequenceDatabase db = BaseDb(4);
+  auto tiered = TieredIndex::Create(&db, Opts(IndexKind::kCategorized, 2, 1));
+  ASSERT_TRUE(tiered.ok());
+  Rng rng(29);
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE((*tiered)->Append(RandomSeq(&rng, 10 + i)).ok());
+  }
+  const auto snapshot = (*tiered)->Snapshot();
+  ASSERT_EQ(snapshot->tiers().size(), 3u);  // Base, merged sealed, memtable.
+  for (const auto& tier : snapshot->tiers()) {
+    EXPECT_EQ(tier->view()->NumLabelSymbols(), tier->info.elements);
+    EXPECT_EQ(tier->info.index_bytes, tier->view()->SizeBytes());
+    EXPECT_GE(tier->info.table1_bytes, tier->info.index_bytes);
+  }
+  // The merged tier's text is its older tier's text followed by the
+  // newer one's: symbolizing its sequences in order reproduces it.
+  const core::Tier& merged = *snapshot->tiers()[1];
+  ASSERT_EQ(merged.info.sequences, 6u);
+  std::vector<Symbol> expected;
+  for (SeqId id = 0; id < merged.db->size(); ++id) {
+    for (const Value v : merged.db->sequence(id)) {
+      expected.push_back(merged.alphabet->ToSymbol(v));
+    }
+  }
+  EXPECT_TRUE(std::ranges::equal(merged.view()->Text(), expected));
+  EXPECT_TRUE((*tiered)->merge_status().ok());
+}
+
 TEST(TieredIndexTest, MemtableSealsAtThresholdAndMergesBoundSealedTiers) {
   const seqdb::SequenceDatabase db = BaseDb(4);
   auto tiered = TieredIndex::Create(&db, Opts(IndexKind::kCategorized, 2, 1));

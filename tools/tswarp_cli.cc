@@ -228,7 +228,7 @@ void PrintSearchStats(const Index& index, const core::SearchStats& stats) {
                   static_cast<unsigned long long>(mapped.mapped_bytes),
                   static_cast<unsigned long long>(mapped.resident_bytes));
     } else {
-      std::printf("pool config: %zu pages x 3 regions, %zu shards, %s "
+      std::printf("pool config: %zu pages x 2 regions, %zu shards, %s "
                   "eviction\n",
                   index.options().disk_pool_pages, tree.pool_shards(),
                   storage::EvictionPolicyKindToString(tree.pool_eviction()));
@@ -237,7 +237,6 @@ void PrintSearchStats(const Index& index, const core::SearchStats& stats) {
     const suffixtree::RegionStats pool = tree.PoolStats();
     PrintPoolLine("nodes:", pool.nodes);
     PrintPoolLine("occs:", pool.occs);
-    PrintPoolLine("labels:", pool.labels);
     PrintPoolLine("total:", pool.Total());
   }
 }
