@@ -1,5 +1,7 @@
 #include "core/tiered_index.h"
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <utility>
 
@@ -125,7 +127,7 @@ void TieredIndex::PublishLocked() {
 }
 
 std::size_t TieredIndex::PendingMergesLocked() const {
-  if (!merge_status_.ok()) return 0;
+  if (merges_stopped_) return 0;
   return sealed_tiers_.size() > options_.max_sealed_tiers
              ? sealed_tiers_.size() - options_.max_sealed_tiers
              : 0;
@@ -436,9 +438,12 @@ bool TieredIndex::MergeOnce() {
   std::unique_lock<std::mutex> lock(mu_);
   merge_running_ = false;
   if (!built.ok()) {
-    // Not retried (PendingMergesLocked now owes nothing): the same inputs
-    // would fail the same way.
-    merge_status_ = built.status();
+    ++merges_failed_;
+    merge_error_ = built.status();
+    // The same inputs would overflow the same way on every retry.
+    if (merge_error_.code() == StatusCode::kOutOfRange) {
+      merges_stopped_ = true;
+    }
     merge_done_cv_.notify_all();
     return false;
   }
@@ -453,15 +458,30 @@ bool TieredIndex::MergeOnce() {
   sealed_tiers_.erase(sealed_tiers_.begin(), sealed_tiers_.begin() + 2);
   sealed_tiers_.insert(sealed_tiers_.begin(), std::move(merged));
   ++merges_completed_;
+  merge_error_ = Status::OK();
   PublishLocked();
   merge_done_cv_.notify_all();
   return true;
 }
 
 void TieredIndex::MergeWorkerLoop() {
+  using std::chrono::milliseconds;
+  constexpr milliseconds kFirstRetryDelay{50};
+  constexpr milliseconds kMaxRetryDelay{5000};
+  milliseconds retry_delay = kFirstRetryDelay;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (merge_error_.ok()) {
+        retry_delay = kFirstRetryDelay;
+      } else {
+        // Back off before retrying a failed compaction; appends notifying
+        // merge_cv_ do not cut the delay short.
+        merge_cv_.wait_for(lock, retry_delay, [&] {
+          return stop_.load(std::memory_order_relaxed);
+        });
+        retry_delay = std::min(2 * retry_delay, kMaxRetryDelay);
+      }
       merge_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_relaxed) ||
                (PendingMergesLocked() > 0 && !merge_running_);
@@ -477,13 +497,14 @@ void TieredIndex::WaitForMerges() {
   if (options_.merge_in_background) merge_cv_.notify_one();
   merge_done_cv_.wait(lock, [&] {
     return stop_.load(std::memory_order_relaxed) ||
-           (PendingMergesLocked() == 0 && !merge_running_);
+           (!merge_running_ &&
+            (PendingMergesLocked() == 0 || !merge_error_.ok()));
   });
 }
 
 Status TieredIndex::merge_status() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return merge_status_;
+  return merge_error_;
 }
 
 TieredStats TieredIndex::Stats() const {
@@ -501,6 +522,8 @@ TieredStats TieredIndex::Stats() const {
     stats.pending_merges = PendingMergesLocked() + (merge_running_ ? 1 : 0);
     stats.merges_completed = merges_completed_;
     stats.merges_cancelled = merges_cancelled_;
+    stats.merges_failed = merges_failed_;
+    if (!merge_error_.ok()) stats.merge_error = merge_error_.ToString();
   }
   {
     std::lock_guard<std::recursive_mutex> lock(cq_mu_);

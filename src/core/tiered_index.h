@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,6 +55,8 @@ struct TieredStats {
   std::size_t pending_merges = 0;      // Compactions owed right now.
   std::uint64_t merges_completed = 0;
   std::uint64_t merges_cancelled = 0;
+  std::uint64_t merges_failed = 0;     // Compaction attempts that failed.
+  std::string merge_error;             // merge_status() text; empty if OK.
   std::size_t continuous_queries = 0;
 };
 
@@ -132,14 +135,19 @@ class TieredIndex {
   /// The currently published immutable snapshot (never null).
   std::shared_ptr<const IndexSnapshot> Snapshot() const;
 
-  /// Blocks until no compaction is owed or running. Test/ops hook.
+  /// Blocks until no compaction is owed or running, or until the latest
+  /// compaction has failed (see merge_status()). Test/ops hook.
   void WaitForMerges();
 
   TieredStats Stats() const;
 
-  /// OK, or the first error a compaction failed with (for instance a
-  /// merged tier too large for 32-bit offsets). A failed compaction is not
-  /// retried: its tiers stay live and searchable, unmerged.
+  /// OK, or the error the latest compaction failed with; OK again once a
+  /// compaction succeeds. Either way the tiers of a failed compaction stay
+  /// live and searchable, unmerged. OutOfRange (a merged tier too large
+  /// for 32-bit offsets) fails the same way on every attempt and stops
+  /// compaction for good; any other failure (a full disk, a failed
+  /// rename) is retried, in the background after a delay that doubles
+  /// with each consecutive failure, inline at the next Append.
   Status merge_status() const;
 
   /// Registers a standing query: every future Append whose new sequence
@@ -168,8 +176,8 @@ class TieredIndex {
   /// Requires mu_ held.
   void PublishLocked();
 
-  /// Compactions owed under the sealed-tier budget (none once a merge
-  /// has failed). Requires mu_ held.
+  /// Compactions owed under the sealed-tier budget (none once compaction
+  /// has stopped on OutOfRange). Requires mu_ held.
   std::size_t PendingMergesLocked() const;
 
   /// Merges the two oldest sealed tiers if one is owed. Returns false when
@@ -207,7 +215,9 @@ class TieredIndex {
   std::size_t appended_sequences_ = 0;
   std::uint64_t merges_completed_ = 0;
   std::uint64_t merges_cancelled_ = 0;
-  Status merge_status_;
+  std::uint64_t merges_failed_ = 0;
+  Status merge_error_;          // Latest compaction's failure; OK after a success.
+  bool merges_stopped_ = false;  // Set by an OutOfRange failure.
   std::uint64_t merge_generation_ = 0;
   bool merge_running_ = false;
   std::condition_variable merge_cv_;     // Signals worker: work or stop.

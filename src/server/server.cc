@@ -779,6 +779,8 @@ struct Server::Impl {
       t.Set("pending_merges", num(ts.pending_merges));
       t.Set("merges_completed", num(ts.merges_completed));
       t.Set("merges_cancelled", num(ts.merges_cancelled));
+      t.Set("merges_failed", num(ts.merges_failed));
+      t.Set("merge_error", JsonValue::MakeString(ts.merge_error));
       t.Set("continuous_queries", num(ts.continuous_queries));
       t.Set("appends", num(c.appends));
       root.Set("tiered", std::move(t));

@@ -272,9 +272,10 @@ Status ReadRegionFile(const std::string& path, std::span<std::byte> out,
   return Status::OK();
 }
 
-/// One pass over every node and occurrence record of a bundle: child,
-/// sibling and occurrence ids must be nil or below their counts, and every
-/// label must lie inside the text. After it, no accessor can read outside
+/// Checks every node and occurrence record of a bundle: child, sibling and
+/// occurrence ids must be nil or below their counts, and every non-root
+/// label must be non-empty and lie inside the text (searches and merges
+/// read each edge's first symbol). After it, no accessor can read outside
 /// a region, whatever the records say. Returns the sum of the label
 /// lengths (MaterializedLabelSymbols) on success. `node_at(i)` and
 /// `occ_at(i)` return record i by value.
@@ -282,6 +283,36 @@ template <typename NodeAt, typename OccAt>
 StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
                                         const ParsedMeta& meta,
                                         NodeAt node_at, OccAt occ_at) {
+  // An id is valid when nil (0xFFFFFFFF) or below its count: adding 1 maps
+  // nil to 0 and every valid id to at most the count.
+  static_assert(kNilNode == 0xFFFFFFFFu && kNilOcc == 0xFFFFFFFFu);
+  const auto id_ok = [](std::uint32_t id, std::uint64_t count) {
+    return std::uint64_t{static_cast<std::uint32_t>(id + 1)} <= count;
+  };
+  const std::uint64_t text = meta.num_label_symbols;
+  const auto label_ok = [&](const NodeRecord& rec, std::uint64_t i) {
+    return (rec.label_offset <= text) &
+           (rec.label_len <= text - rec.label_offset) &
+           ((rec.label_len != 0) | (i == 0));
+  };
+
+  // Pass 1 only decides, without branches: on the mmap path this pass is
+  // most of Open.
+  bool ok = true;
+  std::uint64_t label_symbols = 0;
+  for (std::uint64_t i = 0; i < meta.num_nodes; ++i) {
+    const NodeRecord rec = node_at(i);
+    ok &= label_ok(rec, i) & id_ok(rec.first_child, meta.num_nodes) &
+          id_ok(rec.next_sibling, meta.num_nodes) &
+          id_ok(rec.first_occ, meta.num_occs);
+    label_symbols += rec.label_len;
+  }
+  for (std::uint64_t i = 0; i < meta.num_occs; ++i) {
+    ok &= id_ok(occ_at(i).next, meta.num_occs);
+  }
+  if (ok) return label_symbols;
+
+  // Pass 2 names the first bad field.
   const auto bad = [&](const char* what, std::uint64_t index,
                        std::uint64_t value) {
     return Status::Corruption(std::string(what) + " " +
@@ -289,31 +320,27 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
                               std::to_string(index) + " out of range in " +
                               base_path);
   };
-  const auto node_ok = [&](std::uint32_t id) {
-    return id == kNilNode || id < meta.num_nodes;
-  };
-  const auto occ_ok = [&](std::uint32_t id) {
-    return id == kNilOcc || id < meta.num_occs;
-  };
-  std::uint64_t label_symbols = 0;
   for (std::uint64_t i = 0; i < meta.num_nodes; ++i) {
     const NodeRecord rec = node_at(i);
-    if (rec.label_offset > meta.num_label_symbols ||
-        rec.label_len > meta.num_label_symbols - rec.label_offset) {
-      return bad("label offset", i, rec.label_offset);
+    if (!label_ok(rec, i)) {
+      return rec.label_len == 0 ? bad("label length", i, 0)
+                                : bad("label offset", i, rec.label_offset);
     }
-    if (!node_ok(rec.first_child)) return bad("child id", i, rec.first_child);
-    if (!node_ok(rec.next_sibling)) {
+    if (!id_ok(rec.first_child, meta.num_nodes)) {
+      return bad("child id", i, rec.first_child);
+    }
+    if (!id_ok(rec.next_sibling, meta.num_nodes)) {
       return bad("sibling id", i, rec.next_sibling);
     }
-    if (!occ_ok(rec.first_occ)) return bad("occurrence id", i, rec.first_occ);
-    label_symbols += rec.label_len;
+    if (!id_ok(rec.first_occ, meta.num_occs)) {
+      return bad("occurrence id", i, rec.first_occ);
+    }
   }
   for (std::uint64_t i = 0; i < meta.num_occs; ++i) {
     const std::uint32_t next = occ_at(i).next;
-    if (!occ_ok(next)) return bad("occurrence id", i, next);
+    if (!id_ok(next, meta.num_occs)) return bad("occurrence id", i, next);
   }
-  return label_symbols;
+  return Status::Corruption("inconsistent records in " + base_path);
 }
 
 }  // namespace
@@ -334,7 +361,7 @@ class TreeAccess {
   virtual void GetChildren(NodeId node, Children* out) const = 0;
   virtual void GetOccurrences(NodeId node,
                               std::vector<OccurrenceRec>* out) const = 0;
-  /// The bundle's text; empty when opened without it.
+  /// The bundle's text.
   virtual std::span<const Symbol> Text() const = 0;
   /// ValidateRecords over this backend's records.
   virtual StatusOr<std::uint64_t> Validate(const std::string& base_path,
@@ -365,7 +392,7 @@ class BufferedTreeAccess : public internal::TreeAccess {
  public:
   static StatusOr<std::unique_ptr<internal::TreeAccess>> Open(
       const std::string& base_path, const DiskTreeOptions& options,
-      const ParsedMeta& meta, bool load_text) {
+      const ParsedMeta& meta) {
     auto access = std::unique_ptr<BufferedTreeAccess>(new BufferedTreeAccess);
     access->readahead_pages_ = options.readahead_pages;
     if (meta.has_summaries && options.load_node_summaries) {
@@ -375,12 +402,10 @@ class BufferedTreeAccess : public internal::TreeAccess {
                                    access->summaries_)),
           "summary"));
     }
-    if (load_text) {
-      access->text_.resize(static_cast<std::size_t>(meta.num_label_symbols));
-      TSW_RETURN_IF_ERROR(ReadRegionFile(
-          LabelsPath(base_path),
-          std::as_writable_bytes(std::span(access->text_)), "labels"));
-    }
+    access->text_.resize(static_cast<std::size_t>(meta.num_label_symbols));
+    TSW_RETURN_IF_ERROR(ReadRegionFile(
+        LabelsPath(base_path),
+        std::as_writable_bytes(std::span(access->text_)), "labels"));
     TSW_ASSIGN_OR_RETURN(
         auto nodes_file, storage::PagedFile::Open(NodesPath(base_path), false));
     TSW_ASSIGN_OR_RETURN(
@@ -570,11 +595,13 @@ class MappedTreeAccess : public internal::TreeAccess {
 
   StatusOr<std::uint64_t> Validate(const std::string& base_path,
                                    const ParsedMeta& meta) const override {
+    // Index the mapped arrays directly (their extents were checked when
+    // the regions were created): this pass is most of an mmap Open.
+    const auto* nodes = reinterpret_cast<const NodeRecord*>(nodes_.data());
+    const auto* occs = reinterpret_cast<const OccRecord*>(occs_.data());
     return ValidateRecords(
-        base_path, meta, [&](std::uint64_t i) { return Node(i); },
-        [&](std::uint64_t i) {
-          return *reinterpret_cast<const OccRecord*>(occs_.RecordAt(i));
-        });
+        base_path, meta, [&](std::uint64_t i) { return nodes[i]; },
+        [&](std::uint64_t i) { return occs[i]; });
   }
 
   std::uint32_t SubtreeOccCount(NodeId node) const override {
@@ -654,19 +681,13 @@ storage::BufferManager::Stats RegionStats::Total() const {
 // ---------------------------------------------------------------------------
 
 DiskTreeWriter::DiskTreeWriter(const std::string& base_path,
-                               DiskTreeOptions options, bool persist_text)
-    : base_path_(base_path), options_(options), persist_text_(persist_text) {}
+                               DiskTreeOptions options)
+    : base_path_(base_path), options_(options) {}
 
 StatusOr<std::unique_ptr<DiskTreeWriter>> DiskTreeWriter::Create(
     const std::string& base_path, DiskTreeOptions options) {
-  return Create(base_path, options, /*persist_text=*/true);
-}
-
-StatusOr<std::unique_ptr<DiskTreeWriter>> DiskTreeWriter::Create(
-    const std::string& base_path, DiskTreeOptions options,
-    bool persist_text) {
   std::unique_ptr<DiskTreeWriter> writer(
-      new DiskTreeWriter(base_path, options, persist_text));
+      new DiskTreeWriter(base_path, options));
   TSW_RETURN_IF_ERROR(writer->Init());
   return writer;
 }
@@ -676,10 +697,8 @@ Status DiskTreeWriter::Init() {
                        storage::PagedFile::Create(NodesPath(base_path_)));
   TSW_ASSIGN_OR_RETURN(auto occs_file,
                        storage::PagedFile::Create(OccsPath(base_path_)));
-  if (persist_text_) {
-    // An empty text until SetText: a root-only tree is a complete bundle.
-    TSW_RETURN_IF_ERROR(WriteRegionFile(LabelsPath(base_path_), {}));
-  }
+  // An empty text until SetText: a root-only tree is a complete bundle.
+  TSW_RETURN_IF_ERROR(WriteRegionFile(LabelsPath(base_path_), {}));
   node_file_ = std::make_unique<storage::PagedFile>(std::move(nodes_file));
   occ_file_ = std::make_unique<storage::PagedFile>(std::move(occs_file));
   const storage::BufferManagerOptions mgr_options =
@@ -694,9 +713,7 @@ Status DiskTreeWriter::Init() {
 void DiskTreeWriter::SetText(std::span<const Symbol> text) {
   TSW_CHECK(num_nodes_ <= 1) << "the text must precede every edge";
   num_label_symbols_ = text.size();
-  if (persist_text_) {
-    Latch(WriteRegionFile(LabelsPath(base_path_), std::as_bytes(text)));
-  }
+  Latch(WriteRegionFile(LabelsPath(base_path_), std::as_bytes(text)));
 }
 
 NodeId DiskTreeWriter::AddNode(NodeId parent, LabelRef label) {
@@ -857,12 +874,6 @@ DiskSuffixTree::~DiskSuffixTree() = default;
 
 StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
     const std::string& base_path, DiskTreeOptions options) {
-  return OpenImpl(base_path, options, nullptr);
-}
-
-StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::OpenImpl(
-    const std::string& base_path, DiskTreeOptions options,
-    const std::span<const Symbol>* external_text) {
   TSW_ASSIGN_OR_RETURN(const ParsedMeta meta, ReadMeta(base_path));
   if (options.io_mode == storage::IoMode::kMmap &&
       meta.version < kMetaVersionV2) {
@@ -879,21 +890,14 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::OpenImpl(
   tree->num_label_symbols_ = meta.num_label_symbols;
   tree->format_version_ = meta.version;
   if (options.io_mode == storage::IoMode::kMmap) {
-    TSW_CHECK(external_text == nullptr);
     TSW_ASSIGN_OR_RETURN(
         tree->access_,
         MappedTreeAccess::Open(base_path, meta, options.load_node_summaries));
   } else {
     TSW_ASSIGN_OR_RETURN(tree->access_,
-                         BufferedTreeAccess::Open(base_path, options, meta,
-                                                  external_text == nullptr));
+                         BufferedTreeAccess::Open(base_path, options, meta));
   }
-  if (external_text != nullptr) {
-    TSW_CHECK(external_text->size() == meta.num_label_symbols);
-    tree->text_ = *external_text;
-  } else {
-    tree->text_ = tree->access_->Text();
-  }
+  tree->text_ = tree->access_->Text();
   TSW_ASSIGN_OR_RETURN(tree->materialized_label_symbols_,
                        tree->access_->Validate(base_path, meta));
   return tree;
@@ -1022,11 +1026,9 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   DiskTreeOptions scratch = options.tree;
   scratch.io_mode = storage::IoMode::kBuffered;
 
-  // Every batch tree references this one text. Intermediate bundles carry
-  // no .labels: merges read labels from `text` and write only node and
-  // occurrence records. The text is written once, into the survivor.
+  // Every batch tree references this one text, so every intermediate
+  // bundle stores the same .labels and merges share it.
   const auto shared_text = std::make_shared<const SymbolText>(db);
-  const std::span<const Symbol> text = shared_text->symbols;
 
   // Phase 1: spill batch trees.
   std::vector<std::string> pending;
@@ -1040,8 +1042,7 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SuffixTree batch = builder.Build();
     TSW_RETURN_IF_ERROR(batch.status());
     const std::string tmp = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(
-                                          tmp, scratch, /*persist_text=*/false));
+    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(tmp, scratch));
     CopyTree(batch, writer.get());
     TSW_RETURN_IF_ERROR(writer->Close());
     pending.push_back(tmp);
@@ -1052,24 +1053,19 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   while (pending.size() - head > 1) {
     const std::string a = pending[head++];
     const std::string b = pending[head++];
-    TSW_ASSIGN_OR_RETURN(auto view_a,
-                         DiskSuffixTree::OpenImpl(a, scratch, &text));
-    TSW_ASSIGN_OR_RETURN(auto view_b,
-                         DiskSuffixTree::OpenImpl(b, scratch, &text));
+    TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(a, scratch));
+    TSW_ASSIGN_OR_RETURN(auto view_b, DiskSuffixTree::Open(b, scratch));
     const std::string out = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(
-                                          out, scratch, /*persist_text=*/false));
-    MergeTrees(*view_a, *view_b, writer.get());
+    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(out, scratch));
+    MergeTrees(*view_a, *view_b, writer.get(), nullptr, MergeText::kShared);
     TSW_RETURN_IF_ERROR(writer->Close());
     RemoveDiskTree(a);
     RemoveDiskTree(b);
     pending.push_back(out);
   }
 
-  // Give the survivor its text, rename it into place, then persist the
-  // renames.
+  // Rename the survivor into place, then persist the renames.
   const std::string last = pending[head];
-  TSW_RETURN_IF_ERROR(WriteRegionFile(LabelsPath(last), std::as_bytes(text)));
   RemoveDiskTree(base_path);
   for (const char* suffix : {".meta", ".nodes", ".occs", ".labels"}) {
     const std::string from = last + suffix;

@@ -123,19 +123,7 @@ class DiskTreeWriter : public TreeSink {
   const Status& status() const { return status_; }
 
  private:
-  friend StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
-      const SymbolDatabase& db, const std::string& base_path,
-      DiskBuildOptions options);
-
-  DiskTreeWriter(const std::string& base_path, DiskTreeOptions options,
-                 bool persist_text);
-
-  /// `persist_text` false: SetText only records the text's length and no
-  /// `.labels` file is written (BuildDiskTree's intermediate bundles,
-  /// which all share one text held in memory).
-  static StatusOr<std::unique_ptr<DiskTreeWriter>> Create(
-      const std::string& base_path, DiskTreeOptions options,
-      bool persist_text);
+  DiskTreeWriter(const std::string& base_path, DiskTreeOptions options);
 
   Status Init();
   Status CloseInternal();
@@ -145,7 +133,6 @@ class DiskTreeWriter : public TreeSink {
 
   std::string base_path_;
   DiskTreeOptions options_;
-  bool persist_text_ = true;
   std::unique_ptr<storage::PagedFile> node_file_;
   std::unique_ptr<storage::PagedFile> occ_file_;
   std::unique_ptr<storage::BufferManager> nodes_;
@@ -236,18 +223,7 @@ class DiskSuffixTree : public TreeView {
   std::span<const NodeSummaryRecord> node_summaries() const;
 
  private:
-  friend StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
-      const SymbolDatabase& db, const std::string& base_path,
-      DiskBuildOptions options);
-
   DiskSuffixTree() = default;
-
-  /// Open(); a non-null `external_text` supplies the text instead of the
-  /// bundle's `.labels` (which need not exist) and must outlive the tree.
-  /// BuildDiskTree opens its intermediate bundles this way.
-  static StatusOr<std::unique_ptr<DiskSuffixTree>> OpenImpl(
-      const std::string& base_path, DiskTreeOptions options,
-      const std::span<const Symbol>* external_text);
 
   std::string base_path_;
   DiskTreeOptions options_;
@@ -288,11 +264,10 @@ struct DiskBuildOptions {
 /// Builds a disk tree over all sequences of `db`: batches are built in
 /// memory, spilled, then pairwise-merged on disk until one tree remains at
 /// `base_path`. Every batch tree references one text, the database's
-/// sequences concatenated, held in memory for the build: spills and merges
-/// write only node and occurrence records, and the text is written once,
-/// as the final bundle's `.labels`. Intermediate trees are always opened
-/// buffered (they are scanned once and deleted); only the final open
-/// honors `options.tree.io_mode`.
+/// sequences concatenated, so merges (MergeText::kShared) carry label
+/// references through unchanged and never grow the text. Intermediate
+/// trees are always opened buffered (they are scanned once and deleted);
+/// only the final open honors `options.tree.io_mode`.
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SymbolDatabase& db, const std::string& base_path,
     DiskBuildOptions options = {});

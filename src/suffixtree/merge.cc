@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -26,18 +27,14 @@ struct Pending {
   Pending Drop(std::size_t k) const { return {symbols.subspan(k), ref + k}; }
 };
 
-bool SameText(std::span<const Symbol> x, std::span<const Symbol> y) {
-  return x.data() == y.data() && x.size() == y.size();
-}
-
 /// Recursive merge machinery. Each recursion frame owns its Children
 /// buffers; label spans passed down the recursion point into the source
 /// views' texts.
 class Merger {
  public:
   Merger(const TreeView& a, const TreeView& b, TreeSink* out,
-         const std::atomic<bool>* cancel)
-      : a_(a), b_(b), out_(out), cancel_(cancel) {}
+         const std::atomic<bool>* cancel, MergeText text)
+      : a_(a), b_(b), out_(out), cancel_(cancel), text_(text) {}
 
   /// Returns false iff the merge was cancelled (the sink is then left
   /// unfinalized and must be discarded).
@@ -48,14 +45,18 @@ class Merger {
     b_.HintSequentialScan();
     const std::span<const Symbol> text_a = a_.Text();
     const std::span<const Symbol> text_b = b_.Text();
-    if (SameText(text_a, text_b)) {
+    if (text_ == MergeText::kShared) {
+      TSW_CHECK(text_a.size() == text_b.size())
+          << "shared-text merge over texts of " << text_a.size() << " and "
+          << text_b.size() << " symbols";
+      TSW_DCHECK(std::equal(text_a.begin(), text_a.end(), text_b.begin()));
       out_->SetText(text_a);
     } else {
       std::vector<Symbol> joined;
       joined.reserve(text_a.size() + text_b.size());
       joined.insert(joined.end(), text_a.begin(), text_a.end());
       joined.insert(joined.end(), text_b.begin(), text_b.end());
-      out_->SetText(joined);
+      out_->TakeText(std::move(joined));
       b_shift_ = text_a.size();
     }
     const NodeId root = out_->AddNode(kNilNode, {});
@@ -200,6 +201,7 @@ class Merger {
   const TreeView& b_;
   TreeSink* out_;
   const std::atomic<bool>* cancel_;
+  const MergeText text_;
   // Added to b's label references when the output text is a's text
   // followed by b's.
   std::uint64_t b_shift_ = 0;
@@ -210,9 +212,9 @@ class Merger {
 }  // namespace
 
 bool MergeTrees(const TreeView& a, const TreeView& b, TreeSink* out,
-                const std::atomic<bool>* cancel) {
+                const std::atomic<bool>* cancel, MergeText text) {
   TSW_CHECK(out != nullptr);
-  return Merger(a, b, out, cancel).Run();
+  return Merger(a, b, out, cancel, text).Run();
 }
 
 void CopyTree(const TreeView& view, TreeSink* sink) {

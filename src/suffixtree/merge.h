@@ -15,11 +15,14 @@ namespace tswarp::suffixtree {
 /// so disk-resident trees stream through their buffer pools; the output is
 /// written once through TreeSink.
 ///
-/// Labels are carried through as references, never copied. When `a` and
-/// `b` reference the same text (disk construction: every batch tree
-/// references the one database text), the output references it too.
-/// Otherwise the output's text is a's text followed by b's, and b's label
-/// references are shifted by the length of a's text (tier compaction).
+/// Labels are carried through as references, never copied. How the
+/// output's text relates to the inputs' is the caller's statement:
+///   kConcatenate  the output's text is a's text followed by b's, and b's
+///                 label references are shifted by the length of a's text
+///                 (tier compaction, memtable appends);
+///   kShared       a and b reference equal texts (disk construction: every
+///                 batch tree references the one database text), and the
+///                 output references that text too.
 ///
 /// Complexity O(|A| + |B|) tree operations plus the symbol comparisons on
 /// shared label prefixes. Finalize() is called on `out`.
@@ -28,8 +31,11 @@ namespace tswarp::suffixtree {
 /// merge unwinds and returns false WITHOUT finalizing `out` — the caller
 /// must discard the partial sink (background tier compactions abort this
 /// way on shutdown). Returns true on a completed, finalized merge.
+enum class MergeText { kConcatenate, kShared };
+
 bool MergeTrees(const TreeView& a, const TreeView& b, TreeSink* out,
-                const std::atomic<bool>* cancel = nullptr);
+                const std::atomic<bool>* cancel = nullptr,
+                MergeText text = MergeText::kConcatenate);
 
 /// Structural copy of `view` into `sink` (pre-order); the sink gets the
 /// view's text, so labels keep their references. Finalize() is called on

@@ -87,6 +87,10 @@ void SuffixTree::SetText(std::span<const Symbol> text) {
                                                         text.end()));
 }
 
+void SuffixTree::TakeText(std::vector<Symbol> text) {
+  AdoptText(std::make_shared<const std::vector<Symbol>>(std::move(text)));
+}
+
 NodeId SuffixTree::NextNodeId() {
   if (!status_.ok()) return kNilNode;
   const StatusOr<std::uint32_t> id = CheckedU32(nodes_.size(), "node count");

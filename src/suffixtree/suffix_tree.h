@@ -57,6 +57,7 @@ class SuffixTree : public TreeView, public TreeSink {
 
   // --- TreeSink ---
   void SetText(std::span<const Symbol> text) override;
+  void TakeText(std::vector<Symbol> text) override;
   NodeId AddNode(NodeId parent, LabelRef label) override;
   void AddOccurrence(NodeId node, const OccurrenceRec& occ) override;
   void Finalize() override;

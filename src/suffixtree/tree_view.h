@@ -151,6 +151,10 @@ class TreeSink {
   /// stay valid for the call (sinks copy or persist it).
   virtual void SetText(std::span<const Symbol> text) = 0;
 
+  /// SetText for a text the caller gives up: sinks that keep the text in
+  /// memory take the vector instead of copying it.
+  virtual void TakeText(std::vector<Symbol> text) { SetText(text); }
+
   /// Adds a node under `parent` whose edge label is `label`, a reference
   /// into the text given to SetText. Pass kNilNode as parent to create the
   /// root (label ignored, must be first).

@@ -184,6 +184,32 @@ TEST_F(FailureInjectionTest, LabelRunningPastTheTextRejected) {
   }
 }
 
+TEST_F(FailureInjectionTest, EmptyNonRootLabelAtTextEndRejected) {
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    const std::string base = Path(storage::IoModeToString(mode));
+    WriteBundle(base);
+    suffixtree::DiskTreeOptions options;
+    options.io_mode = mode;
+    std::uint64_t text_size = 0;
+    {
+      auto intact = suffixtree::DiskSuffixTree::Open(base, options);
+      ASSERT_TRUE(intact.ok()) << intact.status();
+      text_size = (*intact)->Text().size();
+    }
+    // Node 1's label becomes [text end, +0): inside the text by range,
+    // but a search would read its first symbol one past the end.
+    PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
+                                    text_size);
+    PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8, 0);
+    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
+    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
+    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(tree.status().message().find("label length"), std::string::npos)
+        << tree.status();
+  }
+}
+
 TEST_F(FailureInjectionTest, OutOfRangeChildIdRejectedOnBothReadPaths) {
   for (const storage::IoMode mode :
        {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {

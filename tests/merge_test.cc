@@ -164,7 +164,7 @@ TEST(MergeTest, SharedTextStaysShared) {
   const SuffixTree a = left.Build();
   const SuffixTree b = right.Build();
   SuffixTree merged;
-  MergeTrees(a, b, &merged);
+  MergeTrees(a, b, &merged, nullptr, MergeText::kShared);
   EXPECT_EQ(merged.NumLabelSymbols(), db.TotalSymbols());
   EXPECT_TRUE(std::ranges::equal(merged.Text(), text->symbols));
   EXPECT_EQ(Canonicalize(merged), Canonicalize(BuildRange(db, 0, 6)));

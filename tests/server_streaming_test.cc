@@ -162,6 +162,8 @@ TEST(ServerStreamingTest, AppendIsSearchableAndStatsShowTiers) {
   EXPECT_EQ(tiered->Find("appended_sequences")->AsNumber(), 1.0);
   EXPECT_EQ(tiered->Find("appends")->AsNumber(), 1.0);
   EXPECT_EQ(tiered->Find("memtable_sequences")->AsNumber(), 1.0);
+  EXPECT_EQ(tiered->Find("merges_failed")->AsNumber(), 0.0);
+  EXPECT_EQ(tiered->Find("merge_error")->AsString(), "");
 }
 
 TEST(ServerStreamingTest, ContinuousRegisterPollUnregisterRoundTrip) {

@@ -7,10 +7,12 @@
 #include "core/tiered_index.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -398,6 +400,127 @@ TEST(TieredIndexTest, BackgroundWorkerDrainsPendingMerges) {
   EXPECT_LE(stats.sealed_tiers, 1u);
   EXPECT_GE(stats.merges_completed, 1u);
   EXPECT_EQ((*tiered)->Snapshot()->total_sequences(), db.size() + 6);
+}
+
+
+// Every appended sequence must stay findable, merged or not.
+void ExpectAppendsSearchable(const TieredIndex& tiered, SeqId first,
+                             const std::vector<seqdb::Sequence>& appended) {
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    const std::vector<Value> probe(appended[i].begin(),
+                                   appended[i].begin() + 6);
+    const std::vector<Match> matches =
+        tiered.Snapshot()->Search(probe, 0.01);
+    EXPECT_TRUE(std::any_of(matches.begin(), matches.end(),
+                            [&](const Match& m) {
+                              return m.seq == first + i;
+                            }))
+        << "append " << i;
+  }
+}
+
+// A directory where a disk merge's scratch `.nodes` file must go makes
+// that merge fail with an I/O error, as a full disk would.
+std::string BlockMergeGeneration(const TieredOptions& options,
+                                 int generation) {
+  const std::string blocker = options.index.disk_path + ".tmp-merge-" +
+                              std::to_string(generation) + ".nodes";
+  std::filesystem::create_directories(blocker);
+  return blocker;
+}
+
+TEST(TieredIndexTest, FailedInlineDiskMergeIsReportedAndRetried) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/tiered_merge_fail";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const seqdb::SequenceDatabase db = BaseDb(4);
+  TieredOptions options = Opts(IndexKind::kCategorized, 1, 1);
+  options.index.disk_path = dir + "/idx";
+  options.index.disk_batch_sequences = 2;
+  auto tiered = TieredIndex::Create(&db, options);
+  ASSERT_TRUE(tiered.ok()) << tiered.status();
+  const std::string blocker = BlockMergeGeneration(options, 1);
+
+  // The second append seals a second tier over a budget of one; its
+  // inline merge fails.
+  Rng rng(71);
+  std::vector<seqdb::Sequence> appended;
+  for (int i = 0; i < 2; ++i) {
+    appended.push_back(RandomSeq(&rng, 12));
+    ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+  }
+  TieredStats stats = (*tiered)->Stats();
+  EXPECT_EQ(stats.merges_failed, 1u);
+  EXPECT_EQ(stats.merges_completed, 0u);
+  EXPECT_EQ(stats.sealed_tiers, 2u);
+  EXPECT_EQ(stats.pending_merges, 1u);
+  EXPECT_NE(stats.merge_error.find("tmp-merge-1"), std::string::npos)
+      << stats.merge_error;
+  EXPECT_EQ((*tiered)->merge_status().code(), StatusCode::kIOError)
+      << (*tiered)->merge_status();
+  (*tiered)->WaitForMerges();  // Returns: the latest merge failed.
+  ExpectAppendsSearchable(**tiered, db.size(), appended);
+
+  // An I/O failure is not final: the next append's merges (fresh
+  // generations) succeed and clear the error.
+  fs::remove(blocker);
+  appended.push_back(RandomSeq(&rng, 12));
+  ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+  stats = (*tiered)->Stats();
+  EXPECT_EQ(stats.merges_failed, 1u);
+  EXPECT_GE(stats.merges_completed, 1u);
+  EXPECT_EQ(stats.sealed_tiers, 1u);
+  EXPECT_EQ(stats.pending_merges, 0u);
+  EXPECT_TRUE(stats.merge_error.empty()) << stats.merge_error;
+  EXPECT_TRUE((*tiered)->merge_status().ok());
+  ExpectAppendsSearchable(**tiered, db.size(), appended);
+  tiered->reset();
+  fs::remove_all(dir);
+}
+
+TEST(TieredIndexTest, FailedBackgroundDiskMergeIsRetriedAfterBackoff) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/tiered_merge_retry";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const seqdb::SequenceDatabase db = BaseDb(4);
+  TieredOptions options =
+      Opts(IndexKind::kCategorized, 1, 1, /*background=*/true);
+  options.index.disk_path = dir + "/idx";
+  options.index.disk_batch_sequences = 2;
+  auto tiered = TieredIndex::Create(&db, options);
+  ASSERT_TRUE(tiered.ok()) << tiered.status();
+  const std::string blocker = BlockMergeGeneration(options, 1);
+
+  Rng rng(73);
+  std::vector<seqdb::Sequence> appended;
+  for (int i = 0; i < 2; ++i) {
+    appended.push_back(RandomSeq(&rng, 12));
+    ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+  }
+  (*tiered)->WaitForMerges();  // Returns once the blocked merge failed.
+  EXPECT_EQ((*tiered)->Stats().merges_failed, 1u);
+  EXPECT_EQ((*tiered)->merge_status().code(), StatusCode::kIOError);
+  ExpectAppendsSearchable(**tiered, db.size(), appended);
+
+  // The worker retries on its own, with no further append.
+  fs::remove(blocker);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((*tiered)->Stats().merges_completed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const TieredStats stats = (*tiered)->Stats();
+  EXPECT_EQ(stats.merges_completed, 1u);
+  EXPECT_EQ(stats.merges_failed, 1u);
+  EXPECT_EQ(stats.pending_merges, 0u);
+  EXPECT_TRUE(stats.merge_error.empty()) << stats.merge_error;
+  EXPECT_TRUE((*tiered)->merge_status().ok());
+  ExpectAppendsSearchable(**tiered, db.size(), appended);
+  tiered->reset();
+  fs::remove_all(dir);
 }
 
 }  // namespace
