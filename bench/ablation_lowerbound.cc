@@ -1,9 +1,10 @@
-// Ablation A6: the envelope lower-bound cascade (LB_Keogh / LB_Improved
-// prefilter + prefix-abandoning exact kernel) on vs off, for the
-// categorized tree searches and the SeqScan baseline, across thresholds.
-// Reports the exact-DTW call reduction and the cascade's prune rate; the
-// match sets are asserted identical (the cascade admits no false
-// dismissals), so any divergence aborts the run.
+// Ablation A6: the running lower bound of the per-start exact scans
+// (endpoint term + LB_Keogh's per-element terms, core::ScanStart) on vs
+// off, for the categorized tree searches and the SeqScan baseline, across
+// thresholds. Reports the exact scans (starts given a row) with and
+// without it and the share of scanned starts it ended; the match sets are
+// asserted identical (the bound admits no false dismissals), so any
+// divergence aborts the run.
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,7 +55,7 @@ int Run(int argc, char** argv) {
   auto index = Index::Build(&db, options);
   if (!index.ok()) return 1;
 
-  std::printf("Ablation A6: envelope lower-bound cascade, SST_C(ME,40), "
+  std::printf("Ablation A6: running lower bound, SST_C(ME,40), "
               "%zu queries\n\n", queries.size());
   std::printf("%-6s %10s %10s %9s %12s %12s %10s %10s\n", "eps", "lb(s)",
               "nolb(s)", "speedup", "dtw(lb)", "dtw(nolb)", "lb_pruned",
@@ -94,7 +95,7 @@ int Run(int argc, char** argv) {
                           static_cast<double>(with_lb.lb_invocations));
   }
 
-  std::printf("\nSeqScan cascade (running LB_Keogh cut), same queries\n\n");
+  std::printf("\nSeqScan (same running bound), same queries\n\n");
   std::printf("%-6s %10s %10s %9s %14s %14s %10s\n", "eps", "lb(s)",
               "nolb(s)", "speedup", "rows(lb)", "rows(nolb)", "lb_pruned");
   for (const Value eps : std::vector<Value>{2, 10, 40}) {

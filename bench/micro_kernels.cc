@@ -197,24 +197,6 @@ void BM_LbImproved(benchmark::State& state) {
 }
 BENCHMARK(BM_LbImproved)->Args({20, 0})->Args({100, 0})->Args({100, 10});
 
-void BM_DtwWithinThresholdLb(benchmark::State& state) {
-  const auto q = RandomSequence(static_cast<std::size_t>(state.range(0)), 1);
-  const auto s = RandomSequence(static_cast<std::size_t>(state.range(0)), 2);
-  const dtw::QueryEnvelope env(q, 0);
-  const Value eps = static_cast<Value>(state.range(1));
-  dtw::EnvelopeScratch scratch;
-  for (auto _ : state) {
-    Value d = 0;
-    benchmark::DoNotOptimize(
-        dtw::DtwWithinThresholdLb(q, s, env, eps, &d, &scratch));
-  }
-}
-BENCHMARK(BM_DtwWithinThresholdLb)
-    ->Args({64, 5})
-    ->Args({64, 50})
-    ->Args({256, 5})
-    ->Args({256, 50});
-
 void BM_LbCascadePruneRate(benchmark::State& state) {
   // Screens `kCandidates` random-walk candidates against one query; the
   // "pruned" counter is the cascade's kill rate at this epsilon, the
@@ -239,8 +221,7 @@ void BM_LbCascadePruneRate(benchmark::State& state) {
       }
       ++exact;
       Value d = 0;
-      benchmark::DoNotOptimize(
-          dtw::DtwWithinThresholdLb(q, s, env, eps, &d, &scratch));
+      benchmark::DoNotOptimize(dtw::DtwWithinThreshold(q, s, eps, &d));
     }
   }
   state.counters["pruned"] =
@@ -461,15 +442,11 @@ BENCHMARK(BM_UkkonenVsInsertion)
     ->Args({100000, 0})
     ->Args({100000, 1});
 
-// --- Unified search driver vs pre-refactor inlined DFS ------------------
-// The categorized tree search used to be one hand-inlined serial loop in
-// tree_search.cc; it is now an instantiation of the generic
-// core::SearchDriver<CategoryModel>. This pair measures the abstraction
-// cost on the same index / query / epsilon: BM_CategorizedSearchDriver
-// goes through the driver (the shipping path), BM_CategorizedInlinedDfs
-// through a line-for-line copy of the pre-refactor loop. Regression
-// budget for the driver: within 2% of the inlined baseline. The `lb` arg
-// toggles the envelope verification cascade on both sides.
+// --- Categorized tree search through the shared driver -----------------
+// One dense ST_C range search (core::SearchDriver<CategoryModel>) on a
+// fixed index / query / epsilon: interval rows to the first passing row
+// on each path, then one exact scan per start below it. The `lb` arg
+// toggles the running lower bound of those scans.
 
 struct SearchFixture {
   SearchFixture()
@@ -505,147 +482,6 @@ const SearchFixture& SharedSearchFixture() {
 
 constexpr Value kSearchFixtureEps = 10.0;
 
-/// Hand-rolled copy of the serial categorized (dense ST_C, range-mode)
-/// search loop exactly as it stood before the SearchDriver refactor:
-/// interval rows, Theorem-1 pruning, endpoint/envelope/exact verification
-/// cascade. Kept only as the benchmark baseline — do not grow features
-/// here; the shipping kernel is core::SearchDriver.
-class InlinedCategorizedDfs {
- public:
-  InlinedCategorizedDfs(const SearchFixture& f, Value eps,
-                        const dtw::QueryEnvelope* env)
-      : tree_(f.tree),
-        alphabet_(f.alphabet),
-        db_(f.db),
-        query_(f.query),
-        eps_(eps),
-        env_(env),
-        table_(query_, /*band=*/0) {}
-
-  const std::vector<core::Match>& Run() {
-    frames_.clear();
-    PushFrame(tree_.Root());
-    while (!frames_.empty()) {
-      Frame& f = frames_.back();
-      suffixtree::Children& children = ChildrenAt(frames_.size() - 1);
-      if (f.edge >= children.edges.size()) {
-        frames_.pop_back();
-        if (!frames_.empty()) {
-          table_.PopRows(frames_.back().pushed);
-          frames_.back().pushed = 0;
-          ++frames_.back().edge;
-        }
-        continue;
-      }
-
-      const suffixtree::Children::Edge& edge = children.edges[f.edge];
-      const std::span<const Symbol> label = children.Label(edge);
-      std::size_t pushed = 0;
-      bool descend = true;
-      occ_buf_.clear();
-      bool occ_collected = false;
-      for (const Symbol sym : label) {
-        const dtw::Interval iv = alphabet_.ToInterval(sym);
-        table_.PushRowInterval(iv.lb, iv.ub);
-        ++pushed;
-        ++stats_.rows_pushed;
-        stats_.unshared_rows += tree_.SubtreeOccCount(edge.child);
-        const Value dist = table_.LastColumn();
-        if (dist <= eps_) {
-          if (!occ_collected) {
-            tree_.CollectSubtreeOccurrences(edge.child, &occ_buf_);
-            occ_collected = true;
-          }
-          EmitCandidates(dist);
-        }
-        if (table_.RowMin() > eps_) {
-          ++stats_.branches_pruned;
-          descend = false;
-          break;
-        }
-      }
-      if (descend) {
-        f.pushed = pushed;
-        PushFrame(edge.child);
-      } else {
-        table_.PopRows(pushed);
-        ++f.edge;
-      }
-    }
-    std::sort(answers_.begin(), answers_.end(), core::MatchLess);
-    stats_.answers = answers_.size();
-    return answers_;
-  }
-
-  const core::SearchStats& stats() const { return stats_; }
-
- private:
-  struct Frame {
-    suffixtree::NodeId node;
-    std::size_t edge = 0;
-    std::size_t pushed = 0;
-  };
-
-  suffixtree::Children& ChildrenAt(std::size_t depth) {
-    if (children_stack_.size() <= depth) children_stack_.resize(depth + 1);
-    return children_stack_[depth];
-  }
-
-  void PushFrame(suffixtree::NodeId node) {
-    ++stats_.nodes_visited;
-    frames_.push_back({node, 0, 0});
-    tree_.GetChildren(node, &ChildrenAt(frames_.size() - 1));
-  }
-
-  void EmitCandidates(Value dist) {
-    const auto depth = static_cast<Pos>(table_.NumRows());
-    for (const suffixtree::OccurrenceRec& occ : occ_buf_) {
-      PostProcess(occ.seq, occ.pos, depth, dist);
-    }
-  }
-
-  void PostProcess(SeqId seq, Pos start, Pos len, Value /*dist*/) {
-    ++stats_.candidates;
-    const std::span<const Value> sub = db_.Subsequence(seq, start, len);
-    if (dtw::EndpointLowerBound(query_, sub) > eps_) {
-      ++stats_.endpoint_rejections;
-      return;
-    }
-    if (env_ != nullptr) {
-      ++stats_.lb_invocations;
-      if (dtw::LbImproved(*env_, query_, sub, eps_, &lb_scratch_) > eps_) {
-        ++stats_.lb_pruned;
-        return;
-      }
-    }
-    ++stats_.exact_dtw_calls;
-    Value d = 0.0;
-    if (env_ != nullptr) {
-      if (!dtw::DtwWithinThresholdLb(query_, sub, *env_, eps_, &d,
-                                     &lb_scratch_)) {
-        return;
-      }
-    } else if (!dtw::DtwWithinThreshold(query_, sub, eps_, &d)) {
-      return;
-    }
-    answers_.push_back({seq, start, len, d});
-  }
-
-  const suffixtree::TreeView& tree_;
-  const categorize::Alphabet& alphabet_;
-  const seqdb::SequenceDatabase& db_;
-  std::span<const Value> query_;
-  const Value eps_;
-  const dtw::QueryEnvelope* env_;
-  dtw::WarpingTable table_;
-  dtw::EnvelopeScratch lb_scratch_;
-  std::vector<suffixtree::OccurrenceRec> occ_buf_;
-  std::vector<Frame> frames_;
-  std::vector<suffixtree::Children> children_stack_;
-  std::vector<core::Match> answers_;
-  core::SearchStats stats_;
-};
-
 void BM_CategorizedSearchDriver(benchmark::State& state) {
   const SearchFixture& fixture = SharedSearchFixture();
   core::TreeSearchConfig config;
@@ -664,23 +500,6 @@ void BM_CategorizedSearchDriver(benchmark::State& state) {
 }
 BENCHMARK(BM_CategorizedSearchDriver)->ArgName("lb")->Arg(0)->Arg(1);
 
-void BM_CategorizedInlinedDfs(benchmark::State& state) {
-  const SearchFixture& fixture = SharedSearchFixture();
-  const bool use_lb = state.range(0) != 0;
-  std::size_t answers = 0;
-  for (auto _ : state) {
-    // The pre-refactor search built the envelope per query too.
-    std::optional<dtw::QueryEnvelope> env;
-    if (use_lb) env.emplace(fixture.query, /*band=*/0);
-    InlinedCategorizedDfs dfs(fixture, kSearchFixtureEps,
-                              env ? &*env : nullptr);
-    const std::vector<core::Match>& out = dfs.Run();
-    benchmark::DoNotOptimize(out.data());
-    answers = out.size();
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-}
-BENCHMARK(BM_CategorizedInlinedDfs)->ArgName("lb")->Arg(0)->Arg(1);
 
 /// Console output plus a JSON mirror of every per-iteration measurement
 /// (aggregates and errored runs are skipped; the JSON holds raw entries).

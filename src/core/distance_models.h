@@ -7,6 +7,7 @@
 #include "categorize/alphabet.h"
 #include "common/types.h"
 #include "core/match.h"
+#include "core/seq_scan.h"
 #include "dtw/base.h"
 #include "dtw/dtw.h"
 #include "dtw/envelope.h"
@@ -53,41 +54,28 @@ class ExactModel {
     table->PushRowValue((*symbol_values_)[static_cast<std::size_t>(s)]);
   }
 
-  // Never called: exact trees are dense and emit without verification.
-  Value OccurrenceFirstLb(const suffixtree::OccurrenceRec&) const {
-    return 0.0;
-  }
-  bool VerifyExact(SeqId, Pos, Pos, Value, SearchStats*, Value*) {
-    return false;
-  }
-
  private:
   std::span<const Value> query_;
   const std::vector<Value>* symbol_values_;
 };
 
 /// Category intervals (D_tw-lb, Definition 3): rows are interval lower
-/// bounds, so every emission is a candidate verified against the raw
-/// sequences behind a cascade of ever-more-expensive screens — O(1)
-/// endpoints, O(len + |Q|) LB_Keogh/LB_Improved (when the envelope is
-/// active), then the O(|Q| len) exact kernel (itself abandoning early on
-/// the prefix lower bound). Every screen is a true lower bound, so no
-/// candidate within epsilon is ever dismissed.
+/// bounds, so the first row on a path that passes the filter hands every
+/// start below it to ResolveStart — the exact per-start scan SeqScan runs
+/// (core::ScanStart), cut by the endpoint and envelope running bound (when
+/// the envelope is active) and by Theorem 1. Every cut is a true lower
+/// bound, so no answer within epsilon is ever dismissed.
 class CategoryModel {
  public:
   static constexpr bool kExactRows = false;
   static constexpr bool kSupportsSummaries = true;
 
-  /// `envelope` may be null (cascade disabled, the ablation setting).
+  /// `envelope` may be null (running bound disabled, the ablation setting).
   CategoryModel(std::span<const Value> query,
                 const categorize::Alphabet* alphabet,
                 const seqdb::SequenceDatabase* db,
-                const dtw::QueryEnvelope* envelope, Pos band)
-      : query_(query),
-        alphabet_(alphabet),
-        db_(db),
-        envelope_(envelope),
-        band_(band) {}
+                const dtw::QueryEnvelope* envelope)
+      : query_(query), alphabet_(alphabet), db_(db), envelope_(envelope) {}
 
   Value FirstRowLb(Symbol s) const {
     const dtw::Interval iv = alphabet_->ToInterval(s);
@@ -112,40 +100,14 @@ class CategoryModel {
     return dtw::BaseDistanceLb(query_.front(), iv.lb, iv.ub);
   }
 
-  bool VerifyExact(SeqId seq, Pos start, Pos len, Value eps,
-                   SearchStats* stats, Value* distance) {
-    const std::span<const Value> sub = db_->Subsequence(seq, start, len);
-    // Screens compare against the slackened threshold so reassociation
-    // drift between a bound and the exact kernel cannot dismiss a
-    // boundary candidate (see dtw::LbPruneThreshold).
-    const Value cut = dtw::LbPruneThreshold(eps);
-    // O(1) endpoint screen before the O(|Q| len) exact computation.
-    if (dtw::EndpointLowerBound(query_, sub) > cut) {
-      ++stats->endpoint_rejections;
-      return false;
-    }
-    if (envelope_ != nullptr) {
-      ++stats->lb_invocations;
-      if (dtw::LbImproved(*envelope_, query_, sub, cut, &lb_scratch_) > cut) {
-        ++stats->lb_pruned;
-        return false;
-      }
-    }
-    ++stats->exact_dtw_calls;
-    Value d = 0.0;
-    if (envelope_ != nullptr) {
-      if (!dtw::DtwWithinThresholdLb(query_, sub, *envelope_, eps, &d,
-                                     &lb_scratch_)) {
-        return false;
-      }
-    } else if (band_ != 0) {
-      d = dtw::DtwDistanceBanded(query_, sub, band_);
-      if (d > eps) return false;
-    } else if (!dtw::DtwWithinThreshold(query_, sub, eps, &d)) {
-      return false;
-    }
-    *distance = d;
-    return true;
+  /// Scans the raw start S_seq[start:] exactly, reporting every length
+  /// within eps(). The table carries the search's band.
+  template <typename EpsFn, typename ReportFn>
+  void ResolveStart(SeqId seq, Pos start, dtw::ScanTable* table, EpsFn eps,
+                    ReportFn report, SearchStats* stats) const {
+    const std::span<const Value> s = db_->sequence(seq);
+    ScanStart(ValueSuffix(query_, s.subspan(start), envelope_), table,
+              /*prune=*/true, eps, report, stats);
   }
 
  private:
@@ -153,8 +115,6 @@ class CategoryModel {
   const categorize::Alphabet* alphabet_;
   const seqdb::SequenceDatabase* db_;
   const dtw::QueryEnvelope* envelope_;
-  Pos band_;
-  dtw::EnvelopeScratch lb_scratch_;  // Worker-private (models are copied).
 };
 
 /// Sparse categorized trees (D_tw-lb2, Definition 4): the per-row rule is

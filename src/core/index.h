@@ -77,7 +77,7 @@ struct IndexOptions {
   storage::IoMode disk_io_mode = storage::IoMode::kMmap;
 
   /// Build per-node summaries (the subtree-hull pre-filter ahead of the
-  /// LB cascade; see docs/tuning.md "Node summaries & the recall dial").
+  /// filter rows; see docs/tuning.md "Node summaries & the recall dial").
   /// Runtime-only and NOT fingerprinted: a bundle built without summaries
   /// reopens fine (the screen is simply off), and a bundle with them can
   /// be reopened by a reader that ignores the section. Adds 64 bytes per
@@ -114,9 +114,9 @@ struct QueryOptions {
   Pos band = 0;
   /// Theorem-1 pruning (ablation hook).
   bool prune = true;
-  /// Envelope lower-bound cascade (LB_Keogh / LB_Improved) in the
-  /// post-processing pass; answers are identical either way (ablation
-  /// hook, see bench/ablation_lowerbound and docs/tuning.md).
+  /// Running lower bound (endpoint + envelope terms) of the exact
+  /// per-start scans; answers are identical either way (ablation hook,
+  /// see bench/ablation_lowerbound and docs/tuning.md).
   bool use_lower_bound = true;
   /// Worker threads. 0 = serial (the original single-threaded traversal).
   /// >= 1 ensures the process-wide work-stealing scheduler has at least

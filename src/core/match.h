@@ -34,29 +34,37 @@ inline bool MatchLess(const Match& a, const Match& b) {
 /// are combined with Merge(), so the totals stay exact under concurrency.
 struct SearchStats {
   std::uint64_t nodes_visited = 0;      // Tree nodes expanded.
-  std::uint64_t rows_pushed = 0;        // Cumulative-table rows built.
+  std::uint64_t rows_pushed = 0;        // Cumulative-table rows built
+                                        // (tree: filter rows only).
   // Rows an unshared per-suffix filter would have built for the same
   // traversal: each pushed row serves every stored suffix below its edge.
   // R_d (paper Section 4.3) = unshared_rows / rows_pushed.
   std::uint64_t unshared_rows = 0;
   std::uint64_t cells_computed = 0;     // Cumulative-table cells built.
   std::uint64_t branches_pruned = 0;    // Theorem-1 cutoffs taken.
-  std::uint64_t candidates = 0;         // Subsequences entering PostProcess.
-  std::uint64_t endpoint_rejections = 0;  // Candidates killed by the O(1)
-                                          // endpoint lower bound.
-  // Envelope lower-bound cascade (LB_Keogh / LB_Improved prefilter; see
-  // docs/tuning.md "Lower-bound cascade"). In the tree search an
-  // invocation is one candidate screened; in SeqScan it is one suffix
-  // whose extension loop ran under the running-envelope bound.
-  std::uint64_t lb_invocations = 0;     // Envelope bounds evaluated.
-  std::uint64_t lb_pruned = 0;          // Candidates/extensions it killed.
+  // Verification counters, per *start* (core::ScanStart, shared by SeqScan
+  // and the tree searches' subtree resolution; see docs/tuning.md
+  // "Reading the stats"). A start is one S[p:] scanned exactly for every
+  // length at once. On exact (ST) trees nothing is verified: candidates
+  // counts emitted answers and the rest stay 0.
+  std::uint64_t candidates = 0;         // Starts scanned.
+  std::uint64_t endpoint_rejections = 0;  // Starts whose first element
+                                          // alone exceeds the threshold:
+                                          // no row built.
+  // Running lower bound (endpoint cost + LB_Keogh's per-element terms,
+  // accumulated as the scan extends; docs/tuning.md "Lower-bound
+  // cascade"): an invocation is one start scanned under it, a prune one
+  // start it ended (endpoint rejections included).
+  std::uint64_t lb_invocations = 0;
+  std::uint64_t lb_pruned = 0;
   // Node-summary pre-filter (subtree hulls screened before descending an
   // edge; see docs/tuning.md "Node summaries & the recall dial"). An
   // invocation is one edge screened against the summary hulls; a prune
   // skips the child's entire subtree with zero row-step work.
   std::uint64_t summary_lb_invocations = 0;
   std::uint64_t nodes_pruned_by_summary = 0;
-  std::uint64_t exact_dtw_calls = 0;    // Exact distance computations.
+  std::uint64_t exact_dtw_calls = 0;    // Starts given >= 1 exact row:
+                                        // candidates - endpoint_rejections.
   std::uint64_t answers = 0;            // Final matches.
   // Prefix rows re-pushed by parallel workers entering a branch task (the
   // duplicated table work parallelism pays for; 0 in serial searches).

@@ -37,7 +37,13 @@ void ResultCollector::Report(const Match& m, std::vector<Match>* local) {
 void ResultCollector::DrainRange(std::vector<Match>* local) {
   if (knn_k_ > 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  answers_.insert(answers_.end(), local->begin(), local->end());
+  if (answers_.empty()) {
+    // The first drain (the only one of a serial search) adopts the
+    // worker's buffer: copying it would hold a large answer set twice.
+    answers_.swap(*local);
+  } else {
+    answers_.insert(answers_.end(), local->begin(), local->end());
+  }
 }
 
 std::vector<Match> ResultCollector::Take() {

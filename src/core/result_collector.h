@@ -54,7 +54,8 @@ class ResultCollector {
 
   /// Publishes a range worker's private answers into the shared set
   /// (single lock per worker; no-op in k-NN mode, whose matches were
-  /// already reported into the shared heap).
+  /// already reported into the shared heap). Consumes `local`: its
+  /// contents are unspecified afterwards.
   void DrainRange(std::vector<Match>* local);
 
   /// Sorts and returns the final answers: range mode by (seq, start,

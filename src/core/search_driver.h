@@ -50,29 +50,42 @@ namespace tswarp::core {
 ///     /// multivariate grid-cell bounds).
 ///     void RowStep(dtw::WarpingTable* table, Symbol s) const;
 ///
-///     /// SparseDiscount input for one occurrence: the first-symbol lower
-///     /// bound of the *stored* suffix at occ, recomputed from the raw
-///     /// data (D_tw-lb2, Definition 4). Only called when
-///     /// DriverConfig::sparse.
+///     /// The rest is only called when !kExactRows.
+///
+///     /// The first-symbol lower bound of the *stored* suffix at occ,
+///     /// recomputed from the raw data (D_tw-lb2, Definition 4): screens
+///     /// the non-stored starts inside its leading run on sparse trees.
 ///     Value OccurrenceFirstLb(const suffixtree::OccurrenceRec& occ) const;
 ///
-///     /// VerifyExact: the exact verification cascade for one candidate
-///     /// subsequence (endpoint screen, envelope lower bounds, exact
-///     /// kernel). Returns true iff the candidate's exact distance is
-///     /// <= eps, setting *distance; bumps the cascade counters in
-///     /// *stats. Never called when kExactRows. Models carry their own
-///     /// scratch, so VerifyExact may be non-const; the driver copies the
-///     /// model prototype once per executing thread.
-///     bool VerifyExact(SeqId seq, Pos start, Pos len, Value eps,
-///                      SearchStats* stats, Value* distance);
+///     /// ResolveStart: the exact verification of one start — every
+///     /// length of S_seq[start:] whose exact distance is <= eps(),
+///     /// reported as report(len, distance) — through core::ScanStart
+///     /// (seq_scan.h) with the model's own rows and running bound, in
+///     /// the worker's fixed-size scan table. Bumps the per-start
+///     /// counters in *stats.
+///     template <typename EpsFn, typename ReportFn>
+///     void ResolveStart(SeqId seq, Pos start, dtw::ScanTable* table,
+///                       EpsFn eps, ReportFn report,
+///                       SearchStats* stats) const;
 ///   };
+///
+/// Exact-row models report every occurrence below each row whose
+/// distance is within the threshold. Lower-bound models instead stop at
+/// the first row on a path that passes the filter and resolve the
+/// child's whole subtree there: every start below it (and, on sparse
+/// trees, every non-stored start inside a stored suffix's leading run)
+/// is scanned once with ResolveStart, which finds all of that start's
+/// answers, so nothing below the edge is descended. Frames on the DFS
+/// stack — the only thing lazy splitting hands out — therefore lie on
+/// paths with no passing row, and each start is scanned at most once
+/// (docs/algorithms.md, "Subtree resolution").
 ///
 /// Four instantiations cover the repo: ExactModel (symbol values),
 /// CategoryModel (D_tw-lb intervals), SparseCategoryModel (D_tw-lb +
 /// D_tw-lb2 recovery), and the multivariate GridCellModel. One kernel
 /// means every capability — Theorem-1 pruning, the work-stealing parallel
-/// engine, k-NN branch-and-bound, Sakoe-Chiba bands, the envelope cascade
-/// — reaches all of them at once.
+/// engine, k-NN branch-and-bound, Sakoe-Chiba bands, the running lower
+/// bound — reaches all of them at once.
 struct DriverConfig {
   const suffixtree::TreeView* tree = nullptr;
 
@@ -149,8 +162,8 @@ struct DriverConfig {
 
 /// Per-query shared state, owned for the query's whole lifetime: the
 /// shrinking threshold and result set (collector), the merged traversal
-/// stats, and the query envelope slot of the univariate lower-bound
-/// cascade. Models with a different envelope type (the multivariate
+/// stats, and the query envelope slot of the univariate running lower
+/// bound. Models with a different envelope type (the multivariate
 /// per-dimension set) own theirs alongside the context. `stats` is
 /// written only single-threaded: serially, or at join time when the
 /// per-thread worker slots are drained — no mutex on the merge path.
@@ -162,8 +175,8 @@ class QueryContext {
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
 
-  /// Query envelope of the univariate lower-bound cascade; non-null iff
-  /// the cascade is active for this search. Built once per query (it
+  /// Query envelope of the univariate running lower bound; non-null iff
+  /// the bound is active for this search. Built once per query (it
   /// depends only on (query, band)) and shared read-only by every worker.
   std::unique_ptr<const dtw::QueryEnvelope> envelope;
 
@@ -176,7 +189,7 @@ class QueryContext {
 };
 
 /// One unit of parallel work: process edges [edge_lo, edge_hi) of `node`
-/// — push their label rows, emit candidates, prune — and every subtree
+/// — push their label rows, emit or resolve, prune — and every subtree
 /// below them. `prefix` holds the symbols on the root-to-`node` path
 /// (nullptr = the node is the root); an executing thread replays them
 /// into its table (no emission: those rows were already evaluated by the
@@ -199,13 +212,16 @@ struct BranchTask {
 };
 
 /// Reusable per-thread worker arena: the cumulative warping table (the
-/// dominant allocation — depth_hint * |Q| cells) plus the traversal
-/// buffers. Arenas are cached per thread keyed by the table shape, so a
-/// batch of same-length queries reuses warm tables across queries and
-/// the hot path performs no allocations once the cache is primed.
+/// dominant allocation — depth_hint * |Q| cells), the two-row scan table
+/// of subtree resolution (fixed at 2 * (|Q| + 1) cells, never regrown),
+/// and the traversal buffers. Arenas are cached per thread keyed by the
+/// table shape, so a batch of same-length queries reuses warm tables
+/// across queries and the hot path performs no allocations once the
+/// cache is primed.
 struct SearchArena {
   SearchArena(std::size_t query_length, Pos band, std::size_t depth_hint)
       : table(query_length, band, depth_hint),
+        scan(query_length, band),
         key_query_length(query_length),
         key_band(band),
         key_depth_hint(depth_hint) {}
@@ -217,6 +233,7 @@ struct SearchArena {
   }
 
   dtw::WarpingTable table;
+  dtw::ScanTable scan;
   std::vector<suffixtree::OccurrenceRec> occ_buf;
   suffixtree::SubtreeScratch occ_scratch;
   // Per-depth children buffers, reused across traversals so descending
@@ -269,9 +286,8 @@ inline void ReleaseSearchArena(std::unique_ptr<SearchArena> arena) {
 template <typename Model>
 class SearchDriver {
  public:
-  /// `config` and `model` must outlive the driver; `model` is the
-  /// prototype copied once per executing thread (copies carry the
-  /// per-thread verification scratch).
+  /// `config` and `model` must outlive the driver; models are stateless,
+  /// so every worker shares `model`.
   SearchDriver(const DriverConfig& config, const Model& model)
       : config_(config), model_(model) {
     TSW_CHECK(config.tree != nullptr);
@@ -338,19 +354,18 @@ class SearchDriver {
 
   struct ParallelState;
 
-  /// Per-(query, executing thread) search state: a private model copy
-  /// (verification scratch), private stats, an epsilon cache, and (range
-  /// mode) a private answer vector published once at drain. The heavy
-  /// arena (table + traversal buffers) is borrowed from the thread-local
-  /// cache for each task, so it is reused across queries, not just across
-  /// this query's tasks. Serial searches use one worker and therefore
+  /// Per-(query, executing thread) search state: private stats, an
+  /// epsilon cache, and (range mode) a private answer vector published
+  /// once at drain. The heavy arena (tables + traversal buffers) is
+  /// borrowed from the thread-local cache for each task, so it is reused
+  /// across queries, not just across this query's tasks. Serial searches use one worker and therefore
   /// identical semantics.
   class Worker {
    public:
-    Worker(const DriverConfig& config, const Model& prototype,
+    Worker(const DriverConfig& config, const Model& model,
            QueryContext* ctx, bool parallel)
         : config_(config),
-          model_(prototype),
+          model_(model),
           collector_(ctx->collector),
           eps_mode_(!ctx->collector.knn() ? EpsMode::kFixed
                     : parallel            ? EpsMode::kCached
@@ -373,13 +388,16 @@ class SearchDriver {
       }
       std::unique_ptr<SearchArena> arena = AcquireSearchArena(
           config_.query_length, config_.band, ResolvedDepthHint());
-      struct Return {  // Release even if a model verification throws.
+      struct Return {  // Release even if a model call throws.
         std::unique_ptr<SearchArena>& a;
         ~Return() { ReleaseSearchArena(std::move(a)); }
       } release{arena};
       dtw::WarpingTable& table = arena->table;
       table.Reset();
-      if (!config_.query.empty()) table.BindQuery(config_.query);
+      if (!config_.query.empty()) {
+        table.BindQuery(config_.query);
+        arena->scan.BindQuery(config_.query);
+      }
       const std::uint64_t cells_before = table.cells_computed();
       // The prefix value hull restarts per task; the replay below widens
       // it to the hull of the replayed path, exactly as the splitting
@@ -412,7 +430,7 @@ class SearchDriver {
     static constexpr std::uint32_t kEpsRefreshPolls = 64;
 
     /// Consult the CancelToken once per this many abort polls (rows
-    /// pushed / candidates expanded). Each row costs O(|Q|) cells, so the
+    /// pushed / starts resolved). Each row costs O(|Q|) cells, so the
     /// reaction latency is tens of row computations — milliseconds — while
     /// the steady-state cost is one counter increment per row.
     static constexpr std::uint32_t kCancelPollRows = 32;
@@ -538,7 +556,8 @@ class SearchDriver {
     }
 
     /// Iterative DFS over the task's edge range; every deeper node is
-    /// traversed in full (unless split off to a thief mid-walk).
+    /// traversed in full (unless split off to a thief mid-walk or
+    /// resolved at a passing row).
     void RunSpan(SearchArena& arena, const BranchTask& task,
                  ParallelState* par) {
       dtw::WarpingTable& table = arena.table;
@@ -606,14 +625,25 @@ class SearchDriver {
           ++stats_.rows_pushed;
           stats_.unshared_rows += config_.tree->SubtreeOccCount(edge.child);
           const Value dist = table.LastColumn();
-          if (dist <= Eps() ||
-              (config_.sparse && dist - discount <= Eps())) {
-            if (!occ_collected) {
-              config_.tree->CollectSubtreeOccurrences(
-                  edge.child, &arena.occ_buf, &arena.occ_scratch);
-              occ_collected = true;
+          if constexpr (Model::kExactRows) {
+            if (dist <= Eps()) {
+              if (!occ_collected) {
+                config_.tree->CollectSubtreeOccurrences(
+                    edge.child, &arena.occ_buf, &arena.occ_scratch);
+                occ_collected = true;
+              }
+              EmitExactRows(arena, dist);
             }
-            EmitCandidates(arena, dist);
+          } else if (dist <= Eps() ||
+                     (config_.sparse && dist - discount <= Eps())) {
+            // The first passing row on this path: every answer below the
+            // edge starts at one of its occurrences (or inside one's
+            // leading run), so scan those starts and skip the subtree.
+            config_.tree->CollectSubtreeOccurrences(
+                edge.child, &arena.occ_buf, &arena.occ_scratch);
+            ResolveSubtree(arena);
+            descend = false;
+            break;
           }
           if (config_.prune && table.RowMin() - discount > Eps()) {
             // Theorem 1: no extension can recover. Skip the rest of this
@@ -636,49 +666,49 @@ class SearchDriver {
       }
     }
 
-    /// A prefix of depth NumRows() matched with filter distance `dist`:
-    /// expand the pre-collected subtree occurrences (arena.occ_buf) into
-    /// answers (exact-row models) or verified candidates (lower-bound
-    /// models).
-    void EmitCandidates(SearchArena& arena, Value dist) {
+    /// Exact-row models: a prefix of depth NumRows() is within the
+    /// threshold at distance `dist`; every occurrence below the edge
+    /// (pre-collected into arena.occ_buf) is an answer of that length.
+    void EmitExactRows(SearchArena& arena, Value dist) {
       const auto depth = static_cast<Pos>(arena.table.NumRows());
       for (const OccurrenceRec& occ : arena.occ_buf) {
-        // One emission can verify thousands of candidates (every stored
-        // suffix below the edge); poll here too so a deadline interrupts
-        // the verification cascade, not just the traversal. The caller's
-        // label loop sees the latched flag on its next row.
-        if (ShouldAbort()) return;
-        if constexpr (Model::kExactRows) {
-          if (dist <= Eps()) {
-            ++stats_.candidates;
-            Report({occ.seq, occ.pos, depth, dist});
-          }
-          continue;
-        } else {
-          // Stored suffix: subsequence S[occ.pos : occ.pos+depth-1].
-          if (dist <= Eps()) PostProcess(occ.seq, occ.pos, depth);
-          if (!config_.sparse) continue;
-          // Non-stored suffixes inside the leading run: skip delta
-          // symbols (D_tw-lb2, Definition 4).
-          const Value first_lb = model_.OccurrenceFirstLb(occ);
-          const Pos max_delta = std::min<Pos>(occ.run - 1, depth - 1);
-          for (Pos delta = 1; delta <= max_delta; ++delta) {
-            const Value lb2 = dtw::LowerBound2(dist, delta, first_lb);
-            if (lb2 <= Eps()) {
-              PostProcess(occ.seq, occ.pos + delta, depth - delta);
-            }
-          }
-        }
+        ++stats_.candidates;
+        Report({occ.seq, occ.pos, depth, dist});
       }
     }
 
-    /// Exact verification of one candidate subsequence via the model's
-    /// cascade; reports the match when it is within the threshold.
-    void PostProcess(SeqId seq, Pos start, Pos len) {
-      ++stats_.candidates;
-      Value d = 0.0;
-      if (!model_.VerifyExact(seq, start, len, Eps(), &stats_, &d)) return;
-      Report({seq, start, len, d});
+    /// Lower-bound models: the current row is the first on its path to
+    /// pass the filter. Scans every start below the edge (arena.occ_buf)
+    /// once with the model's exact ResolveStart, which reports all of the
+    /// start's answers, whatever their length. On sparse trees each
+    /// stored suffix also stands for the non-stored starts occ.pos + delta
+    /// inside its leading run (delta < occ.run, D_tw-lb2 of Definition 4).
+    /// A start needs no scan when the row's minimum, discounted by the
+    /// delta skipped symbols, already exceeds the threshold: by Theorem 1
+    /// no length reaching this depth or beyond can pass, and every shorter
+    /// length failed the filter on an earlier row (whose discount covered
+    /// delta symbols at least).
+    void ResolveSubtree(SearchArena& arena) {
+      const Value row_min = arena.table.RowMin();
+      for (const OccurrenceRec& occ : arena.occ_buf) {
+        // One resolution can scan thousands of starts; poll per start so
+        // a deadline interrupts it, not just the traversal.
+        if (ShouldAbort()) return;
+        const Pos starts = config_.sparse ? occ.run : 1;
+        const Value first_lb =
+            config_.sparse ? model_.OccurrenceFirstLb(occ) : 0.0;
+        for (Pos delta = 0; delta < starts; ++delta) {
+          if (config_.sparse &&
+              dtw::LowerBound2(row_min, delta, first_lb) > Eps()) {
+            continue;
+          }
+          const Pos start = occ.pos + delta;
+          model_.ResolveStart(
+              occ.seq, start, &arena.scan, [this] { return Eps(); },
+              [&](Pos len, Value d) { Report({occ.seq, start, len, d}); },
+              &stats_);
+        }
+      }
     }
 
     /// Folds one path symbol's value hull into the running prefix hull.
@@ -740,7 +770,7 @@ class SearchDriver {
         ++k;
       }
       if (k == 0) return false;  // Degenerate record: nothing to bound.
-      // Same slackened threshold as the envelope cascade, so FP drift
+      // Same slackened threshold as the running lower bound, so FP drift
       // between the bound and the exact kernel cannot dismiss a boundary
       // candidate. The cap only lets the kernel abandon early — the
       // returned partial sum is still a lower bound, and the decision
@@ -767,7 +797,7 @@ class SearchDriver {
     }
 
     const DriverConfig& config_;
-    Model model_;  // Thread-private copy: carries verification scratch.
+    const Model& model_;
     ResultCollector& collector_;
     const EpsMode eps_mode_;
     Value eps_cache_;

@@ -1,13 +1,10 @@
 #include "core/seq_scan.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/logging.h"
 #include "common/task_scheduler.h"
 #include "core/result_collector.h"
-#include "dtw/envelope.h"
-#include "dtw/warping_table.h"
 
 namespace tswarp::core {
 
@@ -15,41 +12,26 @@ namespace {
 
 /// Scans every suffix of one sequence, reporting matches into `collector`
 /// (via `scratch`) and counters into `stats`. Self-contained per sequence —
-/// its own cumulative table — so sequences can run serially or as one
+/// its own scan table — so sequences can run serially or as one
 /// scheduler task each with identical per-suffix computations.
 void ScanSequence(const seqdb::SequenceDatabase& db, SeqId id,
                   std::span<const Value> query, Value epsilon,
                   const SeqScanOptions& options,
-                  const dtw::QueryEnvelope* env, Value lb_cut,
-                  ResultCollector* collector, std::vector<Match>* scratch,
-                  SearchStats* stats) {
+                  const dtw::QueryEnvelope* env, ResultCollector* collector,
+                  std::vector<Match>* scratch, SearchStats* stats) {
   const seqdb::Sequence& s = db.sequence(id);
   const auto n = static_cast<Pos>(s.size());
-  dtw::WarpingTable table(query, options.band,
-                          std::max<std::size_t>(1, s.size()));
+  dtw::ScanTable table(query, options.band);
   for (Pos p = 0; p < n; ++p) {
-    table.Reset();
-    Value running_lb = 0.0;
-    if (env != nullptr) ++stats->lb_invocations;
-    for (Pos q = p; q < n; ++q) {
-      if (env != nullptr) {
-        running_lb += env->ElementLb(q - p, s[q]);
-        if (running_lb > lb_cut) {
-          ++stats->lb_pruned;
-          break;
-        }
-      }
-      table.PushRowValue(s[q]);
-      ++stats->rows_pushed;
-      const Value dist = table.LastColumn();
-      if (dist <= epsilon) {
-        collector->Report({id, p, q - p + 1, dist}, scratch);
-      }
-      if (options.prune && table.RowMin() > epsilon) {
-        ++stats->branches_pruned;
-        break;
-      }
-    }
+    const StartScanWork work = ScanStart(
+        ValueSuffix(query, std::span<const Value>(s).subspan(p), env), &table,
+        options.prune, [epsilon] { return epsilon; },
+        [&](Pos len, Value dist) {
+          collector->Report({id, p, len, dist}, scratch);
+        },
+        stats);
+    stats->rows_pushed += work.rows;
+    if (work.theorem1_cut) ++stats->branches_pruned;
   }
   stats->cells_computed += table.cells_computed();
 }
@@ -65,23 +47,20 @@ std::vector<Match> SeqScan(const seqdb::SequenceDatabase& db,
   // final sort makes the output independent of sequence execution order,
   // so serial and parallel scans return byte-identical answers.
   ResultCollector collector(epsilon, /*knn_k=*/0);
-  // Running LB_Keogh cascade: D_tw(Q, S[p:q]) >= sum of the elements'
-  // envelope distances, and the sum only grows with q, so once it passes
-  // epsilon every further extension of this suffix is out too — an O(1)
-  // per-element cut ahead of the O(|Q|) row build + Theorem-1 test.
+  // Running lower bound (see ScanStart): D_tw(Q, S[p:q]) >= the endpoint
+  // cost plus the later elements' envelope distances, and the sum only
+  // grows with q, so once it passes epsilon every further extension of
+  // this suffix is out too — an O(1) per-element cut ahead of the O(|Q|)
+  // row build + Theorem-1 test.
   std::optional<dtw::QueryEnvelope> env;
   if (options.use_lower_bound) env.emplace(query, options.band);
-  // Lower-bound cuts use the slackened threshold (dtw::LbPruneThreshold)
-  // so reassociation drift against the exact kernel cannot dismiss a
-  // boundary candidate that the unfiltered scan keeps.
-  const Value lb_cut = dtw::LbPruneThreshold(epsilon);
   const dtw::QueryEnvelope* env_ptr = env.has_value() ? &*env : nullptr;
 
   if (options.num_threads == 0 || db.size() <= 1) {
     std::vector<Match> scratch;
     for (SeqId id = 0; id < db.size(); ++id) {
-      ScanSequence(db, id, query, epsilon, options, env_ptr, lb_cut,
-                   &collector, &scratch, &local);
+      ScanSequence(db, id, query, epsilon, options, env_ptr, &collector,
+                   &scratch, &local);
     }
     collector.DrainRange(&scratch);
   } else {
@@ -94,8 +73,8 @@ std::vector<Match> SeqScan(const seqdb::SequenceDatabase& db,
     for (SeqId id = 0; id < db.size(); ++id) {
       scope.Submit([&, id] {
         std::vector<Match> scratch;
-        ScanSequence(db, id, query, epsilon, options, env_ptr, lb_cut,
-                     &collector, &scratch, &per_seq[id]);
+        ScanSequence(db, id, query, epsilon, options, env_ptr, &collector,
+                     &scratch, &per_seq[id]);
         collector.DrainRange(&scratch);
       });
     }

@@ -32,7 +32,7 @@ void ValidateConfig(const TreeSearchConfig& config,
     TSW_CHECK(config.alphabet != nullptr)
         << "lower-bound mode needs the category alphabet";
     TSW_CHECK(config.db != nullptr)
-        << "lower-bound mode needs the raw sequences for post-processing";
+        << "lower-bound mode needs the raw sequences for verification";
   }
 }
 
@@ -75,19 +75,19 @@ std::vector<Match> RunSearch(const TreeSearchConfig& config,
     return RunSearchDriver(driver, model, &ctx, stats);
   }
   // The envelope depends only on (query, band): build it once and share
-  // it read-only across workers. Exact mode has no post-processing, so
-  // no candidate ever consults it.
+  // it read-only across workers. Exact mode verifies nothing, so no scan
+  // ever consults it.
   if (config.use_lower_bound) {
     ctx.envelope =
         std::make_unique<dtw::QueryEnvelope>(query, config.band);
   }
   if (config.sparse) {
     const SparseCategoryModel model(query, config.alphabet, config.db,
-                                    ctx.envelope.get(), config.band);
+                                    ctx.envelope.get());
     return RunSearchDriver(driver, model, &ctx, stats);
   }
   const CategoryModel model(query, config.alphabet, config.db,
-                            ctx.envelope.get(), config.band);
+                            ctx.envelope.get());
   return RunSearchDriver(driver, model, &ctx, stats);
 }
 
@@ -102,11 +102,11 @@ void RunTierInto(const TreeSearchConfig& config, const DriverConfig& driver,
     SearchDriver<ExactModel>(driver, model).RunInto(ctx, sink);
   } else if (config.sparse) {
     const SparseCategoryModel model(query, config.alphabet, config.db,
-                                    ctx->envelope.get(), config.band);
+                                    ctx->envelope.get());
     SearchDriver<SparseCategoryModel>(driver, model).RunInto(ctx, sink);
   } else {
     const CategoryModel model(query, config.alphabet, config.db,
-                              ctx->envelope.get(), config.band);
+                              ctx->envelope.get());
     SearchDriver<CategoryModel>(driver, model).RunInto(ctx, sink);
   }
 }

@@ -23,16 +23,17 @@ namespace tswarp::core {
 /// In exact mode the cumulative table is built from `symbol_values` (the
 /// dictionary decode) and LastColumn() is already the exact D_tw, so
 /// answers need no post-processing. In lower-bound mode rows use the
-/// category intervals of `alphabet` (D_tw-lb, Definition 3) and candidates
-/// are verified against `db` with exact DTW (PostProcess). Sparse mode
-/// additionally recovers non-stored suffixes through D_tw-lb2
-/// (Definition 4) and discounts the Theorem-1 pruning bound by
-/// (MaxRun-1) * D_base-lb(Q[1], first path symbol) so they are never
-/// falsely dismissed.
+/// category intervals of `alphabet` (D_tw-lb, Definition 3); the first row
+/// on a path that passes resolves the subtree below it, scanning every
+/// start there exactly against `db` (core::ScanStart, once per start).
+/// Sparse mode additionally scans the non-stored starts inside each
+/// stored suffix's leading run (D_tw-lb2, Definition 4) and discounts the
+/// Theorem-1 pruning bound by (MaxRun-1) * D_base-lb(Q[1], first path
+/// symbol) so they are never falsely dismissed.
 struct TreeSearchConfig {
   const suffixtree::TreeView* tree = nullptr;
 
-  /// Raw sequences, required in lower-bound modes for post-processing.
+  /// Raw sequences, required in lower-bound modes for verification.
   const seqdb::SequenceDatabase* db = nullptr;
 
   /// Category intervals; required when exact == false.
@@ -47,12 +48,12 @@ struct TreeSearchConfig {
   /// Theorem-1 branch pruning; disable only for the R_p ablation.
   bool prune = true;
 
-  /// Envelope lower-bound cascade (LB_Keogh / LB_Improved) screening
-  /// post-processing candidates before the exact DTW, plus the
-  /// prefix-lower-bound early abandon inside the exact kernel. Exactness
-  /// is unaffected (no false dismissals); disable only for the
+  /// Running lower bound of the exact per-start scans (the endpoint cost
+  /// plus LB_Keogh's per-element terms, accumulated as a scan extends):
+  /// ends a start before its next O(|Q|) row is built. Exactness is
+  /// unaffected (no false dismissals); disable only for the
   /// bench/ablation_lowerbound ablation. No-op in exact mode, which has
-  /// no post-processing pass.
+  /// no verification pass.
   bool use_lower_bound = true;
 
   /// Sakoe-Chiba band (0 = unconstrained, the paper's setting).

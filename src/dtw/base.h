@@ -24,8 +24,9 @@ inline Value BaseDistanceLb(Value a, Value lb, Value ub) {
 /// Kim et al.'s LB_Kim): every warping path aligns a[0] with b[0] at its
 /// start and a[n-1] with b[m-1] at its end, so the sum of those two base
 /// distances never exceeds the full distance (they are distinct path
-/// cells unless both sequences have length one). Used to reject
-/// post-processing candidates before the O(nm) exact computation.
+/// cells unless both sequences have length one). The per-start scan
+/// (core::ScanStart) uses the first half: a start's first element meets
+/// Q[1] in every path's start cell, whatever the length.
 template <typename SpanA, typename SpanB>
 Value EndpointLowerBound(const SpanA& a, const SpanB& b) {
   const Value first = BaseDistance(a.front(), b.front());

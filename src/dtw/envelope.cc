@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "dtw/base.h"
 #include "dtw/simd.h"
-#include "dtw/warping_table.h"
 
 namespace tswarp::dtw {
 namespace {
@@ -100,40 +99,6 @@ Value LbImproved(const QueryEnvelope& env, std::span<const Value> query,
   return sum + k.lb_keogh(query.data(), scratch->proj_lower.data(),
                           scratch->proj_upper.data(), query.size(),
                           abandon_above - sum);
-}
-
-bool DtwWithinThresholdLb(std::span<const Value> query,
-                          std::span<const Value> candidate,
-                          const QueryEnvelope& env, Value epsilon,
-                          Value* distance, EnvelopeScratch* scratch) {
-  TSW_CHECK(!query.empty() && !candidate.empty());
-  TSW_DCHECK(scratch != nullptr);
-  const std::size_t len = candidate.size();
-  // Lower-bound cuts compare against the slackened threshold so that
-  // reassociation drift between the bounds and the exact kernel cannot
-  // dismiss a boundary candidate (see LbPruneThreshold).
-  const Value cut = LbPruneThreshold(epsilon);
-  // suffix_lb[y] bounds the cost the path must still pay for rows y..len-1.
-  simd::AlignedVector& suffix_lb = scratch->suffix_lb;
-  suffix_lb.resize(len + 1);
-  suffix_lb[len] = 0.0;
-  for (std::size_t y = len; y-- > 0;) {
-    suffix_lb[y] = suffix_lb[y + 1] + env.ElementLb(y, candidate[y]);
-  }
-  if (suffix_lb[0] > cut) return false;  // LB_Keogh re-check; free here.
-
-  WarpingTable table(query, env.band(), len);
-  for (std::size_t y = 0; y < len; ++y) {
-    table.PushRowValue(candidate[y]);
-    // Every completion extends some partial path through row y+1 (cost
-    // >= RowMin) and still pays at least the envelope bound of each
-    // remaining row; Theorem 1 is the suffix_lb == 0 special case.
-    if (table.RowMin() + suffix_lb[y + 1] > cut) return false;
-  }
-  const Value d = table.LastColumn();
-  if (d > epsilon) return false;
-  *distance = d;
-  return true;
 }
 
 }  // namespace tswarp::dtw

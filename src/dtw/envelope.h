@@ -75,14 +75,13 @@ class QueryEnvelope {
   simd::AlignedVector upper_;
 };
 
-/// Reusable buffers for the two-pass bound and the prefix-abandoning exact
-/// kernel; lets callers screen many candidates without re-allocating.
+/// Reusable buffers for the two-pass bound; lets callers screen many
+/// candidates without re-allocating.
 /// Aligned so the dispatched SIMD kernels read them on full-width lanes.
 struct EnvelopeScratch {
   simd::AlignedVector projection;  // h(S): S clamped into Q's envelope.
   simd::AlignedVector proj_lower;  // Envelope of the projection (data side).
   simd::AlignedVector proj_upper;
-  simd::AlignedVector suffix_lb;   // Suffix sums of per-element bounds.
   // Padded scratch for the banded_extrema kernel's doubling passes;
   // reusing it keeps the banded LB_Improved hot path allocation-free.
   simd::AlignedVector extrema_work;
@@ -122,19 +121,6 @@ Value LbKeogh(const QueryEnvelope& env, std::span<const Value> candidate,
 Value LbImproved(const QueryEnvelope& env, std::span<const Value> query,
                  std::span<const Value> candidate, Value abandon_above,
                  EnvelopeScratch* scratch);
-
-/// Exact thresholded D_tw with prefix-lower-bound abandoning: like
-/// DtwWithinThreshold, but the per-row cutoff tests
-///   RowMin(rows 1..y) + sum of envelope bounds of the unprocessed rows
-/// against epsilon, which abandons strictly earlier than Theorem 1's
-/// RowMin-only test (the suffix bound is >= 0). Uses `env.band()` as the
-/// Sakoe-Chiba band of the exact computation; returns true and sets
-/// *distance iff the (banded) D_tw(query, candidate) <= epsilon.
-/// `env` must have been built from `query` with the same band.
-bool DtwWithinThresholdLb(std::span<const Value> query,
-                          std::span<const Value> candidate,
-                          const QueryEnvelope& env, Value epsilon,
-                          Value* distance, EnvelopeScratch* scratch);
 
 }  // namespace tswarp::dtw
 

@@ -13,29 +13,13 @@
 
 namespace tswarp::dtw {
 
-/// Incremental cumulative time-warping distance table (paper Definition 2).
-///
-/// The query Q is fixed along the columns (x axis); data elements are
-/// appended as rows (y axis). After pushing row y:
-///   * LastColumn() is D_tw(Q, data[1:y])  — the distance between Q and the
-///     data prefix of length y (paper Section 3: "by reading the last column
-///     of each row ... we get the distance between S_i and any prefix");
-///   * RowMin() is the minimum over all columns of row y. By Theorem 1, if
-///     RowMin() > epsilon, no extension of the data prefix can bring the
-///     distance back to <= epsilon, so the branch can be pruned. The minimum
-///     is recorded while the row is computed, so RowMin() is O(1).
-///
-/// Rows can be popped, which makes the table usable as a DFS stack over a
-/// suffix tree: all suffixes sharing a prefix share the prefix's rows
-/// (the R_d table-sharing factor of Section 4.3).
-///
-/// Rows may be pushed either from exact numeric values (PushRowValue, the
-/// D_tw recurrence) or from category intervals (PushRowInterval, the
-/// D_tw-lb recurrence of Definition 3). Mixing both in one table is legal:
-/// each row's base distance is independent of the others'.
-///
-/// An optional Sakoe-Chiba band constrains |x - y| <= band; cells outside
-/// the band are +infinity. Used by the length-bounded index extension.
+namespace internal {
+
+/// The cumulative-distance row recurrence (paper Definition 2) behind both
+/// tables below: computes data row `y` into caller-owned storage from the
+/// previous row (nullptr for y == 0). WarpingTable keeps every row (a DFS
+/// stack); ScanTable keeps two (a per-start scan). Both step rows through
+/// this one class, so the same pushes give bit-identical cells in either.
 ///
 /// Each row y >= 1 is computed in three steps: (1) the in-band column range
 /// [x_lo, x_hi) is hoisted out of the recurrence (the band test is a range
@@ -61,51 +45,34 @@ namespace tswarp::dtw {
 /// and rounding preserves order, widening the band is monotone per cell
 /// even at the ULP level — DtwDistanceBanded distances never increase
 /// with a wider band, exactly, which callers and tests rely on.
-class WarpingTable {
+class RowRecurrence {
  public:
-  /// Default for `depth_hint` when the caller has no estimate.
-  static constexpr std::size_t kDefaultDepthHint = 64;
-
-  /// Creates an empty table for query `query`. The span must stay valid for
-  /// the lifetime of the table. `band = 0` means unconstrained warping.
-  /// `depth_hint` is the expected number of simultaneously live rows (DFS
-  /// depth, or sequence length for scans); it only pre-sizes the cell
-  /// storage so that deep traversals do not grow the vector — and copy
-  /// every live row — repeatedly. It is not a limit.
-  explicit WarpingTable(std::span<const Value> query, Pos band = 0,
-                        std::size_t depth_hint = kDefaultDepthHint)
-      : query_(query), query_len_(query.size()), band_(band) {
-    TSW_CHECK(!query.empty()) << "query must be non-null (paper Def. 1)";
-    ReserveDepth(depth_hint);
+  RowRecurrence(std::span<const Value> query, std::size_t query_length,
+                Pos band)
+      : query_(query),
+        query_len_(query_length),
+        band_(band),
+        scratch_(query_length) {
+    TSW_CHECK(query_length > 0) << "query must be non-null (paper Def. 1)";
   }
 
-  /// Length-only constructor for callers that push rows with PushRowCustom
-  /// (e.g. the multivariate extension, where elements are vectors and the
-  /// base distances cannot be derived from a Value span). PushRowValue /
-  /// PushRowInterval are illegal on such a table unless BindQuery() is
-  /// called first.
-  explicit WarpingTable(std::size_t query_length, Pos band,
-                        std::size_t depth_hint = kDefaultDepthHint)
-      : query_len_(query_length), band_(band) {
-    TSW_CHECK(query_length > 0);
-    ReserveDepth(depth_hint);
-  }
-
-  WarpingTable(const WarpingTable&) = delete;
-  WarpingTable& operator=(const WarpingTable&) = delete;
-
-  /// Binds (or re-binds) the query span of a table built with the
-  /// length-only constructor, enabling PushRowValue / PushRowInterval.
-  /// The length must match; the span must outlive the table's use of it.
   void BindQuery(std::span<const Value> query) {
     TSW_CHECK(query.size() == query_len_);
     query_ = query;
   }
 
-  /// Appends the exact-D_tw row for data element `v`.
-  void PushRowValue(Value v) {
+  /// Cells per row: the query columns plus the column-0 sentinel.
+  std::size_t Width() const { return query_len_ + 1; }
+
+  std::span<const Value> query() const { return query_; }
+  std::size_t query_length() const { return query_len_; }
+  Pos band() const { return band_; }
+  std::uint64_t cells_computed() const { return cells_computed_; }
+
+  /// Exact-D_tw row y for data element `v`; returns the row minimum.
+  Value StepValue(std::size_t y, const Value* prev, Value* row, Value v) {
     TSW_DCHECK(!query_.empty());
-    const RowFrame f = BeginRow();
+    const RowFrame f = BeginRow(y, prev, row);
     Value rmin;
     if (f.prev == nullptr) {
       rmin = Row0PrefixSum(
@@ -121,13 +88,16 @@ class WarpingTable {
                                             left);
           });
     }
-    FinishRow(rmin, f.hi - f.lo);
+    cells_computed_ += f.hi - f.lo;
+    return rmin;
   }
 
-  /// Appends the D_tw-lb row for a category interval [lb, ub].
-  void PushRowInterval(Value lb, Value ub) {
+  /// D_tw-lb row y for a category interval [lb, ub]; returns the row
+  /// minimum.
+  Value StepInterval(std::size_t y, const Value* prev, Value* row, Value lb,
+                     Value ub) {
     TSW_DCHECK(!query_.empty());
-    const RowFrame f = BeginRow();
+    const RowFrame f = BeginRow(y, prev, row);
     Value rmin;
     if (f.prev == nullptr) {
       rmin = Row0PrefixSum(
@@ -147,16 +117,18 @@ class WarpingTable {
                                                f.row + start, n, left);
           });
     }
-    FinishRow(rmin, f.hi - f.lo);
+    cells_computed_ += f.hi - f.lo;
+    return rmin;
   }
 
-  /// Appends a row with caller-supplied base distances: `base(x)` must
-  /// return D_base(Q[x+1], element) for query index x (0-based). The base
+  /// Row y with caller-supplied base distances: `base(x)` must return
+  /// D_base(Q[x+1], element) for query index x (0-based). The base
   /// distances are materialized into an aligned scratch row and handed to
-  /// the generic row-step kernel.
+  /// the generic row-step kernel. Returns the row minimum.
   template <typename BaseFn>
-  void PushRowCustom(BaseFn base) {
-    const RowFrame f = BeginRow();
+  Value StepCustom(std::size_t y, const Value* prev, Value* row,
+                   BaseFn base) {
+    const RowFrame f = BeginRow(y, prev, row);
     Value rmin;
     if (f.prev == nullptr) {
       rmin = Row0PrefixSum(base, f);
@@ -171,83 +143,13 @@ class WarpingTable {
                                            f.row + start, n, left);
           });
     }
-    FinishRow(rmin, f.hi - f.lo);
+    cells_computed_ += f.hi - f.lo;
+    return rmin;
   }
-
-  /// Removes the most recently pushed row.
-  void PopRow() {
-    TSW_DCHECK(num_rows_ > 0);
-    cells_.resize(cells_.size() - Width());
-    row_mins_.pop_back();
-    --num_rows_;
-  }
-
-  /// Removes the `n` most recently pushed rows.
-  void PopRows(std::size_t n) {
-    TSW_DCHECK(n <= num_rows_);
-    cells_.resize(cells_.size() - n * Width());
-    row_mins_.resize(row_mins_.size() - n);
-    num_rows_ -= n;
-  }
-
-  /// Removes every row, keeping the allocated capacity and the
-  /// cells_computed() accumulator. Lets one table serve many independent
-  /// traversals (scan starts, parallel branch tasks) without re-allocating
-  /// or losing the cost accounting.
-  void Reset() {
-    cells_.clear();
-    row_mins_.clear();
-    num_rows_ = 0;
-  }
-
-  /// Number of data rows currently in the table.
-  std::size_t NumRows() const { return num_rows_; }
-
-  bool Empty() const { return num_rows_ == 0; }
-
-  /// D_tw(Q, data-prefix) after the last pushed row. Requires NumRows() > 0.
-  Value LastColumn() const {
-    TSW_DCHECK(num_rows_ > 0);
-    return cells_.back();
-  }
-
-  /// Minimum column value of the last pushed row (Theorem 1 pruning test).
-  /// O(1): recorded while the row was computed. Requires NumRows() > 0.
-  Value RowMin() const {
-    TSW_DCHECK(num_rows_ > 0);
-    return row_mins_.back();
-  }
-
-  /// Number of table cells computed since construction (cost accounting for
-  /// the R_d analysis and the bench counters). Out-of-band +infinity fills
-  /// are not counted, matching the paper's cell-count model.
-  std::uint64_t cells_computed() const { return cells_computed_; }
-
-  std::span<const Value> query() const { return query_; }
-  std::size_t query_length() const { return query_len_; }
-  Pos band() const { return band_; }
 
  private:
-  // Column 0 is a sentinel: 0 in the virtual row -1 position handling, +inf
-  // elsewhere, which realizes the standard DTW boundary conditions.
-  std::size_t Width() const { return query_len_ + 1; }
-
-  const Value* RowPtr(std::size_t row) const {
-    return cells_.data() + row * Width();
-  }
-  Value* MutableRowPtr(std::size_t row) {
-    return cells_.data() + row * Width();
-  }
-
-  void ReserveDepth(std::size_t depth_hint) {
-    if (depth_hint == 0) depth_hint = 1;
-    cells_.reserve(Width() * depth_hint);
-    row_mins_.reserve(depth_hint);
-    scratch_.resize(query_len_);
-  }
-
-  /// One row being pushed: its storage, the previous row (nullptr for row
-  /// 0), and the in-band column range [lo, hi).
+  /// One row being computed: its storage, the previous row (nullptr for
+  /// row 0), and the in-band column range [lo, hi).
   struct RowFrame {
     Value* row;
     const Value* prev;
@@ -258,17 +160,14 @@ class WarpingTable {
   /// In-band column range [lo, hi) of row `y`: columns x with 0-based query
   /// index xi = x - 1 satisfying |xi - y| <= band. Empty ranges (a row
   /// entirely below the band) come back as {1, 1}, so the +infinity fill
-  /// covers the whole row.
-  RowFrame BeginRow() {
+  /// covers the whole row. Column 0 is a sentinel (+infinity) that
+  /// realizes the standard DTW boundary conditions.
+  RowFrame BeginRow(std::size_t y, const Value* prev, Value* row) const {
     const std::size_t w = Width();
-    cells_.resize(cells_.size() + w);
-    Value* row = MutableRowPtr(num_rows_);
-    const Value* prev = num_rows_ > 0 ? RowPtr(num_rows_ - 1) : nullptr;
     row[0] = kInfinity;
     std::size_t lo = 1;
     std::size_t hi = w;
     if (band_ != 0) {
-      const std::size_t y = num_rows_;
       const std::size_t lo_xi = y > band_ ? y - band_ : 0;
       const std::size_t hi_xi = query_len_ - 1 < y + band_
                                     ? query_len_ - 1
@@ -283,12 +182,6 @@ class WarpingTable {
       for (std::size_t x = hi; x < w; ++x) row[x] = kInfinity;
     }
     return {row, prev, lo, hi};
-  }
-
-  void FinishRow(Value row_min, std::size_t n) {
-    row_mins_.push_back(row_min);
-    cells_computed_ += n;
-    ++num_rows_;
   }
 
   /// Computes the in-band cells of a row y >= 1. Scan blocks are anchored
@@ -348,11 +241,244 @@ class WarpingTable {
   // mid-build (SetBackend is documented as switch-between-searches only),
   // and hoisting the lookup keeps it off the per-push hot path.
   const simd::KernelTable* kernels_ = &simd::Kernels();
+  simd::AlignedVector scratch_;
+  std::uint64_t cells_computed_ = 0;
+};
+
+}  // namespace internal
+
+/// Incremental cumulative time-warping distance table (paper Definition 2).
+///
+/// The query Q is fixed along the columns (x axis); data elements are
+/// appended as rows (y axis). After pushing row y:
+///   * LastColumn() is D_tw(Q, data[1:y])  — the distance between Q and the
+///     data prefix of length y (paper Section 3: "by reading the last column
+///     of each row ... we get the distance between S_i and any prefix");
+///   * RowMin() is the minimum over all columns of row y. By Theorem 1, if
+///     RowMin() > epsilon, no extension of the data prefix can bring the
+///     distance back to <= epsilon, so the branch can be pruned. The minimum
+///     is recorded while the row is computed, so RowMin() is O(1).
+///
+/// Rows can be popped, which makes the table usable as a DFS stack over a
+/// suffix tree: all suffixes sharing a prefix share the prefix's rows
+/// (the R_d table-sharing factor of Section 4.3).
+///
+/// Rows may be pushed either from exact numeric values (PushRowValue, the
+/// D_tw recurrence) or from category intervals (PushRowInterval, the
+/// D_tw-lb recurrence of Definition 3). Mixing both in one table is legal:
+/// each row's base distance is independent of the others'.
+///
+/// An optional Sakoe-Chiba band constrains |x - y| <= band; cells outside
+/// the band are +infinity. Used by the length-bounded index extension.
+/// Rows are computed by internal::RowRecurrence (see there for the
+/// dataflow and the band's ULP-level monotonicity).
+class WarpingTable {
+ public:
+  /// Default for `depth_hint` when the caller has no estimate.
+  static constexpr std::size_t kDefaultDepthHint = 64;
+
+  /// Creates an empty table for query `query`. The span must stay valid for
+  /// the lifetime of the table. `band = 0` means unconstrained warping.
+  /// `depth_hint` is the expected number of simultaneously live rows (DFS
+  /// depth, or sequence length for scans); it only pre-sizes the cell
+  /// storage so that deep traversals do not grow the vector — and copy
+  /// every live row — repeatedly. It is not a limit.
+  explicit WarpingTable(std::span<const Value> query, Pos band = 0,
+                        std::size_t depth_hint = kDefaultDepthHint)
+      : rec_(query, query.size(), band) {
+    ReserveDepth(depth_hint);
+  }
+
+  /// Length-only constructor for callers that push rows with PushRowCustom
+  /// (e.g. the multivariate extension, where elements are vectors and the
+  /// base distances cannot be derived from a Value span). PushRowValue /
+  /// PushRowInterval are illegal on such a table unless BindQuery() is
+  /// called first.
+  explicit WarpingTable(std::size_t query_length, Pos band,
+                        std::size_t depth_hint = kDefaultDepthHint)
+      : rec_({}, query_length, band) {
+    ReserveDepth(depth_hint);
+  }
+
+  WarpingTable(const WarpingTable&) = delete;
+  WarpingTable& operator=(const WarpingTable&) = delete;
+
+  /// Binds (or re-binds) the query span of a table built with the
+  /// length-only constructor, enabling PushRowValue / PushRowInterval.
+  /// The length must match; the span must outlive the table's use of it.
+  void BindQuery(std::span<const Value> query) { rec_.BindQuery(query); }
+
+  /// Appends the exact-D_tw row for data element `v`.
+  void PushRowValue(Value v) {
+    Value* row = AppendRow();
+    FinishRow(rec_.StepValue(num_rows_, PrevRow(), row, v));
+  }
+
+  /// Appends the D_tw-lb row for a category interval [lb, ub].
+  void PushRowInterval(Value lb, Value ub) {
+    Value* row = AppendRow();
+    FinishRow(rec_.StepInterval(num_rows_, PrevRow(), row, lb, ub));
+  }
+
+  /// Appends a row with caller-supplied base distances: `base(x)` must
+  /// return D_base(Q[x+1], element) for query index x (0-based).
+  template <typename BaseFn>
+  void PushRowCustom(BaseFn base) {
+    Value* row = AppendRow();
+    FinishRow(rec_.StepCustom(num_rows_, PrevRow(), row, base));
+  }
+
+  /// Removes the most recently pushed row.
+  void PopRow() {
+    TSW_DCHECK(num_rows_ > 0);
+    cells_.resize(cells_.size() - Width());
+    row_mins_.pop_back();
+    --num_rows_;
+  }
+
+  /// Removes the `n` most recently pushed rows.
+  void PopRows(std::size_t n) {
+    TSW_DCHECK(n <= num_rows_);
+    cells_.resize(cells_.size() - n * Width());
+    row_mins_.resize(row_mins_.size() - n);
+    num_rows_ -= n;
+  }
+
+  /// Removes every row, keeping the allocated capacity and the
+  /// cells_computed() accumulator. Lets one table serve many independent
+  /// traversals (scan starts, parallel branch tasks) without re-allocating
+  /// or losing the cost accounting.
+  void Reset() {
+    cells_.clear();
+    row_mins_.clear();
+    num_rows_ = 0;
+  }
+
+  /// Number of data rows currently in the table.
+  std::size_t NumRows() const { return num_rows_; }
+
+  bool Empty() const { return num_rows_ == 0; }
+
+  /// D_tw(Q, data-prefix) after the last pushed row. Requires NumRows() > 0.
+  Value LastColumn() const {
+    TSW_DCHECK(num_rows_ > 0);
+    return cells_.back();
+  }
+
+  /// Minimum column value of the last pushed row (Theorem 1 pruning test).
+  /// O(1): recorded while the row was computed. Requires NumRows() > 0.
+  Value RowMin() const {
+    TSW_DCHECK(num_rows_ > 0);
+    return row_mins_.back();
+  }
+
+  /// Number of table cells computed since construction (cost accounting for
+  /// the R_d analysis and the bench counters). Out-of-band +infinity fills
+  /// are not counted, matching the paper's cell-count model.
+  std::uint64_t cells_computed() const { return rec_.cells_computed(); }
+
+  std::span<const Value> query() const { return rec_.query(); }
+  std::size_t query_length() const { return rec_.query_length(); }
+  Pos band() const { return rec_.band(); }
+
+ private:
+  std::size_t Width() const { return rec_.Width(); }
+
+  void ReserveDepth(std::size_t depth_hint) {
+    if (depth_hint == 0) depth_hint = 1;
+    cells_.reserve(Width() * depth_hint);
+    row_mins_.reserve(depth_hint);
+  }
+
+  /// Grows the cell storage by one row and returns it (row num_rows_).
+  Value* AppendRow() {
+    cells_.resize(cells_.size() + Width());
+    return cells_.data() + num_rows_ * Width();
+  }
+
+  const Value* PrevRow() const {
+    return num_rows_ > 0 ? cells_.data() + (num_rows_ - 1) * Width()
+                         : nullptr;
+  }
+
+  void FinishRow(Value row_min) {
+    row_mins_.push_back(row_min);
+    ++num_rows_;
+  }
+
+  internal::RowRecurrence rec_;
   simd::AlignedVector cells_;
   std::vector<Value> row_mins_;
-  simd::AlignedVector scratch_;
   std::size_t num_rows_ = 0;
-  std::uint64_t cells_computed_ = 0;
+};
+
+/// Forward-only cumulative table for scanning one start: the rows of
+/// WarpingTable, bit for bit, but only the last two are kept — the row
+/// being computed and its predecessor — so the storage is a fixed
+/// 2 * (|Q| + 1) cells, allocated once and never regrown however long the
+/// scan runs. The absolute row index is still tracked, so a Sakoe-Chiba
+/// band clips every row exactly as WarpingTable's would.
+class ScanTable {
+ public:
+  /// See WarpingTable's constructors: `query` is bound for PushRowValue;
+  /// the length-only form serves PushRowCustom (multivariate) callers and
+  /// may be bound later.
+  explicit ScanTable(std::span<const Value> query, Pos band = 0)
+      : rec_(query, query.size(), band), cells_(2 * rec_.Width()) {}
+  ScanTable(std::size_t query_length, Pos band)
+      : rec_({}, query_length, band), cells_(2 * rec_.Width()) {}
+
+  ScanTable(const ScanTable&) = delete;
+  ScanTable& operator=(const ScanTable&) = delete;
+
+  void BindQuery(std::span<const Value> query) { rec_.BindQuery(query); }
+
+  /// Appends the exact-D_tw row for data element `v`.
+  void PushRowValue(Value v) {
+    row_min_ = rec_.StepValue(num_rows_, PrevRow(), Row(num_rows_), v);
+    ++num_rows_;
+  }
+
+  /// Appends a row with caller-supplied base distances (see
+  /// WarpingTable::PushRowCustom).
+  template <typename BaseFn>
+  void PushRowCustom(BaseFn base) {
+    row_min_ = rec_.StepCustom(num_rows_, PrevRow(), Row(num_rows_), base);
+    ++num_rows_;
+  }
+
+  /// Starts a new scan; keeps the storage and the cells_computed()
+  /// accumulator.
+  void Reset() { num_rows_ = 0; }
+
+  /// Rows pushed since the last Reset() (the absolute index of the next).
+  std::size_t NumRows() const { return num_rows_; }
+
+  /// D_tw(Q, data-prefix) after the last pushed row. Requires NumRows() > 0.
+  Value LastColumn() const {
+    TSW_DCHECK(num_rows_ > 0);
+    return cells_[((num_rows_ - 1) & 1) * rec_.Width() + rec_.Width() - 1];
+  }
+
+  /// Minimum column value of the last pushed row (Theorem 1).
+  Value RowMin() const {
+    TSW_DCHECK(num_rows_ > 0);
+    return row_min_;
+  }
+
+  /// Cells computed since construction (see WarpingTable).
+  std::uint64_t cells_computed() const { return rec_.cells_computed(); }
+
+ private:
+  Value* Row(std::size_t y) { return cells_.data() + (y & 1) * rec_.Width(); }
+  const Value* PrevRow() {
+    return num_rows_ > 0 ? Row(num_rows_ - 1) : nullptr;
+  }
+
+  internal::RowRecurrence rec_;
+  simd::AlignedVector cells_;
+  Value row_min_ = kInfinity;
+  std::size_t num_rows_ = 0;
 };
 
 }  // namespace tswarp::dtw

@@ -5,6 +5,7 @@
 
 #include "common/types.h"
 #include "core/match.h"
+#include "core/seq_scan.h"
 #include "dtw/warping_table.h"
 #include "multivariate/grid_alphabet.h"
 #include "multivariate/multi_database.h"
@@ -14,11 +15,65 @@
 
 namespace tswarp::mv {
 
+/// The elements of one multivariate start S[p:] as core::ScanStart reads
+/// them: exact rows from the city-block base distance, and the running
+/// lower bound's per-element terms (`envelope` may be null: no bound).
+/// Shared by GridCellModel and MultiSeqScan.
+class MultiSuffix {
+ public:
+  MultiSuffix(const MultiSequenceDatabase* db, std::span<const Value> query,
+              const MultiQueryEnvelope* envelope, SeqId seq, Pos start)
+      : db_(db),
+        query_(query),
+        envelope_(envelope),
+        seq_(seq),
+        start_(start) {}
+
+  std::size_t size() const { return db_->Length(seq_) - start_; }
+  bool has_lb() const { return envelope_ != nullptr; }
+
+  /// The first element meets Q[1] in the path's fixed start cell, so its
+  /// term is the exact endpoint cost; a later element at offset k pays at
+  /// least the sum over dimensions of its envelope distances (the
+  /// per-dimension argument of MultiQueryEnvelope, one element at a time).
+  Value ElementLb(std::size_t k) const {
+    const std::span<const Value> elem = Element(k);
+    if (k == 0) return MultiBaseDistance(QueryElement(0), elem);
+    Value sum = 0.0;
+    for (std::size_t d = 0; d < elem.size(); ++d) {
+      sum += envelope_->envelope(d).ElementLb(k, elem[d]);
+    }
+    return sum;
+  }
+
+  void PushRow(dtw::ScanTable* table, std::size_t k) const {
+    const std::span<const Value> elem = Element(k);
+    table->PushRowCustom([this, elem](std::size_t x) {
+      return MultiBaseDistance(QueryElement(x), elem);
+    });
+  }
+
+ private:
+  std::span<const Value> Element(std::size_t k) const {
+    return db_->Element(seq_, start_ + static_cast<Pos>(k));
+  }
+  std::span<const Value> QueryElement(std::size_t x) const {
+    return query_.subspan(x * db_->dim(), db_->dim());
+  }
+
+  const MultiSequenceDatabase* db_;
+  std::span<const Value> query_;
+  const MultiQueryEnvelope* envelope_;
+  SeqId seq_;
+  Pos start_;
+};
+
 /// The multivariate distance model for core::SearchDriver (paper Section 8):
-/// rows are grid-cell lower bounds on the city-block base distance, so every
-/// emission is a candidate verified with exact multivariate DTW behind an
-/// endpoint screen and the per-dimension envelope cascade (see
-/// multi_envelope.h). The fourth instantiation of the driver, next to
+/// rows are grid-cell lower bounds on the city-block base distance, so the
+/// first passing row on a path resolves its subtree with exact
+/// multivariate scans (core::ScanStart over MultiSuffix), cut by the
+/// endpoint and per-dimension envelope running bound and by Theorem 1.
+/// The fourth instantiation of the driver, next to
 /// core::{ExactModel, CategoryModel, SparseCategoryModel}.
 class GridCellModel {
  public:
@@ -27,17 +82,12 @@ class GridCellModel {
   // d-dimensional, so the multivariate index never builds them.
   static constexpr bool kSupportsSummaries = false;
 
-  /// `envelope` may be null (cascade disabled, the ablation setting). All
-  /// pointers must outlive the model.
+  /// `envelope` may be null (running bound disabled, the ablation
+  /// setting). All pointers must outlive the model.
   GridCellModel(const MultiSequenceDatabase* db, const GridAlphabet* grid,
-                std::span<const Value> query, std::size_t query_len,
-                const MultiQueryEnvelope* envelope, Pos band)
-      : db_(db),
-        grid_(grid),
-        query_(query),
-        query_len_(query_len),
-        envelope_(envelope),
-        band_(band) {}
+                std::span<const Value> query,
+                const MultiQueryEnvelope* envelope)
+      : db_(db), grid_(grid), query_(query), envelope_(envelope) {}
 
   Value FirstRowLb(Symbol s) const {
     return grid_->CellLowerBound(QueryElement(0), s);
@@ -54,30 +104,11 @@ class GridCellModel {
     return grid_->CellLowerBound(QueryElement(0), cell);
   }
 
-  bool VerifyExact(SeqId seq, Pos start, Pos len, Value eps,
-                   core::SearchStats* stats, Value* distance) {
-    // O(dim) endpoint screen (first and last elements must align).
-    Value endpoint_lb =
-        MultiBaseDistance(QueryElement(0), db_->Element(seq, start));
-    if (query_len_ > 1 || len > 1) {
-      endpoint_lb += MultiBaseDistance(QueryElement(query_len_ - 1),
-                                       db_->Element(seq, start + len - 1));
-    }
-    if (endpoint_lb > eps) {
-      ++stats->endpoint_rejections;
-      return false;
-    }
-    const std::span<const Value> slice = db_->Slice(seq, start, len);
-    if (envelope_ != nullptr) {
-      ++stats->lb_invocations;
-      if (MultiLbImproved(*envelope_, slice, len, eps, &lb_scratch_) > eps) {
-        ++stats->lb_pruned;
-        return false;
-      }
-    }
-    ++stats->exact_dtw_calls;
-    return MultiDtwWithinThreshold(query_, query_len_, slice, len,
-                                   db_->dim(), eps, distance, band_);
+  template <typename EpsFn, typename ReportFn>
+  void ResolveStart(SeqId seq, Pos start, dtw::ScanTable* table, EpsFn eps,
+                    ReportFn report, core::SearchStats* stats) const {
+    core::ScanStart(MultiSuffix(db_, query_, envelope_, seq, start), table,
+                    /*prune=*/true, eps, report, stats);
   }
 
  private:
@@ -89,10 +120,7 @@ class GridCellModel {
   const MultiSequenceDatabase* db_;
   const GridAlphabet* grid_;
   std::span<const Value> query_;
-  std::size_t query_len_;
   const MultiQueryEnvelope* envelope_;
-  Pos band_;
-  MultiEnvelopeScratch lb_scratch_;  // Worker-private (models are copied).
 };
 
 }  // namespace tswarp::mv

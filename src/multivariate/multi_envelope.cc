@@ -21,24 +21,4 @@ MultiQueryEnvelope::MultiQueryEnvelope(std::span<const Value> query,
   }
 }
 
-Value MultiLbImproved(const MultiQueryEnvelope& env,
-                      std::span<const Value> candidate, std::size_t len,
-                      Value abandon_above, MultiEnvelopeScratch* scratch) {
-  const std::size_t dim = env.dim();
-  TSW_DCHECK(candidate.size() == len * dim);
-  scratch->candidate_dim.resize(len);
-  Value sum = 0.0;
-  for (std::size_t d = 0; d < dim; ++d) {
-    dtw::simd::Kernels().strided_gather(candidate.data() + d, dim,
-                                        scratch->candidate_dim.data(), len);
-    // Remaining dimensions only add cost, so each per-dimension pass may
-    // abandon against the budget left after the ones already summed.
-    sum += dtw::LbImproved(env.envelope(d), env.query_dim(d),
-                           scratch->candidate_dim, abandon_above - sum,
-                           &scratch->env_scratch);
-    if (sum > abandon_above) return sum;
-  }
-  return sum;
-}
-
 }  // namespace tswarp::mv

@@ -19,9 +19,10 @@ namespace tswarp::mv {
 ///              = sum_d D_tw(Q_d, S_d),
 ///
 /// so the sum over dimensions of any univariate lower bound on
-/// D_tw(Q_d, S_d) — LB_Keogh, LB_Improved — lower-bounds the multivariate
-/// D_tw(Q, S). The argument restricts paths identically under a
-/// Sakoe-Chiba band, so the cascade stays valid banded.
+/// D_tw(Q_d, S_d) lower-bounds the multivariate D_tw(Q, S); the same
+/// split holds per data element, which is how the running bound of the
+/// exact scan uses it (mv::MultiSuffix). The argument restricts paths
+/// identically under a Sakoe-Chiba band, so the bound stays valid banded.
 class MultiQueryEnvelope {
  public:
   /// `query` is the flattened query (query_len elements, `dim` wide);
@@ -35,14 +36,10 @@ class MultiQueryEnvelope {
   const dtw::QueryEnvelope& envelope(std::size_t d) const {
     return dims_[d].envelope;
   }
-  std::span<const Value> query_dim(std::size_t d) const {
-    return dims_[d].query;
-  }
 
  private:
   struct Dimension {
-    // Projection Q_d; owns the envelope's span. Aligned for the SIMD
-    // lower-bound kernels.
+    // Projection Q_d; owns the envelope's span.
     dtw::simd::AlignedVector query;
     dtw::QueryEnvelope envelope;
   };
@@ -50,21 +47,6 @@ class MultiQueryEnvelope {
   Pos band_;
   std::vector<Dimension> dims_;
 };
-
-/// Reusable buffers for MultiLbImproved.
-struct MultiEnvelopeScratch {
-  dtw::simd::AlignedVector candidate_dim;  // One dimension's slice of S.
-  dtw::EnvelopeScratch env_scratch;
-};
-
-/// Sum over dimensions of LB_Improved(Q_d, S_d): a lower bound on the
-/// multivariate D_tw (see MultiQueryEnvelope). `candidate` is the
-/// flattened subsequence (`len` elements). Abandons once the partial sum
-/// exceeds `abandon_above`; the partial sum returned is still a valid
-/// lower bound (per-dimension terms are non-negative).
-Value MultiLbImproved(const MultiQueryEnvelope& env,
-                      std::span<const Value> candidate, std::size_t len,
-                      Value abandon_above, MultiEnvelopeScratch* scratch);
 
 }  // namespace tswarp::mv
 

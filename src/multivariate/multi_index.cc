@@ -55,8 +55,8 @@ std::vector<Match> RunDriver(const MultiSequenceDatabase& db,
   if (options.use_lower_bound) {
     envelope.emplace(query, query_len, db.dim(), options.band);
   }
-  const GridCellModel model(&db, &grid, query, query_len,
-                            envelope ? &*envelope : nullptr, options.band);
+  const GridCellModel model(&db, &grid, query,
+                            envelope ? &*envelope : nullptr);
   return core::RunSearchDriver(driver, model, &ctx, stats);
 }
 
@@ -109,27 +109,15 @@ std::vector<Match> MultiSeqScan(const MultiSequenceDatabase& db,
                                 Pos band) {
   TSW_CHECK(query_len > 0 && query.size() == query_len * db.dim());
   std::vector<Match> out;
-  std::size_t max_len = 0;
+  SearchStats unused;
+  dtw::ScanTable table(query_len, band);
   for (SeqId id = 0; id < db.size(); ++id) {
-    max_len = std::max<std::size_t>(max_len, db.Length(id));
-  }
-  dtw::WarpingTable table(query_len, band,
-                          std::max<std::size_t>(1, max_len));
-  for (SeqId id = 0; id < db.size(); ++id) {
-    const Pos n = db.Length(id);
-    for (Pos p = 0; p < n; ++p) {
-      table.Reset();
-      for (Pos q = p; q < n; ++q) {
-        const std::span<const Value> elem = db.Element(id, q);
-        table.PushRowCustom([&](std::size_t x) {
-          return MultiBaseDistance(
-              std::span<const Value>(query.data() + x * db.dim(), db.dim()),
-              elem);
-        });
-        const Value dist = table.LastColumn();
-        if (dist <= epsilon) out.push_back({id, p, q - p + 1, dist});
-        if (table.RowMin() > epsilon) break;
-      }
+    for (Pos p = 0; p < db.Length(id); ++p) {
+      core::ScanStart(
+          MultiSuffix(&db, query, /*envelope=*/nullptr, id, p), &table,
+          /*prune=*/true, [epsilon] { return epsilon; },
+          [&](Pos len, Value dist) { out.push_back({id, p, len, dist}); },
+          &unused);
     }
   }
   std::sort(out.begin(), out.end(), MatchLess);

@@ -28,9 +28,9 @@ struct MultiIndexOptions {
 /// Multivariate subsequence index (paper Section 8): elements are
 /// categorized into grid cells, a (sparse) suffix tree is built over the
 /// cell symbols, and queries run on core::SearchDriver with the
-/// GridCellModel — grid-cell lower-bound filtering, then exact
-/// multivariate-DTW post-processing behind the per-dimension envelope
-/// cascade. No false dismissals. Searches take the same core::QueryOptions
+/// GridCellModel — grid-cell lower-bound filtering, then one exact
+/// multivariate scan per start below each passing row, cut by the
+/// per-dimension envelope running bound. No false dismissals. Searches take the same core::QueryOptions
 /// as the univariate Index (band, pruning/lower-bound ablations,
 /// num_threads), with identical semantics: parallel results are
 /// bit-identical to serial, and bands are rejected on sparse indexes.

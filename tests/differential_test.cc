@@ -40,7 +40,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,10 +52,12 @@
 #include "core/index.h"
 #include "core/result_collector.h"
 #include "core/seq_scan.h"
+#include "core/tier.h"
 #include "core/tiered_index.h"
 #include "dtw/dtw.h"
 #include "dtw/envelope.h"
 #include "dtw/simd.h"
+#include "dtw/warping_table.h"
 #include "multivariate/multi_index.h"
 #include "seqdb/sequence_database.h"
 #include "storage/buffer_manager.h"
@@ -147,14 +152,23 @@ TEST(DifferentialTest, BoundChainHoldsOnRandomCases) {
         << "LB_Improved > D_tw, seed=" << seed << " band=" << band
         << " |Q|=" << qlen << " |S|=" << slen;
 
-    // The prefix-abandoning kernel must agree with the plain one on
-    // membership and, when inside, on the exact distance.
+    // The per-start scan under the running bound must agree with the
+    // plain kernel on the full-length candidate's membership and, when
+    // inside, on its exact distance.
     const Value eps = rng.Uniform(0, 2) * (exact == kInfinity
                                                ? 100.0
                                                : exact + 0.25);
+    dtw::ScanTable table(q, band);
     Value got = -1.0;
-    const bool in = dtw::DtwWithinThresholdLb(q, s, env, eps, &got,
-                                              &scratch);
+    core::SearchStats stats;
+    core::ScanStart(
+        core::ValueSuffix(q, s, &env), &table, /*prune=*/true,
+        [eps] { return eps; },
+        [&](Pos len, Value d) {
+          if (len == static_cast<Pos>(slen)) got = d;
+        },
+        &stats);
+    const bool in = got >= 0.0;
     ASSERT_EQ(in, exact <= eps) << "seed=" << seed << " band=" << band;
     if (in) {
       ASSERT_EQ(got, exact) << "seed=" << seed << " band=" << band;
@@ -716,6 +730,177 @@ TEST(DifferentialTest, TieredIndexByteIdenticalToMonolithic) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Claim: subtree resolution scans each start once and equals SeqScan.
+// ---------------------------------------------------------------------------
+
+/// Plateau-rich random walks: each level repeats 1-4 times, so sparse
+/// trees store suffixes with leading runs longer than one symbol.
+std::vector<Value> PlateauWalk(Rng* rng, std::size_t n) {
+  std::vector<Value> v;
+  Value level = rng->Uniform(-5, 5);
+  while (v.size() < n) {
+    const auto repeat = static_cast<std::size_t>(rng->UniformInt(1, 4));
+    for (std::size_t r = 0; r < repeat && v.size() < n; ++r) {
+      v.push_back(level);
+    }
+    level += rng->Gaussian(0, 1.5);
+  }
+  return v;
+}
+
+/// Replays the sparse filter over `tier` (interval rows, the MaxRun
+/// discount, Theorem 1) and reports whether some path first passes at a
+/// row past the first of its edge, above occurrences with a leading run
+/// longer than one symbol — the resolution case the test must reach.
+bool ResolvesMidEdgeAboveRuns(const core::Tier& tier,
+                              std::span<const Value> q, Value eps) {
+  const suffixtree::TreeView& tree = *tier.view();
+  const categorize::Alphabet& alphabet = *tier.alphabet;
+  dtw::WarpingTable table(q);
+  std::function<bool(suffixtree::NodeId, Value)> visit =
+      [&](suffixtree::NodeId node, Value first_lb) {
+        suffixtree::Children children;
+        tree.GetChildren(node, &children);
+        for (const auto& edge : children.edges) {
+          const std::span<const Symbol> label = children.Label(edge);
+          Value fl = first_lb;
+          if (table.Empty()) {
+            const dtw::Interval iv = alphabet.ToInterval(label.front());
+            fl = dtw::BaseDistanceLb(q.front(), iv.lb, iv.ub);
+          }
+          const Pos max_run = tree.MaxRun(edge.child);
+          const Value discount =
+              max_run > 1 ? static_cast<Value>(max_run - 1) * fl : 0.0;
+          std::size_t pushed = 0;
+          bool descend = true;
+          for (std::size_t i = 0; i < label.size(); ++i) {
+            const dtw::Interval iv = alphabet.ToInterval(label[i]);
+            table.PushRowInterval(iv.lb, iv.ub);
+            ++pushed;
+            const Value dist = table.LastColumn();
+            if (dist <= eps || dist - discount <= eps) {
+              if (i > 0 && max_run > 1) return true;
+              descend = false;
+              break;
+            }
+            if (table.RowMin() - discount > eps) {
+              descend = false;
+              break;
+            }
+          }
+          if (descend && visit(edge.child, fl)) return true;
+          table.PopRows(pushed);
+        }
+        return false;
+      };
+  return visit(tree.Root(), 0.0);
+}
+
+void ExpectNoDuplicates(const std::vector<Match>& matches,
+                        const std::string& context) {
+  std::set<std::tuple<SeqId, Pos, Pos>> seen;
+  for (const Match& m : matches) {
+    EXPECT_TRUE(seen.insert({m.seq, m.start, m.len}).second)
+        << context << ": (" << m.seq << ", " << m.start << ", " << m.len
+        << ") reported twice";
+  }
+}
+
+TEST(DifferentialTest, SubtreeResolutionByteIdenticalToSeqScan) {
+  constexpr std::size_t kK = 7;
+  bool reached_mid_edge = false;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(7700 + seed);
+    std::vector<std::vector<Value>> data;
+    const int total = static_cast<int>(rng.UniformInt(6, 9));
+    for (int i = 0; i < total; ++i) {
+      data.push_back(PlateauWalk(
+          &rng, static_cast<std::size_t>(rng.UniformInt(12, 30))));
+    }
+    seqdb::SequenceDatabase full_db;
+    seqdb::SequenceDatabase base_db;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      full_db.Add(data[i]);
+      if (i < 3) base_db.Add(data[i]);
+    }
+    // A piece of the data, so the first passing row lies deep on a path.
+    const std::vector<Value>& src = data[seed % data.size()];
+    const auto qlen = static_cast<std::size_t>(rng.UniformInt(5, 8));
+    const auto qpos = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(src.size() - qlen)));
+    std::vector<Value> q(src.begin() + qpos, src.begin() + qpos + qlen);
+    for (Value& v : q) v += rng.Gaussian(0, 0.2);
+    const Value eps = rng.Uniform(1.0, 4.0);
+
+    const std::vector<Match> reference = core::SeqScan(full_db, q, eps);
+    std::vector<Match> knn_reference =
+        core::SeqScan(full_db, q, kInfinity);
+    std::sort(knn_reference.begin(), knn_reference.end(),
+              core::KnnMatchLess);
+    knn_reference.resize(std::min(kK, knn_reference.size()));
+
+    for (const auto& [kind, categories] :
+         {std::pair{IndexKind::kCategorized, 4u},
+          std::pair{IndexKind::kSparse, 4u},
+          std::pair{IndexKind::kSparse, 16u}}) {
+      IndexOptions options;
+      options.kind = kind;
+      options.num_categories = categories;
+      auto monolithic = Index::Build(&full_db, options);
+      ASSERT_TRUE(monolithic.ok()) << monolithic.status().ToString();
+      if (kind == IndexKind::kSparse) {
+        reached_mid_edge =
+            reached_mid_edge ||
+            ResolvesMidEdgeAboveRuns(*monolithic->snapshot()->tiers().front(),
+                                     q, eps);
+      }
+      core::TieredOptions tiered_options;
+      tiered_options.index = options;
+      tiered_options.memtable_max_sequences = 2;
+      tiered_options.max_sealed_tiers = 2;
+      tiered_options.merge_in_background = false;
+      auto tiered = core::TieredIndex::Create(&base_db, tiered_options);
+      ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+      for (std::size_t i = base_db.size(); i < data.size(); ++i) {
+        ASSERT_TRUE((*tiered)->Append(data[i]).ok());
+      }
+      const auto snapshot = (*tiered)->Snapshot();
+      ASSERT_GE(snapshot->tiers().size(), 2u);
+
+      for (const bool summaries : {true, false}) {
+        for (const std::size_t threads : {0u, 1u, 4u}) {
+          QueryOptions qo;
+          qo.num_threads = threads;
+          qo.use_node_summaries = summaries;
+          const std::string ctx =
+              std::string(core::IndexKindToString(kind)) +
+              " c=" + std::to_string(categories) +
+              " seed=" + std::to_string(seed) +
+              " summaries=" + std::to_string(summaries) +
+              " threads=" + std::to_string(threads);
+          for (const bool is_tiered : {false, true}) {
+            const std::string where =
+                (is_tiered ? "tiered " : "monolithic ") + ctx;
+            const std::vector<Match> range =
+                is_tiered ? snapshot->Search(q, eps, qo)
+                          : monolithic->Search(q, eps, qo);
+            ExpectNoDuplicates(range, "range " + where);
+            ExpectByteIdentical(reference, range, "range " + where);
+            const std::vector<Match> knn =
+                is_tiered ? snapshot->SearchKnn(q, kK, qo)
+                          : monolithic->SearchKnn(q, kK, qo);
+            ExpectNoDuplicates(knn, "knn " + where);
+            ExpectByteIdentical(knn_reference, knn, "knn " + where);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(reached_mid_edge)
+      << "no case resolved a sparse subtree mid-edge above a run > 1";
 }
 
 TEST(DifferentialTest, TieredMidStreamSnapshotsMatchMonolithicPrefixes) {

@@ -161,47 +161,5 @@ TEST(EnvelopeTest, LbImprovedAtLeastLbKeogh) {
   }
 }
 
-TEST(EnvelopeTest, DtwWithinThresholdLbAgreesWithPlainKernel) {
-  EnvelopeScratch scratch;
-  const std::vector<Value> q = RandomWalk(9, 11);
-  const QueryEnvelope env(q, 0);
-  for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    const std::vector<Value> s = RandomWalk(1 + seed % 20, 200 + seed);
-    const Value exact = DtwDistance(q, s);
-    for (const Value eps : {exact * 0.5, exact, exact * 2.0}) {
-      Value got = -1.0, want = -1.0;
-      const bool in_lb = DtwWithinThresholdLb(q, s, env, eps, &got,
-                                              &scratch);
-      const bool in_plain = DtwWithinThreshold(q, s, eps, &want);
-      ASSERT_EQ(in_lb, in_plain) << "seed=" << seed << " eps=" << eps;
-      if (in_lb) {
-        EXPECT_DOUBLE_EQ(got, want);
-      }
-    }
-  }
-}
-
-TEST(EnvelopeTest, DtwWithinThresholdLbBandedMatchesBandedDistance) {
-  EnvelopeScratch scratch;
-  const std::vector<Value> q = RandomWalk(10, 13);
-  for (const Pos band : {1u, 3u, 10u}) {
-    const QueryEnvelope env(q, band);
-    for (std::uint64_t seed = 0; seed < 30; ++seed) {
-      const std::vector<Value> s = RandomWalk(1 + seed % 16, 300 + seed);
-      const Value exact = DtwDistanceBanded(q, s, band);
-      for (const Value eps : {1.0, 10.0, 100.0}) {
-        Value got = -1.0;
-        const bool in =
-            DtwWithinThresholdLb(q, s, env, eps, &got, &scratch);
-        ASSERT_EQ(in, exact <= eps)
-            << "band=" << band << " seed=" << seed << " eps=" << eps;
-        if (in) {
-          EXPECT_DOUBLE_EQ(got, exact);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tswarp::dtw

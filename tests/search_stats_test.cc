@@ -2,6 +2,9 @@
 // counters feed the paper's R_d / R_p analyses and the benches, so they
 // must obey basic accounting identities.
 
+#include <set>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -37,20 +40,55 @@ TEST(SearchStatsTest, TreeSearchAccountingIdentities) {
     SearchStats stats;
     const auto matches = index->Search(Query(db), 6.0, {}, &stats);
     SCOPED_TRACE(IndexKindToString(kind));
-    // Every answer was a candidate; rejected candidates were either
-    // endpoint-screened or failed the exact computation.
-    EXPECT_GE(stats.candidates, matches.size());
     EXPECT_EQ(stats.answers, matches.size());
-    EXPECT_LE(stats.endpoint_rejections, stats.candidates);
-    if (kind != IndexKind::kSuffixTree) {
-      EXPECT_LE(stats.exact_dtw_calls + stats.endpoint_rejections,
-                stats.candidates);
+    if (kind == IndexKind::kSuffixTree) {
+      // Exact rows: every emitted occurrence is an answer, and nothing is
+      // verified.
+      EXPECT_EQ(stats.candidates, matches.size());
+      EXPECT_EQ(stats.exact_dtw_calls, 0u);
+      EXPECT_EQ(stats.endpoint_rejections, 0u);
+      EXPECT_EQ(stats.lb_invocations, 0u);
+    } else {
+      // A candidate is one start scanned: either its first element alone
+      // exceeds the threshold (no row built) or it gets one exact scan,
+      // under the running bound.
+      EXPECT_EQ(stats.candidates,
+                stats.exact_dtw_calls + stats.endpoint_rejections);
+      EXPECT_EQ(stats.lb_invocations, stats.candidates);
+      EXPECT_LE(stats.endpoint_rejections, stats.lb_pruned);
+      EXPECT_LE(stats.lb_pruned, stats.lb_invocations);
+      // Each start is scanned at most once, and every answer's start was.
+      EXPECT_LE(stats.candidates, db.TotalElements());
+      std::set<std::pair<SeqId, Pos>> starts;
+      for (const Match& m : matches) starts.insert({m.seq, m.start});
+      EXPECT_LE(starts.size(), stats.exact_dtw_calls);
     }
-    // Rows/cells relation: every pushed row computes |Q| cells.
+    // Rows/cells relation: every pushed filter row computes |Q| cells
+    // (the exact scans count in neither).
     EXPECT_EQ(stats.cells_computed, stats.rows_pushed * 8);
     // Each row serves at least one stored suffix.
     EXPECT_GE(stats.unshared_rows, stats.rows_pushed);
     EXPECT_GT(stats.nodes_visited, 0u);
+
+    if (kind == IndexKind::kSuffixTree) continue;
+    // With a threshold no distance reaches and no pruning, every path
+    // passes at its first row: each start of the database is resolved
+    // exactly once and every subsequence is an answer.
+    QueryOptions all;
+    all.prune = false;
+    SearchStats everything;
+    const auto every = index->Search(Query(db), 1e12, all, &everything);
+    EXPECT_EQ(everything.candidates, db.TotalElements());
+    EXPECT_EQ(everything.exact_dtw_calls, db.TotalElements());
+    // Only the root is expanded: one row per root edge, then resolution.
+    EXPECT_EQ(everything.nodes_visited, 1u);
+    EXPECT_EQ(everything.branches_pruned, 0u);
+    std::uint64_t subsequences = 0;
+    for (SeqId id = 0; id < db.size(); ++id) {
+      const std::uint64_t n = db.sequence(id).size();
+      subsequences += n * (n + 1) / 2;
+    }
+    EXPECT_EQ(every.size(), subsequences);
   }
 }
 
@@ -58,15 +96,30 @@ TEST(SearchStatsTest, EndpointScreenFiresOnLowerBoundModes) {
   const seqdb::SequenceDatabase db = Db();
   IndexOptions options;
   options.kind = IndexKind::kSparse;
-  options.num_categories = 4;  // Loose bounds -> many candidates.
+  options.num_categories = 4;  // Loose bounds -> many starts resolved.
   auto index = Index::Build(&db, options);
   ASSERT_TRUE(index.ok());
   SearchStats stats;
-  index->Search(Query(db), 3.0, {}, &stats);
-  EXPECT_GT(stats.candidates, 0u);
+  const auto matches = index->Search(Query(db), 3.0, {}, &stats);
   EXPECT_GT(stats.endpoint_rejections, 0u)
-      << "with 4 categories and a tight epsilon the O(1) screen should "
-         "reject many candidates";
+      << "with 4 categories and a tight epsilon many resolved starts "
+         "begin too far from Q[1] for any length to match";
+  // An endpoint rejection is the running bound's cut at the first
+  // element: the start gets no exact row.
+  EXPECT_EQ(stats.candidates,
+            stats.exact_dtw_calls + stats.endpoint_rejections);
+  EXPECT_LE(stats.endpoint_rejections, stats.lb_pruned);
+
+  // The filter alone decides which starts are resolved; without the
+  // running bound the same starts are all scanned exactly.
+  QueryOptions no_lb;
+  no_lb.use_lower_bound = false;
+  SearchStats plain;
+  const auto unscreened = index->Search(Query(db), 3.0, no_lb, &plain);
+  EXPECT_EQ(plain.candidates, stats.candidates);
+  EXPECT_EQ(plain.endpoint_rejections, 0u);
+  EXPECT_EQ(plain.exact_dtw_calls, plain.candidates);
+  EXPECT_EQ(unscreened.size(), matches.size());
 }
 
 TEST(SearchStatsTest, SeqScanAccountingIdentities) {
@@ -97,27 +150,47 @@ TEST(SearchStatsTest, LowerBoundCascadeCountsOnTreeSearch) {
   const seqdb::SequenceDatabase db = Db();
   IndexOptions options;
   options.kind = IndexKind::kSparse;
-  options.num_categories = 4;  // Loose filter -> many candidates to screen.
+  options.num_categories = 4;  // Loose filter -> many starts to scan.
   auto index = Index::Build(&db, options);
   ASSERT_TRUE(index.ok());
   SearchStats stats;
-  index->Search(Query(db), 3.0, {}, &stats);
-  // Everything surviving the endpoint screen is screened by the envelope
-  // cascade; exact DTW only runs on what the cascade admits.
-  EXPECT_EQ(stats.lb_invocations,
+  const auto matches = index->Search(Query(db), 3.0, {}, &stats);
+  // Every resolved start runs under the running bound once; exact rows
+  // are built for every start the endpoint term admits.
+  EXPECT_EQ(stats.lb_invocations, stats.candidates);
+  EXPECT_EQ(stats.exact_dtw_calls,
             stats.candidates - stats.endpoint_rejections);
-  EXPECT_EQ(stats.exact_dtw_calls, stats.lb_invocations - stats.lb_pruned);
-  EXPECT_GT(stats.lb_pruned, 0u)
-      << "with 4 categories and a tight epsilon the envelope bound should "
-         "kill candidates the endpoint screen admits";
+  EXPECT_GE(stats.lb_pruned, stats.endpoint_rejections);
+  EXPECT_GT(stats.lb_pruned, 0u);
 
+  // The same starts without the bound: no cuts, every one scanned, same
+  // answers.
   QueryOptions no_lb;
   no_lb.use_lower_bound = false;
   SearchStats plain;
-  index->Search(Query(db), 3.0, no_lb, &plain);
+  const auto unscreened = index->Search(Query(db), 3.0, no_lb, &plain);
   EXPECT_EQ(plain.lb_invocations, 0u);
   EXPECT_EQ(plain.lb_pruned, 0u);
-  EXPECT_GE(plain.exact_dtw_calls, stats.exact_dtw_calls);
+  EXPECT_EQ(plain.candidates, stats.candidates);
+  EXPECT_EQ(plain.exact_dtw_calls, plain.candidates);
+  EXPECT_EQ(unscreened.size(), matches.size());
+
+  // Under a band the envelope is local and tight: its terms cut scans
+  // that the endpoint term admits.
+  IndexOptions dense;
+  dense.kind = IndexKind::kCategorized;
+  dense.num_categories = 4;
+  auto banded_index = Index::Build(&db, dense);
+  ASSERT_TRUE(banded_index.ok());
+  QueryOptions banded;
+  banded.band = 2;
+  SearchStats band_stats;
+  banded_index->Search(Query(db), 3.0, banded, &band_stats);
+  EXPECT_EQ(band_stats.lb_invocations, band_stats.candidates);
+  EXPECT_EQ(band_stats.exact_dtw_calls,
+            band_stats.candidates - band_stats.endpoint_rejections);
+  EXPECT_GT(band_stats.lb_pruned, band_stats.endpoint_rejections)
+      << "the banded envelope should cut scans past their first element";
 }
 
 TEST(SearchStatsTest, SchedulerCountersTrackParallelExecution) {

@@ -7,6 +7,8 @@
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "dtw/dtw.h"
+#include "dtw/envelope.h"
+#include "dtw/warping_table.h"
 #include "test_util.h"
 
 namespace tswarp::core {
@@ -144,6 +146,103 @@ TEST(SeqScanTest, BandedScanRespectsBand) {
                     q, db.Subsequence(m.seq, m.start, m.len), 2),
                 1e-12);
   }
+}
+
+std::vector<Value> RandomWalk(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Value> v;
+  Value x = rng.Uniform(-5, 5);
+  for (std::size_t i = 0; i < n; ++i) {
+    x += rng.Gaussian(0, 1);
+    v.push_back(x);
+  }
+  return v;
+}
+
+/// Runs ScanStart over all of `s` (one start) and returns what it
+/// reported, as (len, distance) pairs in length order.
+std::vector<std::pair<Pos, Value>> ScanOneStart(std::span<const Value> q,
+                                                std::span<const Value> s,
+                                                Pos band, bool use_lb,
+                                                Value eps,
+                                                SearchStats* stats) {
+  const dtw::QueryEnvelope env(q, band);
+  dtw::ScanTable table(q, band);
+  std::vector<std::pair<Pos, Value>> out;
+  ScanStart(ValueSuffix(q, s, use_lb ? &env : nullptr), &table,
+            /*prune=*/true, [eps] { return eps; },
+            [&](Pos len, Value d) { out.emplace_back(len, d); }, stats);
+  return out;
+}
+
+/// Every length of one start, by the plain (banded) kernel.
+std::vector<std::pair<Pos, Value>> PlainLengths(std::span<const Value> q,
+                                                std::span<const Value> s,
+                                                Pos band, Value eps) {
+  std::vector<std::pair<Pos, Value>> out;
+  for (std::size_t len = 1; len <= s.size(); ++len) {
+    const std::span<const Value> prefix = s.first(len);
+    const Value d = band == 0 ? dtw::DtwDistance(q, prefix)
+                              : dtw::DtwDistanceBanded(q, prefix, band);
+    if (d <= eps) out.emplace_back(static_cast<Pos>(len), d);
+  }
+  return out;
+}
+
+TEST(SeqScanTest, ScanStartAgreesWithPlainKernel) {
+  const std::vector<Value> q = RandomWalk(9, 11);
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const std::vector<Value> s = RandomWalk(1 + seed % 20, 200 + seed);
+    const Value exact = dtw::DtwDistance(q, s);
+    for (const Value eps : {exact * 0.5, exact, exact * 2.0}) {
+      for (const bool use_lb : {false, true}) {
+        SearchStats stats;
+        // Same recurrence as the plain kernel: lengths and distances
+        // agree bit for bit, with or without the running bound.
+        EXPECT_EQ(ScanOneStart(q, s, 0, use_lb, eps, &stats),
+                  PlainLengths(q, s, 0, eps))
+            << "seed=" << seed << " eps=" << eps << " lb=" << use_lb;
+        EXPECT_EQ(stats.candidates, 1u);
+        EXPECT_EQ(stats.lb_invocations, use_lb ? 1u : 0u);
+        EXPECT_EQ(stats.exact_dtw_calls + stats.endpoint_rejections, 1u);
+      }
+    }
+  }
+}
+
+TEST(SeqScanTest, ScanStartBandedMatchesBandedDistance) {
+  const std::vector<Value> q = RandomWalk(10, 13);
+  for (const Pos band : {1u, 3u, 10u}) {
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+      const std::vector<Value> s = RandomWalk(1 + seed % 16, 300 + seed);
+      for (const Value eps : {1.0, 10.0, 100.0}) {
+        for (const bool use_lb : {false, true}) {
+          SearchStats stats;
+          EXPECT_EQ(ScanOneStart(q, s, band, use_lb, eps, &stats),
+                    PlainLengths(q, s, band, eps))
+              << "band=" << band << " seed=" << seed << " eps=" << eps
+              << " lb=" << use_lb;
+        }
+      }
+    }
+  }
+}
+
+TEST(SeqScanTest, ScanStartEndpointCutBuildsNoRow) {
+  // The first element is 5 away from Q[1]: every warping path pays that
+  // in its start cell, so the running bound ends the start before any
+  // row; without the bound, Theorem 1 ends it after the first row.
+  const std::vector<Value> q = {0.0, 10.0, 0.0};
+  const std::vector<Value> s = {5.0, 10.0, 0.0};
+  SearchStats with_lb;
+  EXPECT_TRUE(ScanOneStart(q, s, 0, true, 4.0, &with_lb).empty());
+  EXPECT_EQ(with_lb.endpoint_rejections, 1u);
+  EXPECT_EQ(with_lb.lb_pruned, 1u);
+  EXPECT_EQ(with_lb.exact_dtw_calls, 0u);
+  SearchStats plain;
+  EXPECT_TRUE(ScanOneStart(q, s, 0, false, 4.0, &plain).empty());
+  EXPECT_EQ(plain.endpoint_rejections, 0u);
+  EXPECT_EQ(plain.exact_dtw_calls, 1u);
 }
 
 }  // namespace

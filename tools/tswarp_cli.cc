@@ -164,12 +164,16 @@ void PrintPoolLine(const char* name,
 
 /// Prints the merged traversal counters of one search. Shared by the
 /// univariate and multivariate paths: both run core::SearchDriver, so the
-/// counters mean the same thing in either mode.
+/// counters mean the same thing in either mode. The verification counters
+/// are per start: "starts" were scanned (answers emitted, on exact ST
+/// trees), "endpoint-rejected" ended at their first element, "lb-cut"
+/// were ended by the running bound (endpoint cuts included) out of
+/// "lb-screened", and "exact scans" built at least one exact row.
 void PrintStatsCounters(const core::SearchStats& stats) {
   std::printf(
       "stats: nodes %llu, rows %llu (+%llu replayed), pruned %llu, "
-      "candidates %llu, endpoint-rejected %llu, lb-screened %llu, "
-      "lb-pruned %llu, exact DTW %llu\n",
+      "starts %llu, endpoint-rejected %llu, lb-screened %llu, "
+      "lb-cut %llu, exact scans %llu\n",
       static_cast<unsigned long long>(stats.nodes_visited),
       static_cast<unsigned long long>(stats.rows_pushed),
       static_cast<unsigned long long>(stats.replayed_rows),
