@@ -21,6 +21,7 @@
 
 #include "categorize/categorizer.h"
 #include "core/match.h"
+#include "core/seq_scan.h"
 #include "core/tree_search.h"
 #include "storage/buffer_manager.h"
 #include "storage/paged_file.h"
@@ -30,7 +31,6 @@
 #include "dtw/base.h"
 #include "dtw/dtw.h"
 #include "dtw/envelope.h"
-#include "dtw/simd.h"
 #include "dtw/warping_table.h"
 #include "seqdb/sequence_database.h"
 #include "suffixtree/merge.h"
@@ -153,10 +153,10 @@ void BM_DtwLowerBound(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwLowerBound)->Arg(20)->Arg(100);
 
-// --- Envelope lower-bound cascade kernels -------------------------------
-// Kernel cost of each cascade stage, plus the prune rate the LB_Keogh /
-// LB_Improved pair achieves on random-walk candidates at a given epsilon
-// (reported as the "pruned" counter).
+// --- Envelope lower-bound cascade ---------------------------------------
+// Cost of building a query envelope, plus the prune rate the per-start
+// scan's running lower bound (endpoint cost + envelope terms) achieves on
+// random-walk starts at a given epsilon.
 
 void BM_BuildEnvelope(benchmark::State& state) {
   const auto q = RandomSequence(static_cast<std::size_t>(state.range(0)), 1);
@@ -173,34 +173,10 @@ BENCHMARK(BM_BuildEnvelope)
     ->Args({100, 0})
     ->Args({100, 10});
 
-void BM_LbKeogh(benchmark::State& state) {
-  const auto q = RandomSequence(static_cast<std::size_t>(state.range(0)), 1);
-  const auto s = RandomSequence(static_cast<std::size_t>(state.range(0)), 2);
-  const dtw::QueryEnvelope env(q, static_cast<Pos>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dtw::LbKeogh(env, s));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LbKeogh)->Args({20, 0})->Args({100, 0})->Args({100, 10});
-
-void BM_LbImproved(benchmark::State& state) {
-  const auto q = RandomSequence(static_cast<std::size_t>(state.range(0)), 1);
-  const auto s = RandomSequence(static_cast<std::size_t>(state.range(0)), 2);
-  const dtw::QueryEnvelope env(q, static_cast<Pos>(state.range(1)));
-  dtw::EnvelopeScratch scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dtw::LbImproved(env, q, s, kInfinity, &scratch));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LbImproved)->Args({20, 0})->Args({100, 0})->Args({100, 10});
-
 void BM_LbCascadePruneRate(benchmark::State& state) {
-  // Screens `kCandidates` random-walk candidates against one query; the
-  // "pruned" counter is the cascade's kill rate at this epsilon, the
-  // "exact" counter what still reaches the exact kernel.
+  // Scans `kCandidates` random-walk starts against one query with
+  // core::ScanStart; the "pruned" counter is the starts the running bound
+  // ended, the "exact" counter the starts that built an exact row.
   constexpr int kCandidates = 256;
   const auto q = RandomSequence(20, 1);
   const dtw::QueryEnvelope env(q, 0);
@@ -211,72 +187,25 @@ void BM_LbCascadePruneRate(benchmark::State& state) {
                        static_cast<std::uint64_t>(i) + 2));
   }
   const Value eps = static_cast<Value>(state.range(0));
-  dtw::EnvelopeScratch scratch;
-  std::int64_t pruned = 0, exact = 0;
+  dtw::ScanTable table(q, 0);
+  core::SearchStats stats;
   for (auto _ : state) {
     for (const auto& s : candidates) {
-      if (dtw::LbImproved(env, q, s, eps, &scratch) > eps) {
-        ++pruned;
-        continue;
-      }
-      ++exact;
-      Value d = 0;
-      benchmark::DoNotOptimize(dtw::DtwWithinThreshold(q, s, eps, &d));
+      core::ScanStart(
+          core::ValueSuffix(q, s, &env), &table, /*prune=*/true,
+          [eps] { return eps; },
+          [](Pos len, Value d) { benchmark::DoNotOptimize(len + d); },
+          &stats);
     }
   }
   state.counters["pruned"] =
-      benchmark::Counter(static_cast<double>(pruned),
+      benchmark::Counter(static_cast<double>(stats.lb_pruned),
                          benchmark::Counter::kAvgIterations);
   state.counters["exact"] =
-      benchmark::Counter(static_cast<double>(exact),
+      benchmark::Counter(static_cast<double>(stats.exact_dtw_calls),
                          benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_LbCascadePruneRate)->Arg(5)->Arg(20)->Arg(80);
-
-void BM_SummaryLb(benchmark::State& state) {
-  // The node-summary screen kernel: per-query-element min distance to a
-  // handful of value hulls, summed with early abandon. Args: query length
-  // and hull count (the driver passes at most 6 = prefix + subtree + 4
-  // label segments).
-  const auto q = RandomSequence(static_cast<std::size_t>(state.range(0)), 1);
-  const auto k = static_cast<std::size_t>(state.range(1));
-  Rng rng(7);
-  std::vector<Value> lo(k), hi(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const Value center = rng.Uniform(20, 80);
-    lo[i] = center - rng.Uniform(0.5, 5.0);
-    hi[i] = center + rng.Uniform(0.5, 5.0);
-  }
-  const auto& kernels = dtw::simd::Kernels();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels.summary_lb(
-        q.data(), lo.data(), hi.data(), k, q.size(), kInfinity));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
-BENCHMARK(BM_SummaryLb)
-    ->ArgNames({"n", "hulls"})
-    ->Args({20, 2})
-    ->Args({20, 6})
-    ->Args({100, 2})
-    ->Args({100, 6});
-
-void BM_SummaryLbEarlyAbandon(benchmark::State& state) {
-  // Same kernel with a cap it crosses almost immediately (hulls far from
-  // the query): the block-granular early abandon should make cost nearly
-  // independent of n.
-  const auto q = RandomSequence(static_cast<std::size_t>(state.range(0)), 1);
-  const std::vector<Value> lo = {500.0, 620.0};
-  const std::vector<Value> hi = {510.0, 640.0};
-  const auto& kernels = dtw::simd::Kernels();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels.summary_lb(
-        q.data(), lo.data(), hi.data(), lo.size(), q.size(), 10.0));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SummaryLbEarlyAbandon)->Arg(20)->Arg(100)->Arg(400);
 
 void BM_DtwAlign(benchmark::State& state) {
   const auto a = RandomSequence(static_cast<std::size_t>(state.range(0)), 8);

@@ -33,20 +33,12 @@ namespace tswarp::core {
 class ExactModel {
  public:
   static constexpr bool kExactRows = true;
-  static constexpr bool kSupportsSummaries = true;
 
   ExactModel(std::span<const Value> query,
              const std::vector<Value>* symbol_values)
       : query_(query), symbol_values_(symbol_values) {}
 
   Value FirstRowLb(Symbol) const { return 0.0; }
-
-  /// Value hull of one symbol, the unit the node-summary hulls aggregate:
-  /// a dictionary symbol stands for exactly one value.
-  dtw::Interval SymbolHull(Symbol s) const {
-    const Value v = (*symbol_values_)[static_cast<std::size_t>(s)];
-    return {v, v};
-  }
 
   /// The driver binds the query span to the table (DriverConfig::query),
   /// so the typed SIMD row step applies directly.
@@ -68,7 +60,6 @@ class ExactModel {
 class CategoryModel {
  public:
   static constexpr bool kExactRows = false;
-  static constexpr bool kSupportsSummaries = true;
 
   /// `envelope` may be null (running bound disabled, the ablation setting).
   CategoryModel(std::span<const Value> query,
@@ -86,11 +77,6 @@ class CategoryModel {
     const dtw::Interval iv = alphabet_->ToInterval(s);
     table->PushRowInterval(iv.lb, iv.ub);
   }
-
-  /// Value hull of one symbol: the fitted category interval contains
-  /// every raw element value the category stands for (the same
-  /// containment RowStep's interval rows rely on).
-  dtw::Interval SymbolHull(Symbol s) const { return alphabet_->ToInterval(s); }
 
   Value OccurrenceFirstLb(const suffixtree::OccurrenceRec& occ) const {
     // The leading symbol of the stored suffix is the path's first symbol;

@@ -93,7 +93,6 @@ suffixtree::DiskTreeOptions TreeOptionsFromIndexOptions(
   tree.eviction = options.disk_eviction;
   tree.readahead_pages = options.disk_readahead_pages;
   tree.io_mode = options.disk_io_mode;
-  tree.load_node_summaries = options.node_summaries;
   return tree;
 }
 
@@ -170,27 +169,6 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
         tier->disk_tree,
         suffixtree::BuildDiskTree(symbols, options.disk_path, disk));
     skipped = symbols.TotalSymbols() - tier->disk_tree->NumOccurrences();
-  }
-  // 3. Per-node summaries (the subtree-hull pre-filter). In-memory trees
-  // keep them beside the tier; disk bundles persist them as the optional
-  // fourth section — attach, then reopen so the served tree reads the
-  // same bytes a later Open() would.
-  if (options.node_summaries) {
-    const std::vector<suffixtree::SymbolHull> hulls = TierSymbolHulls(*tier);
-    if (options.disk_path.empty()) {
-      tier->memory_summaries =
-          suffixtree::BuildNodeSummaries(*tier->view(), hulls);
-    } else {
-      const std::vector<suffixtree::NodeSummaryRecord> records =
-          suffixtree::BuildNodeSummaries(*tier->disk_tree, hulls);
-      tier->disk_tree.reset();  // Release the bundle before rewriting it.
-      TSW_RETURN_IF_ERROR(
-          suffixtree::AttachNodeSummaries(options.disk_path, records));
-      TSW_ASSIGN_OR_RETURN(
-          tier->disk_tree,
-          suffixtree::DiskSuffixTree::Open(options.disk_path,
-                                           TreeOptionsFromIndexOptions(options)));
-    }
   }
   tier->info = ComputeTierInfo(*tier);
   base_info.skipped_suffixes = skipped;
@@ -339,10 +317,6 @@ std::vector<TierSearchEntry> MakeEntries(const IndexSnapshot& snapshot,
     entry.config.band = query_options.band;
     entry.config.num_threads = query_options.num_threads;
     entry.config.cancel = query_options.cancel;
-    entry.config.approx_factor = query_options.approx_factor;
-    if (query_options.use_node_summaries) {
-      entry.config.summaries = tier->summaries();
-    }
     entry.seq_base = tier->first_seq;
     entries.push_back(std::move(entry));
   }

@@ -76,14 +76,6 @@ struct IndexOptions {
   /// (and scan intermediates) buffered regardless of this setting.
   storage::IoMode disk_io_mode = storage::IoMode::kMmap;
 
-  /// Build per-node summaries (the subtree-hull pre-filter ahead of the
-  /// filter rows; see docs/tuning.md "Node summaries & the recall dial").
-  /// Runtime-only and NOT fingerprinted: a bundle built without summaries
-  /// reopens fine (the screen is simply off), and a bundle with them can
-  /// be reopened by a reader that ignores the section. Adds 64 bytes per
-  /// tree node of index footprint when on.
-  bool node_summaries = true;
-
   /// Seed for categorizers that need one (k-means).
   std::uint64_t seed = 1;
 };
@@ -132,16 +124,6 @@ struct QueryOptions {
   /// subset of the full answer. The token must outlive the search. For
   /// SearchBatch one token covers the whole batch.
   const CancelToken* cancel = nullptr;
-  /// Node-summary pre-filter (on by default; a no-op when the index was
-  /// built without summaries). Answers are identical either way at
-  /// approx_factor == 1 — this is the ablation hook for the screen.
-  bool use_node_summaries = true;
-  /// The recall dial: scales the summary lower bound before comparing
-  /// against the threshold. 1.0 = exact (byte-identical results, the
-  /// default); values > 1 prune more aggressively and may drop matches —
-  /// the result is always a subset of the exact answer. Must be >= 1.
-  /// Ignored when summaries are off.
-  Value approx_factor = 1.0;
 };
 
 /// An immutable, reference-counted view of an index at one instant: an

@@ -57,12 +57,6 @@ struct SearchStats {
   // start it ended (endpoint rejections included).
   std::uint64_t lb_invocations = 0;
   std::uint64_t lb_pruned = 0;
-  // Node-summary pre-filter (subtree hulls screened before descending an
-  // edge; see docs/tuning.md "Node summaries & the recall dial"). An
-  // invocation is one edge screened against the summary hulls; a prune
-  // skips the child's entire subtree with zero row-step work.
-  std::uint64_t summary_lb_invocations = 0;
-  std::uint64_t nodes_pruned_by_summary = 0;
   std::uint64_t exact_dtw_calls = 0;    // Starts given >= 1 exact row:
                                         // candidates - endpoint_rejections.
   std::uint64_t answers = 0;            // Final matches.
@@ -78,11 +72,6 @@ struct SearchStats {
   // (includes the externally injected root task when a pool worker takes
   // it, so parallel searches always report at least 1).
   std::uint64_t tasks_stolen = 0;
-  // Steal probes (deque inspections) observed process-wide during this
-  // query's window. Unlike every other counter this is not attributed
-  // per-query: concurrent searches on the shared scheduler inflate each
-  // other's windows. Useful as a contention signal, not an exact count.
-  std::uint64_t steal_attempts = 0;
   // Workers that observed an expired CancelToken and stopped early
   // (QueryOptions::cancel). Nonzero means the result set is a sound
   // *subset* of the full answer: every reported match is exact, but the
@@ -100,14 +89,11 @@ struct SearchStats {
     endpoint_rejections += other.endpoint_rejections;
     lb_invocations += other.lb_invocations;
     lb_pruned += other.lb_pruned;
-    summary_lb_invocations += other.summary_lb_invocations;
-    nodes_pruned_by_summary += other.nodes_pruned_by_summary;
     exact_dtw_calls += other.exact_dtw_calls;
     answers += other.answers;
     replayed_rows += other.replayed_rows;
     tasks_executed += other.tasks_executed;
     tasks_stolen += other.tasks_stolen;
-    steal_attempts += other.steal_attempts;
     cancelled += other.cancelled;
   }
 };

@@ -20,9 +20,7 @@
 #include "core/match.h"
 #include "core/result_collector.h"
 #include "dtw/envelope.h"
-#include "dtw/simd.h"
 #include "dtw/warping_table.h"
-#include "suffixtree/node_summary.h"
 #include "suffixtree/tree_view.h"
 
 namespace tswarp::core {
@@ -141,23 +139,6 @@ struct DriverConfig {
   /// ids a monolithic index would produce. Occurrence ids stay tier-local
   /// throughout the traversal and verification (database lookups).
   SeqId seq_base = 0;
-
-  /// Node summaries of `tree`, indexed by NodeId (empty = no summary
-  /// pre-filter). When present (and the model supports them), every edge
-  /// is screened against the child's subtree hulls before any row is
-  /// pushed: if the summary lower bound already exceeds the threshold,
-  /// the whole subtree is skipped with zero GetChildren/row-step work.
-  /// A true lower bound for every candidate below the edge, so results
-  /// stay byte-identical (see docs/algorithms.md "Node-summary bound").
-  std::span<const suffixtree::NodeSummaryRecord> summaries = {};
-
-  /// Scales the summary bound before comparing against epsilon: the
-  /// recall dial. 1.0 (default) is exact — the multiply is an IEEE
-  /// identity, results are byte-identical to summaries-off. Values > 1
-  /// prune more aggressively; the result is always a subset of the exact
-  /// answer (bounds are only ever inflated, never deflated), with recall
-  /// measured by bench/ablation_sketch. Must be >= 1.
-  Value approx_factor = 1.0;
 };
 
 /// Per-query shared state, owned for the query's whole lifetime: the
@@ -292,12 +273,6 @@ class SearchDriver {
       : config_(config), model_(model) {
     TSW_CHECK(config.tree != nullptr);
     TSW_CHECK(config.query_length > 0);
-    TSW_CHECK(config.approx_factor >= 1.0)
-        << "approx_factor scales the summary lower bound up; values below "
-           "1 would deflate a bound and fabricate false dismissals";
-    TSW_CHECK(config.summaries.empty() ||
-              config.summaries.size() == config.tree->NumNodes())
-        << "node summaries must cover every tree node";
     TSW_CHECK(!(config.sparse && config.band != 0))
         << "banded search is unsupported on sparse indexes: the D_tw-lb2 "
            "shift argument does not hold once the band moves with the "
@@ -321,7 +296,6 @@ class SearchDriver {
     } else {
       TaskScheduler& scheduler = TaskScheduler::Get();
       scheduler.EnsureWorkers(config_.num_threads);
-      const std::uint64_t probes_before = scheduler.steal_attempts();
       ParallelState par(config_, model_, ctx);
       BranchTask root;
       root.node = config_.tree->Root();
@@ -330,10 +304,6 @@ class SearchDriver {
       par.DrainAll(stats_sink);
       stats_sink->tasks_executed += par.scope.tasks_executed();
       stats_sink->tasks_stolen += par.scope.tasks_stolen();
-      // Process-wide probe delta over the query window; concurrent
-      // unrelated searches share the counter (documented in match.h).
-      stats_sink->steal_attempts +=
-          scheduler.steal_attempts() - probes_before;
     }
   }
 
@@ -370,9 +340,7 @@ class SearchDriver {
           eps_mode_(!ctx->collector.knn() ? EpsMode::kFixed
                     : parallel            ? EpsMode::kCached
                                           : EpsMode::kExact),
-          eps_cache_(ctx->collector.epsilon()),
-          use_summaries_(Model::kSupportsSummaries &&
-                         !config.summaries.empty() && !config.query.empty()) {}
+          eps_cache_(ctx->collector.epsilon()) {}
 
     /// Executes one branch task: replay the prefix, then traverse the
     /// edge range. `par` enables lazy splitting (nullptr = serial).
@@ -399,15 +367,9 @@ class SearchDriver {
         arena->scan.BindQuery(config_.query);
       }
       const std::uint64_t cells_before = table.cells_computed();
-      // The prefix value hull restarts per task; the replay below widens
-      // it to the hull of the replayed path, exactly as the splitting
-      // task's own pushes did (BranchTask carries no hull state).
-      path_lo_ = std::numeric_limits<Value>::infinity();
-      path_hi_ = -std::numeric_limits<Value>::infinity();
       if (task.prefix != nullptr) {
         for (const Symbol sym : *task.prefix) {
           model_.RowStep(&table, sym);
-          WidenPathHull(sym);
           ++stats_.replayed_rows;
         }
       }
@@ -447,11 +409,6 @@ class SearchDriver {
       std::size_t edge = 0;    // Next edge index to process.
       std::size_t pushed = 0;  // Rows pushed for the edge being descended.
       std::size_t limit = 0;   // One past the last edge this task owns.
-      // Prefix value hull snapshot at frame entry. Popping a descended
-      // edge's rows returns the table to this frame's entry state, so the
-      // running hull is restored from here at the same points PopRows runs.
-      Value hull_lo = std::numeric_limits<Value>::infinity();
-      Value hull_hi = -std::numeric_limits<Value>::infinity();
     };
 
     std::size_t ResolvedDepthHint() const {
@@ -500,7 +457,7 @@ class SearchDriver {
       // A node's visit is attributed to the task starting at its first
       // edge, so nodes split across branch tasks are still counted once.
       if (edge_lo == 0) ++stats_.nodes_visited;
-      frames_.push_back({node, first_lb, edge_lo, 0, 0, path_lo_, path_hi_});
+      frames_.push_back({node, first_lb, edge_lo, 0, 0});
       Children& children = ChildrenAt(arena, frames_.size() - 1);
       config_.tree->GetChildren(node, &children);
       frames_.back().limit = std::min(edge_hi, children.edges.size());
@@ -574,8 +531,6 @@ class SearchDriver {
           frames_.pop_back();
           if (!frames_.empty()) {
             table.PopRows(frames_.back().pushed);
-            path_lo_ = frames_.back().hull_lo;
-            path_hi_ = frames_.back().hull_hi;
             frames_.back().pushed = 0;
             ++frames_.back().edge;
           }
@@ -584,13 +539,6 @@ class SearchDriver {
 
         const Children::Edge& edge = children.edges[f.edge];
         const std::span<const Symbol> label = children.Label(edge);
-        // Node-summary screen: decide from the precomputed subtree hulls
-        // whether any candidate below this edge can beat the threshold,
-        // before a single row of the edge's label is stepped.
-        if (use_summaries_ && SummaryPrune(edge.child, table.NumRows())) {
-          ++f.edge;
-          continue;
-        }
         const bool at_root = table.Empty();
         Value branch_first_lb = f.first_lb;
         if (at_root) branch_first_lb = model_.FirstRowLb(label.front());
@@ -620,7 +568,6 @@ class SearchDriver {
             return;
           }
           model_.RowStep(&table, sym);
-          WidenPathHull(sym);
           ++pushed;
           ++stats_.rows_pushed;
           stats_.unshared_rows += config_.tree->SubtreeOccCount(edge.child);
@@ -659,8 +606,6 @@ class SearchDriver {
                     std::numeric_limits<std::size_t>::max());
         } else {
           table.PopRows(pushed);
-          path_lo_ = f.hull_lo;
-          path_hi_ = f.hull_hi;
           ++f.edge;
         }
       }
@@ -711,81 +656,6 @@ class SearchDriver {
       }
     }
 
-    /// Folds one path symbol's value hull into the running prefix hull.
-    /// Called after every RowStep (replay and label walk alike) so the
-    /// hull always covers exactly the rows live in the table. Compiled
-    /// out for models without symbol hulls (multivariate).
-    void WidenPathHull([[maybe_unused]] Symbol sym) {
-      if constexpr (Model::kSupportsSummaries) {
-        if (!use_summaries_) return;
-        const auto iv = model_.SymbolHull(sym);
-        path_lo_ = std::min(path_lo_, iv.lb);
-        path_hi_ = std::max(path_hi_, iv.ub);
-      }
-    }
-
-    /// The node-summary screen for the edge into `child`, evaluated at
-    /// prefix depth `depth` (rows live in the table). Every candidate
-    /// below the edge draws its elements from the prefix path, the
-    /// edge's label, and the child's subtree — so each query element
-    /// must align with *some* value inside one of those hulls, and
-    /// sum_i min_hull IntervalDist(Q[i], hull) lower-bounds D_tw for
-    /// all of them at once (docs/algorithms.md "Node-summary bound";
-    /// the subset argument covers sparse dropped-prefix candidates).
-    /// Returns true to skip the edge and its whole subtree.
-    bool SummaryPrune(NodeId child, std::size_t depth) {
-      const suffixtree::NodeSummaryRecord& rec = config_.summaries[child];
-      // Banded length screen: a Sakoe-Chiba band makes any candidate
-      // shorter than |Q| - band infinitely distant (no legal warping
-      // path reaches the final cell). The longest candidate below this
-      // edge has depth + max_depth elements.
-      if (config_.band != 0 &&
-          static_cast<std::uint64_t>(depth) + rec.max_depth + config_.band <
-              config_.query_length) {
-        ++stats_.nodes_pruned_by_summary;
-        return true;
-      }
-      ++stats_.summary_lb_invocations;
-      // Up to 6 hulls: prefix path, subtree, and the <= 4 label
-      // segments. Empty hulls (lo > hi sentinels) are dropped; float
-      // seg/sub bounds widen exactly to double.
-      constexpr std::size_t kMaxHulls =
-          2 + suffixtree::NodeSummaryRecord::kMaxLabelSegments;
-      Value lo[kMaxHulls];
-      Value hi[kMaxHulls];
-      std::size_t k = 0;
-      if (path_lo_ <= path_hi_) {
-        lo[k] = path_lo_;
-        hi[k] = path_hi_;
-        ++k;
-      }
-      if (rec.sub_lo <= rec.sub_hi) {
-        lo[k] = rec.sub_lo;
-        hi[k] = rec.sub_hi;
-        ++k;
-      }
-      for (std::uint32_t s = 0; s < rec.label_segments; ++s) {
-        lo[k] = rec.seg_lo[s];
-        hi[k] = rec.seg_hi[s];
-        ++k;
-      }
-      if (k == 0) return false;  // Degenerate record: nothing to bound.
-      // Same slackened threshold as the running lower bound, so FP drift
-      // between the bound and the exact kernel cannot dismiss a boundary
-      // candidate. The cap only lets the kernel abandon early — the
-      // returned partial sum is still a lower bound, and the decision
-      // below re-tests it against the same cut.
-      const Value cut = dtw::LbPruneThreshold(Eps());
-      const Value lb = dtw::simd::Kernels().summary_lb(
-          config_.query.data(), lo, hi, k, config_.query_length,
-          cut / config_.approx_factor);
-      if (lb * config_.approx_factor > cut) {
-        ++stats_.nodes_pruned_by_summary;
-        return true;
-      }
-      return false;
-    }
-
     void Report(Match m) {
       // Rebase tier-local sequence ids to global ids before the match
       // enters the shared ordering (range sort and k-NN tie-breaks).
@@ -804,12 +674,6 @@ class SearchDriver {
     std::uint32_t eps_polls_ = 0;
     std::uint32_t cancel_polls_ = 0;
     bool cancel_seen_ = false;
-    // Node-summary screen state: whether this search runs it, and the
-    // running value hull of the path rows currently live in the table
-    // (empty = +inf/-inf sentinels, matching node_summary.h).
-    const bool use_summaries_;
-    Value path_lo_ = std::numeric_limits<Value>::infinity();
-    Value path_hi_ = -std::numeric_limits<Value>::infinity();
     std::vector<Frame> frames_;
     std::shared_ptr<const std::vector<Symbol>> current_prefix_;
     std::vector<Match> answers_;

@@ -28,24 +28,7 @@ TierInfo ComputeTierInfo(const Tier& tier) {
     info.io_mode = tier.disk_tree->io_mode();
     info.mapped_bytes = tier.disk_tree->MappedBytes();
   }
-  info.has_summaries = !tier.summaries().empty();
   return info;
-}
-
-std::vector<suffixtree::SymbolHull> TierSymbolHulls(const Tier& tier) {
-  std::vector<suffixtree::SymbolHull> hulls;
-  if (tier.alphabet.has_value()) {
-    hulls.reserve(tier.alphabet->size());
-    for (std::size_t s = 0; s < tier.alphabet->size(); ++s) {
-      const dtw::Interval iv =
-          tier.alphabet->ToInterval(static_cast<Symbol>(s));
-      hulls.push_back({iv.lb, iv.ub});
-    }
-  } else {
-    hulls.reserve(tier.symbol_values.size());
-    for (const Value v : tier.symbol_values) hulls.push_back({v, v});
-  }
-  return hulls;
 }
 
 }  // namespace tswarp::core

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "common/types.h"
 #include "seqdb/sequence_database.h"
 #include "suffixtree/disk_tree.h"
-#include "suffixtree/node_summary.h"
 #include "suffixtree/suffix_tree.h"
 
 namespace tswarp::core {
@@ -33,10 +31,6 @@ struct TierInfo {
   storage::IoMode io_mode = storage::IoMode::kBuffered;
   /// Bytes mmap'd for this tier; 0 on the buffered path.
   std::uint64_t mapped_bytes = 0;
-  /// Whether the tier serves per-node summaries (the subtree-hull
-  /// pre-filter). Memtable tiers never do — summaries are built at
-  /// seal/merge time.
-  bool has_summaries = false;
 };
 
 /// One immutable tier of an index: a suffix tree over a contiguous range
@@ -84,11 +78,6 @@ struct Tier {
   std::optional<suffixtree::SuffixTree> memory_tree;
   std::unique_ptr<suffixtree::DiskSuffixTree> disk_tree;
 
-  /// Per-node summaries of an in-memory tree (empty = none built). Disk
-  /// tiers serve theirs from the bundle's summary section instead; use
-  /// summaries() to read whichever the tier has.
-  std::vector<suffixtree::NodeSummaryRecord> memory_summaries;
-
   /// When owns_disk_files, the bundle at disk_base is deleted by ~Tier —
   /// i.e. when the last snapshot pinning this tier is gone. Set for disk
   /// tiers produced by background merges; the base tier's bundle is user
@@ -105,24 +94,11 @@ struct Tier {
                ? static_cast<const suffixtree::TreeView*>(&*memory_tree)
                : static_cast<const suffixtree::TreeView*>(disk_tree.get());
   }
-
-  /// The tier's node summaries, wherever they live (in-memory vector or
-  /// the disk bundle's summary section); empty when the tier has none.
-  std::span<const suffixtree::NodeSummaryRecord> summaries() const {
-    if (!memory_summaries.empty()) return memory_summaries;
-    if (disk_tree != nullptr) return disk_tree->node_summaries();
-    return {};
-  }
 };
 
 /// Derives the TierInfo counters from a fully assembled tier (tree + db
 /// fragment in place).
 TierInfo ComputeTierInfo(const Tier& tier);
-
-/// Per-symbol value hulls of the tier's symbol tables — the input
-/// suffixtree::BuildNodeSummaries aggregates. Category symbols map to
-/// their fitted intervals; dictionary symbols to point hulls.
-std::vector<suffixtree::SymbolHull> TierSymbolHulls(const Tier& tier);
 
 }  // namespace tswarp::core
 

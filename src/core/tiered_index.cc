@@ -248,14 +248,6 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   tier->memory_tree = std::move(mem_tree);
   const bool seal = memtable_values_.size() >= options_.memtable_max_sequences;
   tier->is_memtable = !seal;
-  if (seal && options_.index.node_summaries) {
-    // Memtable tiers never carry summaries — the tree is replaced on
-    // every append and rebuilding the summaries each time would put an
-    // O(nodes) pass on the ingest path. A sealing tier is immutable from
-    // here on, so build them once now.
-    tier->memory_summaries = suffixtree::BuildNodeSummaries(
-        *tier->view(), TierSymbolHulls(*tier));
-  }
   tier->info = ComputeTierInfo(*tier);
   if (seal) {
     sealed_tiers_.push_back(std::move(tier));
@@ -317,12 +309,6 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
     }
     TSW_RETURN_IF_ERROR(out.status());
     tier->memory_tree = std::move(out);
-    if (options_.index.node_summaries) {
-      // Recompute over the merged tree: the inputs' summaries describe
-      // subtrees that no longer exist as such.
-      tier->memory_summaries = suffixtree::BuildNodeSummaries(
-          *tier->view(), TierSymbolHulls(*tier));
-    }
   } else {
     const std::string tmp =
         options_.index.disk_path + ".tmp-merge-" + std::to_string(generation);
@@ -343,34 +329,11 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
       return closed;
     }
 
-    if (options_.index.node_summaries) {
-      // Build the merged tier's summaries and attach them to the tmp
-      // bundle *before* the rename, so a published tier is always
-      // complete — a failure here aborts the whole merge cleanly.
-      StatusOr<std::unique_ptr<suffixtree::DiskSuffixTree>> tmp_tree =
-          suffixtree::DiskSuffixTree::Open(
-              tmp, TreeOptionsFromIndexOptions(options_.index));
-      if (!tmp_tree.ok()) {
-        suffixtree::RemoveDiskTree(tmp);
-        return tmp_tree.status();
-      }
-      const std::vector<suffixtree::NodeSummaryRecord> records =
-          suffixtree::BuildNodeSummaries(**tmp_tree, TierSymbolHulls(*tier));
-      tmp_tree->reset();  // Release the bundle before rewriting its meta.
-      const Status attached = suffixtree::AttachNodeSummaries(tmp, records);
-      if (!attached.ok()) {
-        suffixtree::RemoveDiskTree(tmp);
-        return attached;
-      }
-    }
-
     const std::string final_base =
         options_.index.disk_path + ".tier-" + std::to_string(generation);
     namespace fs = std::filesystem;
     bool renamed = true;
-    std::vector<const char*> exts = {".meta", ".nodes", ".occs", ".labels"};
-    if (options_.index.node_summaries) exts.push_back(".sums");
-    for (const char* ext : exts) {
+    for (const char* ext : {".meta", ".nodes", ".occs", ".labels"}) {
       std::error_code ec;
       fs::rename(tmp + ext, final_base + ext, ec);
       if (ec) renamed = false;

@@ -17,9 +17,6 @@ void ValidateConfig(const TreeSearchConfig& config,
                     std::span<const Value> query) {
   TSW_CHECK(config.tree != nullptr);
   TSW_CHECK(!query.empty());
-  TSW_CHECK(config.approx_factor >= 1.0)
-      << "approx_factor < 1 would deflate the summary lower bound and "
-         "fabricate false dismissals";
   TSW_CHECK(!(config.sparse && config.band != 0))
       << "banded search is unsupported on sparse indexes: the D_tw-lb2 "
          "shift argument does not hold once the band moves with the "
@@ -47,8 +44,6 @@ DriverConfig MakeDriverConfig(const TreeSearchConfig& config,
   driver.band = config.band;
   driver.num_threads = config.num_threads;
   driver.cancel = config.cancel;
-  driver.summaries = config.summaries;
-  driver.approx_factor = config.approx_factor;
   if (config.db != nullptr) {
     // DFS depth is bounded by the longest suffix in the tree.
     std::size_t max_len = 0;
@@ -132,11 +127,8 @@ std::vector<Match> RunTiered(std::span<const TierSearchEntry> tiers,
               tier.config.use_lower_bound == lead.use_lower_bound &&
               tier.config.band == lead.band &&
               tier.config.num_threads == lead.num_threads &&
-              tier.config.cancel == lead.cancel &&
-              tier.config.approx_factor == lead.approx_factor)
+              tier.config.cancel == lead.cancel)
         << "tiers of one search must share the query-shape knobs";
-    // Summary spans legitimately differ per tier (memtable tiers carry
-    // none), so they are deliberately absent from the agreement check.
     drivers.push_back(MakeDriverConfig(tier.config, query));
     drivers.back().seq_base = tier.seq_base;
     depth_hint = std::max(depth_hint, drivers.back().depth_hint);

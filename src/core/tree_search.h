@@ -9,7 +9,6 @@
 #include "common/types.h"
 #include "core/match.h"
 #include "seqdb/sequence_database.h"
-#include "suffixtree/node_summary.h"
 #include "suffixtree/tree_view.h"
 
 namespace tswarp::core {
@@ -58,20 +57,6 @@ struct TreeSearchConfig {
 
   /// Sakoe-Chiba band (0 = unconstrained, the paper's setting).
   Pos band = 0;
-
-  /// Per-node summaries of `tree` (indexed by NodeId; empty = screen off).
-  /// When present, every edge is screened against the child's precomputed
-  /// subtree value hulls before any of its label rows are pushed; a prune
-  /// skips the whole subtree. A true lower bound at approx_factor == 1, so
-  /// the match set is byte-identical with or without summaries (see
-  /// docs/algorithms.md "Node-summary bound"). Ignored in exact mode only
-  /// when the model opts out (all three univariate models support it).
-  std::span<const suffixtree::NodeSummaryRecord> summaries = {};
-
-  /// The recall dial: scales the summary lower bound before the threshold
-  /// comparison. 1.0 (default) = exact; > 1 trades recall for speed — the
-  /// result is always a subset of the exact answer. Must be >= 1.
-  Value approx_factor = 1.0;
 
   /// Worker threads for one search. 0 = fully serial (the original
   /// single-table DFS, byte-for-byte identical behavior and stats);

@@ -20,20 +20,6 @@ inline Value BaseDistanceLb(Value a, Value lb, Value ub) {
   return 0.0;
 }
 
-/// Constant-time endpoint lower bound on D_tw(a, b) (in the spirit of
-/// Kim et al.'s LB_Kim): every warping path aligns a[0] with b[0] at its
-/// start and a[n-1] with b[m-1] at its end, so the sum of those two base
-/// distances never exceeds the full distance (they are distinct path
-/// cells unless both sequences have length one). The per-start scan
-/// (core::ScanStart) uses the first half: a start's first element meets
-/// Q[1] in every path's start cell, whatever the length.
-template <typename SpanA, typename SpanB>
-Value EndpointLowerBound(const SpanA& a, const SpanB& b) {
-  const Value first = BaseDistance(a.front(), b.front());
-  if (a.size() == 1 && b.size() == 1) return first;
-  return first + BaseDistance(a.back(), b.back());
-}
-
 /// Second-level lower bound for suffixes inside a run of equal leading
 /// symbols (paper Definition 4, D_tw-lb2). Given
 ///   lb  = D_tw-lb(Q, CS[s:-])   for a stored suffix starting a run,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 #include "dtw/simd.h"
@@ -63,28 +62,11 @@ class QueryEnvelope {
     return upper_[unconstrained() ? 0 : j];
   }
 
-  /// Raw envelope arrays: length 1 when unconstrained, |Q| + band when
-  /// banded (entry j covers data offset j).
-  std::span<const Value> lower() const { return lower_; }
-  std::span<const Value> upper() const { return upper_; }
-
  private:
   Pos band_;
   std::size_t reach_;
   simd::AlignedVector lower_;
   simd::AlignedVector upper_;
-};
-
-/// Reusable buffers for the two-pass bound; lets callers screen many
-/// candidates without re-allocating.
-/// Aligned so the dispatched SIMD kernels read them on full-width lanes.
-struct EnvelopeScratch {
-  simd::AlignedVector projection;  // h(S): S clamped into Q's envelope.
-  simd::AlignedVector proj_lower;  // Envelope of the projection (data side).
-  simd::AlignedVector proj_upper;
-  // Padded scratch for the banded_extrema kernel's doubling passes;
-  // reusing it keeps the banded LB_Improved hot path allocation-free.
-  simd::AlignedVector extrema_work;
 };
 
 /// Pruning threshold for every lower-bound-vs-epsilon screen: a candidate
@@ -103,24 +85,6 @@ struct EnvelopeScratch {
 inline Value LbPruneThreshold(Value epsilon) {
   return epsilon + 1e-12 * (epsilon < 0 ? -epsilon : epsilon);
 }
-
-/// LB_Keogh(Q, S) under `env`'s band: sum over the candidate's elements of
-/// their envelope distance. Always <= D_tw(Q, S) (unconstrained) resp.
-/// <= the banded D_tw. Abandons the accumulation once the partial sum
-/// exceeds `abandon_above`; the returned partial sum is still a valid
-/// lower bound (remaining terms are non-negative).
-Value LbKeogh(const QueryEnvelope& env, std::span<const Value> candidate,
-              Value abandon_above = kInfinity);
-
-/// Lemire's two-pass bound LB_Improved(Q, S) >= LB_Keogh(Q, S): the first
-/// pass is LB_Keogh and records the projection h(S) of the candidate onto
-/// Q's envelope; the second adds LB_Keogh(S-side): the distance from each
-/// query element to the envelope of h(S). ("Faster Retrieval with a
-/// Two-Pass Dynamic-Time-Warping Lower Bound".) Abandons after either pass
-/// once the sum exceeds `abandon_above`. `scratch` must be non-null.
-Value LbImproved(const QueryEnvelope& env, std::span<const Value> query,
-                 std::span<const Value> candidate, Value abandon_above,
-                 EnvelopeScratch* scratch);
 
 }  // namespace tswarp::dtw
 

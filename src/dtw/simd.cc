@@ -64,47 +64,6 @@ Value ScalarRowMin(const Value* row, std::size_t n) {
   return m;
 }
 
-Value ScalarLbKeogh(const Value* v, const Value* lo, const Value* up,
-                    std::size_t n, Value cap) {
-  return in::StripedSum(
-      n,
-      [v, lo, up](std::size_t i) {
-        return in::IntervalDist(v[i], lo[i], up[i]);
-      },
-      cap);
-}
-
-Value ScalarLbKeoghConst(const Value* v, Value lo, Value up, std::size_t n,
-                         Value cap) {
-  return in::StripedSum(
-      n, [v, lo, up](std::size_t i) { return in::IntervalDist(v[i], lo, up); },
-      cap);
-}
-
-Value ScalarLbImprovedPass1(const Value* v, const Value* lo, const Value* up,
-                            Value* proj, std::size_t n) {
-  return in::StripedSum(
-      n,
-      [v, lo, up, proj](std::size_t i) {
-        const Value x = v[i];
-        proj[i] = in::MinPd(in::MaxPd(x, lo[i]), up[i]);
-        return in::IntervalDist(x, lo[i], up[i]);
-      },
-      kInfinity);
-}
-
-Value ScalarLbImprovedPass1Const(const Value* v, Value lo, Value up,
-                                 Value* proj, std::size_t n) {
-  return in::StripedSum(
-      n,
-      [v, lo, up, proj](std::size_t i) {
-        const Value x = v[i];
-        proj[i] = in::MinPd(in::MaxPd(x, lo), up);
-        return in::IntervalDist(x, lo, up);
-      },
-      kInfinity);
-}
-
 void ScalarStridedGather(const Value* src, std::size_t stride, Value* dst,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
@@ -123,20 +82,6 @@ void ScalarBandedExtrema(const Value* seq, std::size_t n, std::size_t band,
       });
 }
 
-Value ScalarSummaryLb(const Value* q, const Value* lo, const Value* hi,
-                      std::size_t num_intervals, std::size_t n, Value cap) {
-  return in::StripedSum(
-      n,
-      [q, lo, hi, num_intervals](std::size_t i) {
-        Value d = in::IntervalDist(q[i], lo[0], hi[0]);
-        for (std::size_t k = 1; k < num_intervals; ++k) {
-          d = in::MinPd(d, in::IntervalDist(q[i], lo[k], hi[k]));
-        }
-        return d;
-      },
-      cap);
-}
-
 constexpr KernelTable kScalarTable = {
     "scalar",
     ScalarRowStepValue,
@@ -146,13 +91,8 @@ constexpr KernelTable kScalarTable = {
     ScalarIntervalDistanceRow,
     ScalarMinPairRow,
     ScalarRowMin,
-    ScalarLbKeogh,
-    ScalarLbKeoghConst,
-    ScalarLbImprovedPass1,
-    ScalarLbImprovedPass1Const,
     ScalarStridedGather,
     ScalarBandedExtrema,
-    ScalarSummaryLb,
 };
 
 // Runtime CPU feature checks live here, in a TU compiled WITHOUT any

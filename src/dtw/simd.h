@@ -12,7 +12,7 @@
 
 namespace tswarp::dtw::simd {
 
-/// SIMD kernel layer for the DTW row step and the envelope lower bounds.
+/// SIMD kernel layer for the DTW row step and the query envelope.
 ///
 /// Every kernel below is defined by ONE canonical dataflow — a fixed
 /// association of additions, a fixed early-abandon granularity, and
@@ -33,18 +33,11 @@ namespace tswarp::dtw::simd {
 /// same block dataflow with padded lanes (simd_internal.h's
 /// PaddedScanBlock), so a cell's rounding depends only on its absolute
 /// column — which keeps banded distances exactly monotone in the band
-/// width. Canonical sums
-/// (kernels that accumulate, e.g. LB_Keogh) use four interleaved stripes —
-/// stripe l accumulates elements with index = l (mod 4) — combined as
-/// (s0 + s1) + (s2 + s3), with any sub-multiple-of-4 tail added in order.
-/// Early abandon tests fire only at kLbBlock element boundaries.
+/// width.
 
 /// Cells per row-step scan block. Part of the canonical dataflow: changing
 /// it changes results (at ULP level), so it is a constant, not a tunable.
 inline constexpr std::size_t kRowBlock = 8;
-
-/// Elements between early-abandon checks in the accumulating kernels.
-inline constexpr std::size_t kLbBlock = 64;
 
 /// Alignment (bytes) of AlignedVector storage; covers AVX-512 and every
 /// cache line on current targets.
@@ -126,24 +119,8 @@ struct KernelTable {
   /// Minimum of row[0..n); +infinity when n == 0.
   Value (*row_min)(const Value* row, std::size_t n);
 
-  /// LB_Keogh accumulation: sum of D_base-lb(v[i], [lo[i], up[i]]) with
-  /// canonical striped summation; abandons once a kLbBlock-boundary
-  /// partial sum exceeds `cap` (the partial is still a lower bound).
-  Value (*lb_keogh)(const Value* v, const Value* lo, const Value* up,
-                    std::size_t n, Value cap);
-  /// Same with a constant envelope (the unconstrained-warping case).
-  Value (*lb_keogh_const)(const Value* v, Value lo, Value up, std::size_t n,
-                          Value cap);
-  /// LB_Improved pass 1: accumulates like lb_keogh but also writes the
-  /// projection proj[i] = clamp(v[i], lo[i], up[i]). No early abandon —
-  /// the projection must be complete for pass 2.
-  Value (*lb_improved_pass1)(const Value* v, const Value* lo,
-                             const Value* up, Value* proj, std::size_t n);
-  Value (*lb_improved_pass1_const)(const Value* v, Value lo, Value up,
-                                   Value* proj, std::size_t n);
-
   /// dst[i] = src[i * stride]: one dimension of an interleaved
-  /// multivariate candidate (multivariate envelope cascade).
+  /// multivariate query (its per-dimension projections).
   void (*strided_gather)(const Value* src, std::size_t stride, Value* dst,
                          std::size_t n);
 
@@ -156,16 +133,6 @@ struct KernelTable {
   /// padded copy per extremum side). Requires band >= 1 and n >= 1.
   void (*banded_extrema)(const Value* seq, std::size_t n, std::size_t band,
                          Value* lower, Value* upper, Value* work);
-
-  /// Node-summary lower bound: sum_i min_k IntervalDist(q[i], lo[k], hi[k])
-  /// over `num_intervals` value hulls (the search driver passes at most
-  /// 6: prefix hull + subtree hull + up to 4 label-envelope segments).
-  /// Canonical dataflow is StripedSum over the per-element interval-min
-  /// (k ascending, MinPd semantics), so results are bitwise identical
-  /// across backends; early-abandons past `cap` at kLbBlock boundaries
-  /// (a partial sum is still a lower bound). Requires num_intervals >= 1.
-  Value (*summary_lb)(const Value* q, const Value* lo, const Value* hi,
-                      std::size_t num_intervals, std::size_t n, Value cap);
 };
 
 /// The active kernel table. First use resolves the backend: an explicit

@@ -61,15 +61,6 @@ inline Value ReduceMin(__m256d x) {
                    _mm_cvtsd_f64(_mm_unpackhi_pd(m, m)));
 }
 
-/// Canonical stripe combine: (s0 + s1) + (s2 + s3).
-inline Value CombineStripes(__m256d acc) {
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
-  const __m128d s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
-  return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
-}
-
 /// Base-distance generators: a 4-lane block at cell offset i plus the
 /// scalar form for the canonical sequential tail.
 struct ValueBase {
@@ -193,93 +184,6 @@ Value RowMin(const Value* row, std::size_t n) {
   return m;
 }
 
-/// Canonical striped accumulation (StripedSum) with vector stripes: lane l
-/// of `acc` is stripe l.
-template <typename TermVec, typename TermAt>
-Value Striped(std::size_t n, TermVec term_vec, TermAt term_at, Value cap) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {
-    acc = _mm256_add_pd(acc, term_vec(i));
-    if ((i + 4) % kLbBlock == 0) {
-      const Value partial = CombineStripes(acc);
-      if (partial > cap) return partial;
-    }
-  }
-  Value sum = CombineStripes(acc);
-  for (; i < n; ++i) sum += term_at(i);
-  return sum;
-}
-
-Value LbKeogh(const Value* v, const Value* lo, const Value* up, std::size_t n,
-              Value cap) {
-  const __m256d zero = _mm256_setzero_pd();
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const __m256d x = _mm256_loadu_pd(v + i);
-        const __m256d l = _mm256_loadu_pd(lo + i);
-        const __m256d u = _mm256_loadu_pd(up + i);
-        return _mm256_max_pd(
-            _mm256_max_pd(_mm256_sub_pd(x, u), _mm256_sub_pd(l, x)), zero);
-      },
-      [&](std::size_t i) { return in::IntervalDist(v[i], lo[i], up[i]); },
-      cap);
-}
-
-Value LbKeoghConst(const Value* v, Value lo, Value up, std::size_t n,
-                   Value cap) {
-  const IntervalBase b{v, lo, up, _mm256_set1_pd(lo), _mm256_set1_pd(up),
-                       _mm256_setzero_pd()};
-  return Striped(
-      n, [&](std::size_t i) { return b.Block(i); },
-      [&](std::size_t i) { return b.At(i); }, cap);
-}
-
-Value LbImprovedPass1(const Value* v, const Value* lo, const Value* up,
-                      Value* proj, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const __m256d x = _mm256_loadu_pd(v + i);
-        const __m256d l = _mm256_loadu_pd(lo + i);
-        const __m256d u = _mm256_loadu_pd(up + i);
-        _mm256_storeu_pd(proj + i,
-                         _mm256_min_pd(_mm256_max_pd(x, l), u));
-        return _mm256_max_pd(
-            _mm256_max_pd(_mm256_sub_pd(x, u), _mm256_sub_pd(l, x)), zero);
-      },
-      [&](std::size_t i) {
-        proj[i] = in::MinPd(in::MaxPd(v[i], lo[i]), up[i]);
-        return in::IntervalDist(v[i], lo[i], up[i]);
-      },
-      kInfinity);
-}
-
-Value LbImprovedPass1Const(const Value* v, Value lo, Value up, Value* proj,
-                           std::size_t n) {
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vup = _mm256_set1_pd(up);
-  const __m256d zero = _mm256_setzero_pd();
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const __m256d x = _mm256_loadu_pd(v + i);
-        _mm256_storeu_pd(proj + i,
-                         _mm256_min_pd(_mm256_max_pd(x, vlo), vup));
-        return _mm256_max_pd(
-            _mm256_max_pd(_mm256_sub_pd(x, vup), _mm256_sub_pd(vlo, x)),
-            zero);
-      },
-      [&](std::size_t i) {
-        proj[i] = in::MinPd(in::MaxPd(v[i], lo), up);
-        return in::IntervalDist(v[i], lo, up);
-      },
-      kInfinity);
-}
-
 void StridedGather(const Value* src, std::size_t stride, Value* dst,
                    std::size_t n) {
   // A plain copy (hardware gathers are not faster for this shape); the
@@ -313,36 +217,6 @@ void BandedExtrema(const Value* seq, std::size_t n, std::size_t band,
       });
 }
 
-Value SummaryLb(const Value* q, const Value* lo, const Value* hi,
-                std::size_t num_intervals, std::size_t n, Value cap) {
-  const __m256d zero = _mm256_setzero_pd();
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const __m256d x = _mm256_loadu_pd(q + i);
-        __m256d d = _mm256_max_pd(
-            _mm256_max_pd(_mm256_sub_pd(x, _mm256_set1_pd(hi[0])),
-                          _mm256_sub_pd(_mm256_set1_pd(lo[0]), x)),
-            zero);
-        for (std::size_t k = 1; k < num_intervals; ++k) {
-          const __m256d dk = _mm256_max_pd(
-              _mm256_max_pd(_mm256_sub_pd(x, _mm256_set1_pd(hi[k])),
-                            _mm256_sub_pd(_mm256_set1_pd(lo[k]), x)),
-              zero);
-          d = _mm256_min_pd(d, dk);
-        }
-        return d;
-      },
-      [&](std::size_t i) {
-        Value d = in::IntervalDist(q[i], lo[0], hi[0]);
-        for (std::size_t k = 1; k < num_intervals; ++k) {
-          d = in::MinPd(d, in::IntervalDist(q[i], lo[k], hi[k]));
-        }
-        return d;
-      },
-      cap);
-}
-
 constexpr KernelTable kTable = {
     "avx2",
     RowStepValue,
@@ -352,13 +226,8 @@ constexpr KernelTable kTable = {
     IntervalDistanceRow,
     MinPairRow,
     RowMin,
-    LbKeogh,
-    LbKeoghConst,
-    LbImprovedPass1,
-    LbImprovedPass1Const,
     StridedGather,
     BandedExtrema,
-    SummaryLb,
 };
 
 }  // namespace

@@ -177,34 +177,8 @@ inline Value RowStepGeneric(BaseAt base_at, const Value* prev, Value* row,
   return row_min;
 }
 
-/// Canonical striped accumulation: four stripe accumulators (stripe l sums
-/// elements with index = l mod 4) combined as (s0 + s1) + (s2 + s3), with
-/// the sub-multiple-of-4 tail added sequentially onto the combined sum.
-/// At every kLbBlock boundary the combined partial is tested against
-/// `cap`; exceeding it abandons, returning the partial (still a valid
-/// lower bound: all remaining terms are non-negative). Pass
-/// cap = kInfinity to disable abandoning.
-template <typename TermAt>
-inline Value StripedSum(std::size_t n, TermAt term_at, Value cap) {
-  Value acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc[0] += term_at(i);
-    acc[1] += term_at(i + 1);
-    acc[2] += term_at(i + 2);
-    acc[3] += term_at(i + 3);
-    if ((i + 4) % kLbBlock == 0) {
-      const Value partial = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-      if (partial > cap) return partial;
-    }
-  }
-  Value sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  for (std::size_t i = n4; i < n; ++i) sum += term_at(i);
-  return sum;
-}
-
-/// Canonical sliding-window extrema (the banded envelope of LB_Keogh /
-/// LB_Improved): for every data offset j in [0, n + band) computes
+/// Canonical sliding-window extrema (the banded query envelope of the
+/// running lower bound): for every data offset j in [0, n + band) computes
 ///
 ///   lower[j] = min seq[max(0, j-band) .. min(n-1, j+band)]
 ///   upper[j] = max seq[...same window...]

@@ -87,13 +87,6 @@ inline Value ReduceMin(V4 x) {
   return in::MinPd(vgetq_lane_f64(m, 0), vgetq_lane_f64(m, 1));
 }
 
-/// Canonical stripe combine: (s0 + s1) + (s2 + s3).
-inline Value CombineStripes(V4 acc) {
-  const Value s01 = vgetq_lane_f64(acc.lo, 0) + vgetq_lane_f64(acc.lo, 1);
-  const Value s23 = vgetq_lane_f64(acc.hi, 0) + vgetq_lane_f64(acc.hi, 1);
-  return s01 + s23;
-}
-
 struct ValueBase {
   const Value* q;
   Value v;
@@ -205,83 +198,6 @@ Value RowMin(const Value* row, std::size_t n) {
   return m;
 }
 
-/// Canonical striped accumulation with vector stripes.
-template <typename TermVec, typename TermAt>
-Value Striped(std::size_t n, TermVec term_vec, TermAt term_at, Value cap) {
-  V4 acc = Set1(0.0);
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {
-    acc = Add(acc, term_vec(i));
-    if ((i + 4) % kLbBlock == 0) {
-      const Value partial = CombineStripes(acc);
-      if (partial > cap) return partial;
-    }
-  }
-  Value sum = CombineStripes(acc);
-  for (; i < n; ++i) sum += term_at(i);
-  return sum;
-}
-
-Value LbKeogh(const Value* v, const Value* lo, const Value* up, std::size_t n,
-              Value cap) {
-  const V4 zero = Set1(0.0);
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const V4 x = Load(v + i);
-        return Max(Max(Sub(x, Load(up + i)), Sub(Load(lo + i), x)), zero);
-      },
-      [&](std::size_t i) { return in::IntervalDist(v[i], lo[i], up[i]); },
-      cap);
-}
-
-Value LbKeoghConst(const Value* v, Value lo, Value up, std::size_t n,
-                   Value cap) {
-  const IntervalBase b{v, lo, up, Set1(lo), Set1(up), Set1(0.0)};
-  return Striped(
-      n, [&](std::size_t i) { return b.Block(i); },
-      [&](std::size_t i) { return b.At(i); }, cap);
-}
-
-Value LbImprovedPass1(const Value* v, const Value* lo, const Value* up,
-                      Value* proj, std::size_t n) {
-  const V4 zero = Set1(0.0);
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const V4 x = Load(v + i);
-        const V4 l = Load(lo + i);
-        const V4 u = Load(up + i);
-        Store(proj + i, Min(Max(x, l), u));
-        return Max(Max(Sub(x, u), Sub(l, x)), zero);
-      },
-      [&](std::size_t i) {
-        proj[i] = in::MinPd(in::MaxPd(v[i], lo[i]), up[i]);
-        return in::IntervalDist(v[i], lo[i], up[i]);
-      },
-      kInfinity);
-}
-
-Value LbImprovedPass1Const(const Value* v, Value lo, Value up, Value* proj,
-                           std::size_t n) {
-  const V4 vlo = Set1(lo);
-  const V4 vup = Set1(up);
-  const V4 zero = Set1(0.0);
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const V4 x = Load(v + i);
-        Store(proj + i, Min(Max(x, vlo), vup));
-        return Max(Max(Sub(x, vup), Sub(vlo, x)), zero);
-      },
-      [&](std::size_t i) {
-        proj[i] = in::MinPd(in::MaxPd(v[i], lo), up);
-        return in::IntervalDist(v[i], lo, up);
-      },
-      kInfinity);
-}
-
 void StridedGather(const Value* src, std::size_t stride, Value* dst,
                    std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
@@ -312,31 +228,6 @@ void BandedExtrema(const Value* seq, std::size_t n, std::size_t band,
       });
 }
 
-Value SummaryLb(const Value* q, const Value* lo, const Value* hi,
-                std::size_t num_intervals, std::size_t n, Value cap) {
-  const V4 zero = Set1(0.0);
-  return Striped(
-      n,
-      [&](std::size_t i) {
-        const V4 x = Load(q + i);
-        V4 d = Max(Max(Sub(x, Set1(hi[0])), Sub(Set1(lo[0]), x)), zero);
-        for (std::size_t k = 1; k < num_intervals; ++k) {
-          const V4 dk =
-              Max(Max(Sub(x, Set1(hi[k])), Sub(Set1(lo[k]), x)), zero);
-          d = Min(d, dk);
-        }
-        return d;
-      },
-      [&](std::size_t i) {
-        Value d = in::IntervalDist(q[i], lo[0], hi[0]);
-        for (std::size_t k = 1; k < num_intervals; ++k) {
-          d = in::MinPd(d, in::IntervalDist(q[i], lo[k], hi[k]));
-        }
-        return d;
-      },
-      cap);
-}
-
 constexpr KernelTable kTable = {
     "neon",
     RowStepValue,
@@ -346,13 +237,8 @@ constexpr KernelTable kTable = {
     IntervalDistanceRow,
     MinPairRow,
     RowMin,
-    LbKeogh,
-    LbKeoghConst,
-    LbImprovedPass1,
-    LbImprovedPass1Const,
     StridedGather,
     BandedExtrema,
-    SummaryLb,
 };
 
 }  // namespace

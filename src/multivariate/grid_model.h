@@ -78,9 +78,6 @@ class MultiSuffix {
 class GridCellModel {
  public:
   static constexpr bool kExactRows = false;
-  // Node summaries describe scalar value hulls; grid cells are
-  // d-dimensional, so the multivariate index never builds them.
-  static constexpr bool kSupportsSummaries = false;
 
   /// `envelope` may be null (running bound disabled, the ablation
   /// setting). All pointers must outlive the model.

@@ -14,11 +14,9 @@ Value MultiBaseDistance(std::span<const Value> a, std::span<const Value> b) {
   return d;
 }
 
-namespace {
-
-bool RunTable(std::span<const Value> a, std::size_t a_len,
-              std::span<const Value> b, std::size_t b_len, std::size_t dim,
-              Value epsilon, bool thresholded, Value* distance, Pos band) {
+Value MultiDtwDistance(std::span<const Value> a, std::size_t a_len,
+                       std::span<const Value> b, std::size_t b_len,
+                       std::size_t dim, Pos band) {
   TSW_CHECK(a_len > 0 && b_len > 0);
   TSW_CHECK(a.size() == a_len * dim && b.size() == b_len * dim);
   dtw::WarpingTable table(a_len, band, b_len);
@@ -29,30 +27,8 @@ bool RunTable(std::span<const Value> a, std::size_t a_len,
           std::span<const Value>(a.data() + x * dim, dim),
           std::span<const Value>(elem, dim));
     });
-    if (thresholded && table.RowMin() > epsilon) return false;
   }
-  const Value d = table.LastColumn();
-  if (thresholded && d > epsilon) return false;
-  *distance = d;
-  return true;
-}
-
-}  // namespace
-
-Value MultiDtwDistance(std::span<const Value> a, std::size_t a_len,
-                       std::span<const Value> b, std::size_t b_len,
-                       std::size_t dim, Pos band) {
-  Value d = 0.0;
-  RunTable(a, a_len, b, b_len, dim, 0.0, /*thresholded=*/false, &d, band);
-  return d;
-}
-
-bool MultiDtwWithinThreshold(std::span<const Value> a, std::size_t a_len,
-                             std::span<const Value> b, std::size_t b_len,
-                             std::size_t dim, Value epsilon, Value* distance,
-                             Pos band) {
-  return RunTable(a, a_len, b, b_len, dim, epsilon, /*thresholded=*/true,
-                  distance, band);
+  return table.LastColumn();
 }
 
 }  // namespace tswarp::mv

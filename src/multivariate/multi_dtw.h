@@ -20,13 +20,6 @@ Value MultiDtwDistance(std::span<const Value> a, std::size_t a_len,
                        std::span<const Value> b, std::size_t b_len,
                        std::size_t dim, Pos band = 0);
 
-/// Thresholded variant with Theorem-1 early abandon; true iff the (banded)
-/// distance is <= epsilon (then *distance is set).
-bool MultiDtwWithinThreshold(std::span<const Value> a, std::size_t a_len,
-                             std::span<const Value> b, std::size_t b_len,
-                             std::size_t dim, Value epsilon, Value* distance,
-                             Pos band = 0);
-
 }  // namespace tswarp::mv
 
 #endif  // TSWARP_MULTIVARIATE_MULTI_DTW_H_

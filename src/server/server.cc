@@ -73,12 +73,9 @@ JsonValue StatsToJson(const core::SearchStats& s) {
   obj.Set("exact_dtw_calls", num(s.exact_dtw_calls));
   obj.Set("lb_invocations", num(s.lb_invocations));
   obj.Set("lb_pruned", num(s.lb_pruned));
-  obj.Set("nodes_pruned_by_summary", num(s.nodes_pruned_by_summary));
   obj.Set("nodes_visited", num(s.nodes_visited));
   obj.Set("replayed_rows", num(s.replayed_rows));
   obj.Set("rows_pushed", num(s.rows_pushed));
-  obj.Set("summary_lb_invocations", num(s.summary_lb_invocations));
-  obj.Set("steal_attempts", num(s.steal_attempts));
   obj.Set("tasks_executed", num(s.tasks_executed));
   obj.Set("tasks_stolen", num(s.tasks_stolen));
   obj.Set("unshared_rows", num(s.unshared_rows));
@@ -564,10 +561,9 @@ struct Server::Impl {
     if (!body.is_object()) {
       return fail("invalid_request", "body must be a JSON object");
     }
-    static constexpr std::array<std::string_view, 11> kKnown = {
-        "approx_factor", "band",    "deadline_ms",     "epsilon",
-        "include_stats", "k",       "prune",           "query",
-        "threads",       "use_lower_bound", "use_node_summaries",
+    static constexpr std::array<std::string_view, 9> kKnown = {
+        "band",  "deadline_ms", "epsilon", "include_stats",  "k",
+        "prune", "query",       "threads", "use_lower_bound",
     };
     for (const auto& [key, unused] : body.AsObject()) {
       if (std::find(kKnown.begin(), kKnown.end(), key) == kKnown.end()) {
@@ -639,20 +635,6 @@ struct Server::Impl {
                     "\"use_lower_bound\" must be a boolean");
       }
       job->opts.use_lower_bound = lb->AsBool();
-    }
-    if (const JsonValue* sums = body.Find("use_node_summaries")) {
-      if (!sums->is_bool()) {
-        return fail("invalid_request",
-                    "\"use_node_summaries\" must be a boolean");
-      }
-      job->opts.use_node_summaries = sums->AsBool();
-    }
-    if (const JsonValue* factor = body.Find("approx_factor")) {
-      if (!factor->is_number() || factor->AsNumber() < 1.0) {
-        return fail("invalid_approx_factor",
-                    "\"approx_factor\" must be a number >= 1 (1 = exact)");
-      }
-      job->opts.approx_factor = factor->AsNumber();
     }
     if (const JsonValue* with_stats = body.Find("include_stats")) {
       if (!with_stats->is_bool()) {
@@ -759,8 +741,6 @@ struct Server::Impl {
       t.Set("index_bytes", num(tier->info.index_bytes));
       t.Set("on_disk", JsonValue::MakeBool(tier->info.on_disk));
       t.Set("memtable", JsonValue::MakeBool(tier->info.memtable));
-      t.Set("has_summaries",
-            JsonValue::MakeBool(tier->info.has_summaries));
       if (tier->info.on_disk) {
         t.Set("io_mode", JsonValue::MakeString(
                              storage::IoModeToString(tier->info.io_mode)));
@@ -841,9 +821,7 @@ struct Server::Impl {
         for (std::vector<JobPtr>& group : groups) {
           const core::QueryOptions& o = group.front()->opts;
           if (o.band == job->opts.band && o.prune == job->opts.prune &&
-              o.use_lower_bound == job->opts.use_lower_bound &&
-              o.use_node_summaries == job->opts.use_node_summaries &&
-              o.approx_factor == job->opts.approx_factor) {
+              o.use_lower_bound == job->opts.use_lower_bound) {
             group.push_back(std::move(job));
             placed = true;
             break;

@@ -56,8 +56,6 @@ constexpr std::uint32_t kRecordAlignment = 64;
 static_assert(kRecordAlignment % sizeof(NodeRecord) == 0);
 static_assert(kRecordAlignment % sizeof(OccRecord) == 0);
 static_assert(kRecordAlignment % sizeof(Symbol) == 0);
-static_assert(kRecordAlignment % sizeof(NodeSummaryRecord) == 0);
-static_assert(storage::PagedFile::kPageSize % sizeof(NodeSummaryRecord) == 0);
 
 // v1 meta page: just this record. The v2 page appends the section table.
 struct MetaRecord {
@@ -78,12 +76,12 @@ enum RegionId : std::uint32_t {
   kRegionNodes = 0,
   kRegionOccs = 1,
   kRegionLabels = 2,
-  // Optional trailing section (node summaries). A 3-section bundle is a
-  // plain v2 bundle; a 4-section bundle additionally carries `.sums`.
-  kRegionSummaries = 3,
 };
 constexpr std::uint32_t kNumSections = 3;
-constexpr std::uint32_t kMaxSections = 4;
+// Bundles written while the node-summary screen existed may announce a
+// fourth, trailing section (`.sums`). Readers accept the table and ignore
+// that section; writers never produce it.
+constexpr std::uint32_t kLegacySections = 4;
 
 struct SectionEntry {
   std::uint32_t region;       // RegionId
@@ -95,7 +93,7 @@ static_assert(sizeof(SectionEntry) == 24);
 
 constexpr std::size_t kSectionTableOffset = sizeof(MetaRecord);
 static_assert(kSectionTableOffset + 2 * sizeof(std::uint32_t) +
-                  kMaxSections * sizeof(SectionEntry) <=
+                  kLegacySections * sizeof(SectionEntry) <=
               storage::PagedFile::kPageSize);
 
 std::string NodesPath(const std::string& base) { return base + ".nodes"; }
@@ -114,7 +112,6 @@ struct ParsedMeta {
   std::uint64_t num_nodes;
   std::uint64_t num_occs;
   std::uint64_t num_label_symbols;
-  bool has_summaries = false;
 };
 
 StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
@@ -135,7 +132,6 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
   if (meta.finalized != 1) {
     return Status::Corruption("unreadable tree bundle " + base_path);
   }
-  bool has_summaries = false;
   if (meta.version == kMetaVersionV2) {
     std::size_t off = kSectionTableOffset;
     std::uint32_t section_count = 0;
@@ -144,21 +140,19 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
     off += sizeof(section_count);
     std::memcpy(&alignment, page.data() + off, sizeof(alignment));
     off += sizeof(alignment);
-    // The summary section is optional: 3 sections is a plain v2 bundle,
-    // 4 announces a trailing node-summary region. Anything else is not a
-    // bundle this build can describe.
-    if ((section_count != kNumSections && section_count != kMaxSections) ||
+    // 3 sections is a v2 bundle; 4 is a legacy bundle that also carries
+    // `.sums`, whose entry is not read. Anything else is not a bundle
+    // this build can describe.
+    if ((section_count != kNumSections && section_count != kLegacySections) ||
         alignment != kRecordAlignment) {
       return Status::Corruption("bad section table header in " +
                                 MetaPath(base_path));
     }
-    const std::uint64_t expect_count[kMaxSections] = {
-        meta.num_nodes, meta.num_occs, meta.num_label_symbols,
-        meta.num_nodes};
-    const std::uint32_t expect_size[kMaxSections] = {
-        sizeof(NodeRecord), sizeof(OccRecord), sizeof(Symbol),
-        sizeof(NodeSummaryRecord)};
-    for (std::uint32_t i = 0; i < section_count; ++i) {
+    const std::uint64_t expect_count[kNumSections] = {
+        meta.num_nodes, meta.num_occs, meta.num_label_symbols};
+    const std::uint32_t expect_size[kNumSections] = {
+        sizeof(NodeRecord), sizeof(OccRecord), sizeof(Symbol)};
+    for (std::uint32_t i = 0; i < kNumSections; ++i) {
       SectionEntry entry;
       std::memcpy(&entry, page.data() + off, sizeof(entry));
       off += sizeof(entry);
@@ -170,10 +164,9 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
                                   MetaPath(base_path));
       }
     }
-    has_summaries = section_count == kMaxSections;
   }
   return ParsedMeta{meta.version, meta.num_nodes, meta.num_occs,
-                    meta.num_label_symbols, has_summaries};
+                    meta.num_label_symbols};
 }
 
 /// Zero-copy access to fixed-size records of one region. Get() pins the
@@ -375,9 +368,6 @@ class TreeAccess {
   virtual storage::EvictionPolicyKind pool_eviction() const = 0;
   virtual std::uint64_t MappedBytes() const = 0;
   virtual std::uint64_t ResidentBytes() const = 0;
-  /// Records of the bundle's summary section; empty when absent or not
-  /// loaded. Stable for the backend's lifetime.
-  virtual std::span<const NodeSummaryRecord> NodeSummaries() const = 0;
 };
 
 }  // namespace internal
@@ -395,13 +385,6 @@ class BufferedTreeAccess : public internal::TreeAccess {
       const ParsedMeta& meta) {
     auto access = std::unique_ptr<BufferedTreeAccess>(new BufferedTreeAccess);
     access->readahead_pages_ = options.readahead_pages;
-    if (meta.has_summaries && options.load_node_summaries) {
-      access->summaries_.resize(static_cast<std::size_t>(meta.num_nodes));
-      TSW_RETURN_IF_ERROR(ReadRegionFile(
-          SumsPath(base_path), std::as_writable_bytes(std::span(
-                                   access->summaries_)),
-          "summary"));
-    }
     access->text_.resize(static_cast<std::size_t>(meta.num_label_symbols));
     TSW_RETURN_IF_ERROR(ReadRegionFile(
         LabelsPath(base_path),
@@ -494,20 +477,13 @@ class BufferedTreeAccess : public internal::TreeAccess {
   std::uint64_t MappedBytes() const override { return 0; }
   std::uint64_t ResidentBytes() const override { return 0; }
 
-  std::span<const NodeSummaryRecord> NodeSummaries() const override {
-    return summaries_;
-  }
-
  private:
   BufferedTreeAccess() = default;
 
   std::size_t readahead_pages_ = 0;
-  // Summaries are consulted on every edge of every query, and labels on
-  // every edge, so the buffered path reads both sections into owned arrays
-  // at Open (64 B/node and 4 B/text symbol) instead of pinning pages per
-  // probe. These are the deliberate exceptions to the bounded-pool
-  // promise; open with load_node_summaries=false to drop the larger one.
-  std::vector<NodeSummaryRecord> summaries_;
+  // Labels are read on every edge, so the buffered path reads the text
+  // into an owned array at Open (4 B/text symbol) instead of pinning
+  // pages per probe: the deliberate exception to the bounded-pool promise.
   std::vector<Symbol> text_;
   std::unique_ptr<storage::PagedFile> node_file_;
   std::unique_ptr<storage::PagedFile> occ_file_;
@@ -527,8 +503,7 @@ class BufferedTreeAccess : public internal::TreeAccess {
 class MappedTreeAccess : public internal::TreeAccess {
  public:
   static StatusOr<std::unique_ptr<internal::TreeAccess>> Open(
-      const std::string& base_path, const ParsedMeta& meta,
-      bool load_summaries) {
+      const std::string& base_path, const ParsedMeta& meta) {
     auto access = std::unique_ptr<MappedTreeAccess>(new MappedTreeAccess);
     TSW_ASSIGN_OR_RETURN(access->nodes_file_,
                          storage::MappedFile::Open(NodesPath(base_path)));
@@ -551,19 +526,6 @@ class MappedTreeAccess : public internal::TreeAccess {
     access->text_ = std::span<const Symbol>(
         reinterpret_cast<const Symbol*>(labels.data()),
         static_cast<std::size_t>(meta.num_label_symbols));
-    if (meta.has_summaries && load_summaries) {
-      // The summary section maps like any other region: extents are
-      // validated before any pointer is handed out, so a truncated
-      // `.sums` is a clean Corruption here, never a SIGBUS mid-query.
-      TSW_ASSIGN_OR_RETURN(access->sums_file_,
-                           storage::MappedFile::Open(SumsPath(base_path)));
-      TSW_ASSIGN_OR_RETURN(
-          access->sums_,
-          storage::MappedRegion::Create(access->sums_file_,
-                                        sizeof(NodeSummaryRecord),
-                                        meta.num_nodes, "sums"));
-      access->sums_file_.Advise(storage::AccessHint::kWillNeed);
-    }
     // Kick off asynchronous population of the whole bundle; queries that
     // arrive before it completes just fault their pages on demand.
     access->nodes_file_.Advise(storage::AccessHint::kWillNeed);
@@ -627,18 +589,12 @@ class MappedTreeAccess : public internal::TreeAccess {
 
   std::uint64_t MappedBytes() const override {
     return nodes_file_.size_bytes() + occs_file_.size_bytes() +
-           labels_file_.size_bytes() + sums_file_.size_bytes();
+           labels_file_.size_bytes();
   }
 
   std::uint64_t ResidentBytes() const override {
     return nodes_file_.ResidentBytes() + occs_file_.ResidentBytes() +
-           labels_file_.ResidentBytes() + sums_file_.ResidentBytes();
-  }
-
-  std::span<const NodeSummaryRecord> NodeSummaries() const override {
-    if (sums_.record_count() == 0) return {};
-    return {reinterpret_cast<const NodeSummaryRecord*>(sums_.data()),
-            static_cast<std::size_t>(sums_.record_count())};
+           labels_file_.ResidentBytes();
   }
 
  private:
@@ -651,10 +607,8 @@ class MappedTreeAccess : public internal::TreeAccess {
   storage::MappedFile nodes_file_;
   storage::MappedFile occs_file_;
   storage::MappedFile labels_file_;
-  storage::MappedFile sums_file_;
   storage::MappedRegion nodes_;
   storage::MappedRegion occs_;
-  storage::MappedRegion sums_;
   std::span<const Symbol> text_;
 };
 
@@ -892,7 +846,7 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   if (options.io_mode == storage::IoMode::kMmap) {
     TSW_ASSIGN_OR_RETURN(
         tree->access_,
-        MappedTreeAccess::Open(base_path, meta, options.load_node_summaries));
+        MappedTreeAccess::Open(base_path, meta));
   } else {
     TSW_ASSIGN_OR_RETURN(tree->access_,
                          BufferedTreeAccess::Open(base_path, options, meta));
@@ -901,10 +855,6 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   TSW_ASSIGN_OR_RETURN(tree->materialized_label_symbols_,
                        tree->access_->Validate(base_path, meta));
   return tree;
-}
-
-std::span<const NodeSummaryRecord> DiskSuffixTree::node_summaries() const {
-  return access_->NodeSummaries();
 }
 
 void DiskSuffixTree::GetChildren(NodeId node, Children* out) const {
@@ -965,44 +915,6 @@ Status WriteTreeToDisk(const TreeView& view, const std::string& base_path,
                        DiskTreeWriter::Create(base_path, options));
   CopyTree(view, writer.get());
   return writer->Close();
-}
-
-Status AttachNodeSummaries(const std::string& base_path,
-                           std::span<const NodeSummaryRecord> records) {
-  TSW_ASSIGN_OR_RETURN(const ParsedMeta meta, ReadMeta(base_path));
-  if (meta.version < kMetaVersionV2) {
-    return Status::InvalidArgument(
-        "bundle " + base_path + " is format v" + std::to_string(meta.version) +
-        ": node summaries need the v2 section table");
-  }
-  if (records.size() != meta.num_nodes) {
-    return Status::InvalidArgument(
-        "summary count " + std::to_string(records.size()) +
-        " != node count " + std::to_string(meta.num_nodes) + " of " +
-        base_path);
-  }
-  // Write and sync the section data before announcing it in the meta
-  // page: a crash in between leaves a 3-section meta plus an
-  // unreferenced .sums file, which reopens cleanly without summaries.
-  TSW_RETURN_IF_ERROR(
-      WriteRegionFile(SumsPath(base_path), std::as_bytes(records)));
-  TSW_ASSIGN_OR_RETURN(auto meta_file,
-                       storage::PagedFile::Open(MetaPath(base_path), true));
-  std::vector<std::byte> page(storage::PagedFile::kPageSize);
-  TSW_RETURN_IF_ERROR(meta_file.ReadPage(0, page));
-  // ReadMeta validated the first three entries and the alignment header;
-  // only the count and the trailing entry change.
-  std::size_t off = kSectionTableOffset;
-  const std::uint32_t section_count = kMaxSections;
-  std::memcpy(page.data() + off, &section_count, sizeof(section_count));
-  off += 2 * sizeof(std::uint32_t) + kNumSections * sizeof(SectionEntry);
-  const SectionEntry entry{
-      kRegionSummaries, static_cast<std::uint32_t>(sizeof(NodeSummaryRecord)),
-      meta.num_nodes, meta.num_nodes * sizeof(NodeSummaryRecord)};
-  std::memcpy(page.data() + off, &entry, sizeof(entry));
-  TSW_RETURN_IF_ERROR(meta_file.WritePage(0, page));
-  TSW_RETURN_IF_ERROR(meta_file.Sync());
-  return storage::SyncDir(ParentDir(base_path));
 }
 
 void RemoveDiskTree(const std::string& base_path) {

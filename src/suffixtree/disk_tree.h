@@ -10,7 +10,6 @@
 #include "storage/buffer_manager.h"
 #include "storage/mmap_file.h"
 #include "storage/paged_file.h"
-#include "suffixtree/node_summary.h"
 #include "suffixtree/suffix_tree.h"
 #include "suffixtree/symbol_database.h"
 #include "suffixtree/tree_view.h"
@@ -24,16 +23,16 @@ class TreeAccess;  // Pluggable node-access backend (buffered or mmap).
 class DiskSuffixTree;
 struct DiskBuildOptions;
 
-/// A disk-resident suffix tree is a bundle of four files, plus an
-/// optional fifth:
+/// A disk-resident suffix tree is a bundle of four files:
 ///   <base>.meta    counts + magic + v2 section table
 ///   <base>.nodes   fixed 32-byte node records
 ///   <base>.occs    fixed 16-byte occurrence records
 ///   <base>.labels  the tree's symbol text (4 bytes per symbol); node
 ///                  records reference their edge labels in it by
 ///                  (label_offset, label_len)
-///   <base>.sums    fixed 64-byte node-summary records (optional; v2
-///                  only, announced by a 4th section-table entry)
+/// Bundles written before the node-summary screen was removed may also
+/// carry a fifth file, <base>.sums, announced by a 4th section-table
+/// entry; Open ignores it and RemoveDiskTree still deletes it.
 /// The bundle is relocatable: records reference each other by index only
 /// (no absolute offsets or embedded paths), so the files can be moved or
 /// renamed together freely. Open validates every node and occurrence
@@ -71,13 +70,6 @@ struct DiskTreeOptions {
   /// (mmap is read-only). Library default is buffered for compatibility;
   /// core::IndexOptions defaults to mmap for finalized bundles.
   storage::IoMode io_mode = storage::IoMode::kBuffered;
-
-  /// Whether Open serves the bundle's node-summary section when present
-  /// (mmap: mapped like any region; buffered: loaded eagerly as a flat
-  /// sidecar array — summaries are consulted per edge, so they bypass
-  /// the page pool). Bundles without the section always open fine and
-  /// simply expose an empty span.
-  bool load_node_summaries = true;
 
   storage::BufferManagerOptions ToManagerOptions() const;
 };
@@ -216,12 +208,6 @@ class DiskSuffixTree : public TreeView {
   /// On-disk format version of the bundle (1 or 2).
   std::uint32_t format_version() const { return format_version_; }
 
-  /// Node-summary records of the bundle's optional summary section,
-  /// indexed by NodeId. Empty when the bundle has no section or Open was
-  /// told not to load it. Valid for the tree's lifetime (mmap: a view
-  /// into the mapping; buffered: an owned copy read at Open).
-  std::span<const NodeSummaryRecord> node_summaries() const;
-
  private:
   DiskSuffixTree() = default;
 
@@ -240,15 +226,8 @@ class DiskSuffixTree : public TreeView {
 Status WriteTreeToDisk(const TreeView& view, const std::string& base_path,
                        DiskTreeOptions options = {});
 
-/// Adds (or replaces) the node-summary section of a finalized v2 bundle:
-/// writes `<base>.sums` and rewrites the meta page's section table to
-/// announce it. `records.size()` must equal the bundle's node count.
-/// Open handles on the bundle do not observe the new section; reopen to
-/// serve it. v1 bundles are rejected (no section table to extend).
-Status AttachNodeSummaries(const std::string& base_path,
-                           std::span<const NodeSummaryRecord> records);
-
-/// Deletes the files of a disk tree bundle (best-effort).
+/// Deletes the files of a disk tree bundle, a legacy `.sums` file
+/// included (best-effort).
 void RemoveDiskTree(const std::string& base_path);
 
 /// Build configuration for the batched, merge-based disk construction

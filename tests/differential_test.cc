@@ -1,10 +1,11 @@
 // Randomized differential-testing harness for the envelope lower-bound
-// fast path. Two claims are exercised with seeded random cases:
+// fast path. These claims are exercised with seeded random cases:
 //
-//  1. The bound chain LB_Keogh <= LB_Improved <= D_tw holds for every
-//     (query, candidate, band) — the exactness precondition of the whole
-//     cascade — and the prefix-abandoning exact kernel agrees with the
-//     plain one on membership and distance.
+//  1. The running bound of the per-start scan (endpoint cost plus the
+//     envelope's per-element terms) never exceeds D_tw for any (query,
+//     candidate, band) — the exactness precondition of the whole cascade —
+//     and the scan under that bound agrees with the plain kernel on
+//     membership and distance.
 //  2. The fast-path searches (envelope cascade on, the default) return
 //     byte-identical Match sets to the unfiltered engine for range and
 //     k-NN queries, serial and multi-threaded, across all index kinds and
@@ -25,12 +26,6 @@
 //     index kinds, thread counts, range and k-NN, monolithic and tiered —
 //     and the format gate holds: v1 bundles still open buffered but the
 //     mmap path refuses them with Status::Corruption.
-//  8. The node-summary screen (subtree hulls tested before descending an
-//     edge) is byte-identical to searches with the screen disabled at
-//     approx_factor 1.0 — across index kinds, memory/disk/tiered,
-//     thread counts, range and k-NN, and bands — and any approx_factor
-//     greater than 1 returns a subset of the exact answer with exact
-//     (unperturbed) distances.
 //
 // Sequences mix three adversarial shapes: Gaussian random walks, spike
 // trains (flat with rare large jumps — stresses the envelope edges), and
@@ -54,6 +49,7 @@
 #include "core/seq_scan.h"
 #include "core/tier.h"
 #include "core/tiered_index.h"
+#include "dtw/base.h"
 #include "dtw/dtw.h"
 #include "dtw/envelope.h"
 #include "dtw/simd.h"
@@ -129,7 +125,6 @@ void ExpectByteIdentical(const std::vector<Match>& expected,
 
 TEST(DifferentialTest, BoundChainHoldsOnRandomCases) {
   constexpr int kCases = 1200;
-  dtw::EnvelopeScratch scratch;
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     Rng rng(seed);
     const std::size_t qlen =
@@ -142,14 +137,15 @@ TEST(DifferentialTest, BoundChainHoldsOnRandomCases) {
     const Pos band = kBands[static_cast<std::size_t>(rng.UniformInt(0, 4))];
 
     const dtw::QueryEnvelope env(q, band);
-    const Value keogh = dtw::LbKeogh(env, s);
-    const Value improved = dtw::LbImproved(env, q, s, kInfinity, &scratch);
     const Value exact = band == 0 ? dtw::DtwDistance(q, s)
                                   : dtw::DtwDistanceBanded(q, s, band);
-    ASSERT_LE(keogh, improved + 1e-9)
-        << "LB_Keogh > LB_Improved, seed=" << seed << " band=" << band;
-    ASSERT_LE(improved, exact + 1e-9)
-        << "LB_Improved > D_tw, seed=" << seed << " band=" << band
+    // The full-length candidate's running bound: S[0] meets Q[0] in the
+    // path's start cell, and every later element pays at least its
+    // envelope distance.
+    Value bound = dtw::BaseDistance(q.front(), s.front());
+    for (std::size_t k = 1; k < slen; ++k) bound += env.ElementLb(k, s[k]);
+    ASSERT_LE(bound, exact + 1e-9)
+        << "running bound > D_tw, seed=" << seed << " band=" << band
         << " |Q|=" << qlen << " |S|=" << slen;
 
     // The per-start scan under the running bound must agree with the
@@ -870,31 +866,26 @@ TEST(DifferentialTest, SubtreeResolutionByteIdenticalToSeqScan) {
       const auto snapshot = (*tiered)->Snapshot();
       ASSERT_GE(snapshot->tiers().size(), 2u);
 
-      for (const bool summaries : {true, false}) {
-        for (const std::size_t threads : {0u, 1u, 4u}) {
-          QueryOptions qo;
-          qo.num_threads = threads;
-          qo.use_node_summaries = summaries;
-          const std::string ctx =
-              std::string(core::IndexKindToString(kind)) +
-              " c=" + std::to_string(categories) +
-              " seed=" + std::to_string(seed) +
-              " summaries=" + std::to_string(summaries) +
-              " threads=" + std::to_string(threads);
-          for (const bool is_tiered : {false, true}) {
-            const std::string where =
-                (is_tiered ? "tiered " : "monolithic ") + ctx;
-            const std::vector<Match> range =
-                is_tiered ? snapshot->Search(q, eps, qo)
-                          : monolithic->Search(q, eps, qo);
-            ExpectNoDuplicates(range, "range " + where);
-            ExpectByteIdentical(reference, range, "range " + where);
-            const std::vector<Match> knn =
-                is_tiered ? snapshot->SearchKnn(q, kK, qo)
-                          : monolithic->SearchKnn(q, kK, qo);
-            ExpectNoDuplicates(knn, "knn " + where);
-            ExpectByteIdentical(knn_reference, knn, "knn " + where);
-          }
+      for (const std::size_t threads : {0u, 1u, 4u}) {
+        QueryOptions qo;
+        qo.num_threads = threads;
+        const std::string ctx = std::string(core::IndexKindToString(kind)) +
+                                " c=" + std::to_string(categories) +
+                                " seed=" + std::to_string(seed) +
+                                " threads=" + std::to_string(threads);
+        for (const bool is_tiered : {false, true}) {
+          const std::string where =
+              (is_tiered ? "tiered " : "monolithic ") + ctx;
+          const std::vector<Match> range =
+              is_tiered ? snapshot->Search(q, eps, qo)
+                        : monolithic->Search(q, eps, qo);
+          ExpectNoDuplicates(range, "range " + where);
+          ExpectByteIdentical(reference, range, "range " + where);
+          const std::vector<Match> knn =
+              is_tiered ? snapshot->SearchKnn(q, kK, qo)
+                        : monolithic->SearchKnn(q, kK, qo);
+          ExpectNoDuplicates(knn, "knn " + where);
+          ExpectByteIdentical(knn_reference, knn, "knn " + where);
         }
       }
     }
@@ -1181,279 +1172,6 @@ TEST(DifferentialTest, V1BundleVersionGate) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
       << refused.status().ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Claim 8: the node-summary screen never changes the answer at
-// approx_factor 1.0, and factors > 1 trade a subset answer for pruning.
-// ---------------------------------------------------------------------------
-
-/// Every match in `subset` must appear in `superset` with the same
-/// (seq, start, len) and exactly the same distance double — the approx
-/// dial may drop matches but never invent or perturb one.
-void ExpectSubsetWithExactDistances(const std::vector<Match>& superset,
-                                    const std::vector<Match>& subset,
-                                    const std::string& context) {
-  ASSERT_LE(subset.size(), superset.size()) << context;
-  for (const Match& m : subset) {
-    bool found = false;
-    for (const Match& ref : superset) {
-      if (ref.seq == m.seq && ref.start == m.start && ref.len == m.len) {
-        EXPECT_EQ(ref.distance, m.distance)
-            << context << " at (" << m.seq << "," << m.start << ","
-            << m.len << ")";
-        found = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(found) << context << ": approx match (" << m.seq << ","
-                       << m.start << "," << m.len
-                       << ") not in the exact answer";
-  }
-}
-
-TEST(DifferentialTest, SummaryScreenByteIdenticalAcrossEngines) {
-  // Also proves the screen is live, not vacuously identical: across the
-  // sweep it must have screened edges and pruned at least one subtree.
-  std::uint64_t total_invocations = 0;
-  std::uint64_t total_pruned = 0;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const seqdb::SequenceDatabase db = RandomDb(300 + seed);
-    Rng rng(11000 + seed);
-    const std::vector<Value> q = RandomShape(
-        &rng, static_cast<std::size_t>(rng.UniformInt(2, 10)), seed);
-    const Value eps = rng.Uniform(0.5, 12.0);
-
-    for (const IndexKind kind : {IndexKind::kSuffixTree,
-                                 IndexKind::kCategorized,
-                                 IndexKind::kSparse}) {
-      IndexOptions options;
-      options.kind = kind;
-      options.num_categories = 8;
-      auto index = Index::Build(&db, options);
-      ASSERT_TRUE(index.ok()) << index.status().ToString();
-
-      QueryOptions off;
-      off.use_node_summaries = false;
-      const std::vector<Match> reference = index->Search(q, eps, off);
-      const std::vector<Match> knn_reference = index->SearchKnn(q, 7, off);
-      for (const std::size_t threads : {0u, 2u, 3u}) {
-        QueryOptions on;  // Summaries default on at factor 1.0.
-        on.num_threads = threads;
-        core::SearchStats stats;
-        const std::string ctx = std::string(core::IndexKindToString(kind)) +
-                                " seed=" + std::to_string(seed) +
-                                " threads=" + std::to_string(threads);
-        ExpectByteIdentical(reference, index->Search(q, eps, on, &stats),
-                            "summary range " + ctx);
-        ExpectByteIdentical(knn_reference, index->SearchKnn(q, 7, on),
-                            "summary knn " + ctx);
-        total_invocations += stats.summary_lb_invocations;
-        total_pruned += stats.nodes_pruned_by_summary;
-      }
-    }
-  }
-  EXPECT_GT(total_invocations, 0u);
-  EXPECT_GT(total_pruned, 0u);
-}
-
-TEST(DifferentialTest, SummaryScreenBandedByteIdentical) {
-  // Under a band the screen adds the length pre-check (subtree too short
-  // for any legal banded path); both legs must still be exact.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const seqdb::SequenceDatabase db = RandomDb(350 + seed);
-    Rng rng(12000 + seed);
-    const std::vector<Value> q = RandomShape(
-        &rng, static_cast<std::size_t>(rng.UniformInt(3, 10)), seed);
-    const Value eps = rng.Uniform(0.5, 8.0);
-    IndexOptions options;
-    options.kind = IndexKind::kCategorized;
-    options.num_categories = 8;
-    auto index = Index::Build(&db, options);
-    ASSERT_TRUE(index.ok());
-    for (const Pos band : {1u, 2u, 4u}) {
-      QueryOptions off;
-      off.band = band;
-      off.use_node_summaries = false;
-      QueryOptions on;
-      on.band = band;
-      const std::string ctx = "seed=" + std::to_string(seed) +
-                              " band=" + std::to_string(band);
-      ExpectByteIdentical(index->Search(q, eps, off),
-                          index->Search(q, eps, on),
-                          "summary banded range " + ctx);
-      ExpectByteIdentical(index->SearchKnn(q, 5, off),
-                          index->SearchKnn(q, 5, on),
-                          "summary banded knn " + ctx);
-    }
-  }
-}
-
-TEST(DifferentialTest, SummaryScreenDiskAndTieredByteIdentical) {
-  // The persisted summary section (v2 4th section, both io modes) and the
-  // tiered stack (memory summaries on sealed tiers, attached sections on
-  // merged disk tiers, none on the memtable) must all stay exact.
-  const TieredCase c = MakeTieredCase(23);
-  for (const IndexKind kind : {IndexKind::kSuffixTree,
-                               IndexKind::kCategorized,
-                               IndexKind::kSparse}) {
-    const std::string kind_name = core::IndexKindToString(kind);
-    IndexOptions build;
-    build.kind = kind;
-    build.num_categories = 8;
-    build.disk_path = testing::TempDir() + "/diff_sums_disk_" + kind_name;
-    build.disk_batch_sequences = 4;
-    build.disk_io_mode = storage::IoMode::kBuffered;
-    build.disk_pool_pages = 2;
-    auto built = Index::Build(&c.full_db, build);
-    ASSERT_TRUE(built.ok()) << kind_name << ": " << built.status().ToString();
-
-    QueryOptions off;
-    off.use_node_summaries = false;
-    const std::vector<Match> reference = built->Search(c.q, c.eps, off);
-    const std::vector<Match> knn_reference =
-        built->SearchKnn(c.q, 7, off);
-
-    for (const storage::IoMode io :
-         {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-      IndexOptions reopen = build;
-      reopen.disk_io_mode = io;
-      auto index = Index::Open(&c.full_db, reopen);
-      ASSERT_TRUE(index.ok()) << kind_name << ": "
-                              << index.status().ToString();
-      for (const std::size_t threads : {0u, 4u}) {
-        QueryOptions on;
-        on.num_threads = threads;
-        core::SearchStats stats;
-        const std::string ctx = kind_name + " io=" +
-                                storage::IoModeToString(io) + " threads=" +
-                                std::to_string(threads);
-        ExpectByteIdentical(reference,
-                            index->Search(c.q, c.eps, on, &stats),
-                            "disk summary range " + ctx);
-        ExpectByteIdentical(knn_reference,
-                            index->SearchKnn(c.q, 7, on),
-                            "disk summary knn " + ctx);
-        if (threads == 0) {
-          EXPECT_GT(stats.summary_lb_invocations, 0u) << ctx;
-        }
-      }
-    }
-
-    // Tiered: base tier + appends through seal/merge, memory and disk.
-    for (const bool on_disk : {false, true}) {
-      core::TieredOptions tiered_options;
-      tiered_options.index.kind = kind;
-      tiered_options.index.num_categories = 8;
-      if (on_disk) {
-        tiered_options.index.disk_path =
-            testing::TempDir() + "/diff_sums_tiered_" + kind_name;
-        tiered_options.index.disk_batch_sequences = 4;
-      }
-      tiered_options.memtable_max_sequences = 2;
-      tiered_options.max_sealed_tiers = 2;
-      tiered_options.merge_in_background = false;
-      auto tiered = core::TieredIndex::Create(&c.base_db, tiered_options);
-      ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
-      for (std::size_t i = c.base_count; i < c.data.size(); ++i) {
-        ASSERT_TRUE((*tiered)->Append(c.data[i]).ok());
-      }
-      const auto snapshot = (*tiered)->Snapshot();
-      const std::vector<Match> tiered_reference =
-          snapshot->Search(c.q, c.eps, off);
-      const std::vector<Match> tiered_knn_reference =
-          snapshot->SearchKnn(c.q, 7, off);
-      ExpectByteIdentical(reference, tiered_reference,
-                          "tiered summary-off baseline " + kind_name);
-      for (const std::size_t threads : {0u, 4u}) {
-        QueryOptions on;
-        on.num_threads = threads;
-        const std::string ctx = kind_name +
-                                (on_disk ? " disk" : " memory") +
-                                " threads=" + std::to_string(threads);
-        ExpectByteIdentical(tiered_reference,
-                            snapshot->Search(c.q, c.eps, on),
-                            "tiered summary range " + ctx);
-        ExpectByteIdentical(tiered_knn_reference,
-                            snapshot->SearchKnn(c.q, 7, on),
-                            "tiered summary knn " + ctx);
-      }
-    }
-  }
-}
-
-TEST(DifferentialTest, ApproxFactorReturnsSubsetWithExactDistances) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const seqdb::SequenceDatabase db = RandomDb(400 + seed);
-    Rng rng(13000 + seed);
-    const std::vector<Value> q = RandomShape(
-        &rng, static_cast<std::size_t>(rng.UniformInt(2, 10)), seed);
-    const Value eps = rng.Uniform(1.0, 12.0);
-    for (const IndexKind kind : {IndexKind::kSuffixTree,
-                                 IndexKind::kCategorized,
-                                 IndexKind::kSparse}) {
-      IndexOptions options;
-      options.kind = kind;
-      options.num_categories = 8;
-      auto index = Index::Build(&db, options);
-      ASSERT_TRUE(index.ok());
-      const std::vector<Match> exact = index->Search(q, eps);
-      const std::vector<Match> everything = index->Search(q, kInfinity);
-      for (const Value factor : {1.5, 4.0}) {
-        QueryOptions approx;
-        approx.approx_factor = factor;
-        const std::string ctx = std::string(core::IndexKindToString(kind)) +
-                                " seed=" + std::to_string(seed) +
-                                " factor=" + std::to_string(factor);
-        ExpectSubsetWithExactDistances(exact,
-                                       index->Search(q, eps, approx),
-                                       "approx range " + ctx);
-        // k-NN under a factor may return different (farther) neighbors
-        // than the exact top-k, but every one it reports must be a real
-        // match from the database at its true distance — checked against
-        // the unbounded exact range answer.
-        const std::vector<Match> knn = index->SearchKnn(q, 4, approx);
-        EXPECT_LE(knn.size(), 4u) << ctx;
-        ExpectSubsetWithExactDistances(everything, knn, "approx knn " + ctx);
-      }
-    }
-  }
-}
-
-TEST(DifferentialTest, ApproxFactorActuallyPrunes) {
-  // A crafted case where the dial must bite: the query sits far from the
-  // data, so every surviving candidate's summary lower bound is large and
-  // a factor of 3 pushes it past the threshold. Exact search still finds
-  // matches (eps is generous); the approximate search must drop some of
-  // them — and report the prunes in its stats.
-  Rng rng(14000);
-  seqdb::SequenceDatabase db;
-  for (int i = 0; i < 8; ++i) {
-    db.Add(RandomShape(&rng, static_cast<std::size_t>(rng.UniformInt(8, 24)),
-                       0));  // Random walks near 0.
-  }
-  const std::vector<Value> q(6, 40.0);  // Constant, far from the walks.
-  IndexOptions options;
-  options.kind = IndexKind::kCategorized;
-  options.num_categories = 8;
-  auto index = Index::Build(&db, options);
-  ASSERT_TRUE(index.ok());
-  // Anchor eps just above the true nearest neighbor: every candidate's
-  // summary bound is then ~eps/1.25 or more, so bound * 3 clears the
-  // threshold and the dial must discard real matches.
-  const std::vector<Match> nearest = index->SearchKnn(q, 1);
-  ASSERT_EQ(nearest.size(), 1u);
-  const Value eps = nearest[0].distance * 1.25;
-  const std::vector<Match> exact = index->Search(q, eps);
-  ASSERT_GT(exact.size(), 0u);
-
-  QueryOptions approx;
-  approx.approx_factor = 3.0;
-  core::SearchStats stats;
-  const std::vector<Match> got = index->Search(q, eps, approx, &stats);
-  ExpectSubsetWithExactDistances(exact, got, "forced approx");
-  EXPECT_LT(got.size(), exact.size());
-  EXPECT_GT(stats.nodes_pruned_by_summary, 0u);
 }
 
 }  // namespace

@@ -290,6 +290,29 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
   }
 }
 
+// Writers never produce the legacy `.sums` section: a bundle written now
+// has the three-section v2 table, and both read paths open it whole.
+using NodeSummaryDiskTest = DiskTreeTest;
+
+TEST_F(NodeSummaryDiskTest, BundleWithoutSectionOpensCleanly) {
+  const std::string base = Path("plain_v2");
+  const SymbolDatabase db = RandomSymbolDb(22, 6, 24, 3);
+  const SuffixTree tree = BuildSuffixTree(db);
+  ASSERT_TRUE(WriteTreeToDisk(tree, base).ok());
+  EXPECT_FALSE(std::filesystem::exists(base + ".sums"));
+  for (const storage::IoMode mode :
+       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
+    DiskTreeOptions options;
+    options.io_mode = mode;
+    auto disk = DiskSuffixTree::Open(base, options);
+    ASSERT_TRUE(disk.ok()) << disk.status();
+    EXPECT_EQ((*disk)->format_version(), 2u);
+    EXPECT_EQ((*disk)->NumNodes(), tree.NumNodes());
+    EXPECT_EQ(Canonicalize(**disk), Canonicalize(tree))
+        << storage::IoModeToString(mode);
+  }
+}
+
 TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
   datagen::RandomWalkOptions data_options;
   data_options.num_sequences = 10;

@@ -204,32 +204,5 @@ TEST(LowerBound2Test, Theorem3HoldsOnRandomRuns) {
   }
 }
 
-
-TEST(EndpointLowerBoundTest, IsAlwaysBelowExactDtw) {
-  Rng rng(61);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::vector<Value> a, b;
-    const int la = static_cast<int>(rng.UniformInt(1, 10));
-    const int lb = static_cast<int>(rng.UniformInt(1, 10));
-    for (int i = 0; i < la; ++i) a.push_back(rng.Uniform(0, 10));
-    for (int i = 0; i < lb; ++i) b.push_back(rng.Uniform(0, 10));
-    EXPECT_LE(EndpointLowerBound(a, b), DtwDistance(a, b) + 1e-12)
-        << "la=" << la << " lb=" << lb;
-  }
-}
-
-TEST(EndpointLowerBoundTest, KnownValues) {
-  const auto a = Seq({1, 5, 9});
-  const auto b = Seq({2, 7, 7, 11});
-  EXPECT_DOUBLE_EQ(EndpointLowerBound(a, b), 1.0 + 2.0);
-  const auto single = Seq({4});
-  EXPECT_DOUBLE_EQ(EndpointLowerBound(single, single), 0.0);
-  const auto one = Seq({0});
-  const auto two = Seq({3, 8});
-  // Path (1,1)->(1,2): both endpoint cells are distinct.
-  EXPECT_DOUBLE_EQ(EndpointLowerBound(one, two), 3.0 + 8.0);
-  EXPECT_DOUBLE_EQ(DtwDistance(one, two), 11.0);
-}
-
 }  // namespace
 }  // namespace tswarp::dtw

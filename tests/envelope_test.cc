@@ -1,6 +1,6 @@
 // Unit tests of the query envelope (src/dtw/envelope.cc): construction
 // against a brute-force O(n * band) reference, band edge cases, and the
-// bound/kernel semantics on small hand-checkable inputs.
+// per-element bound's reach and sums on small hand-checkable inputs.
 
 #include <algorithm>
 #include <vector>
@@ -123,41 +123,60 @@ TEST(EnvelopeTest, ElementLbBeyondBandedReachIsInfinite) {
   EXPECT_EQ(env.ElementLb(10000, q[7]), kInfinity);
 }
 
+/// LB_Keogh as ScanStart accumulates it: the envelope's per-element terms
+/// summed over the candidate, front to back.
+Value KeoghSum(const QueryEnvelope& env, const std::vector<Value>& s) {
+  Value sum = 0.0;
+  for (std::size_t j = 0; j < s.size(); ++j) sum += env.ElementLb(j, s[j]);
+  return sum;
+}
+
+Value ExactDistance(const std::vector<Value>& q, const std::vector<Value>& s,
+                    Pos band) {
+  return band == 0 ? DtwDistance(q, s) : DtwDistanceBanded(q, s, band);
+}
+
 TEST(EnvelopeTest, LbKeoghHandComputed) {
   // Q = <0, 10>, unconstrained: envelope [0, 10] at every offset.
   const std::vector<Value> q = {0.0, 10.0};
   const QueryEnvelope env(q, 0);
   const std::vector<Value> s = {-2.0, 5.0, 13.0};  // 2 + 0 + 3.
-  EXPECT_DOUBLE_EQ(LbKeogh(env, s), 5.0);
-  EXPECT_LE(LbKeogh(env, s), DtwDistance(q, s));
+  EXPECT_DOUBLE_EQ(KeoghSum(env, s), 5.0);
+  EXPECT_LE(KeoghSum(env, s), DtwDistance(q, s));
+
+  // Q = <0, 10, 4>, band 1: envelopes [0, 10], [0, 10], [4, 10], [4, 4].
+  const std::vector<Value> qb = {0.0, 10.0, 4.0};
+  const QueryEnvelope banded(qb, 1);
+  const std::vector<Value> sb = {-1.0, 11.0, 2.0, 7.0};  // 1 + 1 + 2 + 3.
+  EXPECT_DOUBLE_EQ(KeoghSum(banded, sb), 7.0);
+  EXPECT_LE(KeoghSum(banded, sb), DtwDistanceBanded(qb, sb, 1));
 }
 
 TEST(EnvelopeTest, LbKeoghEarlyAbandonStillLowerBounds) {
+  // ScanStart stops adding terms once the running sum passes its
+  // threshold. An abandoned sum never exceeds the full one (the terms are
+  // non-negative), equals it whenever it stays under the cap, and every
+  // partial sum lower-bounds the distance of the prefix it covers.
   const std::vector<Value> q = RandomWalk(12, 5);
-  const QueryEnvelope env(q, 0);
   const std::vector<Value> s = RandomWalk(30, 6);
-  const Value full = LbKeogh(env, s);
-  for (const Value cap : {0.0, full / 2, full}) {
-    const Value abandoned = LbKeogh(env, s, cap);
-    EXPECT_LE(abandoned, full);
-    if (abandoned <= cap) {
-      EXPECT_DOUBLE_EQ(abandoned, full);
-    }
-  }
-}
-
-TEST(EnvelopeTest, LbImprovedAtLeastLbKeogh) {
-  EnvelopeScratch scratch;
-  const std::vector<Value> q = RandomWalk(10, 7);
-  for (const Pos band : {0u, 2u, 5u, 10u}) {
+  for (const Pos band : {0u, 3u}) {
     const QueryEnvelope env(q, band);
-    const std::vector<Value> s = RandomWalk(10, 8);
-    const Value keogh = LbKeogh(env, s);
-    const Value improved = LbImproved(env, q, s, kInfinity, &scratch);
-    EXPECT_GE(improved, keogh) << "band=" << band;
-    const Value exact =
-        band == 0 ? DtwDistance(q, s) : DtwDistanceBanded(q, s, band);
-    EXPECT_LE(improved, exact + 1e-9) << "band=" << band;
+    const Value full = KeoghSum(env, s);
+    for (const Value cap : {0.0, full / 2, full}) {
+      Value abandoned = 0.0;
+      for (std::size_t j = 0; j < s.size() && abandoned <= cap; ++j) {
+        abandoned += env.ElementLb(j, s[j]);
+      }
+      EXPECT_LE(abandoned, full) << "band=" << band << " cap=" << cap;
+      if (abandoned <= cap) {
+        EXPECT_DOUBLE_EQ(abandoned, full) << "band=" << band;
+      }
+    }
+    for (std::size_t len = 1; len <= s.size(); ++len) {
+      const std::vector<Value> prefix(s.begin(), s.begin() + len);
+      EXPECT_LE(KeoghSum(env, prefix), ExactDistance(q, prefix, band) + 1e-9)
+          << "band=" << band << " len=" << len;
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 #include "common/random.h"
 #include "dtw/dtw.h"
 #include "multivariate/grid_alphabet.h"
+#include "multivariate/grid_model.h"
 #include "multivariate/multi_dtw.h"
+#include "multivariate/multi_envelope.h"
 #include "test_util.h"
 
 namespace tswarp::mv {
@@ -74,6 +76,10 @@ TEST(MultiDtwTest, StretchingIsFree) {
 }
 
 TEST(MultiDtwTest, ThresholdedMatchesExact) {
+  // Thresholded multivariate verification is core::ScanStart over
+  // MultiSuffix: on the full-length candidate it must report exactly when
+  // the exact distance is within eps, with that distance, whether or not
+  // the per-dimension running bound is on.
   Rng rng(2);
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t dim = static_cast<std::size_t>(rng.UniformInt(1, 3));
@@ -84,11 +90,29 @@ TEST(MultiDtwTest, ThresholdedMatchesExact) {
     for (std::size_t i = 0; i < lb * dim; ++i) b.push_back(rng.Uniform(0, 5));
     const Value exact = MultiDtwDistance(a, la, b, lb, dim);
     const Value eps = rng.Uniform(0, 20);
-    Value d = -1;
-    const bool within = MultiDtwWithinThreshold(a, la, b, lb, dim, eps, &d);
-    EXPECT_EQ(within, exact <= eps);
-    if (within) {
-      EXPECT_DOUBLE_EQ(d, exact);
+    MultiSequenceDatabase db(dim);
+    db.Add(b);
+    const MultiQueryEnvelope env(a, la, dim, /*band=*/0);
+    for (const MultiQueryEnvelope* envelope :
+         {&env, static_cast<const MultiQueryEnvelope*>(nullptr)}) {
+      dtw::ScanTable table(la, /*band=*/0);
+      core::SearchStats stats;
+      bool within = false;
+      Value d = -1;
+      core::ScanStart(
+          MultiSuffix(&db, a, envelope, /*seq=*/0, /*start=*/0), &table,
+          /*prune=*/true, [eps] { return eps; },
+          [&](Pos len, Value dist) {
+            if (len == lb) {
+              within = true;
+              d = dist;
+            }
+          },
+          &stats);
+      EXPECT_EQ(within, exact <= eps) << "trial " << trial;
+      if (within) {
+        EXPECT_DOUBLE_EQ(d, exact) << "trial " << trial;
+      }
     }
   }
 }

@@ -193,6 +193,11 @@ TEST(SearchStatsTest, LowerBoundCascadeCountsOnTreeSearch) {
       << "the banded envelope should cut scans past their first element";
 }
 
+template <typename Stats>
+constexpr bool kHasStealAttempts = requires(const Stats& s) {
+  s.steal_attempts;
+};
+
 TEST(SearchStatsTest, SchedulerCountersTrackParallelExecution) {
   const seqdb::SequenceDatabase db = Db();
   IndexOptions options;
@@ -205,7 +210,6 @@ TEST(SearchStatsTest, SchedulerCountersTrackParallelExecution) {
   index->Search(Query(db), 6.0, {}, &serial);
   EXPECT_EQ(serial.tasks_executed, 0u);
   EXPECT_EQ(serial.tasks_stolen, 0u);
-  EXPECT_EQ(serial.steal_attempts, 0u);
   EXPECT_EQ(serial.replayed_rows, 0u);
 
   QueryOptions parallel;
@@ -227,7 +231,9 @@ TEST(SearchStatsTest, SchedulerCountersTrackParallelExecution) {
   merged.Merge(par);
   EXPECT_EQ(merged.tasks_executed, par.tasks_executed);
   EXPECT_EQ(merged.tasks_stolen, par.tasks_stolen);
-  EXPECT_EQ(merged.steal_attempts, par.steal_attempts);
+  // Steal probes are counted process-wide, so no query can own them: they
+  // are reported only by the scheduler (tswarpd's /stats.scheduler).
+  static_assert(!kHasStealAttempts<SearchStats>);
 }
 
 TEST(SearchStatsTest, RdGrowsWithCoarserCategories) {
@@ -240,13 +246,19 @@ TEST(SearchStatsTest, RdGrowsWithCoarserCategories) {
     options.num_categories = c;
     auto index = Index::Build(&db, options);
     ASSERT_TRUE(index.ok());
+    // R_d is measured apart from R_p (paper Section 4.3 reports the two
+    // factors separately): with Theorem-1 pruning on, which edges survive
+    // depends on how tight each alphabet's bounds are, and that can
+    // outweigh the sharing this test is about.
+    QueryOptions unpruned;
+    unpruned.prune = false;
     SearchStats stats;
-    index->Search(q, 8.0, {}, &stats);
+    index->Search(q, 8.0, unpruned, &stats);
     const double rd = static_cast<double>(stats.unshared_rows) /
                       static_cast<double>(stats.rows_pushed);
     EXPECT_GE(rd, 1.0);
     // Coarser categories share longer prefixes: R_d should not increase
-    // as categories get finer (allow slack for pruning interactions).
+    // as categories get finer (allow slack for the sparse tree's runs).
     EXPECT_LE(rd, prev_rd * 1.5) << "c=" << c;
     prev_rd = rd;
   }

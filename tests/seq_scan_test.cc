@@ -245,5 +245,48 @@ TEST(SeqScanTest, ScanStartEndpointCutBuildsNoRow) {
   EXPECT_EQ(plain.exact_dtw_calls, 1u);
 }
 
+// The endpoint bound ScanStart cuts with: a start's first element meets
+// Q[1] in the warping path's fixed start cell (1, 1), so ValueSuffix's first
+// term is that cell's exact cost and never exceeds the distance.
+TEST(EndpointLowerBoundTest, IsAlwaysBelowExactDtw) {
+  Rng rng(61);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Value> a, b;
+    const int la = static_cast<int>(rng.UniformInt(1, 10));
+    const int lb = static_cast<int>(rng.UniformInt(1, 10));
+    for (int i = 0; i < la; ++i) a.push_back(rng.Uniform(0, 10));
+    for (int i = 0; i < lb; ++i) b.push_back(rng.Uniform(0, 10));
+    const ValueSuffix suffix(a, b, /*env=*/nullptr);
+    EXPECT_LE(suffix.ElementLb(0), dtw::DtwDistance(a, b))
+        << "la=" << la << " lb=" << lb;
+  }
+}
+
+TEST(EndpointLowerBoundTest, KnownValues) {
+  const std::vector<Value> a = {1, 5, 9};
+  const std::vector<Value> b = {2, 7, 7, 11};
+  EXPECT_DOUBLE_EQ(ValueSuffix(a, b, nullptr).ElementLb(0), 1.0);
+  const std::vector<Value> single = {4};
+  EXPECT_DOUBLE_EQ(ValueSuffix(single, single, nullptr).ElementLb(0), 0.0);
+  const std::vector<Value> one = {0};
+  const std::vector<Value> two = {3, 8};
+  EXPECT_DOUBLE_EQ(ValueSuffix(one, two, nullptr).ElementLb(0), 3.0);
+  EXPECT_DOUBLE_EQ(dtw::DtwDistance(one, two), 11.0);
+
+  // Against an envelope: Q = <0, 10> gives [0, 10] at every offset, so the
+  // envelope term of S[1] = 5 would be 0, but the first term is the exact
+  // endpoint cost |0 - 5|; later terms are the envelope's.
+  const std::vector<Value> q = {0, 10};
+  const dtw::QueryEnvelope env(q, 0);
+  const std::vector<Value> s = {5, 5, 12};
+  const ValueSuffix suffix(q, s, &env);
+  EXPECT_DOUBLE_EQ(env.ElementLb(0, s[0]), 0.0);
+  EXPECT_DOUBLE_EQ(suffix.ElementLb(0), 5.0);
+  EXPECT_DOUBLE_EQ(suffix.ElementLb(1), 0.0);
+  EXPECT_DOUBLE_EQ(suffix.ElementLb(2), 2.0);
+  EXPECT_LE(suffix.ElementLb(0) + suffix.ElementLb(1) + suffix.ElementLb(2),
+            dtw::DtwDistance(q, s));
+}
+
 }  // namespace
 }  // namespace tswarp::core

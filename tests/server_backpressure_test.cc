@@ -56,14 +56,12 @@ std::string QueryJson(const seqdb::SequenceDatabase& db, std::size_t len) {
   return body;
 }
 
-/// A deliberately expensive request: pruning, the lower-bound cascade,
-/// and the node-summary screen disabled force the full traversal + exact
-/// DTW on every candidate, so it occupies the dispatcher long enough for
-/// the queue to fill behind it.
+/// A deliberately expensive request: pruning and the lower-bound cascade
+/// disabled force the full traversal + exact DTW on every candidate, so it
+/// occupies the dispatcher long enough for the queue to fill behind it.
 std::string SlowBody(const seqdb::SequenceDatabase& db) {
   return "{\"query\":" + QueryJson(db, 20) +
-         ",\"epsilon\":0.5,\"prune\":false,\"use_lower_bound\":false,"
-         "\"use_node_summaries\":false}";
+         ",\"epsilon\":0.5,\"prune\":false,\"use_lower_bound\":false}";
 }
 
 std::string QuickBody(const seqdb::SequenceDatabase& db) {

@@ -104,6 +104,14 @@ TEST_F(ServerProtocolTest, MethodNotAllowed) {
 }
 TEST_F(ServerProtocolTest, BadJson) { RunGolden("bad_json"); }
 TEST_F(ServerProtocolTest, UnknownField) { RunGolden("unknown_field"); }
+// The node-summary screen's knobs are gone: old clients get a clear 400
+// instead of a silently ignored field.
+TEST_F(ServerProtocolTest, RemovedUseNodeSummaries) {
+  RunGolden("removed_use_node_summaries");
+}
+TEST_F(ServerProtocolTest, RemovedApproxFactor) {
+  RunGolden("removed_approx_factor");
+}
 TEST_F(ServerProtocolTest, MissingQuery) { RunGolden("missing_query"); }
 TEST_F(ServerProtocolTest, BothEpsilonAndK) {
   RunGolden("both_epsilon_and_k");
@@ -126,6 +134,45 @@ TEST_F(ServerProtocolTest, TransferEncoding) {
 TEST_F(ServerProtocolTest, BadRequestLine) { RunGolden("bad_request_line"); }
 TEST_F(ServerProtocolTest, HeaderSpaceSmuggle) {
   RunGolden("header_space_smuggle");
+}
+
+// The summary screen's stats and the process-wide steal probes are gone
+// from per-tier and per-query reports; the probes live on in the
+// scheduler section of /stats.
+TEST_F(ServerProtocolTest, StatsOmitRemovedCounters) {
+  auto client = HttpClient::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto stats = client->Get("/stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->status, 200);
+  auto root = ParseJson(stats->body);
+  ASSERT_TRUE(root.ok()) << stats->body;
+  const JsonValue* index = root->Find("index");
+  ASSERT_NE(index, nullptr) << stats->body;
+  const JsonValue* tiers = index->Find("tiers");
+  ASSERT_NE(tiers, nullptr) << stats->body;
+  ASSERT_FALSE(tiers->AsArray().empty());
+  for (const JsonValue& tier : tiers->AsArray()) {
+    EXPECT_NE(tier.Find("nodes"), nullptr);
+    EXPECT_EQ(tier.Find("has_summaries"), nullptr);
+  }
+  const JsonValue* scheduler = root->Find("scheduler");
+  ASSERT_NE(scheduler, nullptr);
+  EXPECT_NE(scheduler->Find("steal_attempts"), nullptr);
+
+  auto search = client->Post(
+      "/search", R"({"query":[1,2],"epsilon":1,"include_stats":true})");
+  ASSERT_TRUE(search.ok()) << search.status().ToString();
+  ASSERT_EQ(search->status, 200) << search->body;
+  auto body = ParseJson(search->body);
+  ASSERT_TRUE(body.ok()) << search->body;
+  const JsonValue* query_stats = body->Find("stats");
+  ASSERT_NE(query_stats, nullptr) << search->body;
+  EXPECT_NE(query_stats->Find("rows_pushed"), nullptr);
+  for (const char* removed : {"steal_attempts", "summary_lb_invocations",
+                              "nodes_pruned_by_summary"}) {
+    EXPECT_EQ(query_stats->Find(removed), nullptr) << removed;
+  }
 }
 
 // --- JSON layer unit tests -------------------------------------------------

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/types.h"
+#include "dtw/envelope.h"
 #include "dtw/simd.h"
 
 namespace tswarp::dtw::simd {
@@ -202,59 +203,6 @@ TEST_F(SimdTest, DistanceAndReductionKernelsMatchScalarBitwise) {
   }
 }
 
-TEST_F(SimdTest, LowerBoundKernelsMatchScalarBitwise) {
-  ASSERT_TRUE(SetBackend("scalar"));
-  const KernelTable scalar = Kernels();
-  ValueGen gen(4242);
-  // Lengths straddling the kLbBlock abandon boundary as well as the
-  // stripe width.
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                              std::size_t{4}, std::size_t{17}, std::size_t{63},
-                              std::size_t{64}, std::size_t{65},
-                              std::size_t{130}}) {
-    for (int rep = 0; rep < 8; ++rep) {
-      const std::vector<Value> v = gen.Row(n, /*allow_inf=*/false);
-      std::vector<Value> lo = gen.Row(n, /*allow_inf=*/false);
-      std::vector<Value> up = lo;
-      for (std::size_t i = 0; i < n; ++i) up[i] += std::abs(gen.Finite());
-      Value clo = gen.Finite(), cup = gen.Finite();
-      if (clo > cup) std::swap(clo, cup);
-      // Small caps exercise the early abandon; infinity never abandons.
-      const Value cap = rep % 3 == 0 ? kInfinity : std::abs(gen.Finite());
-
-      std::vector<Value> want_proj(n), got_proj(n);
-      const Value want_keogh =
-          scalar.lb_keogh(v.data(), lo.data(), up.data(), n, cap);
-      const Value want_keogh_const =
-          scalar.lb_keogh_const(v.data(), clo, cup, n, cap);
-      const Value want_p1 = scalar.lb_improved_pass1(
-          v.data(), lo.data(), up.data(), want_proj.data(), n);
-      const std::vector<Value> want_p1_proj = want_proj;
-      const Value want_p1_const = scalar.lb_improved_pass1_const(
-          v.data(), clo, cup, want_proj.data(), n);
-      const std::vector<Value> want_p1c_proj = want_proj;
-
-      ForEachBackend([&](const std::string& name) {
-        SCOPED_TRACE(name + " n=" + std::to_string(n));
-        const KernelTable& k = Kernels();
-        EXPECT_TRUE(BitEqual(
-            want_keogh, k.lb_keogh(v.data(), lo.data(), up.data(), n, cap)));
-        EXPECT_TRUE(BitEqual(want_keogh_const,
-                             k.lb_keogh_const(v.data(), clo, cup, n, cap)));
-        EXPECT_TRUE(
-            BitEqual(want_p1, k.lb_improved_pass1(v.data(), lo.data(),
-                                                  up.data(), got_proj.data(),
-                                                  n)));
-        EXPECT_TRUE(BitEqualRows(want_p1_proj, got_proj));
-        EXPECT_TRUE(BitEqual(want_p1_const,
-                             k.lb_improved_pass1_const(
-                                 v.data(), clo, cup, got_proj.data(), n)));
-        EXPECT_TRUE(BitEqualRows(want_p1c_proj, got_proj));
-      });
-    }
-  }
-}
-
 TEST_F(SimdTest, BandedExtremaMatchesNaiveWindowAndScalarBitwise) {
   ASSERT_TRUE(SetBackend("scalar"));
   const KernelTable scalar = Kernels();
@@ -293,6 +241,41 @@ TEST_F(SimdTest, BandedExtremaMatchesNaiveWindowAndScalarBitwise) {
                                  got_up.data(), work.data());
         EXPECT_TRUE(BitEqualRows(want_lo, got_lo));
         EXPECT_TRUE(BitEqualRows(want_up, got_up));
+      });
+    }
+  }
+}
+
+TEST_F(SimdTest, LowerBoundKernelsMatchScalarBitwise) {
+  // ScanStart's running bound reads QueryEnvelope terms, and the envelope
+  // is built by the dispatched banded_extrema kernel: every term, and
+  // every running sum compared against epsilon, must carry the same bits
+  // on every backend, out-of-reach infinities included.
+  ASSERT_TRUE(SetBackend("scalar"));
+  ValueGen gen(4242);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                              std::size_t{17}, std::size_t{64},
+                              std::size_t{65}}) {
+    for (const Pos band : {0u, 1u, 3u, 9u}) {
+      const std::vector<Value> query = gen.Row(n, /*allow_inf=*/false);
+      const std::vector<Value> data = gen.Row(n + band + 2, false);
+      const auto terms = [&] {
+        const QueryEnvelope env(query, band);
+        std::vector<Value> out;
+        Value sum = 0.0;
+        for (std::size_t j = 0; j < data.size(); ++j) {
+          const Value t = env.ElementLb(j, data[j]);
+          sum += t;
+          out.push_back(t);
+          out.push_back(sum);
+        }
+        return out;
+      };
+      const std::vector<Value> want = terms();
+      ForEachBackend([&](const std::string& name) {
+        SCOPED_TRACE(name + " n=" + std::to_string(n) +
+                     " band=" + std::to_string(band));
+        EXPECT_TRUE(BitEqualRows(want, terms()));
       });
     }
   }

@@ -110,17 +110,15 @@ int Usage() {
                "  build DB --index PATH [--kind st|stc|sstc] "
                "[--categories C] [--method el|me|km] [--pool-pages P] "
                "[--pool-shards S] [--eviction lru|clock] [--readahead R] "
-               "[--io mmap|buffered] [--no-summaries]\n"
+               "[--io mmap|buffered]\n"
                "  search DB --query v1,v2,... --epsilon E [--kind ...] "
                "[--categories C] [--index PATH] [--scan] [--limit N] "
-               "[--threads T] [--band B] [--no-lb] [--no-summaries] "
-               "[--approx-factor F] [--stats] [--multi D] "
+               "[--threads T] [--band B] [--no-lb] [--stats] [--multi D] "
                "[--pool-pages P] [--pool-shards S] [--eviction lru|clock] "
                "[--readahead R] [--io mmap|buffered]\n"
                "  knn DB --query v1,v2,... --k K [--kind ...] "
                "[--categories C] [--threads T] [--band B] [--no-lb] "
-               "[--no-summaries] [--approx-factor F] [--stats] "
-               "[--multi D]\n"
+               "[--stats] [--multi D]\n"
                "  dot DB [--categories C] [--max-nodes N]\n"
                "--multi D reads DB as D-dimensional sequences (flattened "
                "element-major; every sequence and the query must have a "
@@ -128,11 +126,7 @@ int Usage() {
                "sstc = sparse; st has no multivariate analogue.\n"
                "--simd avx2|sse2|neon|scalar (any command) pins the DTW "
                "kernel backend, overriding auto-detection and the "
-               "TSWARP_SIMD environment variable.\n"
-               "--no-summaries disables the node-summary screen; "
-               "--approx-factor F (>= 1) is its recall dial — 1 is exact, "
-               "larger prunes harder and may drop matches (see "
-               "docs/tuning.md).\n");
+               "TSWARP_SIMD environment variable.\n");
   return 2;
 }
 
@@ -183,21 +177,12 @@ void PrintStatsCounters(const core::SearchStats& stats) {
       static_cast<unsigned long long>(stats.lb_invocations),
       static_cast<unsigned long long>(stats.lb_pruned),
       static_cast<unsigned long long>(stats.exact_dtw_calls));
-  if (stats.summary_lb_invocations > 0 ||
-      stats.nodes_pruned_by_summary > 0) {
-    std::printf("summaries: screened %llu edges, pruned %llu subtrees\n",
-                static_cast<unsigned long long>(stats.summary_lb_invocations),
-                static_cast<unsigned long long>(
-                    stats.nodes_pruned_by_summary));
-  }
   if (stats.tasks_executed > 0) {
     // Scheduler counters appear only for parallel searches (num_threads
-    // >= 1); steal probes are a process-wide contention signal, not an
-    // exact per-query count (see core/match.h).
-    std::printf("scheduler: tasks %llu (%llu stolen), steal probes %llu\n",
+    // >= 1).
+    std::printf("scheduler: tasks %llu (%llu stolen)\n",
                 static_cast<unsigned long long>(stats.tasks_executed),
-                static_cast<unsigned long long>(stats.tasks_stolen),
-                static_cast<unsigned long long>(stats.steal_attempts));
+                static_cast<unsigned long long>(stats.tasks_stolen));
   }
 }
 
@@ -345,26 +330,7 @@ IndexOptions OptionsFromFlags(int argc, char** argv) {
       static_cast<std::size_t>(FlagLong(argc, argv, "--categories", 40));
   const char* index_path = FlagValue(argc, argv, "--index", nullptr);
   if (index_path != nullptr) options.disk_path = index_path;
-  options.node_summaries = !HasFlag(argc, argv, "--no-summaries");
   return options;
-}
-
-// --no-summaries turns the node-summary screen off (build: skip building
-// them; search: skip consulting them); --approx-factor F (>= 1) is the
-// recall dial — 1 is exact, larger prunes more aggressively and may drop
-// matches. Returns false (after printing) on a bad factor.
-bool ApplySummaryFlags(int argc, char** argv,
-                       core::QueryOptions* query_options) {
-  query_options->use_node_summaries = !HasFlag(argc, argv, "--no-summaries");
-  const double factor = FlagDouble(argc, argv, "--approx-factor", 1.0);
-  if (!(factor >= 1.0)) {
-    std::fprintf(stderr,
-                 "--approx-factor must be >= 1 (1 = exact; got %g)\n",
-                 factor);
-    return false;
-  }
-  query_options->approx_factor = factor;
-  return true;
 }
 
 // --multi D: read the database as D-dimensional multivariate sequences.
@@ -623,7 +589,6 @@ int CmdSearch(int argc, char** argv) {
     if (!FlagThreads(argc, argv, &query_options.num_threads)) return 1;
     if (!FlagBand(argc, argv, query.size(), &query_options.band)) return 1;
     query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
-    if (!ApplySummaryFlags(argc, argv, &query_options)) return 1;
     if (query_options.band != 0 &&
         index->options().kind == IndexKind::kSparse) {
       std::fprintf(stderr,
@@ -680,7 +645,6 @@ int CmdKnn(int argc, char** argv) {
   if (!FlagThreads(argc, argv, &query_options.num_threads)) return 1;
   if (!FlagBand(argc, argv, query.size(), &query_options.band)) return 1;
   query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
-  if (!ApplySummaryFlags(argc, argv, &query_options)) return 1;
   if (query_options.band != 0 &&
       index->options().kind == IndexKind::kSparse) {
     std::fprintf(stderr,

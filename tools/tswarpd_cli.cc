@@ -75,7 +75,7 @@ int Usage() {
                "[--kind st|stc|sstc] [--categories C] [--index PATH] "
                "[--io mmap|buffered] [--queue N] [--batch N] "
                "[--search-threads T] [--conn-threads T] [--streaming] "
-               "[--memtable N] [--sealed N] [--no-summaries] [--smoke]\n"
+               "[--memtable N] [--sealed N] [--smoke]\n"
                "       tswarpd_cli append VALUES [--port P] [--address A]\n"
                "  VALUES is one comma-separated sequence, e.g. 12,14,13,15\n");
   return 2;
@@ -190,7 +190,6 @@ int Serve(int argc, char** argv) {
   }
   options.num_categories = static_cast<std::size_t>(
       FlagLong(argc, argv, "--categories", 64));
-  options.node_summaries = !HasFlag(argc, argv, "--no-summaries");
   const char* index_path = FlagValue(argc, argv, "--index", nullptr);
   if (index_path != nullptr) options.disk_path = index_path;
   if (const char* io = FlagValue(argc, argv, "--io", nullptr)) {
