@@ -8,9 +8,6 @@
 //            diffable.
 
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,8 +20,6 @@
 #include "core/match.h"
 #include "core/seq_scan.h"
 #include "core/tree_search.h"
-#include "storage/buffer_manager.h"
-#include "storage/paged_file.h"
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "dtw/alignment.h"
@@ -215,130 +210,6 @@ void BM_DtwAlign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DtwAlign)->Arg(32)->Arg(128);
-
-// --- Buffer-manager kernels ---------------------------------------------
-// Cost of the pin/latch protocol in isolation: guard acquire+release on
-// the hit path, shard scaling under concurrent pins, and the two eviction
-// policies under a steady miss stream. Setup/teardown run on thread 0;
-// google-benchmark barriers the other threads until the iteration loop.
-
-struct ScratchPool {
-  std::filesystem::path path;
-  std::optional<storage::PagedFile> file;
-  std::optional<storage::BufferManager> mgr;
-};
-
-void SetUpPool(const char* name, std::uint64_t pages,
-               const storage::BufferManagerOptions& options,
-               ScratchPool* pool) {
-  pool->path = std::filesystem::temp_directory_path() /
-               (std::string("tswarp_micro_") + name + "_" +
-                std::to_string(::getpid()) + ".dat");
-  auto file = storage::PagedFile::Create(pool->path.string());
-  if (!file.ok()) std::abort();
-  pool->file.emplace(std::move(file).value());
-  std::vector<std::byte> page(storage::PagedFile::kPageSize, std::byte{7});
-  for (std::uint64_t p = 0; p < pages; ++p) {
-    if (!pool->file->WritePage(p, page).ok()) std::abort();
-  }
-  pool->mgr.emplace(&*pool->file, options);
-}
-
-void TearDownPool(ScratchPool* pool) {
-  pool->mgr.reset();
-  pool->file.reset();
-  std::filesystem::remove(pool->path);
-}
-
-void BM_PageGuardAcquireRelease(benchmark::State& state) {
-  // Pure hit path, one shard, no contention: the floor cost of one
-  // Pin (shard lookup + pin count + shared latch) and guard release.
-  static ScratchPool pool;
-  constexpr std::uint64_t kPages = 64;
-  if (state.thread_index() == 0) {
-    storage::BufferManagerOptions options;
-    options.capacity_pages = kPages;
-    options.num_shards = 1;
-    SetUpPool("guard", kPages, options, &pool);
-  }
-  std::uint64_t p = 0;
-  for (auto _ : state) {
-    auto guard = pool.mgr->Pin(p, storage::PinIntent::kRead);
-    if (!guard.ok()) std::abort();
-    benchmark::DoNotOptimize(guard->bytes().data());
-    p = (p + 1) % kPages;
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) TearDownPool(&pool);
-}
-BENCHMARK(BM_PageGuardAcquireRelease);
-
-void BM_BufferManagerHitPath(benchmark::State& state) {
-  // Same hit stream through 1 shard (the old single-mutex pool) vs 8
-  // shards, at 1/4/8 concurrent pinning threads.
-  static ScratchPool pool;
-  constexpr std::uint64_t kPages = 256;
-  if (state.thread_index() == 0) {
-    storage::BufferManagerOptions options;
-    options.capacity_pages = kPages;
-    options.num_shards = static_cast<std::size_t>(state.range(0));
-    SetUpPool("hitpath", kPages, options, &pool);
-  }
-  auto p = static_cast<std::uint64_t>(state.thread_index()) * 17;
-  for (auto _ : state) {
-    auto guard = pool.mgr->Pin(p % kPages, storage::PinIntent::kRead);
-    if (!guard.ok()) std::abort();
-    benchmark::DoNotOptimize(guard->bytes().data());
-    p += 13;  // Co-prime stride: every thread sweeps every shard.
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    state.counters["conflicts"] = benchmark::Counter(
-        static_cast<double>(pool.mgr->stats().shard_conflicts));
-    TearDownPool(&pool);
-  }
-}
-BENCHMARK(BM_BufferManagerHitPath)
-    ->ArgName("shards")
-    ->Arg(1)
-    ->Arg(8)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8);
-
-void BM_BufferManagerEviction(benchmark::State& state) {
-  // Steady-state miss stream: a sequential sweep over twice the pool
-  // capacity, so every pin evicts. Compares the LRU list against the
-  // CLOCK ring on the same access pattern.
-  static ScratchPool pool;
-  constexpr std::uint64_t kPages = 64;
-  if (state.thread_index() == 0) {
-    storage::BufferManagerOptions options;
-    options.capacity_pages = kPages / 2;
-    options.num_shards = 1;
-    options.eviction = state.range(0) == 0
-                           ? storage::EvictionPolicyKind::kLru
-                           : storage::EvictionPolicyKind::kClock;
-    SetUpPool("evict", kPages, options, &pool);
-  }
-  std::uint64_t p = 0;
-  for (auto _ : state) {
-    auto guard = pool.mgr->Pin(p, storage::PinIntent::kRead);
-    if (!guard.ok()) std::abort();
-    benchmark::DoNotOptimize(guard->bytes().data());
-    p = (p + 1) % kPages;
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    state.counters["evictions"] = benchmark::Counter(
-        static_cast<double>(pool.mgr->stats().evictions));
-    TearDownPool(&pool);
-  }
-}
-BENCHMARK(BM_BufferManagerEviction)
-    ->ArgName("policy")  // 0 = LRU, 1 = CLOCK
-    ->Arg(0)
-    ->Arg(1);
 
 void BM_UkkonenVsInsertion(benchmark::State& state) {
   // Single sequence with a small alphabet: Ukkonen's linear construction

@@ -15,10 +15,7 @@
 // paper workload (Table 2 reports 55.3s); pass --st to include it.
 //
 // With --disk the bench additionally builds one disk-backed SST_C bundle
-// and reopens it twice — once with a single-shard (single-mutex) buffer
-// pool, once with the sharded pool — and compares multi-thread query
-// throughput through each. This isolates the buffer-manager lock from the
-// search work: the sharded rows should pull ahead at >= 4 threads.
+// and measures batch throughput through its read-only mappings.
 //
 //   scaling_threads [--queries N] [--epsilon E] [--categories C] [--quick]
 //                   [--st] [--disk] [--json]
@@ -27,14 +24,15 @@
 // raw per-query times, so thread-scaling baselines can be diffed across
 // sessions and SIMD backends.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "report_json.h"
-#include "common/thread_pool.h"
 #include "core/index.h"
 
 namespace tswarp {
@@ -47,6 +45,12 @@ using core::Index;
 using core::IndexKind;
 using core::IndexOptions;
 using core::QueryOptions;
+
+/// std::thread::hardware_concurrency() with a floor of 1 (it may return 0
+/// when the count is unknown).
+std::size_t HardwareThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 double AvgQuerySeconds(const Index& index,
                        const std::vector<seqdb::Sequence>& queries,
@@ -93,7 +97,7 @@ int Run(int argc, char** argv) {
   std::printf("Thread scaling; stock data, epsilon %.0f, %zu queries, "
               "%zu categories, %zu hardware threads\n\n",
               epsilon, queries.size(), categories,
-              ThreadPool::HardwareThreads());
+              HardwareThreads());
   std::printf("%-6s %10s", "kind", "serial(s)");
   for (const std::size_t t : thread_counts) {
     char head[32];
@@ -108,7 +112,7 @@ int Run(int argc, char** argv) {
   // to the core count of the machine that produced them.
   report.Add("env/hardware_threads", 0.0,
              {{"hardware_threads",
-               static_cast<double>(ThreadPool::HardwareThreads())}});
+               static_cast<double>(HardwareThreads())}});
 
   std::vector<IndexKind> kinds = {IndexKind::kCategorized, IndexKind::kSparse};
   if (include_st) kinds.insert(kinds.begin(), IndexKind::kSuffixTree);
@@ -146,74 +150,43 @@ int Run(int argc, char** argv) {
               "queries fanned across T workers)\n");
 
   if (bench::HasFlag(argc, argv, "--disk")) {
-    // Disk-backed pool contention: the same bundle through a single-mutex
-    // pool (1 shard — PR 1 behaviour) vs the sharded manager.
+    // The same batch fan-out over one disk-backed SST_C bundle, searched
+    // through its read-only mappings: no lock sits between the workers
+    // and the records, so the rows should track the in-memory ones.
     const auto dir = std::filesystem::temp_directory_path() /
                      ("tswarp_scaling_disk_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
-    IndexOptions build_options;
-    build_options.kind = IndexKind::kSparse;
-    build_options.num_categories = categories;
-    build_options.disk_path = (dir / "sst_c").string();
-    build_options.disk_batch_sequences = 32;
-    // Keep the pool small relative to the bundle so page faults (and the
-    // frame-table locking around them) stay on the hot path.
-    build_options.disk_pool_pages = 64;
-    if (auto built = Index::Build(&db, build_options); !built.ok()) {
+    IndexOptions options;
+    options.kind = IndexKind::kSparse;
+    options.num_categories = categories;
+    options.disk_path = (dir / "sst_c").string();
+    options.disk_batch_sequences = 32;
+    auto index = Index::Build(&db, options);
+    if (!index.ok()) {
       std::fprintf(stderr, "disk build failed: %s\n",
-                   built.status().ToString().c_str());
+                   index.status().ToString().c_str());
       std::filesystem::remove_all(dir);
       return 1;
     }
-
-    std::printf("\nDisk-backed SST_C (%zu pool pages/region): batch "
-                "throughput, single-mutex pool vs sharded\n\n",
-                build_options.disk_pool_pages);
-    std::printf("%-14s %10s", "pool", "serial(s)");
+    std::printf("\nDisk-backed SST_C (mapped): batch throughput\n\n");
+    std::printf("%-6s %10s", "kind", "serial(s)");
     for (const std::size_t t : thread_counts) {
       char head[32];
       std::snprintf(head, sizeof head, "batch@%zu", t);
       std::printf(" %8s", head);
     }
-    std::printf(" %10s\n", "conflicts");
-
-    struct PoolConfig {
-      const char* name;
-      std::size_t shards;  // 1 = single global mutex; 0 = auto-sharded.
-    };
-    for (const PoolConfig& pool :
-         {PoolConfig{"single-mutex", 1}, PoolConfig{"sharded", 0}}) {
-      IndexOptions open_options = build_options;
-      open_options.disk_pool_shards = pool.shards;
-      auto index = Index::Open(&db, open_options);
-      if (!index.ok()) {
-        std::fprintf(stderr, "disk open failed: %s\n",
-                     index.status().ToString().c_str());
-        std::filesystem::remove_all(dir);
-        return 1;
-      }
-      const double serial = AvgQuerySeconds(*index, queries, epsilon, 0);
-      std::printf("%-14s %10.4f", pool.name, serial);
-      report.Add(std::string("disk/") + pool.name + "/serial", serial * 1e9);
-      for (const std::size_t t : thread_counts) {
-        const double batch = BatchSeconds(*index, queries, epsilon, t);
-        std::printf(" %7.2fx", serial / batch);
-        report.Add(std::string("disk/") + pool.name + "/batch@" +
-                       std::to_string(t),
-                   batch * 1e9,
-                   {{"speedup", serial / batch},
-                    {"efficiency",
-                     serial / batch / static_cast<double>(t)}});
-      }
-      const auto stats = index->PoolStats();
-      std::printf(" %10llu\n",
-                  stats ? static_cast<unsigned long long>(
-                              stats->Total().shard_conflicts)
-                        : 0ULL);
+    std::printf("\n");
+    const double serial = AvgQuerySeconds(*index, queries, epsilon, 0);
+    std::printf("%-6s %10.4f", "disk", serial);
+    report.Add("disk/mmap/serial", serial * 1e9);
+    for (const std::size_t t : thread_counts) {
+      const double batch = BatchSeconds(*index, queries, epsilon, t);
+      std::printf(" %7.2fx", serial / batch);
+      report.Add("disk/mmap/batch@" + std::to_string(t), batch * 1e9,
+                 {{"speedup", serial / batch},
+                  {"efficiency", serial / batch / static_cast<double>(t)}});
     }
-    std::printf("\n(same bundle, same queries; only the frame-table "
-                "sharding differs — the conflicts column counts contended "
-                "shard-lock acquisitions)\n");
+    std::printf("\n");
     std::filesystem::remove_all(dir);
   }
   if (json && !report.Write()) return 1;

@@ -277,8 +277,8 @@ void TaskScope::WaitNoThrow() noexcept {
   try {
     Wait();
   } catch (...) {
-    // Destructor-path drain: the exception was already lost to the caller
-    // (mirrors the old ThreadPool destructor contract).
+    // Destructor-path drain: the exception was already lost to the
+    // caller.
   }
 }
 

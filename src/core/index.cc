@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/task_scheduler.h"
 #include "core/dictionary.h"
+#include "storage/mmap_file.h"
 
 namespace tswarp::core {
 
@@ -59,12 +60,7 @@ IndexFingerprint MakeFingerprint(const seqdb::SequenceDatabase& db,
 
 Status WriteFingerprint(const std::string& path,
                         const IndexFingerprint& fp) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot create " + path);
-  const std::size_t n = std::fwrite(&fp, sizeof(fp), 1, f);
-  std::fclose(f);
-  if (n != 1) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return storage::WriteFile(path, std::as_bytes(std::span(&fp, 1)));
 }
 
 StatusOr<IndexFingerprint> ReadFingerprint(const std::string& path) {
@@ -84,17 +80,6 @@ std::string FingerprintPath(const IndexOptions& options) {
 }
 
 }  // namespace
-
-suffixtree::DiskTreeOptions TreeOptionsFromIndexOptions(
-    const IndexOptions& options) {
-  suffixtree::DiskTreeOptions tree;
-  tree.pool_pages = options.disk_pool_pages;
-  tree.pool_shards = options.disk_pool_shards;
-  tree.eviction = options.disk_eviction;
-  tree.readahead_pages = options.disk_readahead_pages;
-  tree.io_mode = options.disk_io_mode;
-  return tree;
-}
 
 /// Derives the discretized symbol database (and categorizer state) for
 /// `db` under `options`. Deterministic: Build and Open share it.
@@ -164,7 +149,6 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
     suffixtree::DiskBuildOptions disk;
     disk.build = build;
     disk.batch_sequences = options.disk_batch_sequences;
-    disk.tree = TreeOptionsFromIndexOptions(options);
     TSW_ASSIGN_OR_RETURN(
         tier->disk_tree,
         suffixtree::BuildDiskTree(symbols, options.disk_path, disk));
@@ -208,10 +192,8 @@ StatusOr<Index> Index::Open(const seqdb::SequenceDatabase* db,
   suffixtree::SymbolDatabase symbols;
   TSW_RETURN_IF_ERROR(DeriveSymbols(*db, options, &symbols, &tier->alphabet,
                                     &tier->symbol_values, &base_info));
-  TSW_ASSIGN_OR_RETURN(
-      tier->disk_tree,
-      suffixtree::DiskSuffixTree::Open(options.disk_path,
-                                       TreeOptionsFromIndexOptions(options)));
+  TSW_ASSIGN_OR_RETURN(tier->disk_tree,
+                       suffixtree::DiskSuffixTree::Open(options.disk_path));
   tier->info = ComputeTierInfo(*tier);
   base_info.skipped_suffixes =
       symbols.TotalSymbols() - tier->disk_tree->NumOccurrences();
@@ -266,24 +248,6 @@ bool IndexSnapshot::on_disk() const {
 
 const suffixtree::DiskSuffixTree* IndexSnapshot::disk_tree() const {
   return tiers_.front()->disk_tree.get();
-}
-
-std::optional<suffixtree::RegionStats> IndexSnapshot::PoolStats() const {
-  bool any = false;
-  suffixtree::RegionStats total{};
-  for (const auto& tier : tiers_) {
-    if (tier->disk_tree == nullptr) continue;
-    const suffixtree::RegionStats s = tier->disk_tree->PoolStats();
-    if (!any) {
-      total = s;
-    } else {
-      total.nodes += s.nodes;
-      total.occs += s.occs;
-    }
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return total;
 }
 
 MappedIoStats IndexSnapshot::MappedStats() const {

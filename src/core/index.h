@@ -31,13 +31,6 @@ enum class IndexKind {
 
 const char* IndexKindToString(IndexKind kind);
 
-struct IndexOptions;
-
-/// Buffer-manager/runtime settings of `options` as DiskTreeOptions (shared
-/// by Index::Build/Open and the TieredIndex background merges).
-suffixtree::DiskTreeOptions TreeOptionsFromIndexOptions(
-    const IndexOptions& options);
-
 /// Build-time configuration of an Index.
 struct IndexOptions {
   IndexKind kind = IndexKind::kSparse;
@@ -54,27 +47,9 @@ struct IndexOptions {
   Pos max_suffix_length = 0;
 
   /// When set, the tree is built on disk (batched binary merges) at this
-  /// base path and searched through the sharded buffer manager.
+  /// base path and searched through read-only mappings of the bundle.
   std::string disk_path;
   std::size_t disk_batch_sequences = 64;
-  std::size_t disk_pool_pages = 256;
-
-  /// Buffer-manager tuning (runtime-only: not part of the on-disk
-  /// fingerprint, so one bundle can be reopened under any of these).
-  /// Shards per region manager; 0 = auto, 1 = single-mutex baseline.
-  std::size_t disk_pool_shards = 0;
-  storage::EvictionPolicyKind disk_eviction =
-      storage::EvictionPolicyKind::kLru;
-  /// Sequential read-ahead window in pages; 0 disables.
-  std::size_t disk_readahead_pages = 8;
-
-  /// Read path for the finalized disk bundle (runtime-only, like the pool
-  /// knobs above — not fingerprinted, so one bundle can be reopened under
-  /// either mode). mmap serves queries zero-copy off the shared kernel
-  /// page cache; buffered routes reads through the private BufferManager
-  /// and is required for v1 bundles. Construction and merges always write
-  /// (and scan intermediates) buffered regardless of this setting.
-  storage::IoMode disk_io_mode = storage::IoMode::kMmap;
 
   /// Seed for categorizers that need one (k-means).
   std::uint64_t seed = 1;
@@ -94,7 +69,7 @@ struct IndexBuildInfo {
   std::size_t num_categories = 0;      // Actual categories after dedup.
 };
 
-/// mmap read-path statistics, summed over every mapped disk tier.
+/// Mapping statistics, summed over every disk tier.
 struct MappedIoStats {
   std::uint64_t mapped_bytes = 0;    // Bytes mapped into the address space.
   std::uint64_t resident_bytes = 0;  // Thereof resident in the page cache.
@@ -140,7 +115,7 @@ struct QueryOptions {
 ///
 /// Thread safety: snapshots are immutable after construction; every
 /// member may be called from any number of threads concurrently. Holding
-/// the shared_ptr pins every tier (trees, buffer managers, database
+/// the shared_ptr pins every tier (trees, mappings, database
 /// fragments), so queries keep running against retired tiers safely while
 /// appends and merges publish newer snapshots.
 class IndexSnapshot {
@@ -193,18 +168,12 @@ class IndexSnapshot {
   /// True iff any tier is disk-backed.
   bool on_disk() const;
 
-  /// The base (first) tier's disk tree, or nullptr for in-memory bases;
-  /// exposes buffer-manager statistics for I/O experiments.
+  /// The base (first) tier's disk tree, or nullptr for in-memory bases.
   const suffixtree::DiskSuffixTree* disk_tree() const;
 
-  /// Per-region buffer-manager statistics summed over every disk-backed
-  /// tier, or nullopt when none is. All-zero counters under mmap: the
-  /// zero-copy path never pins a page.
-  std::optional<suffixtree::RegionStats> PoolStats() const;
-
-  /// Mapped/resident byte totals over the mmap-backed disk tiers (zero
-  /// when every tier is buffered or in memory). Residency probes mincore;
-  /// keep it to stats endpoints.
+  /// Mapped/resident byte totals over the disk tiers (zero when every
+  /// tier is in memory). Residency probes mincore; keep it to stats
+  /// endpoints.
   MappedIoStats MappedStats() const;
 
  private:
@@ -223,7 +192,7 @@ class IndexSnapshot {
 /// snapshot taken from it).
 ///
 /// Thread safety: every const member (Search, SearchKnn, SearchBatch,
-/// PoolStats, build_info, ...) may be called from any number of threads
+/// build_info, ...) may be called from any number of threads
 /// concurrently, and Build/Open construct independent instances touching
 /// no shared mutable state, so opening one index is safe while another —
 /// even one over the same on-disk bundle — is serving reads. Move
@@ -273,19 +242,12 @@ class Index {
   }
   const IndexOptions& options() const { return snapshot_->options(); }
 
-  /// Non-null iff the index was built with a disk_path; exposes buffer
-  /// manager statistics for I/O experiments.
+  /// Non-null iff the index was built with a disk_path.
   const suffixtree::DiskSuffixTree* disk_tree() const {
     return snapshot_->disk_tree();
   }
 
-  /// Per-region buffer-manager statistics of the disk-backed tree, or
-  /// nullopt for in-memory indexes.
-  std::optional<suffixtree::RegionStats> PoolStats() const {
-    return snapshot_->PoolStats();
-  }
-
-  /// Mapped/resident byte totals of the mmap read path (see
+  /// Mapped/resident byte totals of the disk tiers (see
   /// IndexSnapshot::MappedStats).
   MappedIoStats MappedStats() const { return snapshot_->MappedStats(); }
 

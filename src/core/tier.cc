@@ -4,9 +4,9 @@ namespace tswarp::core {
 
 Tier::~Tier() {
   if (owns_disk_files && !disk_base.empty()) {
-    // Close the buffer managers before unlinking so the bundle is not
-    // touched again (unlink-while-open is fine on POSIX, but the order
-    // keeps the intent obvious).
+    // Unmap before unlinking so the bundle is not touched again
+    // (unlink-while-mapped is fine on POSIX, but the order keeps the
+    // intent obvious).
     disk_tree.reset();
     suffixtree::RemoveDiskTree(disk_base);
   }
@@ -25,7 +25,6 @@ TierInfo ComputeTierInfo(const Tier& tier) {
   info.on_disk = tier.disk_tree != nullptr;
   info.memtable = tier.is_memtable;
   if (tier.disk_tree != nullptr) {
-    info.io_mode = tier.disk_tree->io_mode();
     info.mapped_bytes = tier.disk_tree->MappedBytes();
   }
   return info;

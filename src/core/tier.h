@@ -27,9 +27,7 @@ struct TierInfo {
   std::uint64_t table1_bytes = 0;  // Paper's Table-1 figure (Table1Bytes()).
   bool on_disk = false;
   bool memtable = false;  // The mutable-logically, immutable-physically top.
-  /// Read path of a disk tier (meaningless for in-memory tiers).
-  storage::IoMode io_mode = storage::IoMode::kBuffered;
-  /// Bytes mmap'd for this tier; 0 on the buffered path.
+  /// Bytes mmap'd for this tier; 0 for in-memory tiers.
   std::uint64_t mapped_bytes = 0;
 };
 
@@ -44,10 +42,10 @@ struct TierInfo {
 /// TieredIndex stacks a base tier, sealed appended tiers, and a memtable
 /// tier. Tiers are reference-counted (shared_ptr<const Tier>) and pinned
 /// by every snapshot that includes them: a tier retired by a background
-/// merge stays fully alive — tree, buffer managers, database fragment —
-/// until the last in-flight query drops its snapshot, and a disk tier
-/// that owns its bundle files deletes them at that point (the
-/// buffer-manager lifetime is the tier lifetime).
+/// merge stays fully alive — tree, mappings, database fragment — until
+/// the last in-flight query drops its snapshot, and a disk tier that owns
+/// its bundle files deletes them at that point (the mapping lifetime is
+/// the tier lifetime).
 struct Tier {
   Tier() = default;
   Tier(const Tier&) = delete;

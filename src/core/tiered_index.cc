@@ -312,17 +312,18 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
   } else {
     const std::string tmp =
         options_.index.disk_path + ".tmp-merge-" + std::to_string(generation);
-    StatusOr<std::unique_ptr<suffixtree::DiskTreeWriter>> writer =
-        suffixtree::DiskTreeWriter::Create(
-            tmp, TreeOptionsFromIndexOptions(options_.index));
-    TSW_RETURN_IF_ERROR(writer.status());
-    const bool done = suffixtree::MergeTrees(*a->view(), b_view,
-                                             writer->get(), &cancel_merges_);
-    const Status closed =
-        done ? (*writer)->Close() : (*writer)->status();
-    // Release the buffer managers; on cancel or failure unlink the partial
-    // bundle so no orphan survives the abort.
-    writer->reset();
+    Status closed;
+    bool done = false;
+    {
+      // The writer holds the merged records in memory until Close(); the
+      // scope releases them before the merged tree is mapped.
+      suffixtree::DiskTreeWriter writer(tmp);
+      done = suffixtree::MergeTrees(*a->view(), b_view, &writer,
+                                    &cancel_merges_);
+      closed = done ? writer.Close() : writer.status();
+    }
+    // On cancel or failure unlink the partial bundle so no orphan
+    // survives the abort.
     if (!done || !closed.ok()) {
       suffixtree::RemoveDiskTree(tmp);
       if (!done) return std::shared_ptr<const Tier>();
@@ -354,8 +355,7 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
       return synced;
     }
     StatusOr<std::unique_ptr<suffixtree::DiskSuffixTree>> opened =
-        suffixtree::DiskSuffixTree::Open(
-            final_base, TreeOptionsFromIndexOptions(options_.index));
+        suffixtree::DiskSuffixTree::Open(final_base);
     if (!opened.ok()) {
       suffixtree::RemoveDiskTree(final_base);
       return opened.status();

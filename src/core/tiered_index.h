@@ -88,7 +88,7 @@ using ContinuousCallback =
 /// All reads go through Snapshot(): an atomically published
 /// std::shared_ptr<const IndexSnapshot> that pins every tier it lists.
 /// Queries running against an old snapshot keep their tiers (trees,
-/// buffer managers, database fragments) alive until they drop the
+/// mappings, database fragments) alive until they drop the
 /// pointer; a merged-away disk tier deletes its bundle files only then.
 ///
 /// Symbolization is frozen at base build so every tier speaks the same

@@ -16,7 +16,7 @@ namespace tswarp::server {
 /// immutable core::IndexSnapshot up front and uses it throughout, so a
 /// concurrent Replace() or a TieredIndex append/merge publishing a newer
 /// snapshot cannot pull tiers out from under an in-flight handler (the
-/// snapshot pins its tiers — trees, buffer managers, database fragments —
+/// snapshot pins its tiers — trees, mappings, database fragments —
 /// until the last holder drops the pointer). This generalizes the PR 7
 /// race fix: core::Index move-assignment is deleted outright, and this
 /// handle (or the TieredIndex behind it) is the only sanctioned swap path.

@@ -722,9 +722,9 @@ struct Server::Impl {
     index_obj.Set("index_bytes", num(idx->build_info().index_bytes));
     index_obj.Set("disk", JsonValue::MakeBool(idx->on_disk()));
     index_obj.Set("sequences", num(idx->total_sequences()));
-    // mmap read-path footprint: bytes mapped across disk tiers and how
-    // much of that the kernel currently keeps resident. Both zero when
-    // every disk tier is buffered (or the index is in memory).
+    // Mapped footprint: bytes mapped across disk tiers and how much of
+    // that the kernel currently keeps resident. Both zero when the index
+    // is in memory.
     const core::MappedIoStats mapped = idx->MappedStats();
     index_obj.Set("mapped_bytes", num(mapped.mapped_bytes));
     index_obj.Set("resident_bytes", num(mapped.resident_bytes));
@@ -742,8 +742,6 @@ struct Server::Impl {
       t.Set("on_disk", JsonValue::MakeBool(tier->info.on_disk));
       t.Set("memtable", JsonValue::MakeBool(tier->info.memtable));
       if (tier->info.on_disk) {
-        t.Set("io_mode", JsonValue::MakeString(
-                             storage::IoModeToString(tier->info.io_mode)));
         t.Set("mapped_bytes", num(tier->info.mapped_bytes));
       }
       tiers.MutableArray()->push_back(std::move(t));

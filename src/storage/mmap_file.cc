@@ -21,23 +21,6 @@ Status ErrnoStatus(const std::string& op, const std::string& path) {
 
 }  // namespace
 
-const char* IoModeToString(IoMode mode) {
-  switch (mode) {
-    case IoMode::kBuffered:
-      return "buffered";
-    case IoMode::kMmap:
-      return "mmap";
-  }
-  return "unknown";
-}
-
-StatusOr<IoMode> ParseIoMode(std::string_view text) {
-  if (text == "buffered") return IoMode::kBuffered;
-  if (text == "mmap") return IoMode::kMmap;
-  return Status::InvalidArgument("unknown io mode '" + std::string(text) +
-                                 "' (expected mmap or buffered)");
-}
-
 // ---------------------------------------------------------------------------
 // MappedFile
 // ---------------------------------------------------------------------------
@@ -162,8 +145,31 @@ const std::byte* MappedRegion::RecordAt(std::uint64_t index) const {
 }
 
 // ---------------------------------------------------------------------------
-// SyncDir
+// WriteFile / SyncDir
 // ---------------------------------------------------------------------------
+
+Status WriteFile(const std::string& path, std::span<const std::byte> bytes) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return ErrnoStatus("create", path);
+  Status result = Status::OK();
+  const std::byte* data = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, data, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      result = n < 0 ? ErrnoStatus("write", path)
+                     : Status::IOError("short write to " + path);
+      break;
+    }
+    data += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  if (result.ok() && ::fsync(fd) != 0) result = ErrnoStatus("fsync", path);
+  if (::close(fd) != 0 && result.ok()) result = ErrnoStatus("close", path);
+  return result;
+}
 
 Status SyncDir(const std::string& dir) {
   const std::string path = dir.empty() ? "." : dir;

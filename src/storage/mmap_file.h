@@ -11,24 +11,6 @@
 
 namespace tswarp::storage {
 
-/// How a disk tree bundle is read at query time.
-///   kBuffered — every read pins pages through the sharded BufferManager
-///               (private page cache, pin/unpin per touch). Required for
-///               construction, merges, and v1 bundles.
-///   kMmap     — the region files are mapped read-only and cursors read
-///               straight out of the mapping: no pins, no private cache,
-///               and the kernel page cache is shared across processes.
-///               Requires a finalized v2 bundle.
-enum class IoMode {
-  kBuffered,
-  kMmap,
-};
-
-const char* IoModeToString(IoMode mode);
-
-/// Parses "buffered" / "mmap" (case-sensitive, the CLI spelling).
-StatusOr<IoMode> ParseIoMode(std::string_view text);
-
 /// Access-pattern hints forwarded to madvise(). Best-effort: advice
 /// failures are ignored (the mapping stays correct either way).
 enum class AccessHint {
@@ -114,6 +96,13 @@ class MappedRegion {
   std::size_t record_size_ = 0;
   std::uint64_t record_count_ = 0;
 };
+
+/// Creates (or truncates) `path`, writes `bytes` with one sequential
+/// write and fsyncs the file before closing it. Every durable file the
+/// library produces (bundle regions, the bundle meta page, the index
+/// fingerprint) goes through here, so a short write, a failed fsync or a
+/// failed close is an IOError instead of a silently lost file.
+Status WriteFile(const std::string& path, std::span<const std::byte> bytes);
 
 /// fsyncs a directory so a just-renamed file inside it survives power
 /// loss. Linux requires this for durable renames; the rename itself only

@@ -10,15 +10,8 @@
 #include "suffixtree/merge.h"
 
 namespace tswarp::suffixtree {
-namespace {
 
-constexpr std::uint64_t kMetaMagic = 0x545357545245451ull;  // "TSWTREE"+1
-
-// Format versions. v1 (PR 3) is the bare MetaRecord; v2 adds the section
-// table below and is required by the mmap read path. The buffered path
-// reads both.
-constexpr std::uint32_t kMetaVersionV1 = 1;
-constexpr std::uint32_t kMetaVersionV2 = 2;
+namespace internal {
 
 // On-disk node record: 32 bytes, no padding.
 struct NodeRecord {
@@ -41,13 +34,21 @@ struct OccRecord {
 };
 static_assert(sizeof(OccRecord) == 16);
 
-constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
+}  // namespace internal
 
-// Records must never straddle a page boundary or the zero-copy cursors
-// below could not hand out direct pointers into pinned frames.
-static_assert(storage::PagedFile::kPageSize % sizeof(NodeRecord) == 0);
-static_assert(storage::PagedFile::kPageSize % sizeof(OccRecord) == 0);
-static_assert(storage::PagedFile::kPageSize % sizeof(Symbol) == 0);
+namespace {
+
+using internal::NodeRecord;
+using internal::OccRecord;
+
+constexpr std::uint64_t kMetaMagic = 0x545357545245451ull;  // "TSWTREE"+1
+
+// Format versions. v1 (PR 3) is the bare MetaRecord and is no longer
+// read; v2 adds the section table below.
+constexpr std::uint32_t kMetaVersionV1 = 1;
+constexpr std::uint32_t kMetaVersionV2 = 2;
+
+constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
 
 // v2 alignment contract: record sizes divide the cache line, so no record
 // straddles a cache-line (or page) boundary and mapped cursors never split
@@ -69,9 +70,9 @@ struct MetaRecord {
 static_assert(sizeof(MetaRecord) == 40);
 
 // One v2 section-table entry per region file, in region-id order. The
-// table is what makes the bundle self-describing for the mmap path: the
-// opener validates record sizes and byte lengths against the actual files
-// before handing out any pointer, so truncation fails cleanly at Open.
+// table makes the bundle self-describing: the opener validates record
+// sizes and byte lengths against the actual files before handing out any
+// pointer, so truncation fails cleanly at Open.
 enum RegionId : std::uint32_t {
   kRegionNodes = 0,
   kRegionOccs = 1,
@@ -91,10 +92,15 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24);
 
+// The meta file is one zero-padded page: the MetaRecord, the section
+// table header (count, alignment), then the entries.
+constexpr std::size_t kMetaPageSize = 4096;
 constexpr std::size_t kSectionTableOffset = sizeof(MetaRecord);
-static_assert(kSectionTableOffset + 2 * sizeof(std::uint32_t) +
+constexpr std::size_t kSectionEntriesOffset =
+    kSectionTableOffset + 2 * sizeof(std::uint32_t);
+static_assert(kSectionEntriesOffset +
                   kLegacySections * sizeof(SectionEntry) <=
-              storage::PagedFile::kPageSize);
+              kMetaPageSize);
 
 std::string NodesPath(const std::string& base) { return base + ".nodes"; }
 std::string OccsPath(const std::string& base) { return base + ".occs"; }
@@ -106,163 +112,72 @@ std::string ParentDir(const std::string& base_path) {
   return std::filesystem::path(base_path).parent_path().string();
 }
 
-/// Counts + format version recovered from a validated meta page.
+/// Counts recovered from a validated v2 meta page.
 struct ParsedMeta {
-  std::uint32_t version;
   std::uint64_t num_nodes;
   std::uint64_t num_occs;
   std::uint64_t num_label_symbols;
 };
 
 StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
-  TSW_ASSIGN_OR_RETURN(auto meta_file,
-                       storage::PagedFile::Open(MetaPath(base_path), false));
-  std::vector<std::byte> page(storage::PagedFile::kPageSize);
-  TSW_RETURN_IF_ERROR(meta_file.ReadPage(0, page));
-  MetaRecord meta;
-  std::memcpy(&meta, page.data(), sizeof(meta));
-  if (meta.magic != kMetaMagic) {
-    return Status::Corruption("bad magic in " + MetaPath(base_path));
+  const std::string path = MetaPath(base_path);
+  TSW_ASSIGN_OR_RETURN(const storage::MappedFile file,
+                       storage::MappedFile::Open(path));
+  const std::span<const std::byte> page = file.bytes();
+  MetaRecord meta{};
+  if (page.size() >= sizeof(meta)) {
+    std::memcpy(&meta, page.data(), sizeof(meta));
   }
-  if (meta.version != kMetaVersionV1 && meta.version != kMetaVersionV2) {
+  if (meta.magic != kMetaMagic) {
+    return Status::Corruption("bad magic in " + path);
+  }
+  if (meta.version == kMetaVersionV1) {
+    return Status::Corruption(
+        "bundle " + base_path +
+        " is format v1 (no section table), which this build no longer "
+        "reads: rebuild the index");
+  }
+  if (meta.version != kMetaVersionV2) {
     return Status::Corruption("unsupported format version " +
-                              std::to_string(meta.version) + " in " +
-                              MetaPath(base_path));
+                              std::to_string(meta.version) + " in " + path);
   }
   if (meta.finalized != 1) {
     return Status::Corruption("unreadable tree bundle " + base_path);
   }
-  if (meta.version == kMetaVersionV2) {
-    std::size_t off = kSectionTableOffset;
-    std::uint32_t section_count = 0;
-    std::uint32_t alignment = 0;
-    std::memcpy(&section_count, page.data() + off, sizeof(section_count));
-    off += sizeof(section_count);
-    std::memcpy(&alignment, page.data() + off, sizeof(alignment));
-    off += sizeof(alignment);
-    // 3 sections is a v2 bundle; 4 is a legacy bundle that also carries
-    // `.sums`, whose entry is not read. Anything else is not a bundle
-    // this build can describe.
-    if ((section_count != kNumSections && section_count != kLegacySections) ||
-        alignment != kRecordAlignment) {
-      return Status::Corruption("bad section table header in " +
-                                MetaPath(base_path));
+  if (page.size() < kMetaPageSize) {
+    return Status::Corruption("truncated meta page " + path);
+  }
+  std::uint32_t section_count = 0;
+  std::uint32_t alignment = 0;
+  std::memcpy(&section_count, page.data() + kSectionTableOffset,
+              sizeof(section_count));
+  std::memcpy(&alignment,
+              page.data() + kSectionTableOffset + sizeof(section_count),
+              sizeof(alignment));
+  // 3 sections is a v2 bundle; 4 is a legacy bundle that also carries
+  // `.sums`, whose entry is not read. Anything else is not a bundle this
+  // build can describe.
+  if ((section_count != kNumSections && section_count != kLegacySections) ||
+      alignment != kRecordAlignment) {
+    return Status::Corruption("bad section table header in " + path);
+  }
+  const std::uint64_t expect_count[kNumSections] = {
+      meta.num_nodes, meta.num_occs, meta.num_label_symbols};
+  const std::uint32_t expect_size[kNumSections] = {
+      sizeof(NodeRecord), sizeof(OccRecord), sizeof(Symbol)};
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    SectionEntry entry{};
+    std::memcpy(&entry,
+                page.data() + kSectionEntriesOffset + i * sizeof(entry),
+                sizeof(entry));
+    if (entry.region != i || entry.record_size != expect_size[i] ||
+        entry.record_count != expect_count[i] ||
+        entry.byte_length != entry.record_count * entry.record_size) {
+      return Status::Corruption("bad section table entry " +
+                                std::to_string(i) + " in " + path);
     }
-    const std::uint64_t expect_count[kNumSections] = {
-        meta.num_nodes, meta.num_occs, meta.num_label_symbols};
-    const std::uint32_t expect_size[kNumSections] = {
-        sizeof(NodeRecord), sizeof(OccRecord), sizeof(Symbol)};
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-      SectionEntry entry;
-      std::memcpy(&entry, page.data() + off, sizeof(entry));
-      off += sizeof(entry);
-      if (entry.region != i || entry.record_size != expect_size[i] ||
-          entry.record_count != expect_count[i] ||
-          entry.byte_length != entry.record_count * entry.record_size) {
-        return Status::Corruption("bad section table entry " +
-                                  std::to_string(i) + " in " +
-                                  MetaPath(base_path));
-      }
-    }
   }
-  return ParsedMeta{meta.version, meta.num_nodes, meta.num_occs,
-                    meta.num_label_symbols};
-}
-
-/// Zero-copy access to fixed-size records of one region. Get() pins the
-/// record's page and returns a pointer straight into the frame; the pin
-/// (a read guard) is held until the next Get() on a different page or the
-/// cursor dies. Holding a read guard across further pins is explicitly
-/// allowed by the manager, so cursors for several regions can be live at
-/// once (GetOccurrences walks nodes and occs together) — but to keep the
-/// latch-order graph acyclic, accessors must only pin in the region
-/// order nodes -> occs while a guard is held.
-template <typename T>
-class RecordCursor {
- public:
-  explicit RecordCursor(storage::BufferManager* mgr) : mgr_(mgr) {}
-
-  /// Pointer valid until the next Get() on this cursor.
-  const T* Get(std::uint64_t index) {
-    const std::uint64_t offset = index * sizeof(T);
-    const std::uint64_t page_no = offset / storage::PagedFile::kPageSize;
-    if (!guard_.valid() || guard_.page_no() != page_no) {
-      guard_.Release();
-      auto pinned = mgr_->Pin(page_no, storage::PinIntent::kRead);
-      TSW_CHECK(pinned.ok()) << pinned.status();
-      guard_ = std::move(pinned).value();
-    }
-    return reinterpret_cast<const T*>(
-        guard_.bytes().data() + offset % storage::PagedFile::kPageSize);
-  }
-
- private:
-  storage::BufferManager* mgr_;
-  storage::PageGuard guard_;
-};
-
-// Writer-side helpers on the byte-copy shim (records are patched in
-// place, and the writer is single-threaded, so guards buy nothing here).
-
-Status ReadNode(storage::BufferManager& mgr, NodeId id, NodeRecord* out) {
-  return mgr.Read(static_cast<std::uint64_t>(id) * sizeof(NodeRecord), out,
-                  sizeof(NodeRecord));
-}
-
-Status WriteNode(storage::BufferManager& mgr, NodeId id,
-                 const NodeRecord& rec) {
-  return mgr.Write(static_cast<std::uint64_t>(id) * sizeof(NodeRecord), &rec,
-                   sizeof(NodeRecord));
-}
-
-Status ReadOcc(storage::BufferManager& mgr, std::uint32_t id,
-               OccRecord* out) {
-  return mgr.Read(static_cast<std::uint64_t>(id) * sizeof(OccRecord), out,
-                  sizeof(OccRecord));
-}
-
-/// Writes `bytes` as a fresh region file at `path` (the last page
-/// zero-padded) and syncs it.
-Status WriteRegionFile(const std::string& path,
-                       std::span<const std::byte> bytes) {
-  TSW_ASSIGN_OR_RETURN(auto file, storage::PagedFile::Create(path));
-  std::vector<std::byte> page(storage::PagedFile::kPageSize);
-  std::uint64_t written = 0;
-  for (std::uint64_t page_no = 0; written < bytes.size(); ++page_no) {
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(bytes.size() - written, page.size());
-    std::memcpy(page.data(), bytes.data() + written, chunk);
-    if (chunk < page.size()) {
-      std::fill(page.begin() + static_cast<std::ptrdiff_t>(chunk), page.end(),
-                std::byte{0});
-    }
-    TSW_RETURN_IF_ERROR(file.WritePage(page_no, page));
-    written += chunk;
-  }
-  return file.Sync();
-}
-
-/// Fills `out` from the start of region file `path`; Corruption when the
-/// file is shorter than the section table claims.
-Status ReadRegionFile(const std::string& path, std::span<std::byte> out,
-                      const char* what) {
-  TSW_ASSIGN_OR_RETURN(auto file, storage::PagedFile::Open(path, false));
-  if (file.SizeBytes() < out.size()) {
-    return Status::Corruption(
-        std::string(what) + " section truncated: " + path + " holds " +
-        std::to_string(file.SizeBytes()) + " bytes, section table claims " +
-        std::to_string(out.size()));
-  }
-  std::vector<std::byte> page(storage::PagedFile::kPageSize);
-  std::uint64_t copied = 0;
-  for (std::uint64_t page_no = 0; copied < out.size(); ++page_no) {
-    TSW_RETURN_IF_ERROR(file.ReadPage(page_no, page));
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(out.size() - copied, page.size());
-    std::memcpy(out.data() + copied, page.data(), chunk);
-    copied += chunk;
-  }
-  return Status::OK();
+  return ParsedMeta{meta.num_nodes, meta.num_occs, meta.num_label_symbols};
 }
 
 /// Checks every node and occurrence record of a bundle: child, sibling and
@@ -289,8 +204,7 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
            ((rec.label_len != 0) | (i == 0));
   };
 
-  // Pass 1 only decides, without branches: on the mmap path this pass is
-  // most of Open.
+  // Pass 1 only decides, without branches: this pass is most of Open.
   bool ok = true;
   std::uint64_t label_symbols = 0;
   for (std::uint64_t i = 0; i < meta.num_nodes; ++i) {
@@ -336,344 +250,29 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
   return Status::Corruption("inconsistent records in " + base_path);
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Node-access layer
-// ---------------------------------------------------------------------------
-
-namespace internal {
-
-/// Backend behind DiskSuffixTree's read accessors. Implementations must
-/// be safe for concurrent reads from many threads.
-class TreeAccess {
- public:
-  virtual ~TreeAccess() = default;
-
-  /// Fills out->edges only; the caller supplies the text.
-  virtual void GetChildren(NodeId node, Children* out) const = 0;
-  virtual void GetOccurrences(NodeId node,
-                              std::vector<OccurrenceRec>* out) const = 0;
-  /// The bundle's text.
-  virtual std::span<const Symbol> Text() const = 0;
-  /// ValidateRecords over this backend's records.
-  virtual StatusOr<std::uint64_t> Validate(const std::string& base_path,
-                                           const ParsedMeta& meta) const = 0;
-  virtual std::uint32_t SubtreeOccCount(NodeId node) const = 0;
-  virtual Pos MaxRun(NodeId node) const = 0;
-  virtual void HintSequentialScan() const = 0;
-  virtual RegionStats PoolStats() const = 0;
-  virtual storage::IoMode io_mode() const = 0;
-  virtual std::size_t pool_shards() const = 0;
-  virtual storage::EvictionPolicyKind pool_eviction() const = 0;
-  virtual std::uint64_t MappedBytes() const = 0;
-  virtual std::uint64_t ResidentBytes() const = 0;
-};
-
-}  // namespace internal
-
-namespace {
-
-/// The buffered read path: sharded BufferManagers with a bounded frame budget
-/// for the node and occurrence records. Handles bundles larger than RAM
-/// and v1 bundles; also the only backend usable while a writer still
-/// exists (construction, merges). The text is read into memory at Open.
-class BufferedTreeAccess : public internal::TreeAccess {
- public:
-  static StatusOr<std::unique_ptr<internal::TreeAccess>> Open(
-      const std::string& base_path, const DiskTreeOptions& options,
-      const ParsedMeta& meta) {
-    auto access = std::unique_ptr<BufferedTreeAccess>(new BufferedTreeAccess);
-    access->readahead_pages_ = options.readahead_pages;
-    access->text_.resize(static_cast<std::size_t>(meta.num_label_symbols));
-    TSW_RETURN_IF_ERROR(ReadRegionFile(
-        LabelsPath(base_path),
-        std::as_writable_bytes(std::span(access->text_)), "labels"));
-    TSW_ASSIGN_OR_RETURN(
-        auto nodes_file, storage::PagedFile::Open(NodesPath(base_path), false));
-    TSW_ASSIGN_OR_RETURN(
-        auto occs_file, storage::PagedFile::Open(OccsPath(base_path), false));
-    access->node_file_ =
-        std::make_unique<storage::PagedFile>(std::move(nodes_file));
-    access->occ_file_ =
-        std::make_unique<storage::PagedFile>(std::move(occs_file));
-    const storage::BufferManagerOptions mgr_options =
-        options.ToManagerOptions();
-    access->nodes_ = std::make_unique<storage::BufferManager>(
-        access->node_file_.get(), mgr_options);
-    access->occs_ = std::make_unique<storage::BufferManager>(
-        access->occ_file_.get(), mgr_options);
-    return std::unique_ptr<internal::TreeAccess>(std::move(access));
-  }
-
-  void GetChildren(NodeId node, Children* out) const override {
-    out->edges.clear();
-    RecordCursor<NodeRecord> nodes(nodes_.get());
-    // Copy out scalars before the next cursor call invalidates the pointer.
-    const NodeId first_child = nodes.Get(node)->first_child;
-    for (NodeId c = first_child; c != kNilNode;) {
-      const NodeRecord* crec = nodes.Get(c);
-      out->edges.push_back({c, crec->label_len, crec->label_offset});
-      c = crec->next_sibling;
-    }
-  }
-
-  void GetOccurrences(NodeId node,
-                      std::vector<OccurrenceRec>* out) const override {
-    RecordCursor<NodeRecord> nodes(nodes_.get());
-    RecordCursor<OccRecord> occs(occs_.get());
-    const std::uint32_t first_occ = nodes.Get(node)->first_occ;
-    for (std::uint32_t o = first_occ; o != kNilOcc;) {
-      const OccRecord* orec = occs.Get(o);
-      out->push_back({orec->seq, orec->pos, orec->run});
-      o = orec->next;
-    }
-  }
-
-  std::span<const Symbol> Text() const override { return text_; }
-
-  StatusOr<std::uint64_t> Validate(const std::string& base_path,
-                                   const ParsedMeta& meta) const override {
-    RecordCursor<NodeRecord> nodes(nodes_.get());
-    RecordCursor<OccRecord> occs(occs_.get());
-    return ValidateRecords(
-        base_path, meta, [&](std::uint64_t i) { return *nodes.Get(i); },
-        [&](std::uint64_t i) { return *occs.Get(i); });
-  }
-
-  std::uint32_t SubtreeOccCount(NodeId node) const override {
-    RecordCursor<NodeRecord> nodes(nodes_.get());
-    return nodes.Get(node)->subtree_occ;
-  }
-
-  Pos MaxRun(NodeId node) const override {
-    RecordCursor<NodeRecord> nodes(nodes_.get());
-    return nodes.Get(node)->max_run;
-  }
-
-  void HintSequentialScan() const override {
-    const std::size_t window = readahead_pages_;
-    if (window == 0) return;
-    // Prime the first window of each region; once the scan reaches the end
-    // of a primed run, the managers' sequential fault detection takes over.
-    nodes_->ReadAhead(0, window);
-    occs_->ReadAhead(0, window);
-  }
-
-  RegionStats PoolStats() const override {
-    RegionStats stats;
-    stats.nodes = nodes_->stats();
-    stats.occs = occs_->stats();
-    return stats;
-  }
-
-  storage::IoMode io_mode() const override {
-    return storage::IoMode::kBuffered;
-  }
-  std::size_t pool_shards() const override { return nodes_->num_shards(); }
-  storage::EvictionPolicyKind pool_eviction() const override {
-    return nodes_->eviction_policy();
-  }
-  std::uint64_t MappedBytes() const override { return 0; }
-  std::uint64_t ResidentBytes() const override { return 0; }
-
- private:
-  BufferedTreeAccess() = default;
-
-  std::size_t readahead_pages_ = 0;
-  // Labels are read on every edge, so the buffered path reads the text
-  // into an owned array at Open (4 B/text symbol) instead of pinning
-  // pages per probe: the deliberate exception to the bounded-pool promise.
-  std::vector<Symbol> text_;
-  std::unique_ptr<storage::PagedFile> node_file_;
-  std::unique_ptr<storage::PagedFile> occ_file_;
-  // Managers are mutable in effect: reads fault pages in and move policy
-  // state; BufferManager is internally synchronized.
-  mutable std::unique_ptr<storage::BufferManager> nodes_;
-  mutable std::unique_ptr<storage::BufferManager> occs_;
-};
-
-/// The zero-copy read path: every region file is mapped read-only at Open
-/// and accessors dereference records straight out of the mapping. No pins,
-/// no locks, no private cache — the kernel page cache is the only cache
-/// and is shared with every other process serving the same bundle.
-/// MappedRegion::Create validated the byte lengths up front and Validate()
-/// every record id and label range, so every RecordAt below and every
-/// label span handed out is in-bounds.
-class MappedTreeAccess : public internal::TreeAccess {
- public:
-  static StatusOr<std::unique_ptr<internal::TreeAccess>> Open(
-      const std::string& base_path, const ParsedMeta& meta) {
-    auto access = std::unique_ptr<MappedTreeAccess>(new MappedTreeAccess);
-    TSW_ASSIGN_OR_RETURN(access->nodes_file_,
-                         storage::MappedFile::Open(NodesPath(base_path)));
-    TSW_ASSIGN_OR_RETURN(access->occs_file_,
-                         storage::MappedFile::Open(OccsPath(base_path)));
-    TSW_ASSIGN_OR_RETURN(access->labels_file_,
-                         storage::MappedFile::Open(LabelsPath(base_path)));
-    TSW_ASSIGN_OR_RETURN(
-        access->nodes_,
-        storage::MappedRegion::Create(access->nodes_file_, sizeof(NodeRecord),
-                                      meta.num_nodes, "nodes"));
-    TSW_ASSIGN_OR_RETURN(
-        access->occs_,
-        storage::MappedRegion::Create(access->occs_file_, sizeof(OccRecord),
-                                      meta.num_occs, "occs"));
-    TSW_ASSIGN_OR_RETURN(
-        const storage::MappedRegion labels,
-        storage::MappedRegion::Create(access->labels_file_, sizeof(Symbol),
-                                      meta.num_label_symbols, "labels"));
-    access->text_ = std::span<const Symbol>(
-        reinterpret_cast<const Symbol*>(labels.data()),
-        static_cast<std::size_t>(meta.num_label_symbols));
-    // Kick off asynchronous population of the whole bundle; queries that
-    // arrive before it completes just fault their pages on demand.
-    access->nodes_file_.Advise(storage::AccessHint::kWillNeed);
-    access->occs_file_.Advise(storage::AccessHint::kWillNeed);
-    access->labels_file_.Advise(storage::AccessHint::kWillNeed);
-    return std::unique_ptr<internal::TreeAccess>(std::move(access));
-  }
-
-  void GetChildren(NodeId node, Children* out) const override {
-    out->edges.clear();
-    for (NodeId c = Node(node).first_child; c != kNilNode;) {
-      const NodeRecord& crec = Node(c);
-      out->edges.push_back({c, crec.label_len, crec.label_offset});
-      c = crec.next_sibling;
-    }
-  }
-
-  void GetOccurrences(NodeId node,
-                      std::vector<OccurrenceRec>* out) const override {
-    for (std::uint32_t o = Node(node).first_occ; o != kNilOcc;) {
-      const auto& orec =
-          *reinterpret_cast<const OccRecord*>(occs_.RecordAt(o));
-      out->push_back({orec.seq, orec.pos, orec.run});
-      o = orec.next;
-    }
-  }
-
-  std::span<const Symbol> Text() const override { return text_; }
-
-  StatusOr<std::uint64_t> Validate(const std::string& base_path,
-                                   const ParsedMeta& meta) const override {
-    // Index the mapped arrays directly (their extents were checked when
-    // the regions were created): this pass is most of an mmap Open.
-    const auto* nodes = reinterpret_cast<const NodeRecord*>(nodes_.data());
-    const auto* occs = reinterpret_cast<const OccRecord*>(occs_.data());
-    return ValidateRecords(
-        base_path, meta, [&](std::uint64_t i) { return nodes[i]; },
-        [&](std::uint64_t i) { return occs[i]; });
-  }
-
-  std::uint32_t SubtreeOccCount(NodeId node) const override {
-    return Node(node).subtree_occ;
-  }
-
-  Pos MaxRun(NodeId node) const override { return Node(node).max_run; }
-
-  void HintSequentialScan() const override {
-    // Only the records are scanned front to back; labels are read at
-    // wherever each edge references the text.
-    nodes_file_.Advise(storage::AccessHint::kSequential);
-    occs_file_.Advise(storage::AccessHint::kSequential);
-  }
-
-  RegionStats PoolStats() const override { return RegionStats{}; }
-
-  storage::IoMode io_mode() const override { return storage::IoMode::kMmap; }
-  std::size_t pool_shards() const override { return 0; }
-  storage::EvictionPolicyKind pool_eviction() const override {
-    return storage::EvictionPolicyKind::kLru;
-  }
-
-  std::uint64_t MappedBytes() const override {
-    return nodes_file_.size_bytes() + occs_file_.size_bytes() +
-           labels_file_.size_bytes();
-  }
-
-  std::uint64_t ResidentBytes() const override {
-    return nodes_file_.ResidentBytes() + occs_file_.ResidentBytes() +
-           labels_file_.ResidentBytes();
-  }
-
- private:
-  MappedTreeAccess() = default;
-
-  const NodeRecord& Node(std::uint64_t id) const {
-    return *reinterpret_cast<const NodeRecord*>(nodes_.RecordAt(id));
-  }
-
-  storage::MappedFile nodes_file_;
-  storage::MappedFile occs_file_;
-  storage::MappedFile labels_file_;
-  storage::MappedRegion nodes_;
-  storage::MappedRegion occs_;
-  std::span<const Symbol> text_;
-};
 
 }  // namespace
-
-storage::BufferManagerOptions DiskTreeOptions::ToManagerOptions() const {
-  storage::BufferManagerOptions o;
-  o.capacity_pages = pool_pages;
-  o.num_shards = pool_shards;
-  o.eviction = eviction;
-  o.readahead_pages = readahead_pages;
-  return o;
-}
-
-storage::BufferManager::Stats RegionStats::Total() const {
-  storage::BufferManager::Stats total;
-  total += nodes;
-  total += occs;
-  return total;
-}
 
 // ---------------------------------------------------------------------------
 // DiskTreeWriter
 // ---------------------------------------------------------------------------
 
-DiskTreeWriter::DiskTreeWriter(const std::string& base_path,
-                               DiskTreeOptions options)
-    : base_path_(base_path), options_(options) {}
+DiskTreeWriter::DiskTreeWriter(std::string base_path)
+    : base_path_(std::move(base_path)) {}
 
-StatusOr<std::unique_ptr<DiskTreeWriter>> DiskTreeWriter::Create(
-    const std::string& base_path, DiskTreeOptions options) {
-  std::unique_ptr<DiskTreeWriter> writer(
-      new DiskTreeWriter(base_path, options));
-  TSW_RETURN_IF_ERROR(writer->Init());
-  return writer;
-}
-
-Status DiskTreeWriter::Init() {
-  TSW_ASSIGN_OR_RETURN(auto nodes_file,
-                       storage::PagedFile::Create(NodesPath(base_path_)));
-  TSW_ASSIGN_OR_RETURN(auto occs_file,
-                       storage::PagedFile::Create(OccsPath(base_path_)));
-  // An empty text until SetText: a root-only tree is a complete bundle.
-  TSW_RETURN_IF_ERROR(WriteRegionFile(LabelsPath(base_path_), {}));
-  node_file_ = std::make_unique<storage::PagedFile>(std::move(nodes_file));
-  occ_file_ = std::make_unique<storage::PagedFile>(std::move(occs_file));
-  const storage::BufferManagerOptions mgr_options =
-      options_.ToManagerOptions();
-  nodes_ = std::make_unique<storage::BufferManager>(node_file_.get(),
-                                                    mgr_options);
-  occs_ = std::make_unique<storage::BufferManager>(occ_file_.get(),
-                                                   mgr_options);
-  return Status::OK();
-}
+DiskTreeWriter::~DiskTreeWriter() = default;
 
 void DiskTreeWriter::SetText(std::span<const Symbol> text) {
-  TSW_CHECK(num_nodes_ <= 1) << "the text must precede every edge";
+  TSW_CHECK(nodes_.size() <= 1) << "the text must precede every edge";
   num_label_symbols_ = text.size();
-  Latch(WriteRegionFile(LabelsPath(base_path_), std::as_bytes(text)));
+  text_written_ = true;
+  Latch(storage::WriteFile(LabelsPath(base_path_), std::as_bytes(text)));
 }
 
 NodeId DiskTreeWriter::AddNode(NodeId parent, LabelRef label) {
   if (!status_.ok()) return 0;  // Failed: Close() reports it.
   const StatusOr<std::uint32_t> checked_id =
-      CheckedU32(num_nodes_, "node count");
+      CheckedU32(nodes_.size(), "node count");
   if (!checked_id.ok()) {
     Latch(checked_id.status());
     return 0;
@@ -684,8 +283,11 @@ NodeId DiskTreeWriter::AddNode(NodeId parent, LabelRef label) {
   rec.next_sibling = kNilNode;
   rec.first_occ = kNilOcc;
   if (parent == kNilNode) {
-    TSW_CHECK(num_nodes_ == 0) << "root must be the first node";
+    TSW_CHECK(nodes_.empty()) << "root must be the first node";
   } else {
+    TSW_CHECK(parent < nodes_.size())
+        << "parent " << parent << " of a tree with " << nodes_.size()
+        << " nodes";
     TSW_CHECK(label.len > 0 &&
               label.offset + label.len <= num_label_symbols_)
         << "label [" << label.offset << ", +" << label.len
@@ -693,86 +295,49 @@ NodeId DiskTreeWriter::AddNode(NodeId parent, LabelRef label) {
     rec.label_offset = label.offset;
     rec.label_len = label.len;
     // Prepend into the parent's child chain.
-    NodeRecord parent_rec;
-    Latch(ReadNode(*nodes_, parent, &parent_rec));
-    rec.next_sibling = parent_rec.first_child;
-    parent_rec.first_child = id;
-    Latch(WriteNode(*nodes_, parent, parent_rec));
+    rec.next_sibling = nodes_[parent].first_child;
+    nodes_[parent].first_child = id;
   }
-  Latch(WriteNode(*nodes_, id, rec));
-  ++num_nodes_;
+  nodes_.push_back(rec);
   return id;
 }
 
 void DiskTreeWriter::AddOccurrence(NodeId node, const OccurrenceRec& occ) {
   if (!status_.ok()) return;
   const StatusOr<std::uint32_t> checked_id =
-      CheckedU32(num_occs_, "occurrence count");
+      CheckedU32(occs_.size(), "occurrence count");
   if (!checked_id.ok()) {
     Latch(checked_id.status());
     return;
   }
-  const std::uint32_t id = *checked_id;
-  NodeRecord node_rec;
-  Latch(ReadNode(*nodes_, node, &node_rec));
-  OccRecord rec{occ.seq, occ.pos, occ.run, node_rec.first_occ};
-  Latch(occs_->Write(num_occs_ * sizeof(OccRecord), &rec, sizeof(OccRecord)));
-  node_rec.first_occ = id;
-  Latch(WriteNode(*nodes_, node, node_rec));
-  ++num_occs_;
+  TSW_CHECK(node < nodes_.size())
+      << "node " << node << " of a tree with " << nodes_.size() << " nodes";
+  occs_.push_back({occ.seq, occ.pos, occ.run, nodes_[node].first_occ});
+  nodes_[node].first_occ = *checked_id;
 }
 
 void DiskTreeWriter::Finalize() {
   TSW_CHECK(!finalized_);
-  if (num_nodes_ == 0) {
-    finalized_ = true;
-    return;
-  }
-  // Iterative post-order pass patching subtree_occ / max_run.
-  struct Frame {
-    NodeId node;
-    bool processed;
-  };
-  std::vector<Frame> stack = {{0, false}};
-  while (!stack.empty() && status_.ok()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    NodeRecord rec;
-    Latch(ReadNode(*nodes_, f.node, &rec));
-    if (!f.processed) {
-      stack.push_back({f.node, true});
-      for (NodeId c = rec.first_child; c != kNilNode;) {
-        stack.push_back({c, false});
-        NodeRecord crec;
-        Latch(ReadNode(*nodes_, c, &crec));
-        if (!status_.ok()) break;
-        c = crec.next_sibling;
-      }
-      continue;
-    }
+  finalized_ = true;
+  // Every child was added after its parent, so it has the larger id:
+  // visiting ids from the last down is a post-order, and each node's
+  // children are final when the node sums them.
+  for (std::size_t i = nodes_.size(); i-- > 0;) {
+    NodeRecord& rec = nodes_[i];
     std::uint32_t count = 0;
     std::uint32_t max_run = 0;
-    for (std::uint32_t o = rec.first_occ; o != kNilOcc;) {
-      OccRecord orec;
-      Latch(ReadOcc(*occs_, o, &orec));
-      if (!status_.ok()) break;
+    for (std::uint32_t o = rec.first_occ; o != kNilOcc; o = occs_[o].next) {
       ++count;
-      max_run = std::max(max_run, orec.run);
-      o = orec.next;
+      max_run = std::max(max_run, occs_[o].run);
     }
-    for (NodeId c = rec.first_child; c != kNilNode;) {
-      NodeRecord crec;
-      Latch(ReadNode(*nodes_, c, &crec));
-      if (!status_.ok()) break;
-      count += crec.subtree_occ;
-      max_run = std::max(max_run, crec.max_run);
-      c = crec.next_sibling;
+    for (NodeId c = rec.first_child; c != kNilNode;
+         c = nodes_[c].next_sibling) {
+      count += nodes_[c].subtree_occ;
+      max_run = std::max(max_run, nodes_[c].max_run);
     }
     rec.subtree_occ = count;
     rec.max_run = max_run;
-    Latch(WriteNode(*nodes_, f.node, rec));
   }
-  finalized_ = true;
 }
 
 Status DiskTreeWriter::Close() {
@@ -788,32 +353,36 @@ Status DiskTreeWriter::CloseInternal() {
     return Status::FailedPrecondition("Close() before Finalize() on " +
                                       base_path_);
   }
-  TSW_RETURN_IF_ERROR(nodes_->Flush());
-  TSW_RETURN_IF_ERROR(occs_->Flush());
-  TSW_ASSIGN_OR_RETURN(auto meta_file,
-                       storage::PagedFile::Create(MetaPath(base_path_)));
-  MetaRecord meta{kMetaMagic, kMetaVersionV2, 1u, num_nodes_, num_occs_,
-                  num_label_symbols_};
-  std::vector<std::byte> page(storage::PagedFile::kPageSize);
+  // A root-only tree never saw SetText: its text is empty.
+  if (!text_written_) {
+    TSW_RETURN_IF_ERROR(storage::WriteFile(LabelsPath(base_path_), {}));
+  }
+  TSW_RETURN_IF_ERROR(storage::WriteFile(NodesPath(base_path_),
+                                         std::as_bytes(std::span(nodes_))));
+  TSW_RETURN_IF_ERROR(storage::WriteFile(OccsPath(base_path_),
+                                         std::as_bytes(std::span(occs_))));
+  // The meta page goes last: a finalized meta names regions that are
+  // already durable.
+  const std::uint64_t num_nodes = nodes_.size();
+  const std::uint64_t num_occs = occs_.size();
+  std::vector<std::byte> page(kMetaPageSize);
+  const MetaRecord meta{kMetaMagic, kMetaVersionV2, 1u, num_nodes, num_occs,
+                        num_label_symbols_};
   std::memcpy(page.data(), &meta, sizeof(meta));
-  std::size_t off = kSectionTableOffset;
-  const std::uint32_t section_count = kNumSections;
-  const std::uint32_t alignment = kRecordAlignment;
-  std::memcpy(page.data() + off, &section_count, sizeof(section_count));
-  off += sizeof(section_count);
-  std::memcpy(page.data() + off, &alignment, sizeof(alignment));
-  off += sizeof(alignment);
+  const std::uint32_t table_header[2] = {kNumSections, kRecordAlignment};
+  std::memcpy(page.data() + kSectionTableOffset, table_header,
+              sizeof(table_header));
   const SectionEntry sections[kNumSections] = {
       {kRegionNodes, static_cast<std::uint32_t>(sizeof(NodeRecord)),
-       num_nodes_, num_nodes_ * sizeof(NodeRecord)},
-      {kRegionOccs, static_cast<std::uint32_t>(sizeof(OccRecord)), num_occs_,
-       num_occs_ * sizeof(OccRecord)},
+       num_nodes, num_nodes * sizeof(NodeRecord)},
+      {kRegionOccs, static_cast<std::uint32_t>(sizeof(OccRecord)), num_occs,
+       num_occs * sizeof(OccRecord)},
       {kRegionLabels, static_cast<std::uint32_t>(sizeof(Symbol)),
        num_label_symbols_, num_label_symbols_ * sizeof(Symbol)},
   };
-  std::memcpy(page.data() + off, sections, sizeof(sections));
-  TSW_RETURN_IF_ERROR(meta_file.WritePage(0, page));
-  TSW_RETURN_IF_ERROR(meta_file.Sync());
+  std::memcpy(page.data() + kSectionEntriesOffset, sections,
+              sizeof(sections));
+  TSW_RETURN_IF_ERROR(storage::WriteFile(MetaPath(base_path_), page));
   // The bundle's directory entries must survive power loss too: without
   // this, a crash after Close() could leave a tier whose files simply
   // never existed as far as the recovered filesystem is concerned.
@@ -827,94 +396,108 @@ Status DiskTreeWriter::CloseInternal() {
 DiskSuffixTree::~DiskSuffixTree() = default;
 
 StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
-    const std::string& base_path, DiskTreeOptions options) {
+    const std::string& base_path) {
   TSW_ASSIGN_OR_RETURN(const ParsedMeta meta, ReadMeta(base_path));
-  if (options.io_mode == storage::IoMode::kMmap &&
-      meta.version < kMetaVersionV2) {
-    return Status::Corruption(
-        "bundle " + base_path + " is format v" + std::to_string(meta.version) +
-        " (no section table): the mmap read path needs v2 — open with "
-        "io_mode=buffered or rebuild the index");
-  }
   std::unique_ptr<DiskSuffixTree> tree(new DiskSuffixTree());
-  tree->base_path_ = base_path;
-  tree->options_ = options;
-  tree->num_nodes_ = meta.num_nodes;
-  tree->num_occs_ = meta.num_occs;
-  tree->num_label_symbols_ = meta.num_label_symbols;
-  tree->format_version_ = meta.version;
-  if (options.io_mode == storage::IoMode::kMmap) {
-    TSW_ASSIGN_OR_RETURN(
-        tree->access_,
-        MappedTreeAccess::Open(base_path, meta));
-  } else {
-    TSW_ASSIGN_OR_RETURN(tree->access_,
-                         BufferedTreeAccess::Open(base_path, options, meta));
-  }
-  tree->text_ = tree->access_->Text();
-  TSW_ASSIGN_OR_RETURN(tree->materialized_label_symbols_,
-                       tree->access_->Validate(base_path, meta));
+  TSW_ASSIGN_OR_RETURN(tree->nodes_file_,
+                       storage::MappedFile::Open(NodesPath(base_path)));
+  TSW_ASSIGN_OR_RETURN(tree->occs_file_,
+                       storage::MappedFile::Open(OccsPath(base_path)));
+  TSW_ASSIGN_OR_RETURN(tree->labels_file_,
+                       storage::MappedFile::Open(LabelsPath(base_path)));
+  TSW_ASSIGN_OR_RETURN(
+      tree->nodes_,
+      storage::MappedRegion::Create(tree->nodes_file_, sizeof(NodeRecord),
+                                    meta.num_nodes, "nodes"));
+  TSW_ASSIGN_OR_RETURN(
+      tree->occs_,
+      storage::MappedRegion::Create(tree->occs_file_, sizeof(OccRecord),
+                                    meta.num_occs, "occs"));
+  TSW_ASSIGN_OR_RETURN(
+      const storage::MappedRegion labels,
+      storage::MappedRegion::Create(tree->labels_file_, sizeof(Symbol),
+                                    meta.num_label_symbols, "labels"));
+  tree->text_ = std::span<const Symbol>(
+      reinterpret_cast<const Symbol*>(labels.data()),
+      static_cast<std::size_t>(meta.num_label_symbols));
+  // Kick off asynchronous population of the whole bundle; queries that
+  // arrive before it completes just fault their pages on demand.
+  tree->nodes_file_.Advise(storage::AccessHint::kWillNeed);
+  tree->occs_file_.Advise(storage::AccessHint::kWillNeed);
+  tree->labels_file_.Advise(storage::AccessHint::kWillNeed);
+  // The region extents are checked; now every id and label range, after
+  // which no accessor below can read outside a mapping.
+  const auto* node_records =
+      reinterpret_cast<const NodeRecord*>(tree->nodes_.data());
+  const auto* occ_records =
+      reinterpret_cast<const OccRecord*>(tree->occs_.data());
+  TSW_ASSIGN_OR_RETURN(
+      tree->materialized_label_symbols_,
+      ValidateRecords(
+          base_path, meta, [&](std::uint64_t i) { return node_records[i]; },
+          [&](std::uint64_t i) { return occ_records[i]; }));
   return tree;
+}
+
+const NodeRecord& DiskSuffixTree::Node(NodeId id) const {
+  return *reinterpret_cast<const NodeRecord*>(nodes_.RecordAt(id));
 }
 
 void DiskSuffixTree::GetChildren(NodeId node, Children* out) const {
   out->text = text_;
-  access_->GetChildren(node, out);
+  out->edges.clear();
+  for (NodeId c = Node(node).first_child; c != kNilNode;) {
+    const NodeRecord& crec = Node(c);
+    out->edges.push_back({c, crec.label_len, crec.label_offset});
+    c = crec.next_sibling;
+  }
 }
 
 void DiskSuffixTree::GetOccurrences(NodeId node,
                                     std::vector<OccurrenceRec>* out) const {
-  access_->GetOccurrences(node, out);
+  for (std::uint32_t o = Node(node).first_occ; o != kNilOcc;) {
+    const auto& orec = *reinterpret_cast<const OccRecord*>(occs_.RecordAt(o));
+    out->push_back({orec.seq, orec.pos, orec.run});
+    o = orec.next;
+  }
 }
 
 std::uint32_t DiskSuffixTree::SubtreeOccCount(NodeId node) const {
-  return access_->SubtreeOccCount(node);
+  return Node(node).subtree_occ;
 }
 
-Pos DiskSuffixTree::MaxRun(NodeId node) const {
-  return access_->MaxRun(node);
-}
+Pos DiskSuffixTree::MaxRun(NodeId node) const { return Node(node).max_run; }
 
 std::uint64_t DiskSuffixTree::SizeBytes() const {
-  return storage::PagedFile::kPageSize +  // meta page
-         num_nodes_ * sizeof(NodeRecord) + num_occs_ * sizeof(OccRecord) +
-         num_label_symbols_ * sizeof(Symbol);
+  return kMetaPageSize + NumNodes() * sizeof(NodeRecord) +
+         NumOccurrences() * sizeof(OccRecord) + text_.size() * sizeof(Symbol);
 }
 
 void DiskSuffixTree::HintSequentialScan() const {
-  access_->HintSequentialScan();
+  // Only the records are scanned front to back; labels are read at
+  // wherever each edge references the text.
+  nodes_file_.Advise(storage::AccessHint::kSequential);
+  occs_file_.Advise(storage::AccessHint::kSequential);
 }
-
-RegionStats DiskSuffixTree::PoolStats() const { return access_->PoolStats(); }
-
-std::size_t DiskSuffixTree::pool_shards() const {
-  return access_->pool_shards();
-}
-
-storage::EvictionPolicyKind DiskSuffixTree::pool_eviction() const {
-  return access_->pool_eviction();
-}
-
-storage::IoMode DiskSuffixTree::io_mode() const { return access_->io_mode(); }
 
 std::uint64_t DiskSuffixTree::MappedBytes() const {
-  return access_->MappedBytes();
+  return nodes_file_.size_bytes() + occs_file_.size_bytes() +
+         labels_file_.size_bytes();
 }
 
 std::uint64_t DiskSuffixTree::ResidentBytes() const {
-  return access_->ResidentBytes();
+  return nodes_file_.ResidentBytes() + occs_file_.ResidentBytes() +
+         labels_file_.ResidentBytes();
 }
 
 // ---------------------------------------------------------------------------
 // High-level build
 // ---------------------------------------------------------------------------
 
-Status WriteTreeToDisk(const TreeView& view, const std::string& base_path,
-                       DiskTreeOptions options) {
-  TSW_ASSIGN_OR_RETURN(auto writer,
-                       DiskTreeWriter::Create(base_path, options));
-  CopyTree(view, writer.get());
-  return writer->Close();
+Status WriteTreeToDisk(const TreeView& view, const std::string& base_path) {
+  DiskTreeWriter writer(base_path);
+  CopyTree(view, &writer);
+  return writer.Close();
 }
 
 void RemoveDiskTree(const std::string& base_path) {
@@ -932,12 +515,6 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   if (db.size() == 0) {
     return Status::InvalidArgument("empty symbol database");
   }
-  // Intermediate trees are written, scanned once in a merge, and deleted;
-  // they are always accessed buffered (the mmap path would remap every
-  // short-lived tmp bundle for no reuse).
-  DiskTreeOptions scratch = options.tree;
-  scratch.io_mode = storage::IoMode::kBuffered;
-
   // Every batch tree references this one text, so every intermediate
   // bundle stores the same .labels and merges share it.
   const auto shared_text = std::make_shared<const SymbolText>(db);
@@ -954,9 +531,7 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SuffixTree batch = builder.Build();
     TSW_RETURN_IF_ERROR(batch.status());
     const std::string tmp = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(tmp, scratch));
-    CopyTree(batch, writer.get());
-    TSW_RETURN_IF_ERROR(writer->Close());
+    TSW_RETURN_IF_ERROR(WriteTreeToDisk(batch, tmp));
     pending.push_back(tmp);
   }
 
@@ -965,12 +540,12 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   while (pending.size() - head > 1) {
     const std::string a = pending[head++];
     const std::string b = pending[head++];
-    TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(a, scratch));
-    TSW_ASSIGN_OR_RETURN(auto view_b, DiskSuffixTree::Open(b, scratch));
+    TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(a));
+    TSW_ASSIGN_OR_RETURN(auto view_b, DiskSuffixTree::Open(b));
     const std::string out = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_ASSIGN_OR_RETURN(auto writer, DiskTreeWriter::Create(out, scratch));
-    MergeTrees(*view_a, *view_b, writer.get(), nullptr, MergeText::kShared);
-    TSW_RETURN_IF_ERROR(writer->Close());
+    DiskTreeWriter writer(out);
+    MergeTrees(*view_a, *view_b, &writer, nullptr, MergeText::kShared);
+    TSW_RETURN_IF_ERROR(writer.Close());
     RemoveDiskTree(a);
     RemoveDiskTree(b);
     pending.push_back(out);
@@ -987,25 +562,28 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     }
   }
   TSW_RETURN_IF_ERROR(storage::SyncDir(ParentDir(base_path)));
-  return DiskSuffixTree::Open(base_path, options.tree);
+  return DiskSuffixTree::Open(base_path);
 }
 
 Status DowngradeBundleToV1ForTest(const std::string& base_path) {
-  TSW_ASSIGN_OR_RETURN(auto meta_file,
-                       storage::PagedFile::Open(MetaPath(base_path), true));
-  std::vector<std::byte> page(storage::PagedFile::kPageSize);
-  TSW_RETURN_IF_ERROR(meta_file.ReadPage(0, page));
-  MetaRecord meta;
+  std::vector<std::byte> page(kMetaPageSize);
+  {
+    TSW_ASSIGN_OR_RETURN(const storage::MappedFile file,
+                         storage::MappedFile::Open(MetaPath(base_path)));
+    if (file.size_bytes() < sizeof(MetaRecord)) {
+      return Status::Corruption("truncated meta page " + MetaPath(base_path));
+    }
+    std::memcpy(page.data(), file.bytes().data(), sizeof(MetaRecord));
+  }
+  MetaRecord meta{};
   std::memcpy(&meta, page.data(), sizeof(meta));
   if (meta.magic != kMetaMagic) {
     return Status::Corruption("bad magic in " + MetaPath(base_path));
   }
-  meta.version = kMetaVersionV1;
   // A v1 writer never emitted anything past the MetaRecord.
-  std::fill(page.begin() + sizeof(meta), page.end(), std::byte{0});
+  meta.version = kMetaVersionV1;
   std::memcpy(page.data(), &meta, sizeof(meta));
-  TSW_RETURN_IF_ERROR(meta_file.WritePage(0, page));
-  return meta_file.Sync();
+  return storage::WriteFile(MetaPath(base_path), page);
 }
 
 }  // namespace tswarp::suffixtree

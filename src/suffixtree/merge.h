@@ -12,7 +12,7 @@ namespace tswarp::suffixtree {
 /// traversal, combining the paths of common subsequences (the disk-based
 /// incremental construction of Bieganski et al. used by the paper,
 /// Section 4.1). The sources are only read through the TreeView interface,
-/// so disk-resident trees stream through their buffer pools; the output is
+/// so disk-resident trees stream through their mappings; the output is
 /// written once through TreeSink.
 ///
 /// Labels are carried through as references, never copied. How the

@@ -10,9 +10,9 @@
 //     byte-identical Match sets to the unfiltered engine for range and
 //     k-NN queries, serial and multi-threaded, across all index kinds and
 //     for the SeqScan baseline.
-//  3. Disk-backed searches are byte-identical to a serial single-mutex
-//     baseline across every buffer-pool configuration (eviction policy x
-//     shard count x thread count) for all three index kinds.
+//  3. Disk-backed searches are byte-identical to the in-memory index
+//     whatever batch size the disk build spills and merges at, across
+//     reopens and thread counts.
 //  4. The multivariate grid index (the fourth instantiation of the shared
 //     search driver) is byte-identical to brute-force multivariate DTW
 //     across thread counts, range and k-NN, bands, and with the
@@ -21,11 +21,11 @@
 //     byte-identical match sets to the scalar backend across index kinds,
 //     thread counts, and the SeqScan baseline — and identical serial
 //     search stats, so the cascade prunes in exactly the same places.
-//  7. The mmap zero-copy read path serves byte-identical match sets to
-//     the buffered buffer-pool path over the same v2 bundle — across
-//     index kinds, thread counts, range and k-NN, monolithic and tiered —
-//     and the format gate holds: v1 bundles still open buffered but the
-//     mmap path refuses them with Status::Corruption.
+//  7. Disk-backed indexes, read through the bundle's mappings, serve
+//     byte-identical match sets to the in-memory index — across index
+//     kinds, thread counts, range and k-NN, freshly built or reopened,
+//     monolithic and tiered — and v1 bundles are refused with
+//     Status::Corruption.
 //
 // Sequences mix three adversarial shapes: Gaussian random walks, spike
 // trains (flat with rare large jumps — stresses the envelope edges), and
@@ -56,8 +56,6 @@
 #include "dtw/warping_table.h"
 #include "multivariate/multi_index.h"
 #include "seqdb/sequence_database.h"
-#include "storage/buffer_manager.h"
-#include "storage/mmap_file.h"
 #include "suffixtree/disk_tree.h"
 
 namespace tswarp {
@@ -255,12 +253,19 @@ TEST(DifferentialTest, FastPathBandedSearchByteIdentical) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Claim 3: disk-backed searches do not depend on how the bundle was built
+// or opened.
+// ---------------------------------------------------------------------------
+
 TEST(DifferentialTest, DiskBackedSearchByteIdenticalAcrossPoolConfigs) {
-  // Acceptance gate for the sharded buffer manager: for every index kind,
-  // disk-backed searches through any (eviction, shards, threads) pool
-  // configuration return byte-identical matches to a serial search through
-  // the single-mutex (1-shard) baseline pool. The pool is kept tiny so
-  // every configuration actually evicts and re-reads pages mid-search.
+  // For every index kind, bundles built at several spill batch sizes
+  // (one sequence per intermediate tree, a few, all at once) and each
+  // reopened, return byte-identical matches to the serial in-memory
+  // index at every thread count. The name dates from when the varied
+  // configuration was the buffer pool the bundle was read through; the
+  // bundle is now always mapped, so what is left to vary is how it was
+  // written and how many threads search it.
   for (const IndexKind kind : {IndexKind::kSuffixTree,
                                IndexKind::kCategorized,
                                IndexKind::kSparse}) {
@@ -272,45 +277,37 @@ TEST(DifferentialTest, DiskBackedSearchByteIdenticalAcrossPoolConfigs) {
         &rng, static_cast<std::size_t>(rng.UniformInt(2, 8)), 1);
     const Value eps = rng.Uniform(1.0, 10.0);
 
-    IndexOptions build;
-    build.kind = kind;
-    build.num_categories = 8;
-    build.disk_path = testing::TempDir() + "/diff_disk_" + kind_name;
-    build.disk_batch_sequences = 4;
-    // Pool configurations are a buffered-path concept: the mmap path has
-    // no pool at all (claim 7 covers it).
-    build.disk_io_mode = storage::IoMode::kBuffered;
-    build.disk_pool_pages = 2;
-    build.disk_pool_shards = 1;  // Single-mutex baseline.
-    auto baseline = Index::Build(&db, build);
-    ASSERT_TRUE(baseline.ok()) << kind_name << ": "
-                               << baseline.status().ToString();
-    const std::vector<Match> reference = baseline->Search(q, eps);
-    const std::vector<Match> knn_reference = baseline->SearchKnn(q, 7);
+    IndexOptions options;
+    options.kind = kind;
+    options.num_categories = 8;
+    auto memory = Index::Build(&db, options);
+    ASSERT_TRUE(memory.ok()) << kind_name << ": "
+                             << memory.status().ToString();
+    const std::vector<Match> reference = memory->Search(q, eps);
+    const std::vector<Match> knn_reference = memory->SearchKnn(q, 7);
 
-    for (const auto eviction : {storage::EvictionPolicyKind::kLru,
-                                storage::EvictionPolicyKind::kClock}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        IndexOptions reopen = build;
-        reopen.disk_pool_shards = shards;
-        reopen.disk_eviction = eviction;
-        reopen.disk_readahead_pages = 2;
-        auto index = Index::Open(&db, reopen);
-        ASSERT_TRUE(index.ok()) << kind_name << ": "
-                                << index.status().ToString();
-        for (const std::size_t threads : {0u, 4u}) {
-          QueryOptions query_options;
-          query_options.num_threads = threads;
-          const std::string ctx =
-              kind_name + " " +
-              storage::EvictionPolicyKindToString(eviction) + " shards=" +
-              std::to_string(shards) + " threads=" + std::to_string(threads);
-          ExpectByteIdentical(reference, index->Search(q, eps, query_options),
-                              "disk range " + ctx);
-          ExpectByteIdentical(knn_reference,
-                              index->SearchKnn(q, 7, query_options),
-                              "disk knn " + ctx);
-        }
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{4}, db.size()}) {
+      IndexOptions build = options;
+      build.disk_path = testing::TempDir() + "/diff_disk_batch_" +
+                        kind_name + "_" + std::to_string(batch);
+      build.disk_batch_sequences = batch;
+      ASSERT_TRUE(Index::Build(&db, build).ok()) << kind_name;
+      auto index = Index::Open(&db, build);
+      ASSERT_TRUE(index.ok()) << kind_name << ": "
+                              << index.status().ToString();
+      ASSERT_NE(index->disk_tree(), nullptr);
+      for (const std::size_t threads : {0u, 4u}) {
+        QueryOptions query_options;
+        query_options.num_threads = threads;
+        const std::string ctx = kind_name + " batch=" +
+                                std::to_string(batch) +
+                                " threads=" + std::to_string(threads);
+        ExpectByteIdentical(reference, index->Search(q, eps, query_options),
+                            "disk range " + ctx);
+        ExpectByteIdentical(knn_reference,
+                            index->SearchKnn(q, 7, query_options),
+                            "disk knn " + ctx);
       }
     }
   }
@@ -607,8 +604,6 @@ TEST(DifferentialTest, WorkStealingExecutorByteIdenticalAcrossThreadCounts) {
       disk.disk_path = testing::TempDir() + "/diff_steal_" + kind_name +
                        std::to_string(seed);
       disk.disk_batch_sequences = 4;
-      disk.disk_io_mode = storage::IoMode::kBuffered;
-      disk.disk_pool_pages = 2;  // Tiny pool: evictions mid-search.
       auto disk_index = Index::Build(&db, disk);
       ASSERT_TRUE(disk_index.ok()) << disk_index.status().ToString();
 
@@ -1012,17 +1007,15 @@ TEST(DifferentialTest, TieredBackgroundMergeSnapshotsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Claim 7: the mmap zero-copy read path is interchangeable with the
-// buffered path — same bundle, byte-identical answers — and the v1
-// format gate refuses mmap cleanly.
+// Claim 7: disk-backed searches, read through the bundle's mappings, are
+// byte-identical to the in-memory index — and v1 bundles are refused.
 // ---------------------------------------------------------------------------
 
 TEST(DifferentialTest, MmapReadPathByteIdenticalToBuffered) {
-  // For every index kind, the same persisted bundle is reopened through
-  // both read paths; every (io_mode, threads) combination must return
-  // byte-identical matches to the buffered serial reference, and the
-  // mmap reopen must show zero buffer-pool traffic (the whole point of
-  // the zero-copy path) with a non-empty mapping.
+  // For every index kind, the bundle is searched right after Build and
+  // again after a fresh reopen; every (open, threads) combination must
+  // return byte-identical matches to the serial in-memory reference,
+  // the fully buffered copy of the same tree.
   for (const IndexKind kind : {IndexKind::kSuffixTree,
                                IndexKind::kCategorized,
                                IndexKind::kSparse}) {
@@ -1034,54 +1027,45 @@ TEST(DifferentialTest, MmapReadPathByteIdenticalToBuffered) {
         &rng, static_cast<std::size_t>(rng.UniformInt(2, 8)), 1);
     const Value eps = rng.Uniform(1.0, 10.0);
 
-    IndexOptions build;
-    build.kind = kind;
-    build.num_categories = 8;
-    build.disk_path = testing::TempDir() + "/diff_iomode_" + kind_name;
-    build.disk_batch_sequences = 4;
-    build.disk_io_mode = storage::IoMode::kBuffered;
-    build.disk_pool_pages = 2;  // Tiny pool: the buffered legs re-read.
-    auto baseline = Index::Build(&db, build);
-    ASSERT_TRUE(baseline.ok()) << kind_name << ": "
-                               << baseline.status().ToString();
-    const std::vector<Match> reference = baseline->Search(q, eps);
-    const std::vector<Match> knn_reference = baseline->SearchKnn(q, 7);
+    IndexOptions options;
+    options.kind = kind;
+    options.num_categories = 8;
+    auto memory = Index::Build(&db, options);
+    ASSERT_TRUE(memory.ok()) << kind_name << ": "
+                             << memory.status().ToString();
+    const std::vector<Match> reference = memory->Search(q, eps);
+    const std::vector<Match> knn_reference = memory->SearchKnn(q, 7);
 
-    for (const storage::IoMode mode : {storage::IoMode::kBuffered,
-                                       storage::IoMode::kMmap}) {
-      IndexOptions reopen = build;
-      reopen.disk_io_mode = mode;
-      auto index = Index::Open(&db, reopen);
-      ASSERT_TRUE(index.ok()) << kind_name << ": "
-                              << index.status().ToString();
+    options.disk_path = testing::TempDir() + "/diff_disk_" + kind_name;
+    options.disk_batch_sequences = 4;  // Spill and merge intermediates.
+    auto built = Index::Build(&db, options);
+    ASSERT_TRUE(built.ok()) << kind_name << ": "
+                            << built.status().ToString();
+    auto reopened = Index::Open(&db, options);
+    ASSERT_TRUE(reopened.ok()) << kind_name << ": "
+                               << reopened.status().ToString();
+    for (const auto& [open, index] :
+         {std::pair{"built", &*built}, std::pair{"reopened", &*reopened}}) {
+      ASSERT_NE(index->disk_tree(), nullptr);
+      EXPECT_GT(index->MappedStats().mapped_bytes, 0u) << kind_name;
       for (const std::size_t threads : {0u, 4u}) {
         QueryOptions query_options;
         query_options.num_threads = threads;
-        const std::string ctx = kind_name + " io=" +
-                                storage::IoModeToString(mode) +
+        const std::string ctx = kind_name + " " + open +
                                 " threads=" + std::to_string(threads);
         ExpectByteIdentical(reference, index->Search(q, eps, query_options),
-                            "iomode range " + ctx);
+                            "disk range " + ctx);
         ExpectByteIdentical(knn_reference,
                             index->SearchKnn(q, 7, query_options),
-                            "iomode knn " + ctx);
-      }
-      ASSERT_NE(index->disk_tree(), nullptr);
-      EXPECT_EQ(index->disk_tree()->io_mode(), mode) << kind_name;
-      if (mode == storage::IoMode::kMmap) {
-        const auto pool = index->disk_tree()->PoolStats().Total();
-        EXPECT_EQ(pool.hits + pool.misses, 0u)
-            << kind_name << ": mmap path touched the buffer pool";
-        EXPECT_GT(index->MappedStats().mapped_bytes, 0u) << kind_name;
+                            "disk knn " + ctx);
       }
     }
   }
 }
 
 TEST(DifferentialTest, TieredMmapByteIdenticalToMonolithic) {
-  // The tiered stack on the mmap path: merges write through buffered
-  // scratch trees, but every *published* disk tier is reopened mmap'd —
-  // and the stack still answers byte-identically to a monolithic index.
+  // The tiered stack on disk: every published disk tier is mapped, and
+  // the stack still answers byte-identically to a monolithic index.
   const TieredCase c = MakeTieredCase(17);
   for (const IndexKind kind : {IndexKind::kSuffixTree,
                                IndexKind::kCategorized,
@@ -1100,7 +1084,6 @@ TEST(DifferentialTest, TieredMmapByteIdenticalToMonolithic) {
     tiered_options.index.disk_path =
         testing::TempDir() + "/diff_tiered_mmap_" + kind_name;
     tiered_options.index.disk_batch_sequences = 4;
-    tiered_options.index.disk_io_mode = storage::IoMode::kMmap;
     tiered_options.memtable_max_sequences = 1;
     tiered_options.max_sealed_tiers = 1;
     tiered_options.merge_in_background = false;
@@ -1114,7 +1097,6 @@ TEST(DifferentialTest, TieredMmapByteIdenticalToMonolithic) {
     std::size_t mapped_tiers = 0;
     for (const auto& tier : snapshot->tiers()) {
       if (!tier->info.on_disk) continue;
-      EXPECT_EQ(tier->info.io_mode, storage::IoMode::kMmap) << kind_name;
       EXPECT_GT(tier->info.mapped_bytes, 0u) << kind_name;
       ++mapped_tiers;
     }
@@ -1133,9 +1115,9 @@ TEST(DifferentialTest, TieredMmapByteIdenticalToMonolithic) {
 }
 
 TEST(DifferentialTest, V1BundleVersionGate) {
-  // A v1 bundle (no section table) must keep opening on the buffered
-  // path with byte-identical answers, while the mmap path refuses it
-  // with Corruption — the relocatable layout only exists in v2.
+  // A v1 bundle (no section table) is refused with a Corruption that
+  // names the remedy, instead of being served without validation — the
+  // section table is what the mappings are checked against.
   const seqdb::SequenceDatabase db = RandomDb(777);
   Rng rng(10700);
   const std::vector<Value> q = RandomShape(
@@ -1147,30 +1129,23 @@ TEST(DifferentialTest, V1BundleVersionGate) {
   build.num_categories = 8;
   build.disk_path = testing::TempDir() + "/diff_v1_gate";
   build.disk_batch_sequences = 4;
-  build.disk_io_mode = storage::IoMode::kBuffered;
   auto baseline = Index::Build(&db, build);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_NE(baseline->disk_tree(), nullptr);
-  EXPECT_EQ(baseline->disk_tree()->format_version(), 2u);
   const std::vector<Match> reference = baseline->Search(q, eps);
-  const std::vector<Match> knn_reference = baseline->SearchKnn(q, 7);
 
+  // The v2 bundle reopens with the same answers...
+  auto reopened = Index::Open(&db, build);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectByteIdentical(reference, reopened->Search(q, eps), "v2 range");
+
+  // ...the same bundle downgraded to v1 is refused cleanly, no crash.
   ASSERT_TRUE(suffixtree::DowngradeBundleToV1ForTest(build.disk_path).ok());
-
-  // Buffered: a v1 bundle is still first-class.
-  auto buffered = Index::Open(&db, build);
-  ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
-  ASSERT_NE(buffered->disk_tree(), nullptr);
-  EXPECT_EQ(buffered->disk_tree()->format_version(), 1u);
-  ExpectByteIdentical(reference, buffered->Search(q, eps), "v1 range");
-  ExpectByteIdentical(knn_reference, buffered->SearchKnn(q, 7), "v1 knn");
-
-  // Mmap: refused cleanly, no crash.
-  IndexOptions mmap_reopen = build;
-  mmap_reopen.disk_io_mode = storage::IoMode::kMmap;
-  auto refused = Index::Open(&db, mmap_reopen);
+  auto refused = Index::Open(&db, build);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("rebuild"), std::string::npos)
       << refused.status().ToString();
 }
 

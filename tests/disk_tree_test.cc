@@ -118,68 +118,27 @@ TEST_F(DiskTreeTest, OpenMissingBundleFails) {
   EXPECT_FALSE(disk.ok());
 }
 
-TEST_F(DiskTreeTest, TinyPoolStillCorrect) {
-  // A 1-page-per-region pool forces constant eviction during both write
-  // and traversal.
-  const SymbolDatabase db = RandomSymbolDb(3, 6, 30, 3);
-  const SuffixTree memory_tree = BuildSuffixTree(db);
-  DiskTreeOptions options;
-  options.pool_pages = 1;
-  ASSERT_TRUE(WriteTreeToDisk(memory_tree, Path("t3"), options).ok());
-  auto disk = DiskSuffixTree::Open(Path("t3"), options);
-  ASSERT_TRUE(disk.ok());
-  EXPECT_EQ(Canonicalize(**disk), Canonicalize(memory_tree));
-  EXPECT_GT((*disk)->PoolStats().Total().misses, 0u);
-}
-
-TEST_F(DiskTreeTest, PoolOptionsDoNotChangeStructure) {
-  // Any (shards, eviction, readahead) combination must read back the
-  // identical tree.
-  const SymbolDatabase db = RandomSymbolDb(4, 8, 25, 3);
-  const SuffixTree memory_tree = BuildSuffixTree(db);
-  ASSERT_TRUE(WriteTreeToDisk(memory_tree, Path("t4")).ok());
-  const Canon expected = Canonicalize(memory_tree);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    for (const auto eviction : {storage::EvictionPolicyKind::kLru,
-                                storage::EvictionPolicyKind::kClock}) {
-      DiskTreeOptions options;
-      options.pool_pages = 2;
-      options.pool_shards = shards;
-      options.eviction = eviction;
-      options.readahead_pages = 2;
-      auto disk = DiskSuffixTree::Open(Path("t4"), options);
-      ASSERT_TRUE(disk.ok()) << disk.status();
-      EXPECT_EQ((*disk)->pool_eviction(), eviction);
-      EXPECT_EQ(Canonicalize(**disk), expected)
-          << shards << " shards, "
-          << storage::EvictionPolicyKindToString(eviction);
-    }
-  }
-}
-
 TEST_F(DiskTreeTest, WriterCloseIsIdempotent) {
   const SymbolDatabase db = RandomSymbolDb(5, 4, 15, 3);
   const SuffixTree memory_tree = BuildSuffixTree(db);
-  auto writer = DiskTreeWriter::Create(Path("t5"));
-  ASSERT_TRUE(writer.ok());
-  CopyTree(memory_tree, writer->get());
-  ASSERT_TRUE((*writer)->Close().ok());
+  DiskTreeWriter writer(Path("t5"));
+  CopyTree(memory_tree, &writer);
+  ASSERT_TRUE(writer.Close().ok());
   // Second close: no meta rewrite, same latched outcome.
-  EXPECT_TRUE((*writer)->Close().ok());
+  EXPECT_TRUE(writer.Close().ok());
   auto disk = DiskSuffixTree::Open(Path("t5"));
   ASSERT_TRUE(disk.ok());
   EXPECT_EQ(Canonicalize(**disk), Canonicalize(memory_tree));
 }
 
 TEST_F(DiskTreeTest, CloseBeforeFinalizeLatchesFailedPrecondition) {
-  auto writer = DiskTreeWriter::Create(Path("t6"));
-  ASSERT_TRUE(writer.ok());
-  (*writer)->AddNode(kNilNode, {});
-  const Status first = (*writer)->Close();
+  DiskTreeWriter writer(Path("t6"));
+  writer.AddNode(kNilNode, {});
+  const Status first = writer.Close();
   EXPECT_EQ(first.code(), StatusCode::kFailedPrecondition);
   // The failure is latched: repeated calls return it and never write meta.
-  EXPECT_EQ((*writer)->Close(), first);
-  EXPECT_EQ((*writer)->status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(writer.Close(), first);
+  EXPECT_EQ(writer.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(DiskSuffixTree::Open(Path("t6")).ok());
 }
 
@@ -230,7 +189,7 @@ TEST_F(DiskTreeTest, BuildDiskTreeStoresTheTextOnce) {
 TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
   // Bundles from builds that copied every edge label into `.labels` use
   // the same record layout (each label_offset points at its own copy), so
-  // both read paths serve them unchanged.
+  // they open unchanged.
   const SymbolDatabase db = RandomSymbolDb(6, 6, 20, 3);
   const SuffixTree tree = BuildSuffixTree(db);
   // Pass 1 lays every label out in pre-order; pass 2 replays the same
@@ -252,13 +211,12 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
       stack.push_back({e.child, kNilNode});
     }
   }
-  auto writer = DiskTreeWriter::Create(Path("old"));
-  ASSERT_TRUE(writer.ok());
-  (*writer)->SetText(pool);
+  DiskTreeWriter writer(Path("old"));
+  writer.SetText(pool);
   std::vector<OccurrenceRec> occs;
-  const NodeId root = (*writer)->AddNode(kNilNode, {});
+  const NodeId root = writer.AddNode(kNilNode, {});
   tree.GetOccurrences(tree.Root(), &occs);
-  for (const OccurrenceRec& o : occs) (*writer)->AddOccurrence(root, o);
+  for (const OccurrenceRec& o : occs) writer.AddOccurrence(root, o);
   std::uint64_t next = 0;
   stack = {{tree.Root(), root}};
   while (!stack.empty()) {
@@ -266,32 +224,27 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
     stack.pop_back();
     tree.GetChildren(f.src, &children);
     for (const Children::Edge& e : children.edges) {
-      const NodeId m = (*writer)->AddNode(f.dst, {next, e.label_len});
+      const NodeId m = writer.AddNode(f.dst, {next, e.label_len});
       next += e.label_len;
       occs.clear();
       tree.GetOccurrences(e.child, &occs);
-      for (const OccurrenceRec& o : occs) (*writer)->AddOccurrence(m, o);
+      for (const OccurrenceRec& o : occs) writer.AddOccurrence(m, o);
       stack.push_back({e.child, m});
     }
   }
-  (*writer)->Finalize();
-  ASSERT_TRUE((*writer)->Close().ok());
+  writer.Finalize();
+  ASSERT_TRUE(writer.Close().ok());
 
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    DiskTreeOptions options;
-    options.io_mode = mode;
-    auto disk = DiskSuffixTree::Open(Path("old"), options);
-    ASSERT_TRUE(disk.ok()) << disk.status();
-    EXPECT_EQ(Canonicalize(**disk), Canonicalize(tree));
-    EXPECT_EQ((*disk)->NumLabelSymbols(), tree.MaterializedLabelSymbols());
-    EXPECT_EQ((*disk)->MaterializedLabelSymbols(),
-              tree.MaterializedLabelSymbols());
-  }
+  auto disk = DiskSuffixTree::Open(Path("old"));
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  EXPECT_EQ(Canonicalize(**disk), Canonicalize(tree));
+  EXPECT_EQ((*disk)->NumLabelSymbols(), tree.MaterializedLabelSymbols());
+  EXPECT_EQ((*disk)->MaterializedLabelSymbols(),
+            tree.MaterializedLabelSymbols());
 }
 
 // Writers never produce the legacy `.sums` section: a bundle written now
-// has the three-section v2 table, and both read paths open it whole.
+// has the three-section v2 table and opens whole.
 using NodeSummaryDiskTest = DiskTreeTest;
 
 TEST_F(NodeSummaryDiskTest, BundleWithoutSectionOpensCleanly) {
@@ -300,17 +253,10 @@ TEST_F(NodeSummaryDiskTest, BundleWithoutSectionOpensCleanly) {
   const SuffixTree tree = BuildSuffixTree(db);
   ASSERT_TRUE(WriteTreeToDisk(tree, base).ok());
   EXPECT_FALSE(std::filesystem::exists(base + ".sums"));
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    DiskTreeOptions options;
-    options.io_mode = mode;
-    auto disk = DiskSuffixTree::Open(base, options);
-    ASSERT_TRUE(disk.ok()) << disk.status();
-    EXPECT_EQ((*disk)->format_version(), 2u);
-    EXPECT_EQ((*disk)->NumNodes(), tree.NumNodes());
-    EXPECT_EQ(Canonicalize(**disk), Canonicalize(tree))
-        << storage::IoModeToString(mode);
-  }
+  auto disk = DiskSuffixTree::Open(base);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  EXPECT_EQ((*disk)->NumNodes(), tree.NumNodes());
+  EXPECT_EQ(Canonicalize(**disk), Canonicalize(tree));
 }
 
 TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
@@ -326,7 +272,6 @@ TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
   options.num_categories = 8;
   options.disk_path = Path("index");
   options.disk_batch_sequences = 3;
-  options.disk_pool_pages = 4;
   auto index = core::Index::Build(&db, options);
   ASSERT_TRUE(index.ok()) << index.status();
 

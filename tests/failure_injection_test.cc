@@ -9,7 +9,6 @@
 
 #include "core/index.h"
 #include "datagen/generators.h"
-#include "storage/mmap_file.h"
 #include "suffixtree/disk_tree.h"
 #include "suffixtree/suffix_tree.h"
 
@@ -98,21 +97,15 @@ TEST_F(FailureInjectionTest, EmptySymbolDatabaseBuildFails) {
   EXPECT_FALSE(tree.ok());
 }
 
-// --- mmap read path: every malformed bundle is refused at Open with a
-// clean Corruption status — the mapping validates section extents up
-// front, so no query ever dereferences past EOF (no SIGBUS).
-
-suffixtree::DiskTreeOptions MmapOptions() {
-  suffixtree::DiskTreeOptions options;
-  options.io_mode = storage::IoMode::kMmap;
-  return options;
-}
+// --- every malformed bundle is refused at Open with a clean Corruption
+// status — the mapping validates section extents up front, so no query
+// ever dereferences past EOF (no SIGBUS).
 
 TEST_F(FailureInjectionTest, TruncatedNodesRejectedUnderMmap) {
   WriteBundle(Path("t"));
   // 40 bytes holds one 32-byte node record at most; the bundle has more.
   std::filesystem::resize_file(Path("t") + ".nodes", 40);
-  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"), MmapOptions());
+  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"));
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
@@ -120,7 +113,7 @@ TEST_F(FailureInjectionTest, TruncatedNodesRejectedUnderMmap) {
 TEST_F(FailureInjectionTest, TruncatedOccsRejectedUnderMmap) {
   WriteBundle(Path("t"));
   std::filesystem::resize_file(Path("t") + ".occs", 8);
-  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"), MmapOptions());
+  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"));
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
@@ -129,14 +122,14 @@ TEST_F(FailureInjectionTest, CorruptSectionTableRejected) {
   WriteBundle(Path("t"));
   // Byte 40 starts the v2 section table (section_count).
   CorruptFile(Path("t") + ".meta", 40, "XXXXXXXX");
-  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"), MmapOptions());
+  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"));
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
 
 // --- record validation: Open checks every node record's label range and
-// child / sibling / occurrence ids against the counts on both read paths,
-// so a corrupt record is a Corruption at Open, never a read outside the
+// child / sibling / occurrence ids against the counts, so a corrupt
+// record is a Corruption at Open, never a read outside the
 // bundle mid-query.
 
 template <typename T>
@@ -149,111 +142,85 @@ void PatchRecordField(const std::string& path, std::size_t offset, T value) {
 
 constexpr std::size_t kNodeRecordBytes = 32;
 
-TEST_F(FailureInjectionTest, OutOfRangeLabelRejectedOnBothReadPaths) {
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    const std::string base = Path(storage::IoModeToString(mode));
-    WriteBundle(base);
-    // Node 1's label_offset (u64 at byte 0 of its record) points far past
-    // the text.
-    PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
-                                    std::uint64_t{1} << 40);
-    suffixtree::DiskTreeOptions options;
-    options.io_mode = mode;
-    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
-    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
-    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
-    EXPECT_NE(tree.status().message().find("label"), std::string::npos)
-        << tree.status();
-  }
+TEST_F(FailureInjectionTest, OutOfRangeLabelRejected) {
+  const std::string base = Path("t");
+  WriteBundle(base);
+  // Node 1's label_offset (u64 at byte 0 of its record) points far past
+  // the text.
+  PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
+                                  std::uint64_t{1} << 40);
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("label"), std::string::npos)
+      << tree.status();
 }
 
 TEST_F(FailureInjectionTest, LabelRunningPastTheTextRejected) {
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    const std::string base = Path(storage::IoModeToString(mode));
-    WriteBundle(base);
-    // In-range offset, but label_len (u32 at byte 8) runs off the end.
-    PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8,
-                                    1000);
-    suffixtree::DiskTreeOptions options;
-    options.io_mode = mode;
-    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
-    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
-    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
-  }
+  const std::string base = Path("t");
+  WriteBundle(base);
+  // In-range offset, but label_len (u32 at byte 8) runs off the end.
+  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8,
+                                  1000);
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(FailureInjectionTest, EmptyNonRootLabelAtTextEndRejected) {
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    const std::string base = Path(storage::IoModeToString(mode));
-    WriteBundle(base);
-    suffixtree::DiskTreeOptions options;
-    options.io_mode = mode;
-    std::uint64_t text_size = 0;
-    {
-      auto intact = suffixtree::DiskSuffixTree::Open(base, options);
-      ASSERT_TRUE(intact.ok()) << intact.status();
-      text_size = (*intact)->Text().size();
-    }
-    // Node 1's label becomes [text end, +0): inside the text by range,
-    // but a search would read its first symbol one past the end.
-    PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
-                                    text_size);
-    PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8, 0);
-    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
-    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
-    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
-    EXPECT_NE(tree.status().message().find("label length"), std::string::npos)
-        << tree.status();
+  const std::string base = Path("t");
+  WriteBundle(base);
+  std::uint64_t text_size = 0;
+  {
+    auto intact = suffixtree::DiskSuffixTree::Open(base);
+    ASSERT_TRUE(intact.ok()) << intact.status();
+    text_size = (*intact)->Text().size();
   }
+  // Node 1's label becomes [text end, +0): inside the text by range,
+  // but a search would read its first symbol one past the end.
+  PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
+                                  text_size);
+  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8, 0);
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("label length"), std::string::npos)
+      << tree.status();
 }
 
-TEST_F(FailureInjectionTest, OutOfRangeChildIdRejectedOnBothReadPaths) {
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    const std::string base = Path(storage::IoModeToString(mode));
-    WriteBundle(base);
-    // The root's first_child (u32 at byte 12) names a node that does not
-    // exist.
-    PatchRecordField<std::uint32_t>(base + ".nodes", 12, 0x7FFFFFFFu);
-    suffixtree::DiskTreeOptions options;
-    options.io_mode = mode;
-    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
-    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
-    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
-    EXPECT_NE(tree.status().message().find("child"), std::string::npos)
-        << tree.status();
-  }
+TEST_F(FailureInjectionTest, OutOfRangeChildIdRejected) {
+  const std::string base = Path("t");
+  WriteBundle(base);
+  // The root's first_child (u32 at byte 12) names a node that does not
+  // exist.
+  PatchRecordField<std::uint32_t>(base + ".nodes", 12, 0x7FFFFFFFu);
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("child"), std::string::npos)
+      << tree.status();
 }
 
 TEST_F(FailureInjectionTest, OutOfRangeOccurrenceIdRejected) {
-  for (const storage::IoMode mode :
-       {storage::IoMode::kBuffered, storage::IoMode::kMmap}) {
-    const std::string base = Path(storage::IoModeToString(mode));
-    WriteBundle(base);
-    // Occurrence 0's `next` (u32 at byte 12 of its 16-byte record).
-    PatchRecordField<std::uint32_t>(base + ".occs", 12, 0x12345678u);
-    suffixtree::DiskTreeOptions options;
-    options.io_mode = mode;
-    auto tree = suffixtree::DiskSuffixTree::Open(base, options);
-    ASSERT_FALSE(tree.ok()) << storage::IoModeToString(mode);
-    EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
-  }
+  const std::string base = Path("t");
+  WriteBundle(base);
+  // Occurrence 0's `next` (u32 at byte 12 of its 16-byte record).
+  PatchRecordField<std::uint32_t>(base + ".occs", 12, 0x12345678u);
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(FailureInjectionTest, V1BundleRejectedByMmapOpensBuffered) {
+TEST_F(FailureInjectionTest, V1BundleRejectedWithRebuildHint) {
   WriteBundle(Path("t"));
   ASSERT_TRUE(suffixtree::DowngradeBundleToV1ForTest(Path("t")).ok());
-  // The mmap path needs the v2 section table; v1 gets a clean refusal...
-  auto mapped = suffixtree::DiskSuffixTree::Open(Path("t"), MmapOptions());
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
-  // ...while the buffered path still serves the old format.
-  auto buffered = suffixtree::DiskSuffixTree::Open(Path("t"));
-  ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
-  EXPECT_EQ((*buffered)->format_version(), 1u);
+  // v1 has no section table to validate the mappings against: a clean
+  // refusal that names the remedy.
+  auto tree = suffixtree::DiskSuffixTree::Open(Path("t"));
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("rebuild"), std::string::npos)
+      << tree.status();
 }
 
 TEST_F(FailureInjectionTest, WriterFailsCleanlyWithoutParentDir) {
@@ -272,7 +239,7 @@ TEST_F(FailureInjectionTest, WriterFailsCleanlyWithoutParentDir) {
 TEST_F(FailureInjectionTest, PublishedBundleLeavesNoTempFiles) {
   // After a build that goes through the tmp-write + rename + dir-fsync
   // publish protocol, only the final bundle names remain and the result
-  // reopens on the mmap path.
+  // reopens mapped.
   datagen::RandomWalkOptions data;
   data.num_sequences = 6;
   data.avg_length = 24;
@@ -282,7 +249,6 @@ TEST_F(FailureInjectionTest, PublishedBundleLeavesNoTempFiles) {
   options.num_categories = 4;
   options.disk_path = Path("pub");
   options.disk_batch_sequences = 2;  // Force spill + merge intermediates.
-  options.disk_io_mode = storage::IoMode::kMmap;
   auto index = core::Index::Build(&db, options);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {

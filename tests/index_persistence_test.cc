@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,24 @@
 
 namespace tswarp::core {
 namespace {
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The fixture under tests/data/legacy_sums and the options its README
+/// says built it (`tswarp_cli build --kind sstc --categories 10`).
+const std::filesystem::path kLegacyFixture =
+    std::filesystem::path(TSWARP_TEST_DATA_DIR) / "legacy_sums";
+
+IndexOptions LegacyFixtureOptions(const std::filesystem::path& base) {
+  IndexOptions options;
+  options.kind = IndexKind::kSparse;
+  options.num_categories = 10;
+  options.disk_path = base.string();
+  return options;
+}
 
 class IndexPersistenceTest : public testing::Test {
  protected:
@@ -98,6 +118,17 @@ TEST_F(IndexPersistenceTest, OpenRejectsChangedOptions) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(IndexPersistenceTest, BuildFailsWhenTheFingerprintCannotBeWritten) {
+  // Every byte written to /dev/full fails with ENOSPC: a Build that could
+  // not persist its fingerprint must say so instead of reporting OK.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const IndexOptions options = DiskOptions("full");
+  std::filesystem::create_symlink("/dev/full", options.disk_path + ".index");
+  auto built = Index::Build(&db_, options);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kIOError) << built.status();
+}
+
 TEST_F(IndexPersistenceTest, OpenRejectsChangedDatabase) {
   const IndexOptions options = DiskOptions("c");
   ASSERT_TRUE(Index::Build(&db_, options).ok());
@@ -110,59 +141,47 @@ TEST_F(IndexPersistenceTest, OpenRejectsChangedDatabase) {
 
 // A bundle written while builds still attached node summaries: a 4-entry
 // section table announcing `walk.sums` (see tests/data/legacy_sums).
-// Readers ignore the section, so both read paths must open it, leave
-// `.sums` unmapped, and answer exactly like SeqScan.
+// Readers ignore the section, so Open must map the three record regions
+// only, leave `.sums` unmapped, and answer exactly like SeqScan.
 TEST_F(IndexPersistenceTest, LegacyBundleWithSumsAnswersLikeSeqScan) {
-  const std::filesystem::path fixture =
-      std::filesystem::path(TSWARP_TEST_DATA_DIR) / "legacy_sums";
   for (const char* ext :
        {".meta", ".nodes", ".occs", ".labels", ".sums", ".index"}) {
-    std::filesystem::copy_file(fixture / (std::string("walk") + ext),
+    std::filesystem::copy_file(kLegacyFixture / (std::string("walk") + ext),
                                dir_ / (std::string("walk") + ext));
   }
-  auto db = seqdb::SequenceDatabase::Load((fixture / "walk.tsdb").string());
+  auto db =
+      seqdb::SequenceDatabase::Load((kLegacyFixture / "walk.tsdb").string());
   ASSERT_TRUE(db.ok()) << db.status();
-  // The options `tswarp_cli build --kind sstc --categories 10` used.
-  IndexOptions options;
-  options.kind = IndexKind::kSparse;
-  options.num_categories = 10;
-  options.disk_path = (dir_ / "walk").string();
+  const IndexOptions options = LegacyFixtureOptions(dir_ / "walk");
 
+  auto index = Index::Open(&*db, options);
+  ASSERT_TRUE(index.ok()) << index.status();
+  std::uintmax_t regions = 0;
+  for (const char* ext : {".nodes", ".occs", ".labels"}) {
+    regions += std::filesystem::file_size(dir_ / (std::string("walk") + ext));
+  }
+  EXPECT_EQ(index->MappedStats().mapped_bytes, regions);
   std::size_t answers = 0;
-  for (const storage::IoMode io :
-       {storage::IoMode::kMmap, storage::IoMode::kBuffered}) {
-    options.disk_io_mode = io;
-    const std::string ctx = storage::IoModeToString(io);
-    auto index = Index::Open(&*db, options);
-    ASSERT_TRUE(index.ok()) << ctx << ": " << index.status();
-    if (io == storage::IoMode::kMmap) {
-      std::uintmax_t regions = 0;
-      for (const char* ext : {".nodes", ".occs", ".labels"}) {
-        regions += std::filesystem::file_size(dir_ / (std::string("walk") + ext));
-      }
-      EXPECT_EQ(index->MappedStats().mapped_bytes, regions) << ctx;
+  Rng rng(15);
+  for (int qi = 0; qi < 6; ++qi) {
+    const SeqId seq = static_cast<SeqId>(rng.UniformInt(0, 7));
+    const auto start = static_cast<std::size_t>(rng.UniformInt(0, 40));
+    std::vector<Value> q(db->sequence(seq).begin() + start,
+                         db->sequence(seq).begin() + start + 6);
+    for (Value& v : q) v += rng.Gaussian(0, 0.5);
+    const Value eps = rng.Uniform(2, 10);
+    std::vector<Match> want = SeqScan(*db, q, eps);
+    std::vector<Match> got = index->Search(q, eps);
+    std::sort(want.begin(), want.end(), MatchLess);
+    std::sort(got.begin(), got.end(), MatchLess);
+    ASSERT_EQ(want.size(), got.size()) << "query " << qi;
+    for (std::size_t m = 0; m < want.size(); ++m) {
+      EXPECT_TRUE(want[m] == got[m] &&
+                  std::memcmp(&want[m].distance, &got[m].distance,
+                              sizeof(Value)) == 0)
+          << "query " << qi << " match " << m;
     }
-    Rng rng(15);
-    for (int qi = 0; qi < 6; ++qi) {
-      const SeqId seq = static_cast<SeqId>(rng.UniformInt(0, 7));
-      const auto start = static_cast<std::size_t>(rng.UniformInt(0, 40));
-      std::vector<Value> q(db->sequence(seq).begin() + start,
-                           db->sequence(seq).begin() + start + 6);
-      for (Value& v : q) v += rng.Gaussian(0, 0.5);
-      const Value eps = rng.Uniform(2, 10);
-      std::vector<Match> want = SeqScan(*db, q, eps);
-      std::vector<Match> got = index->Search(q, eps);
-      std::sort(want.begin(), want.end(), MatchLess);
-      std::sort(got.begin(), got.end(), MatchLess);
-      ASSERT_EQ(want.size(), got.size()) << ctx << " query " << qi;
-      for (std::size_t m = 0; m < want.size(); ++m) {
-        EXPECT_TRUE(want[m] == got[m] &&
-                    std::memcmp(&want[m].distance, &got[m].distance,
-                                sizeof(Value)) == 0)
-            << ctx << " query " << qi << " match " << m;
-      }
-      answers += got.size();
-    }
+    answers += got.size();
   }
   EXPECT_GT(answers, 0u) << "the fixture queries should find answers";
 
@@ -175,6 +194,39 @@ TEST_F(IndexPersistenceTest, LegacyBundleWithSumsAnswersLikeSeqScan) {
   std::ofstream(orphan) << "stale";
   CleanupOrphanedMergeFiles(options.disk_path);
   EXPECT_FALSE(std::filesystem::exists(orphan));
+}
+
+// Writer pin: the fixture's record regions were written by an older
+// writer, which patched records in place through a page cache. Rebuilding
+// its database with the same options must reproduce them byte for byte,
+// up to each section's byte_length (the old writer zero-padded every
+// region file to a whole page).
+TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
+  auto db =
+      seqdb::SequenceDatabase::Load((kLegacyFixture / "walk.tsdb").string());
+  ASSERT_TRUE(db.ok()) << db.status();
+  const IndexOptions options = LegacyFixtureOptions(dir_ / "walk");
+  ASSERT_TRUE(Index::Build(&*db, options).ok());
+
+  // Section entry i starts at byte 48 of the meta page (a 40-byte header,
+  // then section_count and record_alignment); byte_length is its last
+  // u64.
+  const std::string meta = ReadFile(kLegacyFixture / "walk.meta");
+  const char* exts[] = {".nodes", ".occs", ".labels"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::uint64_t byte_length = 0;
+    ASSERT_GE(meta.size(), 48 + 24 * (i + 1));
+    std::memcpy(&byte_length, meta.data() + 48 + 24 * i + 16,
+                sizeof(byte_length));
+    EXPECT_GT(byte_length, 0u) << exts[i];
+    const std::string want =
+        ReadFile(kLegacyFixture / (std::string("walk") + exts[i]));
+    const std::string got = ReadFile(dir_ / (std::string("walk") + exts[i]));
+    ASSERT_GE(want.size(), byte_length) << exts[i];
+    ASSERT_GE(got.size(), byte_length) << exts[i];
+    EXPECT_TRUE(want.compare(0, byte_length, got, 0, byte_length) == 0)
+        << exts[i] << " differs from the fixture";
+  }
 }
 
 }  // namespace

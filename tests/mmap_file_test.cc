@@ -1,11 +1,13 @@
 // storage::MappedFile / MappedRegion / SyncDir: the single mmap choke
-// point. Mapping semantics (whole file, read-only, empty-file special
-// case), up-front region validation (truncation -> Corruption, never a
-// later SIGBUS), move-only ownership, and directory fsync errors.
+// point, and storage::WriteFile, the durable-write choke point. Mapping
+// semantics (whole file, read-only, empty-file special case), up-front
+// region validation (truncation -> Corruption, never a later SIGBUS),
+// move-only ownership, write and directory fsync errors.
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -27,7 +29,7 @@ class MmapFileTest : public testing::Test {
 
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
-  std::string WriteFile(const std::string& name, const std::string& body) {
+  std::string WriteTestFile(const std::string& name, const std::string& body) {
     const std::string path = Path(name);
     std::ofstream f(path, std::ios::binary);
     f.write(body.data(), static_cast<std::streamsize>(body.size()));
@@ -39,7 +41,7 @@ class MmapFileTest : public testing::Test {
 
 TEST_F(MmapFileTest, MapsWholeFileReadOnly) {
   const std::string body = "0123456789abcdef";
-  const std::string path = WriteFile("f", body);
+  const std::string path = WriteTestFile("f", body);
   auto file = MappedFile::Open(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_EQ(file->size_bytes(), body.size());
@@ -55,7 +57,7 @@ TEST_F(MmapFileTest, MissingFileIsAStatusNotACrash) {
 }
 
 TEST_F(MmapFileTest, EmptyFileMapsToEmptySpan) {
-  const std::string path = WriteFile("empty", "");
+  const std::string path = WriteTestFile("empty", "");
   auto file = MappedFile::Open(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_EQ(file->size_bytes(), 0u);
@@ -64,7 +66,7 @@ TEST_F(MmapFileTest, EmptyFileMapsToEmptySpan) {
 
 TEST_F(MmapFileTest, MoveTransfersTheMapping) {
   const std::string body = "payload";
-  auto file = MappedFile::Open(WriteFile("m", body));
+  auto file = MappedFile::Open(WriteTestFile("m", body));
   ASSERT_TRUE(file.ok());
   MappedFile moved = std::move(*file);
   EXPECT_EQ(moved.view(), body);
@@ -73,7 +75,7 @@ TEST_F(MmapFileTest, MoveTransfersTheMapping) {
 
 TEST_F(MmapFileTest, AdviseAndResidencyAreBestEffort) {
   const std::string body(8192, 'x');
-  auto file = MappedFile::Open(WriteFile("r", body));
+  auto file = MappedFile::Open(WriteTestFile("r", body));
   ASSERT_TRUE(file.ok());
   file->Advise(AccessHint::kWillNeed);
   file->Advise(AccessHint::kRandom);
@@ -86,7 +88,7 @@ TEST_F(MmapFileTest, AdviseAndResidencyAreBestEffort) {
 
 TEST_F(MmapFileTest, RegionValidatesExtentUpFront) {
   const std::string body(64, 'r');  // Room for exactly 4 16-byte records.
-  auto file = MappedFile::Open(WriteFile("g", body));
+  auto file = MappedFile::Open(WriteTestFile("g", body));
   ASSERT_TRUE(file.ok());
 
   auto ok_region = MappedRegion::Create(*file, 16, 4, "records");
@@ -102,7 +104,7 @@ TEST_F(MmapFileTest, RegionValidatesExtentUpFront) {
 }
 
 TEST_F(MmapFileTest, EmptyRegionOverEmptyFileIsFine) {
-  auto file = MappedFile::Open(WriteFile("z", ""));
+  auto file = MappedFile::Open(WriteTestFile("z", ""));
   ASSERT_TRUE(file.ok());
   auto region = MappedRegion::Create(*file, 16, 0, "records");
   ASSERT_TRUE(region.ok()) << region.status().ToString();
@@ -111,17 +113,25 @@ TEST_F(MmapFileTest, EmptyRegionOverEmptyFileIsFine) {
   EXPECT_FALSE(nonempty.ok());
 }
 
-TEST_F(MmapFileTest, IoModeRoundTrips) {
-  EXPECT_STREQ(IoModeToString(IoMode::kBuffered), "buffered");
-  EXPECT_STREQ(IoModeToString(IoMode::kMmap), "mmap");
-  auto buffered = ParseIoMode("buffered");
-  ASSERT_TRUE(buffered.ok());
-  EXPECT_EQ(*buffered, IoMode::kBuffered);
-  auto mapped = ParseIoMode("mmap");
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_EQ(*mapped, IoMode::kMmap);
-  EXPECT_FALSE(ParseIoMode("mapped").ok());
-  EXPECT_FALSE(ParseIoMode("").ok());
+TEST_F(MmapFileTest, WriteFileWritesEveryByteDurably) {
+  const std::string body = "records then the meta page";
+  ASSERT_TRUE(WriteFile(Path("w"), std::as_bytes(std::span(body))).ok());
+  auto file = MappedFile::Open(Path("w"));
+  ASSERT_TRUE(file.ok()) << file.status();
+  EXPECT_EQ(file->view(), body);
+  // Rewriting truncates: no stale tail survives a shorter write.
+  ASSERT_TRUE(WriteFile(Path("w"), {}).ok());
+  EXPECT_EQ(std::filesystem::file_size(Path("w")), 0u);
+}
+
+TEST_F(MmapFileTest, WriteFileReportsFailuresAsIOError) {
+  const std::string body = "x";
+  const Status missing_dir =
+      WriteFile(Path("nope") + "/w", std::as_bytes(std::span(body)));
+  EXPECT_EQ(missing_dir.code(), StatusCode::kIOError) << missing_dir;
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status full = WriteFile("/dev/full", std::as_bytes(std::span(body)));
+  EXPECT_EQ(full.code(), StatusCode::kIOError) << full;
 }
 
 TEST_F(MmapFileTest, SyncDirSucceedsOnARealDirectory) {

@@ -4,9 +4,8 @@
 // index whose tiers hold live mmap'd regions while searcher threads still
 // run queries through pinned snapshots. The snapshot pin must keep every
 // retired mapping alive until the last in-flight query drops it — a
-// mapping unmapped too early is a use-after-munmap the buffered path's
-// buffer pool never had. The CI TSan job selects this suite by the
-// MmapReload name.
+// mapping unmapped too early is a use-after-munmap. The CI TSan job
+// selects this suite by the MmapReload name.
 
 #include <atomic>
 #include <string>
@@ -19,7 +18,6 @@
 #include "core/index.h"
 #include "datagen/generators.h"
 #include "server/index_handle.h"
-#include "storage/mmap_file.h"
 
 namespace tswarp::server {
 namespace {
@@ -43,7 +41,6 @@ IndexOptions MmapOptions(const std::string& path) {
   options.num_categories = 8;
   options.disk_path = path;
   options.disk_batch_sequences = 4;
-  options.disk_io_mode = storage::IoMode::kMmap;
   return options;
 }
 

@@ -2,7 +2,9 @@
 // paper's stratified query workload, disk- and memory-backed indexes, all
 // three algorithms, with sequential scanning as ground truth.
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "core/index.h"
 #include "core/seq_scan.h"
 #include "datagen/generators.h"
+#include "suffixtree/disk_tree.h"
 #include "test_util.h"
 
 namespace tswarp::core {
@@ -60,7 +63,6 @@ TEST_F(StressTest, StockWorkloadAllConfigurations) {
         options.disk_path =
             (dir_ / ("idx" + std::to_string(config_id++))).string();
         options.disk_batch_sequences = 7;
-        options.disk_pool_pages = 8;
         auto disk_index = Index::Build(&db, options);
         ASSERT_TRUE(disk_index.ok()) << disk_index.status();
 
@@ -140,6 +142,62 @@ TEST_F(StressTest, EcgWorkload) {
     testutil::ExpectSameMatches(SeqScan(db, q, eps), index->Search(q, eps),
                                 "ecg q" + std::to_string(qi));
   }
+}
+
+TEST_F(StressTest, ConcurrentTraversalsOfOneMappedTree) {
+  using namespace tswarp::suffixtree;
+  // Many workers walk one shared mapped DiskSuffixTree at once (run
+  // under TSan in CI): the read accessors share no mutable state, so
+  // every full DFS sees every occurrence.
+  Rng rng(42);
+  SymbolDatabase db;
+  for (int i = 0; i < 12; ++i) {
+    SymbolSequence s;
+    const int len = static_cast<int>(rng.UniformInt(5, 40));
+    for (int p = 0; p < len; ++p) {
+      s.push_back(static_cast<Symbol>(rng.UniformInt(0, 3)));
+    }
+    db.Add(std::move(s));
+  }
+  const SuffixTree memory_tree = BuildSuffixTree(db);
+  const std::string base = (dir_ / "tree").string();
+  ASSERT_TRUE(WriteTreeToDisk(memory_tree, base).ok());
+  auto disk = DiskSuffixTree::Open(base);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  const DiskSuffixTree& tree = **disk;
+  const std::uint64_t expected_occs = tree.NumOccurrences();
+
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> searchers;
+  for (int t = 0; t < kThreads; ++t) {
+    searchers.emplace_back([&] {
+      for (int round = 0; round < 8; ++round) {
+        // Full DFS: every node's children and occurrences.
+        std::uint64_t seen = 0;
+        std::vector<NodeId> stack = {tree.Root()};
+        Children children;
+        std::vector<OccurrenceRec> occs;
+        while (!stack.empty()) {
+          const NodeId n = stack.back();
+          stack.pop_back();
+          occs.clear();
+          tree.GetOccurrences(n, &occs);
+          seen += occs.size();
+          tree.GetChildren(n, &children);
+          for (const Children::Edge& e : children.edges) {
+            stack.push_back(e.child);
+          }
+        }
+        if (seen != expected_occs ||
+            tree.SubtreeOccCount(tree.Root()) != expected_occs) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : searchers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -16,12 +16,13 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/index.h"
 #include "core/seq_scan.h"
 #include "dtw/simd.h"
-#include "storage/buffer_manager.h"
 #include "datagen/generators.h"
 #include "multivariate/multi_index.h"
 #include "suffixtree/dot_export.h"
@@ -108,25 +109,24 @@ int Usage() {
                "[--len L] [--seed S]\n"
                "  info DB\n"
                "  build DB --index PATH [--kind st|stc|sstc] "
-               "[--categories C] [--method el|me|km] [--pool-pages P] "
-               "[--pool-shards S] [--eviction lru|clock] [--readahead R] "
-               "[--io mmap|buffered]\n"
+               "[--categories C] [--method el|me|km]\n"
                "  search DB --query v1,v2,... --epsilon E [--kind ...] "
-               "[--categories C] [--index PATH] [--scan] [--limit N] "
-               "[--threads T] [--band B] [--no-lb] [--stats] [--multi D] "
-               "[--pool-pages P] [--pool-shards S] [--eviction lru|clock] "
-               "[--readahead R] [--io mmap|buffered]\n"
+               "[--categories C] [--method ...] [--index PATH] [--scan] "
+               "[--limit N] [--threads T] [--band B] [--no-lb] [--stats] "
+               "[--multi D]\n"
                "  knn DB --query v1,v2,... --k K [--kind ...] "
-               "[--categories C] [--threads T] [--band B] [--no-lb] "
-               "[--stats] [--multi D]\n"
-               "  dot DB [--categories C] [--max-nodes N]\n"
+               "[--categories C] [--method ...] [--index PATH] "
+               "[--threads T] [--band B] [--no-lb] [--stats] [--multi D]\n"
+               "  dot DB [--kind ...] [--categories C] [--method ...] "
+               "[--max-nodes N]\n"
                "--multi D reads DB as D-dimensional sequences (flattened "
                "element-major; every sequence and the query must have a "
                "multiple of D values). --kind stc = dense grid index, "
                "sstc = sparse; st has no multivariate analogue.\n"
                "--simd avx2|sse2|neon|scalar (any command) pins the DTW "
                "kernel backend, overriding auto-detection and the "
-               "TSWARP_SIMD environment variable.\n");
+               "TSWARP_SIMD environment variable.\n"
+               "Any other flag is a usage error.\n");
   return 2;
 }
 
@@ -140,20 +140,6 @@ bool HasFlag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
-}
-
-void PrintPoolLine(const char* name,
-                   const storage::BufferManager::Stats& s) {
-  std::printf("pool %-7s hits %llu, misses %llu, readaheads %llu, "
-              "evictions %llu, writebacks %llu, overflow-pins %llu, "
-              "shard-conflicts %llu\n",
-              name, static_cast<unsigned long long>(s.hits),
-              static_cast<unsigned long long>(s.misses),
-              static_cast<unsigned long long>(s.readaheads),
-              static_cast<unsigned long long>(s.evictions),
-              static_cast<unsigned long long>(s.writebacks),
-              static_cast<unsigned long long>(s.overflow_pins),
-              static_cast<unsigned long long>(s.shard_conflicts));
 }
 
 /// Prints the merged traversal counters of one search. Shared by the
@@ -188,7 +174,7 @@ void PrintStatsCounters(const core::SearchStats& stats) {
 
 /// Counters plus the per-tier shape of the snapshot searched (one line for
 /// a monolithic index; base + sealed + memtable when tiered) and, for
-/// disk-backed indexes, the per-region buffer-manager cache behavior.
+/// disk-backed indexes, the mapped footprint.
 void PrintSearchStats(const Index& index, const core::SearchStats& stats) {
   PrintStatsCounters(stats);
   const auto& tiers = index.snapshot()->tiers();
@@ -206,106 +192,11 @@ void PrintSearchStats(const Index& index, const core::SearchStats& stats) {
                 t.memtable ? ", memtable" : "");
   }
   if (index.disk_tree() != nullptr) {
-    const suffixtree::DiskSuffixTree& tree = *index.disk_tree();
-    std::printf("io mode: %s (bundle format v%u)\n",
-                storage::IoModeToString(tree.io_mode()),
-                tree.format_version());
-    if (tree.io_mode() == storage::IoMode::kMmap) {
-      const core::MappedIoStats mapped = index.MappedStats();
-      std::printf("mapped: %llu bytes (%llu resident), zero-copy — no "
-                  "buffer pool on the read path\n",
-                  static_cast<unsigned long long>(mapped.mapped_bytes),
-                  static_cast<unsigned long long>(mapped.resident_bytes));
-    } else {
-      std::printf("pool config: %zu pages x 2 regions, %zu shards, %s "
-                  "eviction\n",
-                  index.options().disk_pool_pages, tree.pool_shards(),
-                  storage::EvictionPolicyKindToString(tree.pool_eviction()));
-    }
-    // All-zero counters under mmap: the zero-copy path never pins.
-    const suffixtree::RegionStats pool = tree.PoolStats();
-    PrintPoolLine("nodes:", pool.nodes);
-    PrintPoolLine("occs:", pool.occs);
-    PrintPoolLine("total:", pool.Total());
+    const core::MappedIoStats mapped = index.MappedStats();
+    std::printf("mapped: %llu bytes (%llu resident)\n",
+                static_cast<unsigned long long>(mapped.mapped_bytes),
+                static_cast<unsigned long long>(mapped.resident_bytes));
   }
-}
-
-/// Parses the buffer-manager flags into `options`. They tune the disk
-/// pool, so all of them require --index (the disk-backed mode); returns
-/// false (after printing) on a bad value or a missing --index.
-bool ApplyPoolFlags(int argc, char** argv, IndexOptions* options) {
-  const bool has_any = FlagValue(argc, argv, "--pool-pages", nullptr) !=
-                           nullptr ||
-                       FlagValue(argc, argv, "--pool-shards", nullptr) !=
-                           nullptr ||
-                       FlagValue(argc, argv, "--eviction", nullptr) !=
-                           nullptr ||
-                       FlagValue(argc, argv, "--readahead", nullptr) !=
-                           nullptr;
-  if (!has_any) return true;
-  if (options->disk_path.empty()) {
-    std::fprintf(stderr,
-                 "--pool-pages/--pool-shards/--eviction/--readahead tune "
-                 "the disk buffer manager and are only meaningful with "
-                 "--index PATH\n");
-    return false;
-  }
-  const long pages =
-      FlagLong(argc, argv, "--pool-pages",
-               static_cast<long>(options->disk_pool_pages));
-  if (pages < 1) {
-    std::fprintf(stderr, "--pool-pages must be >= 1 (got %ld)\n", pages);
-    return false;
-  }
-  options->disk_pool_pages = static_cast<std::size_t>(pages);
-  const long shards =
-      FlagLong(argc, argv, "--pool-shards",
-               static_cast<long>(options->disk_pool_shards));
-  if (shards < 0) {
-    std::fprintf(stderr, "--pool-shards must be >= 0, 0 = auto (got %ld)\n",
-                 shards);
-    return false;
-  }
-  options->disk_pool_shards = static_cast<std::size_t>(shards);
-  const char* eviction = FlagValue(argc, argv, "--eviction", nullptr);
-  if (eviction != nullptr &&
-      !storage::ParseEvictionPolicyKind(eviction,
-                                        &options->disk_eviction)) {
-    std::fprintf(stderr, "--eviction must be lru or clock (got %s)\n",
-                 eviction);
-    return false;
-  }
-  const long readahead =
-      FlagLong(argc, argv, "--readahead",
-               static_cast<long>(options->disk_readahead_pages));
-  if (readahead < 0) {
-    std::fprintf(stderr, "--readahead must be >= 0 pages (got %ld)\n",
-                 readahead);
-    return false;
-  }
-  options->disk_readahead_pages = static_cast<std::size_t>(readahead);
-  return true;
-}
-
-/// Parses --io mmap|buffered into `options`. Like the pool flags it only
-/// makes sense for a disk-backed index; returns false (after printing) on
-/// a bad value or a missing --index.
-bool ApplyIoFlag(int argc, char** argv, IndexOptions* options) {
-  const char* io = FlagValue(argc, argv, "--io", nullptr);
-  if (io == nullptr) return true;
-  if (options->disk_path.empty()) {
-    std::fprintf(stderr,
-                 "--io selects the disk read path and is only meaningful "
-                 "with --index PATH\n");
-    return false;
-  }
-  const StatusOr<storage::IoMode> mode = storage::ParseIoMode(io);
-  if (!mode.ok()) {
-    std::fprintf(stderr, "--io: %s\n", mode.status().ToString().c_str());
-    return false;
-  }
-  options->disk_io_mode = *mode;
-  return true;
 }
 
 IndexOptions OptionsFromFlags(int argc, char** argv) {
@@ -517,8 +408,6 @@ int CmdBuild(int argc, char** argv) {
     std::fprintf(stderr, "build requires --index PATH\n");
     return 2;
   }
-  if (!ApplyPoolFlags(argc, argv, &options)) return 1;
-  if (!ApplyIoFlag(argc, argv, &options)) return 1;
   auto index = Index::Build(&*db, options);
   if (!index.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
@@ -567,9 +456,7 @@ int CmdSearch(int argc, char** argv) {
     scan_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
     matches = core::SeqScan(*db, query, epsilon, scan_options);
   } else {
-    IndexOptions options = OptionsFromFlags(argc, argv);
-    if (!ApplyPoolFlags(argc, argv, &options)) return 1;
-  if (!ApplyIoFlag(argc, argv, &options)) return 1;
+    const IndexOptions options = OptionsFromFlags(argc, argv);
     // Open-or-build in one expression: Index is not move-assignable (the
     // snapshot handle has exactly one sanctioned swap path), so build the
     // StatusOr once instead of reassigning it.
@@ -632,9 +519,7 @@ int CmdKnn(int argc, char** argv) {
     return RunMultiSearch(argc, argv, *db, query, multi_dim, /*epsilon=*/0.0,
                           k, /*limit=*/k);
   }
-  IndexOptions options = OptionsFromFlags(argc, argv);
-  if (!ApplyPoolFlags(argc, argv, &options)) return 1;
-  if (!ApplyIoFlag(argc, argv, &options)) return 1;
+  const IndexOptions options = OptionsFromFlags(argc, argv);
   auto index = Index::Build(&*db, options);
   if (!index.ok()) {
     std::fprintf(stderr, "index failed: %s\n",
@@ -696,8 +581,51 @@ int CmdDot(int argc, char** argv) {
   return 0;
 }
 
+/// One subcommand and the flags it takes: `value_flags` are followed by
+/// a value, `switches` stand alone.
+struct Command {
+  std::string_view name;
+  int (*run)(int, char**);
+  std::vector<std::string_view> value_flags;
+  std::vector<std::string_view> switches;
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
+  // --simd is taken by every command.
+  static const Command kCommands[] = {
+      {"generate",
+       CmdGenerate,
+       {"--simd", "--kind", "--out", "--n", "--len", "--seed"},
+       {}},
+      {"info", CmdInfo, {"--simd"}, {}},
+      {"build",
+       CmdBuild,
+       {"--simd", "--index", "--kind", "--categories", "--method"},
+       {}},
+      {"search",
+       CmdSearch,
+       {"--simd", "--query", "--epsilon", "--kind", "--categories",
+        "--method", "--index", "--limit", "--threads", "--band", "--multi"},
+       {"--scan", "--no-lb", "--stats"}},
+      {"knn",
+       CmdKnn,
+       {"--simd", "--query", "--k", "--kind", "--categories", "--method",
+        "--index", "--threads", "--band", "--multi"},
+       {"--no-lb", "--stats"}},
+      {"dot",
+       CmdDot,
+       {"--simd", "--kind", "--categories", "--method", "--max-nodes"},
+       {}},
+  };
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (c.name == argv[1]) command = &c;
+  }
+  if (command == nullptr ||
+      !OnlyKnownFlags(argc, argv, command->value_flags, command->switches)) {
+    return Usage();
+  }
   if (const char* simd = FlagValue(argc, argv, "--simd", nullptr)) {
     if (!dtw::simd::SetBackend(simd)) {
       std::fprintf(stderr, "--simd %s: unknown or unavailable backend "
@@ -709,14 +637,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::string cmd = argv[1];
-  if (cmd == "generate") return CmdGenerate(argc, argv);
-  if (cmd == "info") return CmdInfo(argc, argv);
-  if (cmd == "build") return CmdBuild(argc, argv);
-  if (cmd == "search") return CmdSearch(argc, argv);
-  if (cmd == "knn") return CmdKnn(argc, argv);
-  if (cmd == "dot") return CmdDot(argc, argv);
-  return Usage();
+  return command->run(argc, argv);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // tswarpd: serves one tswarp index over HTTP/JSON.
 //
 //   tswarpd_cli serve DB [--port P] [--address A] [--kind st|stc|sstc]
-//       [--categories C] [--index PATH] [--io mmap|buffered] [--queue N]
-//       [--batch N] [--search-threads T] [--conn-threads T] [--streaming]
+//       [--categories C] [--index PATH] [--queue N] [--batch N]
+//       [--search-threads T] [--conn-threads T] [--streaming]
 //       [--memtable N] [--sealed N] [--smoke]
 //   tswarpd_cli append VALUES [--port P] [--address A]
 //
@@ -12,7 +12,8 @@
 // index is wrapped in a core::TieredIndex, enabling POST /append and the
 // /continuous/* endpoints (see docs/streaming.md). SIGTERM/SIGINT trigger
 // a graceful drain: in-flight and already-admitted searches are answered,
-// then the process exits 0.
+// then the process exits 0. Any flag the subcommand does not take is a
+// usage error (exit 2).
 //
 // `append` is the matching client: it POSTs one comma-separated sequence
 // to a running --streaming server and prints the assigned global seq id.
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/types.h"
 #include "core/index.h"
 #include "core/tiered_index.h"
@@ -73,7 +75,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: tswarpd_cli serve DB [--port P] [--address A] "
                "[--kind st|stc|sstc] [--categories C] [--index PATH] "
-               "[--io mmap|buffered] [--queue N] [--batch N] "
+               "[--queue N] [--batch N] "
                "[--search-threads T] [--conn-threads T] [--streaming] "
                "[--memtable N] [--sealed N] [--smoke]\n"
                "       tswarpd_cli append VALUES [--port P] [--address A]\n"
@@ -192,20 +194,6 @@ int Serve(int argc, char** argv) {
       FlagLong(argc, argv, "--categories", 64));
   const char* index_path = FlagValue(argc, argv, "--index", nullptr);
   if (index_path != nullptr) options.disk_path = index_path;
-  if (const char* io = FlagValue(argc, argv, "--io", nullptr)) {
-    if (index_path == nullptr) {
-      std::fprintf(stderr,
-                   "--io selects the disk read path and needs --index "
-                   "PATH\n");
-      return 2;
-    }
-    const StatusOr<storage::IoMode> mode = storage::ParseIoMode(io);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "--io: %s\n", mode.status().ToString().c_str());
-      return 2;
-    }
-    options.disk_io_mode = *mode;
-  }
 
   // With a persisted bundle, prefer reopening it; fall back to building
   // (which persists for the next start). One expression because Index is
@@ -292,8 +280,23 @@ int Serve(int argc, char** argv) {
 }  // namespace tswarp
 
 int main(int argc, char** argv) {
+  using tswarp::OnlyKnownFlags;
   if (argc < 2) return tswarp::Usage();
-  if (std::strcmp(argv[1], "serve") == 0) return tswarp::Serve(argc, argv);
-  if (std::strcmp(argv[1], "append") == 0) return tswarp::Append(argc, argv);
+  if (std::strcmp(argv[1], "serve") == 0) {
+    if (!OnlyKnownFlags(argc, argv,
+                        {"--port", "--address", "--kind", "--categories",
+                         "--index", "--queue", "--batch", "--search-threads",
+                         "--conn-threads", "--memtable", "--sealed"},
+                        {"--streaming", "--smoke"})) {
+      return tswarp::Usage();
+    }
+    return tswarp::Serve(argc, argv);
+  }
+  if (std::strcmp(argv[1], "append") == 0) {
+    if (!OnlyKnownFlags(argc, argv, {"--port", "--address"}, {})) {
+      return tswarp::Usage();
+    }
+    return tswarp::Append(argc, argv);
+  }
   return tswarp::Usage();
 }
