@@ -92,8 +92,10 @@ class CategoryModel {
   void ResolveStart(SeqId seq, Pos start, dtw::ScanTable* table, EpsFn eps,
                     ReportFn report, SearchStats* stats) const {
     const std::span<const Value> s = db_->sequence(seq);
-    ScanStart(ValueSuffix(query_, s.subspan(start), envelope_), table,
-              /*prune=*/true, eps, report, stats);
+    stats->scan_rows +=
+        ScanStart(ValueSuffix(query_, s.subspan(start), envelope_), table,
+                  /*prune=*/true, eps, report, stats)
+            .rows;
   }
 
  private:

@@ -59,6 +59,9 @@ struct SearchStats {
   std::uint64_t lb_pruned = 0;
   std::uint64_t exact_dtw_calls = 0;    // Starts given >= 1 exact row:
                                         // candidates - endpoint_rejections.
+  // Exact rows those scans built (tree searches: subtree resolution and
+  // the k-NN seed; SeqScan counts its rows in rows_pushed instead).
+  std::uint64_t scan_rows = 0;
   std::uint64_t answers = 0;            // Final matches.
   // Prefix rows re-pushed by parallel workers entering a branch task (the
   // duplicated table work parallelism pays for; 0 in serial searches).
@@ -90,6 +93,7 @@ struct SearchStats {
     lb_invocations += other.lb_invocations;
     lb_pruned += other.lb_pruned;
     exact_dtw_calls += other.exact_dtw_calls;
+    scan_rows += other.scan_rows;
     answers += other.answers;
     replayed_rows += other.replayed_rows;
     tasks_executed += other.tasks_executed;

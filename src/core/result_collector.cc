@@ -29,8 +29,14 @@ void ResultCollector::Report(const Match& m, std::vector<Match>* local) {
   } else {
     return;
   }
-  if (heap.size() == knn_k_) {
-    epsilon_.store(heap.front().distance, std::memory_order_relaxed);
+  if (heap.size() == knn_k_) Tighten(heap.front().distance);
+}
+
+void ResultCollector::Tighten(Value bound) {
+  Value current = epsilon_.load(std::memory_order_relaxed);
+  while (bound < current &&
+         !epsilon_.compare_exchange_weak(current, bound,
+                                         std::memory_order_relaxed)) {
   }
 }
 

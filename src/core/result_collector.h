@@ -27,6 +27,8 @@ bool KnnMatchLess(const Match& a, const Match& b);
 ///                       KnnMatchLess) of the current k best matches;
 ///                       Report inserts under the mutex and shrinks the
 ///                       shared threshold to the k-th best distance.
+///                       The threshold may also be seeded from above
+///                       (Tighten) before any match is reported.
 ///
 /// epsilon() is the current pruning threshold either way. It is atomic
 /// and monotonically non-increasing, so a stale read by a concurrent
@@ -44,6 +46,7 @@ class ResultCollector {
   ResultCollector& operator=(const ResultCollector&) = delete;
 
   bool knn() const { return knn_k_ > 0; }
+  std::size_t knn_k() const { return knn_k_; }
 
   Value epsilon() const { return epsilon_.load(std::memory_order_relaxed); }
 
@@ -51,6 +54,13 @@ class ResultCollector {
   /// `local` vector; k-NN mode ignores `local` and inserts into the
   /// shared k-best heap.
   void Report(const Match& m, std::vector<Match>* local);
+
+  /// Lowers the threshold to `bound` if that is smaller (an atomic
+  /// minimum, safe against concurrent Report and Tighten calls). k-NN
+  /// seeds it with the k-th distance of k distinct real matches, an
+  /// upper bound on the true k-th distance: every answer and every tie
+  /// at the k-th distance still passes `distance <= epsilon()`.
+  void Tighten(Value bound);
 
   /// Publishes a range worker's private answers into the shared set
   /// (single lock per worker; no-op in k-NN mode, whose matches were

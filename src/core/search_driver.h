@@ -60,7 +60,7 @@ namespace tswarp::core {
 ///     /// reported as report(len, distance) — through core::ScanStart
 ///     /// (seq_scan.h) with the model's own rows and running bound, in
 ///     /// the worker's fixed-size scan table. Bumps the per-start
-///     /// counters in *stats.
+///     /// counters and scan_rows in *stats.
 ///     template <typename EpsFn, typename ReportFn>
 ///     void ResolveStart(SeqId seq, Pos start, dtw::ScanTable* table,
 ///                       EpsFn eps, ReportFn report,
@@ -77,6 +77,10 @@ namespace tswarp::core {
 /// stack — the only thing lazy splitting hands out — therefore lie on
 /// paths with no passing row, and each start is scanned at most once
 /// (docs/algorithms.md, "Subtree resolution").
+///
+/// k-NN searches on lower-bound models first seed the threshold (see
+/// Worker::SeedKnn) so that the first subtree resolved already prunes
+/// against a finite bound.
 ///
 /// Four instantiations cover the repo: ExactModel (symbol values),
 /// CategoryModel (D_tw-lb intervals), SparseCategoryModel (D_tw-lb +
@@ -289,11 +293,23 @@ class SearchDriver {
   void RunInto(QueryContext* ctx, SearchStats* stats_sink) {
     if (config_.num_threads == 0) {
       Worker worker(config_, model_, ctx, /*parallel=*/false);
+      if constexpr (!Model::kExactRows) {
+        if (ctx->collector.knn()) worker.SeedKnn();
+      }
       BranchTask root;
       root.node = config_.tree->Root();
       worker.RunTask(root, nullptr);
       worker.Drain(stats_sink);
     } else {
+      if constexpr (!Model::kExactRows) {
+        if (ctx->collector.knn()) {
+          // Seeded serially, before the fork: every parallel worker's
+          // cached threshold then starts from the seeded value.
+          Worker seeder(config_, model_, ctx, /*parallel=*/false);
+          seeder.SeedKnn();
+          seeder.Drain(stats_sink);
+        }
+      }
       TaskScheduler& scheduler = TaskScheduler::Get();
       scheduler.EnsureWorkers(config_.num_threads);
       ParallelState par(config_, model_, ctx);
@@ -354,18 +370,9 @@ class SearchDriver {
         stats_.cancelled = 1;
         return;
       }
-      std::unique_ptr<SearchArena> arena = AcquireSearchArena(
-          config_.query_length, config_.band, ResolvedDepthHint());
-      struct Return {  // Release even if a model call throws.
-        std::unique_ptr<SearchArena>& a;
-        ~Return() { ReleaseSearchArena(std::move(a)); }
-      } release{arena};
-      dtw::WarpingTable& table = arena->table;
-      table.Reset();
-      if (!config_.query.empty()) {
-        table.BindQuery(config_.query);
-        arena->scan.BindQuery(config_.query);
-      }
+      ArenaLease lease(config_, ResolvedDepthHint());
+      SearchArena& arena = *lease.arena;
+      dtw::WarpingTable& table = arena.table;
       const std::uint64_t cells_before = table.cells_computed();
       if (task.prefix != nullptr) {
         for (const Symbol sym : *task.prefix) {
@@ -373,8 +380,82 @@ class SearchDriver {
           ++stats_.replayed_rows;
         }
       }
-      RunSpan(*arena, task, par);
+      RunSpan(arena, task, par);
       stats_.cells_computed += table.cells_computed() - cells_before;
+    }
+
+    /// Seeds the k-NN threshold before the DFS (docs/algorithms.md, "k-NN
+    /// (extension)"). A greedy dive from the root follows, among the
+    /// children with at least k stored suffixes below them, the one whose
+    /// first label row has the least RowMin() (the first in stored order on
+    /// a tie), pushing its label, until |Q| rows are on the table or no
+    /// child qualifies. The stored starts below the reached node are then
+    /// scanned exactly, into a private collector, under the smaller of its
+    /// threshold and the shared one. k matches there are k distinct real
+    /// subsequences whose distances come from the same ScanStart
+    /// recurrence the DFS runs, so their k-th distance bounds the true k-th
+    /// from above and may lower the shared threshold; every answer and
+    /// every tie at the k-th distance still passes `dist <= eps`. The
+    /// matches stay out of the shared heap: the DFS reports them again.
+    /// Lower-bound models only: exact-row models verify nothing.
+    void SeedKnn() {
+      const std::size_t k = collector_.knn_k();
+      if (CancelledNow()) return;
+      ArenaLease lease(config_, ResolvedDepthHint());
+      SearchArena& arena = *lease.arena;
+      dtw::WarpingTable& table = arena.table;
+      const suffixtree::TreeView& tree = *config_.tree;
+      const std::uint64_t cells_before = table.cells_computed();
+      auto push = [&](Symbol sym, std::uint32_t occs) {
+        model_.RowStep(&table, sym);
+        ++stats_.rows_pushed;
+        stats_.unshared_rows += occs;
+      };
+      NodeId node = tree.Root();
+      Children& children = ChildrenAt(arena, 0);
+      while (table.NumRows() < config_.query_length) {
+        tree.GetChildren(node, &children);
+        const Children::Edge* best = nullptr;
+        Value best_min = kInfinity;
+        for (const Children::Edge& edge : children.edges) {
+          const std::uint32_t occs = tree.SubtreeOccCount(edge.child);
+          if (occs < k) continue;
+          push(children.Label(edge).front(), occs);
+          if (best == nullptr || table.RowMin() < best_min) {
+            best = &edge;
+            best_min = table.RowMin();
+          }
+          table.PopRows(1);
+        }
+        if (best == nullptr) break;
+        const std::uint32_t occs = tree.SubtreeOccCount(best->child);
+        for (const Symbol sym : children.Label(*best)) {
+          if (table.NumRows() == config_.query_length) break;
+          push(sym, occs);
+        }
+        node = best->child;
+      }
+      stats_.cells_computed += table.cells_computed() - cells_before;
+      // Below the root every stored start qualifies: scanning them all at
+      // an unbounded threshold would cost more than the DFS it seeds.
+      if (node == tree.Root()) return;
+
+      arena.occ_buf.clear();
+      tree.CollectSubtreeOccurrences(node, &arena.occ_buf,
+                                     &arena.occ_scratch);
+      ResultCollector seed(kInfinity, k);
+      for (const OccurrenceRec& occ : arena.occ_buf) {
+        if (CancelledNow()) return;
+        model_.ResolveStart(
+            occ.seq, occ.pos, &arena.scan,
+            [&] { return std::min(seed.epsilon(), collector_.epsilon()); },
+            [&](Pos len, Value d) {
+              seed.Report({occ.seq, occ.pos, len, d}, nullptr);
+            },
+            &stats_);
+      }
+      const std::vector<Match> found = seed.Take();
+      if (found.size() == k) collector_.Tighten(found.back().distance);
     }
 
     /// Publishes this worker's answers into the shared collector and its
@@ -403,6 +484,25 @@ class SearchDriver {
       kCached,  // Parallel k-NN: cached, refreshed periodically.
     };
 
+    /// This thread's arena for one task or seed, its table reset and bound
+    /// to the query; returned to the cache even if a model call throws.
+    struct ArenaLease {
+      ArenaLease(const DriverConfig& config, std::size_t depth_hint)
+          : arena(AcquireSearchArena(config.query_length, config.band,
+                                     depth_hint)) {
+        arena->table.Reset();
+        if (!config.query.empty()) {
+          arena->table.BindQuery(config.query);
+          arena->scan.BindQuery(config.query);
+        }
+      }
+      ~ArenaLease() { ReleaseSearchArena(std::move(arena)); }
+      ArenaLease(const ArenaLease&) = delete;
+      ArenaLease& operator=(const ArenaLease&) = delete;
+
+      std::unique_ptr<SearchArena> arena;
+    };
+
     struct Frame {
       NodeId node;
       Value first_lb;          // Inherited branch first-symbol lower bound.
@@ -424,6 +524,17 @@ class SearchDriver {
       if (++cancel_polls_ < kCancelPollRows) return false;
       cancel_polls_ = 0;
       if (!config_.cancel->Expired()) return false;
+      cancel_seen_ = true;
+      stats_.cancelled = 1;
+      return true;
+    }
+
+    /// The seed's unthrottled abort poll: it scans few starts, so it reads
+    /// the token before each one.
+    bool CancelledNow() {
+      if (config_.cancel == nullptr || !config_.cancel->Expired()) {
+        return false;
+      }
       cancel_seen_ = true;
       stats_.cancelled = 1;
       return true;
@@ -727,7 +838,8 @@ class SearchDriver {
 /// Convenience wrapper: builds the per-query context (envelope slot left
 /// to the caller via `ctx`), runs the driver, and returns the sorted
 /// answers. `epsilon` is ignored when knn_k > 0 (the threshold starts at
-/// +infinity and shrinks to the k-th best distance).
+/// +infinity, or at the seed's bound, and shrinks to the k-th best
+/// distance).
 template <typename Model>
 std::vector<Match> RunSearchDriver(const DriverConfig& config,
                                    const Model& model, QueryContext* ctx,

@@ -104,8 +104,10 @@ class GridCellModel {
   template <typename EpsFn, typename ReportFn>
   void ResolveStart(SeqId seq, Pos start, dtw::ScanTable* table, EpsFn eps,
                     ReportFn report, core::SearchStats* stats) const {
-    core::ScanStart(MultiSuffix(db_, query_, envelope_, seq, start), table,
-                    /*prune=*/true, eps, report, stats);
+    stats->scan_rows +=
+        core::ScanStart(MultiSuffix(db_, query_, envelope_, seq, start),
+                        table, /*prune=*/true, eps, report, stats)
+            .rows;
   }
 
  private:

@@ -76,6 +76,7 @@ JsonValue StatsToJson(const core::SearchStats& s) {
   obj.Set("nodes_visited", num(s.nodes_visited));
   obj.Set("replayed_rows", num(s.replayed_rows));
   obj.Set("rows_pushed", num(s.rows_pushed));
+  obj.Set("scan_rows", num(s.scan_rows));
   obj.Set("tasks_executed", num(s.tasks_executed));
   obj.Set("tasks_stolen", num(s.tasks_stolen));
   obj.Set("unshared_rows", num(s.unshared_rows));

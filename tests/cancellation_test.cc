@@ -182,8 +182,10 @@ TEST(CancellationSearchTest, KnnHonoursTheToken) {
   const seqdb::SequenceDatabase db = TestDb(23);
   const Index index = BuildIndex(db);
   const std::vector<Value> query = TestQuery(db);
-  const std::vector<Match> full = index.SearchKnn(query, 5);
+  SearchStats full_stats;
+  const std::vector<Match> full = index.SearchKnn(query, 5, {}, &full_stats);
   ASSERT_EQ(full.size(), 5u);
+  ASSERT_GT(full_stats.scan_rows, 0u);
 
   CancelToken token;
   token.Cancel();
@@ -193,6 +195,9 @@ TEST(CancellationSearchTest, KnnHonoursTheToken) {
   const std::vector<Match> partial =
       index.SearchKnn(query, 5, options, &stats);
   EXPECT_EQ(stats.cancelled, 1u);
+  // The k-NN seed polls the token too: nothing was scanned.
+  EXPECT_EQ(stats.scan_rows, 0u);
+  EXPECT_EQ(stats.candidates, 0u);
   EXPECT_LE(partial.size(), 5u);
   // Reported distances stay sorted (the collector's contract) even on the
   // abort path.

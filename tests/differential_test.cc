@@ -26,6 +26,9 @@
 //     kinds, thread counts, range and k-NN, freshly built or reopened,
 //     monolithic and tiered — and v1 bundles are refused with
 //     Status::Corruption.
+//  8. k-NN answers equal the SeqScan oracle's first k in the k-NN total
+//     order, byte for byte, across index kinds, thread counts, tiers and
+//     mapped disk bundles, with the k-th distance tied.
 //
 // Sequences mix three adversarial shapes: Gaussian random walks, spike
 // trains (flat with rare large jumps — stresses the envelope edges), and
@@ -1004,6 +1007,101 @@ TEST(DifferentialTest, TieredBackgroundMergeSnapshotsByteIdentical) {
   ExpectByteIdentical(knn_reference,
                       (*tiered)->Snapshot()->SearchKnn(c.q, 7),
                       "bg drained knn");
+}
+
+// ---------------------------------------------------------------------------
+// Claim 8: k-NN equals its oracle — every subsequence (SeqScan at +inf) in
+// the k-NN total order, cut to k — byte for byte, however the threshold
+// was seeded. Integer plateaus make distances integral, so the k-th
+// distance is tied: a seeded bound even one ulp too low would drop a tie.
+// ---------------------------------------------------------------------------
+
+/// Integer-valued plateaus: levels in [0, 6], each repeated 1-4 times.
+std::vector<Value> IntegerPlateaus(Rng* rng, std::size_t n) {
+  std::vector<Value> v;
+  while (v.size() < n) {
+    const auto level = static_cast<Value>(rng->UniformInt(0, 6));
+    const auto repeat = static_cast<std::size_t>(rng->UniformInt(1, 4));
+    for (std::size_t r = 0; r < repeat && v.size() < n; ++r) {
+      v.push_back(level);
+    }
+  }
+  return v;
+}
+
+TEST(DifferentialTest, KnnByteIdenticalToSeqScanOracle) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(8800 + seed);
+    std::vector<std::vector<Value>> data;
+    const int total = static_cast<int>(rng.UniformInt(6, 9));
+    for (int i = 0; i < total; ++i) {
+      data.push_back(IntegerPlateaus(
+          &rng, static_cast<std::size_t>(rng.UniformInt(10, 30))));
+    }
+    seqdb::SequenceDatabase full_db;
+    seqdb::SequenceDatabase base_db;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      full_db.Add(data[i]);
+      if (i < 3) base_db.Add(data[i]);
+    }
+    const std::vector<Value> q = IntegerPlateaus(
+        &rng, static_cast<std::size_t>(rng.UniformInt(3, 6)));
+
+    std::vector<Match> all = core::SeqScan(full_db, q, kInfinity);
+    std::sort(all.begin(), all.end(), core::KnnMatchLess);
+    // The smallest k >= 4 whose k-th distance is tied with the next one.
+    std::size_t k = 4;
+    while (k < all.size() && all[k - 1].distance != all[k].distance) ++k;
+    ASSERT_LT(k, all.size()) << "seed " << seed << ": no tie to straddle";
+    const std::vector<Match> oracle(all.begin(), all.begin() + k);
+
+    for (const IndexKind kind : {IndexKind::kSuffixTree,
+                                 IndexKind::kCategorized,
+                                 IndexKind::kSparse}) {
+      const std::string kind_name = core::IndexKindToString(kind);
+      IndexOptions options;
+      options.kind = kind;
+      options.num_categories = 4;
+      auto memory = Index::Build(&full_db, options);
+      ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+
+      core::TieredOptions tiered_options;
+      tiered_options.index = options;
+      tiered_options.memtable_max_sequences = 2;
+      tiered_options.max_sealed_tiers = 2;
+      tiered_options.merge_in_background = false;
+      auto tiered = core::TieredIndex::Create(&base_db, tiered_options);
+      ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+      for (std::size_t i = base_db.size(); i < data.size(); ++i) {
+        ASSERT_TRUE((*tiered)->Append(data[i]).ok());
+      }
+      const auto snapshot = (*tiered)->Snapshot();
+      ASSERT_GE(snapshot->tiers().size(), 2u);
+
+      IndexOptions disk_options = options;
+      disk_options.disk_path = testing::TempDir() + "/diff_knn_oracle_" +
+                               kind_name + std::to_string(seed);
+      disk_options.disk_batch_sequences = 4;
+      ASSERT_TRUE(Index::Build(&full_db, disk_options).ok());
+      auto reopened = Index::Open(&full_db, disk_options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      ASSERT_GT(reopened->MappedStats().mapped_bytes, 0u);
+
+      for (const std::size_t threads : {0u, 2u, 3u}) {
+        QueryOptions qo;
+        qo.num_threads = threads;
+        const std::string ctx = kind_name + " seed=" + std::to_string(seed) +
+                                " k=" + std::to_string(k) +
+                                " threads=" + std::to_string(threads);
+        ExpectByteIdentical(oracle, memory->SearchKnn(q, k, qo),
+                            "memory knn " + ctx);
+        ExpectByteIdentical(oracle, snapshot->SearchKnn(q, k, qo),
+                            "tiered knn " + ctx);
+        ExpectByteIdentical(oracle, reopened->SearchKnn(q, k, qo),
+                            "mapped knn " + ctx);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 // over all subsequences.
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/index.h"
+#include "core/result_collector.h"
+#include "core/seq_scan.h"
 #include "datagen/generators.h"
 #include "dtw/dtw.h"
 
@@ -165,6 +169,75 @@ TEST(KnnTest, PrunesRelativeToUnprunedRun) {
     EXPECT_NEAR(a[i].distance, b[i].distance, 1e-9);
   }
   EXPECT_LE(pruned.rows_pushed, full.rows_pushed);
+}
+
+/// The k-NN oracle: every subsequence within +inf, i.e. all of them, in
+/// the k-NN total order, cut to the first k.
+std::vector<Match> KnnOracle(const seqdb::SequenceDatabase& db,
+                             std::span<const Value> q, std::size_t k) {
+  std::vector<Match> all = SeqScan(db, q, kInfinity);
+  std::sort(all.begin(), all.end(), KnnMatchLess);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// Byte-identical to the oracle under every index kind, serial and
+/// parallel.
+void ExpectKnnMatchesOracle(const seqdb::SequenceDatabase& db,
+                            std::span<const Value> q, std::size_t k) {
+  const std::vector<Match> expected = KnnOracle(db, q, k);
+  for (const IndexKind kind : {IndexKind::kSuffixTree,
+                               IndexKind::kCategorized, IndexKind::kSparse}) {
+    IndexOptions options;
+    options.kind = kind;
+    options.num_categories = 4;
+    auto index = Index::Build(&db, options);
+    ASSERT_TRUE(index.ok());
+    for (const std::size_t threads : {0u, 2u}) {
+      QueryOptions query_options;
+      query_options.num_threads = threads;
+      const std::vector<Match> knn = index->SearchKnn(q, k, query_options);
+      SCOPED_TRACE(std::string(IndexKindToString(kind)) + " k=" +
+                   std::to_string(k) + " threads=" +
+                   std::to_string(threads));
+      ASSERT_EQ(knn.size(), expected.size());
+      for (std::size_t i = 0; i < knn.size(); ++i) {
+        EXPECT_EQ(knn[i].seq, expected[i].seq) << i;
+        EXPECT_EQ(knn[i].start, expected[i].start) << i;
+        EXPECT_EQ(knn[i].len, expected[i].len) << i;
+        EXPECT_EQ(knn[i].distance, expected[i].distance) << i;
+      }
+    }
+  }
+}
+
+TEST(KnnTest, KBeyondTheStoredSuffixesSkipsTheSeed) {
+  // 8 elements store at most 8 suffixes, so no root child holds k = 30
+  // of them and the seed's dive stops at the root; the DFS alone must
+  // still find the 30 best of the 36 subsequences.
+  seqdb::SequenceDatabase db;
+  db.Add({5, 7, 6, 9, 8, 8, 4, 6});
+  const std::vector<Value> q = {6.0, 8.0, 8.5};
+  ExpectKnnMatchesOracle(db, q, 30);
+  ExpectKnnMatchesOracle(db, q, 36);
+}
+
+TEST(KnnTest, KOneMatchesTheOracle) {
+  const seqdb::SequenceDatabase db = SmallDb(41);
+  const std::vector<Value> planted(db.sequence(1).begin() + 3,
+                                   db.sequence(1).begin() + 9);
+  ExpectKnnMatchesOracle(db, planted, 1);
+  const std::vector<Value> off = {planted[0] + 0.7, planted[2] - 0.4,
+                                  planted[5] + 1.1};
+  ExpectKnnMatchesOracle(db, off, 1);
+}
+
+TEST(KnnTest, OneSequenceDatabaseMatchesTheOracle) {
+  seqdb::SequenceDatabase db;
+  db.Add(seqdb::Sequence(SmallDb(43).sequence(0)));
+  const std::vector<Value> q(db.sequence(0).begin() + 2,
+                             db.sequence(0).begin() + 6);
+  for (const std::size_t k : {1u, 3u, 10u}) ExpectKnnMatchesOracle(db, q, k);
 }
 
 }  // namespace

@@ -193,6 +193,51 @@ TEST(SearchStatsTest, LowerBoundCascadeCountsOnTreeSearch) {
       << "the banded envelope should cut scans past their first element";
 }
 
+TEST(SearchStatsTest, ScanRowsCountTheExactScans) {
+  const seqdb::SequenceDatabase db = Db();
+  const auto q = Query(db);
+  for (IndexKind kind : {IndexKind::kSuffixTree, IndexKind::kCategorized,
+                         IndexKind::kSparse}) {
+    IndexOptions options;
+    options.kind = kind;
+    options.num_categories = 12;
+    auto index = Index::Build(&db, options);
+    ASSERT_TRUE(index.ok());
+    SCOPED_TRACE(IndexKindToString(kind));
+    for (const Value eps : {0.0, 1.0, 6.0, 20.0}) {
+      SCOPED_TRACE(eps);
+      // A start scanned exactly builds at least one row, and rows are only
+      // built by such scans (none on exact ST trees).
+      SearchStats serial;
+      index->Search(q, eps, {}, &serial);
+      EXPECT_EQ(serial.scan_rows > 0, serial.exact_dtw_calls > 0);
+      EXPECT_GE(serial.scan_rows, serial.exact_dtw_calls);
+      // A range search scans the same starts under the same fixed
+      // threshold whichever worker runs them.
+      for (const std::size_t threads : {1u, 3u}) {
+        QueryOptions parallel;
+        parallel.num_threads = threads;
+        SearchStats par;
+        index->Search(q, eps, parallel, &par);
+        EXPECT_EQ(par.scan_rows, serial.scan_rows) << threads;
+        EXPECT_EQ(par.exact_dtw_calls, serial.exact_dtw_calls) << threads;
+      }
+    }
+    SearchStats knn;
+    index->SearchKnn(q, 10, {}, &knn);
+    EXPECT_EQ(knn.scan_rows > 0, knn.exact_dtw_calls > 0);
+    if (kind != IndexKind::kSuffixTree) {
+      EXPECT_GT(knn.scan_rows, 0u);
+    }
+  }
+  // Merge sums the counter like every other field.
+  SearchStats a, b;
+  a.scan_rows = 3;
+  b.scan_rows = 4;
+  a.Merge(b);
+  EXPECT_EQ(a.scan_rows, 7u);
+}
+
 template <typename Stats>
 constexpr bool kHasStealAttempts = requires(const Stats& s) {
   s.steal_attempts;

@@ -11,6 +11,7 @@
 //   tswarp_cli knn market.db --query 50,51,53,52 --k 5
 //   tswarp_cli dot market.db --categories 8 --max-nodes 64
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +60,24 @@ bool FlagThreads(int argc, char** argv, std::size_t* out) {
   const long raw = FlagLong(argc, argv, "--threads", 0);
   if (raw < 0) {
     std::fprintf(stderr, "--threads must be >= 0 (got %ld)\n", raw);
+    return false;
+  }
+  *out = static_cast<std::size_t>(raw);
+  return true;
+}
+
+// --k must be an integer in [1, 1e9], tswarpd's "invalid_k" rule: atol
+// would read "abc" as 0 and wrap -1 to a request for every subsequence.
+// Returns false (after printing) on a bad value.
+bool FlagK(int argc, char** argv, std::size_t* out) {
+  constexpr long kMaxK = 1000000000;
+  const char* text = FlagValue(argc, argv, "--k", "5");
+  char* end = nullptr;
+  errno = 0;
+  const long raw = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || raw < 1 || raw > kMaxK) {
+    std::fprintf(stderr, "--k must be an integer in [1, 1e9] (got %s)\n",
+                 text);
     return false;
   }
   *out = static_cast<std::size_t>(raw);
@@ -148,12 +167,13 @@ bool HasFlag(int argc, char** argv, const char* flag) {
 /// are per start: "starts" were scanned (answers emitted, on exact ST
 /// trees), "endpoint-rejected" ended at their first element, "lb-cut"
 /// were ended by the running bound (endpoint cuts included) out of
-/// "lb-screened", and "exact scans" built at least one exact row.
+/// "lb-screened", "exact scans" built at least one exact row, and "scan
+/// rows" counts the exact rows those scans built.
 void PrintStatsCounters(const core::SearchStats& stats) {
   std::printf(
       "stats: nodes %llu, rows %llu (+%llu replayed), pruned %llu, "
       "starts %llu, endpoint-rejected %llu, lb-screened %llu, "
-      "lb-cut %llu, exact scans %llu\n",
+      "lb-cut %llu, exact scans %llu, scan rows %llu\n",
       static_cast<unsigned long long>(stats.nodes_visited),
       static_cast<unsigned long long>(stats.rows_pushed),
       static_cast<unsigned long long>(stats.replayed_rows),
@@ -162,7 +182,8 @@ void PrintStatsCounters(const core::SearchStats& stats) {
       static_cast<unsigned long long>(stats.endpoint_rejections),
       static_cast<unsigned long long>(stats.lb_invocations),
       static_cast<unsigned long long>(stats.lb_pruned),
-      static_cast<unsigned long long>(stats.exact_dtw_calls));
+      static_cast<unsigned long long>(stats.exact_dtw_calls),
+      static_cast<unsigned long long>(stats.scan_rows));
   if (stats.tasks_executed > 0) {
     // Scheduler counters appear only for parallel searches (num_threads
     // >= 1).
@@ -508,14 +529,11 @@ int CmdKnn(int argc, char** argv) {
   const std::vector<Value> query =
       ParseQuery(FlagValue(argc, argv, "--query", nullptr));
   if (query.empty()) return Usage();
-  const auto k = static_cast<std::size_t>(FlagLong(argc, argv, "--k", 5));
+  std::size_t k = 0;
+  if (!FlagK(argc, argv, &k)) return 1;
   std::size_t multi_dim = 0;
   if (!FlagMulti(argc, argv, &multi_dim)) return 1;
   if (multi_dim != 0) {
-    if (k == 0) {
-      std::fprintf(stderr, "--k must be >= 1\n");
-      return 1;
-    }
     return RunMultiSearch(argc, argv, *db, query, multi_dim, /*epsilon=*/0.0,
                           k, /*limit=*/k);
   }
