@@ -17,6 +17,7 @@
 #include "report_json.h"
 
 #include "categorize/categorizer.h"
+#include "core/dictionary.h"
 #include "core/match.h"
 #include "core/seq_scan.h"
 #include "core/tree_search.h"
@@ -31,7 +32,6 @@
 #include "suffixtree/merge.h"
 #include "suffixtree/suffix_tree.h"
 #include "suffixtree/tree_view.h"
-#include "suffixtree/ukkonen.h"
 #include "suffixtree/symbol_database.h"
 
 namespace tswarp {
@@ -105,10 +105,8 @@ suffixtree::SymbolDatabase CategorizedStocks(std::size_t num_sequences,
   return suffixtree::SymbolDatabase(std::move(converted.sequences));
 }
 
-void BM_SuffixTreeBuild(benchmark::State& state) {
-  const suffixtree::SymbolDatabase symbols = CategorizedStocks(
-      static_cast<std::size_t>(state.range(0)),
-      static_cast<std::size_t>(state.range(1)));
+void BuildTreeLoop(benchmark::State& state,
+                   const suffixtree::SymbolDatabase& symbols) {
   for (auto _ : state) {
     suffixtree::SuffixTree tree = suffixtree::BuildSuffixTree(symbols);
     benchmark::DoNotOptimize(tree.NumNodes());
@@ -116,7 +114,47 @@ void BM_SuffixTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(symbols.TotalSymbols()));
 }
+
+void BM_SuffixTreeBuild(benchmark::State& state) {
+  BuildTreeLoop(state, CategorizedStocks(
+                           static_cast<std::size_t>(state.range(0)),
+                           static_cast<std::size_t>(state.range(1))));
+}
 BENCHMARK(BM_SuffixTreeBuild)->Args({50, 20})->Args({50, 120})->Args({200, 20});
+
+// Random walks under ST_C(12): the tswarpd ingest workload's base tree.
+void BM_SuffixTreeBuildWalk(benchmark::State& state) {
+  datagen::RandomWalkOptions walk;
+  walk.num_sequences = 1000;
+  walk.avg_length = 120;
+  walk.length_jitter = 20;
+  const seqdb::SequenceDatabase db = datagen::GenerateRandomWalks(walk);
+  auto alphabet = categorize::BuildMaxEntropy(categorize::CollectValues(db),
+                                              /*num_categories=*/12)
+                      .value();
+  BuildTreeLoop(state, suffixtree::SymbolDatabase(std::move(
+                           categorize::ConvertDatabase(db, &alphabet)
+                               .sequences)));
+}
+BENCHMARK(BM_SuffixTreeBuildWalk)->Name("BM_SuffixTreeBuild/walk_stc12");
+
+// Plain (dictionary) ST over i.i.d. values on 256 levels: the root and
+// the level below it have up to 256 children each, the shape that needs
+// the builder's wide-node index.
+void BM_SuffixTreeBuildDictionary(benchmark::State& state) {
+  Rng rng(256);
+  seqdb::SequenceDatabase db;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Value> seq(200);
+    for (Value& v : seq) v = static_cast<Value>(rng.UniformInt(0, 255));
+    db.Add(std::move(seq));
+  }
+  suffixtree::SymbolDatabase symbols;
+  std::vector<Value> symbol_values;
+  core::DictionaryEncode(db, &symbols, &symbol_values);
+  BuildTreeLoop(state, symbols);
+}
+BENCHMARK(BM_SuffixTreeBuildDictionary)->Name("BM_SuffixTreeBuild/st_dict256");
 
 void BM_SuffixTreeMerge(benchmark::State& state) {
   const suffixtree::SymbolDatabase a = CategorizedStocks(
@@ -210,37 +248,6 @@ void BM_DtwAlign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DtwAlign)->Arg(32)->Arg(128);
-
-void BM_UkkonenVsInsertion(benchmark::State& state) {
-  // Single sequence with a small alphabet: Ukkonen's linear construction
-  // vs the suffix-insertion builder.
-  Rng rng(6);
-  suffixtree::SymbolDatabase db;
-  suffixtree::SymbolSequence s;
-  for (int i = 0; i < state.range(0); ++i) {
-    s.push_back(static_cast<Symbol>(rng.UniformInt(0, 3)));
-  }
-  db.Add(std::move(s));
-  const bool use_ukkonen = state.range(1) != 0;
-  for (auto _ : state) {
-    if (use_ukkonen) {
-      benchmark::DoNotOptimize(
-          suffixtree::BuildSuffixTreeUkkonen(db, 0).NumNodes());
-    } else {
-      suffixtree::SuffixTreeBuilder builder(&db);
-      builder.InsertSequence(0);
-      benchmark::DoNotOptimize(builder.Build().NumNodes());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_UkkonenVsInsertion)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
 
 // --- Categorized tree search through the shared driver -----------------
 // One dense ST_C range search (core::SearchDriver<CategoryModel>) on a

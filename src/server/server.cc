@@ -942,6 +942,9 @@ struct Server::Impl {
   void Shutdown() {
     std::call_once(shutdown_once, [this] {
       draining.store(true, std::memory_order_relaxed);
+      // Wake the accept thread's poll now rather than after its timeout;
+      // the fd itself is closed once no thread uses it.
+      if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
       if (accept_thread.joinable()) accept_thread.join();
       // Drain order matters: close the job queue first so the dispatcher
       // finishes everything already admitted (fulfilling the promises the

@@ -1,6 +1,7 @@
 #include "suffixtree/merge.h"
 
 #include <algorithm>
+#include <deque>
 #include <span>
 #include <utility>
 #include <vector>
@@ -27,9 +28,10 @@ struct Pending {
   Pending Drop(std::size_t k) const { return {symbols.subspan(k), ref + k}; }
 };
 
-/// Recursive merge machinery. Each recursion frame owns its Children
-/// buffers; label spans passed down the recursion point into the source
-/// views' texts.
+/// Recursive merge machinery. Each recursion frame borrows the Children
+/// buffers of its depth, which the Merger owns and reuses, so a merge
+/// allocates only when it first reaches a depth; label spans passed down
+/// the recursion point into the source views' texts.
 class Merger {
  public:
   Merger(const TreeView& a, const TreeView& b, TreeSink* out,
@@ -85,6 +87,29 @@ class Merger {
     if (cancel_->load(std::memory_order_relaxed)) throw Cancelled{};
   }
 
+  /// Buffers of one recursion depth.
+  struct Frame {
+    Children a;
+    Children b;
+    std::vector<bool> b_used;
+  };
+
+  Frame& EnterFrame() {
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    return frames_[depth_++];
+  }
+
+  /// Holds the buffers of the next recursion depth for the life of a call.
+  struct FrameScope {
+    explicit FrameScope(Merger* m) : merger(m), frame(m->EnterFrame()) {}
+    ~FrameScope() { --merger->depth_; }
+    FrameScope(const FrameScope&) = delete;
+    FrameScope& operator=(const FrameScope&) = delete;
+
+    Merger* merger;
+    Frame& frame;
+  };
+
   /// The label of edge `e` of view `v`, referenced in the output text.
   Pending Label(const TreeView& v, const Children& c,
                 const Children::Edge& e) const {
@@ -104,7 +129,8 @@ class Merger {
     PollCancel();
     const NodeId m = out_->AddNode(out_parent, label.Ref());
     CopyOccurrences(v, node, m);
-    Children children;
+    FrameScope scope(this);
+    Children& children = scope.frame.a;
     v.GetChildren(node, &children);
     for (const Children::Edge& e : children.edges) {
       CopySubtree(v, Label(v, children, e), e.child, m);
@@ -117,10 +143,13 @@ class Merger {
     PollCancel();
     CopyOccurrences(a_, na, on);
     CopyOccurrences(b_, nb, on);
-    Children ca, cb;
+    FrameScope scope(this);
+    Children& ca = scope.frame.a;
+    Children& cb = scope.frame.b;
     a_.GetChildren(na, &ca);
     b_.GetChildren(nb, &cb);
-    std::vector<bool> b_used(cb.edges.size(), false);
+    std::vector<bool>& b_used = scope.frame.b_used;
+    b_used.assign(cb.edges.size(), false);
     for (const Children::Edge& ea : ca.edges) {
       const Symbol sa = ca.FirstSymbol(ea);
       std::size_t match = cb.edges.size();
@@ -176,7 +205,8 @@ class Merger {
   void MergeNodeWithEdge(const TreeView& v, NodeId nv, const TreeView& w,
                          const Pending& rest, NodeId child_w, NodeId mo) {
     CopyOccurrences(v, nv, mo);
-    Children cv;
+    FrameScope scope(this);
+    Children& cv = scope.frame.a;
     v.GetChildren(nv, &cv);
     bool matched = false;
     for (const Children::Edge& e : cv.edges) {
@@ -207,6 +237,10 @@ class Merger {
   std::uint64_t b_shift_ = 0;
   std::uint32_t cancel_polls_ = 0;
   std::vector<OccurrenceRec> occ_buf_;
+  // frames_[d] serves recursion depth d; a deque, so growing it leaves
+  // the outer frames' buffers in place.
+  std::deque<Frame> frames_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -179,7 +179,7 @@ SuffixTreeBuilder::SuffixTreeBuilder(const SymbolDatabase* db,
 
 SuffixTreeBuilder::SuffixTreeBuilder(std::shared_ptr<const SymbolText> text,
                                      BuildOptions options)
-    : text_(std::move(text)), options_(options) {
+    : text_(std::move(text)), options_(options), child_count_(1, 0) {
   TSW_CHECK(text_ != nullptr);
   // The tree shares the symbols of the text (aliasing the SymbolText).
   tree_.AdoptText(
@@ -187,14 +187,44 @@ SuffixTreeBuilder::SuffixTreeBuilder(std::shared_ptr<const SymbolText> text,
 }
 
 NodeId SuffixTreeBuilder::FindChild(NodeId parent, Symbol s) const {
-  auto it = child_index_.find(ChildKey(parent, s));
-  return it == child_index_.end() ? kNilNode : it->second;
+  if (child_count_[parent] >= kWideFanout) {
+    auto it = wide_index_.find(ChildKey(parent, s));
+    return it == wide_index_.end() ? kNilNode : it->second;
+  }
+  const auto& nodes = tree_.nodes_;
+  const Symbol* text = text_->symbols.data();
+  for (NodeId c = nodes[parent].first_child; c != kNilNode;
+       c = nodes[c].next_sibling) {
+    if (text[nodes[c].label_begin] == s) return c;
+  }
+  return kNilNode;
 }
 
 void SuffixTreeBuilder::LinkChild(NodeId parent, Symbol s, NodeId child) {
   // Sibling chaining is done by SuffixTree::AddNode for new nodes; for
   // split nodes the chain is adjusted in place (see InsertSuffix).
-  child_index_.emplace(ChildKey(parent, s), child);
+  std::uint8_t& count = child_count_[parent];
+  if (count == kWideFanout) {
+    wide_index_.emplace(ChildKey(parent, s), child);
+    return;
+  }
+  if (++count < kWideFanout) return;
+  const auto& nodes = tree_.nodes_;
+  const Symbol* text = text_->symbols.data();
+  for (NodeId c = nodes[parent].first_child; c != kNilNode;
+       c = nodes[c].next_sibling) {
+    wide_index_.emplace(ChildKey(parent, text[nodes[c].label_begin]), c);
+  }
+}
+
+void SuffixTreeBuilder::AddLeaf(NodeId parent, std::uint64_t offset,
+                                std::size_t len, const OccurrenceRec& occ) {
+  const NodeId leaf =
+      tree_.AddNode(parent, {offset, static_cast<std::uint32_t>(len)});
+  if (!tree_.status().ok()) return;  // Out of ids: the tree is discarded.
+  child_count_.push_back(0);
+  LinkChild(parent, text_->symbols[offset], leaf);
+  tree_.AddOccurrence(leaf, occ);
 }
 
 void SuffixTreeBuilder::InsertSequence(SeqId id) {
@@ -247,10 +277,7 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     }
     const NodeId child = FindChild(cur, sfx[i]);
     if (child == kNilNode) {
-      const NodeId leaf = tree_.AddNode(
-          cur, {base + i, static_cast<std::uint32_t>(n - i)});
-      LinkChild(cur, sfx[i], leaf);
-      tree_.AddOccurrence(leaf, occ);
+      AddLeaf(cur, base + i, n - i, occ);
       return;
     }
     const std::uint32_t lb = nodes[child].label_begin;
@@ -263,8 +290,9 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
       continue;
     }
     // Split the edge above `child` at offset j. `child` keeps its identity
-    // (slot in the parent's sibling chain and its child-index key) and
-    // becomes the upper split node; a fresh node takes over the deep part.
+    // (slot in the parent's sibling chain and its index entry) and becomes
+    // the upper split node; a fresh node takes over the deep part, with
+    // child's children and their count.
     const NodeId deep = tree_.NextNodeId();
     if (deep == kNilNode) return;
     SuffixTree::Node deep_node;
@@ -274,32 +302,36 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     deep_node.first_occ = nodes[child].first_occ;
     deep_node.next_sibling = kNilNode;
     nodes.push_back(deep_node);
-    // Re-key the grandchildren from `child` to `deep`.
-    for (NodeId gc = deep_node.first_child; gc != kNilNode;
-         gc = nodes[gc].next_sibling) {
-      const Symbol gs = text[nodes[gc].label_begin];
-      child_index_.erase(ChildKey(child, gs));
-      child_index_.emplace(ChildKey(deep, gs), gc);
+    const std::uint8_t fanout = child_count_[child];
+    child_count_.push_back(fanout);
+    if (fanout == kWideFanout) {
+      // Re-key the grandchildren from `child` to `deep`.
+      for (NodeId gc = deep_node.first_child; gc != kNilNode;
+           gc = nodes[gc].next_sibling) {
+        auto entry =
+            wide_index_.extract(ChildKey(child, text[nodes[gc].label_begin]));
+        entry.key() = ChildKey(deep, text[nodes[gc].label_begin]);
+        wide_index_.insert(std::move(entry));
+      }
     }
     nodes[child].label_len = j;
     nodes[child].first_child = deep;
     nodes[child].first_occ = SuffixTree::kNilOcc;
-    child_index_.emplace(ChildKey(child, text[lb + j]), deep);
+    child_count_[child] = 0;
+    LinkChild(child, text[lb + j], deep);
 
     if (i + j == n) {
       tree_.AddOccurrence(child, occ);
       return;
     }
-    const NodeId leaf = tree_.AddNode(
-        child, {base + i + j, static_cast<std::uint32_t>(n - i - j)});
-    LinkChild(child, sfx[i + j], leaf);
-    tree_.AddOccurrence(leaf, occ);
+    AddLeaf(child, base + i + j, n - i - j, occ);
     return;
   }
 }
 
 SuffixTree SuffixTreeBuilder::Build() {
-  child_index_.clear();
+  child_count_ = {};
+  wide_index_ = {};
   tree_.Finalize();
   return std::move(tree_);
 }

@@ -121,8 +121,14 @@ struct BuildOptions {
   Pos max_suffix_length = 0;
 };
 
-/// Incremental construction of a SuffixTree by inserting suffixes. Keeps a
-/// (node, first-symbol) hash index that is discarded when Build() is called.
+/// Incremental construction of a SuffixTree by inserting suffixes.
+///
+/// A child lookup walks the parent's sibling chain, comparing each child's
+/// first label symbol: at the usual fanout of 1-3 those are the records
+/// the label comparison reads next anyway. Only wide nodes (kWideFanout
+/// or more children: the root, large alphabets, dictionary nodes near the
+/// root) keep a (node, first-symbol) hash index. The per-node child
+/// counts and the index are discarded when Build() is called.
 /// The tree references the database's text (SymbolText), which it shares,
 /// so the database may be destroyed once the builder exists.
 class SuffixTreeBuilder {
@@ -154,14 +160,25 @@ class SuffixTreeBuilder {
   SuffixTree Build();
 
  private:
+  /// Children a node needs before its children are indexed by symbol.
+  static constexpr std::uint8_t kWideFanout = 8;
+
   NodeId FindChild(NodeId parent, Symbol s) const;
+  /// Counts `child`, just chained under `parent`, and indexes it if
+  /// `parent` is wide (all of parent's children when it just became so).
   void LinkChild(NodeId parent, Symbol s, NodeId child);
+  /// Adds a leaf for text[offset, offset + len) under `parent`, holding
+  /// `occ`.
+  void AddLeaf(NodeId parent, std::uint64_t offset, std::size_t len,
+               const OccurrenceRec& occ);
 
   std::shared_ptr<const SymbolText> text_;
   BuildOptions options_;
   SuffixTree tree_;
-  // (parent << 32 | symbol) -> child node.
-  std::unordered_map<std::uint64_t, NodeId> child_index_;
+  // Per node: its number of children, saturating at kWideFanout.
+  std::vector<std::uint8_t> child_count_;
+  // (parent << 32 | symbol) -> child node, for wide parents only.
+  std::unordered_map<std::uint64_t, NodeId> wide_index_;
   std::uint64_t stored_suffixes_ = 0;
   std::uint64_t skipped_suffixes_ = 0;
 };

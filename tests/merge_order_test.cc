@@ -13,7 +13,6 @@
 #include "suffixtree/merge.h"
 #include "suffixtree/suffix_tree.h"
 #include "suffixtree/symbol_database.h"
-#include "suffixtree/ukkonen.h"
 
 namespace tswarp::suffixtree {
 namespace {
@@ -101,23 +100,6 @@ TEST(MergeOrderTest, RandomSchedulesConverge) {
           << "seed " << seed << " schedule " << schedule;
     }
   }
-}
-
-TEST(MergeOrderTest, UkkonenLeavesMergeIdentically) {
-  const SymbolDatabase db = RandomDb(42);
-  const Canon expected = Canonicalize(BuildSuffixTree(db));
-  std::vector<SuffixTree> forest;
-  for (SeqId id = 0; id < db.size(); ++id) {
-    forest.push_back(BuildSuffixTreeUkkonen(db, id));
-  }
-  std::size_t head = 0;
-  while (forest.size() - head > 1) {
-    SuffixTree merged;
-    MergeTrees(forest[head], forest[head + 1], &merged);
-    head += 2;
-    forest.push_back(std::move(merged));
-  }
-  EXPECT_EQ(Canonicalize(forest[head]), expected);
 }
 
 TEST(MergeOrderTest, NodeCountBounds) {

@@ -6,6 +6,7 @@
 
 #include "server/server.h"
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -317,6 +318,27 @@ TEST(ServerHealthTest, HealthzFlipsToDrainingOnShutdown) {
   }
   // Shutdown is idempotent.
   ts.server->Shutdown();
+}
+
+TEST(ServerTest, ShutdownDoesNotWaitOutTheAcceptPoll) {
+  const seqdb::SequenceDatabase db = TestDb(11);
+  TestServer ts =
+      StartServer(BuildIndex(db, core::IndexKind::kSparse, ""));
+  {
+    auto client = HttpClient::Connect("127.0.0.1", ts.server->port());
+    ASSERT_TRUE(client.ok());
+    auto resp = client->Get("/stats");
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status, 200);
+  }
+  // Let the handler see the client go, so only the idle listener is left.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const auto start = std::chrono::steady_clock::now();
+  ts.server->Shutdown();
+  const auto took = std::chrono::steady_clock::now() - start;
+  // The accept loop polls with a 100 ms timeout; an idle server's drain
+  // must not wait it out.
+  EXPECT_LT(took, std::chrono::milliseconds(50));
 }
 
 }  // namespace

@@ -4,11 +4,15 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "categorize/categorizer.h"
 #include "common/random.h"
+#include "core/dictionary.h"
+#include "datagen/generators.h"
 #include "suffixtree/symbol_database.h"
 #include "suffixtree/tree_view.h"
 
@@ -277,6 +281,168 @@ TEST(SuffixTreeTest, CollectSubtreeOccurrencesFindsAll) {
   std::vector<OccurrenceRec> all;
   tree.CollectSubtreeOccurrences(tree.Root(), &all);
   EXPECT_EQ(all.size(), tree.NumOccurrences());
+}
+
+TEST(SuffixTreeTest, SingleSymbolRunIsOneChain) {
+  // a^n: every suffix is a prefix of the previous one, so the tree is a
+  // chain of n nodes below the root, one occurrence each. Insertion walks
+  // the whole chain per suffix (quadratic on long runs in dense trees).
+  SymbolDatabase db;
+  db.Add(SymbolSequence(2000, 7));
+  const SuffixTree tree = BuildSuffixTree(db);
+  ASSERT_TRUE(tree.status().ok());
+  EXPECT_EQ(tree.NumOccurrences(), 2000u);
+  EXPECT_EQ(tree.NumNodes(), 2001u);
+  Children children;
+  for (NodeId node = 0; node < tree.NumNodes(); ++node) {
+    tree.GetChildren(node, &children);
+    EXPECT_LE(children.edges.size(), 1u) << "node " << node;
+  }
+}
+
+/// Largest number of children of any node.
+std::size_t MaxFanout(const TreeView& view) {
+  std::size_t widest = 0;
+  Children children;
+  for (NodeId node = 0; node < view.NumNodes(); ++node) {
+    view.GetChildren(node, &children);
+    widest = std::max(widest, children.edges.size());
+  }
+  return widest;
+}
+
+TEST(SuffixTreeTest, WideNodesOverLargeAlphabets) {
+  // The builder indexes the children of nodes with 8 or more of them;
+  // these alphabets put such nodes at and below the root.
+  std::uint64_t seed = 300;
+  for (const Symbol alphabet : {12, 64, 300}) {
+    for (const bool sparse : {false, true}) {
+      for (const Pos min_len : {Pos{0}, Pos{4}}) {
+        for (const Pos max_len : {Pos{0}, Pos{6}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "alphabet " << alphabet << " sparse " << sparse
+                       << " min " << min_len << " max " << max_len);
+          const SymbolDatabase db = RandomSymbolDb(++seed, 40, 50, alphabet);
+          BuildOptions options;
+          options.sparse = sparse;
+          options.min_suffix_length = min_len;
+          options.max_suffix_length = max_len;
+          const SuffixTree tree = BuildSuffixTree(db, options);
+          ASSERT_TRUE(tree.status().ok());
+          EXPECT_GE(MaxFanout(tree), 8u);
+          CheckTreeAgainstDb(tree, db, sparse, max_len, min_len);
+        }
+      }
+    }
+  }
+}
+
+TEST(SuffixTreeTest, SplitAboveAWideNodeKeepsItsChildren) {
+  // <5, 6, x> for ten x outside {5, 6} make the node at path <5, 6> wide
+  // (ten children) under a two-symbol edge; <5, 7> then splits that edge,
+  // so the wide node's children move to the fresh deep node.
+  SymbolDatabase db;
+  for (Symbol x = 10; x < 20; ++x) db.Add({5, 6, x});
+  db.Add({5, 7});
+  db.Add({5, 6, 13, 1});  // Found again under the deep node.
+  const SuffixTree tree = BuildSuffixTree(db);
+  ASSERT_TRUE(tree.status().ok());
+  CheckTreeAgainstDb(tree, db, /*sparse=*/false);
+  // Path <5> then <6>: the deep node holds all ten children.
+  NodeId node = tree.Root();
+  Children children;
+  for (const Symbol s : {5, 6}) {
+    tree.GetChildren(node, &children);
+    const auto it = std::ranges::find_if(
+        children.edges,
+        [&](const Children::Edge& e) { return children.FirstSymbol(e) == s; });
+    ASSERT_NE(it, children.edges.end());
+    EXPECT_EQ(it->label_len, 1u);
+    node = it->child;
+  }
+  tree.GetChildren(node, &children);
+  EXPECT_EQ(children.edges.size(), 10u);
+}
+
+/// FNV-1a over the node records in id order: each child's id and label
+/// reference in sibling order, then the node's occurrences.
+std::uint64_t LayoutHash(const TreeView& view) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  Children children;
+  std::vector<OccurrenceRec> occs;
+  for (NodeId node = 0; node < view.NumNodes(); ++node) {
+    view.GetChildren(node, &children);
+    mix(children.edges.size());
+    for (const Children::Edge& e : children.edges) {
+      mix(e.child);
+      mix(e.label_offset);
+      mix(e.label_len);
+    }
+    occs.clear();
+    view.GetOccurrences(node, &occs);
+    mix(occs.size());
+    for (const OccurrenceRec& o : occs) {
+      mix(o.seq);
+      mix(o.pos);
+      mix(o.run);
+    }
+  }
+  return h;
+}
+
+SymbolDatabase MaxEntropySymbols(const seqdb::SequenceDatabase& db,
+                                 std::size_t num_categories) {
+  categorize::Alphabet alphabet =
+      categorize::BuildMaxEntropy(categorize::CollectValues(db),
+                                  num_categories)
+          .value();
+  return SymbolDatabase(
+      std::move(categorize::ConvertDatabase(db, &alphabet).sequences));
+}
+
+TEST(SuffixTreeTest, BuilderLayoutIsPinned) {
+  // Node ids, sibling order and records are part of the on-disk layout;
+  // a builder change must reproduce them exactly. The constants are the
+  // hash-map builder's trees; the inputs come from std distributions, so
+  // they hold for libstdc++.
+  datagen::RandomWalkOptions walk;
+  walk.num_sequences = 200;
+  walk.avg_length = 120;
+  walk.length_jitter = 20;
+  const SuffixTree walk_stc = BuildSuffixTree(
+      MaxEntropySymbols(datagen::GenerateRandomWalks(walk), 12));
+
+  datagen::StockOptions stock;
+  stock.num_sequences = 100;
+  BuildOptions sparse;
+  sparse.sparse = true;
+  const SuffixTree stock_sstc = BuildSuffixTree(
+      MaxEntropySymbols(datagen::GenerateStocks(stock), 40), sparse);
+
+  // Plain ST over i.i.d. data with 256 distinct values: wide nodes at the
+  // root and the level below it.
+  Rng rng(256);
+  seqdb::SequenceDatabase levels;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<Value> seq(100);
+    for (Value& v : seq) v = static_cast<Value>(rng.UniformInt(0, 255));
+    levels.Add(std::move(seq));
+  }
+  SymbolDatabase dictionary;
+  std::vector<Value> symbol_values;
+  core::DictionaryEncode(levels, &dictionary, &symbol_values);
+  const SuffixTree dictionary_st = BuildSuffixTree(dictionary);
+
+  EXPECT_EQ(LayoutHash(walk_stc), 0x5d8030e3950b20efull);
+  EXPECT_EQ(LayoutHash(stock_sstc), 0x48709f4aa0057bbfull);
+  EXPECT_EQ(LayoutHash(dictionary_st), 0x68155b0c11ef5342ull);
+  EXPECT_GE(MaxFanout(dictionary_st), 8u);
 }
 
 }  // namespace
