@@ -8,6 +8,7 @@
 //            diffable.
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,9 +19,10 @@
 
 #include "categorize/categorizer.h"
 #include "core/dictionary.h"
+#include "core/index.h"
 #include "core/match.h"
 #include "core/seq_scan.h"
-#include "core/tree_search.h"
+#include "core/tier.h"
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "dtw/alignment.h"
@@ -250,20 +252,24 @@ void BM_DtwAlign(benchmark::State& state) {
 BENCHMARK(BM_DtwAlign)->Arg(32)->Arg(128);
 
 // --- Categorized tree search through the shared driver -----------------
-// One dense ST_C range search (core::SearchDriver<CategoryModel>) on a
-// fixed index / query / epsilon: interval rows to the first passing row
+// One dense ST_C range search (core::SearchTiers over one tier, i.e.
+// core::SearchDriver<CategoryModel>) on a fixed index / query / epsilon: interval rows to the first passing row
 // on each path, then one exact scan per start below it. The `lb` arg
 // toggles the running lower bound of those scans.
 
 struct SearchFixture {
   SearchFixture()
       : db(datagen::GenerateStocks(StockOpts())),
-        alphabet(categorize::BuildMaxEntropy(categorize::CollectValues(db),
-                                             /*num_categories=*/32)
-                     .value()),
-        symbols(std::move(
-            categorize::ConvertDatabase(db, &alphabet).sequences)),
-        tree(suffixtree::BuildSuffixTree(symbols)) {
+        tier(std::make_shared<core::Tier>()) {
+    categorize::Alphabet alphabet =
+        categorize::BuildMaxEntropy(categorize::CollectValues(db),
+                                    /*num_categories=*/32)
+            .value();
+    const suffixtree::SymbolDatabase symbols(
+        std::move(categorize::ConvertDatabase(db, &alphabet).sequences));
+    tier->db = &db;
+    tier->alphabet = std::move(alphabet);
+    tier->memory_tree = suffixtree::BuildSuffixTree(symbols);
     // A subsequence of the data, so the search does real emission work.
     const std::span<const Value> s = db.Subsequence(0, 10, 12);
     query.assign(s.begin(), s.end());
@@ -276,9 +282,7 @@ struct SearchFixture {
   }
 
   seqdb::SequenceDatabase db;
-  categorize::Alphabet alphabet;
-  suffixtree::SymbolDatabase symbols;
-  suffixtree::SuffixTree tree;
+  std::shared_ptr<core::Tier> tier;
   std::vector<Value> query;
 };
 
@@ -291,15 +295,15 @@ constexpr Value kSearchFixtureEps = 10.0;
 
 void BM_CategorizedSearchDriver(benchmark::State& state) {
   const SearchFixture& fixture = SharedSearchFixture();
-  core::TreeSearchConfig config;
-  config.tree = &fixture.tree;
-  config.db = &fixture.db;
-  config.alphabet = &fixture.alphabet;
-  config.use_lower_bound = state.range(0) != 0;
+  const std::shared_ptr<const core::Tier> tiers[] = {fixture.tier};
+  core::QueryOptions options;
+  options.use_lower_bound = state.range(0) != 0;
   std::size_t answers = 0;
   for (auto _ : state) {
     const std::vector<core::Match> out =
-        core::TreeSearch(config, fixture.query, kSearchFixtureEps);
+        core::SearchTiers(core::IndexKind::kCategorized, tiers,
+                          fixture.query, kSearchFixtureEps, /*knn_k=*/0,
+                          options);
     benchmark::DoNotOptimize(out.data());
     answers = out.size();
   }

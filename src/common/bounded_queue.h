@@ -61,7 +61,7 @@ class BoundedQueue {
 
   /// Blocks like Pop, then drains up to `max` immediately-available items
   /// into `*out` (appended). Returns the number taken; 0 only when closed
-  /// and empty. The batch is what a coalescing dispatcher wants: one wait,
+  /// and empty. The batch is one dispatch round of tswarpd: one wait,
   /// then everything that queued up behind the first item.
   std::size_t PopBatch(std::vector<T>* out, std::size_t max) {
     std::unique_lock<std::mutex> lock(mu_);

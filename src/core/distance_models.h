@@ -17,12 +17,14 @@
 
 namespace tswarp::core {
 
-/// The three univariate distance models of the paper, plugged into
+/// The univariate distance models of the paper, plugged into
 /// core::SearchDriver (see search_driver.h for the concept):
 ///
-///   SimSearch-ST     ExactModel           rows are exact D_tw
-///   SimSearch-ST_C   CategoryModel        D_tw-lb interval rows (Def. 3)
-///   SimSearch-SST_C  SparseCategoryModel  + D_tw-lb2 recovery  (Def. 4)
+///   SimSearch-ST     ExactModel     rows are exact D_tw
+///   SimSearch-ST_C   CategoryModel  D_tw-lb interval rows (Def. 3)
+///   SimSearch-SST_C  CategoryModel  + D_tw-lb2 recovery  (Def. 4), which
+///                                   SearchDriver applies when
+///                                   DriverConfig::sparse is set
 ///
 /// The multivariate grid-cell model (Section 8) lives with its index in
 /// src/multivariate.
@@ -103,16 +105,6 @@ class CategoryModel {
   const categorize::Alphabet* alphabet_;
   const seqdb::SequenceDatabase* db_;
   const dtw::QueryEnvelope* envelope_;
-};
-
-/// Sparse categorized trees (D_tw-lb2, Definition 4): the per-row rule is
-/// CategoryModel's, and OccurrenceFirstLb feeds the driver's recovery of
-/// non-stored suffixes plus the (MaxRun-1) * FirstRowLb pruning discount.
-/// A distinct instantiation so the sparse search is its own kernel
-/// specialization, selected together with DriverConfig::sparse = true.
-class SparseCategoryModel : public CategoryModel {
- public:
-  using CategoryModel::CategoryModel;
 };
 
 }  // namespace tswarp::core

@@ -1,5 +1,6 @@
 #include "core/index.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -9,6 +10,9 @@
 #include "common/logging.h"
 #include "common/task_scheduler.h"
 #include "core/dictionary.h"
+#include "core/distance_models.h"
+#include "core/search_driver.h"
+#include "dtw/envelope.h"
 #include "storage/mmap_file.h"
 
 namespace tswarp::core {
@@ -262,46 +266,111 @@ MappedIoStats IndexSnapshot::MappedStats() const {
 
 namespace {
 
-std::vector<TierSearchEntry> MakeEntries(const IndexSnapshot& snapshot,
-                                         const QueryOptions& query_options) {
-  const bool exact = snapshot.options().kind == IndexKind::kSuffixTree;
-  std::vector<TierSearchEntry> entries;
-  entries.reserve(snapshot.tiers().size());
-  for (const std::shared_ptr<const Tier>& tier : snapshot.tiers()) {
-    TierSearchEntry entry;
-    entry.config.tree = tier->view();
-    entry.config.db = tier->db;
-    entry.config.exact = exact;
-    entry.config.sparse = snapshot.options().kind == IndexKind::kSparse;
-    entry.config.alphabet =
-        tier->alphabet.has_value() ? &*tier->alphabet : nullptr;
-    entry.config.symbol_values = exact ? &tier->symbol_values : nullptr;
-    entry.config.prune = query_options.prune;
-    entry.config.use_lower_bound = query_options.use_lower_bound;
-    entry.config.band = query_options.band;
-    entry.config.num_threads = query_options.num_threads;
-    entry.config.cancel = query_options.cancel;
-    entry.seq_base = tier->first_seq;
-    entries.push_back(std::move(entry));
+/// Runs one tier's traversal into the shared context, draining its
+/// counters into `sink` (written by this call only — safe when tiers run
+/// concurrently).
+void SearchTier(IndexKind kind, const Tier& tier, const DriverConfig& driver,
+                std::span<const Value> query, QueryContext* ctx,
+                SearchStats* sink) {
+  if (kind == IndexKind::kSuffixTree) {
+    const ExactModel model(query, &tier.symbol_values);
+    SearchDriver<ExactModel>(driver, model).RunInto(ctx, sink);
+    return;
   }
-  return entries;
+  TSW_CHECK(tier.alphabet.has_value())
+      << "a categorized tier needs its category alphabet";
+  const CategoryModel model(query, &*tier.alphabet, tier.db,
+                            ctx->envelope.get());
+  SearchDriver<CategoryModel>(driver, model).RunInto(ctx, sink);
 }
 
 }  // namespace
+
+std::vector<Match> SearchTiers(
+    IndexKind kind, std::span<const std::shared_ptr<const Tier>> tiers,
+    std::span<const Value> query, Value epsilon, std::size_t knn_k,
+    const QueryOptions& query_options, SearchStats* stats) {
+  TSW_CHECK(!query.empty());
+  DriverConfig shared;
+  shared.query_length = query.size();
+  shared.query = query;
+  shared.sparse = kind == IndexKind::kSparse;
+  shared.prune = query_options.prune;
+  shared.band = query_options.band;
+  shared.num_threads = query_options.num_threads;
+  shared.cancel = query_options.cancel;
+  // DFS depth is bounded by the longest suffix in any tier. One shared
+  // hint: the per-thread arena cache is keyed on the table shape, so
+  // tiers of different depths would otherwise thrash it.
+  for (const std::shared_ptr<const Tier>& tier : tiers) {
+    for (SeqId id = 0; id < tier->db->size(); ++id) {
+      shared.depth_hint =
+          std::max(shared.depth_hint, tier->db->sequence(id).size());
+    }
+  }
+  std::vector<DriverConfig> drivers(tiers.size(), shared);
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    drivers[i].tree = tiers[i]->view();
+    drivers[i].seq_base = tiers[i]->first_seq;
+  }
+
+  QueryContext ctx(epsilon, knn_k);
+  // The envelope depends only on (query, band): built once, shared
+  // read-only by every tier and worker. Exact rows verify nothing, so no
+  // scan ever consults it there.
+  if (kind != IndexKind::kSuffixTree && query_options.use_lower_bound) {
+    ctx.envelope =
+        std::make_unique<dtw::QueryEnvelope>(query, query_options.band);
+  }
+
+  if (query_options.num_threads == 0) {
+    // Serial: tiers in order, one table, the k-NN threshold tightened by
+    // each tier pruning the next.
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      SearchTier(kind, *tiers[i], drivers[i], query, &ctx, &ctx.stats);
+    }
+  } else {
+    // Parallel: one task per tier on the process-wide scheduler; each
+    // tier's traversal lazily splits further when threads go idle. Per-tier
+    // stats sinks keep the drains race-free; merged after the join.
+    TaskScheduler::Get().EnsureWorkers(query_options.num_threads);
+    std::vector<SearchStats> tier_stats(tiers.size());
+    TaskScope scope;
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      scope.Submit([&, i] {
+        SearchTier(kind, *tiers[i], drivers[i], query, &ctx, &tier_stats[i]);
+      });
+    }
+    scope.Wait();  // Rethrows the first tier exception, if any.
+    for (const SearchStats& s : tier_stats) ctx.stats.Merge(s);
+    ctx.stats.tasks_executed += scope.tasks_executed();
+    ctx.stats.tasks_stolen += scope.tasks_stolen();
+  }
+
+  std::vector<Match> answers = ctx.collector.Take();
+  ctx.stats.answers = answers.size();
+  if (stats != nullptr) *stats = ctx.stats;
+  return answers;
+}
 
 std::vector<Match> IndexSnapshot::Search(std::span<const Value> query,
                                          Value epsilon,
                                          const QueryOptions& query_options,
                                          SearchStats* stats) const {
-  return TierSearch(MakeEntries(*this, query_options), query, epsilon,
-                    stats);
+  return SearchTiers(options_.kind, tiers_, query, epsilon, /*knn_k=*/0,
+                     query_options, stats);
 }
 
 std::vector<Match> IndexSnapshot::SearchKnn(std::span<const Value> query,
                                             std::size_t k,
                                             const QueryOptions& query_options,
                                             SearchStats* stats) const {
-  return TierSearchKnn(MakeEntries(*this, query_options), query, k, stats);
+  if (k == 0) {
+    if (stats != nullptr) *stats = SearchStats{};
+    return {};
+  }
+  return SearchTiers(options_.kind, tiers_, query, /*epsilon=*/0.0, k,
+                     query_options, stats);
 }
 
 std::vector<std::vector<Match>> IndexSnapshot::SearchBatch(

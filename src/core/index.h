@@ -14,7 +14,6 @@
 #include "common/types.h"
 #include "core/match.h"
 #include "core/tier.h"
-#include "core/tree_search.h"
 #include "seqdb/sequence_database.h"
 #include "suffixtree/disk_tree.h"
 #include "suffixtree/suffix_tree.h"
@@ -100,6 +99,35 @@ struct QueryOptions {
   /// SearchBatch one token covers the whole batch.
   const CancelToken* cancel = nullptr;
 };
+
+/// Runs one similarity query over `tiers` — the one traversal of the
+/// paper's SimSearch-ST, -ST_C and -SST_C (core::SearchDriver) with the
+/// distance model `kind` selects:
+///
+///   kSuffixTree   ExactModel     rows are exact D_tw (dictionary decode)
+///   kCategorized  CategoryModel  D_tw-lb interval rows (Definition 3)
+///   kSparse       CategoryModel  + D_tw-lb2 recovery of non-stored
+///                                suffixes (Definition 4, DriverConfig::sparse)
+///
+/// `knn_k == 0` is a range query: every subsequence within `epsilon`,
+/// sorted by (seq, start, len). `knn_k > 0` is a k-NN query (`epsilon`
+/// ignored): the k nearest, sorted by (distance, seq, start, len).
+///
+/// Every tier is searched against ONE query context: one query envelope,
+/// one ResultCollector and, for k-NN, one shrinking epsilon, so a tight
+/// match in any tier prunes every other tier. Serial (num_threads == 0)
+/// runs the tiers in order; parallel submits one scheduler task per tier,
+/// each of which splits its own traversal lazily (nested fork/join scopes
+/// are deadlock-free). Matches carry global sequence ids (tier-local id +
+/// Tier::first_seq) and the merged result is byte-identical to searching
+/// a monolithic index over the concatenated data: every engine verifies
+/// exactly, so per-tier symbol tables never change the match set. A band
+/// on a sparse index is rejected (the D_tw-lb2 shift argument does not
+/// hold under a band).
+std::vector<Match> SearchTiers(
+    IndexKind kind, std::span<const std::shared_ptr<const Tier>> tiers,
+    std::span<const Value> query, Value epsilon, std::size_t knn_k,
+    const QueryOptions& query_options, SearchStats* stats = nullptr);
 
 /// An immutable, reference-counted view of an index at one instant: an
 /// ordered stack of tiers covering disjoint, contiguous global sequence

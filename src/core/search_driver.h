@@ -82,12 +82,12 @@ namespace tswarp::core {
 /// Worker::SeedKnn) so that the first subtree resolved already prunes
 /// against a finite bound.
 ///
-/// Four instantiations cover the repo: ExactModel (symbol values),
-/// CategoryModel (D_tw-lb intervals), SparseCategoryModel (D_tw-lb +
-/// D_tw-lb2 recovery), and the multivariate GridCellModel. One kernel
-/// means every capability — Theorem-1 pruning, the work-stealing parallel
-/// engine, k-NN branch-and-bound, Sakoe-Chiba bands, the running lower
-/// bound — reaches all of them at once.
+/// Three instantiations cover the repo: ExactModel (symbol values),
+/// CategoryModel (D_tw-lb intervals; on sparse trees also the D_tw-lb2
+/// recovery, selected by DriverConfig::sparse), and the multivariate
+/// GridCellModel. One kernel means every capability — Theorem-1 pruning,
+/// the work-stealing parallel engine, k-NN branch-and-bound, Sakoe-Chiba
+/// bands, the running lower bound — reaches all of them at once.
 struct DriverConfig {
   const suffixtree::TreeView* tree = nullptr;
 
@@ -834,18 +834,6 @@ class SearchDriver {
   const DriverConfig& config_;
   const Model& model_;
 };
-
-/// Convenience wrapper: builds the per-query context (envelope slot left
-/// to the caller via `ctx`), runs the driver, and returns the sorted
-/// answers. `epsilon` is ignored when knn_k > 0 (the threshold starts at
-/// +infinity, or at the seed's bound, and shrinks to the k-th best
-/// distance).
-template <typename Model>
-std::vector<Match> RunSearchDriver(const DriverConfig& config,
-                                   const Model& model, QueryContext* ctx,
-                                   SearchStats* stats) {
-  return SearchDriver<Model>(config, model).Run(ctx, stats);
-}
 
 }  // namespace tswarp::core
 

@@ -36,7 +36,7 @@ struct TierInfo {
 /// and the raw values it indexes. Everything inside a tier is addressed by
 /// *tier-local* sequence ids (0-based over the tier's own database
 /// fragment); searches rebase matches to global ids with `first_seq`
-/// (TierSearchEntry::seq_base).
+/// (DriverConfig::seq_base).
 ///
 /// A monolithic Index is exactly one tier over the external database; a
 /// TieredIndex stacks a base tier, sealed appended tiers, and a memtable

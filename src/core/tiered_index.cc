@@ -183,33 +183,35 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   {
     std::lock_guard<std::recursive_mutex> cq_lock(cq_mu_);
     if (!continuous_.empty()) {
-      seqdb::SequenceDatabase single_db;
-      single_db.Add(values);
-      std::optional<categorize::Alphabet> single_alpha;
-      if (options_.index.kind != IndexKind::kSuffixTree) {
-        single_alpha = FitAlphabetTo(*frozen_alphabet_, single_db);
+      // The new sequence as a one-sequence tier; the tree is lent to it
+      // for the evaluation and taken back for the memtable below.
+      auto single = std::make_shared<Tier>();
+      single->first_seq = global_id;
+      single->owned_db.emplace();
+      single->owned_db->Add(values);
+      single->db = &*single->owned_db;
+      if (options_.index.kind == IndexKind::kSuffixTree) {
+        single->symbol_values = symbol_values_;
+      } else {
+        single->alphabet = FitAlphabetTo(*frozen_alphabet_, *single->db);
       }
+      single->memory_tree = std::move(single_tree);
+      const std::shared_ptr<const Tier> tiers[] = {single};
       for (const auto& [id, cq] : continuous_) {
-        TierSearchEntry entry;
-        entry.config.tree = &single_tree;
-        entry.config.db = &single_db;
-        entry.config.exact = options_.index.kind == IndexKind::kSuffixTree;
-        entry.config.sparse = options_.index.kind == IndexKind::kSparse;
-        entry.config.alphabet =
-            single_alpha.has_value() ? &*single_alpha : nullptr;
-        entry.config.symbol_values =
-            entry.config.exact ? &symbol_values_ : nullptr;
-        entry.config.prune = cq.query_options.prune;
-        entry.config.use_lower_bound = cq.query_options.use_lower_bound;
-        entry.config.band = cq.query_options.band;
-        entry.seq_base = global_id;
+        // Only the query-shape knobs apply: the evaluation runs serially
+        // under the append lock, and a stored registration must not keep
+        // using a caller's cancel token.
+        QueryOptions query_options = cq.query_options;
+        query_options.num_threads = 0;
+        query_options.cancel = nullptr;
         std::vector<Match> matches =
-            TierSearch(std::span<const TierSearchEntry>(&entry, 1),
-                       cq.query, cq.epsilon);
+            SearchTiers(options_.index.kind, tiers, cq.query, cq.epsilon,
+                        /*knn_k=*/0, query_options);
         if (!matches.empty()) {
           deliveries.push_back({id, cq.callback, std::move(matches)});
         }
       }
+      single_tree = std::move(*single->memory_tree);
     }
   }
 

@@ -42,28 +42,6 @@ Value ScalarRowStepBase(const Value* base, const Value* prev, Value* row,
                             row, n, left);
 }
 
-void ScalarBaseDistanceRow(const Value* q, Value v, Value* out,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = in::AbsDiff(q[i], v);
-}
-
-void ScalarIntervalDistanceRow(const Value* q, Value lb, Value ub, Value* out,
-                               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = in::IntervalDist(q[i], lb, ub);
-}
-
-void ScalarMinPairRow(const Value* prev, Value* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = in::MinPd(prev[i], prev[i - 1]);
-  }
-}
-
-Value ScalarRowMin(const Value* row, std::size_t n) {
-  Value m = kInfinity;
-  for (std::size_t i = 0; i < n; ++i) m = in::MinPd(m, row[i]);
-  return m;
-}
-
 void ScalarStridedGather(const Value* src, std::size_t stride, Value* dst,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
@@ -87,10 +65,6 @@ constexpr KernelTable kScalarTable = {
     ScalarRowStepValue,
     ScalarRowStepInterval,
     ScalarRowStepBase,
-    ScalarBaseDistanceRow,
-    ScalarIntervalDistanceRow,
-    ScalarMinPairRow,
-    ScalarRowMin,
     ScalarStridedGather,
     ScalarBandedExtrema,
 };

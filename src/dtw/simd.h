@@ -108,17 +108,6 @@ struct KernelTable {
   Value (*row_step_base)(const Value* base, const Value* prev, Value* row,
                          std::size_t n, Value left);
 
-  /// out[i] = |q[i] - v|.
-  void (*base_distance_row)(const Value* q, Value v, Value* out,
-                            std::size_t n);
-  /// out[i] = D_base-lb(q[i], [lb, ub]).
-  void (*interval_distance_row)(const Value* q, Value lb, Value ub,
-                                Value* out, std::size_t n);
-  /// out[i] = min(prev[i], prev[i-1]); prev[-1] must be readable.
-  void (*min_pair_row)(const Value* prev, Value* out, std::size_t n);
-  /// Minimum of row[0..n); +infinity when n == 0.
-  Value (*row_min)(const Value* row, std::size_t n);
-
   /// dst[i] = src[i * stride]: one dimension of an interleaved
   /// multivariate query (its per-dimension projections).
   void (*strided_gather)(const Value* src, std::size_t stride, Value* dst,

@@ -147,43 +147,6 @@ Value RowStepBase(const Value* base, const Value* prev, Value* row,
   return RowStep(ArrayBase{base}, prev, row, n, left);
 }
 
-void BaseDistanceRow(const Value* q, Value v, Value* out, std::size_t n) {
-  const ValueBase b{q, v, _mm256_set1_pd(v)};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, b.Block(i));
-  for (; i < n; ++i) out[i] = b.At(i);
-}
-
-void IntervalDistanceRow(const Value* q, Value lb, Value ub, Value* out,
-                         std::size_t n) {
-  const IntervalBase b{q, lb, ub, _mm256_set1_pd(lb), _mm256_set1_pd(ub),
-                       _mm256_setzero_pd()};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, b.Block(i));
-  for (; i < n; ++i) out[i] = b.At(i);
-}
-
-void MinPairRow(const Value* prev, Value* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_min_pd(_mm256_loadu_pd(prev + i),
-                                   _mm256_loadu_pd(prev + i - 1)));
-  }
-  for (; i < n; ++i) out[i] = in::MinPd(prev[i], prev[i - 1]);
-}
-
-Value RowMin(const Value* row, std::size_t n) {
-  __m256d vmin = _mm256_set1_pd(kInfinity);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vmin = _mm256_min_pd(vmin, _mm256_loadu_pd(row + i));
-  }
-  Value m = ReduceMin(vmin);
-  for (; i < n; ++i) m = in::MinPd(m, row[i]);
-  return m;
-}
-
 void StridedGather(const Value* src, std::size_t stride, Value* dst,
                    std::size_t n) {
   // A plain copy (hardware gathers are not faster for this shape); the
@@ -222,10 +185,6 @@ constexpr KernelTable kTable = {
     RowStepValue,
     RowStepInterval,
     RowStepBase,
-    BaseDistanceRow,
-    IntervalDistanceRow,
-    MinPairRow,
-    RowMin,
     StridedGather,
     BandedExtrema,
 };

@@ -161,38 +161,6 @@ Value RowStepBase(const Value* base, const Value* prev, Value* row,
   return RowStep(ArrayBase{base}, prev, row, n, left);
 }
 
-void BaseDistanceRow(const Value* q, Value v, Value* out, std::size_t n) {
-  const ValueBase b{q, v, Set1(v)};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) Store(out + i, b.Block(i));
-  for (; i < n; ++i) out[i] = b.At(i);
-}
-
-void IntervalDistanceRow(const Value* q, Value lb, Value ub, Value* out,
-                         std::size_t n) {
-  const IntervalBase b{q, lb, ub, Set1(lb), Set1(ub), Set1(0.0)};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) Store(out + i, b.Block(i));
-  for (; i < n; ++i) out[i] = b.At(i);
-}
-
-void MinPairRow(const Value* prev, Value* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    Store(out + i, Min(Load(prev + i), Load(prev + i - 1)));
-  }
-  for (; i < n; ++i) out[i] = in::MinPd(prev[i], prev[i - 1]);
-}
-
-Value RowMin(const Value* row, std::size_t n) {
-  V4 vmin = Set1(kInfinity);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) vmin = Min(vmin, Load(row + i));
-  Value m = ReduceMin(vmin);
-  for (; i < n; ++i) m = in::MinPd(m, row[i]);
-  return m;
-}
-
 void StridedGather(const Value* src, std::size_t stride, Value* dst,
                    std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
@@ -226,10 +194,6 @@ constexpr KernelTable kTable = {
     RowStepValue,
     RowStepInterval,
     RowStepBase,
-    BaseDistanceRow,
-    IntervalDistanceRow,
-    MinPairRow,
-    RowMin,
     StridedGather,
     BandedExtrema,
 };

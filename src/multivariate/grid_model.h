@@ -73,8 +73,8 @@ class MultiSuffix {
 /// first passing row on a path resolves its subtree with exact
 /// multivariate scans (core::ScanStart over MultiSuffix), cut by the
 /// endpoint and per-dimension envelope running bound and by Theorem 1.
-/// The fourth instantiation of the driver, next to
-/// core::{ExactModel, CategoryModel, SparseCategoryModel}.
+/// The third instantiation of the driver, next to
+/// core::{ExactModel, CategoryModel}.
 class GridCellModel {
  public:
   static constexpr bool kExactRows = false;

@@ -57,7 +57,7 @@ std::vector<Match> RunDriver(const MultiSequenceDatabase& db,
   }
   const GridCellModel model(&db, &grid, query,
                             envelope ? &*envelope : nullptr);
-  return core::RunSearchDriver(driver, model, &ctx, stats);
+  return core::SearchDriver<GridCellModel>(driver, model).Run(&ctx, stats);
 }
 
 }  // namespace

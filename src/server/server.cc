@@ -16,6 +16,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -180,6 +181,12 @@ struct Server::Impl {
   mutable std::mutex counters_mu;
   ServerCounters counters;
 
+  // Connections a handler thread owns right now. Shutdown wakes their
+  // reads; an fd leaves the set before it is closed, so a woken fd is
+  // never a reused one.
+  std::mutex open_conns_mu;
+  std::set<int> open_conns;
+
   // HTTP-registered continuous queries, keyed by the TieredIndex query id.
   std::mutex continuous_mu;
   std::map<std::uint64_t, std::shared_ptr<ContinuousChannel>> continuous;
@@ -249,7 +256,15 @@ struct Server::Impl {
   void ConnLoop() {
     int fd = -1;
     while (conns->Pop(&fd)) {
+      {
+        std::lock_guard<std::mutex> lock(open_conns_mu);
+        open_conns.insert(fd);
+      }
       HandleConnection(fd);
+      {
+        std::lock_guard<std::mutex> lock(open_conns_mu);
+        open_conns.erase(fd);
+      }
       ::close(fd);
     }
   }
@@ -778,8 +793,6 @@ struct Server::Impl {
     reqs.Set("partials", num(c.partials));
     reqs.Set("timeouts", num(c.timeouts));
     reqs.Set("protocol_errors", num(c.protocol_errors));
-    reqs.Set("batches", num(c.batches));
-    reqs.Set("coalesced", num(c.coalesced));
     root.Set("requests", std::move(reqs));
     JsonValue sched = JsonValue::MakeObject();
     sched.Set("workers", num(TaskScheduler::Get().num_workers()));
@@ -800,45 +813,27 @@ struct Server::Impl {
     return c;
   }
 
+  /// Drains up to max_batch admitted searches per round and runs each
+  /// through RunSingle with its own request knobs. With search_threads
+  /// > 0 the round's jobs run side by side as tasks of one scope on the
+  /// shared work-stealing scheduler (a request's "threads" still splits
+  /// its own traversal); otherwise they run one after another.
   void DispatchLoop() {
     std::vector<JobPtr> round;
     while (true) {
       round.clear();
       if (jobs->PopBatch(&round, options.max_batch) == 0) break;
       const std::shared_ptr<const core::IndexSnapshot> idx = index->Snapshot();
-      // Partition the round: range queries without a deadline coalesce
-      // into SearchBatch groups keyed by the options SearchBatch shares
-      // across its queries; everything else runs individually.
-      std::vector<JobPtr> singles;
-      std::vector<std::vector<JobPtr>> groups;
+      if (options.search_threads == 0) {
+        for (JobPtr& job : round) RunSingle(job.get(), *idx);
+        continue;
+      }
+      TaskScheduler::Get().EnsureWorkers(options.search_threads);
+      TaskScope scope;
       for (JobPtr& job : round) {
-        if (job->k > 0 || job->has_deadline) {
-          singles.push_back(std::move(job));
-          continue;
-        }
-        bool placed = false;
-        for (std::vector<JobPtr>& group : groups) {
-          const core::QueryOptions& o = group.front()->opts;
-          if (o.band == job->opts.band && o.prune == job->opts.prune &&
-              o.use_lower_bound == job->opts.use_lower_bound) {
-            group.push_back(std::move(job));
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) {
-          groups.emplace_back();
-          groups.back().push_back(std::move(job));
-        }
+        scope.Submit([this, &idx, job = job.get()] { RunSingle(job, *idx); });
       }
-      for (std::vector<JobPtr>& group : groups) {
-        if (group.size() == 1) {
-          singles.push_back(std::move(group.front()));
-        } else {
-          RunGroup(std::move(group), *idx);
-        }
-      }
-      for (JobPtr& job : singles) RunSingle(job.get(), *idx);
+      scope.Wait();
     }
   }
 
@@ -854,55 +849,6 @@ struct Server::Impl {
       return false;
     }
     return true;
-  }
-
-  void RunGroup(std::vector<JobPtr> group, const core::IndexSnapshot& idx) {
-    // A member can fail the band recheck if the index was hot-swapped
-    // after admission; it is answered 400 and its siblings still run.
-    std::vector<JobPtr> valid;
-    valid.reserve(group.size());
-    for (JobPtr& job : group) {
-      if (RecheckBand(job.get(), idx)) valid.push_back(std::move(job));
-    }
-    group = std::move(valid);
-    if (group.empty()) return;
-    std::vector<std::vector<Value>> queries;
-    std::vector<Value> epsilons;
-    queries.reserve(group.size());
-    epsilons.reserve(group.size());
-    for (const JobPtr& job : group) {
-      queries.push_back(job->query);
-      epsilons.push_back(job->epsilon);
-    }
-    core::QueryOptions opts = group.front()->opts;
-    opts.num_threads = options.search_threads;
-    opts.cancel = nullptr;
-    std::vector<core::SearchStats> stats;
-    try {
-      const std::vector<std::vector<core::Match>> results =
-          idx.SearchBatch(queries, epsilons, opts, &stats);
-      {
-        std::lock_guard<std::mutex> lock(counters_mu);
-        if (group.size() >= 2) {
-          ++counters.batches;
-          counters.coalesced += group.size();
-        }
-        counters.completed += group.size();
-        for (const core::SearchStats& s : stats) counters.search.Merge(s);
-      }
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        group[i]->reply.set_value(JsonResponse(
-            200, SearchResponseBody(
-                     "ok", results[i],
-                     group[i]->include_stats ? &stats[i] : nullptr)));
-      }
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(counters_mu);
-      counters.protocol_errors += group.size();
-      for (const JobPtr& job : group) {
-        job->reply.set_value(ErrorResponse(500, "internal", e.what()));
-      }
-    }
   }
 
   void RunSingle(SearchJob* job, const core::IndexSnapshot& idx) {
@@ -946,6 +892,13 @@ struct Server::Impl {
       // the fd itself is closed once no thread uses it.
       if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
       if (accept_thread.joinable()) accept_thread.join();
+      // Wake handlers polling idle keep-alive connections now rather than
+      // after their poll timeout. Only the read side shuts: a handler
+      // waiting on an admitted search still writes its response.
+      {
+        std::lock_guard<std::mutex> lock(open_conns_mu);
+        for (const int fd : open_conns) ::shutdown(fd, SHUT_RD);
+      }
       // Drain order matters: close the job queue first so the dispatcher
       // finishes everything already admitted (fulfilling the promises the
       // handler threads are blocked on), then release the handlers.

@@ -35,14 +35,13 @@ struct ServerOptions {
   /// client owns the retry policy.
   std::size_t queue_capacity = 64;
 
-  /// Coalescer: up to this many queued searches are drained per dispatch
-  /// round; compatible range queries among them ride one
-  /// Index::SearchBatch call on the shared work-stealing scheduler.
+  /// Up to this many queued searches are drained per dispatch round.
   std::size_t max_batch = 8;
 
-  /// Worker threads for coalesced batches (QueryOptions::num_threads of
-  /// the SearchBatch call). 0 = serial. Per-request "threads" only
-  /// applies to queries that run individually.
+  /// Workers that run one dispatch round's searches side by side, one
+  /// scheduler task per search. 0 = the round runs one search after
+  /// another on the dispatcher thread. Either way each search keeps its
+  /// request's knobs, "threads" included.
   std::size_t search_threads = 0;
 
   /// Cap on the per-request "threads" knob, so one client cannot demand
@@ -69,8 +68,6 @@ struct ServerCounters {
   std::uint64_t partials = 0;          // Deadline hit mid-search (200 partial).
   std::uint64_t timeouts = 0;          // Deadline hit before start (504).
   std::uint64_t protocol_errors = 0;   // 4xx/5xx other than 429/504.
-  std::uint64_t batches = 0;           // SearchBatch calls with >= 2 queries.
-  std::uint64_t coalesced = 0;         // Queries that rode those batches.
   std::uint64_t appends = 0;           // Sequences accepted via /append.
   std::size_t queue_depth = 0;         // Searches queued right now.
   std::size_t queue_high_water = 0;    // Deepest the queue has been.
@@ -98,8 +95,8 @@ std::string ErrorBody(std::string_view code, std::string_view message);
 ///   GET  /healthz  {"status":"ok"} (503 {"status":"draining"} during drain)
 ///
 /// Threading: one accept thread, `connection_threads` handler threads, one
-/// dispatcher thread that drains the admission queue and runs searches
-/// (coalescing compatible range queries into Index::SearchBatch). Handler
+/// dispatcher thread that drains the admission queue in rounds and runs
+/// each search (the round side by side when search_threads > 0). Handler
 /// threads block on the dispatcher's reply, so backpressure is end-to-end:
 /// queue full -> 429 at admission, never unbounded buffering.
 ///

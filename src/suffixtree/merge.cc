@@ -1,6 +1,7 @@
 #include "suffixtree/merge.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <span>
 #include <utility>
@@ -87,11 +88,21 @@ class Merger {
     if (cancel_->load(std::memory_order_relaxed)) throw Cancelled{};
   }
 
+  /// B's fanout from which MergeNodes looks B's children up by first
+  /// symbol (siblings' first symbols are distinct) instead of scanning
+  /// them once per child of A, which is quadratic in the fanout. Wider
+  /// than every categorized alphabet in use, so in practice only
+  /// dictionary (ST) trees, whose root has one child per distinct value,
+  /// take the lookup.
+  static constexpr std::size_t kWideFanout = 64;
+
   /// Buffers of one recursion depth.
   struct Frame {
     Children a;
     Children b;
     std::vector<bool> b_used;
+    // (first symbol, edge index) of B's children, sorted; wide nodes only.
+    std::vector<std::pair<Symbol, std::uint32_t>> b_by_symbol;
   };
 
   Frame& EnterFrame() {
@@ -150,13 +161,32 @@ class Merger {
     b_.GetChildren(nb, &cb);
     std::vector<bool>& b_used = scope.frame.b_used;
     b_used.assign(cb.edges.size(), false);
+    auto& b_by_symbol = scope.frame.b_by_symbol;
+    const bool wide = cb.edges.size() >= kWideFanout;
+    if (wide) {
+      b_by_symbol.clear();
+      for (std::size_t i = 0; i < cb.edges.size(); ++i) {
+        b_by_symbol.emplace_back(cb.FirstSymbol(cb.edges[i]),
+                                 static_cast<std::uint32_t>(i));
+      }
+      std::sort(b_by_symbol.begin(), b_by_symbol.end());
+    }
+    // Output order: A's children in A's order, then B's unmatched ones in
+    // B's order, whichever way the match is found.
     for (const Children::Edge& ea : ca.edges) {
       const Symbol sa = ca.FirstSymbol(ea);
       std::size_t match = cb.edges.size();
-      for (std::size_t i = 0; i < cb.edges.size(); ++i) {
-        if (!b_used[i] && cb.FirstSymbol(cb.edges[i]) == sa) {
-          match = i;
-          break;
+      if (wide) {
+        const auto it = std::lower_bound(
+            b_by_symbol.begin(), b_by_symbol.end(),
+            std::pair<Symbol, std::uint32_t>(sa, 0));
+        if (it != b_by_symbol.end() && it->first == sa) match = it->second;
+      } else {
+        for (std::size_t i = 0; i < cb.edges.size(); ++i) {
+          if (!b_used[i] && cb.FirstSymbol(cb.edges[i]) == sa) {
+            match = i;
+            break;
+          }
         }
       }
       if (match == cb.edges.size()) {

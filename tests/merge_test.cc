@@ -87,6 +87,28 @@ TEST(MergeTest, MergeOfPartitionsEqualsDirectBuild) {
   }
 }
 
+TEST(MergeTest, WideNodesMergeLikeDirectBuild) {
+  // Hundreds of distinct symbols give the roots (and some inner nodes) far
+  // more children than the merge scans pairwise; such nodes match their
+  // children by first symbol instead, and the result must still be the
+  // direct build, node for node (SuffixTreeTest.WideMergeLayoutIsPinned
+  // pins the merged layout itself).
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const SymbolDatabase db = RandomSymbolDb(seed, 16, 60, 400);
+    const SuffixTree whole = BuildRange(db, 0, 16);
+    const SuffixTree left = BuildRange(db, 0, 8);
+    const SuffixTree right = BuildRange(db, 8, 16);
+    Children left_root;
+    left.GetChildren(left.Root(), &left_root);
+    ASSERT_GE(left_root.edges.size(), 100u) << "seed " << seed;
+    SuffixTree merged;
+    ASSERT_TRUE(MergeTrees(left, right, &merged));
+    EXPECT_EQ(Canonicalize(merged), Canonicalize(whole)) << "seed " << seed;
+    EXPECT_EQ(merged.NumNodes(), whole.NumNodes()) << "seed " << seed;
+    EXPECT_EQ(merged.NumOccurrences(), whole.NumOccurrences());
+  }
+}
+
 TEST(MergeTest, SparseTreesMergeCorrectly) {
   BuildOptions options;
   options.sparse = true;

@@ -9,10 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "core/distance_models.h"
+#include "core/index.h"
 #include "core/match.h"
 #include "core/result_collector.h"
 #include "core/search_driver.h"
-#include "core/tree_search.h"
+#include "seqdb/sequence_database.h"
 #include "suffixtree/suffix_tree.h"
 #include "suffixtree/symbol_database.h"
 
@@ -102,13 +103,18 @@ TEST(SearchDriverTest, DirectExactModelRunMatchesTreeSearch) {
   const std::vector<Value> query = {1.0, 5.0};
   const Value eps = 4.5;
 
-  TreeSearchConfig config;
-  config.tree = &tiny.tree;
-  config.symbol_values = &tiny.symbol_values;
-  config.exact = true;
-  SearchStats via_tree_search;
+  // The tiny index's sequences as raw values, behind the public ST index.
+  seqdb::SequenceDatabase db;
+  db.Add({1.0, 5.0, 9.0, 5.0});
+  db.Add({9.0, 9.0, 1.0});
+  db.Add({5.0, 1.0, 5.0, 1.0, 9.0});
+  IndexOptions options;
+  options.kind = IndexKind::kSuffixTree;
+  StatusOr<Index> index = Index::Build(&db, options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  SearchStats via_index;
   const std::vector<Match> expected =
-      TreeSearch(config, query, eps, &via_tree_search);
+      index->Search(query, eps, {}, &via_index);
   ASSERT_FALSE(expected.empty());
 
   // The same search, driving the template directly the way any new
@@ -123,7 +129,8 @@ TEST(SearchDriverTest, DirectExactModelRunMatchesTreeSearch) {
     run.num_threads = threads;
     QueryContext ctx(eps, /*knn_k=*/0);
     SearchStats stats;
-    const std::vector<Match> got = RunSearchDriver(run, model, &ctx, &stats);
+    const std::vector<Match> got =
+        SearchDriver<ExactModel>(run, model).Run(&ctx, &stats);
     ASSERT_EQ(expected.size(), got.size()) << "threads " << threads;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i].seq, got[i].seq);
@@ -131,7 +138,7 @@ TEST(SearchDriverTest, DirectExactModelRunMatchesTreeSearch) {
       EXPECT_EQ(expected[i].len, got[i].len);
       EXPECT_EQ(expected[i].distance, got[i].distance);
     }
-    EXPECT_EQ(stats.answers, via_tree_search.answers);
+    EXPECT_EQ(stats.answers, via_index.answers);
   }
 }
 
@@ -146,7 +153,7 @@ TEST(SearchDriverTest, KnnRunThroughContextShrinksThreshold) {
   QueryContext ctx(/*epsilon=*/0.0, /*knn_k=*/3);
   SearchStats stats;
   const std::vector<Match> got =
-      RunSearchDriver(driver, model, &ctx, &stats);
+      SearchDriver<ExactModel>(driver, model).Run(&ctx, &stats);
   ASSERT_EQ(got.size(), 3u);
   // Sorted by (distance, seq, start, len); the database holds four exact
   // occurrences of value 5.0, so all three results are distance 0.

@@ -255,8 +255,8 @@ TEST(ServerStatsTest, CountersReflectTraffic) {
 
 TEST(ServerConcurrencyTest, ParallelClientsGetExactAnswers) {
   // Several clients in flight at once: every response must still be
-  // byte-identical to the direct library call (the coalescer may or may
-  // not group them — either way semantics are unchanged).
+  // byte-identical to the direct library call (the dispatcher may run
+  // them in one round or several — either way semantics are unchanged).
   const seqdb::SequenceDatabase db = TestDb(7);
   core::Index direct = BuildIndex(db, core::IndexKind::kSparse, "");
   ServerOptions options;
@@ -295,6 +295,82 @@ TEST(ServerConcurrencyTest, ParallelClientsGetExactAnswers) {
   EXPECT_EQ(counters.completed, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(counters.completed + counters.rejected,
             counters.admitted + counters.rejected);
+}
+
+TEST(ServerConcurrencyTest, RoundDispatchOnSearchThreadsMatchesLibrary) {
+  // search_threads > 0 runs each dispatch round's searches side by side.
+  // Range, k-NN and deadline requests from several clients at once, with
+  // and without per-request threads: every body must equal the library
+  // call's, and every admitted search must be accounted for.
+  const seqdb::SequenceDatabase db = TestDb(8);
+  core::Index direct = BuildIndex(db, core::IndexKind::kCategorized, "");
+  ServerOptions options;
+  options.connection_threads = 6;
+  options.queue_capacity = 64;
+  options.search_threads = 2;
+  TestServer ts = StartServer(
+      BuildIndex(db, core::IndexKind::kCategorized, ""), options);
+
+  struct Request {
+    std::string body;
+    std::string expected;
+  };
+  std::vector<Request> requests;
+  for (const std::size_t len : {6u, 9u}) {
+    const std::vector<Value> query = TestQuery(db, len);
+    for (const std::size_t threads : {0u, 2u}) {
+      core::QueryOptions opts;
+      opts.num_threads = threads;
+      const std::string knobs = ",\"threads\":" + std::to_string(threads);
+      requests.push_back(
+          {SearchBody(query, ",\"epsilon\":6" + knobs),
+           SearchResponseBody("ok", direct.Search(query, 6.0, opts),
+                              nullptr)});
+      requests.push_back(
+          {SearchBody(query, ",\"k\":4" + knobs),
+           SearchResponseBody("ok", direct.SearchKnn(query, 4, opts),
+                              nullptr)});
+      // A generous deadline: the search completes, so the body is the
+      // plain "ok" answer.
+      requests.push_back(
+          {SearchBody(query,
+                      ",\"epsilon\":4,\"deadline_ms\":60000" + knobs),
+           SearchResponseBody("ok", direct.Search(query, 4.0, opts),
+                              nullptr)});
+    }
+  }
+
+  const int kClients = 6;
+  std::vector<std::vector<std::string>> bodies(kClients);
+  {
+    std::vector<std::thread> clients;
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, i] {
+        auto client = HttpClient::Connect("127.0.0.1", ts.server->port());
+        if (!client.ok()) return;
+        for (std::size_t r = 0; r < requests.size(); ++r) {
+          // Each client walks the list from a different offset, so every
+          // round mixes request kinds.
+          const Request& req = requests[(r + i) % requests.size()];
+          auto resp = client->Post("/search", req.body);
+          bodies[i].push_back(resp.ok() && resp->status == 200
+                                  ? resp->body
+                                  : "failed");
+          EXPECT_EQ(bodies[i].back(), req.expected)
+              << "client " << i << " request " << (r + i) % requests.size();
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_EQ(bodies[i].size(), requests.size()) << "client " << i;
+  }
+  const ServerCounters counters = ts.server->Counters();
+  EXPECT_EQ(counters.admitted, kClients * requests.size());
+  EXPECT_EQ(counters.completed + counters.partials + counters.timeouts,
+            counters.admitted);
+  EXPECT_EQ(counters.rejected, 0u);
 }
 
 TEST(ServerHealthTest, HealthzFlipsToDrainingOnShutdown) {
@@ -338,6 +414,24 @@ TEST(ServerTest, ShutdownDoesNotWaitOutTheAcceptPoll) {
   const auto took = std::chrono::steady_clock::now() - start;
   // The accept loop polls with a 100 ms timeout; an idle server's drain
   // must not wait it out.
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+}
+
+TEST(ServerTest, ShutdownWithIdleKeepAliveClientIsPrompt) {
+  const seqdb::SequenceDatabase db = TestDb(12);
+  TestServer ts =
+      StartServer(BuildIndex(db, core::IndexKind::kSparse, ""));
+  auto client = HttpClient::Connect("127.0.0.1", ts.server->port());
+  ASSERT_TRUE(client.ok());
+  auto resp = client->Get("/healthz");
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status, 200);
+  // The connection stays open and idle: its handler has just gone back to
+  // polling it (100 ms timeout). The drain must wake that poll rather
+  // than wait it out.
+  const auto start = std::chrono::steady_clock::now();
+  ts.server->Shutdown();
+  const auto took = std::chrono::steady_clock::now() - start;
   EXPECT_LT(took, std::chrono::milliseconds(50));
 }
 

@@ -163,46 +163,6 @@ TEST_F(SimdTest, RowStepKernelsMatchScalarBitwise) {
   }
 }
 
-TEST_F(SimdTest, DistanceAndReductionKernelsMatchScalarBitwise) {
-  ASSERT_TRUE(SetBackend("scalar"));
-  const KernelTable scalar = Kernels();
-  ValueGen gen(771);
-  for (std::size_t n = 0; n <= 33; ++n) {
-    for (int rep = 0; rep < 8; ++rep) {
-      const std::vector<Value> q = gen.Row(n, /*allow_inf=*/false);
-      const std::vector<Value> prev = gen.Row(n + 1, /*allow_inf=*/true);
-      const std::vector<Value> cells = gen.Row(n, /*allow_inf=*/true);
-      const Value v = gen.Finite();
-      Value lb = gen.Finite(), ub = gen.Finite();
-      if (lb > ub) std::swap(lb, ub);
-
-      std::vector<Value> want(n), got(n);
-      scalar.base_distance_row(q.data(), v, want.data(), n);
-      const std::vector<Value> want_base = want;
-      scalar.interval_distance_row(q.data(), lb, ub, want.data(), n);
-      const std::vector<Value> want_interval = want;
-      scalar.min_pair_row(prev.data() + 1, want.data(), n);
-      const std::vector<Value> want_min_pair = want;
-      const Value want_min = scalar.row_min(cells.data(), n);
-      if (n == 0) {
-        EXPECT_TRUE(BitEqual(want_min, kInfinity));
-      }
-
-      ForEachBackend([&](const std::string& name) {
-        SCOPED_TRACE(name + " n=" + std::to_string(n));
-        const KernelTable& k = Kernels();
-        k.base_distance_row(q.data(), v, got.data(), n);
-        EXPECT_TRUE(BitEqualRows(want_base, got));
-        k.interval_distance_row(q.data(), lb, ub, got.data(), n);
-        EXPECT_TRUE(BitEqualRows(want_interval, got));
-        k.min_pair_row(prev.data() + 1, got.data(), n);
-        EXPECT_TRUE(BitEqualRows(want_min_pair, got));
-        EXPECT_TRUE(BitEqual(want_min, k.row_min(cells.data(), n)));
-      });
-    }
-  }
-}
-
 TEST_F(SimdTest, BandedExtremaMatchesNaiveWindowAndScalarBitwise) {
   ASSERT_TRUE(SetBackend("scalar"));
   const KernelTable scalar = Kernels();

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "core/dictionary.h"
 #include "datagen/generators.h"
+#include "suffixtree/merge.h"
 #include "suffixtree/symbol_database.h"
 #include "suffixtree/tree_view.h"
 
@@ -443,6 +444,22 @@ TEST(SuffixTreeTest, BuilderLayoutIsPinned) {
   EXPECT_EQ(LayoutHash(stock_sstc), 0x48709f4aa0057bbfull);
   EXPECT_EQ(LayoutHash(dictionary_st), 0x68155b0c11ef5342ull);
   EXPECT_GE(MaxFanout(dictionary_st), 8u);
+}
+
+TEST(SuffixTreeTest, WideMergeLayoutIsPinned) {
+  // MergeTrees matches the children of wide nodes by first symbol rather
+  // than by scanning them pairwise; the merged layout must stay the one
+  // the pairwise scan produced (the constant is that scan's tree).
+  const SymbolDatabase db = RandomSymbolDb(77, 16, 60, 400);
+  SuffixTreeBuilder left(&db, {});
+  SuffixTreeBuilder right(&db, {});
+  for (SeqId id = 0; id < 16; ++id) {
+    (id < 8 ? left : right).InsertSequence(id);
+  }
+  SuffixTree merged;
+  ASSERT_TRUE(MergeTrees(left.Build(), right.Build(), &merged));
+  EXPECT_GE(MaxFanout(merged), 64u);
+  EXPECT_EQ(LayoutHash(merged), 0x02fa2ad45d6baeabull);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // guarantee (and, since post-processing verifies exactly, no false alarms
 // in the final answers either).
 
-#include "core/tree_search.h"
 
 #include <vector>
 

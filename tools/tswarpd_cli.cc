@@ -8,7 +8,7 @@
 //
 // The index is built (or, with --index, reopened from a persisted bundle)
 // at startup; queries then run concurrently through the admission queue
-// and coalescing dispatcher (see docs/server.md). With --streaming the
+// and the search dispatcher (see docs/server.md). With --streaming the
 // index is wrapped in a core::TieredIndex, enabling POST /append and the
 // /continuous/* endpoints (see docs/streaming.md). SIGTERM/SIGINT trigger
 // a graceful drain: in-flight and already-admitted searches are answered,
