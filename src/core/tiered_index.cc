@@ -222,14 +222,13 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   if (local_id == 0) {
     mem_tree = std::move(single_tree);
   } else {
-    suffixtree::SeqOffsetTreeView offset_view(single_tree, local_id);
-    const bool done = suffixtree::MergeTrees(*memtable_tier_->view(),
-                                             offset_view, &mem_tree);
+    const bool done = suffixtree::MergeTrees(
+        *memtable_tier_->view(), single_tree, &mem_tree, /*cancel=*/nullptr,
+        suffixtree::MergeText::kConcatenate, /*b_seq_offset=*/local_id);
     TSW_CHECK(done);  // No cancel token: memtable merges always finish.
     TSW_RETURN_IF_ERROR(mem_tree.status());
   }
   memtable_values_.push_back(std::move(values));
-  memtable_symbols_.push_back(std::move(syms));
   ++appended_sequences_;
 
   // 4. Assemble the new memtable tier — or, at the seal threshold, the
@@ -255,7 +254,6 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
     sealed_tiers_.push_back(std::move(tier));
     memtable_tier_.reset();
     memtable_values_.clear();
-    memtable_symbols_.clear();
   } else {
     memtable_tier_ = std::move(tier);
   }
@@ -302,34 +300,27 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
     tier->alphabet = FitAlphabetTo(*frozen_alphabet_, *tier->owned_db);
   }
 
-  suffixtree::SeqOffsetTreeView b_view(*b->view(), static_cast<SeqId>(na));
+  // Both tiers number their sequences from 0: b's come after a's.
+  suffixtree::SuffixTree out;
+  if (!suffixtree::MergeTrees(*a->view(), *b->view(), &out, &cancel_merges_,
+                              suffixtree::MergeText::kConcatenate,
+                              static_cast<SeqId>(na))) {
+    return std::shared_ptr<const Tier>();
+  }
+  TSW_RETURN_IF_ERROR(out.status());
   if (options_.index.disk_path.empty()) {
-    suffixtree::SuffixTree out;
-    if (!suffixtree::MergeTrees(*a->view(), b_view, &out,
-                                &cancel_merges_)) {
-      return std::shared_ptr<const Tier>();
-    }
-    TSW_RETURN_IF_ERROR(out.status());
     tier->memory_tree = std::move(out);
   } else {
     const std::string tmp =
         options_.index.disk_path + ".tmp-merge-" + std::to_string(generation);
-    Status closed;
-    bool done = false;
-    {
-      // The writer holds the merged records in memory until Close(); the
-      // scope releases them before the merged tree is mapped.
-      suffixtree::DiskTreeWriter writer(tmp);
-      done = suffixtree::MergeTrees(*a->view(), b_view, &writer,
-                                    &cancel_merges_);
-      closed = done ? writer.Close() : writer.status();
-    }
-    // On cancel or failure unlink the partial bundle so no orphan
-    // survives the abort.
-    if (!done || !closed.ok()) {
+    // The merged tree is released once written, before the bundle is
+    // mapped; a failed write unlinks the partial bundle so no orphan
+    // survives.
+    const Status written = suffixtree::WriteTreeToDisk(out, tmp);
+    out = suffixtree::SuffixTree();
+    if (!written.ok()) {
       suffixtree::RemoveDiskTree(tmp);
-      if (!done) return std::shared_ptr<const Tier>();
-      return closed;
+      return written;
     }
 
     const std::string final_base =

@@ -211,7 +211,6 @@ class TieredIndex {
   std::vector<std::shared_ptr<const Tier>> sealed_tiers_;
   std::shared_ptr<const Tier> memtable_tier_;
   std::vector<seqdb::Sequence> memtable_values_;
-  std::vector<std::vector<Symbol>> memtable_symbols_;
   std::size_t appended_sequences_ = 0;
   std::uint64_t merges_completed_ = 0;
   std::uint64_t merges_cancelled_ = 0;

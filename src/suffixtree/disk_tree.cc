@@ -25,19 +25,11 @@ struct NodeRecord {
 };
 static_assert(sizeof(NodeRecord) == 32);
 
-// On-disk occurrence record: 16 bytes.
-struct OccRecord {
-  std::uint32_t seq;
-  std::uint32_t pos;
-  std::uint32_t run;
-  std::uint32_t next;
-};
-static_assert(sizeof(OccRecord) == 16);
-
 }  // namespace internal
 
 namespace {
 
+using internal::kNilOcc;
 using internal::NodeRecord;
 using internal::OccRecord;
 
@@ -47,8 +39,6 @@ constexpr std::uint64_t kMetaMagic = 0x545357545245451ull;  // "TSWTREE"+1
 // read; v2 adds the section table below.
 constexpr std::uint32_t kMetaVersionV1 = 1;
 constexpr std::uint32_t kMetaVersionV2 = 2;
-
-constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
 
 // v2 alignment contract: record sizes divide the cache line, so no record
 // straddles a cache-line (or page) boundary and mapped cursors never split
@@ -254,142 +244,6 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// DiskTreeWriter
-// ---------------------------------------------------------------------------
-
-DiskTreeWriter::DiskTreeWriter(std::string base_path)
-    : base_path_(std::move(base_path)) {}
-
-DiskTreeWriter::~DiskTreeWriter() = default;
-
-void DiskTreeWriter::SetText(std::span<const Symbol> text) {
-  TSW_CHECK(nodes_.size() <= 1) << "the text must precede every edge";
-  num_label_symbols_ = text.size();
-  text_written_ = true;
-  Latch(storage::WriteFile(LabelsPath(base_path_), std::as_bytes(text)));
-}
-
-NodeId DiskTreeWriter::AddNode(NodeId parent, LabelRef label) {
-  if (!status_.ok()) return 0;  // Failed: Close() reports it.
-  const StatusOr<std::uint32_t> checked_id =
-      CheckedU32(nodes_.size(), "node count");
-  if (!checked_id.ok()) {
-    Latch(checked_id.status());
-    return 0;
-  }
-  const NodeId id = *checked_id;
-  NodeRecord rec{};
-  rec.first_child = kNilNode;
-  rec.next_sibling = kNilNode;
-  rec.first_occ = kNilOcc;
-  if (parent == kNilNode) {
-    TSW_CHECK(nodes_.empty()) << "root must be the first node";
-  } else {
-    TSW_CHECK(parent < nodes_.size())
-        << "parent " << parent << " of a tree with " << nodes_.size()
-        << " nodes";
-    TSW_CHECK(label.len > 0 &&
-              label.offset + label.len <= num_label_symbols_)
-        << "label [" << label.offset << ", +" << label.len
-        << ") outside a text of " << num_label_symbols_ << " symbols";
-    rec.label_offset = label.offset;
-    rec.label_len = label.len;
-    // Prepend into the parent's child chain.
-    rec.next_sibling = nodes_[parent].first_child;
-    nodes_[parent].first_child = id;
-  }
-  nodes_.push_back(rec);
-  return id;
-}
-
-void DiskTreeWriter::AddOccurrence(NodeId node, const OccurrenceRec& occ) {
-  if (!status_.ok()) return;
-  const StatusOr<std::uint32_t> checked_id =
-      CheckedU32(occs_.size(), "occurrence count");
-  if (!checked_id.ok()) {
-    Latch(checked_id.status());
-    return;
-  }
-  TSW_CHECK(node < nodes_.size())
-      << "node " << node << " of a tree with " << nodes_.size() << " nodes";
-  occs_.push_back({occ.seq, occ.pos, occ.run, nodes_[node].first_occ});
-  nodes_[node].first_occ = *checked_id;
-}
-
-void DiskTreeWriter::Finalize() {
-  TSW_CHECK(!finalized_);
-  finalized_ = true;
-  // Every child was added after its parent, so it has the larger id:
-  // visiting ids from the last down is a post-order, and each node's
-  // children are final when the node sums them.
-  for (std::size_t i = nodes_.size(); i-- > 0;) {
-    NodeRecord& rec = nodes_[i];
-    std::uint32_t count = 0;
-    std::uint32_t max_run = 0;
-    for (std::uint32_t o = rec.first_occ; o != kNilOcc; o = occs_[o].next) {
-      ++count;
-      max_run = std::max(max_run, occs_[o].run);
-    }
-    for (NodeId c = rec.first_child; c != kNilNode;
-         c = nodes_[c].next_sibling) {
-      count += nodes_[c].subtree_occ;
-      max_run = std::max(max_run, nodes_[c].max_run);
-    }
-    rec.subtree_occ = count;
-    rec.max_run = max_run;
-  }
-}
-
-Status DiskTreeWriter::Close() {
-  if (closed_) return status_;
-  closed_ = true;
-  Latch(CloseInternal());
-  return status_;
-}
-
-Status DiskTreeWriter::CloseInternal() {
-  TSW_RETURN_IF_ERROR(status_);
-  if (!finalized_) {
-    return Status::FailedPrecondition("Close() before Finalize() on " +
-                                      base_path_);
-  }
-  // A root-only tree never saw SetText: its text is empty.
-  if (!text_written_) {
-    TSW_RETURN_IF_ERROR(storage::WriteFile(LabelsPath(base_path_), {}));
-  }
-  TSW_RETURN_IF_ERROR(storage::WriteFile(NodesPath(base_path_),
-                                         std::as_bytes(std::span(nodes_))));
-  TSW_RETURN_IF_ERROR(storage::WriteFile(OccsPath(base_path_),
-                                         std::as_bytes(std::span(occs_))));
-  // The meta page goes last: a finalized meta names regions that are
-  // already durable.
-  const std::uint64_t num_nodes = nodes_.size();
-  const std::uint64_t num_occs = occs_.size();
-  std::vector<std::byte> page(kMetaPageSize);
-  const MetaRecord meta{kMetaMagic, kMetaVersionV2, 1u, num_nodes, num_occs,
-                        num_label_symbols_};
-  std::memcpy(page.data(), &meta, sizeof(meta));
-  const std::uint32_t table_header[2] = {kNumSections, kRecordAlignment};
-  std::memcpy(page.data() + kSectionTableOffset, table_header,
-              sizeof(table_header));
-  const SectionEntry sections[kNumSections] = {
-      {kRegionNodes, static_cast<std::uint32_t>(sizeof(NodeRecord)),
-       num_nodes, num_nodes * sizeof(NodeRecord)},
-      {kRegionOccs, static_cast<std::uint32_t>(sizeof(OccRecord)), num_occs,
-       num_occs * sizeof(OccRecord)},
-      {kRegionLabels, static_cast<std::uint32_t>(sizeof(Symbol)),
-       num_label_symbols_, num_label_symbols_ * sizeof(Symbol)},
-  };
-  std::memcpy(page.data() + kSectionEntriesOffset, sections,
-              sizeof(sections));
-  TSW_RETURN_IF_ERROR(storage::WriteFile(MetaPath(base_path_), page));
-  // The bundle's directory entries must survive power loss too: without
-  // this, a crash after Close() could leave a tier whose files simply
-  // never existed as far as the recovered filesystem is concerned.
-  return storage::SyncDir(ParentDir(base_path_));
-}
-
-// ---------------------------------------------------------------------------
 // DiskSuffixTree
 // ---------------------------------------------------------------------------
 
@@ -494,10 +348,63 @@ std::uint64_t DiskSuffixTree::ResidentBytes() const {
 // High-level build
 // ---------------------------------------------------------------------------
 
-Status WriteTreeToDisk(const TreeView& view, const std::string& base_path) {
-  DiskTreeWriter writer(base_path);
-  CopyTree(view, &writer);
-  return writer.Close();
+Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path) {
+  if (!tree.finalized()) {
+    return Status::FailedPrecondition("writing an unfinalized tree to " +
+                                      base_path);
+  }
+  TSW_RETURN_IF_ERROR(tree.status());
+  const std::span<const Symbol> text = tree.Text();
+  const std::span<const OccRecord> occs(tree.occurrences_);
+  const std::span<const SuffixTree::Node> nodes(tree.nodes_);
+  TSW_RETURN_IF_ERROR(
+      storage::WriteFile(LabelsPath(base_path), std::as_bytes(text)));
+  TSW_RETURN_IF_ERROR(
+      storage::WriteFile(OccsPath(base_path), std::as_bytes(occs)));
+  // The in-memory node is 28 bytes, the record 32: convert a bounded
+  // chunk at a time, never the whole region at once.
+  constexpr std::size_t kNodesPerChunk = 2048;  // 64 KiB of records.
+  std::vector<NodeRecord> chunk;
+  chunk.reserve(std::min(kNodesPerChunk, nodes.size()));
+  std::size_t next = 0;
+  TSW_RETURN_IF_ERROR(storage::WriteFile(NodesPath(base_path), [&] {
+    const std::size_t n = std::min(kNodesPerChunk, nodes.size() - next);
+    chunk.clear();
+    for (const SuffixTree::Node& node : nodes.subspan(next, n)) {
+      chunk.push_back({node.label_begin, node.label_len, node.first_child,
+                       node.next_sibling, node.first_occ, node.subtree_occ,
+                       node.max_run});
+    }
+    next += n;
+    return std::as_bytes(std::span<const NodeRecord>(chunk));
+  }));
+  // The meta page goes last: a finalized meta names regions that are
+  // already durable.
+  const std::uint64_t num_nodes = nodes.size();
+  const std::uint64_t num_occs = occs.size();
+  const std::uint64_t num_label_symbols = text.size();
+  std::vector<std::byte> page(kMetaPageSize);
+  const MetaRecord meta{kMetaMagic, kMetaVersionV2, 1u, num_nodes, num_occs,
+                        num_label_symbols};
+  std::memcpy(page.data(), &meta, sizeof(meta));
+  const std::uint32_t table_header[2] = {kNumSections, kRecordAlignment};
+  std::memcpy(page.data() + kSectionTableOffset, table_header,
+              sizeof(table_header));
+  const SectionEntry sections[kNumSections] = {
+      {kRegionNodes, static_cast<std::uint32_t>(sizeof(NodeRecord)),
+       num_nodes, num_nodes * sizeof(NodeRecord)},
+      {kRegionOccs, static_cast<std::uint32_t>(sizeof(OccRecord)), num_occs,
+       num_occs * sizeof(OccRecord)},
+      {kRegionLabels, static_cast<std::uint32_t>(sizeof(Symbol)),
+       num_label_symbols, num_label_symbols * sizeof(Symbol)},
+  };
+  std::memcpy(page.data() + kSectionEntriesOffset, sections,
+              sizeof(sections));
+  TSW_RETURN_IF_ERROR(storage::WriteFile(MetaPath(base_path), page));
+  // The bundle's directory entries must survive power loss too: without
+  // this, a crash after the write could leave a tier whose files simply
+  // never existed as far as the recovered filesystem is concerned.
+  return storage::SyncDir(ParentDir(base_path));
 }
 
 void RemoveDiskTree(const std::string& base_path) {
@@ -519,49 +426,61 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   // bundle stores the same .labels and merges share it.
   const auto shared_text = std::make_shared<const SymbolText>(db);
 
-  // Phase 1: spill batch trees.
+  // The intermediate bundles, in creation order (bundle i is `.tmp<i>`);
+  // pending[head..] are still on disk.
   std::vector<std::string> pending;
-  int next_tmp = 0;
-  for (SeqId begin = 0; begin < db.size();
-       begin += static_cast<SeqId>(options.batch_sequences)) {
-    const SeqId end = static_cast<SeqId>(
-        std::min<std::size_t>(db.size(), begin + options.batch_sequences));
-    SuffixTreeBuilder builder(shared_text, options.build);
-    for (SeqId id = begin; id < end; ++id) builder.InsertSequence(id);
-    const SuffixTree batch = builder.Build();
-    TSW_RETURN_IF_ERROR(batch.status());
-    const std::string tmp = base_path + ".tmp" + std::to_string(next_tmp++);
-    TSW_RETURN_IF_ERROR(WriteTreeToDisk(batch, tmp));
-    pending.push_back(tmp);
-  }
-
-  // Phase 2: binary merges of trees of increasing size (FIFO pairing).
   std::size_t head = 0;
-  while (pending.size() - head > 1) {
-    const std::string a = pending[head++];
-    const std::string b = pending[head++];
-    TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(a));
-    TSW_ASSIGN_OR_RETURN(auto view_b, DiskSuffixTree::Open(b));
-    const std::string out = base_path + ".tmp" + std::to_string(next_tmp++);
-    DiskTreeWriter writer(out);
-    MergeTrees(*view_a, *view_b, &writer, nullptr, MergeText::kShared);
-    TSW_RETURN_IF_ERROR(writer.Close());
-    RemoveDiskTree(a);
-    RemoveDiskTree(b);
-    pending.push_back(out);
-  }
-
-  // Rename the survivor into place, then persist the renames.
-  const std::string last = pending[head];
-  RemoveDiskTree(base_path);
-  for (const char* suffix : {".meta", ".nodes", ".occs", ".labels"}) {
-    const std::string from = last + suffix;
-    const std::string to = base_path + suffix;
-    if (std::rename(from.c_str(), to.c_str()) != 0) {
-      return Status::IOError("rename " + from + " -> " + to + " failed");
+  const auto next_tmp = [&] {
+    pending.push_back(base_path + ".tmp" + std::to_string(pending.size()));
+    return pending.back();
+  };
+  const Status built = [&]() -> Status {
+    // Phase 1: spill batch trees. The copy fixes each spill's node order.
+    for (SeqId begin = 0; begin < db.size();
+         begin += static_cast<SeqId>(options.batch_sequences)) {
+      const SeqId end = static_cast<SeqId>(
+          std::min<std::size_t>(db.size(), begin + options.batch_sequences));
+      SuffixTreeBuilder builder(shared_text, options.build);
+      for (SeqId id = begin; id < end; ++id) builder.InsertSequence(id);
+      const SuffixTree batch = builder.Build();
+      TSW_RETURN_IF_ERROR(batch.status());
+      SuffixTree spill;
+      CopyTree(batch, &spill);
+      TSW_RETURN_IF_ERROR(WriteTreeToDisk(spill, next_tmp()));
     }
+
+    // Phase 2: binary merges of trees of increasing size (FIFO pairing).
+    while (pending.size() - head > 1) {
+      {
+        TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(pending[head]));
+        TSW_ASSIGN_OR_RETURN(auto view_b,
+                             DiskSuffixTree::Open(pending[head + 1]));
+        SuffixTree merged;
+        MergeTrees(*view_a, *view_b, &merged, nullptr, MergeText::kShared);
+        TSW_RETURN_IF_ERROR(WriteTreeToDisk(merged, next_tmp()));
+      }
+      RemoveDiskTree(pending[head++]);
+      RemoveDiskTree(pending[head++]);
+    }
+
+    // Rename the survivor into place, then persist the renames.
+    const std::string& last = pending[head];
+    RemoveDiskTree(base_path);
+    for (const char* suffix : {".meta", ".nodes", ".occs", ".labels"}) {
+      const std::string from = last + suffix;
+      const std::string to = base_path + suffix;
+      if (std::rename(from.c_str(), to.c_str()) != 0) {
+        return Status::IOError("rename " + from + " -> " + to + " failed");
+      }
+    }
+    return storage::SyncDir(ParentDir(base_path));
+  }();
+  if (!built.ok()) {
+    for (std::size_t i = head; i < pending.size(); ++i) {
+      RemoveDiskTree(pending[i]);
+    }
+    return built;
   }
-  TSW_RETURN_IF_ERROR(storage::SyncDir(ParentDir(base_path)));
   return DiskSuffixTree::Open(base_path);
 }
 

@@ -16,7 +16,6 @@ namespace tswarp::suffixtree {
 
 namespace internal {
 struct NodeRecord;  // On-disk 32-byte node record (disk_tree.cc).
-struct OccRecord;   // On-disk 16-byte occurrence record (disk_tree.cc).
 }  // namespace internal
 
 /// A disk-resident suffix tree is a bundle of four files:
@@ -35,56 +34,6 @@ struct OccRecord;   // On-disk 16-byte occurrence record (disk_tree.cc).
 /// record against the counts, so a corrupt record is a Corruption at Open,
 /// never a read outside the bundle. Format v1 bundles (no section table)
 /// are refused with a Corruption that says to rebuild.
-
-/// TreeSink that writes a disk tree bundle. SetText writes the `.labels`
-/// region at once; node and occurrence records are kept in memory (32 B
-/// per node plus 16 B per occurrence, about the size of the bundle),
-/// linked and finalized in place, and Close() writes each region with one
-/// sequential, fsynced write, then the meta page, then fsyncs the
-/// containing directory, so a bundle that Close() reported durable cannot
-/// vanish on power loss. Nothing but `.labels` touches the disk before
-/// Close().
-class DiskTreeWriter : public TreeSink {
- public:
-  explicit DiskTreeWriter(std::string base_path);
-  ~DiskTreeWriter() override;
-
-  DiskTreeWriter(const DiskTreeWriter&) = delete;
-  DiskTreeWriter& operator=(const DiskTreeWriter&) = delete;
-
-  // --- TreeSink ---
-  void SetText(std::span<const Symbol> text) override;
-  NodeId AddNode(NodeId parent, LabelRef label) override;
-  void AddOccurrence(NodeId node, const OccurrenceRec& occ) override;
-  void Finalize() override;
-
-  /// Writes the node and occurrence regions and the meta page. Must be
-  /// called after Finalize(); the bundle is unreadable before Close().
-  /// Idempotent: the first call decides the outcome and latches it; any
-  /// further call returns the latched status without touching the files
-  /// again. Close() before Finalize() latches (and returns)
-  /// FailedPrecondition.
-  Status Close();
-
-  /// Last error, if any sink call failed (TreeSink's interface has no
-  /// Status returns; errors are latched and surfaced here / by Close()).
-  const Status& status() const { return status_; }
-
- private:
-  Status CloseInternal();
-  void Latch(const Status& s) {
-    if (status_.ok() && !s.ok()) status_ = s;
-  }
-
-  std::string base_path_;
-  std::vector<internal::NodeRecord> nodes_;
-  std::vector<internal::OccRecord> occs_;
-  std::uint64_t num_label_symbols_ = 0;
-  bool text_written_ = false;
-  bool finalized_ = false;
-  bool closed_ = false;
-  Status status_;
-};
 
 /// Read-only TreeView over a disk tree bundle. The three region files are
 /// mapped read-only at Open (their extents validated against the section
@@ -151,8 +100,18 @@ class DiskSuffixTree : public TreeView {
   std::uint64_t materialized_label_symbols_ = 0;
 };
 
-/// Serializes any TreeView to a disk bundle at `base_path`.
-Status WriteTreeToDisk(const TreeView& view, const std::string& base_path);
+/// Writes `tree`, finalized and with an OK status(), as a v2 bundle at
+/// `base_path`, its records in the tree's own id order: `.labels` from the
+/// tree's text, `.occs` straight from its occurrence records, `.nodes`
+/// converted from the in-memory node layout in bounded chunks, each file
+/// written sequentially and fsynced, then the meta page, then an fsync of
+/// the containing directory, so a bundle reported durable cannot vanish
+/// on power loss. An unfinalized tree is a FailedPrecondition and a failed
+/// tree returns its status(), both before any file is touched; an I/O
+/// error may leave a partial bundle without a meta page, which the caller
+/// removes (RemoveDiskTree). To serialize another TreeView, CopyTree it
+/// into a SuffixTree first.
+Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path);
 
 /// Deletes the files of a disk tree bundle, a legacy `.sums` file
 /// included (best-effort).
@@ -168,11 +127,14 @@ struct DiskBuildOptions {
 };
 
 /// Builds a disk tree over all sequences of `db`: batches are built in
-/// memory, spilled, then pairwise-merged on disk until one tree remains at
-/// `base_path`. Every batch tree references one text, the database's
-/// sequences concatenated, so merges (MergeText::kShared) carry label
-/// references through unchanged and never grow the text. Intermediate
-/// trees are opened mapped like the final one, scanned once and deleted.
+/// memory, copied (CopyTree) and spilled to `<base_path>.tmpN` bundles,
+/// then pairwise-merged until one tree remains at `base_path`. Each merge
+/// reads its two inputs mapped into an in-memory SuffixTree and writes it
+/// with WriteTreeToDisk. Every batch tree references one text, the
+/// database's sequences concatenated, so merges (MergeText::kShared) carry
+/// label references through unchanged and never grow the text.
+/// Intermediate bundles are scanned once and deleted; on any error every
+/// intermediate still on disk is removed before the error is returned.
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SymbolDatabase& db, const std::string& base_path,
     DiskBuildOptions options = {});

@@ -35,11 +35,16 @@ struct Pending {
 /// the recursion point into the source views' texts.
 class Merger {
  public:
-  Merger(const TreeView& a, const TreeView& b, TreeSink* out,
-         const std::atomic<bool>* cancel, MergeText text)
-      : a_(a), b_(b), out_(out), cancel_(cancel), text_(text) {}
+  Merger(const TreeView& a, const TreeView& b, SuffixTree* out,
+         const std::atomic<bool>* cancel, MergeText text, SeqId b_seq_offset)
+      : a_(a),
+        b_(b),
+        out_(out),
+        cancel_(cancel),
+        text_(text),
+        b_seq_offset_(b_seq_offset) {}
 
-  /// Returns false iff the merge was cancelled (the sink is then left
+  /// Returns false iff the merge was cancelled (the output is then left
   /// unfinalized and must be discarded).
   bool Run() {
     // The merge visits both inputs roughly front to back (node ids are
@@ -79,7 +84,7 @@ class Merger {
 
   /// Cancellation poll, amortized to one relaxed load every
   /// kCancelPollNodes output nodes. Throwing unwinds the whole recursion
-  /// in one step, leaving the sink unfinalized.
+  /// in one step, leaving the output unfinalized.
   void PollCancel() {
     static constexpr std::uint32_t kCancelPollNodes = 256;
     if (cancel_ == nullptr) return;
@@ -130,7 +135,11 @@ class Merger {
   void CopyOccurrences(const TreeView& v, NodeId from, NodeId to) {
     occ_buf_.clear();
     v.GetOccurrences(from, &occ_buf_);
-    for (const OccurrenceRec& o : occ_buf_) out_->AddOccurrence(to, o);
+    const SeqId shift = &v == &b_ ? b_seq_offset_ : 0;
+    for (OccurrenceRec o : occ_buf_) {
+      o.seq += shift;
+      out_->AddOccurrence(to, o);
+    }
   }
 
   /// Copies the subtree of `node` (in `v`) under `out_parent`, where the
@@ -259,9 +268,11 @@ class Merger {
 
   const TreeView& a_;
   const TreeView& b_;
-  TreeSink* out_;
+  SuffixTree* out_;
   const std::atomic<bool>* cancel_;
   const MergeText text_;
+  // Added to the sequence id of every occurrence taken from b.
+  const SeqId b_seq_offset_;
   // Added to b's label references when the output text is a's text
   // followed by b's.
   std::uint64_t b_shift_ = 0;
@@ -275,20 +286,21 @@ class Merger {
 
 }  // namespace
 
-bool MergeTrees(const TreeView& a, const TreeView& b, TreeSink* out,
-                const std::atomic<bool>* cancel, MergeText text) {
+bool MergeTrees(const TreeView& a, const TreeView& b, SuffixTree* out,
+                const std::atomic<bool>* cancel, MergeText text,
+                SeqId b_seq_offset) {
   TSW_CHECK(out != nullptr);
-  return Merger(a, b, out, cancel, text).Run();
+  return Merger(a, b, out, cancel, text, b_seq_offset).Run();
 }
 
-void CopyTree(const TreeView& view, TreeSink* sink) {
-  TSW_CHECK(sink != nullptr);
+void CopyTree(const TreeView& view, SuffixTree* out) {
+  TSW_CHECK(out != nullptr);
   view.HintSequentialScan();
-  sink->SetText(view.Text());
-  const NodeId root = sink->AddNode(kNilNode, {});
+  out->SetText(view.Text());
+  const NodeId root = out->AddNode(kNilNode, {});
   std::vector<OccurrenceRec> occ_buf;
   view.GetOccurrences(view.Root(), &occ_buf);
-  for (const OccurrenceRec& o : occ_buf) sink->AddOccurrence(root, o);
+  for (const OccurrenceRec& o : occ_buf) out->AddOccurrence(root, o);
 
   // Explicit stack to copy arbitrarily deep trees.
   struct Frame {
@@ -303,14 +315,14 @@ void CopyTree(const TreeView& view, TreeSink* sink) {
     stack.pop_back();
     view.GetChildren(f.src, &children);
     for (const Children::Edge& e : children.edges) {
-      const NodeId m = sink->AddNode(f.dst, children.Ref(e));
+      const NodeId m = out->AddNode(f.dst, children.Ref(e));
       occs.clear();
       view.GetOccurrences(e.child, &occs);
-      for (const OccurrenceRec& o : occs) sink->AddOccurrence(m, o);
+      for (const OccurrenceRec& o : occs) out->AddOccurrence(m, o);
       stack.push_back({e.child, m});
     }
   }
-  sink->Finalize();
+  out->Finalize();
 }
 
 }  // namespace tswarp::suffixtree

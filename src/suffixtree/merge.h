@@ -2,8 +2,9 @@
 #define TSWARP_SUFFIXTREE_MERGE_H_
 
 #include <atomic>
-#include <vector>
 
+#include "common/types.h"
+#include "suffixtree/suffix_tree.h"
 #include "suffixtree/tree_view.h"
 
 namespace tswarp::suffixtree {
@@ -12,8 +13,9 @@ namespace tswarp::suffixtree {
 /// traversal, combining the paths of common subsequences (the disk-based
 /// incremental construction of Bieganski et al. used by the paper,
 /// Section 4.1). The sources are only read through the TreeView interface,
-/// so disk-resident trees stream through their mappings; the output is
-/// written once through TreeSink.
+/// so disk-resident trees stream through their mappings; `out` is a fresh
+/// (root-only) SuffixTree, written once, which WriteTreeToDisk can then
+/// publish as a bundle.
 ///
 /// Labels are carried through as references, never copied. How the
 /// output's text relates to the inputs' is the caller's statement:
@@ -22,72 +24,33 @@ namespace tswarp::suffixtree {
 ///                 (tier compaction, memtable appends);
 ///   kShared       a and b reference equal texts (disk construction: every
 ///                 batch tree references the one database text), and the
-///                 output references that text too.
+///                 output references a copy of that text.
+/// Likewise `b_seq_offset` is added to the sequence id of every occurrence
+/// taken from b: tiers number their sequences from 0, so merging two tiers
+/// passes a's sequence count to make the merged ids local to the
+/// concatenated fragment.
 ///
 /// Complexity O(|A| + |B|) tree operations plus the symbol comparisons on
-/// shared label prefixes. Finalize() is called on `out`.
+/// shared label prefixes. Finalize() is called on `out`; a merge that
+/// outgrows the tree's 32-bit ids or text offsets latches OutOfRange in
+/// `out->status()`.
 ///
 /// `cancel` (optional) is polled periodically; when it becomes true the
 /// merge unwinds and returns false WITHOUT finalizing `out` — the caller
-/// must discard the partial sink (background tier compactions abort this
+/// must discard the partial tree (background tier compactions abort this
 /// way on shutdown). Returns true on a completed, finalized merge.
 enum class MergeText { kConcatenate, kShared };
 
-bool MergeTrees(const TreeView& a, const TreeView& b, TreeSink* out,
+bool MergeTrees(const TreeView& a, const TreeView& b, SuffixTree* out,
                 const std::atomic<bool>* cancel = nullptr,
-                MergeText text = MergeText::kConcatenate);
+                MergeText text = MergeText::kConcatenate,
+                SeqId b_seq_offset = 0);
 
-/// Structural copy of `view` into `sink` (pre-order); the sink gets the
-/// view's text, so labels keep their references. Finalize() is called on
-/// `sink`. Used to serialize an in-memory tree to disk and vice versa.
-void CopyTree(const TreeView& view, TreeSink* sink);
-
-/// Read-only adaptor that rebases every occurrence's sequence id by a
-/// fixed offset, leaving the structure and the text untouched. Tier
-/// compaction merges two tiers whose occurrences are tier-local (each
-/// tier's ids start at 0 over its own database fragment); wrapping the
-/// second tier in SeqOffsetTreeView(b, a.num_sequences) makes the merged
-/// tier's ids local to the concatenated fragment, just as MergeTrees
-/// makes b's label references local to the concatenated text.
-class SeqOffsetTreeView : public TreeView {
- public:
-  SeqOffsetTreeView(const TreeView& base, SeqId offset)
-      : base_(base), offset_(offset) {}
-
-  NodeId Root() const override { return base_.Root(); }
-  void GetChildren(NodeId node, Children* out) const override {
-    base_.GetChildren(node, out);
-  }
-  void GetOccurrences(NodeId node,
-                      std::vector<OccurrenceRec>* out) const override {
-    const std::size_t first = out->size();
-    base_.GetOccurrences(node, out);
-    for (std::size_t i = first; i < out->size(); ++i) {
-      (*out)[i].seq += offset_;
-    }
-  }
-  std::uint32_t SubtreeOccCount(NodeId node) const override {
-    return base_.SubtreeOccCount(node);
-  }
-  Pos MaxRun(NodeId node) const override { return base_.MaxRun(node); }
-  std::uint64_t NumNodes() const override { return base_.NumNodes(); }
-  std::uint64_t NumOccurrences() const override {
-    return base_.NumOccurrences();
-  }
-  std::span<const Symbol> Text() const override { return base_.Text(); }
-  std::uint64_t NumLabelSymbols() const override {
-    return base_.NumLabelSymbols();
-  }
-  std::uint64_t MaterializedLabelSymbols() const override {
-    return base_.MaterializedLabelSymbols();
-  }
-  std::uint64_t SizeBytes() const override { return base_.SizeBytes(); }
-  void HintSequentialScan() const override { base_.HintSequentialScan(); }
-
- private:
-  const TreeView& base_;
-  SeqId offset_;
-};
+/// Structural copy of `view` into the fresh tree `out` (pre-order; each
+/// node's children come out in reverse order, as AddNode prepends). `out`
+/// gets a copy of the view's text, so labels keep their references.
+/// Finalize() is called on `out`.
+void CopyTree(const TreeView& view, SuffixTree* out);
 
 }  // namespace tswarp::suffixtree
 

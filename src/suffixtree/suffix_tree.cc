@@ -45,9 +45,9 @@ void SuffixTree::GetChildren(NodeId node, Children* out) const {
 void SuffixTree::GetOccurrences(NodeId node,
                                 std::vector<OccurrenceRec>* out) const {
   TSW_DCHECK(node < nodes_.size());
-  for (std::uint32_t o = nodes_[node].first_occ; o != kNilOcc;
+  for (std::uint32_t o = nodes_[node].first_occ; o != internal::kNilOcc;
        o = occurrences_[o].next) {
-    const Occ& occ = occurrences_[o];
+    const internal::OccRecord& occ = occurrences_[o];
     out->push_back({occ.seq, occ.pos, occ.run});
   }
 }
@@ -157,7 +157,7 @@ void SuffixTree::Finalize() {
     }
     std::uint32_t count = 0;
     Pos max_run = 0;
-    for (std::uint32_t o = nodes_[n].first_occ; o != kNilOcc;
+    for (std::uint32_t o = nodes_[n].first_occ; o != internal::kNilOcc;
          o = occurrences_[o].next) {
       ++count;
       max_run = std::max(max_run, occurrences_[o].run);
@@ -316,7 +316,7 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     }
     nodes[child].label_len = j;
     nodes[child].first_child = deep;
-    nodes[child].first_occ = SuffixTree::kNilOcc;
+    nodes[child].first_occ = internal::kNilOcc;
     child_count_[child] = 0;
     LinkChild(child, text[lb + j], deep);
 

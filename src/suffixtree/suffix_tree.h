@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +14,23 @@
 #include "suffixtree/tree_view.h"
 
 namespace tswarp::suffixtree {
+
+namespace internal {
+
+/// One stored suffix with the link to the next occurrence of its node
+/// (kNilOcc ends the chain): the 16-byte record SuffixTree holds and the
+/// `.occs` region of a disk bundle stores as it is.
+struct OccRecord {
+  SeqId seq;
+  Pos pos;
+  Pos run;
+  std::uint32_t next;
+};
+static_assert(sizeof(OccRecord) == 16);
+
+inline constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
+
+}  // namespace internal
 
 /// In-memory generalized suffix tree over symbol sequences.
 ///
@@ -25,14 +43,15 @@ namespace tswarp::suffixtree {
 /// reports what materialized labels would cost, the quantity Table 1 of
 /// the paper reports.
 ///
-/// Construction is suffix-by-suffix insertion (see SuffixTreeBuilder);
-/// trees can also be produced structurally via the TreeSink interface (used
-/// by MergeTrees and the disk loader).
+/// Construction is suffix-by-suffix insertion (see SuffixTreeBuilder) or
+/// structural, node by node through SetText/AddNode/AddOccurrence/Finalize
+/// (MergeTrees, CopyTree). Every tree the library builds, in memory or
+/// for a disk bundle, is a SuffixTree; WriteTreeToDisk writes one out.
 ///
 /// Node, occurrence and text offsets are 32-bit. A tree that would
 /// outgrow them latches OutOfRange in status() and ignores further nodes
 /// and occurrences; callers must check status() before using the tree.
-class SuffixTree : public TreeView, public TreeSink {
+class SuffixTree : public TreeView {
  public:
   SuffixTree();
 
@@ -55,12 +74,27 @@ class SuffixTree : public TreeView, public TreeSink {
   std::uint64_t MaterializedLabelSymbols() const override;
   std::uint64_t SizeBytes() const override;
 
-  // --- TreeSink ---
-  void SetText(std::span<const Symbol> text) override;
-  void TakeText(std::vector<Symbol> text) override;
-  NodeId AddNode(NodeId parent, LabelRef label) override;
-  void AddOccurrence(NodeId node, const OccurrenceRec& occ) override;
-  void Finalize() override;
+  // --- Structural construction ---
+
+  /// Declares the symbol text that the labels of later AddNode calls
+  /// reference; a copy is kept. Called before any non-root node.
+  void SetText(std::span<const Symbol> text);
+
+  /// SetText for a text the caller gives up: the tree takes the vector.
+  void TakeText(std::vector<Symbol> text);
+
+  /// Adds a node under `parent` whose edge label is `label`, a reference
+  /// into the text, prepended to the parent's child chain. Pass kNilNode
+  /// as parent for the root (label ignored, must be first): the
+  /// constructor already made it, so this returns 0.
+  NodeId AddNode(NodeId parent, LabelRef label);
+
+  /// Prepends an occurrence to an existing node's chain.
+  void AddOccurrence(NodeId node, const OccurrenceRec& occ);
+
+  /// Computes subtree statistics; must be called exactly once, after all
+  /// nodes and occurrences are added.
+  void Finalize();
 
   bool finalized() const { return finalized_; }
 
@@ -69,25 +103,18 @@ class SuffixTree : public TreeView, public TreeSink {
 
  private:
   friend class SuffixTreeBuilder;
+  friend Status WriteTreeToDisk(const SuffixTree& tree,
+                                const std::string& base_path);
 
   struct Node {
     std::uint32_t label_begin = 0;  // Offset into the text.
     std::uint32_t label_len = 0;
     NodeId first_child = kNilNode;
     NodeId next_sibling = kNilNode;
-    std::uint32_t first_occ = kNilOcc;
+    std::uint32_t first_occ = internal::kNilOcc;
     std::uint32_t subtree_occ = 0;
     Pos max_run = 0;
   };
-
-  struct Occ {
-    SeqId seq;
-    Pos pos;
-    Pos run;
-    std::uint32_t next;
-  };
-
-  static constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
 
   /// Installs `text` after checking that its offsets fit the 32-bit node
   /// records.
@@ -99,7 +126,7 @@ class SuffixTree : public TreeView, public TreeSink {
 
   std::shared_ptr<const std::vector<Symbol>> text_;
   std::vector<Node> nodes_;
-  std::vector<Occ> occurrences_;
+  std::vector<internal::OccRecord> occurrences_;
   Status status_;
   bool finalized_ = false;
 };

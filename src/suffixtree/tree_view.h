@@ -139,35 +139,6 @@ class TreeView {
                                  SubtreeScratch* scratch) const;
 };
 
-/// Write interface for producing a suffix tree node-by-node; implemented by
-/// the in-memory tree and the disk writer. Used by the merge algorithm and
-/// the serializer.
-class TreeSink {
- public:
-  virtual ~TreeSink() = default;
-
-  /// Declares the symbol text that the labels of later AddNode calls
-  /// reference. Called once, before any non-root node; `text` need only
-  /// stay valid for the call (sinks copy or persist it).
-  virtual void SetText(std::span<const Symbol> text) = 0;
-
-  /// SetText for a text the caller gives up: sinks that keep the text in
-  /// memory take the vector instead of copying it.
-  virtual void TakeText(std::vector<Symbol> text) { SetText(text); }
-
-  /// Adds a node under `parent` whose edge label is `label`, a reference
-  /// into the text given to SetText. Pass kNilNode as parent to create the
-  /// root (label ignored, must be first).
-  virtual NodeId AddNode(NodeId parent, LabelRef label) = 0;
-
-  /// Attaches an occurrence to an existing node.
-  virtual void AddOccurrence(NodeId node, const OccurrenceRec& occ) = 0;
-
-  /// Computes subtree statistics; must be called exactly once, after all
-  /// nodes and occurrences are added.
-  virtual void Finalize() = 0;
-};
-
 }  // namespace tswarp::suffixtree
 
 #endif  // TSWARP_SUFFIXTREE_TREE_VIEW_H_

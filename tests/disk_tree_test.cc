@@ -1,9 +1,12 @@
 #include "suffixtree/disk_tree.h"
 
-#include <filesystem>
 #include <algorithm>
-#include <utility>
+#include <array>
+#include <filesystem>
+#include <fstream>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "common/random.h"
 #include "core/index.h"
 #include "core/seq_scan.h"
+#include "core/tiered_index.h"
 #include "datagen/generators.h"
 #include "suffixtree/merge.h"
 #include "suffixtree/suffix_tree.h"
@@ -118,27 +122,14 @@ TEST_F(DiskTreeTest, OpenMissingBundleFails) {
   EXPECT_FALSE(disk.ok());
 }
 
-TEST_F(DiskTreeTest, WriterCloseIsIdempotent) {
-  const SymbolDatabase db = RandomSymbolDb(5, 4, 15, 3);
-  const SuffixTree memory_tree = BuildSuffixTree(db);
-  DiskTreeWriter writer(Path("t5"));
-  CopyTree(memory_tree, &writer);
-  ASSERT_TRUE(writer.Close().ok());
-  // Second close: no meta rewrite, same latched outcome.
-  EXPECT_TRUE(writer.Close().ok());
-  auto disk = DiskSuffixTree::Open(Path("t5"));
-  ASSERT_TRUE(disk.ok());
-  EXPECT_EQ(Canonicalize(**disk), Canonicalize(memory_tree));
-}
-
 TEST_F(DiskTreeTest, CloseBeforeFinalizeLatchesFailedPrecondition) {
-  DiskTreeWriter writer(Path("t6"));
-  writer.AddNode(kNilNode, {});
-  const Status first = writer.Close();
-  EXPECT_EQ(first.code(), StatusCode::kFailedPrecondition);
-  // The failure is latched: repeated calls return it and never write meta.
-  EXPECT_EQ(writer.Close(), first);
-  EXPECT_EQ(writer.status().code(), StatusCode::kFailedPrecondition);
+  // Writing a tree before Finalize() is refused before any file is
+  // touched, so no bundle opens.
+  SuffixTree tree;
+  tree.SetText(std::vector<Symbol>{1, 2, 1});
+  tree.AddOccurrence(tree.AddNode(tree.Root(), {0, 3}), {0, 0, 1});
+  EXPECT_EQ(WriteTreeToDisk(tree, Path("t6")).code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_FALSE(DiskSuffixTree::Open(Path("t6")).ok());
 }
 
@@ -169,6 +160,24 @@ TEST_F(DiskTreeTest, BuildDiskTreeCleansTemporaries) {
     ++files;
   }
   EXPECT_EQ(files, 4u);  // meta, nodes, occs, labels.
+}
+
+TEST_F(DiskTreeTest, BuildDiskTreeRemovesIntermediatesOnFailure) {
+  // A directory where the second spill's node region goes fails that
+  // write after the first spill is on disk: the build reports it and
+  // removes every intermediate bundle, the partial one included.
+  const SymbolDatabase db = RandomSymbolDb(23, 9, 15, 3);
+  DiskBuildOptions options;
+  options.batch_sequences = 2;
+  const std::string base = Path("fail");
+  std::filesystem::create_directories(base + ".tmp1.nodes");
+  EXPECT_FALSE(BuildDiskTree(db, base, options).ok());
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_FALSE(entry.is_regular_file() &&
+                 entry.path().filename().string().find(".tmp") !=
+                     std::string::npos)
+        << "leftover temporary " << entry.path();
+  }
 }
 
 TEST_F(DiskTreeTest, BuildDiskTreeStoresTheTextOnce) {
@@ -211,12 +220,12 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
       stack.push_back({e.child, kNilNode});
     }
   }
-  DiskTreeWriter writer(Path("old"));
-  writer.SetText(pool);
+  SuffixTree old;
+  old.SetText(pool);
   std::vector<OccurrenceRec> occs;
-  const NodeId root = writer.AddNode(kNilNode, {});
+  const NodeId root = old.AddNode(kNilNode, {});
   tree.GetOccurrences(tree.Root(), &occs);
-  for (const OccurrenceRec& o : occs) writer.AddOccurrence(root, o);
+  for (const OccurrenceRec& o : occs) old.AddOccurrence(root, o);
   std::uint64_t next = 0;
   stack = {{tree.Root(), root}};
   while (!stack.empty()) {
@@ -224,16 +233,16 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
     stack.pop_back();
     tree.GetChildren(f.src, &children);
     for (const Children::Edge& e : children.edges) {
-      const NodeId m = writer.AddNode(f.dst, {next, e.label_len});
+      const NodeId m = old.AddNode(f.dst, {next, e.label_len});
       next += e.label_len;
       occs.clear();
       tree.GetOccurrences(e.child, &occs);
-      for (const OccurrenceRec& o : occs) writer.AddOccurrence(m, o);
+      for (const OccurrenceRec& o : occs) old.AddOccurrence(m, o);
       stack.push_back({e.child, m});
     }
   }
-  writer.Finalize();
-  ASSERT_TRUE(writer.Close().ok());
+  old.Finalize();
+  ASSERT_TRUE(WriteTreeToDisk(old, Path("old")).ok());
 
   auto disk = DiskSuffixTree::Open(Path("old"));
   ASSERT_TRUE(disk.ok()) << disk.status();
@@ -289,6 +298,78 @@ TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
                                 index->Search(q, eps),
                                 "disk index query " + std::to_string(qi));
   }
+}
+
+// --- bundle bytes: the exact files a build and a tier merge write. The
+// constants pin the format and the record order (node and occurrence ids,
+// child and occurrence prepend order, subtree sums); a change to any of
+// them is a format change, not a refactoring. The data come from raw
+// mt19937_64 output, which the standard fixes, not from a distribution.
+
+std::uint64_t FileFnv1a(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (char c; in.get(c);) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+void ExpectBundleHashes(const std::string& base,
+                        const std::array<std::uint64_t, 4>& want) {
+  const char* exts[] = {".meta", ".nodes", ".occs", ".labels"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::string path = base + exts[i];
+    ASSERT_TRUE(std::filesystem::is_regular_file(path)) << path;
+    const std::uint64_t got = FileFnv1a(path);
+    EXPECT_EQ(got, want[i]) << path << " hashes to 0x" << std::hex << got;
+  }
+}
+
+TEST_F(DiskTreeTest, BuildDiskTreeBundleBytesArePinned) {
+  std::mt19937_64 engine(2024);
+  SymbolDatabase db;
+  for (int i = 0; i < 10; ++i) {
+    SymbolSequence s(8 + engine() % 20);
+    for (Symbol& x : s) x = static_cast<Symbol>(engine() % 3);
+    db.Add(std::move(s));
+  }
+  DiskBuildOptions options;
+  options.build.sparse = true;
+  options.batch_sequences = 3;  // Four spills, three merges.
+  ASSERT_TRUE(BuildDiskTree(db, Path("pinned"), options).ok());
+  ExpectBundleHashes(Path("pinned"),
+                     {0xd5343ba56cd91d75ull, 0x7a6ff5df122cefc7ull,
+                      0x7c740f9c7e8f39f2ull, 0xe03d302ce0a249e7ull});
+}
+
+TEST_F(DiskTreeTest, TierMergeBundleBytesArePinned) {
+  std::mt19937_64 engine(7);
+  const auto sequence = [&] {
+    seqdb::Sequence s(10 + engine() % 10);
+    for (Value& v : s) v = static_cast<Value>(engine() % 5);
+    return s;
+  };
+  seqdb::SequenceDatabase db;
+  for (int i = 0; i < 4; ++i) db.Add(sequence());
+  core::TieredOptions options;
+  options.index.kind = core::IndexKind::kSuffixTree;
+  options.index.disk_path = Path("tiered");
+  options.memtable_max_sequences = 2;
+  options.max_sealed_tiers = 1;
+  options.merge_in_background = false;
+  auto tiered = core::TieredIndex::Create(&db, options);
+  ASSERT_TRUE(tiered.ok()) << tiered.status();
+  // Appends 2 and 4 seal two-sequence tiers; the second seal, over a
+  // budget of one sealed tier, merges both into generation 1 on disk.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*tiered)->Append(sequence()).ok());
+  }
+  ASSERT_EQ((*tiered)->Stats().merges_completed, 1u);
+  ExpectBundleHashes(Path("tiered") + ".tier-1",
+                     {0x3a150b407037aa2dull, 0xc8d0673097e4e4edull,
+                      0xa0af8cc675b7368bull, 0x4e69c0cea46dfd51ull});
 }
 
 }  // namespace

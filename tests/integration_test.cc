@@ -10,7 +10,6 @@
 #include "core/index.h"
 #include "core/seq_scan.h"
 #include "datagen/generators.h"
-#include "seqdb/transforms.h"
 #include "test_util.h"
 
 namespace tswarp {
@@ -85,40 +84,6 @@ TEST_F(IntegrationTest, FullLifecycle) {
     EXPECT_NEAR(top1[0].distance, 0.0, 1e-9)
         << "the query was cut from the database, so the 1-NN is exact";
   }
-}
-
-TEST_F(IntegrationTest, NormalizedPipeline) {
-  // Index a z-normalized database: shape matching irrespective of price
-  // level — the query is taken from a shifted/scaled copy.
-  datagen::RandomWalkOptions walk;
-  walk.num_sequences = 10;
-  walk.avg_length = 50;
-  walk.seed = 9;
-  seqdb::SequenceDatabase raw = datagen::GenerateRandomWalks(walk);
-  const seqdb::SequenceDatabase normalized = seqdb::TransformDatabase(
-      raw, [](std::span<const Value> s) { return seqdb::ZNormalize(s); });
-
-  core::IndexOptions options;
-  options.kind = core::IndexKind::kSparse;
-  options.num_categories = 16;
-  auto index = core::Index::Build(&normalized, options);
-  ASSERT_TRUE(index.ok());
-
-  // A scaled + shifted copy of sequence 2's full profile normalizes to
-  // the same shape.
-  seqdb::Sequence scaled;
-  for (Value v : raw.sequence(2)) scaled.push_back(4.0 * v - 100.0);
-  const seqdb::Sequence query = seqdb::ZNormalize(scaled);
-  const auto matches = index->Search(query, 1e-6);
-  bool found_self = false;
-  for (const auto& m : matches) {
-    if (m.seq == 2 && m.start == 0 &&
-        m.len == normalized.sequence(2).size()) {
-      found_self = true;
-    }
-  }
-  EXPECT_TRUE(found_self)
-      << "z-normalization must make the scaled copy an exact match";
 }
 
 }  // namespace

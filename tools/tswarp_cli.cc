@@ -14,7 +14,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,34 +35,9 @@ using core::IndexKind;
 using core::IndexOptions;
 using core::Match;
 
-const char* FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-long FlagLong(int argc, char** argv, const char* flag, long fallback) {
-  const char* v = FlagValue(argc, argv, flag, nullptr);
-  return v == nullptr ? fallback : std::atol(v);
-}
-
 double FlagDouble(int argc, char** argv, const char* flag, double fallback) {
   const char* v = FlagValue(argc, argv, flag, nullptr);
   return v == nullptr ? fallback : std::atof(v);
-}
-
-// --threads must be a non-negative count; a negative value would wrap to a
-// huge std::size_t. Returns false (after printing) on a bad value.
-bool FlagThreads(int argc, char** argv, std::size_t* out) {
-  const long raw = FlagLong(argc, argv, "--threads", 0);
-  if (raw < 0) {
-    std::fprintf(stderr, "--threads must be >= 0 (got %ld)\n", raw);
-    return false;
-  }
-  *out = static_cast<std::size_t>(raw);
-  return true;
 }
 
 // --k must be an integer in [1, 1e9], tswarpd's "invalid_k" rule: atol
@@ -154,13 +128,6 @@ StatusOr<seqdb::SequenceDatabase> LoadDb(int argc, char** argv) {
   return seqdb::SequenceDatabase::Load(argv[2]);
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 /// Prints the merged traversal counters of one search. Shared by the
 /// univariate and multivariate paths: both run core::SearchDriver, so the
 /// counters mean the same thing in either mode. The verification counters
@@ -220,7 +187,8 @@ void PrintSearchStats(const Index& index, const core::SearchStats& stats) {
   }
 }
 
-IndexOptions OptionsFromFlags(int argc, char** argv) {
+// Returns false (after printing) on a bad --categories.
+bool OptionsFromFlags(int argc, char** argv, IndexOptions* out) {
   IndexOptions options;
   const std::string kind = FlagValue(argc, argv, "--kind", "sstc");
   if (kind == "st") {
@@ -238,23 +206,12 @@ IndexOptions OptionsFromFlags(int argc, char** argv) {
   } else {
     options.method = categorize::Method::kMaxEntropy;
   }
-  options.num_categories =
-      static_cast<std::size_t>(FlagLong(argc, argv, "--categories", 40));
-  const char* index_path = FlagValue(argc, argv, "--index", nullptr);
-  if (index_path != nullptr) options.disk_path = index_path;
-  return options;
-}
-
-// --multi D: read the database as D-dimensional multivariate sequences.
-// 0 (the default, flag absent) means univariate. Returns false (after
-// printing) on a bad value.
-bool FlagMulti(int argc, char** argv, std::size_t* out) {
-  const long raw = FlagLong(argc, argv, "--multi", 0);
-  if (raw < 0) {
-    std::fprintf(stderr, "--multi must be >= 1 dimensions (got %ld)\n", raw);
+  if (!FlagCount(argc, argv, "--categories", 40, &options.num_categories)) {
     return false;
   }
-  *out = static_cast<std::size_t>(raw);
+  const char* index_path = FlagValue(argc, argv, "--index", nullptr);
+  if (index_path != nullptr) options.disk_path = index_path;
+  *out = options;
   return true;
 }
 
@@ -301,7 +258,10 @@ int RunMultiSearch(int argc, char** argv, const seqdb::SequenceDatabase& db,
   if (!BuildMultiDb(db, dim, &mdb)) return 1;
 
   core::QueryOptions query_options;
-  if (!FlagThreads(argc, argv, &query_options.num_threads)) return 1;
+  if (!FlagCount(argc, argv, "--threads", 0,
+                 &query_options.num_threads)) {
+    return 1;
+  }
   if (!FlagBand(argc, argv, query_len, &query_options.band)) return 1;
   query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
 
@@ -367,9 +327,12 @@ int CmdGenerate(int argc, char** argv) {
   const std::string kind = FlagValue(argc, argv, "--kind", "stock");
   const char* out = FlagValue(argc, argv, "--out", nullptr);
   if (out == nullptr) return Usage();
-  const auto n = static_cast<std::size_t>(FlagLong(argc, argv, "--n", 0));
-  const auto len = static_cast<std::size_t>(FlagLong(argc, argv, "--len",
-                                                     0));
+  std::size_t n = 0;
+  std::size_t len = 0;
+  if (!FlagCount(argc, argv, "--n", 0, &n) ||
+      !FlagCount(argc, argv, "--len", 0, &len)) {
+    return 1;
+  }
   const auto seed =
       static_cast<std::uint64_t>(FlagLong(argc, argv, "--seed", 7));
 
@@ -424,7 +387,8 @@ int CmdBuild(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
   }
-  IndexOptions options = OptionsFromFlags(argc, argv);
+  IndexOptions options;
+  if (!OptionsFromFlags(argc, argv, &options)) return 1;
   if (options.disk_path.empty()) {
     std::fprintf(stderr, "build requires --index PATH\n");
     return 2;
@@ -460,10 +424,14 @@ int CmdSearch(int argc, char** argv) {
       ParseQuery(FlagValue(argc, argv, "--query", nullptr));
   if (query.empty()) return Usage();
   const Value epsilon = FlagDouble(argc, argv, "--epsilon", 10.0);
-  const auto limit =
-      static_cast<std::size_t>(FlagLong(argc, argv, "--limit", 20));
+  // --multi D reads the database as D-dimensional sequences; 0 (the
+  // default) means univariate.
+  std::size_t limit = 0;
   std::size_t multi_dim = 0;
-  if (!FlagMulti(argc, argv, &multi_dim)) return 1;
+  if (!FlagCount(argc, argv, "--limit", 20, &limit) ||
+      !FlagCount(argc, argv, "--multi", 0, &multi_dim)) {
+    return 1;
+  }
   if (multi_dim != 0) {
     return RunMultiSearch(argc, argv, *db, query, multi_dim, epsilon,
                           /*k=*/0, limit);
@@ -477,7 +445,8 @@ int CmdSearch(int argc, char** argv) {
     scan_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
     matches = core::SeqScan(*db, query, epsilon, scan_options);
   } else {
-    const IndexOptions options = OptionsFromFlags(argc, argv);
+    IndexOptions options;
+    if (!OptionsFromFlags(argc, argv, &options)) return 1;
     // Open-or-build in one expression: Index is not move-assignable (the
     // snapshot handle has exactly one sanctioned swap path), so build the
     // StatusOr once instead of reassigning it.
@@ -494,7 +463,10 @@ int CmdSearch(int argc, char** argv) {
       return 1;
     }
     core::QueryOptions query_options;
-    if (!FlagThreads(argc, argv, &query_options.num_threads)) return 1;
+    if (!FlagCount(argc, argv, "--threads", 0,
+                   &query_options.num_threads)) {
+      return 1;
+    }
     if (!FlagBand(argc, argv, query.size(), &query_options.band)) return 1;
     query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
     if (query_options.band != 0 &&
@@ -532,12 +504,13 @@ int CmdKnn(int argc, char** argv) {
   std::size_t k = 0;
   if (!FlagK(argc, argv, &k)) return 1;
   std::size_t multi_dim = 0;
-  if (!FlagMulti(argc, argv, &multi_dim)) return 1;
+  if (!FlagCount(argc, argv, "--multi", 0, &multi_dim)) return 1;
   if (multi_dim != 0) {
     return RunMultiSearch(argc, argv, *db, query, multi_dim, /*epsilon=*/0.0,
                           k, /*limit=*/k);
   }
-  const IndexOptions options = OptionsFromFlags(argc, argv);
+  IndexOptions options;
+  if (!OptionsFromFlags(argc, argv, &options)) return 1;
   auto index = Index::Build(&*db, options);
   if (!index.ok()) {
     std::fprintf(stderr, "index failed: %s\n",
@@ -545,7 +518,10 @@ int CmdKnn(int argc, char** argv) {
     return 1;
   }
   core::QueryOptions query_options;
-  if (!FlagThreads(argc, argv, &query_options.num_threads)) return 1;
+  if (!FlagCount(argc, argv, "--threads", 0,
+                 &query_options.num_threads)) {
+    return 1;
+  }
   if (!FlagBand(argc, argv, query.size(), &query_options.band)) return 1;
   query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
   if (query_options.band != 0 &&
@@ -573,10 +549,12 @@ int CmdDot(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
   }
-  IndexOptions options = OptionsFromFlags(argc, argv);
+  IndexOptions options;
+  if (!OptionsFromFlags(argc, argv, &options) ||
+      !FlagCount(argc, argv, "--categories", 8, &options.num_categories)) {
+    return 1;
+  }
   options.disk_path.clear();
-  options.num_categories =
-      static_cast<std::size_t>(FlagLong(argc, argv, "--categories", 8));
   // Build a small in-memory categorized tree and dump it. (Reaching the
   // tree requires the suffixtree API directly.)
   const std::vector<Value> values = categorize::CollectValues(*db);
@@ -593,8 +571,7 @@ int CmdDot(int argc, char** argv) {
   build.sparse = options.kind == IndexKind::kSparse;
   const suffixtree::SuffixTree tree = BuildSuffixTree(symbols, build);
   suffixtree::DotOptions dot;
-  dot.max_nodes =
-      static_cast<std::size_t>(FlagLong(argc, argv, "--max-nodes", 64));
+  if (!FlagCount(argc, argv, "--max-nodes", 64, &dot.max_nodes)) return 1;
   std::fputs(suffixtree::ToDot(tree, dot).c_str(), stdout);
   return 0;
 }

@@ -51,26 +51,6 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-const char* FlagValue(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-long FlagLong(int argc, char** argv, const char* flag, long fallback) {
-  const char* v = FlagValue(argc, argv, flag, nullptr);
-  return v == nullptr ? fallback : std::atol(v);
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: tswarpd_cli serve DB [--port P] [--address A] "
@@ -174,6 +154,23 @@ int Append(int argc, char** argv) {
 
 int Serve(int argc, char** argv) {
   if (argc < 3) return Usage();
+  // Every count is checked before anything is loaded or started.
+  IndexOptions options;
+  core::TieredOptions tiered_options;
+  server::ServerOptions server_options;
+  if (!FlagCount(argc, argv, "--categories", 64, &options.num_categories) ||
+      !FlagCount(argc, argv, "--memtable", 8,
+                 &tiered_options.memtable_max_sequences) ||
+      !FlagCount(argc, argv, "--sealed", 2,
+                 &tiered_options.max_sealed_tiers) ||
+      !FlagCount(argc, argv, "--queue", 64, &server_options.queue_capacity) ||
+      !FlagCount(argc, argv, "--batch", 8, &server_options.max_batch) ||
+      !FlagCount(argc, argv, "--search-threads", 0,
+                 &server_options.search_threads) ||
+      !FlagCount(argc, argv, "--conn-threads", 4,
+                 &server_options.connection_threads)) {
+    return 1;
+  }
   StatusOr<seqdb::SequenceDatabase> db =
       seqdb::SequenceDatabase::Load(argv[2]);
   if (!db.ok()) {
@@ -181,7 +178,6 @@ int Serve(int argc, char** argv) {
     return 1;
   }
 
-  IndexOptions options;
   const std::string kind = FlagValue(argc, argv, "--kind", "sstc");
   if (kind == "st") {
     options.kind = IndexKind::kSuffixTree;
@@ -190,8 +186,6 @@ int Serve(int argc, char** argv) {
   } else {
     options.kind = IndexKind::kSparse;
   }
-  options.num_categories = static_cast<std::size_t>(
-      FlagLong(argc, argv, "--categories", 64));
   const char* index_path = FlagValue(argc, argv, "--index", nullptr);
   if (index_path != nullptr) options.disk_path = index_path;
 
@@ -217,31 +211,17 @@ int Serve(int argc, char** argv) {
   const bool streaming = HasFlag(argc, argv, "--streaming");
   std::shared_ptr<core::TieredIndex> tiered;
   if (streaming) {
-    core::TieredOptions tiered_options;
     tiered_options.index = options;
-    tiered_options.memtable_max_sequences = static_cast<std::size_t>(
-        FlagLong(argc, argv, "--memtable", 8));
-    tiered_options.max_sealed_tiers = static_cast<std::size_t>(
-        FlagLong(argc, argv, "--sealed", 2));
     tiered = core::TieredIndex::FromIndex(std::move(*index), tiered_options);
   }
   server::IndexHandle handle =
       streaming ? server::IndexHandle(tiered)
                 : server::IndexHandle(std::move(*index));
 
-  server::ServerOptions server_options;
   server_options.address = FlagValue(argc, argv, "--address", "127.0.0.1");
   const bool smoke = HasFlag(argc, argv, "--smoke");
   server_options.port =
       smoke ? 0 : static_cast<int>(FlagLong(argc, argv, "--port", 8787));
-  server_options.queue_capacity = static_cast<std::size_t>(
-      FlagLong(argc, argv, "--queue", 64));
-  server_options.max_batch =
-      static_cast<std::size_t>(FlagLong(argc, argv, "--batch", 8));
-  server_options.search_threads = static_cast<std::size_t>(
-      FlagLong(argc, argv, "--search-threads", 0));
-  server_options.connection_threads = static_cast<std::size_t>(
-      FlagLong(argc, argv, "--conn-threads", 4));
 
   StatusOr<std::unique_ptr<server::Server>> srv =
       server::Server::Start(&handle, server_options);
