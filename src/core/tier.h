@@ -88,9 +88,8 @@ struct Tier {
   TierInfo info;
 
   const suffixtree::TreeView* view() const {
-    return memory_tree.has_value()
-               ? static_cast<const suffixtree::TreeView*>(&*memory_tree)
-               : static_cast<const suffixtree::TreeView*>(disk_tree.get());
+    if (memory_tree.has_value()) return &*memory_tree;
+    return disk_tree.get();
   }
 };
 

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/task_scheduler.h"
-#include "storage/mmap_file.h"
 #include "suffixtree/merge.h"
 
 namespace tswarp::core {
@@ -325,27 +324,11 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
 
     const std::string final_base =
         options_.index.disk_path + ".tier-" + std::to_string(generation);
-    namespace fs = std::filesystem;
-    bool renamed = true;
-    for (const char* ext : {".meta", ".nodes", ".occs", ".labels"}) {
-      std::error_code ec;
-      fs::rename(tmp + ext, final_base + ext, ec);
-      if (ec) renamed = false;
-    }
-    if (!renamed) {
+    const Status renamed = suffixtree::RenameDiskTree(tmp, final_base);
+    if (!renamed.ok()) {
       suffixtree::RemoveDiskTree(tmp);
       suffixtree::RemoveDiskTree(final_base);
-      return Status::IOError("renaming merged tier " + tmp + " -> " +
-                             final_base + " failed");
-    }
-    // Persist the renames: without the directory fsync a power loss here
-    // could roll the directory back to a state where the published tier's
-    // files never existed, even though every byte inside them is durable.
-    const Status synced = storage::SyncDir(
-        fs::path(options_.index.disk_path).parent_path().string());
-    if (!synced.ok()) {
-      suffixtree::RemoveDiskTree(final_base);
-      return synced;
+      return renamed;
     }
     StatusOr<std::unique_ptr<suffixtree::DiskSuffixTree>> opened =
         suffixtree::DiskSuffixTree::Open(final_base);

@@ -149,34 +149,22 @@ const std::byte* MappedRegion::RecordAt(std::uint64_t index) const {
 // ---------------------------------------------------------------------------
 
 Status WriteFile(const std::string& path, std::span<const std::byte> bytes) {
-  return internal::WriteChunks(path, [bytes]() mutable {
-    return std::exchange(bytes, std::span<const std::byte>());
-  });
-}
-
-Status internal::WriteChunks(
-    const std::string& path,
-    const std::function<std::span<const std::byte>()>& next_chunk) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoStatus("create", path);
   Status result = Status::OK();
-  while (result.ok()) {
-    const std::span<const std::byte> chunk = next_chunk();
-    if (chunk.empty()) break;
-    const std::byte* data = chunk.data();
-    std::size_t left = chunk.size();
-    while (left > 0) {
-      const ssize_t n = ::write(fd, data, left);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        result = n < 0 ? ErrnoStatus("write", path)
-                       : Status::IOError("short write to " + path);
-        break;
-      }
-      data += n;
-      left -= static_cast<std::size_t>(n);
+  const std::byte* data = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, data, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      result = n < 0 ? ErrnoStatus("write", path)
+                     : Status::IOError("short write to " + path);
+      break;
     }
+    data += n;
+    left -= static_cast<std::size_t>(n);
   }
   if (result.ok() && ::fsync(fd) != 0) result = ErrnoStatus("fsync", path);
   if (::close(fd) != 0 && result.ok()) result = ErrnoStatus("close", path);

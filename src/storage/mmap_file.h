@@ -1,14 +1,11 @@
 #ifndef TSWARP_STORAGE_MMAP_FILE_H_
 #define TSWARP_STORAGE_MMAP_FILE_H_
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "common/status.h"
 
@@ -106,23 +103,6 @@ class MappedRegion {
 /// fingerprint) goes through here, so a short write, a failed fsync or a
 /// failed close is an IOError instead of a silently lost file.
 Status WriteFile(const std::string& path, std::span<const std::byte> bytes);
-
-namespace internal {
-// The chunked WriteFile below, out of line.
-Status WriteChunks(
-    const std::string& path,
-    const std::function<std::span<const std::byte>()>& next_chunk);
-}  // namespace internal
-
-/// WriteFile for contents produced piecewise: `next_chunk()` returns a
-/// std::span<const std::byte> and is called until that span is empty; each
-/// chunk is written before the next call, so a chunk may reuse the
-/// previous one's buffer. Lets a caller convert records on the way out
-/// without a full-size copy. Same durability and errors as above.
-template <std::invocable NextChunk>
-Status WriteFile(const std::string& path, NextChunk&& next_chunk) {
-  return internal::WriteChunks(path, std::forward<NextChunk>(next_chunk));
-}
 
 /// fsyncs a directory so a just-renamed file inside it survives power
 /// loss. Linux requires this for durable renames; the rename itself only

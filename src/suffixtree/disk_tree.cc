@@ -1,6 +1,7 @@
 #include "suffixtree/disk_tree.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -11,22 +12,6 @@
 
 namespace tswarp::suffixtree {
 
-namespace internal {
-
-// On-disk node record: 32 bytes, no padding.
-struct NodeRecord {
-  std::uint64_t label_offset;  // Symbol index into the text (.labels).
-  std::uint32_t label_len;
-  std::uint32_t first_child;
-  std::uint32_t next_sibling;
-  std::uint32_t first_occ;
-  std::uint32_t subtree_occ;
-  std::uint32_t max_run;
-};
-static_assert(sizeof(NodeRecord) == 32);
-
-}  // namespace internal
-
 namespace {
 
 using internal::kNilOcc;
@@ -35,20 +20,22 @@ using internal::OccRecord;
 
 constexpr std::uint64_t kMetaMagic = 0x545357545245451ull;  // "TSWTREE"+1
 
-// Format versions. v1 (PR 3) is the bare MetaRecord and is no longer
-// read; v2 adds the section table below.
+// Format versions. v1 is the bare MetaRecord; v2 added the section table
+// below, with 32-byte node records. Neither is read any more: v3 stores
+// the 28-byte node record a SuffixTree holds.
 constexpr std::uint32_t kMetaVersionV1 = 1;
 constexpr std::uint32_t kMetaVersionV2 = 2;
+constexpr std::uint32_t kMetaVersionV3 = 3;
 
-// v2 alignment contract: record sizes divide the cache line, so no record
-// straddles a cache-line (or page) boundary and mapped cursors never split
-// a read across lines.
-constexpr std::uint32_t kRecordAlignment = 64;
-static_assert(kRecordAlignment % sizeof(NodeRecord) == 0);
-static_assert(kRecordAlignment % sizeof(OccRecord) == 0);
-static_assert(kRecordAlignment % sizeof(Symbol) == 0);
+// Every record field is a u32, so every record is 4-byte aligned in its
+// mapping (which starts on a page). A 28-byte node record may straddle a
+// cache line, as the in-memory node always has.
+constexpr std::uint32_t kRecordAlignment = 4;
+static_assert(alignof(NodeRecord) == kRecordAlignment);
+static_assert(alignof(OccRecord) == kRecordAlignment);
+static_assert(alignof(Symbol) == kRecordAlignment);
 
-// v1 meta page: just this record. The v2 page appends the section table.
+// v1 meta page: just this record. Later pages append the section table.
 struct MetaRecord {
   std::uint64_t magic;
   std::uint32_t version;
@@ -59,7 +46,7 @@ struct MetaRecord {
 };
 static_assert(sizeof(MetaRecord) == 40);
 
-// One v2 section-table entry per region file, in region-id order. The
+// One section-table entry per region file, in region-id order. The
 // table makes the bundle self-describing: the opener validates record
 // sizes and byte lengths against the actual files before handing out any
 // pointer, so truncation fails cleanly at Open.
@@ -69,10 +56,6 @@ enum RegionId : std::uint32_t {
   kRegionLabels = 2,
 };
 constexpr std::uint32_t kNumSections = 3;
-// Bundles written while the node-summary screen existed may announce a
-// fourth, trailing section (`.sums`). Readers accept the table and ignore
-// that section; writers never produce it.
-constexpr std::uint32_t kLegacySections = 4;
 
 struct SectionEntry {
   std::uint32_t region;       // RegionId
@@ -84,13 +67,16 @@ static_assert(sizeof(SectionEntry) == 24);
 
 // The meta file is one zero-padded page: the MetaRecord, the section
 // table header (count, alignment), then the entries.
-constexpr std::size_t kMetaPageSize = 4096;
+constexpr std::size_t kMetaPageSize = internal::kMetaPageBytes;
 constexpr std::size_t kSectionTableOffset = sizeof(MetaRecord);
 constexpr std::size_t kSectionEntriesOffset =
     kSectionTableOffset + 2 * sizeof(std::uint32_t);
-static_assert(kSectionEntriesOffset +
-                  kLegacySections * sizeof(SectionEntry) <=
+static_assert(kSectionEntriesOffset + kNumSections * sizeof(SectionEntry) <=
               kMetaPageSize);
+
+// The files of a bundle, in the order RenameDiskTree moves them.
+constexpr const char* kBundleFiles[] = {".meta", ".nodes", ".occs",
+                                        ".labels"};
 
 std::string NodesPath(const std::string& base) { return base + ".nodes"; }
 std::string OccsPath(const std::string& base) { return base + ".occs"; }
@@ -102,7 +88,7 @@ std::string ParentDir(const std::string& base_path) {
   return std::filesystem::path(base_path).parent_path().string();
 }
 
-/// Counts recovered from a validated v2 meta page.
+/// Counts recovered from a validated meta page.
 struct ParsedMeta {
   std::uint64_t num_nodes;
   std::uint64_t num_occs;
@@ -121,13 +107,15 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
   if (meta.magic != kMetaMagic) {
     return Status::Corruption("bad magic in " + path);
   }
-  if (meta.version == kMetaVersionV1) {
+  if (meta.version == kMetaVersionV1 || meta.version == kMetaVersionV2) {
     return Status::Corruption(
-        "bundle " + base_path +
-        " is format v1 (no section table), which this build no longer "
-        "reads: rebuild the index");
+        "bundle " + base_path + " is format v" +
+        std::to_string(meta.version) +
+        (meta.version == kMetaVersionV1 ? " (no section table)"
+                                        : " (32-byte node records)") +
+        ", which this build no longer reads: rebuild the index");
   }
-  if (meta.version != kMetaVersionV2) {
+  if (meta.version != kMetaVersionV3) {
     return Status::Corruption("unsupported format version " +
                               std::to_string(meta.version) + " in " + path);
   }
@@ -144,11 +132,7 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
   std::memcpy(&alignment,
               page.data() + kSectionTableOffset + sizeof(section_count),
               sizeof(alignment));
-  // 3 sections is a v2 bundle; 4 is a legacy bundle that also carries
-  // `.sums`, whose entry is not read. Anything else is not a bundle this
-  // build can describe.
-  if ((section_count != kNumSections && section_count != kLegacySections) ||
-      alignment != kRecordAlignment) {
+  if (section_count != kNumSections || alignment != kRecordAlignment) {
     return Status::Corruption("bad section table header in " + path);
   }
   const std::uint64_t expect_count[kNumSections] = {
@@ -170,17 +154,17 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
   return ParsedMeta{meta.num_nodes, meta.num_occs, meta.num_label_symbols};
 }
 
-/// Checks every node and occurrence record of a bundle: child, sibling and
+/// Checks every node and occurrence record of a bundle: the root must exist,
+/// child, sibling and
 /// occurrence ids must be nil or below their counts, and every non-root
 /// label must be non-empty and lie inside the text (searches and merges
 /// read each edge's first symbol). After it, no accessor can read outside
 /// a region, whatever the records say. Returns the sum of the label
-/// lengths (MaterializedLabelSymbols) on success. `node_at(i)` and
-/// `occ_at(i)` return record i by value.
-template <typename NodeAt, typename OccAt>
+/// lengths (MaterializedLabelSymbols) on success.
 StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
                                         const ParsedMeta& meta,
-                                        NodeAt node_at, OccAt occ_at) {
+                                        std::span<const NodeRecord> nodes,
+                                        std::span<const OccRecord> occs) {
   // An id is valid when nil (0xFFFFFFFF) or below its count: adding 1 maps
   // nil to 0 and every valid id to at most the count.
   static_assert(kNilNode == 0xFFFFFFFFu && kNilOcc == 0xFFFFFFFFu);
@@ -194,19 +178,21 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
            ((rec.label_len != 0) | (i == 0));
   };
 
+  // Every reader starts at the root, record 0.
+  if (meta.num_nodes == 0) {
+    return Status::Corruption("no root node record in " + base_path);
+  }
   // Pass 1 only decides, without branches: this pass is most of Open.
   bool ok = true;
   std::uint64_t label_symbols = 0;
   for (std::uint64_t i = 0; i < meta.num_nodes; ++i) {
-    const NodeRecord rec = node_at(i);
+    const NodeRecord& rec = nodes[i];
     ok &= label_ok(rec, i) & id_ok(rec.first_child, meta.num_nodes) &
           id_ok(rec.next_sibling, meta.num_nodes) &
           id_ok(rec.first_occ, meta.num_occs);
     label_symbols += rec.label_len;
   }
-  for (std::uint64_t i = 0; i < meta.num_occs; ++i) {
-    ok &= id_ok(occ_at(i).next, meta.num_occs);
-  }
+  for (const OccRecord& occ : occs) ok &= id_ok(occ.next, meta.num_occs);
   if (ok) return label_symbols;
 
   // Pass 2 names the first bad field.
@@ -218,7 +204,7 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
                               base_path);
   };
   for (std::uint64_t i = 0; i < meta.num_nodes; ++i) {
-    const NodeRecord rec = node_at(i);
+    const NodeRecord& rec = nodes[i];
     if (!label_ok(rec, i)) {
       return rec.label_len == 0 ? bad("label length", i, 0)
                                 : bad("label offset", i, rec.label_offset);
@@ -234,7 +220,7 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
     }
   }
   for (std::uint64_t i = 0; i < meta.num_occs; ++i) {
-    const std::uint32_t next = occ_at(i).next;
+    const std::uint32_t next = occs[i].next;
     if (!id_ok(next, meta.num_occs)) return bad("occurrence id", i, next);
   }
   return Status::Corruption("inconsistent records in " + base_path);
@@ -247,8 +233,6 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& base_path,
 // DiskSuffixTree
 // ---------------------------------------------------------------------------
 
-DiskSuffixTree::~DiskSuffixTree() = default;
-
 StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
     const std::string& base_path) {
   TSW_ASSIGN_OR_RETURN(const ParsedMeta meta, ReadMeta(base_path));
@@ -260,71 +244,37 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   TSW_ASSIGN_OR_RETURN(tree->labels_file_,
                        storage::MappedFile::Open(LabelsPath(base_path)));
   TSW_ASSIGN_OR_RETURN(
-      tree->nodes_,
+      const storage::MappedRegion nodes,
       storage::MappedRegion::Create(tree->nodes_file_, sizeof(NodeRecord),
                                     meta.num_nodes, "nodes"));
   TSW_ASSIGN_OR_RETURN(
-      tree->occs_,
+      const storage::MappedRegion occs,
       storage::MappedRegion::Create(tree->occs_file_, sizeof(OccRecord),
                                     meta.num_occs, "occs"));
   TSW_ASSIGN_OR_RETURN(
       const storage::MappedRegion labels,
       storage::MappedRegion::Create(tree->labels_file_, sizeof(Symbol),
                                     meta.num_label_symbols, "labels"));
-  tree->text_ = std::span<const Symbol>(
-      reinterpret_cast<const Symbol*>(labels.data()),
-      static_cast<std::size_t>(meta.num_label_symbols));
   // Kick off asynchronous population of the whole bundle; queries that
   // arrive before it completes just fault their pages on demand.
   tree->nodes_file_.Advise(storage::AccessHint::kWillNeed);
   tree->occs_file_.Advise(storage::AccessHint::kWillNeed);
   tree->labels_file_.Advise(storage::AccessHint::kWillNeed);
   // The region extents are checked; now every id and label range, after
-  // which no accessor below can read outside a mapping.
-  const auto* node_records =
-      reinterpret_cast<const NodeRecord*>(tree->nodes_.data());
-  const auto* occ_records =
-      reinterpret_cast<const OccRecord*>(tree->occs_.data());
+  // which no accessor can read outside a mapping.
+  const std::span<const NodeRecord> node_records(
+      reinterpret_cast<const NodeRecord*>(nodes.data()), meta.num_nodes);
+  const std::span<const OccRecord> occ_records(
+      reinterpret_cast<const OccRecord*>(occs.data()), meta.num_occs);
   TSW_ASSIGN_OR_RETURN(
-      tree->materialized_label_symbols_,
-      ValidateRecords(
-          base_path, meta, [&](std::uint64_t i) { return node_records[i]; },
-          [&](std::uint64_t i) { return occ_records[i]; }));
+      const std::uint64_t label_symbols,
+      ValidateRecords(base_path, meta, node_records, occ_records));
+  tree->SetRecords(node_records, occ_records,
+                   std::span<const Symbol>(
+                       reinterpret_cast<const Symbol*>(labels.data()),
+                       meta.num_label_symbols),
+                   label_symbols);
   return tree;
-}
-
-const NodeRecord& DiskSuffixTree::Node(NodeId id) const {
-  return *reinterpret_cast<const NodeRecord*>(nodes_.RecordAt(id));
-}
-
-void DiskSuffixTree::GetChildren(NodeId node, Children* out) const {
-  out->text = text_;
-  out->edges.clear();
-  for (NodeId c = Node(node).first_child; c != kNilNode;) {
-    const NodeRecord& crec = Node(c);
-    out->edges.push_back({c, crec.label_len, crec.label_offset});
-    c = crec.next_sibling;
-  }
-}
-
-void DiskSuffixTree::GetOccurrences(NodeId node,
-                                    std::vector<OccurrenceRec>* out) const {
-  for (std::uint32_t o = Node(node).first_occ; o != kNilOcc;) {
-    const auto& orec = *reinterpret_cast<const OccRecord*>(occs_.RecordAt(o));
-    out->push_back({orec.seq, orec.pos, orec.run});
-    o = orec.next;
-  }
-}
-
-std::uint32_t DiskSuffixTree::SubtreeOccCount(NodeId node) const {
-  return Node(node).subtree_occ;
-}
-
-Pos DiskSuffixTree::MaxRun(NodeId node) const { return Node(node).max_run; }
-
-std::uint64_t DiskSuffixTree::SizeBytes() const {
-  return kMetaPageSize + NumNodes() * sizeof(NodeRecord) +
-         NumOccurrences() * sizeof(OccRecord) + text_.size() * sizeof(Symbol);
 }
 
 void DiskSuffixTree::HintSequentialScan() const {
@@ -355,36 +305,21 @@ Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path) {
   }
   TSW_RETURN_IF_ERROR(tree.status());
   const std::span<const Symbol> text = tree.Text();
-  const std::span<const OccRecord> occs(tree.occurrences_);
-  const std::span<const SuffixTree::Node> nodes(tree.nodes_);
+  const std::span<const OccRecord> occs = tree.OccRecords();
+  const std::span<const NodeRecord> nodes = tree.NodeRecords();
   TSW_RETURN_IF_ERROR(
       storage::WriteFile(LabelsPath(base_path), std::as_bytes(text)));
   TSW_RETURN_IF_ERROR(
       storage::WriteFile(OccsPath(base_path), std::as_bytes(occs)));
-  // The in-memory node is 28 bytes, the record 32: convert a bounded
-  // chunk at a time, never the whole region at once.
-  constexpr std::size_t kNodesPerChunk = 2048;  // 64 KiB of records.
-  std::vector<NodeRecord> chunk;
-  chunk.reserve(std::min(kNodesPerChunk, nodes.size()));
-  std::size_t next = 0;
-  TSW_RETURN_IF_ERROR(storage::WriteFile(NodesPath(base_path), [&] {
-    const std::size_t n = std::min(kNodesPerChunk, nodes.size() - next);
-    chunk.clear();
-    for (const SuffixTree::Node& node : nodes.subspan(next, n)) {
-      chunk.push_back({node.label_begin, node.label_len, node.first_child,
-                       node.next_sibling, node.first_occ, node.subtree_occ,
-                       node.max_run});
-    }
-    next += n;
-    return std::as_bytes(std::span<const NodeRecord>(chunk));
-  }));
+  TSW_RETURN_IF_ERROR(
+      storage::WriteFile(NodesPath(base_path), std::as_bytes(nodes)));
   // The meta page goes last: a finalized meta names regions that are
   // already durable.
   const std::uint64_t num_nodes = nodes.size();
   const std::uint64_t num_occs = occs.size();
   const std::uint64_t num_label_symbols = text.size();
   std::vector<std::byte> page(kMetaPageSize);
-  const MetaRecord meta{kMetaMagic, kMetaVersionV2, 1u, num_nodes, num_occs,
+  const MetaRecord meta{kMetaMagic, kMetaVersionV3, 1u, num_nodes, num_occs,
                         num_label_symbols};
   std::memcpy(page.data(), &meta, sizeof(meta));
   const std::uint32_t table_header[2] = {kNumSections, kRecordAlignment};
@@ -408,11 +343,23 @@ Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path) {
 }
 
 void RemoveDiskTree(const std::string& base_path) {
-  std::remove(NodesPath(base_path).c_str());
-  std::remove(OccsPath(base_path).c_str());
-  std::remove(LabelsPath(base_path).c_str());
-  std::remove(MetaPath(base_path).c_str());
+  for (const char* ext : kBundleFiles) {
+    std::remove((base_path + ext).c_str());
+  }
   std::remove(SumsPath(base_path).c_str());
+}
+
+Status RenameDiskTree(const std::string& from, const std::string& to) {
+  RemoveDiskTree(to);
+  for (const char* ext : kBundleFiles) {
+    const std::string source = from + ext;
+    const std::string target = to + ext;
+    if (std::rename(source.c_str(), target.c_str()) != 0) {
+      return Status::IOError("rename " + source + " -> " + target + ": " +
+                             std::strerror(errno));
+    }
+  }
+  return storage::SyncDir(ParentDir(to));
 }
 
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
@@ -450,11 +397,15 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     }
 
     // Phase 2: binary merges of trees of increasing size (FIFO pairing).
+    // A merge visits both inputs roughly front to back (node ids are
+    // allocated in creation order), so their mappings stream.
     while (pending.size() - head > 1) {
       {
         TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(pending[head]));
         TSW_ASSIGN_OR_RETURN(auto view_b,
                              DiskSuffixTree::Open(pending[head + 1]));
+        view_a->HintSequentialScan();
+        view_b->HintSequentialScan();
         SuffixTree merged;
         MergeTrees(*view_a, *view_b, &merged, nullptr, MergeText::kShared);
         TSW_RETURN_IF_ERROR(WriteTreeToDisk(merged, next_tmp()));
@@ -463,17 +414,8 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
       RemoveDiskTree(pending[head++]);
     }
 
-    // Rename the survivor into place, then persist the renames.
-    const std::string& last = pending[head];
-    RemoveDiskTree(base_path);
-    for (const char* suffix : {".meta", ".nodes", ".occs", ".labels"}) {
-      const std::string from = last + suffix;
-      const std::string to = base_path + suffix;
-      if (std::rename(from.c_str(), to.c_str()) != 0) {
-        return Status::IOError("rename " + from + " -> " + to + " failed");
-      }
-    }
-    return storage::SyncDir(ParentDir(base_path));
+    // Rename the survivor into place.
+    return RenameDiskTree(pending[head], base_path);
   }();
   if (!built.ok()) {
     for (std::size_t i = head; i < pending.size(); ++i) {

@@ -47,10 +47,6 @@ class Merger {
   /// Returns false iff the merge was cancelled (the output is then left
   /// unfinalized and must be discarded).
   bool Run() {
-    // The merge visits both inputs roughly front to back (node ids are
-    // allocated in creation order); let disk-backed views stream.
-    a_.HintSequentialScan();
-    b_.HintSequentialScan();
     const std::span<const Symbol> text_a = a_.Text();
     const std::span<const Symbol> text_b = b_.Text();
     if (text_ == MergeText::kShared) {
@@ -295,7 +291,6 @@ bool MergeTrees(const TreeView& a, const TreeView& b, SuffixTree* out,
 
 void CopyTree(const TreeView& view, SuffixTree* out) {
   TSW_CHECK(out != nullptr);
-  view.HintSequentialScan();
   out->SetText(view.Text());
   const NodeId root = out->AddNode(kNilNode, {});
   std::vector<OccurrenceRec> occ_buf;

@@ -7,12 +7,12 @@
 namespace tswarp::suffixtree {
 namespace {
 
-// Serialized record sizes; SizeBytes() reports the on-disk footprint so
-// in-memory and disk trees are comparable.
-constexpr std::uint64_t kNodeRecordBytes = 32;
-constexpr std::uint64_t kOccRecordBytes = 16;
-constexpr std::uint64_t kLabelSymbolBytes = sizeof(Symbol);
-constexpr std::uint64_t kHeaderBytes = 64;
+using internal::NodeRecord;
+
+/// A childless node without occurrences, labelled text[offset, +len).
+NodeRecord Leaf(std::uint32_t offset, std::uint32_t len) {
+  return {offset, len, kNilNode, kNilNode, internal::kNilOcc, 0, 0};
+}
 
 std::shared_ptr<const SymbolText> TextOf(const SymbolDatabase* db) {
   TSW_CHECK(db != nullptr);
@@ -28,50 +28,7 @@ std::uint64_t ChildKey(NodeId parent, Symbol s) {
 
 SuffixTree::SuffixTree()
     : text_(std::make_shared<const std::vector<Symbol>>()) {
-  nodes_.push_back(Node{});  // Root: id 0, empty label.
-}
-
-void SuffixTree::GetChildren(NodeId node, Children* out) const {
-  out->Clear();
-  TSW_DCHECK(node < nodes_.size());
-  out->text = *text_;
-  for (NodeId c = nodes_[node].first_child; c != kNilNode;
-       c = nodes_[c].next_sibling) {
-    const Node& cn = nodes_[c];
-    out->edges.push_back({c, cn.label_len, cn.label_begin});
-  }
-}
-
-void SuffixTree::GetOccurrences(NodeId node,
-                                std::vector<OccurrenceRec>* out) const {
-  TSW_DCHECK(node < nodes_.size());
-  for (std::uint32_t o = nodes_[node].first_occ; o != internal::kNilOcc;
-       o = occurrences_[o].next) {
-    const internal::OccRecord& occ = occurrences_[o];
-    out->push_back({occ.seq, occ.pos, occ.run});
-  }
-}
-
-std::uint32_t SuffixTree::SubtreeOccCount(NodeId node) const {
-  TSW_DCHECK(finalized_);
-  return nodes_[node].subtree_occ;
-}
-
-Pos SuffixTree::MaxRun(NodeId node) const {
-  TSW_DCHECK(finalized_);
-  return nodes_[node].max_run;
-}
-
-std::uint64_t SuffixTree::MaterializedLabelSymbols() const {
-  std::uint64_t total = 0;
-  for (const Node& n : nodes_) total += n.label_len;
-  return total;
-}
-
-std::uint64_t SuffixTree::SizeBytes() const {
-  return kHeaderBytes + NumNodes() * kNodeRecordBytes +
-         NumOccurrences() * kOccRecordBytes +
-         NumLabelSymbols() * kLabelSymbolBytes;
+  nodes_.push_back(Leaf(0, 0));  // Root: id 0, empty label.
 }
 
 void SuffixTree::AdoptText(std::shared_ptr<const std::vector<Symbol>> text) {
@@ -102,6 +59,7 @@ NodeId SuffixTree::NextNodeId() {
 }
 
 NodeId SuffixTree::AddNode(NodeId parent, LabelRef label) {
+  TSW_CHECK(!finalized_) << "nodes are added before Finalize";
   if (parent == kNilNode) {
     // Root creation: the constructor already made it.
     TSW_CHECK(nodes_.size() == 1 && occurrences_.empty());
@@ -116,9 +74,8 @@ NodeId SuffixTree::AddNode(NodeId parent, LabelRef label) {
   TSW_CHECK(label.offset + label.len <= text_->size())
       << "label [" << label.offset << ", +" << label.len
       << ") outside a text of " << text_->size() << " symbols";
-  Node n;
-  n.label_begin = static_cast<std::uint32_t>(label.offset);  // < text size.
-  n.label_len = label.len;
+  NodeRecord n = Leaf(static_cast<std::uint32_t>(label.offset),  // < text.
+                      label.len);
   n.next_sibling = nodes_[parent].first_child;
   nodes_.push_back(n);
   nodes_[parent].first_child = id;
@@ -126,6 +83,7 @@ NodeId SuffixTree::AddNode(NodeId parent, LabelRef label) {
 }
 
 void SuffixTree::AddOccurrence(NodeId node, const OccurrenceRec& occ) {
+  TSW_CHECK(!finalized_) << "occurrences are added before Finalize";
   if (!status_.ok()) return;
   TSW_CHECK(node < nodes_.size());
   const StatusOr<std::uint32_t> id =
@@ -170,6 +128,11 @@ void SuffixTree::Finalize() {
     nodes_[n].subtree_occ = count;
     nodes_[n].max_run = max_run;
   }
+  std::uint64_t label_symbols = 0;
+  for (const NodeRecord& n : nodes_) label_symbols += n.label_len;
+  // The vectors never change again, so the spans stay valid, moves of
+  // the tree included (a moved vector keeps its buffer).
+  SetRecords(nodes_, occurrences_, *text_, label_symbols);
   finalized_ = true;
 }
 
@@ -195,7 +158,7 @@ NodeId SuffixTreeBuilder::FindChild(NodeId parent, Symbol s) const {
   const Symbol* text = text_->symbols.data();
   for (NodeId c = nodes[parent].first_child; c != kNilNode;
        c = nodes[c].next_sibling) {
-    if (text[nodes[c].label_begin] == s) return c;
+    if (text[nodes[c].label_offset] == s) return c;
   }
   return kNilNode;
 }
@@ -213,7 +176,7 @@ void SuffixTreeBuilder::LinkChild(NodeId parent, Symbol s, NodeId child) {
   const Symbol* text = text_->symbols.data();
   for (NodeId c = nodes[parent].first_child; c != kNilNode;
        c = nodes[c].next_sibling) {
-    wide_index_.emplace(ChildKey(parent, text[nodes[c].label_begin]), c);
+    wide_index_.emplace(ChildKey(parent, text[nodes[c].label_offset]), c);
   }
 }
 
@@ -280,7 +243,7 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
       AddLeaf(cur, base + i, n - i, occ);
       return;
     }
-    const std::uint32_t lb = nodes[child].label_begin;
+    const std::uint32_t lb = nodes[child].label_offset;
     const std::uint32_t ll = nodes[child].label_len;
     std::uint32_t j = 1;
     while (j < ll && i + j < n && text[lb + j] == sfx[i + j]) ++j;
@@ -295,12 +258,9 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
     // child's children and their count.
     const NodeId deep = tree_.NextNodeId();
     if (deep == kNilNode) return;
-    SuffixTree::Node deep_node;
-    deep_node.label_begin = lb + j;
-    deep_node.label_len = ll - j;
+    NodeRecord deep_node = Leaf(lb + j, ll - j);
     deep_node.first_child = nodes[child].first_child;
     deep_node.first_occ = nodes[child].first_occ;
-    deep_node.next_sibling = kNilNode;
     nodes.push_back(deep_node);
     const std::uint8_t fanout = child_count_[child];
     child_count_.push_back(fanout);
@@ -309,8 +269,8 @@ void SuffixTreeBuilder::InsertSuffix(SeqId id, Pos start, Pos run) {
       for (NodeId gc = deep_node.first_child; gc != kNilNode;
            gc = nodes[gc].next_sibling) {
         auto entry =
-            wide_index_.extract(ChildKey(child, text[nodes[gc].label_begin]));
-        entry.key() = ChildKey(deep, text[nodes[gc].label_begin]);
+            wide_index_.extract(ChildKey(child, text[nodes[gc].label_offset]));
+        entry.key() = ChildKey(deep, text[nodes[gc].label_offset]);
         wide_index_.insert(std::move(entry));
       }
     }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -15,23 +14,6 @@
 
 namespace tswarp::suffixtree {
 
-namespace internal {
-
-/// One stored suffix with the link to the next occurrence of its node
-/// (kNilOcc ends the chain): the 16-byte record SuffixTree holds and the
-/// `.occs` region of a disk bundle stores as it is.
-struct OccRecord {
-  SeqId seq;
-  Pos pos;
-  Pos run;
-  std::uint32_t next;
-};
-static_assert(sizeof(OccRecord) == 16);
-
-inline constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
-
-}  // namespace internal
-
 /// In-memory generalized suffix tree over symbol sequences.
 ///
 /// The tree owns its symbol text (shared, immutable): for a tree built
@@ -39,14 +21,20 @@ inline constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
 /// Every edge label is a (text offset, length) reference into it, the
 /// usual suffix-tree representation, so the tree stores O(text) label
 /// symbols and the database it was built from may be destroyed after
-/// Build(). SizeBytes() equals the serialized footprint; Table1Bytes()
-/// reports what materialized labels would cost, the quantity Table 1 of
-/// the paper reports.
+/// Build(). Its node and occurrence vectors hold the records a bundle's
+/// `.nodes` and `.occs` store, so SizeBytes() is the bundle footprint and
+/// WriteTreeToDisk writes both vectors as they are; Table1Bytes() reports
+/// what materialized labels would cost, the quantity Table 1 of the paper
+/// reports.
 ///
 /// Construction is suffix-by-suffix insertion (see SuffixTreeBuilder) or
 /// structural, node by node through SetText/AddNode/AddOccurrence/Finalize
 /// (MergeTrees, CopyTree). Every tree the library builds, in memory or
 /// for a disk bundle, is a SuffixTree; WriteTreeToDisk writes one out.
+///
+/// The TreeView accessors read the tree once Finalize() has pointed them
+/// at its records; nodes and occurrences are added before that, never
+/// after.
 ///
 /// Node, occurrence and text offsets are 32-bit. A tree that would
 /// outgrow them latches OutOfRange in status() and ignores further nodes
@@ -59,20 +47,6 @@ class SuffixTree : public TreeView {
   SuffixTree& operator=(const SuffixTree&) = delete;
   SuffixTree(SuffixTree&&) = default;
   SuffixTree& operator=(SuffixTree&&) = default;
-
-  // --- TreeView ---
-  NodeId Root() const override { return 0; }
-  void GetChildren(NodeId node, Children* out) const override;
-  void GetOccurrences(NodeId node,
-                      std::vector<OccurrenceRec>* out) const override;
-  std::uint32_t SubtreeOccCount(NodeId node) const override;
-  Pos MaxRun(NodeId node) const override;
-  std::uint64_t NumNodes() const override { return nodes_.size(); }
-  std::uint64_t NumOccurrences() const override { return occurrences_.size(); }
-  std::span<const Symbol> Text() const override { return *text_; }
-  std::uint64_t NumLabelSymbols() const override { return text_->size(); }
-  std::uint64_t MaterializedLabelSymbols() const override;
-  std::uint64_t SizeBytes() const override;
 
   // --- Structural construction ---
 
@@ -92,8 +66,9 @@ class SuffixTree : public TreeView {
   /// Prepends an occurrence to an existing node's chain.
   void AddOccurrence(NodeId node, const OccurrenceRec& occ);
 
-  /// Computes subtree statistics; must be called exactly once, after all
-  /// nodes and occurrences are added.
+  /// Computes subtree statistics and points the TreeView at the records;
+  /// must be called exactly once, after all nodes and occurrences are
+  /// added.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -103,18 +78,6 @@ class SuffixTree : public TreeView {
 
  private:
   friend class SuffixTreeBuilder;
-  friend Status WriteTreeToDisk(const SuffixTree& tree,
-                                const std::string& base_path);
-
-  struct Node {
-    std::uint32_t label_begin = 0;  // Offset into the text.
-    std::uint32_t label_len = 0;
-    NodeId first_child = kNilNode;
-    NodeId next_sibling = kNilNode;
-    std::uint32_t first_occ = internal::kNilOcc;
-    std::uint32_t subtree_occ = 0;
-    Pos max_run = 0;
-  };
 
   /// Installs `text` after checking that its offsets fit the 32-bit node
   /// records.
@@ -125,7 +88,7 @@ class SuffixTree : public TreeView {
   NodeId NextNodeId();
 
   std::shared_ptr<const std::vector<Symbol>> text_;
-  std::vector<Node> nodes_;
+  std::vector<internal::NodeRecord> nodes_;
   std::vector<internal::OccRecord> occurrences_;
   Status status_;
   bool finalized_ = false;

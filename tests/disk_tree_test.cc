@@ -4,7 +4,9 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -253,11 +255,11 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
 }
 
 // Writers never produce the legacy `.sums` section: a bundle written now
-// has the three-section v2 table and opens whole.
+// has the three-section v3 table and opens whole.
 using NodeSummaryDiskTest = DiskTreeTest;
 
 TEST_F(NodeSummaryDiskTest, BundleWithoutSectionOpensCleanly) {
-  const std::string base = Path("plain_v2");
+  const std::string base = Path("plain");
   const SymbolDatabase db = RandomSymbolDb(22, 6, 24, 3);
   const SuffixTree tree = BuildSuffixTree(db);
   ASSERT_TRUE(WriteTreeToDisk(tree, base).ok());
@@ -305,6 +307,9 @@ TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
 // child and occurrence prepend order, subtree sums); a change to any of
 // them is a format change, not a refactoring. The data come from raw
 // mt19937_64 output, which the standard fixes, not from a distribution.
+// The `.nodes` pins are the hashes of the format v2 files with the zero
+// high word of each 32-byte record's u64 label_offset (bytes 4-7)
+// dropped: v3 stores the same records without it.
 
 std::uint64_t FileFnv1a(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -327,6 +332,45 @@ void ExpectBundleHashes(const std::string& base,
   }
 }
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+template <typename Record>
+std::string RecordBytes(std::span<const Record> records) {
+  const std::span<const std::byte> bytes = std::as_bytes(records);
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+// The record regions are the tree's node and occurrence vectors as they
+// are, and the mapped tree reads those same bytes.
+TEST_F(DiskTreeTest, RecordRegionsEqualTheInMemoryRecords) {
+  BuildOptions options;
+  options.sparse = true;
+  const SuffixTree tree =
+      BuildSuffixTree(RandomSymbolDb(31, 7, 30, 4), options);
+  ASSERT_GT(tree.NumNodes(), 1u);
+  ASSERT_TRUE(WriteTreeToDisk(tree, Path("records")).ok());
+  const std::string nodes = RecordBytes(tree.NodeRecords());
+  const std::string occs = RecordBytes(tree.OccRecords());
+  EXPECT_EQ(nodes.size(), tree.NumNodes() * 28);
+  EXPECT_EQ(occs.size(), tree.NumOccurrences() * 16);
+  EXPECT_TRUE(FileBytes(Path("records") + ".nodes") == nodes);
+  EXPECT_TRUE(FileBytes(Path("records") + ".occs") == occs);
+  auto disk = DiskSuffixTree::Open(Path("records"));
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  EXPECT_TRUE(RecordBytes((*disk)->NodeRecords()) == nodes);
+  EXPECT_TRUE(RecordBytes((*disk)->OccRecords()) == occs);
+  // Both report the bundle's footprint.
+  std::uint64_t footprint = 0;
+  for (const char* ext : {".meta", ".nodes", ".occs", ".labels"}) {
+    footprint += std::filesystem::file_size(Path("records") + ext);
+  }
+  EXPECT_EQ(tree.SizeBytes(), footprint);
+  EXPECT_EQ((*disk)->SizeBytes(), footprint);
+}
+
 TEST_F(DiskTreeTest, BuildDiskTreeBundleBytesArePinned) {
   std::mt19937_64 engine(2024);
   SymbolDatabase db;
@@ -340,7 +384,7 @@ TEST_F(DiskTreeTest, BuildDiskTreeBundleBytesArePinned) {
   options.batch_sequences = 3;  // Four spills, three merges.
   ASSERT_TRUE(BuildDiskTree(db, Path("pinned"), options).ok());
   ExpectBundleHashes(Path("pinned"),
-                     {0xd5343ba56cd91d75ull, 0x7a6ff5df122cefc7ull,
+                     {0x249b69aabe954396ull, 0xe943043d193ef8d7ull,
                       0x7c740f9c7e8f39f2ull, 0xe03d302ce0a249e7ull});
 }
 
@@ -368,7 +412,7 @@ TEST_F(DiskTreeTest, TierMergeBundleBytesArePinned) {
   }
   ASSERT_EQ((*tiered)->Stats().merges_completed, 1u);
   ExpectBundleHashes(Path("tiered") + ".tier-1",
-                     {0x3a150b407037aa2dull, 0xc8d0673097e4e4edull,
+                     {0xfe1a95c7c2b1ab31ull, 0xba9a25cc3eb540cdull,
                       0xa0af8cc675b7368bull, 0x4e69c0cea46dfd51ull});
 }
 

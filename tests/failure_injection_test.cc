@@ -103,7 +103,7 @@ TEST_F(FailureInjectionTest, EmptySymbolDatabaseBuildFails) {
 
 TEST_F(FailureInjectionTest, TruncatedNodesRejectedUnderMmap) {
   WriteBundle(Path("t"));
-  // 40 bytes holds one 32-byte node record at most; the bundle has more.
+  // 40 bytes holds one 28-byte node record at most; the bundle has more.
   std::filesystem::resize_file(Path("t") + ".nodes", 40);
   auto tree = suffixtree::DiskSuffixTree::Open(Path("t"));
   ASSERT_FALSE(tree.ok());
@@ -120,7 +120,7 @@ TEST_F(FailureInjectionTest, TruncatedOccsRejectedUnderMmap) {
 
 TEST_F(FailureInjectionTest, CorruptSectionTableRejected) {
   WriteBundle(Path("t"));
-  // Byte 40 starts the v2 section table (section_count).
+  // Byte 40 starts the section table (section_count).
   CorruptFile(Path("t") + ".meta", 40, "XXXXXXXX");
   auto tree = suffixtree::DiskSuffixTree::Open(Path("t"));
   ASSERT_FALSE(tree.ok());
@@ -140,15 +140,17 @@ void PatchRecordField(const std::string& path, std::size_t offset, T value) {
   f.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-constexpr std::size_t kNodeRecordBytes = 32;
+// Node record fields (format v3): u32 label_offset at byte 0, label_len
+// at 4, first_child at 8, next_sibling at 12, first_occ at 16.
+constexpr std::size_t kNodeRecordBytes = 28;
 
 TEST_F(FailureInjectionTest, OutOfRangeLabelRejected) {
   const std::string base = Path("t");
   WriteBundle(base);
-  // Node 1's label_offset (u64 at byte 0 of its record) points far past
+  // Node 1's label_offset (u32 at byte 0 of its record) points far past
   // the text.
-  PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
-                                  std::uint64_t{1} << 40);
+  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes,
+                                  std::uint32_t{1} << 30);
   auto tree = suffixtree::DiskSuffixTree::Open(base);
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
@@ -159,8 +161,8 @@ TEST_F(FailureInjectionTest, OutOfRangeLabelRejected) {
 TEST_F(FailureInjectionTest, LabelRunningPastTheTextRejected) {
   const std::string base = Path("t");
   WriteBundle(base);
-  // In-range offset, but label_len (u32 at byte 8) runs off the end.
-  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8,
+  // In-range offset, but label_len (u32 at byte 4) runs off the end.
+  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 4,
                                   1000);
   auto tree = suffixtree::DiskSuffixTree::Open(base);
   ASSERT_FALSE(tree.ok());
@@ -178,9 +180,9 @@ TEST_F(FailureInjectionTest, EmptyNonRootLabelAtTextEndRejected) {
   }
   // Node 1's label becomes [text end, +0): inside the text by range,
   // but a search would read its first symbol one past the end.
-  PatchRecordField<std::uint64_t>(base + ".nodes", kNodeRecordBytes,
-                                  text_size);
-  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 8, 0);
+  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes,
+                                  static_cast<std::uint32_t>(text_size));
+  PatchRecordField<std::uint32_t>(base + ".nodes", kNodeRecordBytes + 4, 0);
   auto tree = suffixtree::DiskSuffixTree::Open(base);
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
@@ -191,9 +193,9 @@ TEST_F(FailureInjectionTest, EmptyNonRootLabelAtTextEndRejected) {
 TEST_F(FailureInjectionTest, OutOfRangeChildIdRejected) {
   const std::string base = Path("t");
   WriteBundle(base);
-  // The root's first_child (u32 at byte 12) names a node that does not
+  // The root's first_child (u32 at byte 8) names a node that does not
   // exist.
-  PatchRecordField<std::uint32_t>(base + ".nodes", 12, 0x7FFFFFFFu);
+  PatchRecordField<std::uint32_t>(base + ".nodes", 8, 0x7FFFFFFFu);
   auto tree = suffixtree::DiskSuffixTree::Open(base);
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
@@ -209,6 +211,23 @@ TEST_F(FailureInjectionTest, OutOfRangeOccurrenceIdRejected) {
   auto tree = suffixtree::DiskSuffixTree::Open(base);
   ASSERT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(FailureInjectionTest, BundleWithoutRootRejected) {
+  const std::string base = Path("t");
+  WriteBundle(base);
+  // Zero nodes everywhere the meta page counts them (num_nodes, u64 at
+  // byte 16; the nodes section's record_count and byte_length, u64s at
+  // bytes 56 and 64): consistent counts, but no root for a search to
+  // start at.
+  for (const std::size_t offset : {16, 56, 64}) {
+    PatchRecordField<std::uint64_t>(base + ".meta", offset, 0);
+  }
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("root"), std::string::npos)
+      << tree.status();
 }
 
 TEST_F(FailureInjectionTest, V1BundleRejectedWithRebuildHint) {

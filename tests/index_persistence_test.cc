@@ -139,11 +139,14 @@ TEST_F(IndexPersistenceTest, OpenRejectsChangedDatabase) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// A bundle written while builds still attached node summaries: a 4-entry
-// section table announcing `walk.sums` (see tests/data/legacy_sums).
-// Readers ignore the section, so Open must map the three record regions
-// only, leave `.sums` unmapped, and answer exactly like SeqScan.
-TEST_F(IndexPersistenceTest, LegacyBundleWithSumsAnswersLikeSeqScan) {
+// A bundle written while builds still attached node summaries: format v2,
+// with a 4-entry section table announcing `walk.sums` (see
+// tests/data/legacy_sums). This build reads format v3 only, so Open must
+// refuse it with a Corruption that says to rebuild; a rebuild at the same
+// base replaces every file of it, `.sums` included, and answers exactly
+// like SeqScan.
+TEST_F(IndexPersistenceTest,
+       LegacyBundleIsRefusedAndRebuildAnswersLikeSeqScan) {
   for (const char* ext :
        {".meta", ".nodes", ".occs", ".labels", ".sums", ".index"}) {
     std::filesystem::copy_file(kLegacyFixture / (std::string("walk") + ext),
@@ -154,6 +157,15 @@ TEST_F(IndexPersistenceTest, LegacyBundleWithSumsAnswersLikeSeqScan) {
   ASSERT_TRUE(db.ok()) << db.status();
   const IndexOptions options = LegacyFixtureOptions(dir_ / "walk");
 
+  auto refused = Index::Open(&*db, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
+      << refused.status();
+  EXPECT_NE(refused.status().message().find("rebuild"), std::string::npos)
+      << refused.status();
+
+  ASSERT_TRUE(Index::Build(&*db, options).ok());
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.sums"));
   auto index = Index::Open(&*db, options);
   ASSERT_TRUE(index.ok()) << index.status();
   std::uintmax_t regions = 0;
@@ -185,8 +197,9 @@ TEST_F(IndexPersistenceTest, LegacyBundleWithSumsAnswersLikeSeqScan) {
   }
   EXPECT_GT(answers, 0u) << "the fixture queries should find answers";
 
-  // Deleting a legacy bundle takes its `.sums` along, and so does the
-  // crash cleanup of an aborted tier merge.
+  // A `.sums` file left next to a bundle goes with it, and so does one
+  // left by the crash of an aborted tier merge.
+  std::ofstream(dir_ / "walk.sums") << "stale";
   suffixtree::RemoveDiskTree(options.disk_path);
   EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.sums"));
   EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.meta"));
@@ -200,7 +213,9 @@ TEST_F(IndexPersistenceTest, LegacyBundleWithSumsAnswersLikeSeqScan) {
 // writer, which patched records in place through a page cache. Rebuilding
 // its database with the same options must reproduce them byte for byte,
 // up to each section's byte_length (the old writer zero-padded every
-// region file to a whole page).
+// region file to a whole page). Its `.nodes` is format v2, 32-byte
+// records whose label_offset is a u64; the rebuilt format v3 records are
+// the same bytes without that u64's high word (bytes 4-7), always zero.
 TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
   auto db =
       seqdb::SequenceDatabase::Load((kLegacyFixture / "walk.tsdb").string());
@@ -223,6 +238,18 @@ TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
         ReadFile(kLegacyFixture / (std::string("walk") + exts[i]));
     const std::string got = ReadFile(dir_ / (std::string("walk") + exts[i]));
     ASSERT_GE(want.size(), byte_length) << exts[i];
+    if (i == 0) {
+      ASSERT_EQ(byte_length % 32, 0u);
+      std::string v3;
+      for (std::size_t r = 0; r < byte_length; r += 32) {
+        EXPECT_EQ(want.compare(r + 4, 4, std::string(4, '\0')), 0)
+            << "high label_offset word of node " << r / 32;
+        v3.append(want, r, 4);
+        v3.append(want, r + 8, 24);
+      }
+      EXPECT_TRUE(got == v3) << ".nodes differs from the fixture's records";
+      continue;
+    }
     ASSERT_GE(got.size(), byte_length) << exts[i];
     EXPECT_TRUE(want.compare(0, byte_length, got, 0, byte_length) == 0)
         << exts[i] << " differs from the fixture";

@@ -81,10 +81,24 @@ int PostStatus(int port, const std::string& body, std::string* out = nullptr,
   return resp->status;
 }
 
+/// Polls the server's counters until `done` holds for them; fails the
+/// test if that takes longer than the slow query could last.
+template <typename Done>
+void WaitForCounters(const Server& server, Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done(server.Counters())) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the server never reached the awaited queue state";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ServerBackpressureTest, FullQueueAnswers429WithRetryAfter) {
   // Sized so SlowBody takes ~1s on this db: the dispatcher must still be
-  // busy (and the queue still full) when the refusal probe arrives 400ms
-  // into the test.
+  // busy with it while two fillers queue behind it and the refusal probe
+  // arrives. Each step waits on the counters, not on a clock, so a fast
+  // slow query cannot let the dispatcher pop the fillers before the probe.
   const seqdb::SequenceDatabase db = TestDb(31, 80, 600);
   auto handle = std::make_unique<IndexHandle>(BuildIndex(db));
   ServerOptions options;
@@ -94,9 +108,11 @@ TEST(ServerBackpressureTest, FullQueueAnswers429WithRetryAfter) {
   ASSERT_TRUE(server.ok());
   const int port = (*server)->port();
 
-  // One expensive query occupies the dispatcher...
+  // One expensive query occupies the dispatcher (admitted, then popped)...
   std::thread slow([&] { EXPECT_EQ(PostStatus(port, SlowBody(db)), 200); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  WaitForCounters(**server, [](const ServerCounters& c) {
+    return c.admitted == 1 && c.queue_depth == 0;
+  });
   // ...two more fill the queue to capacity...
   std::vector<std::thread> fillers;
   std::atomic<int> filler_ok{0};
@@ -105,7 +121,8 @@ TEST(ServerBackpressureTest, FullQueueAnswers429WithRetryAfter) {
       if (PostStatus(port, SlowBody(db)) == 200) ++filler_ok;
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  WaitForCounters(**server,
+                  [](const ServerCounters& c) { return c.queue_depth == 2; });
   // ...so the next arrival must be refused at the door, immediately.
   std::string retry_after;
   const auto refused_at = std::chrono::steady_clock::now();

@@ -241,7 +241,9 @@ TEST(SuffixTreeTest, SizeBytesTracksComponents) {
   SymbolDatabase db;
   db.Add({0, 1, 2, 0, 1});
   const SuffixTree tree = BuildSuffixTree(db);
-  EXPECT_EQ(tree.SizeBytes(), 64 + tree.NumNodes() * 32 +
+  // The bundle footprint: the 4 KiB meta page, then 28 B per node record,
+  // 16 B per occurrence record and 4 B per text symbol.
+  EXPECT_EQ(tree.SizeBytes(), 4096 + tree.NumNodes() * 28 +
                                   tree.NumOccurrences() * 16 +
                                   tree.NumLabelSymbols() * sizeof(Symbol));
 }

@@ -1,0 +1,129 @@
+#!/usr/bin/env bash
+# Layering checks: each one greps the tree for code that a deleted or
+# confined layer must not grow back. Run from the repository root:
+#
+#   tools/check_layering.sh
+#
+# Exits 1 after the first failing check, naming it and printing the
+# offending lines; exits 0 when every check passes.
+set -u
+cd "$(dirname "$0")/.."
+
+fail() {
+  echo "layering check failed: $1"
+  echo "$2"
+  exit 1
+}
+
+# forbid CHECK MESSAGE GREP_ARGS...: fails CHECK when `grep -rn GREP_ARGS`
+# finds a line. The patterns name what must not come back, so this
+# script itself is skipped.
+forbid() {
+  local check=$1 message=$2
+  shift 2
+  if grep -rn --exclude=check_layering.sh "$@"; then fail "$check" "$message"; fi
+}
+
+# --- one verification tail
+# Exact verification is one per-start scan, core::ScanStart in
+# src/core/seq_scan.h, shared by SeqScan and every tree search.
+# Outside src/core it may only be called (qualified); a ScanStart
+# defined elsewhere, or a per-candidate tail (PostProcess /
+# VerifyExact) coming back, is a second verification pipeline.
+check="one verification tail"
+if grep -rnE '\b(PostProcess|VerifyExact)\(' src --include='*.h' --include='*.cc'; then
+  fail "$check" "per-candidate verification found — resolve starts with core::ScanStart instead"
+fi
+if grep -rnE '\bScanStart\(' src --include='*.h' --include='*.cc' \
+    | grep -v '^src/core/' | grep -v 'core::ScanStart('; then
+  fail "$check" "ScanStart( outside src/core that is not a call to core::ScanStart — verify through the shared scan"
+fi
+grep -q 'ScanStart(' src/core/distance_models.h || {
+  fail "$check" "the tree search models no longer verify through core::ScanStart"
+}
+
+# --- no node-summary screen
+# The subtree-hull screen was removed once subtree resolution made
+# it a net loss; its kernel, record, dial and request field must
+# not come back in the library or the tools.
+forbid "no node-summary screen" \
+  "node-summary screen code found — it was deleted; see docs/algorithms.md" \
+  -E 'summary_lb|NodeSummaryRecord|approx_factor|use_node_summaries' \
+  src tools --include='*.h' --include='*.cc'
+
+# --- ISA code stays in the kernel layer
+# Intrinsics and ISA feature tests are confined to src/dtw/simd*;
+# anywhere else they bypass the runtime dispatch and break the
+# one-binary-all-machines property.
+check="ISA code stays in the kernel layer"
+if grep -rnE '__AVX2__|__SSE2__|__ARM_NEON|immintrin\.h|arm_neon\.h' \
+    src tests tools bench examples --include='*.h' --include='*.cc' \
+    | grep -v '^src/dtw/simd'; then
+  fail "$check" "ISA-specific code found outside src/dtw/simd* — add a kernel to the dispatch table instead"
+fi
+
+# --- one disk read path
+# Bundles are written from memory and read through read-only
+# mappings only; the buffer pool, its paged files, the buffered
+# tree backend, the io-mode and eviction knobs and the ThreadPool
+# shim were deleted and must not come back.
+forbid "one disk read path" \
+  "buffer-pool / second-read-path code found — bundles are read mapped only; see docs/file_formats.md" \
+  -E 'BufferManager|PagedFile|BufferedTreeAccess|IoMode|EvictionPolicyKind|ThreadPool|pool_pages' \
+  src tools bench
+
+# --- one suffix-tree builder
+# Trees are built by suffix insertion (SuffixTreeBuilder) and
+# combined by MergeTrees; the second, Ukkonen builder was deleted
+# and must not come back.
+forbid "one suffix-tree builder" \
+  "second suffix-tree builder found — build with SuffixTreeBuilder; see docs/algorithms.md" \
+  'Ukkonen' src tools bench tests
+
+# --- one tree builder
+# SuffixTree is the only class that builds a tree, and every bundle
+# is written from a finalized SuffixTree by WriteTreeToDisk. The
+# disk writer, the sink interface, the sequence-offset view, the
+# category-count cost model and the transforms were deleted and
+# must not come back.
+forbid "one tree builder" \
+  "second tree builder or deleted helper found — merge into a SuffixTree and write it with WriteTreeToDisk; see docs/file_formats.md" \
+  -E 'DiskTreeWriter|TreeSink|SeqOffsetTreeView|SelectNumCategories|ZNormalize' \
+  src tools bench tests
+
+# --- one node record
+# A SuffixTree's node and occurrence vectors are the bundle's `.nodes`
+# and `.occs` records byte for byte, and TreeView is one concrete
+# reader over them. The record conversion on write, the chunked
+# WriteFile it needed, the legacy `.sums` section table and a
+# virtual TreeView were deleted and must not come back.
+forbid "one node record" \
+  "node-record conversion or legacy section code found — write the SuffixTree's records as they are; see docs/file_formats.md" \
+  -E 'WriteChunks|kLegacySections|kNodesPerChunk' src tools bench tests
+forbid "one node record" \
+  "virtual member in TreeView — it is one concrete reader over the record spans; see docs/file_formats.md" \
+  -w 'virtual' src/suffixtree/tree_view.h
+
+# --- one query path
+# Every univariate query reaches SearchDriver through
+# core::SearchTiers, and every tswarpd search through RunSingle.
+# The single-tree entry, the per-tier copies of the query knobs,
+# the second sparse model and the server's coalescer were deleted
+# and must not come back.
+forbid "one query path" \
+  "second query path found — search through core::SearchTiers / Server RunSingle; see docs/algorithms.md" \
+  -E 'TreeSearchConfig|TierSearchEntry|TreeSearchKnn|RunSearchDriver|SparseCategoryModel|RunGroup' \
+  src tools bench tests
+
+# --- mapping syscalls stay in src/storage
+# mmap/munmap/madvise/mincore are confined to storage::MappedFile;
+# a raw mapping call anywhere else bypasses the validated,
+# SIGBUS-proof choke point.
+check="mapping syscalls stay in src/storage"
+if grep -rnE '(mmap|munmap|madvise|mincore)\(' \
+    src tests tools bench examples --include='*.h' --include='*.cc' \
+    | grep -v '^src/storage/'; then
+  fail "$check" "raw mapping call found outside src/storage — go through storage::MappedFile"
+fi
+
+echo "layering checks passed"
