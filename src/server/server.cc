@@ -11,9 +11,9 @@
 #include <atomic>
 #include <cerrno>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -31,9 +31,9 @@ namespace tswarp::server {
 
 namespace {
 
-/// One admitted search: the parsed request plus the reply slot the
-/// connection thread is blocked on. The CancelToken lives here so its
-/// deadline covers queue wait as well as execution (armed at admission).
+/// One parsed /search request. The CancelToken lives here so its
+/// deadline covers the wait for a run slot as well as execution (armed
+/// at admission).
 struct SearchJob {
   std::vector<Value> query;
   Value epsilon = 0;
@@ -42,10 +42,7 @@ struct SearchJob {
   bool include_stats = false;
   bool has_deadline = false;
   CancelToken cancel;
-  std::promise<HttpResponse> reply;
 };
-
-using JobPtr = std::unique_ptr<SearchJob>;
 
 HttpResponse JsonResponse(int status, std::string body) {
   HttpResponse response;
@@ -170,16 +167,22 @@ struct Server::Impl {
   int bound_port = 0;
 
   std::atomic<bool> draining{false};
-  std::unique_ptr<BoundedQueue<JobPtr>> jobs;
   std::unique_ptr<BoundedQueue<int>> conns;
 
   std::thread accept_thread;
-  std::thread dispatch_thread;
   std::vector<std::thread> conn_threads;
   std::once_flag shutdown_once;
 
   mutable std::mutex counters_mu;
   ServerCounters counters;
+
+  // Admission gate, guarded by counters_mu. An admitted search takes
+  // ticket `searches_arrived` and holds a run slot once its ticket is
+  // below `searches_finished + options.search_threads`, so slots go out
+  // in arrival order; the rest wait on `slot_freed`.
+  std::condition_variable slot_freed;
+  std::uint64_t searches_arrived = 0;
+  std::uint64_t searches_finished = 0;
 
   // Connections a handler thread owns right now. Shutdown wakes their
   // reads; an fd leaves the set before it is closed, so a woken fd is
@@ -383,10 +386,9 @@ struct Server::Impl {
   }
 
   /// POST /append {"values":[...]} — streams one sequence into the
-  /// TieredIndex behind the handle. Runs on the connection thread:
-  /// TieredIndex::Append is internally serialized and thread-safe against
-  /// searches, so appends need no trip through the admission queue (which
-  /// exists to bound *search* concurrency).
+  /// TieredIndex behind the handle. TieredIndex::Append is internally
+  /// serialized and thread-safe against searches, so appends take no run
+  /// slot (the slots bound *search* concurrency).
   HttpResponse HandleAppend(const HttpRequest& request) {
     core::TieredIndex* tiered = index->tiered();
     if (tiered == nullptr) {
@@ -566,10 +568,10 @@ struct Server::Impl {
   }
 
   /// Parses and validates a /search body into `*job`. On failure fills
-  /// `*error` with the 400 response and returns false. `index` supplies
-  /// the context-dependent rules (band vs. sparse index).
-  bool ValidateSearch(const JsonValue& body, const core::IndexSnapshot& index,
-                      SearchJob* job, HttpResponse* error) {
+  /// `*error` with the 400 response and returns false. The one rule that
+  /// depends on the index (band vs. sparse) is checked by RunSearch.
+  bool ValidateSearch(const JsonValue& body, SearchJob* job,
+                      HttpResponse* error) {
     const auto fail = [&](std::string_view code, const std::string& message) {
       *error = ErrorResponse(400, code, message);
       return false;
@@ -623,13 +625,6 @@ struct Server::Impl {
                     "\"band\" must be an integer in [0, |query|]");
       }
       job->opts.band = static_cast<Pos>(bd);
-      // Mirrors the CLI rule: sparse suffix recovery is unsound under a
-      // band, so a banded query needs a dense index.
-      if (job->opts.band != 0 &&
-          index.options().kind == core::IndexKind::kSparse) {
-        return fail("invalid_band",
-                    "a warping band needs a dense index (kind st or stc)");
-      }
     }
     if (const JsonValue* threads = body.Find("threads")) {
       double td = 0;
@@ -680,45 +675,63 @@ struct Server::Impl {
       CountProtocolError();
       return ErrorResponse(400, "bad_json", body.status().message());
     }
-    auto job = std::make_unique<SearchJob>();
+    SearchJob job;
     HttpResponse error;
-    {
-      const std::shared_ptr<const core::IndexSnapshot> snapshot = index->Snapshot();
-      if (!ValidateSearch(*body, *snapshot, job.get(), &error)) {
-        CountProtocolError();
-        return error;
-      }
+    if (!ValidateSearch(*body, &job, &error)) {
+      CountProtocolError();
+      return error;
     }
     if (draining.load(std::memory_order_relaxed)) {
       CountProtocolError();
       return ErrorResponse(503, "draining", "server is shutting down");
     }
     // The deadline (if any) was armed during validation, so time spent
-    // queued counts against it — overload cannot stretch the budget.
-    std::future<HttpResponse> reply = job->reply.get_future();
-    if (!jobs->TryPush(std::move(job))) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mu);
-        ++counters.rejected;
-      }
+    // waiting for a run slot counts against it — overload cannot stretch
+    // the budget.
+    if (!AcquireSlot()) {
       HttpResponse resp = ErrorResponse(
           429, "overloaded", "admission queue is full; retry shortly");
       resp.AddHeader("Retry-After",
                      std::to_string(options.retry_after_seconds));
       return resp;
     }
+    HttpResponse response = RunSearch(job, *index->Snapshot());
     {
       std::lock_guard<std::mutex> lock(counters_mu);
-      ++counters.admitted;
+      ++searches_finished;
     }
-    try {
-      return reply.get();
-    } catch (const std::future_error&) {
-      // The dispatcher dropped the promise (it only does so on its way
-      // down); degrade to a 500 rather than crash the handler.
-      CountProtocolError();
-      return ErrorResponse(500, "internal", "search dispatcher unavailable");
+    slot_freed.notify_all();
+    return response;
+  }
+
+  /// Searches admitted but not yet entitled to a run slot.
+  std::size_t WaitingLocked() const {
+    const std::uint64_t unfinished = searches_arrived - searches_finished;
+    return unfinished > options.search_threads
+               ? static_cast<std::size_t>(unfinished - options.search_threads)
+               : 0;
+  }
+
+  /// Admits a search and blocks until it holds a run slot; returns false
+  /// at once (counted as rejected) when `queue_capacity` searches are
+  /// already waiting.
+  bool AcquireSlot() {
+    std::unique_lock<std::mutex> lock(counters_mu);
+    if (WaitingLocked() >= options.queue_capacity) {
+      ++counters.rejected;
+      return false;
     }
+    const std::uint64_t ticket = searches_arrived++;
+    ++counters.admitted;
+    counters.queue_high_water =
+        std::max(counters.queue_high_water, WaitingLocked());
+    // ticket < searches_finished + search_threads, split so that a huge
+    // search_threads cannot wrap the sum.
+    slot_freed.wait(lock, [&] {
+      return ticket < searches_finished ||
+             ticket - searches_finished < options.search_threads;
+    });
+    return true;
   }
 
   std::string StatsBody() {
@@ -803,85 +816,53 @@ struct Server::Impl {
   }
 
   ServerCounters Snapshot() const {
-    ServerCounters c;
-    {
-      std::lock_guard<std::mutex> lock(counters_mu);
-      c = counters;
-    }
-    c.queue_depth = jobs->depth();
-    c.queue_high_water = jobs->high_water();
+    std::lock_guard<std::mutex> lock(counters_mu);
+    ServerCounters c = counters;
+    c.queue_depth = WaitingLocked();
     return c;
   }
 
-  /// Drains up to max_batch admitted searches per round and runs each
-  /// through RunSingle with its own request knobs. With search_threads
-  /// > 0 the round's jobs run side by side as tasks of one scope on the
-  /// shared work-stealing scheduler (a request's "threads" still splits
-  /// its own traversal); otherwise they run one after another.
-  void DispatchLoop() {
-    std::vector<JobPtr> round;
-    while (true) {
-      round.clear();
-      if (jobs->PopBatch(&round, options.max_batch) == 0) break;
-      const std::shared_ptr<const core::IndexSnapshot> idx = index->Snapshot();
-      if (options.search_threads == 0) {
-        for (JobPtr& job : round) RunSingle(job.get(), *idx);
-        continue;
-      }
-      TaskScheduler::Get().EnsureWorkers(options.search_threads);
-      TaskScope scope;
-      for (JobPtr& job : round) {
-        scope.Submit([this, &idx, job = job.get()] { RunSingle(job, *idx); });
-      }
-      scope.Wait();
-    }
-  }
-
-  /// Re-checks the one validation rule that depends on the index, which
-  /// may have been hot-swapped between admission and execution.
-  bool RecheckBand(SearchJob* job, const core::IndexSnapshot& idx) {
-    if (job->opts.band != 0 &&
+  /// Runs one search that holds a run slot, on the snapshot `idx` taken
+  /// after it got the slot.
+  HttpResponse RunSearch(SearchJob& job, const core::IndexSnapshot& idx) {
+    // Mirrors the CLI rule: sparse suffix recovery is unsound under a
+    // band, so a banded query needs a dense index. Checked against the
+    // snapshot the search runs on, since the index may be hot-swapped
+    // while it waits.
+    if (job.opts.band != 0 &&
         idx.options().kind == core::IndexKind::kSparse) {
       CountProtocolError();
-      job->reply.set_value(ErrorResponse(
+      return ErrorResponse(
           400, "invalid_band",
-          "a warping band needs a dense index (kind st or stc)"));
-      return false;
+          "a warping band needs a dense index (kind st or stc)");
     }
-    return true;
-  }
-
-  void RunSingle(SearchJob* job, const core::IndexSnapshot& idx) {
-    if (!RecheckBand(job, idx)) return;
-    if (job->has_deadline && job->cancel.Expired()) {
+    if (job.has_deadline && job.cancel.Expired()) {
       {
         std::lock_guard<std::mutex> lock(counters_mu);
         ++counters.timeouts;
       }
-      job->reply.set_value(
-          ErrorResponse(504, "deadline_exceeded",
-                        "deadline expired before the search started"));
-      return;
+      return ErrorResponse(504, "deadline_exceeded",
+                           "deadline expired before the search started");
     }
-    core::QueryOptions opts = job->opts;
-    if (job->has_deadline) opts.cancel = &job->cancel;
+    core::QueryOptions opts = job.opts;
+    if (job.has_deadline) opts.cancel = &job.cancel;
     core::SearchStats stats;
     try {
       const std::vector<core::Match> matches =
-          job->k > 0 ? idx.SearchKnn(job->query, job->k, opts, &stats)
-                     : idx.Search(job->query, job->epsilon, opts, &stats);
+          job.k > 0 ? idx.SearchKnn(job.query, job.k, opts, &stats)
+                    : idx.Search(job.query, job.epsilon, opts, &stats);
       const bool partial = stats.cancelled != 0;
       {
         std::lock_guard<std::mutex> lock(counters_mu);
         partial ? ++counters.partials : ++counters.completed;
         counters.search.Merge(stats);
       }
-      job->reply.set_value(JsonResponse(
+      return JsonResponse(
           200, SearchResponseBody(partial ? "partial" : "ok", matches,
-                                  job->include_stats ? &stats : nullptr)));
+                                  job.include_stats ? &stats : nullptr));
     } catch (const std::exception& e) {
       CountProtocolError();
-      job->reply.set_value(ErrorResponse(500, "internal", e.what()));
+      return ErrorResponse(500, "internal", e.what());
     }
   }
 
@@ -894,16 +875,12 @@ struct Server::Impl {
       if (accept_thread.joinable()) accept_thread.join();
       // Wake handlers polling idle keep-alive connections now rather than
       // after their poll timeout. Only the read side shuts: a handler
-      // waiting on an admitted search still writes its response.
+      // running or waiting on an admitted search still writes its
+      // response, so joining the handlers finishes every admitted search.
       {
         std::lock_guard<std::mutex> lock(open_conns_mu);
         for (const int fd : open_conns) ::shutdown(fd, SHUT_RD);
       }
-      // Drain order matters: close the job queue first so the dispatcher
-      // finishes everything already admitted (fulfilling the promises the
-      // handler threads are blocked on), then release the handlers.
-      jobs->Close();
-      if (dispatch_thread.joinable()) dispatch_thread.join();
       conns->Close();
       for (std::thread& t : conn_threads) {
         if (t.joinable()) t.join();
@@ -943,15 +920,12 @@ StatusOr<std::unique_ptr<Server>> Server::Start(IndexHandle* index,
   impl.options = options;
   if (impl.options.connection_threads == 0) impl.options.connection_threads = 1;
   if (impl.options.queue_capacity == 0) impl.options.queue_capacity = 1;
-  if (impl.options.max_batch == 0) impl.options.max_batch = 1;
-  impl.jobs =
-      std::make_unique<BoundedQueue<JobPtr>>(impl.options.queue_capacity);
+  if (impl.options.search_threads == 0) impl.options.search_threads = 1;
   impl.conns =
       std::make_unique<BoundedQueue<int>>(impl.options.connection_threads);
   TSW_RETURN_IF_ERROR(impl.Bind());
   Impl* raw = &impl;
   impl.accept_thread = std::thread([raw] { raw->AcceptLoop(); });
-  impl.dispatch_thread = std::thread([raw] { raw->DispatchLoop(); });
   impl.conn_threads.reserve(impl.options.connection_threads);
   for (std::size_t i = 0; i < impl.options.connection_threads; ++i) {
     impl.conn_threads.emplace_back([raw] { raw->ConnLoop(); });

@@ -29,19 +29,18 @@ struct ServerOptions {
   /// concurrent connections; excess accepts are answered 503 and closed.
   std::size_t connection_threads = 4;
 
-  /// Admission control: queued-search capacity. A /search arriving when
-  /// the queue is full is refused immediately with 429 + Retry-After
-  /// instead of waiting — latency under overload stays bounded and the
-  /// client owns the retry policy.
+  /// Admission control: how many searches may wait for a run slot. A
+  /// /search that finds this many already waiting is refused immediately
+  /// with 429 + Retry-After instead of waiting — latency under overload
+  /// stays bounded and the client owns the retry policy. Each connection
+  /// thread waits on its own search, so fewer than `connection_threads`
+  /// searches can ever wait.
   std::size_t queue_capacity = 64;
 
-  /// Up to this many queued searches are drained per dispatch round.
-  std::size_t max_batch = 8;
-
-  /// Workers that run one dispatch round's searches side by side, one
-  /// scheduler task per search. 0 = the round runs one search after
-  /// another on the dispatcher thread. Either way each search keeps its
-  /// request's knobs, "threads" included.
+  /// Run slots: how many searches run at once, each on the connection
+  /// thread that parsed it; the others wait in arrival order. 0 runs one
+  /// at a time, like 1. Each search keeps its request's knobs, "threads"
+  /// included.
   std::size_t search_threads = 0;
 
   /// Cap on the per-request "threads" knob, so one client cannot demand
@@ -62,15 +61,15 @@ struct ServerOptions {
 struct ServerCounters {
   std::uint64_t connections = 0;       // Accepted sockets.
   std::uint64_t requests = 0;          // Complete HTTP requests parsed.
-  std::uint64_t admitted = 0;          // Searches accepted into the queue.
+  std::uint64_t admitted = 0;          // Searches that passed admission.
   std::uint64_t rejected = 0;          // Searches refused with 429.
   std::uint64_t completed = 0;         // Searches that ran to completion.
   std::uint64_t partials = 0;          // Deadline hit mid-search (200 partial).
   std::uint64_t timeouts = 0;          // Deadline hit before start (504).
   std::uint64_t protocol_errors = 0;   // 4xx/5xx other than 429/504.
   std::uint64_t appends = 0;           // Sequences accepted via /append.
-  std::size_t queue_depth = 0;         // Searches queued right now.
-  std::size_t queue_high_water = 0;    // Deepest the queue has been.
+  std::size_t queue_depth = 0;         // Searches waiting for a run slot.
+  std::size_t queue_high_water = 0;    // Most searches ever waiting.
   core::SearchStats search;            // Merged over all executed searches.
 };
 
@@ -94,11 +93,10 @@ std::string ErrorBody(std::string_view code, std::string_view message);
 ///   GET  /stats    merged SearchStats + admission/scheduler counters
 ///   GET  /healthz  {"status":"ok"} (503 {"status":"draining"} during drain)
 ///
-/// Threading: one accept thread, `connection_threads` handler threads, one
-/// dispatcher thread that drains the admission queue in rounds and runs
-/// each search (the round side by side when search_threads > 0). Handler
-/// threads block on the dispatcher's reply, so backpressure is end-to-end:
-/// queue full -> 429 at admission, never unbounded buffering.
+/// Threading: one accept thread and `connection_threads` handler threads.
+/// A handler runs each search it parses once the search holds one of
+/// `search_threads` run slots, so backpressure is end-to-end: too many
+/// searches waiting -> 429 at admission, never unbounded buffering.
 ///
 /// Shutdown() (also run by the destructor) is a graceful drain: stop
 /// accepting, finish in-flight requests, answer everything already

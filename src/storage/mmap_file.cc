@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
-
 namespace tswarp::storage {
 namespace {
 
@@ -120,28 +118,13 @@ std::uint64_t MappedFile::ResidentBytes() const {
   return resident;
 }
 
-// ---------------------------------------------------------------------------
-// MappedRegion
-// ---------------------------------------------------------------------------
-
-StatusOr<MappedRegion> MappedRegion::Create(const MappedFile& file,
-                                            std::size_t record_size,
-                                            std::uint64_t record_count,
-                                            const std::string& what) {
-  TSW_CHECK(record_size > 0);
-  const std::uint64_t need = record_count * record_size;
-  if (file.size_bytes() < need) {
-    return Status::Corruption(
-        "truncated " + what + " region in " + file.path() + ": need " +
-        std::to_string(need) + " bytes, file has " +
-        std::to_string(file.size_bytes()));
-  }
-  return MappedRegion(file.bytes().data(), record_size, record_count);
-}
-
-const std::byte* MappedRegion::RecordAt(std::uint64_t index) const {
-  TSW_DCHECK(index < record_count_);
-  return data_ + index * record_size_;
+Status MappedFile::Truncated(std::string_view what, std::uint64_t count,
+                             std::size_t record_size) const {
+  return Status::Corruption("truncated " + std::string(what) +
+                            " region in " + path_ + ": need " +
+                            std::to_string(count) + " records of " +
+                            std::to_string(record_size) + " bytes, file has " +
+                            std::to_string(size_) + " bytes");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/status.h"
 
@@ -47,6 +48,19 @@ class MappedFile {
   std::size_t size_bytes() const { return size_; }
   const std::string& path() const { return path_; }
 
+  /// The first `count` records of type T at the start of the mapping,
+  /// valid for the MappedFile's lifetime. A file too short to hold them
+  /// is Status::Corruption naming `what`, at open time instead of a
+  /// SIGBUS mid-query.
+  template <typename T>
+  StatusOr<std::span<const T>> Records(std::uint64_t count,
+                                       std::string_view what) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (count > size_ / sizeof(T)) return Truncated(what, count, sizeof(T));
+    return std::span<const T>(static_cast<const T*>(data_),
+                              static_cast<std::size_t>(count));
+  }
+
   /// Forwards `hint` to madvise over the whole mapping. Best-effort.
   void Advise(AccessHint hint) const;
 
@@ -58,43 +72,12 @@ class MappedFile {
 
  private:
   void Reset();
+  Status Truncated(std::string_view what, std::uint64_t count,
+                   std::size_t record_size) const;
 
   std::string path_;
   void* data_ = nullptr;
   std::size_t size_ = 0;
-};
-
-/// A validated view of fixed-size records inside a MappedFile. Creation
-/// checks up front that `record_count * record_size` bytes actually exist
-/// in the mapping, so a truncated file fails with Status::Corruption at
-/// open time instead of SIGBUS-ing mid-query.
-///
-/// MappedRegion does not own the mapping; the MappedFile it was created
-/// from must outlive it.
-class MappedRegion {
- public:
-  static StatusOr<MappedRegion> Create(const MappedFile& file,
-                                       std::size_t record_size,
-                                       std::uint64_t record_count,
-                                       const std::string& what);
-
-  MappedRegion() = default;
-
-  /// Pointer to record `index`; valid for the mapping's lifetime.
-  const std::byte* RecordAt(std::uint64_t index) const;
-
-  const std::byte* data() const { return data_; }
-  std::uint64_t record_count() const { return record_count_; }
-  std::size_t record_size() const { return record_size_; }
-
- private:
-  MappedRegion(const std::byte* data, std::size_t record_size,
-               std::uint64_t record_count)
-      : data_(data), record_size_(record_size), record_count_(record_count) {}
-
-  const std::byte* data_ = nullptr;
-  std::size_t record_size_ = 0;
-  std::uint64_t record_count_ = 0;
 };
 
 /// Creates (or truncates) `path`, writes `bytes` with one sequential

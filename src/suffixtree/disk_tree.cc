@@ -139,7 +139,18 @@ StatusOr<ParsedMeta> ReadMeta(const std::string& base_path) {
       meta.num_nodes, meta.num_occs, meta.num_label_symbols};
   const std::uint32_t expect_size[kNumSections] = {
       sizeof(NodeRecord), sizeof(OccRecord), sizeof(Symbol)};
+  // Records address nodes, occurrences and text positions with u32
+  // fields, so no count can exceed 2^32 - 1. Refusing larger ones also
+  // keeps the byte lengths checked below from wrapping a u64.
+  constexpr const char* kCountNames[kNumSections] = {
+      "node count", "occurrence count", "label symbol count"};
   for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    if (expect_count[i] > 0xFFFFFFFFull) {
+      return Status::Corruption(std::string(kCountNames[i]) + " " +
+                                std::to_string(expect_count[i]) +
+                                " exceeds the 32-bit record fields in " +
+                                path);
+    }
     SectionEntry entry{};
     std::memcpy(&entry,
                 page.data() + kSectionEntriesOffset + i * sizeof(entry),
@@ -244,17 +255,14 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   TSW_ASSIGN_OR_RETURN(tree->labels_file_,
                        storage::MappedFile::Open(LabelsPath(base_path)));
   TSW_ASSIGN_OR_RETURN(
-      const storage::MappedRegion nodes,
-      storage::MappedRegion::Create(tree->nodes_file_, sizeof(NodeRecord),
-                                    meta.num_nodes, "nodes"));
+      const std::span<const NodeRecord> nodes,
+      tree->nodes_file_.Records<NodeRecord>(meta.num_nodes, "nodes"));
   TSW_ASSIGN_OR_RETURN(
-      const storage::MappedRegion occs,
-      storage::MappedRegion::Create(tree->occs_file_, sizeof(OccRecord),
-                                    meta.num_occs, "occs"));
-  TSW_ASSIGN_OR_RETURN(
-      const storage::MappedRegion labels,
-      storage::MappedRegion::Create(tree->labels_file_, sizeof(Symbol),
-                                    meta.num_label_symbols, "labels"));
+      const std::span<const OccRecord> occs,
+      tree->occs_file_.Records<OccRecord>(meta.num_occs, "occs"));
+  TSW_ASSIGN_OR_RETURN(const std::span<const Symbol> labels,
+                       tree->labels_file_.Records<Symbol>(
+                           meta.num_label_symbols, "labels"));
   // Kick off asynchronous population of the whole bundle; queries that
   // arrive before it completes just fault their pages on demand.
   tree->nodes_file_.Advise(storage::AccessHint::kWillNeed);
@@ -262,18 +270,9 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   tree->labels_file_.Advise(storage::AccessHint::kWillNeed);
   // The region extents are checked; now every id and label range, after
   // which no accessor can read outside a mapping.
-  const std::span<const NodeRecord> node_records(
-      reinterpret_cast<const NodeRecord*>(nodes.data()), meta.num_nodes);
-  const std::span<const OccRecord> occ_records(
-      reinterpret_cast<const OccRecord*>(occs.data()), meta.num_occs);
-  TSW_ASSIGN_OR_RETURN(
-      const std::uint64_t label_symbols,
-      ValidateRecords(base_path, meta, node_records, occ_records));
-  tree->SetRecords(node_records, occ_records,
-                   std::span<const Symbol>(
-                       reinterpret_cast<const Symbol*>(labels.data()),
-                       meta.num_label_symbols),
-                   label_symbols);
+  TSW_ASSIGN_OR_RETURN(const std::uint64_t label_symbols,
+                       ValidateRecords(base_path, meta, nodes, occs));
+  tree->SetRecords(nodes, occs, labels, label_symbols);
   return tree;
 }
 

@@ -230,6 +230,26 @@ TEST_F(FailureInjectionTest, BundleWithoutRootRejected) {
       << tree.status();
 }
 
+TEST_F(FailureInjectionTest, WrappingRecordCountRejected) {
+  const std::string base = Path("t");
+  WriteBundle(base);
+  // num_nodes and the nodes section's record_count (u64s at bytes 16 and
+  // 56) become 2^62 + 1, whose 28-byte records wrap a u64 byte length to
+  // 28: the section's byte_length (u64 at byte 64) and a 28-byte `.nodes`
+  // file agree with the wrapped length. Walking that many records would
+  // read far past the mapping.
+  const std::uint64_t huge = (std::uint64_t{1} << 62) + 1;
+  PatchRecordField<std::uint64_t>(base + ".meta", 16, huge);
+  PatchRecordField<std::uint64_t>(base + ".meta", 56, huge);
+  PatchRecordField<std::uint64_t>(base + ".meta", 64, kNodeRecordBytes);
+  std::filesystem::resize_file(base + ".nodes", kNodeRecordBytes);
+  auto tree = suffixtree::DiskSuffixTree::Open(base);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("node count"), std::string::npos)
+      << tree.status();
+}
+
 TEST_F(FailureInjectionTest, V1BundleRejectedWithRebuildHint) {
   WriteBundle(Path("t"));
   ASSERT_TRUE(suffixtree::DowngradeBundleToV1ForTest(Path("t")).ok());

@@ -1,9 +1,11 @@
-// storage::MappedFile / MappedRegion / SyncDir: the single mmap choke
-// point, and storage::WriteFile, the durable-write choke point. Mapping
-// semantics (whole file, read-only, empty-file special case), up-front
-// region validation (truncation -> Corruption, never a later SIGBUS),
+// storage::MappedFile / SyncDir: the single mmap choke point, and
+// storage::WriteFile, the durable-write choke point. Mapping semantics
+// (whole file, read-only, empty-file special case), up-front record
+// extent checks (truncation -> Corruption, never a later SIGBUS),
 // move-only ownership, write and directory fsync errors.
 
+#include <array>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,8 @@
 
 namespace tswarp::storage {
 namespace {
+
+using Record16 = std::array<std::byte, 16>;
 
 class MmapFileTest : public testing::Test {
  protected:
@@ -91,25 +95,31 @@ TEST_F(MmapFileTest, RegionValidatesExtentUpFront) {
   auto file = MappedFile::Open(WriteTestFile("g", body));
   ASSERT_TRUE(file.ok());
 
-  auto ok_region = MappedRegion::Create(*file, 16, 4, "records");
-  ASSERT_TRUE(ok_region.ok()) << ok_region.status().ToString();
-  EXPECT_EQ(ok_region->record_count(), 4u);
-  EXPECT_EQ(ok_region->RecordAt(0), file->bytes().data());
-  EXPECT_EQ(ok_region->RecordAt(3), file->bytes().data() + 48);
+  auto records = file->Records<Record16>(4, "records");
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(records->size(), 4u);
+  EXPECT_EQ(records->data()->data(), file->bytes().data());
+  EXPECT_EQ((*records)[3].data(), file->bytes().data() + 48);
 
-  // One record too many: refused at creation, not at dereference.
-  auto truncated = MappedRegion::Create(*file, 16, 5, "records");
+  // One record too many: refused when the span is asked for, not at
+  // dereference.
+  auto truncated = file->Records<Record16>(5, "records");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.status().code(), StatusCode::kCorruption);
+  // A count whose byte size wraps a u64 (16 * (2^60 + 1) = 16) is
+  // refused too.
+  auto wrapped =
+      file->Records<Record16>((std::uint64_t{1} << 60) + 1, "records");
+  EXPECT_FALSE(wrapped.ok());
 }
 
 TEST_F(MmapFileTest, EmptyRegionOverEmptyFileIsFine) {
   auto file = MappedFile::Open(WriteTestFile("z", ""));
   ASSERT_TRUE(file.ok());
-  auto region = MappedRegion::Create(*file, 16, 0, "records");
-  ASSERT_TRUE(region.ok()) << region.status().ToString();
-  EXPECT_EQ(region->record_count(), 0u);
-  auto nonempty = MappedRegion::Create(*file, 16, 1, "records");
+  auto records = file->Records<Record16>(0, "records");
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_TRUE(records->empty());
+  auto nonempty = file->Records<Record16>(1, "records");
   EXPECT_FALSE(nonempty.ok());
 }
 

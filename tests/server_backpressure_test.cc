@@ -3,7 +3,8 @@
 // bounded queueing and no lost or duplicated responses, graceful drain
 // must answer everything already admitted, deadlines must be enforced
 // end-to-end, and hot-swapping the index (Index::Open concurrent with
-// in-flight stats reads) must be race-free through server::IndexHandle.
+// in-flight stats reads) must be race-free through server::IndexHandle
+// and re-check the band rule for searches waiting across the swap.
 
 #include "server/server.h"
 
@@ -58,7 +59,7 @@ std::string QueryJson(const seqdb::SequenceDatabase& db, std::size_t len) {
 
 /// A deliberately expensive request: pruning and the lower-bound cascade
 /// disabled force the full traversal + exact DTW on every candidate, so it
-/// occupies the dispatcher long enough for the queue to fill behind it.
+/// holds the only run slot long enough for the queue to fill behind it.
 std::string SlowBody(const seqdb::SequenceDatabase& db) {
   return "{\"query\":" + QueryJson(db, 20) +
          ",\"epsilon\":0.5,\"prune\":false,\"use_lower_bound\":false}";
@@ -95,10 +96,10 @@ void WaitForCounters(const Server& server, Done done) {
 }
 
 TEST(ServerBackpressureTest, FullQueueAnswers429WithRetryAfter) {
-  // Sized so SlowBody takes ~1s on this db: the dispatcher must still be
-  // busy with it while two fillers queue behind it and the refusal probe
-  // arrives. Each step waits on the counters, not on a clock, so a fast
-  // slow query cannot let the dispatcher pop the fillers before the probe.
+  // Sized so SlowBody takes ~1s on this db: it must still hold the run
+  // slot while two fillers queue behind it and the refusal probe arrives.
+  // Each step waits on the counters, not on a clock, so a fast slow query
+  // cannot let the fillers start before the probe.
   const seqdb::SequenceDatabase db = TestDb(31, 80, 600);
   auto handle = std::make_unique<IndexHandle>(BuildIndex(db));
   ServerOptions options;
@@ -108,7 +109,7 @@ TEST(ServerBackpressureTest, FullQueueAnswers429WithRetryAfter) {
   ASSERT_TRUE(server.ok());
   const int port = (*server)->port();
 
-  // One expensive query occupies the dispatcher (admitted, then popped)...
+  // One expensive query holds the run slot (admitted, then running)...
   std::thread slow([&] { EXPECT_EQ(PostStatus(port, SlowBody(db)), 200); });
   WaitForCounters(**server, [](const ServerCounters& c) {
     return c.admitted == 1 && c.queue_depth == 0;
@@ -211,7 +212,7 @@ TEST(ServerDeadlineTest, QueueWaitCountsAgainstTheDeadline) {
   ASSERT_TRUE(server.ok());
   const int port = (*server)->port();
 
-  // Occupy the dispatcher, then queue a request whose 1ms deadline will
+  // Occupy the run slot, then queue a request whose 1ms deadline will
   // expire while it waits: it must come back 504, not run to completion.
   std::thread slow([&] { EXPECT_EQ(PostStatus(port, SlowBody(db)), 200); });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -234,9 +235,9 @@ TEST(ServerDeadlineTest, QueueWaitCountsAgainstTheDeadline) {
     std::string response;
     const int status = PostStatus(port, request, &response);
     if (status == 504) {
-      // The 1ms budget can expire before the dispatcher even picks the
-      // job up (dispatch latency is real, especially under sanitizers);
-      // a pre-run timeout is a legal outcome for it.
+      // The 1ms budget can expire before the search even gets its slot
+      // (admission latency is real, especially under sanitizers); a
+      // pre-run timeout is a legal outcome for it.
       EXPECT_NE(response.find("deadline_exceeded"), std::string::npos);
       continue;
     }
@@ -301,6 +302,48 @@ TEST(ServerIndexReloadTest, OpenConcurrentWithStatsReadsIsRaceFree) {
   // The final published index still answers.
   std::string response;
   EXPECT_EQ(PostStatus(port, body, &response), 200);
+  (*server)->Shutdown();
+}
+
+TEST(ServerIndexReloadTest, BandRuleChecksTheSnapshotASearchRunsOn) {
+  // A banded search admitted against a dense index waits for the run
+  // slot while the index is swapped for a sparse one over the same data.
+  // The band rule must be checked against the snapshot the search would
+  // run on: 400 invalid_band, and the search never runs.
+  const seqdb::SequenceDatabase db = TestDb(53, 80, 600);
+  auto handle = std::make_unique<IndexHandle>(BuildIndex(db));
+  core::IndexOptions sparse_options;
+  sparse_options.kind = core::IndexKind::kSparse;
+  sparse_options.num_categories = 12;
+  auto sparse = core::Index::Build(&db, sparse_options);
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  auto server = Server::Start(handle.get(), ServerOptions{});
+  ASSERT_TRUE(server.ok());
+  const int port = (*server)->port();
+
+  std::thread slow([&] { EXPECT_EQ(PostStatus(port, SlowBody(db)), 200); });
+  WaitForCounters(**server, [](const ServerCounters& c) {
+    return c.admitted == 1 && c.queue_depth == 0;
+  });
+  const std::string request =
+      "{\"query\":" + QueryJson(db, 8) + ",\"epsilon\":2,\"band\":2}";
+  int banded_status = 0;
+  std::string banded_body;
+  std::thread banded(
+      [&] { banded_status = PostStatus(port, request, &banded_body); });
+  WaitForCounters(**server,
+                  [](const ServerCounters& c) { return c.queue_depth == 1; });
+  handle->Replace(std::move(*sparse));
+  slow.join();
+  banded.join();
+
+  EXPECT_EQ(banded_status, 400) << banded_body;
+  EXPECT_NE(banded_body.find("invalid_band"), std::string::npos)
+      << banded_body;
+  const ServerCounters counters = (*server)->Counters();
+  EXPECT_EQ(counters.admitted, 2u);
+  EXPECT_EQ(counters.completed, 1u);  // The slow search only.
+  EXPECT_EQ(counters.protocol_errors, 1u);
   (*server)->Shutdown();
 }
 

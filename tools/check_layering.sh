@@ -106,13 +106,23 @@ forbid "one node record" \
 
 # --- one query path
 # Every univariate query reaches SearchDriver through
-# core::SearchTiers, and every tswarpd search through RunSingle.
+# core::SearchTiers, and every tswarpd search through RunSearch.
 # The single-tree entry, the per-tier copies of the query knobs,
 # the second sparse model and the server's coalescer were deleted
 # and must not come back.
 forbid "one query path" \
-  "second query path found — search through core::SearchTiers / Server RunSingle; see docs/algorithms.md" \
+  "second query path found — search through core::SearchTiers / Server RunSearch; see docs/algorithms.md" \
   -E 'TreeSearchConfig|TierSearchEntry|TreeSearchKnn|RunSearchDriver|SparseCategoryModel|RunGroup' \
+  src tools bench tests
+
+# --- one search path in tswarpd
+# A search runs on the connection thread that parsed it once it holds
+# a run slot. The dispatcher thread, its job queue with a promise per
+# reply, its batch pop and the dispatch-round size were deleted and
+# must not come back.
+forbid "one search path in tswarpd" \
+  "dispatcher code found — run the search on its connection thread; see docs/server.md" \
+  -E 'std::promise|PopBatch|DispatchLoop|dispatch_thread|max_batch' \
   src tools bench tests
 
 # --- mapping syscalls stay in src/storage

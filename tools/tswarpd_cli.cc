@@ -1,19 +1,19 @@
 // tswarpd: serves one tswarp index over HTTP/JSON.
 //
 //   tswarpd_cli serve DB [--port P] [--address A] [--kind st|stc|sstc]
-//       [--categories C] [--index PATH] [--queue N] [--batch N]
+//       [--categories C] [--index PATH] [--queue N]
 //       [--search-threads T] [--conn-threads T] [--streaming]
 //       [--memtable N] [--sealed N] [--smoke]
 //   tswarpd_cli append VALUES [--port P] [--address A]
 //
 // The index is built (or, with --index, reopened from a persisted bundle)
-// at startup; queries then run concurrently through the admission queue
-// and the search dispatcher (see docs/server.md). With --streaming the
-// index is wrapped in a core::TieredIndex, enabling POST /append and the
-// /continuous/* endpoints (see docs/streaming.md). SIGTERM/SIGINT trigger
-// a graceful drain: in-flight and already-admitted searches are answered,
-// then the process exits 0. Any flag the subcommand does not take is a
-// usage error (exit 2).
+// at startup; each query then runs on its connection thread once it holds
+// a run slot (see docs/server.md). With --streaming the index is wrapped
+// in a core::TieredIndex, enabling POST /append and the /continuous/*
+// endpoints (see docs/streaming.md). SIGTERM/SIGINT trigger a graceful
+// drain: in-flight and already-admitted searches are answered, then the
+// process exits 0. Any flag the subcommand does not take is a usage error
+// (exit 2).
 //
 // `append` is the matching client: it POSTs one comma-separated sequence
 // to a running --streaming server and prints the assigned global seq id.
@@ -55,7 +55,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: tswarpd_cli serve DB [--port P] [--address A] "
                "[--kind st|stc|sstc] [--categories C] [--index PATH] "
-               "[--queue N] [--batch N] "
+               "[--queue N] "
                "[--search-threads T] [--conn-threads T] [--streaming] "
                "[--memtable N] [--sealed N] [--smoke]\n"
                "       tswarpd_cli append VALUES [--port P] [--address A]\n"
@@ -164,7 +164,6 @@ int Serve(int argc, char** argv) {
       !FlagCount(argc, argv, "--sealed", 2,
                  &tiered_options.max_sealed_tiers) ||
       !FlagCount(argc, argv, "--queue", 64, &server_options.queue_capacity) ||
-      !FlagCount(argc, argv, "--batch", 8, &server_options.max_batch) ||
       !FlagCount(argc, argv, "--search-threads", 0,
                  &server_options.search_threads) ||
       !FlagCount(argc, argv, "--conn-threads", 4,
@@ -265,7 +264,7 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "serve") == 0) {
     if (!OnlyKnownFlags(argc, argv,
                         {"--port", "--address", "--kind", "--categories",
-                         "--index", "--queue", "--batch", "--search-threads",
+                         "--index", "--queue", "--search-threads",
                          "--conn-threads", "--memtable", "--sealed"},
                         {"--streaming", "--smoke"})) {
       return tswarp::Usage();
