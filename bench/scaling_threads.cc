@@ -17,6 +17,10 @@
 // With --disk the bench additionally builds one disk-backed SST_C bundle
 // and measures batch throughput through its read-only mappings.
 //
+// Thread counts run outermost and ascending, every index measured at one
+// count before the next: the scheduler's pool only grows, so this order
+// is what gives each @T column exactly T workers.
+//
 //   scaling_threads [--queries N] [--epsilon E] [--categories C] [--quick]
 //                   [--st] [--disk] [--json]
 //
@@ -29,6 +33,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -77,6 +82,26 @@ double BatchSeconds(const Index& index,
   return timer.Seconds() / static_cast<double>(queries.size());
 }
 
+/// One measured index: its serial time and, per thread count, the
+/// average query time of intra-query and batched searches. Disk rows
+/// measure batches only.
+struct Row {
+  Row(std::string name, std::string report_prefix, Index index,
+      bool query_columns)
+      : name(std::move(name)),
+        report_prefix(std::move(report_prefix)),
+        index(std::move(index)),
+        query_columns(query_columns) {}
+
+  std::string name;
+  std::string report_prefix;
+  Index index;
+  bool query_columns;
+  double serial = 0.0;
+  std::vector<double> intra;
+  std::vector<double> batch;
+};
+
 int Run(int argc, char** argv) {
   const bool json = bench::StripJsonFlag(&argc, argv);
   bench::JsonReport report("scaling_threads");
@@ -91,8 +116,64 @@ int Run(int argc, char** argv) {
 
   const seqdb::SequenceDatabase db = PaperStockDb();
   const std::vector<seqdb::Sequence> queries = PaperQueries(db, num_queries);
+  // Ascending: the scheduler's pool only grows, so each @T column runs on
+  // exactly T workers only if no larger count ran before it.
   std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   if (quick) thread_counts = {1, 4};
+
+  std::vector<Row> rows;
+  std::vector<IndexKind> kinds = {IndexKind::kCategorized, IndexKind::kSparse};
+  if (include_st) kinds.insert(kinds.begin(), IndexKind::kSuffixTree);
+  for (const IndexKind kind : kinds) {
+    IndexOptions options;
+    options.kind = kind;
+    options.num_categories = categories;
+    auto index = Index::Build(&db, options);
+    if (!index.ok()) {
+      std::fprintf(stderr, "build %s failed: %s\n", IndexKindToString(kind),
+                   index.status().ToString().c_str());
+      return 1;
+    }
+    rows.emplace_back(IndexKindToString(kind), IndexKindToString(kind),
+                      std::move(*index), /*query_columns=*/true);
+  }
+
+  // --disk: the same batch fan-out over one disk-backed SST_C bundle,
+  // searched through its read-only mappings: no lock sits between the
+  // workers and the records, so the row should track the in-memory ones.
+  const auto disk_dir = std::filesystem::temp_directory_path() /
+                        ("tswarp_scaling_disk_" + std::to_string(::getpid()));
+  const bool disk = bench::HasFlag(argc, argv, "--disk");
+  if (disk) {
+    std::filesystem::create_directories(disk_dir);
+    IndexOptions options;
+    options.kind = IndexKind::kSparse;
+    options.num_categories = categories;
+    options.disk_path = (disk_dir / "sst_c").string();
+    options.disk_batch_sequences = 32;
+    auto index = Index::Build(&db, options);
+    if (!index.ok()) {
+      std::fprintf(stderr, "disk build failed: %s\n",
+                   index.status().ToString().c_str());
+      std::filesystem::remove_all(disk_dir);
+      return 1;
+    }
+    rows.emplace_back("disk", "disk/mmap", std::move(*index),
+                      /*query_columns=*/false);
+  }
+
+  for (Row& row : rows) {
+    row.serial = AvgQuerySeconds(row.index, queries, epsilon, 0);
+  }
+  for (const std::size_t t : thread_counts) {
+    for (Row& row : rows) {
+      if (row.query_columns) {
+        row.intra.push_back(AvgQuerySeconds(row.index, queries, epsilon, t));
+      }
+      row.batch.push_back(BatchSeconds(row.index, queries, epsilon, t));
+    }
+  }
+  if (disk) std::filesystem::remove_all(disk_dir);
 
   std::printf("Thread scaling; stock data, epsilon %.0f, %zu queries, "
               "%zu categories, %zu hardware threads\n\n",
@@ -114,81 +195,37 @@ int Run(int argc, char** argv) {
              {{"hardware_threads",
                static_cast<double>(HardwareThreads())}});
 
-  std::vector<IndexKind> kinds = {IndexKind::kCategorized, IndexKind::kSparse};
-  if (include_st) kinds.insert(kinds.begin(), IndexKind::kSuffixTree);
-  for (const IndexKind kind : kinds) {
-    IndexOptions options;
-    options.kind = kind;
-    options.num_categories = categories;
-    auto index = Index::Build(&db, options);
-    if (!index.ok()) {
-      std::fprintf(stderr, "build %s failed: %s\n", IndexKindToString(kind),
-                   index.status().ToString().c_str());
-      return 1;
-    }
-    const double serial = AvgQuerySeconds(*index, queries, epsilon, 0);
-    std::printf("%-6s %10.4f", IndexKindToString(kind), serial);
-    const std::string kind_name = IndexKindToString(kind);
-    report.Add(kind_name + "/serial", serial * 1e9);
-    for (const std::size_t t : thread_counts) {
-      const double intra = AvgQuerySeconds(*index, queries, epsilon, t);
-      const double batch = BatchSeconds(*index, queries, epsilon, t);
-      std::printf(" %7.2fx %7.2fx", serial / intra, serial / batch);
-      // efficiency = speedup / threads: 1.0 is perfect scaling, and the
-      // ceiling drops to hardware_threads / t once t oversubscribes.
-      report.Add(kind_name + "/query@" + std::to_string(t), intra * 1e9,
-                 {{"speedup", serial / intra},
-                  {"efficiency", serial / intra / static_cast<double>(t)}});
-      report.Add(kind_name + "/batch@" + std::to_string(t), batch * 1e9,
-                 {{"speedup", serial / batch},
-                  {"efficiency", serial / batch / static_cast<double>(t)}});
+  // efficiency = speedup / threads: 1.0 is perfect scaling, and the
+  // ceiling drops to hardware_threads / t once t oversubscribes.
+  const auto add = [&](const std::string& name, double seconds,
+                       double serial, std::size_t t) {
+    report.Add(name, seconds * 1e9,
+               {{"speedup", serial / seconds},
+                {"efficiency", serial / seconds / static_cast<double>(t)}});
+  };
+  for (const Row& row : rows) {
+    std::printf("%-6s %10.4f", row.name.c_str(), row.serial);
+    report.Add(row.report_prefix + "/serial", row.serial * 1e9);
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      const std::size_t t = thread_counts[i];
+      if (row.query_columns) {
+        std::printf(" %7.2fx", row.serial / row.intra[i]);
+        add(row.report_prefix + "/query@" + std::to_string(t), row.intra[i],
+            row.serial, t);
+      } else {
+        std::printf(" %8s", "-");
+      }
+      std::printf(" %7.2fx", row.serial / row.batch[i]);
+      add(row.report_prefix + "/batch@" + std::to_string(t), row.batch[i],
+          row.serial, t);
     }
     std::printf("\n");
   }
   std::printf("\n(columns are speedups vs the serial searcher; query@T = "
               "one query split across T workers, batch@T = independent "
-              "queries fanned across T workers)\n");
+              "queries fanned across T workers; the disk row is the "
+              "mapped SST_C bundle, batches only)\n");
 
-  if (bench::HasFlag(argc, argv, "--disk")) {
-    // The same batch fan-out over one disk-backed SST_C bundle, searched
-    // through its read-only mappings: no lock sits between the workers
-    // and the records, so the rows should track the in-memory ones.
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("tswarp_scaling_disk_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-    IndexOptions options;
-    options.kind = IndexKind::kSparse;
-    options.num_categories = categories;
-    options.disk_path = (dir / "sst_c").string();
-    options.disk_batch_sequences = 32;
-    auto index = Index::Build(&db, options);
-    if (!index.ok()) {
-      std::fprintf(stderr, "disk build failed: %s\n",
-                   index.status().ToString().c_str());
-      std::filesystem::remove_all(dir);
-      return 1;
-    }
-    std::printf("\nDisk-backed SST_C (mapped): batch throughput\n\n");
-    std::printf("%-6s %10s", "kind", "serial(s)");
-    for (const std::size_t t : thread_counts) {
-      char head[32];
-      std::snprintf(head, sizeof head, "batch@%zu", t);
-      std::printf(" %8s", head);
-    }
-    std::printf("\n");
-    const double serial = AvgQuerySeconds(*index, queries, epsilon, 0);
-    std::printf("%-6s %10.4f", "disk", serial);
-    report.Add("disk/mmap/serial", serial * 1e9);
-    for (const std::size_t t : thread_counts) {
-      const double batch = BatchSeconds(*index, queries, epsilon, t);
-      std::printf(" %7.2fx", serial / batch);
-      report.Add("disk/mmap/batch@" + std::to_string(t), batch * 1e9,
-                 {{"speedup", serial / batch},
-                  {"efficiency", serial / batch / static_cast<double>(t)}});
-    }
-    std::printf("\n");
-    std::filesystem::remove_all(dir);
-  }
   if (json && !report.Write()) return 1;
   return 0;
 }

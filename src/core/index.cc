@@ -331,7 +331,7 @@ std::vector<Match> SearchTiers(
     }
   } else {
     // Parallel: one task per tier on the process-wide scheduler; each
-    // tier's traversal lazily splits further when threads go idle. Per-tier
+    // tier's traversal fans out once more over its root's edges. Per-tier
     // stats sinks keep the drains race-free; merged after the join.
     TaskScheduler::Get().EnsureWorkers(query_options.num_threads);
     std::vector<SearchStats> tier_stats(tiers.size());
@@ -398,11 +398,11 @@ std::vector<std::vector<Match>> IndexSnapshot::SearchBatch(
     return results;
   }
 
-  // Batch coalescing: one fork/join scope on the shared work-stealing
-  // scheduler, one task per query. Idle workers steal whole queries first;
-  // stealing *within* a query would need per-query parallel mode, which is
-  // deliberately off here so each query's stats stay bit-identical to its
-  // serial run (per_query.num_threads == 0 above).
+  // Batch coalescing: one fork/join scope on the shared scheduler, one
+  // task per query. Splitting *within* a query would need per-query
+  // parallel mode, which is deliberately off here so each query's stats
+  // stay bit-identical to its serial run (per_query.num_threads == 0
+  // above).
   TaskScheduler::Get().EnsureWorkers(query_options.num_threads);
   TaskScope scope;
   for (std::size_t i = 0; i < queries.size(); ++i) {

@@ -85,11 +85,11 @@ struct QueryOptions {
   /// see bench/ablation_lowerbound and docs/tuning.md).
   bool use_lower_bound = true;
   /// Worker threads. 0 = serial (the original single-threaded traversal).
-  /// >= 1 ensures the process-wide work-stealing scheduler has at least
-  /// that many persistent workers. For Search/SearchKnn the traversal
-  /// splits lazily into branch tasks as idle workers ask for work; for
-  /// SearchBatch independent queries fan out as one task each. Results
-  /// are identical to serial either way.
+  /// >= 1 ensures the process-wide scheduler has at least that many
+  /// persistent workers. For Search/SearchKnn each tree's root edges are
+  /// cut into at most 4 * num_threads contiguous ranges, one task each;
+  /// for SearchBatch independent queries fan out as one task each.
+  /// Results are identical to serial either way.
   std::size_t num_threads = 0;
   /// Cooperative cancellation / deadline hook. When non-null the search
   /// polls the token at bounded intervals and stops early once it expires,
@@ -171,8 +171,8 @@ class IndexSnapshot {
                                SearchStats* stats = nullptr) const;
 
   /// Runs one range search per query, coalescing the (independent)
-  /// queries into one fork/join scope on the shared work-stealing
-  /// scheduler (>= query_options.num_threads workers); each query itself
+  /// queries into one fork/join scope on the shared scheduler
+  /// (>= query_options.num_threads workers); each query itself
   /// runs serially, so per-query results and stats are bit-identical to
   /// Search(). `epsilons` holds either one shared threshold or one per
   /// query. When `stats` is non-null it is resized to one entry per query.

@@ -63,17 +63,11 @@ struct SearchStats {
   // the k-NN seed; SeqScan counts its rows in rows_pushed instead).
   std::uint64_t scan_rows = 0;
   std::uint64_t answers = 0;            // Final matches.
-  // Prefix rows re-pushed by parallel workers entering a branch task (the
-  // duplicated table work parallelism pays for; 0 in serial searches).
-  // Replay cells are included in cells_computed, so the serial identity
-  // cells_computed == rows_pushed * |Q| relaxes to
-  // (rows_pushed + replayed_rows) * |Q| when replayed_rows > 0.
-  std::uint64_t replayed_rows = 0;
-  // Work-stealing scheduler counters; all 0 in serial searches.
-  std::uint64_t tasks_executed = 0;  // Branch tasks run for this query.
-  // Tasks executed by a thread other than the one that submitted them
-  // (includes the externally injected root task when a pool worker takes
-  // it, so parallel searches always report at least 1).
+  // Scheduler counters; all 0 in serial searches.
+  // Tasks run for this query: one per root-edge range of each tree, plus
+  // one per tier in a parallel SearchTiers.
+  std::uint64_t tasks_executed = 0;
+  // Tasks executed by a thread other than the one that submitted them.
   std::uint64_t tasks_stolen = 0;
   // Workers that observed an expired CancelToken and stopped early
   // (QueryOptions::cancel). Nonzero means the result set is a sound
@@ -95,7 +89,6 @@ struct SearchStats {
     exact_dtw_calls += other.exact_dtw_calls;
     scan_rows += other.scan_rows;
     answers += other.answers;
-    replayed_rows += other.replayed_rows;
     tasks_executed += other.tasks_executed;
     tasks_stolen += other.tasks_stolen;
     cancelled += other.cancelled;

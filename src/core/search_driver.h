@@ -2,14 +2,12 @@
 #define TSWARP_CORE_SEARCH_DRIVER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,10 +71,8 @@ namespace tswarp::core {
 /// child's whole subtree there: every start below it (and, on sparse
 /// trees, every non-stored start inside a stored suffix's leading run)
 /// is scanned once with ResolveStart, which finds all of that start's
-/// answers, so nothing below the edge is descended. Frames on the DFS
-/// stack — the only thing lazy splitting hands out — therefore lie on
-/// paths with no passing row, and each start is scanned at most once
-/// (docs/algorithms.md, "Subtree resolution").
+/// answers, so nothing below the edge is descended and each start is
+/// scanned at most once (docs/algorithms.md, "Subtree resolution").
 ///
 /// k-NN searches on lower-bound models first seed the threshold (see
 /// Worker::SeedKnn) so that the first subtree resolved already prunes
@@ -86,7 +82,7 @@ namespace tswarp::core {
 /// CategoryModel (D_tw-lb intervals; on sparse trees also the D_tw-lb2
 /// recovery, selected by DriverConfig::sparse), and the multivariate
 /// GridCellModel. One kernel means every capability — Theorem-1 pruning,
-/// the work-stealing parallel engine, k-NN branch-and-bound, Sakoe-Chiba
+/// the root-branch parallel fan-out, k-NN branch-and-bound, Sakoe-Chiba
 /// bands, the running lower bound — reaches all of them at once.
 struct DriverConfig {
   const suffixtree::TreeView* tree = nullptr;
@@ -118,12 +114,12 @@ struct DriverConfig {
   Pos band = 0;
 
   /// Parallelism for one search. 0 = fully serial (single-table DFS, no
-  /// scheduler involvement); >= 1 ensures the process-wide work-stealing
-  /// scheduler has at least that many persistent workers and runs the
-  /// traversal on it with lazy task splitting — the DFS owner splits off
-  /// unexplored sibling edges only when an idle thread asks. No OS thread
-  /// is created per search once the scheduler is warm. Results are
-  /// identical to serial for both range and k-NN searches (see
+  /// scheduler involvement); >= 1 ensures the process-wide scheduler has
+  /// at least that many persistent workers and fans the traversal out
+  /// once, at the root: its edges are cut into at most
+  /// kRangesPerThread * num_threads contiguous ranges, one task each. No
+  /// OS thread is created per search once the scheduler is warm. Results
+  /// are identical to serial for both range and k-NN searches (see
   /// docs/parallel_search.md).
   std::size_t num_threads = 0;
 
@@ -151,7 +147,7 @@ struct DriverConfig {
 /// bound. Models with a different envelope type (the multivariate
 /// per-dimension set) own theirs alongside the context. `stats` is
 /// written only single-threaded: serially, or at join time when the
-/// per-thread worker slots are drained — no mutex on the merge path.
+/// per-range workers are drained — no mutex on the merge path.
 class QueryContext {
  public:
   QueryContext(Value epsilon, std::size_t knn_k)
@@ -168,32 +164,9 @@ class QueryContext {
   ResultCollector collector;
 
   /// Merged traversal stats. Serial searches write it directly; parallel
-  /// searches merge the per-thread worker slots into it after the task
-  /// scope joins, so no concurrent access ever happens.
+  /// searches merge the per-range workers into it after the task scope
+  /// joins, so no concurrent access ever happens.
   SearchStats stats;
-};
-
-/// One unit of parallel work: process edges [edge_lo, edge_hi) of `node`
-/// — push their label rows, emit or resolve, prune — and every subtree
-/// below them. `prefix` holds the symbols on the root-to-`node` path
-/// (nullptr = the node is the root); an executing thread replays them
-/// into its table (no emission: those rows were already evaluated by the
-/// task that split this one off) so depths, the Sakoe-Chiba band, and
-/// Theorem-1 pruning see the true distance table. The prefix buffer is
-/// shared, never copied per task: a split at the task's own start node
-/// reuses the parent task's buffer, and deeper splits materialize one new
-/// buffer from the live frame stack.
-struct BranchTask {
-  static constexpr std::uint32_t kAllEdges =
-      std::numeric_limits<std::uint32_t>::max();
-
-  std::shared_ptr<const std::vector<Symbol>> prefix;
-  suffixtree::NodeId node = 0;
-  std::uint32_t edge_lo = 0;
-  std::uint32_t edge_hi = kAllEdges;
-  /// D_base-lb(Q[1], first path symbol), fixed at the root branch
-  /// (Definition 4); only read when `prefix` is non-empty.
-  Value first_lb = 0.0;
 };
 
 /// Reusable per-thread worker arena: the cumulative warping table (the
@@ -271,6 +244,12 @@ inline void ReleaseSearchArena(std::unique_ptr<SearchArena> arena) {
 template <typename Model>
 class SearchDriver {
  public:
+  /// A parallel search cuts the root's edges into at most this many
+  /// ranges per thread: enough slack that the FIFO queue evens out root
+  /// branches of very different sizes, few enough that the per-task
+  /// GetChildren of the root stays negligible on wide (ST) roots.
+  static constexpr std::size_t kRangesPerThread = 4;
+
   /// `config` and `model` must outlive the driver; models are stateless,
   /// so every worker shares `model`.
   SearchDriver(const DriverConfig& config, const Model& model)
@@ -296,31 +275,42 @@ class SearchDriver {
       if constexpr (!Model::kExactRows) {
         if (ctx->collector.knn()) worker.SeedKnn();
       }
-      BranchTask root;
-      root.node = config_.tree->Root();
-      worker.RunTask(root, nullptr);
+      worker.Run(0, std::numeric_limits<std::size_t>::max());
       worker.Drain(stats_sink);
-    } else {
-      if constexpr (!Model::kExactRows) {
-        if (ctx->collector.knn()) {
-          // Seeded serially, before the fork: every parallel worker's
-          // cached threshold then starts from the seeded value.
-          Worker seeder(config_, model_, ctx, /*parallel=*/false);
-          seeder.SeedKnn();
-          seeder.Drain(stats_sink);
-        }
-      }
-      TaskScheduler& scheduler = TaskScheduler::Get();
-      scheduler.EnsureWorkers(config_.num_threads);
-      ParallelState par(config_, model_, ctx);
-      BranchTask root;
-      root.node = config_.tree->Root();
-      par.Submit(std::move(root));
-      par.scope.Wait();  // Rethrows the first task exception, if any.
-      par.DrainAll(stats_sink);
-      stats_sink->tasks_executed += par.scope.tasks_executed();
-      stats_sink->tasks_stolen += par.scope.tasks_stolen();
+      return;
     }
+    if constexpr (!Model::kExactRows) {
+      if (ctx->collector.knn()) {
+        // Seeded serially, before the fan-out: every parallel worker's
+        // cached threshold then starts from the seeded value.
+        Worker seeder(config_, model_, ctx, /*parallel=*/false);
+        seeder.SeedKnn();
+        seeder.Drain(stats_sink);
+      }
+    }
+    // One split, at the root: every root branch is an independent
+    // subproblem (its first-row bound is fixed there, Definition 4), so
+    // contiguous edge ranges need no shared table prefix.
+    Children root;
+    config_.tree->GetChildren(config_.tree->Root(), &root);
+    const std::size_t threads =
+        std::min(config_.num_threads, TaskScheduler::kMaxWorkers);
+    const std::vector<std::size_t> cuts = CutRootEdges(
+        root, ctx->collector.epsilon(), kRangesPerThread * threads);
+    TaskScheduler::Get().EnsureWorkers(config_.num_threads);
+    std::deque<Worker> workers;  // Outlives the scope's tasks.
+    TaskScope scope;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      Worker* worker = &workers.emplace_back(config_, model_, ctx,
+                                             /*parallel=*/true);
+      scope.Submit([worker, lo = cuts[i], hi = cuts[i + 1]] {
+        worker->Run(lo, hi);
+      });
+    }
+    scope.Wait();  // Rethrows the first task exception, if any.
+    for (Worker& worker : workers) worker.Drain(stats_sink);
+    stats_sink->tasks_executed += scope.tasks_executed();
+    stats_sink->tasks_stolen += scope.tasks_stolen();
   }
 
   /// Runs the search against `ctx` (freshly constructed for this query)
@@ -338,14 +328,55 @@ class SearchDriver {
   using NodeId = suffixtree::NodeId;
   using OccurrenceRec = suffixtree::OccurrenceRec;
 
-  struct ParallelState;
+  /// The sparse pruning discount of the edge into `child`: a non-stored
+  /// suffix under this branch may skip up to MaxRun-1 leading symbols,
+  /// each worth at most first_lb of distance (Definition 4). 0 on dense
+  /// trees.
+  static Value SparseDiscount(const DriverConfig& config, NodeId child,
+                              Value first_lb) {
+    if (!config.sparse) return 0.0;
+    const Pos max_run = config.tree->MaxRun(child);
+    return max_run > 1 ? static_cast<Value>(max_run - 1) * first_lb : 0.0;
+  }
 
-  /// Per-(query, executing thread) search state: private stats, an
+  /// Cuts the root's edges into at most `max_ranges` contiguous ranges of
+  /// about equal estimated work and returns the boundaries: range i is
+  /// edges [cuts[i], cuts[i+1]). An edge whose first row already fails
+  /// Theorem 1 at `eps` weighs 1; any other edge weighs 1 plus the
+  /// suffixes stored below it. Query work concentrates in the few root
+  /// branches near Q[1], and an equal edge count would often put two of
+  /// them in one range. An edgeless root still gets one range, which
+  /// counts the root's visit.
+  std::vector<std::size_t> CutRootEdges(const Children& root, Value eps,
+                                        std::size_t max_ranges) const {
+    const std::size_t edges = root.edges.size();
+    std::vector<std::uint64_t> work(edges + 1, 0);  // Prefix sums.
+    for (std::size_t e = 0; e < edges; ++e) {
+      const Children::Edge& edge = root.edges[e];
+      const Value first_lb = model_.FirstRowLb(root.Label(edge).front());
+      const bool cut =
+          first_lb - SparseDiscount(config_, edge.child, first_lb) > eps;
+      work[e + 1] = work[e] + 1 +
+                    (cut ? 0 : config_.tree->SubtreeOccCount(edge.child));
+    }
+    const std::size_t ranges = std::clamp<std::size_t>(edges, 1, max_ranges);
+    std::vector<std::size_t> cuts = {0};
+    for (std::size_t i = 1; i < ranges; ++i) {
+      const std::uint64_t target = work[edges] * i / ranges;
+      const auto c = static_cast<std::size_t>(
+          std::lower_bound(work.begin(), work.end(), target) - work.begin());
+      if (c > cuts.back() && c < edges) cuts.push_back(c);
+    }
+    cuts.push_back(edges);
+    return cuts;
+  }
+
+  /// Per-(query, root-edge range) search state: private stats, an
   /// epsilon cache, and (range mode) a private answer vector published
   /// once at drain. The heavy arena (tables + traversal buffers) is
-  /// borrowed from the thread-local cache for each task, so it is reused
-  /// across queries, not just across this query's tasks. Serial searches use one worker and therefore
-  /// identical semantics.
+  /// borrowed from the executing thread's cache for each run, so it is
+  /// reused across queries, not just across this query's tasks. A serial
+  /// search is one worker over every root edge.
   class Worker {
    public:
     Worker(const DriverConfig& config, const Model& model,
@@ -358,30 +389,23 @@ class SearchDriver {
                                           : EpsMode::kExact),
           eps_cache_(ctx->collector.epsilon()) {}
 
-    /// Executes one branch task: replay the prefix, then traverse the
-    /// edge range. `par` enables lazy splitting (nullptr = serial).
-    void RunTask(const BranchTask& task, ParallelState* par) {
+    /// Traverses root edges [edge_lo, edge_hi) and every subtree below
+    /// them.
+    void Run(std::size_t edge_lo, std::size_t edge_hi) {
       if (config_.cancel != nullptr &&
           (cancel_seen_ || config_.cancel->Expired())) {
-        // The query is already dead: skip the prefix replay and the whole
-        // span. Queued tasks drain through here, leaving the scheduler
-        // free for the next query immediately.
+        // The query is already dead: skip the whole range. Queued tasks
+        // drain through here, leaving the scheduler free for the next
+        // query immediately.
         cancel_seen_ = true;
         stats_.cancelled = 1;
         return;
       }
       ArenaLease lease(config_, ResolvedDepthHint());
       SearchArena& arena = *lease.arena;
-      dtw::WarpingTable& table = arena.table;
-      const std::uint64_t cells_before = table.cells_computed();
-      if (task.prefix != nullptr) {
-        for (const Symbol sym : *task.prefix) {
-          model_.RowStep(&table, sym);
-          ++stats_.replayed_rows;
-        }
-      }
-      RunSpan(arena, task, par);
-      stats_.cells_computed += table.cells_computed() - cells_before;
+      const std::uint64_t cells_before = arena.table.cells_computed();
+      Traverse(arena, edge_lo, edge_hi);
+      stats_.cells_computed += arena.table.cells_computed() - cells_before;
     }
 
     /// Seeds the k-NN threshold before the DFS (docs/algorithms.md, "k-NN
@@ -484,7 +508,7 @@ class SearchDriver {
       kCached,  // Parallel k-NN: cached, refreshed periodically.
     };
 
-    /// This thread's arena for one task or seed, its table reset and bound
+    /// This thread's arena for one run or seed, its table reset and bound
     /// to the query; returned to the cache even if a model call throws.
     struct ArenaLease {
       ArenaLease(const DriverConfig& config, std::size_t depth_hint)
@@ -565,8 +589,8 @@ class SearchDriver {
 
     void PushFrame(SearchArena& arena, NodeId node, Value first_lb,
                    std::size_t edge_lo, std::size_t edge_hi) {
-      // A node's visit is attributed to the task starting at its first
-      // edge, so nodes split across branch tasks are still counted once.
+      // The root's visit is attributed to the range starting at its first
+      // edge, so a root split across tasks is still counted once.
       if (edge_lo == 0) ++stats_.nodes_visited;
       frames_.push_back({node, first_lb, edge_lo, 0, 0});
       Children& children = ChildrenAt(arena, frames_.size() - 1);
@@ -574,68 +598,15 @@ class SearchDriver {
       frames_.back().limit = std::min(edge_hi, children.edges.size());
     }
 
-    /// Builds the root-to-node prefix of frame `i` for a split task: the
-    /// current task's prefix plus the labels of the edges this traversal
-    /// descended through below it. Frame 0 shares the current buffer
-    /// outright — no copy.
-    std::shared_ptr<const std::vector<Symbol>> MaterializePrefix(
-        const SearchArena& arena, std::size_t i) const {
-      if (i == 0) return current_prefix_;
-      auto out = std::make_shared<std::vector<Symbol>>();
-      std::size_t total =
-          current_prefix_ != nullptr ? current_prefix_->size() : 0;
-      for (std::size_t j = 0; j < i; ++j) {
-        const Children& c = arena.children_stack[j];
-        total += c.Label(c.edges[frames_[j].edge]).size();
-      }
-      out->reserve(total);
-      if (current_prefix_ != nullptr) {
-        out->insert(out->end(), current_prefix_->begin(),
-                    current_prefix_->end());
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        const Children& c = arena.children_stack[j];
-        const std::span<const Symbol> label =
-            c.Label(c.edges[frames_[j].edge]);
-        out->insert(out->end(), label.begin(), label.end());
-      }
-      return out;
-    }
-
-    /// Lazy split: hand an idle thread the unexplored sibling edges of
-    /// the *shallowest* frame that still has any — the largest chunk of
-    /// remaining work, one task, one GetChildren-free handoff. The
-    /// owner's frame is truncated so every edge stays owned by exactly
-    /// one task; replay cost is paid only on this actual steal.
-    void TrySplit(SearchArena& arena, ParallelState* par) {
-      for (std::size_t i = 0; i < frames_.size(); ++i) {
-        Frame& f = frames_[i];
-        if (f.edge + 1 >= f.limit) continue;
-        BranchTask task;
-        task.prefix = MaterializePrefix(arena, i);
-        task.node = f.node;
-        task.edge_lo = static_cast<std::uint32_t>(f.edge + 1);
-        task.edge_hi = static_cast<std::uint32_t>(f.limit);
-        task.first_lb = f.first_lb;
-        f.limit = f.edge + 1;
-        par->Submit(std::move(task));
-        return;
-      }
-    }
-
-    /// Iterative DFS over the task's edge range; every deeper node is
-    /// traversed in full (unless split off to a thief mid-walk or
-    /// resolved at a passing row).
-    void RunSpan(SearchArena& arena, const BranchTask& task,
-                 ParallelState* par) {
+    /// Iterative DFS over root edges [edge_lo, edge_hi); every deeper
+    /// node is traversed in full (unless pruned or resolved at a passing
+    /// row).
+    void Traverse(SearchArena& arena, std::size_t edge_lo,
+                  std::size_t edge_hi) {
       dtw::WarpingTable& table = arena.table;
       frames_.clear();
-      current_prefix_ = task.prefix;
-      PushFrame(arena, task.node, task.first_lb, task.edge_lo, task.edge_hi);
+      PushFrame(arena, config_.tree->Root(), 0.0, edge_lo, edge_hi);
       while (!frames_.empty()) {
-        // The lazy-split poll: one relaxed load per DFS step. Only when
-        // some thread is idle does the owner materialize a task.
-        if (par != nullptr && par->scope.WantsWork()) TrySplit(arena, par);
         Frame& f = frames_.back();
         Children& children = ChildrenAt(arena, frames_.size() - 1);
         if (f.edge >= f.limit) {
@@ -653,16 +624,8 @@ class SearchDriver {
         const bool at_root = table.Empty();
         Value branch_first_lb = f.first_lb;
         if (at_root) branch_first_lb = model_.FirstRowLb(label.front());
-        // The sparse pruning discount: a non-stored suffix under this
-        // branch may skip up to MaxRun-1 leading symbols, each worth at
-        // most first_lb of distance (Definition 4).
-        Value discount = 0.0;
-        if (config_.sparse) {
-          const Pos max_run = config_.tree->MaxRun(edge.child);
-          if (max_run > 1) {
-            discount = static_cast<Value>(max_run - 1) * branch_first_lb;
-          }
-        }
+        const Value discount =
+            SparseDiscount(config_, edge.child, branch_first_lb);
 
         std::size_t pushed = 0;
         bool descend = true;
@@ -672,8 +635,8 @@ class SearchDriver {
         bool occ_collected = false;
         for (const Symbol sym : label) {
           if (ShouldAbort()) {
-            // Deadline/cancel fired: abandon the whole span. The arena is
-            // released by RunTask's guard and Reset on its next use, so
+            // Deadline/cancel fired: abandon the whole range. The arena is
+            // released by Run's lease and Reset on its next use, so
             // no unwinding of pushed rows is needed.
             frames_.clear();
             return;
@@ -786,49 +749,8 @@ class SearchDriver {
     std::uint32_t cancel_polls_ = 0;
     bool cancel_seen_ = false;
     std::vector<Frame> frames_;
-    std::shared_ptr<const std::vector<Symbol>> current_prefix_;
     std::vector<Match> answers_;
     SearchStats stats_;
-  };
-
-  /// Parallel bookkeeping for one query: the fork/join scope plus one
-  /// Worker per executing thread, created on a thread's first task for
-  /// this query and drained single-threaded after the scope joins (the
-  /// per-worker stats slots that replace the old stats mutex).
-  struct ParallelState {
-    ParallelState(const DriverConfig& config, const Model& model,
-                  QueryContext* ctx)
-        : config(config), model(model), ctx(ctx) {}
-
-    Worker& LocalWorker() {
-      const std::thread::id id = std::this_thread::get_id();
-      std::lock_guard<std::mutex> lock(mu);
-      for (auto& slot : workers) {
-        if (slot.first == id) return *slot.second;
-      }
-      workers.emplace_back(
-          id, std::make_unique<Worker>(config, model, ctx, /*parallel=*/true));
-      return *workers.back().second;
-    }
-
-    void Submit(BranchTask task) {
-      scope.Submit([this, task = std::move(task)] {
-        LocalWorker().RunTask(task, this);
-      });
-    }
-
-    void DrainAll(SearchStats* sink) {
-      for (auto& slot : workers) slot.second->Drain(sink);
-    }
-
-    const DriverConfig& config;
-    const Model& model;
-    QueryContext* ctx;
-    TaskScope scope;
-    // Worker slots: appended under `mu` (rare — once per thread per
-    // query), iterated without it only after the scope joined.
-    std::mutex mu;
-    std::vector<std::pair<std::thread::id, std::unique_ptr<Worker>>> workers;
   };
 
   const DriverConfig& config_;

@@ -64,7 +64,7 @@ std::vector<Match> SeqScan(const seqdb::SequenceDatabase& db,
     }
     collector.DrainRange(&scratch);
   } else {
-    // One task per sequence on the shared work-stealing scheduler. Each
+    // One task per sequence on the shared scheduler. Each
     // task owns its table, scratch vector, and stats slot; slots are
     // merged single-threaded after the scope joins.
     TaskScheduler::Get().EnsureWorkers(options.num_threads);

@@ -32,7 +32,7 @@ struct SeqScanOptions {
   Pos band = 0;
 
   /// Worker threads. 0 = serial. >= 1 fans the (independent) sequences out
-  /// as one task each on the process-wide work-stealing scheduler; answers
+  /// as one task each on the process-wide scheduler; answers
   /// and stats are identical to serial (every per-suffix computation is
   /// unchanged, only the execution order differs and Take() re-sorts).
   std::size_t num_threads = 0;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/task_scheduler.h"
 #include "suffixtree/merge.h"
 
 namespace tswarp::core {
@@ -363,16 +362,10 @@ bool TieredIndex::MergeOnce() {
     merge_running_ = true;
   }
 
-  // Run the compaction itself as a task on the shared work-stealing
-  // scheduler — merges are throughput work and should obey the same
-  // executor as searches (the coordinating thread helps execute it).
-  StatusOr<std::shared_ptr<const Tier>> built = std::shared_ptr<const Tier>();
-  TaskScheduler::Get().EnsureWorkers(1);
-  {
-    TaskScope scope;
-    scope.Submit([&] { built = BuildMergedTier(a, b, generation); });
-    scope.Wait();
-  }
+  // The compaction runs on the calling thread: the merge thread, or the
+  // appending thread when merges are not in the background.
+  StatusOr<std::shared_ptr<const Tier>> built =
+      BuildMergedTier(a, b, generation);
 
   std::unique_lock<std::mutex> lock(mu_);
   merge_running_ = false;

@@ -72,7 +72,6 @@ JsonValue StatsToJson(const core::SearchStats& s) {
   obj.Set("lb_invocations", num(s.lb_invocations));
   obj.Set("lb_pruned", num(s.lb_pruned));
   obj.Set("nodes_visited", num(s.nodes_visited));
-  obj.Set("replayed_rows", num(s.replayed_rows));
   obj.Set("rows_pushed", num(s.rows_pushed));
   obj.Set("scan_rows", num(s.scan_rows));
   obj.Set("tasks_executed", num(s.tasks_executed));
@@ -809,7 +808,6 @@ struct Server::Impl {
     root.Set("requests", std::move(reqs));
     JsonValue sched = JsonValue::MakeObject();
     sched.Set("workers", num(TaskScheduler::Get().num_workers()));
-    sched.Set("steal_attempts", num(TaskScheduler::Get().steal_attempts()));
     root.Set("scheduler", std::move(sched));
     root.Set("search", StatsToJson(c.search));
     return root.Dump();

@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "core/index.h"
 #include "datagen/generators.h"
+#include "suffixtree/tree_view.h"
 #include "test_util.h"
 
 namespace tswarp::core {
@@ -248,23 +249,68 @@ TEST(ParallelSearchTest, MergedStatsCoverTheWholeTraversal) {
                              db.sequence(1).begin() + 6);
   SearchStats serial;
   index->Search(q, 6.0, {}, &serial);
-  EXPECT_EQ(serial.replayed_rows, 0u);
   QueryOptions par_opts;
   par_opts.num_threads = 4;
   SearchStats merged;
   index->Search(q, 6.0, par_opts, &merged);
-  // Workers together visit at least every node the serial search visits
-  // (task splitting can add a few below serially-pruned edges), and
-  // replay rows are accounted separately from real filter rows.
-  EXPECT_GE(merged.nodes_visited, serial.nodes_visited);
+  // Each root edge is traversed by exactly one range task from an empty
+  // table, so the workers together do exactly the serial traversal.
+  EXPECT_EQ(merged.nodes_visited, serial.nodes_visited);
+  EXPECT_EQ(merged.rows_pushed, serial.rows_pushed);
   EXPECT_EQ(merged.answers, serial.answers);
-  EXPECT_EQ(merged.cells_computed,
-            (merged.rows_pushed + merged.replayed_rows) * q.size());
+  EXPECT_EQ(merged.cells_computed, merged.rows_pushed * q.size());
 
   SearchStats a = serial;
   a.Merge(merged);
   EXPECT_EQ(a.rows_pushed, serial.rows_pushed + merged.rows_pushed);
   EXPECT_EQ(a.candidates, serial.candidates + merged.candidates);
+}
+
+// The dictionary tree (ST) of real-valued walks has one root edge per
+// distinct value: thousands here. A parallel search splits once over the
+// root's edges, so it runs at most 4 * num_threads range tasks (plus the
+// one tier task) however wide the root is, with answers and traversal
+// counters equal to serial.
+TEST(ParallelSearchTest, WideRootSplitsOnceIntoBoundedRanges) {
+  datagen::RandomWalkOptions walk;
+  walk.num_sequences = 20;
+  walk.avg_length = 150;
+  walk.seed = 4040;
+  const seqdb::SequenceDatabase db = datagen::GenerateRandomWalks(walk);
+  IndexOptions options;
+  options.kind = IndexKind::kSuffixTree;
+  auto index = Index::Build(&db, options);
+  ASSERT_TRUE(index.ok());
+  const auto& tiers = index->snapshot()->tiers();
+  ASSERT_EQ(tiers.size(), 1u);
+  suffixtree::Children root;
+  tiers[0]->view()->GetChildren(tiers[0]->view()->Root(), &root);
+  ASSERT_GE(root.edges.size(), 2000u);
+  const std::vector<Value> q(db.sequence(5).begin() + 40,
+                             db.sequence(5).begin() + 46);
+
+  SearchStats serial_stats;
+  const auto serial = index->Search(q, 3.0, {}, &serial_stats);
+  ASSERT_GE(serial_stats.answers, 1u);
+  const auto knn_serial = index->SearchKnn(q, 15);
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string context = "threads " + std::to_string(threads);
+    QueryOptions par_opts;
+    par_opts.num_threads = threads;
+    SearchStats range_stats;
+    testutil::ExpectSameMatches(
+        serial, index->Search(q, 3.0, par_opts, &range_stats), context);
+    EXPECT_LE(range_stats.tasks_executed, 1 + 4 * threads) << context;
+    EXPECT_EQ(range_stats.nodes_visited, serial_stats.nodes_visited)
+        << context;
+    EXPECT_EQ(range_stats.rows_pushed, serial_stats.rows_pushed) << context;
+
+    SearchStats knn_stats;
+    ExpectIdenticalKnn(knn_serial,
+                       index->SearchKnn(q, 15, par_opts, &knn_stats),
+                       "knn " + context);
+    EXPECT_LE(knn_stats.tasks_executed, 1 + 4 * threads) << context;
+  }
 }
 
 }  // namespace

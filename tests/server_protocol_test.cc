@@ -136,9 +136,8 @@ TEST_F(ServerProtocolTest, HeaderSpaceSmuggle) {
   RunGolden("header_space_smuggle");
 }
 
-// The summary screen's stats and the process-wide steal probes are gone
-// from per-tier and per-query reports; the probes live on in the
-// scheduler section of /stats.
+// The summary screen's stats, the steal probes and the prefix-replay
+// count are gone from per-tier, per-query and scheduler reports.
 TEST_F(ServerProtocolTest, StatsOmitRemovedCounters) {
   auto client = HttpClient::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -158,7 +157,8 @@ TEST_F(ServerProtocolTest, StatsOmitRemovedCounters) {
   }
   const JsonValue* scheduler = root->Find("scheduler");
   ASSERT_NE(scheduler, nullptr);
-  EXPECT_NE(scheduler->Find("steal_attempts"), nullptr);
+  EXPECT_NE(scheduler->Find("workers"), nullptr);
+  EXPECT_EQ(scheduler->Find("steal_attempts"), nullptr);
 
   auto search = client->Post(
       "/search", R"({"query":[1,2],"epsilon":1,"include_stats":true})");
@@ -169,7 +169,8 @@ TEST_F(ServerProtocolTest, StatsOmitRemovedCounters) {
   const JsonValue* query_stats = body->Find("stats");
   ASSERT_NE(query_stats, nullptr) << search->body;
   EXPECT_NE(query_stats->Find("rows_pushed"), nullptr);
-  for (const char* removed : {"steal_attempts", "summary_lb_invocations",
+  for (const char* removed : {"steal_attempts", "replayed_rows",
+                              "summary_lb_invocations",
                               "nodes_pruned_by_summary"}) {
     EXPECT_EQ(query_stats->Find(removed), nullptr) << removed;
   }

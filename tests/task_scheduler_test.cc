@@ -1,6 +1,5 @@
-// Contract tests for the process-wide work-stealing TaskScheduler: worker
-// identity, pool growth, fork/join scope counters, and exception
-// propagation. The randomized load tests live in
+// Contract tests for the process-wide TaskScheduler: pool growth,
+// fork/join scope counters, and exception propagation. The randomized load tests live in
 // task_scheduler_stress_test.cc (stress label, run under TSan in CI).
 
 #include <gtest/gtest.h>
@@ -12,10 +11,6 @@
 
 namespace tswarp {
 namespace {
-
-TEST(TaskSchedulerTest, ExternalThreadHasNoWorkerId) {
-  EXPECT_EQ(TaskScheduler::CurrentWorkerId(), TaskScheduler::kExternalThread);
-}
 
 TEST(TaskSchedulerTest, EnsureWorkersGrowsAndNeverShrinks) {
   TaskScheduler& scheduler = TaskScheduler::Get();
@@ -67,18 +62,6 @@ TEST(TaskSchedulerTest, WaitRethrowsFirstExceptionAndClearsIt) {
   scope.Submit([&ran] { ran.fetch_add(1); });
   scope.Wait();  // Cleared: no rethrow on the next Wait.
   EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(TaskSchedulerTest, StealAttemptCounterIsMonotonic) {
-  TaskScheduler& scheduler = TaskScheduler::Get();
-  scheduler.EnsureWorkers(2);
-  const std::uint64_t before = scheduler.steal_attempts();
-  TaskScope scope;
-  for (int i = 0; i < 32; ++i) {
-    scope.Submit([] {});
-  }
-  scope.Wait();
-  EXPECT_GE(scheduler.steal_attempts(), before);
 }
 
 TEST(TaskSchedulerTest, NestedScopeInsideTaskJoinsWithoutDeadlock) {

@@ -125,6 +125,16 @@ forbid "one search path in tswarpd" \
   -E 'std::promise|PopBatch|DispatchLoop|dispatch_thread|max_batch' \
   src tools bench tests
 
+# --- one parallel split
+# A parallel search fans out once, over contiguous ranges of root
+# edges, on one FIFO queue. The lazy DFS splitting, its prefix replay
+# and replay counter, the idle-thread poll and the steal-probe counter
+# of the work-stealing deques were deleted and must not come back.
+forbid "one parallel split" \
+  "lazy-splitting or work-stealing code found — fan out over root-edge ranges; see docs/parallel_search.md" \
+  -E 'MaterializePrefix|TrySplit|WantsWork|HasHungryThreads|replayed_rows|steal_attempts' \
+  src tools bench
+
 # --- mapping syscalls stay in src/storage
 # mmap/munmap/madvise/mincore are confined to storage::MappedFile;
 # a raw mapping call anywhere else bypasses the validated,

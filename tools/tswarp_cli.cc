@@ -138,12 +138,11 @@ StatusOr<seqdb::SequenceDatabase> LoadDb(int argc, char** argv) {
 /// rows" counts the exact rows those scans built.
 void PrintStatsCounters(const core::SearchStats& stats) {
   std::printf(
-      "stats: nodes %llu, rows %llu (+%llu replayed), pruned %llu, "
+      "stats: nodes %llu, rows %llu, pruned %llu, "
       "starts %llu, endpoint-rejected %llu, lb-screened %llu, "
       "lb-cut %llu, exact scans %llu, scan rows %llu\n",
       static_cast<unsigned long long>(stats.nodes_visited),
       static_cast<unsigned long long>(stats.rows_pushed),
-      static_cast<unsigned long long>(stats.replayed_rows),
       static_cast<unsigned long long>(stats.branches_pruned),
       static_cast<unsigned long long>(stats.candidates),
       static_cast<unsigned long long>(stats.endpoint_rejections),
