@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -43,9 +45,28 @@ struct IndexFingerprint {
   std::uint64_t seed;
   std::uint64_t db_sequences;
   std::uint64_t db_elements;
+  std::uint64_t db_content_hash;  // ContentHash of the database.
 };
 
-constexpr std::uint64_t kIndexMagic = 0x54535749444D4554ull;  // "TSWIDMET"
+// "TSWIDME2". The fingerprint without db_content_hash ("TSWIDMET", 56
+// bytes) cannot prove the database matches, so it reads as Corruption.
+constexpr std::uint64_t kIndexMagic = 0x54535749444D4532ull;
+
+/// Hash of every sequence's length and every value's bits, in order. Each
+/// step is a bijection of the state, so one differing word always shows.
+std::uint64_t ContentHash(const seqdb::SequenceDatabase& db) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ x) * 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 31;
+  };
+  for (SeqId id = 0; id < db.size(); ++id) {
+    const seqdb::Sequence& seq = db.sequence(id);
+    mix(seq.size());
+    for (const Value v : seq) mix(std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
 
 IndexFingerprint MakeFingerprint(const seqdb::SequenceDatabase& db,
                                  const IndexOptions& options) {
@@ -59,6 +80,7 @@ IndexFingerprint MakeFingerprint(const seqdb::SequenceDatabase& db,
   fp.seed = options.seed;
   fp.db_sequences = db.size();
   fp.db_elements = db.TotalElements();
+  fp.db_content_hash = ContentHash(db);
   return fp;
 }
 
@@ -69,12 +91,17 @@ Status WriteFingerprint(const std::string& path,
 
 StatusOr<IndexFingerprint> ReadFingerprint(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
+  if (f == nullptr) {
+    return errno == ENOENT ? Status::NotFound("no index at " + path)
+                           : Status::IOError("cannot open " + path);
+  }
   IndexFingerprint fp{};
   const std::size_t n = std::fread(&fp, sizeof(fp), 1, f);
   std::fclose(f);
   if (n != 1 || fp.magic != kIndexMagic) {
-    return Status::Corruption("bad index fingerprint " + path);
+    return Status::Corruption("bad index fingerprint " + path +
+                              " (damaged, or an older format without a "
+                              "database content hash); rebuild the index");
   }
   return fp;
 }
@@ -183,10 +210,17 @@ StatusOr<Index> Index::Open(const seqdb::SequenceDatabase* db,
   TSW_ASSIGN_OR_RETURN(const IndexFingerprint fp,
                        ReadFingerprint(FingerprintPath(options)));
   const IndexFingerprint want = MakeFingerprint(*db, options);
+  if (fp.db_sequences != want.db_sequences ||
+      fp.db_elements != want.db_elements ||
+      fp.db_content_hash != want.db_content_hash) {
+    return Status::FailedPrecondition(
+        "index fingerprint mismatch: the index at " + options.disk_path +
+        " was built from a different database");
+  }
   if (std::memcmp(&fp, &want, sizeof(fp)) != 0) {
     return Status::FailedPrecondition(
-        "index fingerprint mismatch: bundle was built with different "
-        "options or a different database");
+        "index fingerprint mismatch: the index at " + options.disk_path +
+        " was built with different options");
   }
 
   auto tier = std::make_shared<Tier>();

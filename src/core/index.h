@@ -117,8 +117,8 @@ struct QueryOptions {
 /// one ResultCollector and, for k-NN, one shrinking epsilon, so a tight
 /// match in any tier prunes every other tier. Serial (num_threads == 0)
 /// runs the tiers in order; parallel submits one scheduler task per tier,
-/// each of which splits its own traversal lazily (nested fork/join scopes
-/// are deadlock-free). Matches carry global sequence ids (tier-local id +
+/// each of which cuts its tree's root edges once into contiguous ranges,
+/// one nested task each (nested fork/join scopes are deadlock-free). Matches carry global sequence ids (tier-local id +
 /// Tier::first_seq) and the merged result is byte-identical to searching
 /// a monolithic index over the concatenated data: every engine verifies
 /// exactly, so per-tier symbol tables never change the match set. A band

@@ -166,10 +166,27 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
     }
   }
 
-  // 2. Single-sequence tree: the unit the memtable grows by, and the
-  // exactly-once evaluation scope for continuous queries (a new match
-  // lies entirely within the new sequence, so evaluating only it can
-  // neither miss nor re-deliver anything).
+  // 2. Continuous queries scan the new sequence alone: a new match lies
+  // entirely within it, so the scan can neither miss nor re-deliver
+  // anything, and it reports exactly what a search of any index over the
+  // same values would.
+  {
+    std::lock_guard<std::recursive_mutex> cq_lock(cq_mu_);
+    if (!continuous_.empty()) {
+      seqdb::SequenceDatabase single;
+      single.Add(values);
+      for (const auto& [id, cq] : continuous_) {
+        std::vector<Match> matches =
+            SeqScan(single, cq.query, cq.epsilon, cq.scan);
+        for (Match& m : matches) m.seq = global_id;
+        if (!matches.empty()) {
+          deliveries.push_back({id, cq.callback, std::move(matches)});
+        }
+      }
+    }
+  }
+
+  // 3. Single-sequence tree: the unit the memtable grows by.
   suffixtree::SymbolDatabase one_sym;
   one_sym.Add(syms);
   const suffixtree::BuildOptions build = BuildOptionsFrom(options_.index);
@@ -178,42 +195,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   suffixtree::SuffixTree single_tree = builder.Build();
   TSW_RETURN_IF_ERROR(single_tree.status());
 
-  {
-    std::lock_guard<std::recursive_mutex> cq_lock(cq_mu_);
-    if (!continuous_.empty()) {
-      // The new sequence as a one-sequence tier; the tree is lent to it
-      // for the evaluation and taken back for the memtable below.
-      auto single = std::make_shared<Tier>();
-      single->first_seq = global_id;
-      single->owned_db.emplace();
-      single->owned_db->Add(values);
-      single->db = &*single->owned_db;
-      if (options_.index.kind == IndexKind::kSuffixTree) {
-        single->symbol_values = symbol_values_;
-      } else {
-        single->alphabet = FitAlphabetTo(*frozen_alphabet_, *single->db);
-      }
-      single->memory_tree = std::move(single_tree);
-      const std::shared_ptr<const Tier> tiers[] = {single};
-      for (const auto& [id, cq] : continuous_) {
-        // Only the query-shape knobs apply: the evaluation runs serially
-        // under the append lock, and a stored registration must not keep
-        // using a caller's cancel token.
-        QueryOptions query_options = cq.query_options;
-        query_options.num_threads = 0;
-        query_options.cancel = nullptr;
-        std::vector<Match> matches =
-            SearchTiers(options_.index.kind, tiers, cq.query, cq.epsilon,
-                        /*knn_k=*/0, query_options);
-        if (!matches.empty()) {
-          deliveries.push_back({id, cq.callback, std::move(matches)});
-        }
-      }
-      single_tree = std::move(*single->memory_tree);
-    }
-  }
-
-  // 3. Grow the memtable: merge the new sequence's tree onto the previous
+  // 4. Grow the memtable: merge the new sequence's tree onto the previous
   // memtable tree (tier-local id = position within the memtable).
   const SeqId local_id = static_cast<SeqId>(memtable_values_.size());
   suffixtree::SuffixTree mem_tree;
@@ -229,7 +211,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   memtable_values_.push_back(std::move(values));
   ++appended_sequences_;
 
-  // 4. Assemble the new memtable tier — or, at the seal threshold, the
+  // 5. Assemble the new memtable tier — or, at the seal threshold, the
   // new sealed tier (a tier's role is fixed at creation; nothing is ever
   // mutated after publication).
   auto tier = std::make_shared<Tier>();
@@ -471,9 +453,15 @@ std::uint64_t TieredIndex::RegisterContinuous(
   TSW_CHECK(callback != nullptr);
   std::lock_guard<std::recursive_mutex> lock(cq_mu_);
   const std::uint64_t id = next_query_id_++;
-  continuous_.emplace(
-      id, ContinuousQuery{std::move(query), epsilon, query_options,
-                          std::move(callback)});
+  // Only the query-shape knobs apply: each evaluation is one serial
+  // scan under the append lock, and a stored registration must not keep
+  // using a caller's cancel token.
+  SeqScanOptions scan;
+  scan.band = query_options.band;
+  scan.prune = query_options.prune;
+  scan.use_lower_bound = query_options.use_lower_bound;
+  continuous_.emplace(id, ContinuousQuery{std::move(query), epsilon, scan,
+                                          std::move(callback)});
   return id;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/index.h"
+#include "core/seq_scan.h"
 #include "core/tier.h"
 
 namespace tswarp::core {
@@ -152,7 +153,9 @@ class TieredIndex {
 
   /// Registers a standing query: every future Append whose new sequence
   /// contains a subsequence within `epsilon` of `query` invokes `callback`
-  /// with those matches. Returns the query id for Unregister.
+  /// with those matches, found by a core::SeqScan of the new sequence
+  /// under `query_options`' band, prune and use_lower_bound (any index
+  /// kind). Returns the query id for Unregister.
   std::uint64_t RegisterContinuous(std::vector<Value> query, Value epsilon,
                                    ContinuousCallback callback,
                                    const QueryOptions& query_options = {});
@@ -166,7 +169,7 @@ class TieredIndex {
   struct ContinuousQuery {
     std::vector<Value> query;
     Value epsilon;
-    QueryOptions query_options;
+    SeqScanOptions scan;
     ContinuousCallback callback;
   };
 

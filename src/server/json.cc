@@ -7,47 +7,10 @@
 
 namespace tswarp::server {
 
-JsonValue JsonValue::MakeBool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::MakeNumber(double d) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = d;
-  return v;
-}
-
-JsonValue JsonValue::MakeString(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::MakeArray() {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  return v;
-}
-
-JsonValue JsonValue::MakeObject() {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  return v;
-}
-
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
   const auto it = object_.find(std::string(key));
   return it == object_.end() ? nullptr : &it->second;
-}
-
-void JsonValue::Set(std::string key, JsonValue value) {
-  object_[std::move(key)] = std::move(value);
 }
 
 void AppendJsonNumber(std::string* out, double d) {
@@ -64,88 +27,76 @@ void AppendJsonNumber(std::string* out, double d) {
 }
 
 void AppendJsonString(std::string* out, std::string_view s) {
+  // Characters with a short escape, and the letter each escapes to.
+  static constexpr std::string_view kRaw = "\"\\\n\r\t";
+  static constexpr std::string_view kEscaped = "\"\\nrt";
   out->push_back('"');
   for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
+    if (const std::size_t i = kRaw.find(c); i != std::string_view::npos) {
+      out->push_back('\\');
+      out->push_back(kEscaped[i]);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out->append(buf);
+    } else {
+      out->push_back(c);
     }
   }
   out->push_back('"');
 }
 
-std::string JsonValue::Dump() const {
-  std::string out;
-  switch (kind_) {
-    case Kind::kNull:
-      out = "null";
-      break;
-    case Kind::kBool:
-      out = bool_ ? "true" : "false";
-      break;
-    case Kind::kNumber:
-      AppendJsonNumber(&out, number_);
-      break;
-    case Kind::kString:
-      AppendJsonString(&out, string_);
-      break;
-    case Kind::kArray: {
-      out.push_back('[');
-      bool first = true;
-      for (const JsonValue& v : array_) {
-        if (!first) out.push_back(',');
-        first = false;
-        out.append(v.Dump());
-      }
-      out.push_back(']');
-      break;
-    }
-    case Kind::kObject: {
-      out.push_back('{');
-      bool first = true;
-      for (const auto& [key, v] : object_) {
-        if (!first) out.push_back(',');
-        first = false;
-        AppendJsonString(&out, key);
-        out.push_back(':');
-        out.append(v.Dump());
-      }
-      out.push_back('}');
-      break;
-    }
-  }
-  return out;
+void JsonWriter::Separate() {
+  if (need_comma_) out_->push_back(',');
 }
 
-namespace {
+JsonWriter& JsonWriter::Open(char bracket) {
+  Separate();
+  out_->push_back(bracket);
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_->push_back(bracket);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_->push_back(':');
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double d) {
+  Separate();
+  AppendJsonNumber(out_, d);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  Separate();
+  AppendJsonString(out_, s);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool b) {
+  Separate();
+  out_->append(b ? "true" : "false");
+  need_comma_ = true;
+  return *this;
+}
 
 /// Recursive-descent parser over a string_view with a depth cap. Keeps a
-/// byte cursor for error messages.
-class Parser {
+/// byte cursor for error messages. The only code that builds a JsonValue.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   StatusOr<JsonValue> Parse() {
     SkipWs();
@@ -196,19 +147,23 @@ class Parser {
     if (c == '{') return ParseObject(depth);
     if (c == '[') return ParseArray(depth);
     if (c == '"') {
-      TSW_ASSIGN_OR_RETURN(std::string s, ParseString());
-      return JsonValue::MakeString(std::move(s));
+      JsonValue v(JsonValue::Kind::kString);
+      TSW_ASSIGN_OR_RETURN(v.string_, ParseString());
+      return v;
     }
-    if (ConsumeWord("true")) return JsonValue::MakeBool(true);
-    if (ConsumeWord("false")) return JsonValue::MakeBool(false);
+    const bool is_true = ConsumeWord("true");
+    if (is_true || ConsumeWord("false")) {
+      JsonValue v(JsonValue::Kind::kBool);
+      v.bool_ = is_true;
+      return v;
+    }
     if (ConsumeWord("null")) return JsonValue();
     return ParseNumber();
   }
 
   StatusOr<JsonValue> ParseNumber() {
     const std::size_t start = pos_;
-    if (Consume('-')) {
-    }
+    Consume('-');
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
@@ -231,7 +186,9 @@ class Parser {
       pos_ = start;
       return Error("number out of range");
     }
-    return JsonValue::MakeNumber(d);
+    JsonValue v(JsonValue::Kind::kNumber);
+    v.number_ = d;
+    return v;
   }
 
   StatusOr<std::string> ParseString() {
@@ -249,81 +206,53 @@ class Parser {
         continue;
       }
       if (pos_ >= text_.size()) return Error("unterminated escape");
+      // Single-letter escapes, and the character each stands for.
+      static constexpr std::string_view kLetters = "\"\\/bfnrt";
+      static constexpr std::string_view kChars = "\"\\/\b\f\n\r\t";
       const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Error("bad hex digit in \\u escape");
-            }
-          }
-          // BMP only; surrogate pairs are rejected (the protocol carries
-          // numbers and ASCII identifiers — full UTF-16 pairing would be
-          // dead code here).
-          if (code >= 0xD800 && code <= 0xDFFF) {
-            return Error("surrogate \\u escapes are unsupported");
-          }
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Error("unknown escape");
+      if (const std::size_t i = kLetters.find(e);
+          i != std::string_view::npos) {
+        out.push_back(kChars[i]);
+        continue;
+      }
+      if (e != 'u') return Error("unknown escape");
+      if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
+      unsigned code = 0;
+      const char* hex = text_.data() + pos_;
+      const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+      pos_ += static_cast<std::size_t>(end - hex);
+      if (ec != std::errc() || end != hex + 4) {
+        ++pos_;  // The error names the byte after the bad digit.
+        return Error("bad hex digit in \\u escape");
+      }
+      // BMP only; surrogate pairs are rejected (the protocol carries
+      // numbers and ASCII identifiers — full UTF-16 pairing would be
+      // dead code here).
+      if (code >= 0xD800 && code <= 0xDFFF) {
+        return Error("surrogate \\u escapes are unsupported");
+      }
+      if (code < 0x80) {
+        out.push_back(static_cast<char>(code));
+      } else if (code < 0x800) {
+        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      } else {
+        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
       }
     }
   }
 
   StatusOr<JsonValue> ParseArray(std::size_t depth) {
     Consume('[');
-    JsonValue out = JsonValue::MakeArray();
+    JsonValue out(JsonValue::Kind::kArray);
     SkipWs();
     if (Consume(']')) return out;
     while (true) {
       SkipWs();
       TSW_ASSIGN_OR_RETURN(JsonValue v, ParseValue(depth + 1));
-      out.MutableArray()->push_back(std::move(v));
+      out.array_.push_back(std::move(v));
       SkipWs();
       if (Consume(']')) return out;
       if (!Consume(',')) return Error("expected ',' or ']' in array");
@@ -332,7 +261,7 @@ class Parser {
 
   StatusOr<JsonValue> ParseObject(std::size_t depth) {
     Consume('{');
-    JsonValue out = JsonValue::MakeObject();
+    JsonValue out(JsonValue::Kind::kObject);
     SkipWs();
     if (Consume('}')) return out;
     while (true) {
@@ -342,10 +271,9 @@ class Parser {
       if (!Consume(':')) return Error("expected ':' after object key");
       SkipWs();
       TSW_ASSIGN_OR_RETURN(JsonValue v, ParseValue(depth + 1));
-      if (out.Find(key) != nullptr) {
+      if (!out.object_.try_emplace(key, std::move(v)).second) {
         return Error("duplicate object key \"" + key + "\"");
       }
-      out.Set(std::move(key), std::move(v));
       SkipWs();
       if (Consume('}')) return out;
       if (!Consume(',')) return Error("expected ',' or '}' in object");
@@ -356,10 +284,8 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
 StatusOr<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
+  return JsonParser(text).Parse();
 }
 
 }  // namespace tswarp::server

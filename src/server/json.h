@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,10 +11,13 @@
 
 namespace tswarp::server {
 
-/// Minimal JSON document model for the tswarpd wire protocol. The server
-/// exchanges small request/response bodies, so a plain recursive value
-/// (map-backed objects, vector-backed arrays) is the right weight — no
-/// external dependency, deterministic serialization, strict parsing.
+class JsonParser;
+
+/// A parsed JSON document of the tswarpd wire protocol: the result of
+/// ParseJson, read-only. Objects are map-backed, arrays vector-backed —
+/// the right weight for small request bodies, with no external
+/// dependency. Responses are not built as documents: JsonWriter streams
+/// them.
 ///
 /// Deliberate strictness (each of these is a protocol test): input must be
 /// a single JSON value with nothing but whitespace after it, numbers must
@@ -27,13 +29,7 @@ class JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   JsonValue() : kind_(Kind::kNull) {}
-  static JsonValue MakeBool(bool b);
-  static JsonValue MakeNumber(double d);
-  static JsonValue MakeString(std::string s);
-  static JsonValue MakeArray();
-  static JsonValue MakeObject();
 
-  Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
@@ -45,22 +41,16 @@ class JsonValue {
   double AsNumber() const { return number_; }
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& AsArray() const { return array_; }
-  /// Ordered map: serialization and iteration are deterministic.
+  /// Ordered map: iteration is deterministic.
   const std::map<std::string, JsonValue>& AsObject() const { return object_; }
 
   /// Object member lookup; nullptr when absent (or not an object).
   const JsonValue* Find(std::string_view key) const;
 
-  std::vector<JsonValue>* MutableArray() { return &array_; }
-  /// Sets (replacing) an object member.
-  void Set(std::string key, JsonValue value);
-
-  /// Serializes compactly (no whitespace), keys in map order, doubles via
-  /// shortest round-trip (std::to_chars) so equal inputs always produce
-  /// byte-equal output.
-  std::string Dump() const;
-
  private:
+  friend class JsonParser;
+  explicit JsonValue(Kind kind) : kind_(kind) {}
+
   Kind kind_;
   bool bool_ = false;
   double number_ = 0.0;
@@ -74,12 +64,44 @@ class JsonValue {
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
 /// Appends `d` to `out` in the canonical wire format: shortest
-/// round-trip decimal, "-0" normalized to "0". Shared by JsonValue::Dump
-/// and hand-rolled serializers that must stay byte-compatible with it.
+/// round-trip decimal (std::to_chars, so integers carry no exponent or
+/// ".0"), "-0" normalized to "0". Equal inputs give equal bytes.
 void AppendJsonNumber(std::string* out, double d);
 
 /// Appends the JSON string literal (quotes + escapes) for `s`.
 void AppendJsonString(std::string* out, std::string_view s);
+
+/// The one serializer of tswarpd response bodies: streams compact JSON
+/// into `*out` straight from the data it reports, keeping the comma
+/// state; numbers go through AppendJsonNumber, strings through
+/// AppendJsonString. The caller writes each object's keys in ascending
+/// byte order (the protocol's canonical order, pinned by the
+/// tests/data/server goldens) and balances every Begin with its End.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  /// An object member's key; the next call writes its value.
+  JsonWriter& Key(std::string_view key);
+  JsonWriter& Number(double d);
+  JsonWriter& String(std::string_view s);
+  JsonWriter& Bool(bool b);
+
+ private:
+  /// Writes the comma owed before a value or key.
+  void Separate();
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+
+  std::string* out_;
+  // True once the innermost container holds a value, so the next one
+  // needs a comma; false after a Begin or a Key.
+  bool need_comma_ = false;
+};
 
 }  // namespace tswarp::server
 

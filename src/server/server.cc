@@ -57,27 +57,41 @@ HttpResponse ErrorResponse(int status, std::string_view code,
   return JsonResponse(status, ErrorBody(code, message));
 }
 
-JsonValue StatsToJson(const core::SearchStats& s) {
-  JsonValue obj = JsonValue::MakeObject();
-  const auto num = [](std::uint64_t v) {
-    return JsonValue::MakeNumber(static_cast<double>(v));
-  };
-  obj.Set("answers", num(s.answers));
-  obj.Set("branches_pruned", num(s.branches_pruned));
-  obj.Set("cancelled", num(s.cancelled));
-  obj.Set("candidates", num(s.candidates));
-  obj.Set("cells_computed", num(s.cells_computed));
-  obj.Set("endpoint_rejections", num(s.endpoint_rejections));
-  obj.Set("exact_dtw_calls", num(s.exact_dtw_calls));
-  obj.Set("lb_invocations", num(s.lb_invocations));
-  obj.Set("lb_pruned", num(s.lb_pruned));
-  obj.Set("nodes_visited", num(s.nodes_visited));
-  obj.Set("rows_pushed", num(s.rows_pushed));
-  obj.Set("scan_rows", num(s.scan_rows));
-  obj.Set("tasks_executed", num(s.tasks_executed));
-  obj.Set("tasks_stolen", num(s.tasks_stolen));
-  obj.Set("unshared_rows", num(s.unshared_rows));
-  return obj;
+/// Writes `s` as one object, keys in ascending order.
+void WriteStats(JsonWriter& w, const core::SearchStats& s) {
+  w.BeginObject()
+      .Key("answers").Number(s.answers)
+      .Key("branches_pruned").Number(s.branches_pruned)
+      .Key("cancelled").Number(s.cancelled)
+      .Key("candidates").Number(s.candidates)
+      .Key("cells_computed").Number(s.cells_computed)
+      .Key("endpoint_rejections").Number(s.endpoint_rejections)
+      .Key("exact_dtw_calls").Number(s.exact_dtw_calls)
+      .Key("lb_invocations").Number(s.lb_invocations)
+      .Key("lb_pruned").Number(s.lb_pruned)
+      .Key("nodes_visited").Number(s.nodes_visited)
+      .Key("rows_pushed").Number(s.rows_pushed)
+      .Key("scan_rows").Number(s.scan_rows)
+      .Key("tasks_executed").Number(s.tasks_executed)
+      .Key("tasks_stolen").Number(s.tasks_stolen)
+      .Key("unshared_rows").Number(s.unshared_rows)
+      .EndObject();
+}
+
+/// Writes `matches` (a span of the answers, or a poll's drained buffer)
+/// as one array of {"distance","len","seq","start"} objects.
+template <typename Matches>
+void WriteMatches(JsonWriter& w, const Matches& matches) {
+  w.BeginArray();
+  for (const core::Match& m : matches) {
+    w.BeginObject()
+        .Key("distance").Number(m.distance)
+        .Key("len").Number(m.len)
+        .Key("seq").Number(m.seq)
+        .Key("start").Number(m.start)
+        .EndObject();
+  }
+  w.EndArray();
 }
 
 /// True when `v` is a non-negative integral number <= `max`.
@@ -89,6 +103,23 @@ bool AsCount(const JsonValue& v, double max, double* out) {
   return true;
 }
 
+/// How a request field failed to be a non-empty array of numbers.
+enum class NumberArray { kOk, kNotNonEmptyArray, kNotAllNumbers };
+
+/// Reads `v` (null when the field is absent) as a non-empty array of
+/// numbers into `*out`. Each caller maps a failure to its own error.
+NumberArray ReadNumbers(const JsonValue* v, std::vector<Value>* out) {
+  if (v == nullptr || !v->is_array() || v->AsArray().empty()) {
+    return NumberArray::kNotNonEmptyArray;
+  }
+  out->reserve(v->AsArray().size());
+  for (const JsonValue& e : v->AsArray()) {
+    if (!e.is_number()) return NumberArray::kNotAllNumbers;
+    out->push_back(e.AsNumber());
+  }
+  return NumberArray::kOk;
+}
+
 bool SendAll(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
@@ -96,19 +127,6 @@ bool SendAll(int fd, std::string_view data) {
     data.remove_prefix(static_cast<std::size_t>(n));
   }
   return true;
-}
-
-JsonValue MatchesToJson(std::span<const core::Match> matches) {
-  JsonValue arr = JsonValue::MakeArray();
-  for (const core::Match& m : matches) {
-    JsonValue obj = JsonValue::MakeObject();
-    obj.Set("distance", JsonValue::MakeNumber(m.distance));
-    obj.Set("len", JsonValue::MakeNumber(static_cast<double>(m.len)));
-    obj.Set("seq", JsonValue::MakeNumber(static_cast<double>(m.seq)));
-    obj.Set("start", JsonValue::MakeNumber(static_cast<double>(m.start)));
-    arr.MutableArray()->push_back(std::move(obj));
-  }
-  return arr;
 }
 
 /// Per-registration delivery buffer of a continuous query served over
@@ -139,24 +157,30 @@ struct ContinuousChannel {
 }  // namespace
 
 std::string ErrorBody(std::string_view code, std::string_view message) {
-  JsonValue err = JsonValue::MakeObject();
-  err.Set("code", JsonValue::MakeString(std::string(code)));
-  err.Set("message", JsonValue::MakeString(std::string(message)));
-  JsonValue root = JsonValue::MakeObject();
-  root.Set("error", std::move(err));
-  return root.Dump();
+  std::string body;
+  JsonWriter(&body)
+      .BeginObject()
+      .Key("error").BeginObject()
+      .Key("code").String(code)
+      .Key("message").String(message)
+      .EndObject()
+      .EndObject();
+  return body;
 }
 
 std::string SearchResponseBody(std::string_view status_word,
                                std::span<const core::Match> matches,
                                const core::SearchStats* stats) {
-  JsonValue root = JsonValue::MakeObject();
-  root.Set("count",
-           JsonValue::MakeNumber(static_cast<double>(matches.size())));
-  root.Set("matches", MatchesToJson(matches));
-  if (stats != nullptr) root.Set("stats", StatsToJson(*stats));
-  root.Set("status", JsonValue::MakeString(std::string(status_word)));
-  return root.Dump();
+  std::string body;
+  JsonWriter w(&body);
+  w.BeginObject().Key("count").Number(matches.size()).Key("matches");
+  WriteMatches(w, matches);
+  if (stats != nullptr) {
+    w.Key("stats");
+    WriteStats(w, *stats);
+  }
+  w.Key("status").String(status_word).EndObject();
+  return body;
 }
 
 struct Server::Impl {
@@ -404,23 +428,15 @@ struct Server::Impl {
       CountProtocolError();
       return ErrorResponse(400, "bad_json", body.status().message());
     }
-    const JsonValue* values =
-        body->is_object() ? body->Find("values") : nullptr;
-    if (values == nullptr || !values->is_array() ||
-        values->AsArray().empty()) {
-      CountProtocolError();
-      return ErrorResponse(400, "invalid_values",
-                           "\"values\" must be a non-empty array of numbers");
-    }
     seqdb::Sequence seq;
-    seq.reserve(values->AsArray().size());
-    for (const JsonValue& v : values->AsArray()) {
-      if (!v.is_number()) {
-        CountProtocolError();
-        return ErrorResponse(400, "invalid_values",
-                             "\"values\" must contain only numbers");
-      }
-      seq.push_back(v.AsNumber());
+    const NumberArray values = ReadNumbers(body->Find("values"), &seq);
+    if (values != NumberArray::kOk) {
+      CountProtocolError();
+      return ErrorResponse(
+          400, "invalid_values",
+          values == NumberArray::kNotNonEmptyArray
+              ? "\"values\" must be a non-empty array of numbers"
+              : "\"values\" must contain only numbers");
     }
     StatusOr<SeqId> id = tiered->Append(std::move(seq));
     if (!id.ok()) {
@@ -431,9 +447,9 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(counters_mu);
       ++counters.appends;
     }
-    JsonValue root = JsonValue::MakeObject();
-    root.Set("seq", JsonValue::MakeNumber(static_cast<double>(*id)));
-    return JsonResponse(200, root.Dump());
+    std::string out;
+    JsonWriter(&out).BeginObject().Key("seq").Number(*id).EndObject();
+    return JsonResponse(200, std::move(out));
   }
 
   /// POST /continuous/register {"query":[...], "epsilon":E} — registers a
@@ -451,27 +467,20 @@ struct Server::Impl {
       CountProtocolError();
       return ErrorResponse(400, "bad_json", body.status().message());
     }
-    const JsonValue* query =
-        body->is_object() ? body->Find("query") : nullptr;
-    const JsonValue* epsilon =
-        body->is_object() ? body->Find("epsilon") : nullptr;
-    if (query == nullptr || !query->is_array() || query->AsArray().empty() ||
-        epsilon == nullptr || !epsilon->is_number() ||
-        epsilon->AsNumber() < 0) {
+    std::vector<Value> q;
+    const NumberArray query = ReadNumbers(body->Find("query"), &q);
+    const JsonValue* epsilon = body->Find("epsilon");
+    if (query == NumberArray::kNotNonEmptyArray || epsilon == nullptr ||
+        !epsilon->is_number() || epsilon->AsNumber() < 0) {
       CountProtocolError();
       return ErrorResponse(400, "invalid_request",
                            "need \"query\" (non-empty number array) and "
                            "\"epsilon\" (number >= 0)");
     }
-    std::vector<Value> q;
-    q.reserve(query->AsArray().size());
-    for (const JsonValue& v : query->AsArray()) {
-      if (!v.is_number()) {
-        CountProtocolError();
-        return ErrorResponse(400, "invalid_query",
-                             "\"query\" must contain only numbers");
-      }
-      q.push_back(v.AsNumber());
+    if (query == NumberArray::kNotAllNumbers) {
+      CountProtocolError();
+      return ErrorResponse(400, "invalid_query",
+                           "\"query\" must contain only numbers");
     }
     auto channel = std::make_shared<ContinuousChannel>();
     const std::uint64_t id = tiered->RegisterContinuous(
@@ -483,17 +492,16 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(continuous_mu);
       continuous[id] = std::move(channel);
     }
-    JsonValue root = JsonValue::MakeObject();
-    root.Set("id", JsonValue::MakeNumber(static_cast<double>(id)));
-    return JsonResponse(200, root.Dump());
+    std::string out;
+    JsonWriter(&out).BeginObject().Key("id").Number(id).EndObject();
+    return JsonResponse(200, std::move(out));
   }
 
   std::shared_ptr<ContinuousChannel> FindChannel(const HttpRequest& request,
                                                  std::uint64_t* id,
                                                  HttpResponse* error) {
     StatusOr<JsonValue> body = ParseJson(request.body);
-    const JsonValue* idv =
-        body.ok() && body->is_object() ? body->Find("id") : nullptr;
+    const JsonValue* idv = body.ok() ? body->Find("id") : nullptr;
     double id_num = 0;
     if (idv == nullptr || !AsCount(*idv, 1e15, &id_num)) {
       CountProtocolError();
@@ -520,26 +528,27 @@ struct Server::Impl {
     std::shared_ptr<ContinuousChannel> channel =
         FindChannel(request, &id, &error);
     if (channel == nullptr) return error;
-    std::vector<core::Match> drained;
+    std::deque<core::Match> drained;
     std::uint64_t dropped = 0;
     std::uint64_t delivered = 0;
     {
       std::lock_guard<std::mutex> lock(channel->mu);
-      drained.assign(channel->buffer.begin(), channel->buffer.end());
-      channel->buffer.clear();
+      drained.swap(channel->buffer);
       channel->delivered += drained.size();
       delivered = channel->delivered;
       dropped = channel->dropped;
     }
-    JsonValue root = JsonValue::MakeObject();
-    root.Set("count",
-             JsonValue::MakeNumber(static_cast<double>(drained.size())));
-    root.Set("delivered",
-             JsonValue::MakeNumber(static_cast<double>(delivered)));
-    root.Set("dropped", JsonValue::MakeNumber(static_cast<double>(dropped)));
-    root.Set("id", JsonValue::MakeNumber(static_cast<double>(id)));
-    root.Set("matches", MatchesToJson(drained));
-    return JsonResponse(200, root.Dump());
+    std::string out;
+    JsonWriter w(&out);
+    w.BeginObject()
+        .Key("count").Number(drained.size())
+        .Key("delivered").Number(delivered)
+        .Key("dropped").Number(dropped)
+        .Key("id").Number(id)
+        .Key("matches");
+    WriteMatches(w, drained);
+    w.EndObject();
+    return JsonResponse(200, std::move(out));
   }
 
   /// POST /continuous/unregister {"id":N}.
@@ -587,17 +596,14 @@ struct Server::Impl {
         return fail("unknown_field", "unknown field \"" + key + "\"");
       }
     }
-    const JsonValue* query = body.Find("query");
-    if (query == nullptr || !query->is_array() || query->AsArray().empty()) {
-      return fail("invalid_query",
-                  "\"query\" must be a non-empty array of numbers");
-    }
-    job->query.reserve(query->AsArray().size());
-    for (const JsonValue& v : query->AsArray()) {
-      if (!v.is_number()) {
+    switch (ReadNumbers(body.Find("query"), &job->query)) {
+      case NumberArray::kNotNonEmptyArray:
+        return fail("invalid_query",
+                    "\"query\" must be a non-empty array of numbers");
+      case NumberArray::kNotAllNumbers:
         return fail("invalid_query", "\"query\" must contain only numbers");
-      }
-      job->query.push_back(v.AsNumber());
+      case NumberArray::kOk:
+        break;
     }
     const JsonValue* epsilon = body.Find("epsilon");
     const JsonValue* k = body.Find("k");
@@ -736,81 +742,78 @@ struct Server::Impl {
   std::string StatsBody() {
     const ServerCounters c = Snapshot();
     const std::shared_ptr<const core::IndexSnapshot> idx = index->Snapshot();
-    const auto num = [](std::uint64_t v) {
-      return JsonValue::MakeNumber(static_cast<double>(v));
-    };
-    JsonValue root = JsonValue::MakeObject();
-    root.Set("draining",
-             JsonValue::MakeBool(draining.load(std::memory_order_relaxed)));
-    JsonValue index_obj = JsonValue::MakeObject();
-    index_obj.Set("kind", JsonValue::MakeString(core::IndexKindToString(
-                              idx->options().kind)));
-    index_obj.Set("nodes", num(idx->build_info().num_nodes));
-    index_obj.Set("occurrences", num(idx->build_info().num_occurrences));
-    index_obj.Set("index_bytes", num(idx->build_info().index_bytes));
-    index_obj.Set("disk", JsonValue::MakeBool(idx->on_disk()));
-    index_obj.Set("sequences", num(idx->total_sequences()));
     // Mapped footprint: bytes mapped across disk tiers and how much of
     // that the kernel currently keeps resident. Both zero when the index
     // is in memory.
     const core::MappedIoStats mapped = idx->MappedStats();
-    index_obj.Set("mapped_bytes", num(mapped.mapped_bytes));
-    index_obj.Set("resident_bytes", num(mapped.resident_bytes));
+    std::string out;
+    JsonWriter w(&out);
+    w.BeginObject()
+        .Key("draining").Bool(draining.load(std::memory_order_relaxed))
+        .Key("index").BeginObject()
+        .Key("disk").Bool(idx->on_disk())
+        .Key("index_bytes").Number(idx->build_info().index_bytes)
+        .Key("kind").String(core::IndexKindToString(idx->options().kind))
+        .Key("mapped_bytes").Number(mapped.mapped_bytes)
+        .Key("nodes").Number(idx->build_info().num_nodes)
+        .Key("occurrences").Number(idx->build_info().num_occurrences)
+        .Key("resident_bytes").Number(mapped.resident_bytes)
+        .Key("sequences").Number(idx->total_sequences())
+        .Key("tiers").BeginArray();
     // Per-tier breakdown of the snapshot being served (one entry for a
     // monolithic index; base + sealed + memtable for a tiered one).
-    JsonValue tiers = JsonValue::MakeArray();
     for (const auto& tier : idx->tiers()) {
-      JsonValue t = JsonValue::MakeObject();
-      t.Set("first_seq", num(tier->info.first_seq));
-      t.Set("sequences", num(tier->info.sequences));
-      t.Set("elements", num(tier->info.elements));
-      t.Set("nodes", num(tier->info.nodes));
-      t.Set("occurrences", num(tier->info.occurrences));
-      t.Set("index_bytes", num(tier->info.index_bytes));
-      t.Set("on_disk", JsonValue::MakeBool(tier->info.on_disk));
-      t.Set("memtable", JsonValue::MakeBool(tier->info.memtable));
-      if (tier->info.on_disk) {
-        t.Set("mapped_bytes", num(tier->info.mapped_bytes));
-      }
-      tiers.MutableArray()->push_back(std::move(t));
+      const core::TierInfo& t = tier->info;
+      w.BeginObject()
+          .Key("elements").Number(t.elements)
+          .Key("first_seq").Number(t.first_seq)
+          .Key("index_bytes").Number(t.index_bytes);
+      if (t.on_disk) w.Key("mapped_bytes").Number(t.mapped_bytes);
+      w.Key("memtable").Bool(t.memtable)
+          .Key("nodes").Number(t.nodes)
+          .Key("occurrences").Number(t.occurrences)
+          .Key("on_disk").Bool(t.on_disk)
+          .Key("sequences").Number(t.sequences)
+          .EndObject();
     }
-    index_obj.Set("tiers", std::move(tiers));
-    root.Set("index", std::move(index_obj));
+    w.EndArray().EndObject()
+        .Key("queue").BeginObject()
+        .Key("admitted").Number(c.admitted)
+        .Key("capacity").Number(options.queue_capacity)
+        .Key("depth").Number(c.queue_depth)
+        .Key("high_water").Number(c.queue_high_water)
+        .Key("rejected").Number(c.rejected)
+        .EndObject()
+        .Key("requests").BeginObject()
+        .Key("completed").Number(c.completed)
+        .Key("connections").Number(c.connections)
+        .Key("partials").Number(c.partials)
+        .Key("protocol_errors").Number(c.protocol_errors)
+        .Key("timeouts").Number(c.timeouts)
+        .Key("total").Number(c.requests)
+        .EndObject()
+        .Key("scheduler").BeginObject()
+        .Key("workers").Number(TaskScheduler::Get().num_workers())
+        .EndObject()
+        .Key("search");
+    WriteStats(w, c.search);
     if (core::TieredIndex* tiered = index->tiered()) {
       const core::TieredStats ts = tiered->Stats();
-      JsonValue t = JsonValue::MakeObject();
-      t.Set("appended_sequences", num(ts.appended_sequences));
-      t.Set("memtable_sequences", num(ts.memtable_sequences));
-      t.Set("sealed_tiers", num(ts.sealed_tiers));
-      t.Set("pending_merges", num(ts.pending_merges));
-      t.Set("merges_completed", num(ts.merges_completed));
-      t.Set("merges_cancelled", num(ts.merges_cancelled));
-      t.Set("merges_failed", num(ts.merges_failed));
-      t.Set("merge_error", JsonValue::MakeString(ts.merge_error));
-      t.Set("continuous_queries", num(ts.continuous_queries));
-      t.Set("appends", num(c.appends));
-      root.Set("tiered", std::move(t));
+      w.Key("tiered").BeginObject()
+          .Key("appended_sequences").Number(ts.appended_sequences)
+          .Key("appends").Number(c.appends)
+          .Key("continuous_queries").Number(ts.continuous_queries)
+          .Key("memtable_sequences").Number(ts.memtable_sequences)
+          .Key("merge_error").String(ts.merge_error)
+          .Key("merges_cancelled").Number(ts.merges_cancelled)
+          .Key("merges_completed").Number(ts.merges_completed)
+          .Key("merges_failed").Number(ts.merges_failed)
+          .Key("pending_merges").Number(ts.pending_merges)
+          .Key("sealed_tiers").Number(ts.sealed_tiers)
+          .EndObject();
     }
-    JsonValue queue = JsonValue::MakeObject();
-    queue.Set("capacity", num(options.queue_capacity));
-    queue.Set("depth", num(c.queue_depth));
-    queue.Set("high_water", num(c.queue_high_water));
-    queue.Set("admitted", num(c.admitted));
-    queue.Set("rejected", num(c.rejected));
-    root.Set("queue", std::move(queue));
-    JsonValue reqs = JsonValue::MakeObject();
-    reqs.Set("connections", num(c.connections));
-    reqs.Set("total", num(c.requests));
-    reqs.Set("completed", num(c.completed));
-    reqs.Set("partials", num(c.partials));
-    reqs.Set("timeouts", num(c.timeouts));
-    reqs.Set("protocol_errors", num(c.protocol_errors));
-    root.Set("requests", std::move(reqs));
-    JsonValue sched = JsonValue::MakeObject();
-    sched.Set("workers", num(TaskScheduler::Get().num_workers()));
-    root.Set("scheduler", std::move(sched));
-    root.Set("search", StatsToJson(c.search));
-    return root.Dump();
+    w.EndObject();
+    return out;
   }
 
   ServerCounters Snapshot() const {

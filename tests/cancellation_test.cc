@@ -155,8 +155,8 @@ TEST(CancellationSearchTest, SchedulerAndArenasReusableAfterCancel) {
   const std::vector<Value> query = TestQuery(db);
   const std::vector<Match> baseline = index.Search(query, 8.0);
 
-  // A cancelled *parallel* search exercises the abort path on pool
-  // workers (skipped prefix replay, early task exit)...
+  // A cancelled *parallel* search exercises the abort path on scheduler
+  // workers (early task exit)...
   CancelToken token;
   token.Cancel();
   QueryOptions cancelled;

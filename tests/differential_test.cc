@@ -265,10 +265,9 @@ TEST(DifferentialTest, DiskBackedSearchByteIdenticalAcrossPoolConfigs) {
   // For every index kind, bundles built at several spill batch sizes
   // (one sequence per intermediate tree, a few, all at once) and each
   // reopened, return byte-identical matches to the serial in-memory
-  // index at every thread count. The name dates from when the varied
-  // configuration was the buffer pool the bundle was read through; the
-  // bundle is now always mapped, so what is left to vary is how it was
-  // written and how many threads search it.
+  // index at every thread count. What varies is how the bundle was
+  // written and how many threads search it; every bundle is read through
+  // a read-only mapping. (The name dates from the deleted buffer pool.)
   for (const IndexKind kind : {IndexKind::kSuffixTree,
                                IndexKind::kCategorized,
                                IndexKind::kSparse}) {
@@ -577,12 +576,14 @@ TEST(DifferentialTest, SeqScanCascadeByteIdentical) {
 }
 
 TEST(DifferentialTest, WorkStealingExecutorByteIdenticalAcrossThreadCounts) {
-  // Acceptance gate for the work-stealing execution layer: with lazy task
-  // splitting, per-thread arena reuse, and the cached k-NN threshold, a
-  // parallel search at any worker count must return byte-identical
-  // matches to the serial traversal — memory- and disk-backed, range and
-  // k-NN, for every index kind. Runs several seeds back to back so
-  // threads reuse cached arenas across queries of different lengths.
+  // Acceptance gate for the parallel search: with the root's edges cut
+  // once into ranges (one task each), per-thread arena reuse, and the
+  // shared k-NN threshold, a parallel search at any worker count must
+  // return byte-identical matches to the serial traversal — memory- and
+  // disk-backed, range and k-NN, for every index kind. Runs several
+  // seeds back to back so threads reuse cached arenas across queries of
+  // different lengths. (The name dates from the deleted work-stealing
+  // scheduler.)
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     const seqdb::SequenceDatabase db = RandomDb(500 + seed);
     Rng rng(6000 + seed);

@@ -2,6 +2,7 @@
 // the tree bundle; Open re-derives the categorizer deterministically and
 // reuses the bundle, returning identical answers without rebuilding.
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -137,6 +138,39 @@ TEST_F(IndexPersistenceTest, OpenRejectsChangedDatabase) {
   auto reopened = Index::Open(&other, options);
   EXPECT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Same shape, different values: the fingerprint's sequence and element
+// counts agree, so only its content hash can tell. Opening the bundle
+// would search one database's tree against another's values and miss
+// answers without a word.
+TEST_F(IndexPersistenceTest, OpenRejectsSameShapeWithDifferentValues) {
+  const IndexOptions options = DiskOptions("d");
+  ASSERT_TRUE(Index::Build(&db_, options).ok());
+  datagen::RandomWalkOptions data;
+  data.num_sequences = 12;
+  data.avg_length = 40;
+  data.seed = 405;
+  const seqdb::SequenceDatabase other = datagen::GenerateRandomWalks(data);
+  ASSERT_EQ(other.size(), db_.size());
+  ASSERT_EQ(other.TotalElements(), db_.TotalElements());
+  auto reopened = Index::Open(&other, options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reopened.status().message().find("different database"),
+            std::string::npos)
+      << reopened.status();
+
+  // One flipped value bit is enough.
+  seqdb::SequenceDatabase nudged;
+  for (SeqId id = 0; id < db_.size(); ++id) {
+    seqdb::Sequence seq = db_.sequence(id);
+    if (id == db_.size() - 1) seq.back() = std::nextafter(seq.back(), 1e9);
+    nudged.Add(std::move(seq));
+  }
+  EXPECT_EQ(Index::Open(&nudged, options).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(Index::Open(&db_, options).ok());
 }
 
 // A bundle written while builds still attached node summaries: format v2,

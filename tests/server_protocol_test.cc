@@ -2,8 +2,11 @@
 // corpus: each tests/data/server/NAME.request file holds the raw bytes a
 // client sends, NAME.response the exact bytes the server must answer —
 // malformed JSON, unknown fields, oversized bodies, invalid band/k, bad
-// framing, all as structured {"error":{code,message}} bodies. Responses
-// deliberately carry no Date header, so they are byte-reproducible.
+// framing, all as structured {"error":{code,message}} bodies, plus two
+// successful searches (a serial range query with its stats, and a k-NN
+// query) whose bodies pin the match and stats serialization: key order,
+// number formatting and field set. Responses deliberately carry no Date
+// header, so they are byte-reproducible.
 //
 // Regenerate the .response files after an intentional protocol change:
 //   TSWARP_REGEN_GOLDEN=1 ./server_protocol_test
@@ -43,8 +46,9 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 
 /// The corpus runs against a fixed server configuration: a sparse index
 /// (so the band-vs-sparse rule is observable) over a seeded database.
-/// Every corpus case exercises an error or static path whose response
-/// bytes do not depend on the data, only on the protocol.
+/// The error and static cases' response bytes depend only on the
+/// protocol; the two search cases also depend on that fixed index, and a
+/// serial search over it is deterministic.
 class ServerProtocolTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -135,6 +139,10 @@ TEST_F(ServerProtocolTest, BadRequestLine) { RunGolden("bad_request_line"); }
 TEST_F(ServerProtocolTest, HeaderSpaceSmuggle) {
   RunGolden("header_space_smuggle");
 }
+TEST_F(ServerProtocolTest, SearchRangeWithStats) {
+  RunGolden("search_range_stats");
+}
+TEST_F(ServerProtocolTest, SearchKnn) { RunGolden("search_knn"); }
 
 // The summary screen's stats, the steal probes and the prefix-replay
 // count are gone from per-tier, per-query and scheduler reports.
@@ -181,8 +189,22 @@ TEST_F(ServerProtocolTest, StatsOmitRemovedCounters) {
 TEST(ServerJsonTest, ParsesAndDumpsDeterministically) {
   auto v = ParseJson(R"({"b":[1,2.5,-3e2],"a":{"x":true,"y":null}})");
   ASSERT_TRUE(v.ok());
-  // Keys re-serialize in sorted order, numbers in shortest form.
-  EXPECT_EQ(v->Dump(), R"({"a":{"x":true,"y":null},"b":[1,2.5,-300]})");
+  // Object members iterate in sorted key order.
+  ASSERT_EQ(v->AsObject().size(), 2u);
+  EXPECT_EQ(v->AsObject().begin()->first, "a");
+  EXPECT_TRUE(v->Find("a")->Find("x")->AsBool());
+  EXPECT_TRUE(v->Find("a")->Find("y")->is_null());
+  const std::vector<JsonValue>& b = v->Find("b")->AsArray();
+  ASSERT_EQ(b.size(), 3u);
+  EXPECT_EQ(b[2].AsNumber(), -300.0);
+  // The writer emits compact JSON with numbers in shortest form.
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("a").BeginObject().Key("x").Bool(true).Key("y");
+  w.String("s\n").EndObject().Key("b").BeginArray();
+  for (const JsonValue& e : b) w.Number(e.AsNumber());
+  w.EndArray().EndObject();
+  EXPECT_EQ(out, R"({"a":{"x":true,"y":"s\n"},"b":[1,2.5,-300]})");
 }
 
 TEST(ServerJsonTest, RejectsProtocolHostileInput) {

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,6 +65,36 @@ std::string SequenceBody(const char* key, const std::vector<Value>& values,
   }
   body += "]" + extra + "}";
   return body;
+}
+
+/// `body` with every JSON number replaced by 0: what is left is the
+/// body's shape (keys, their order, nesting, strings and bools), which
+/// must not depend on the data or the run.
+std::string ZeroNumbers(std::string_view body) {
+  std::string out;
+  bool in_string = false;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const char c = body[i];
+    if (in_string) {
+      out.push_back(c);
+      if (c == '\\' && i + 1 < body.size()) {
+        out.push_back(body[++i]);
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      while (i + 1 < body.size() &&
+             std::string_view("0123456789.eE+-").find(body[i + 1]) !=
+                 std::string_view::npos) {
+        ++i;
+      }
+      out.push_back('0');
+    } else {
+      in_string = c == '"';
+      out.push_back(c);
+    }
+  }
+  return out;
 }
 
 JsonValue Parse(const std::string& body) {
@@ -221,6 +252,109 @@ TEST(ServerStreamingTest, ContinuousRegisterPollUnregisterRoundTrip) {
   EXPECT_EQ(client->Post("/continuous/poll", id_body)->status, 404);
   EXPECT_EQ(client->Post("/continuous/unregister", id_body)->status, 404);
   EXPECT_EQ(client->Post("/continuous/poll", "{\"id\":\"x\"}")->status, 400);
+}
+
+// Every /stats body up to its per-tier entries, and the same body from
+// the end of the tier list on.
+constexpr char kStatsHead[] =
+    R"({"draining":false,"index":{"disk":false,"index_bytes":0,)"
+    R"("kind":"ST_C","mapped_bytes":0,"nodes":0,"occurrences":0,)"
+    R"("resident_bytes":0,"sequences":0,"tiers":[{"elements":0,)"
+    R"("first_seq":0,"index_bytes":0,"memtable":false,"nodes":0,)"
+    R"("occurrences":0,"on_disk":false,"sequences":0})";
+constexpr char kStatsTail[] =
+    R"(]},"queue":{"admitted":0,"capacity":0,"depth":0,)"
+    R"("high_water":0,"rejected":0},"requests":{"completed":0,)"
+    R"("connections":0,"partials":0,"protocol_errors":0,"timeouts":0,)"
+    R"("total":0},"scheduler":{"workers":0},"search":{"answers":0,)"
+    R"("branches_pruned":0,"cancelled":0,"candidates":0,)"
+    R"("cells_computed":0,"endpoint_rejections":0,"exact_dtw_calls":0,)"
+    R"("lb_invocations":0,"lb_pruned":0,"nodes_visited":0,)"
+    R"("rows_pushed":0,"scan_rows":0,"tasks_executed":0,)"
+    R"("tasks_stolen":0,"unshared_rows":0})";
+
+// The bodies the search goldens do not cover, pinned up to their numbers:
+// keys in ascending byte order at every level, every field present.
+TEST(ServerStreamingTest, ResponseBodiesKeepTheirShape) {
+  const seqdb::SequenceDatabase db = TestDb();
+  {
+    core::IndexOptions options;
+    options.kind = core::IndexKind::kCategorized;
+    options.num_categories = 8;
+    auto index = core::Index::Build(&db, options);
+    ASSERT_TRUE(index.ok());
+    IndexHandle handle(std::move(*index));
+    auto server = Server::Start(&handle, {});
+    ASSERT_TRUE(server.ok());
+    auto client = HttpClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
+    auto stats = client->Get("/stats");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(ZeroNumbers(stats->body),
+              std::string(kStatsHead) + kStatsTail + "}");
+  }
+  {
+    // A disk tier adds its mapped bytes.
+    core::IndexOptions options;
+    options.kind = core::IndexKind::kCategorized;
+    options.num_categories = 8;
+    options.disk_path = testing::TempDir() + "/response_shape";
+    auto index = core::Index::Build(&db, options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    IndexHandle handle(std::move(*index));
+    auto server = Server::Start(&handle, {});
+    ASSERT_TRUE(server.ok());
+    auto client = HttpClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
+    auto stats = client->Get("/stats");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(ZeroNumbers(stats->body),
+              R"({"draining":false,"index":{"disk":true,"index_bytes":0,)"
+              R"("kind":"ST_C","mapped_bytes":0,"nodes":0,"occurrences":0,)"
+              R"("resident_bytes":0,"sequences":0,"tiers":[{"elements":0,)"
+              R"("first_seq":0,"index_bytes":0,"mapped_bytes":0,)"
+              R"("memtable":false,"nodes":0,"occurrences":0,)"
+              R"("on_disk":true,"sequences":0})" +
+                  std::string(kStatsTail) + "}");
+  }
+
+  StreamingServer ss = StartStreaming(&db, /*memtable_max=*/2);
+  auto client = HttpClient::Connect("127.0.0.1", ss.server->port());
+  ASSERT_TRUE(client.ok());
+  std::vector<Value> pattern;
+  for (int i = 0; i < 10; ++i) pattern.push_back(200.0 + 5.0 * i);
+  const std::vector<Value> q(pattern.begin(), pattern.begin() + 5);
+  auto reg = client->Post("/continuous/register",
+                          SequenceBody("query", q, ",\"epsilon\":0.01"));
+  ASSERT_TRUE(reg.ok());
+  EXPECT_EQ(ZeroNumbers(reg->body), R"({"id":0})");
+  auto appended = client->Post("/append", SequenceBody("values", pattern));
+  ASSERT_TRUE(appended.ok());
+  EXPECT_EQ(ZeroNumbers(appended->body), R"({"seq":0})");
+  auto poll = client->Post(
+      "/continuous/poll",
+      "{\"id\":" +
+          std::to_string(static_cast<std::uint64_t>(
+              Parse(reg->body).Find("id")->AsNumber())) +
+          "}");
+  ASSERT_TRUE(poll.ok());
+  ASSERT_GE(Parse(poll->body).Find("count")->AsNumber(), 1.0);
+  EXPECT_EQ(ZeroNumbers(poll->body),
+            R"({"count":0,"delivered":0,"dropped":0,"id":0,"matches":[)"
+            R"({"distance":0,"len":0,"seq":0,"start":0}]})");
+  auto stats = client->Get("/stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(ZeroNumbers(stats->body),
+            std::string(kStatsHead) +
+                R"(,{"elements":0,"first_seq":0,"index_bytes":0,)"
+                R"("memtable":true,"nodes":0,"occurrences":0,)"
+                R"("on_disk":false,"sequences":0})" +
+                kStatsTail +
+                R"(,"tiered":{"appended_sequences":0,"appends":0,)"
+                R"("continuous_queries":0,"memtable_sequences":0,)"
+                R"("merge_error":"","merges_cancelled":0,)"
+                R"("merges_completed":0,"merges_failed":0,)"
+                R"("pending_merges":0,"sealed_tiers":0}})");
 }
 
 TEST(ServerStreamingTest, SearchesDuringAppendsSeeConsistentSnapshots) {

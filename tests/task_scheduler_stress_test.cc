@@ -1,9 +1,10 @@
-// Randomized load tests for the work-stealing scheduler, shaped after how
-// the search stack drives it: recursive fork/join from inside tasks (lazy
-// branch splitting), several concurrent fork/join scopes (concurrent
-// queries on the shared pool), steal-heavy skewed task chains (degenerate
-// suffix trees), and scope teardown with tasks still queued. The stress
-// label puts this binary in the CI TSan leg.
+// Randomized load tests for the process-wide scheduler (one FIFO queue
+// drained by persistent workers, with Wait helping run queued tasks):
+// recursive fork/join from inside tasks (nested scopes), several
+// concurrent fork/join scopes (concurrent queries on the shared pool),
+// long chains of tasks that each submit one successor, and scope
+// teardown with tasks still queued. The stress label puts this binary in
+// the CI TSan leg.
 
 #include <gtest/gtest.h>
 
@@ -63,10 +64,11 @@ TEST(TaskSchedulerStressTest, ConcurrentScopesStayIsolated) {
 
 TEST(TaskSchedulerStressTest, SkewedChainsForceStealing) {
   TaskScheduler::Get().EnsureWorkers(4);
-  // A degenerate "tree": long dependent chains where each task enqueues
-  // exactly one successor on its own deque. Progress then relies on every
-  // chain's head being stolen or helped; four chains keep all workers
-  // competing for single-task deques.
+  // Long dependent chains where each task submits exactly one successor
+  // to the shared queue: at any moment at most four tasks are queued, so
+  // progress relies on the workers and the waiting thread all taking
+  // them from the one queue. (The name dates from the deleted per-worker
+  // deques, when a chain's head had to be stolen.)
   constexpr int kChains = 4;
   constexpr int kLinks = 2000;
   TaskScope scope;

@@ -21,6 +21,7 @@
 
 #include "common/random.h"
 #include "core/index.h"
+#include "core/seq_scan.h"
 #include "seqdb/sequence_database.h"
 
 namespace tswarp {
@@ -283,6 +284,48 @@ TEST(TieredIndexTest, ContinuousQueryDeliversEveryMatchExactlyOnce) {
   ASSERT_TRUE((*tiered)->Append(RandomSeq(&rng, 14)).ok());
   EXPECT_EQ(seen.size(), delivered.size());
   EXPECT_EQ((*tiered)->Stats().continuous_queries, 0u);
+}
+
+// A band is unsound for a sparse index's tree search, but a continuous
+// query is a scan of the appended sequence, so a banded registration on a
+// sparse tiered index delivers exactly SeqScan's banded answers for each
+// append (global ids, distances bit for bit).
+TEST(TieredIndexTest, BandedContinuousQueryOnSparseIndexMatchesSeqScan) {
+  const seqdb::SequenceDatabase db = BaseDb(4);
+  auto tiered = TieredIndex::Create(&db, Opts(IndexKind::kSparse, 2, 1));
+  ASSERT_TRUE(tiered.ok());
+  Rng rng(43);
+  const std::vector<Value> q = RandomSeq(&rng, 6);
+  const Value eps = 8.0;
+  core::QueryOptions banded;
+  banded.band = 2;
+
+  std::vector<Match> delivered;
+  (*tiered)->RegisterContinuous(
+      q, eps,
+      [&](std::uint64_t, const std::vector<Match>& matches) {
+        delivered.insert(delivered.end(), matches.begin(), matches.end());
+      },
+      banded);
+
+  std::vector<Match> expected;
+  for (int i = 0; i < 5; ++i) {
+    // A random walk that ends in a noisy copy of the query.
+    seqdb::Sequence fresh = RandomSeq(&rng, 10);
+    for (const Value v : q) fresh.push_back(v + rng.Gaussian(0, 0.5));
+    auto id = (*tiered)->Append(fresh);
+    ASSERT_TRUE(id.ok());
+    seqdb::SequenceDatabase single;
+    single.Add(fresh);
+    core::SeqScanOptions scan;
+    scan.band = banded.band;
+    for (Match m : core::SeqScan(single, q, eps, scan)) {
+      m.seq = *id;
+      expected.push_back(m);
+    }
+  }
+  ASSERT_FALSE(expected.empty()) << "the appends should produce matches";
+  ExpectSameMatches(expected, delivered, "banded continuous query");
 }
 
 TEST(TieredIndexTest, ContinuousCallbackMayUnregisterItself) {

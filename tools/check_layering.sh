@@ -135,6 +135,16 @@ forbid "one parallel split" \
   -E 'MaterializePrefix|TrySplit|WantsWork|HasHungryThreads|replayed_rows|steal_attempts' \
   src tools bench
 
+# --- one JSON serializer
+# tswarpd writes every response body with JsonWriter, straight from
+# the data it reports; JsonValue is the parse result only. The DOM
+# builders, the recursive Dump and the per-match and per-stats
+# documents were deleted and must not come back.
+forbid "one JSON serializer" \
+  "JSON document building found — write the body with server::JsonWriter; see docs/server.md" \
+  -E 'JsonValue::Make|(\.|->)Dump\(|MatchesToJson|StatsToJson' \
+  src tools bench
+
 # --- mapping syscalls stay in src/storage
 # mmap/munmap/madvise/mincore are confined to storage::MappedFile;
 # a raw mapping call anywhere else bypasses the validated,

@@ -448,16 +448,17 @@ int CmdSearch(int argc, char** argv) {
     if (!OptionsFromFlags(argc, argv, &options)) return 1;
     // Open-or-build in one expression: Index is not move-assignable (the
     // snapshot handle has exactly one sanctioned swap path), so build the
-    // StatusOr once instead of reassigning it.
+    // StatusOr once instead of reassigning it. Only a missing index is
+    // built; one built from other data or options is refused.
     StatusOr<Index> index = [&]() -> StatusOr<Index> {
       if (!options.disk_path.empty()) {
         StatusOr<Index> opened = Index::Open(&*db, options);
-        if (opened.ok()) return opened;
+        if (opened.status().code() != StatusCode::kNotFound) return opened;
       }
       return Index::Build(&*db, options);
     }();
     if (!index.ok()) {
-      std::fprintf(stderr, "index failed: %s\n",
+      std::fprintf(stderr, "index failed for %s: %s\n", argv[2],
                    index.status().ToString().c_str());
       return 1;
     }

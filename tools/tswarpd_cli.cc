@@ -6,14 +6,16 @@
 //       [--memtable N] [--sealed N] [--smoke]
 //   tswarpd_cli append VALUES [--port P] [--address A]
 //
-// The index is built (or, with --index, reopened from a persisted bundle)
-// at startup; each query then runs on its connection thread once it holds
-// a run slot (see docs/server.md). With --streaming the index is wrapped
-// in a core::TieredIndex, enabling POST /append and the /continuous/*
-// endpoints (see docs/streaming.md). SIGTERM/SIGINT trigger a graceful
-// drain: in-flight and already-admitted searches are answered, then the
-// process exits 0. Any flag the subcommand does not take is a usage error
-// (exit 2).
+// The index is built at startup or, with --index, reopened from a
+// persisted bundle (built there if missing, refused if it was built from
+// other data or options; --categories defaults to 40, as in tswarp_cli,
+// so defaults match defaults). Each query then runs on its connection
+// thread once it holds a run slot (see docs/server.md). With --streaming
+// the index is wrapped in a core::TieredIndex, enabling POST /append and
+// the /continuous/* endpoints (see docs/streaming.md). SIGTERM/SIGINT
+// trigger a graceful drain: in-flight and already-admitted searches are
+// answered, then the process exits 0. Any flag the subcommand does not
+// take is a usage error (exit 2).
 //
 // `append` is the matching client: it POSTs one comma-separated sequence
 // to a running --streaming server and prints the assigned global seq id.
@@ -38,6 +40,7 @@
 #include "seqdb/sequence_database.h"
 #include "server/client.h"
 #include "server/index_handle.h"
+#include "server/json.h"
 #include "server/server.h"
 
 namespace tswarp {
@@ -129,14 +132,11 @@ int Append(int argc, char** argv) {
                  client.status().ToString().c_str());
     return 1;
   }
-  std::string body = "{\"values\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) body += ',';
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", values[i]);
-    body += buf;
-  }
-  body += "]}";
+  std::string body;
+  server::JsonWriter w(&body);
+  w.BeginObject().Key("values").BeginArray();
+  for (const Value v : values) w.Number(v);
+  w.EndArray().EndObject();
   StatusOr<server::ClientResponse> response = client->Post("/append", body);
   if (!response.ok()) {
     std::fprintf(stderr, "append: request failed: %s\n",
@@ -158,7 +158,7 @@ int Serve(int argc, char** argv) {
   IndexOptions options;
   core::TieredOptions tiered_options;
   server::ServerOptions server_options;
-  if (!FlagCount(argc, argv, "--categories", 64, &options.num_categories) ||
+  if (!FlagCount(argc, argv, "--categories", 40, &options.num_categories) ||
       !FlagCount(argc, argv, "--memtable", 8,
                  &tiered_options.memtable_max_sequences) ||
       !FlagCount(argc, argv, "--sealed", 2,
@@ -188,18 +188,18 @@ int Serve(int argc, char** argv) {
   const char* index_path = FlagValue(argc, argv, "--index", nullptr);
   if (index_path != nullptr) options.disk_path = index_path;
 
-  // With a persisted bundle, prefer reopening it; fall back to building
-  // (which persists for the next start). One expression because Index is
-  // not move-assignable.
+  // A persisted bundle is reopened, or refused when it was built from
+  // other data or options; only a missing one is built (and persists for
+  // the next start). One expression because Index is not move-assignable.
   StatusOr<Index> index = [&]() -> StatusOr<Index> {
     if (index_path != nullptr) {
       StatusOr<Index> opened = Index::Open(&*db, options);
-      if (opened.ok()) return opened;
+      if (opened.status().code() != StatusCode::kNotFound) return opened;
     }
     return Index::Build(&*db, options);
   }();
   if (!index.ok()) {
-    std::fprintf(stderr, "index failed: %s\n",
+    std::fprintf(stderr, "index failed for %s: %s\n", argv[2],
                  index.status().ToString().c_str());
     return 1;
   }
