@@ -167,13 +167,11 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
   build.min_suffix_length = options.min_suffix_length;
   build.max_suffix_length = options.max_suffix_length;
 
-  std::uint64_t skipped = 0;
   if (options.disk_path.empty()) {
     suffixtree::SuffixTreeBuilder builder(&symbols, build);
     for (SeqId id = 0; id < symbols.size(); ++id) {
       builder.InsertSequence(id);
     }
-    skipped = builder.skipped_suffixes();
     tier->memory_tree = builder.Build();
     TSW_RETURN_IF_ERROR(tier->memory_tree->status());
   } else {
@@ -183,10 +181,8 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
     TSW_ASSIGN_OR_RETURN(
         tier->disk_tree,
         suffixtree::BuildDiskTree(symbols, options.disk_path, disk));
-    skipped = symbols.TotalSymbols() - tier->disk_tree->NumOccurrences();
   }
   tier->info = ComputeTierInfo(*tier);
-  base_info.skipped_suffixes = skipped;
 
   if (!options.disk_path.empty()) {
     TSW_RETURN_IF_ERROR(WriteFingerprint(FingerprintPath(options),
@@ -233,8 +229,6 @@ StatusOr<Index> Index::Open(const seqdb::SequenceDatabase* db,
   TSW_ASSIGN_OR_RETURN(tier->disk_tree,
                        suffixtree::DiskSuffixTree::Open(options.disk_path));
   tier->info = ComputeTierInfo(*tier);
-  base_info.skipped_suffixes =
-      symbols.TotalSymbols() - tier->disk_tree->NumOccurrences();
   Index index;
   index.snapshot_ = std::make_shared<const IndexSnapshot>(
       options, base_info,
@@ -248,10 +242,10 @@ IndexSnapshot::IndexSnapshot(IndexOptions options, IndexBuildInfo base_info,
       build_info_(base_info),
       tiers_(std::move(tiers)) {
   TSW_CHECK(!tiers_.empty());
-  // Aggregate the additive counters over the tiers; the base_info supplies
-  // the non-additive fields (num_categories) and skipped_suffixes, which
-  // stays exact because appended tiers re-add their own skip counts via
-  // `elements - occurrences` below.
+  // Aggregate the additive counters over the tiers; base_info supplies
+  // only the non-additive fields (num_categories). skipped_suffixes is
+  // derived here from the totals, `elements - occurrences`, so every
+  // tier's skips count, appended and merged ones included.
   build_info_.index_bytes = 0;
   build_info_.table1_bytes = 0;
   build_info_.num_nodes = 0;

@@ -42,11 +42,6 @@ Value ScalarRowStepBase(const Value* base, const Value* prev, Value* row,
                             row, n, left);
 }
 
-void ScalarStridedGather(const Value* src, std::size_t stride, Value* dst,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
-}
-
 void ScalarBandedExtrema(const Value* seq, std::size_t n, std::size_t band,
                          Value* lower, Value* upper, Value* work) {
   in::BandedExtremaGeneric(
@@ -65,7 +60,6 @@ constexpr KernelTable kScalarTable = {
     ScalarRowStepValue,
     ScalarRowStepInterval,
     ScalarRowStepBase,
-    ScalarStridedGather,
     ScalarBandedExtrema,
 };
 

@@ -108,11 +108,6 @@ struct KernelTable {
   Value (*row_step_base)(const Value* base, const Value* prev, Value* row,
                          std::size_t n, Value left);
 
-  /// dst[i] = src[i * stride]: one dimension of an interleaved
-  /// multivariate query (its per-dimension projections).
-  void (*strided_gather)(const Value* src, std::size_t stride, Value* dst,
-                         std::size_t n);
-
   /// Sliding-window extrema for banded envelopes: lower[j] / upper[j] =
   /// min / max of seq[max(0, j-band) .. min(n-1, j+band)] for j in
   /// [0, n + band). Canonical dataflow is the branch-free sparse-table

@@ -166,11 +166,6 @@ Value RowStepBase(const Value* base, const Value* prev, Value* row,
   return RowStep(ArrayBase{base}, prev, row, n, left);
 }
 
-void StridedGather(const Value* src, std::size_t stride, Value* dst,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
-}
-
 void BandedExtrema(const Value* seq, std::size_t n, std::size_t band,
                    Value* lower, Value* upper, Value* work) {
   // In-place with dst == src is safe in 2-wide chunks: both operands are
@@ -201,7 +196,6 @@ constexpr KernelTable kTable = {
     RowStepValue,
     RowStepInterval,
     RowStepBase,
-    StridedGather,
     BandedExtrema,
 };
 

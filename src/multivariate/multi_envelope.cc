@@ -14,8 +14,9 @@ MultiQueryEnvelope::MultiQueryEnvelope(std::span<const Value> query,
   dims_.reserve(dim);
   for (std::size_t d = 0; d < dim; ++d) {
     dtw::simd::AlignedVector projection(query_len);
-    dtw::simd::Kernels().strided_gather(query.data() + d, dim,
-                                        projection.data(), query_len);
+    for (std::size_t i = 0; i < query_len; ++i) {
+      projection[i] = query[i * dim + d];
+    }
     dtw::QueryEnvelope envelope(projection, band);
     dims_.push_back(Dimension{std::move(projection), std::move(envelope)});
   }

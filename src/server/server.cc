@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
@@ -25,11 +26,25 @@
 #include "common/bounded_queue.h"
 #include "common/cancellation.h"
 #include "common/task_scheduler.h"
+#include "server/http.h"
 #include "server/json.h"
 
 namespace tswarp::server {
 
 namespace {
+
+/// Cap on a request's "threads" knob, so one client cannot demand an
+/// arbitrary pool size.
+constexpr std::size_t kMaxRequestThreads = 8;
+
+/// Cap on a request's "deadline_ms" knob.
+constexpr double kMaxDeadlineMs = 60000;
+
+/// Seconds advertised in the Retry-After header of 429 responses.
+constexpr int kRetryAfterSeconds = 1;
+
+/// HTTP framing limits: 8 KiB of headers, 1 MiB of body.
+constexpr HttpLimits kHttpLimits{};
 
 /// One parsed /search request. The CancelToken lives here so its
 /// deadline covers the wait for a run slot as well as execution (armed
@@ -304,7 +319,7 @@ struct Server::Impl {
       HttpRequest request;
       std::size_t consumed = 0;
       const HttpParseStatus parse =
-          ParseHttpRequest(buffer, options.http_limits, &request, &consumed);
+          ParseHttpRequest(buffer, kHttpLimits, &request, &consumed);
       if (parse == HttpParseStatus::kIncomplete) {
         if (draining.load(std::memory_order_relaxed) && buffer.empty()) {
           return;  // Idle keep-alive connection during drain: just close.
@@ -637,7 +652,7 @@ struct Server::Impl {
         return fail("invalid_threads", "\"threads\" must be an integer >= 0");
       }
       job->opts.num_threads = std::min(static_cast<std::size_t>(td),
-                                       options.max_request_threads);
+                                       kMaxRequestThreads);
     }
     if (const JsonValue* prune = body.Find("prune")) {
       if (!prune->is_bool()) {
@@ -663,9 +678,7 @@ struct Server::Impl {
         return fail("invalid_deadline",
                     "\"deadline_ms\" must be a number > 0");
       }
-      const double capped =
-          std::min(deadline->AsNumber(),
-                   static_cast<double>(options.max_deadline.count()));
+      const double capped = std::min(deadline->AsNumber(), kMaxDeadlineMs);
       job->has_deadline = true;
       job->cancel.ArmDeadlineAfter(
           std::chrono::duration_cast<CancelToken::Clock::duration>(
@@ -696,8 +709,7 @@ struct Server::Impl {
     if (!AcquireSlot()) {
       HttpResponse resp = ErrorResponse(
           429, "overloaded", "admission queue is full; retry shortly");
-      resp.AddHeader("Retry-After",
-                     std::to_string(options.retry_after_seconds));
+      resp.AddHeader("Retry-After", std::to_string(kRetryAfterSeconds));
       return resp;
     }
     HttpResponse response = RunSearch(job, *index->Snapshot());

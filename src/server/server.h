@@ -1,7 +1,6 @@
 #ifndef TSWARP_SERVER_SERVER_H_
 #define TSWARP_SERVER_SERVER_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -12,7 +11,6 @@
 #include "common/status.h"
 #include "core/index.h"
 #include "core/match.h"
-#include "server/http.h"
 #include "server/index_handle.h"
 
 namespace tswarp::server {
@@ -42,19 +40,6 @@ struct ServerOptions {
   /// at a time, like 1. Each search keeps its request's knobs, "threads"
   /// included.
   std::size_t search_threads = 0;
-
-  /// Cap on the per-request "threads" knob, so one client cannot demand
-  /// an arbitrary pool size.
-  std::size_t max_request_threads = 8;
-
-  /// Cap on the per-request "deadline_ms" knob.
-  std::chrono::milliseconds max_deadline{60000};
-
-  /// Seconds advertised in the Retry-After header of 429 responses.
-  int retry_after_seconds = 1;
-
-  /// HTTP framing limits (header budget, body size).
-  HttpLimits http_limits;
 };
 
 /// Monotonic counters exposed by /stats and by Counters() for tests.

@@ -241,26 +241,5 @@ TEST_F(SimdTest, LowerBoundKernelsMatchScalarBitwise) {
   }
 }
 
-TEST_F(SimdTest, StridedGatherMatchesScalarBitwise) {
-  ASSERT_TRUE(SetBackend("scalar"));
-  const KernelTable scalar = Kernels();
-  ValueGen gen(99);
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{3}, std::size_t{7}}) {
-    for (std::size_t n = 0; n <= 33; ++n) {
-      const std::vector<Value> src =
-          gen.Row(n * stride + 1, /*allow_inf=*/true);
-      std::vector<Value> want(n), got(n);
-      scalar.strided_gather(src.data(), stride, want.data(), n);
-      ForEachBackend([&](const std::string& name) {
-        SCOPED_TRACE(name + " stride=" + std::to_string(stride) +
-                     " n=" + std::to_string(n));
-        Kernels().strided_gather(src.data(), stride, got.data(), n);
-        EXPECT_TRUE(BitEqualRows(want, got));
-      });
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tswarp::dtw::simd

@@ -145,6 +145,15 @@ forbid "one JSON serializer" \
   -E 'JsonValue::Make|(\.|->)Dump\(|MatchesToJson|StatsToJson' \
   src tools bench
 
+# --- one index path in the tools
+# Both CLIs open a persisted bundle through OpenOrBuildIndex in
+# tools/cli_flags.h, which builds only a missing one. A second
+# Index::Open in a command drifts from it: knn once rebuilt, and so
+# overwrote, any bundle it was given.
+forbid "one index path in the tools" \
+  "Index::Open( in a tool — open or build through OpenOrBuildIndex in tools/cli_flags.h" \
+  'Index::Open(' tools/*.cc
+
 # --- mapping syscalls stay in src/storage
 # mmap/munmap/madvise/mincore are confined to storage::MappedFile;
 # a raw mapping call anywhere else bypasses the validated,

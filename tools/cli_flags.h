@@ -3,12 +3,19 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/status.h"
+#include "common/types.h"
+#include "core/index.h"
+#include "seqdb/sequence_database.h"
 
 namespace tswarp {
 
@@ -79,6 +86,98 @@ inline bool OnlyKnownFlags(int argc, char** argv,
     }
   }
   return true;
+}
+
+/// Parses `text`, comma-separated numbers such as "50,51.5,52", into
+/// `out`; an empty `text` gives an empty list. Every entry must be one
+/// finite number: the first that is not ("5x", "", "nan", "inf") is
+/// printed after `what` and false returned, so a malformed list is
+/// refused instead of cut short at the bad entry.
+inline bool ParseValues(const char* what, std::string_view text,
+                        std::vector<Value>* out) {
+  out->clear();
+  if (text.empty()) return true;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = text.find(',', begin);
+    const std::string entry(text.substr(begin, comma - begin));
+    char* end = nullptr;
+    const double v = std::strtod(entry.c_str(), &end);
+    if (entry.empty() || end != entry.c_str() + entry.size() ||
+        !std::isfinite(v)) {
+      std::fprintf(stderr, "%s: '%s' is not a finite number\n", what,
+                   entry.c_str());
+      return false;
+    }
+    out->push_back(v);
+    if (comma == std::string_view::npos) return true;
+    begin = comma + 1;
+  }
+}
+
+/// The database at argv[2]. A load error is printed and returned.
+inline StatusOr<seqdb::SequenceDatabase> LoadDb(int argc, char** argv) {
+  StatusOr<seqdb::SequenceDatabase> db =
+      argc < 3 ? StatusOr<seqdb::SequenceDatabase>(
+                     Status::InvalidArgument("missing database path"))
+               : seqdb::SequenceDatabase::Load(argv[2]);
+  if (!db.ok()) std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
+  return db;
+}
+
+/// Reads --kind (st, stc, or sstc: the default), --method (el, km, or me:
+/// the default), --categories (default 40) and --index into `out`.
+/// Returns false (after printing) on a bad --categories.
+inline bool IndexOptionsFromFlags(int argc, char** argv,
+                                  core::IndexOptions* out) {
+  core::IndexOptions options;
+  const std::string_view kind = FlagValue(argc, argv, "--kind", "sstc");
+  if (kind == "st") {
+    options.kind = core::IndexKind::kSuffixTree;
+  } else if (kind == "stc") {
+    options.kind = core::IndexKind::kCategorized;
+  } else {
+    options.kind = core::IndexKind::kSparse;
+  }
+  const std::string_view method = FlagValue(argc, argv, "--method", "me");
+  if (method == "el") {
+    options.method = categorize::Method::kEqualLength;
+  } else if (method == "km") {
+    options.method = categorize::Method::kKMeans;
+  } else {
+    options.method = categorize::Method::kMaxEntropy;
+  }
+  if (!FlagCount(argc, argv, "--categories", 40, &options.num_categories)) {
+    return false;
+  }
+  options.disk_path = FlagValue(argc, argv, "--index", "");
+  *out = options;
+  return true;
+}
+
+/// The index `options` describe over `db`, the database at `db_path`.
+/// The bundle at options.disk_path is opened and built only when there is
+/// none (Index::Open returns NotFound): one built from another database or
+/// with other options is refused, never overwritten. Without a disk path
+/// the index is built in memory. An error is printed, naming `db_path`,
+/// and returned.
+inline StatusOr<core::Index> OpenOrBuildIndex(
+    const char* db_path, const seqdb::SequenceDatabase& db,
+    const core::IndexOptions& options) {
+  // One expression: Index is not move-assignable (the snapshot handle has
+  // exactly one sanctioned swap path), so the StatusOr is built once.
+  StatusOr<core::Index> index = [&]() -> StatusOr<core::Index> {
+    if (!options.disk_path.empty()) {
+      StatusOr<core::Index> opened = core::Index::Open(&db, options);
+      if (opened.status().code() != StatusCode::kNotFound) return opened;
+    }
+    return core::Index::Build(&db, options);
+  }();
+  if (!index.ok()) {
+    std::fprintf(stderr, "index failed for %s: %s\n", db_path,
+                 index.status().ToString().c_str());
+  }
+  return index;
 }
 
 }  // namespace tswarp

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,40 +59,42 @@ bool FlagK(int argc, char** argv, std::size_t* out) {
   return true;
 }
 
-// --band must be in [0, |Q|]: negative values would wrap, and a band wider
-// than the query adds no legal warping paths — it only degenerates the
-// query envelope, so treat it as a usage error rather than silently
-// accepting it. 0 means unconstrained warping.
-bool FlagBand(int argc, char** argv, std::size_t query_length, Pos* out) {
-  const long raw = FlagLong(argc, argv, "--band", 0);
-  if (raw < 0) {
-    std::fprintf(stderr, "--band must be >= 0 (got %ld)\n", raw);
+// Reads the query knobs --threads, --band and --no-lb. --band must be in
+// [0, query_length]: negative values would wrap, and a band wider than the
+// query adds no legal warping paths — it only degenerates the query
+// envelope, so it is a usage error rather than silently accepted. 0 means
+// unconstrained warping. A band on a `sparse` index is refused: sparse
+// suffix recovery is unsound under a band. Returns false after printing.
+bool QueryOptionsFromFlags(int argc, char** argv, std::size_t query_length,
+                           bool sparse, core::QueryOptions* out) {
+  core::QueryOptions options;
+  if (!FlagCount(argc, argv, "--threads", 0, &options.num_threads)) {
     return false;
   }
-  if (static_cast<std::size_t>(raw) > query_length) {
+  const long band = FlagLong(argc, argv, "--band", 0);
+  if (band < 0) {
+    std::fprintf(stderr, "--band must be >= 0 (got %ld)\n", band);
+    return false;
+  }
+  if (static_cast<std::size_t>(band) > query_length) {
     std::fprintf(stderr,
                  "--band %ld exceeds the query length %zu; a band wider "
                  "than the query is meaningless (use --band 0 for "
                  "unconstrained warping)\n",
-                 raw, query_length);
+                 band, query_length);
     return false;
   }
-  *out = static_cast<Pos>(raw);
-  return true;
-}
-
-std::vector<Value> ParseQuery(const char* text) {
-  std::vector<Value> out;
-  if (text == nullptr) return out;
-  const char* p = text;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(p, &end);
-    if (end == p) break;
-    out.push_back(v);
-    p = (*end == ',') ? end + 1 : end;
+  if (band != 0 && sparse) {
+    std::fprintf(stderr,
+                 "--band needs a dense index, not --kind sstc (the "
+                 "default): sparse suffix recovery is unsound under a "
+                 "band\n");
+    return false;
   }
-  return out;
+  options.band = static_cast<Pos>(band);
+  options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
+  *out = options;
+  return true;
 }
 
 int Usage() {
@@ -121,11 +124,6 @@ int Usage() {
                "TSWARP_SIMD environment variable.\n"
                "Any other flag is a usage error.\n");
   return 2;
-}
-
-StatusOr<seqdb::SequenceDatabase> LoadDb(int argc, char** argv) {
-  if (argc < 3) return Status::InvalidArgument("missing database path");
-  return seqdb::SequenceDatabase::Load(argv[2]);
 }
 
 /// Prints the merged traversal counters of one search. Shared by the
@@ -186,34 +184,6 @@ void PrintSearchStats(const Index& index, const core::SearchStats& stats) {
   }
 }
 
-// Returns false (after printing) on a bad --categories.
-bool OptionsFromFlags(int argc, char** argv, IndexOptions* out) {
-  IndexOptions options;
-  const std::string kind = FlagValue(argc, argv, "--kind", "sstc");
-  if (kind == "st") {
-    options.kind = IndexKind::kSuffixTree;
-  } else if (kind == "stc") {
-    options.kind = IndexKind::kCategorized;
-  } else {
-    options.kind = IndexKind::kSparse;
-  }
-  const std::string method = FlagValue(argc, argv, "--method", "me");
-  if (method == "el") {
-    options.method = categorize::Method::kEqualLength;
-  } else if (method == "km") {
-    options.method = categorize::Method::kKMeans;
-  } else {
-    options.method = categorize::Method::kMaxEntropy;
-  }
-  if (!FlagCount(argc, argv, "--categories", 40, &options.num_categories)) {
-    return false;
-  }
-  const char* index_path = FlagValue(argc, argv, "--index", nullptr);
-  if (index_path != nullptr) options.disk_path = index_path;
-  *out = options;
-  return true;
-}
-
 // Reinterprets the flat univariate database as element-major `dim`-wide
 // multivariate sequences. Every sequence must hold a whole number of
 // elements; returns false (after printing) otherwise.
@@ -234,82 +204,72 @@ bool BuildMultiDb(const seqdb::SequenceDatabase& db, std::size_t dim,
   return true;
 }
 
-/// Multivariate search/k-NN (`--multi D`): grid-cell index over the
+/// Multivariate search/k-NN (`--multi D`): a grid-cell index over the
 /// reinterpreted database, searched through the same core::SearchDriver as
-/// the univariate modes — so --threads, --band, --no-lb and --stats carry
-/// over unchanged. `k == 0` runs a range search with `epsilon`.
-int RunMultiSearch(int argc, char** argv, const seqdb::SequenceDatabase& db,
-                   const std::vector<Value>& query, std::size_t dim,
-                   Value epsilon, std::size_t k, std::size_t limit) {
-  if (query.size() % dim != 0) {
-    std::fprintf(stderr,
-                 "--multi %zu: the query has %zu values, not a multiple "
-                 "of the dimension\n",
-                 dim, query.size());
-    return 1;
-  }
+/// the univariate modes, so the query knobs and --stats mean the same; or
+/// MultiSeqScan with --scan. `k == 0` runs a range search with `epsilon`.
+/// Returns false after printing.
+bool SearchMulti(int argc, char** argv, const seqdb::SequenceDatabase& db,
+                 std::span<const Value> query, std::size_t dim,
+                 const IndexOptions& index_options,
+                 const core::QueryOptions& query_options, Value epsilon,
+                 std::size_t k, std::vector<Match>* out) {
   const std::size_t query_len = query.size() / dim;
-  if (FlagValue(argc, argv, "--index", nullptr) != nullptr) {
+  if (!index_options.disk_path.empty()) {
     std::fprintf(stderr, "--multi indexes are in-memory only (no --index)\n");
-    return 1;
+    return false;
   }
   std::optional<mv::MultiSequenceDatabase> mdb;
-  if (!BuildMultiDb(db, dim, &mdb)) return 1;
-
-  core::QueryOptions query_options;
-  if (!FlagCount(argc, argv, "--threads", 0,
-                 &query_options.num_threads)) {
-    return 1;
+  if (!BuildMultiDb(db, dim, &mdb)) return false;
+  if (HasFlag(argc, argv, "--scan")) {
+    *out = mv::MultiSeqScan(*mdb, query, query_len, epsilon,
+                            query_options.band);
+    return true;
   }
-  if (!FlagBand(argc, argv, query_len, &query_options.band)) return 1;
-  query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
-
-  std::vector<Match> matches;
-  if (k == 0 && HasFlag(argc, argv, "--scan")) {
-    matches = mv::MultiSeqScan(*mdb, query, query_len, epsilon,
-                               query_options.band);
-  } else {
-    mv::MultiIndexOptions options;
-    const std::string kind = FlagValue(argc, argv, "--kind", "sstc");
-    if (kind == "st") {
-      std::fprintf(stderr,
-                   "--kind st (exact values) has no multivariate analogue; "
-                   "use --kind stc or sstc with --multi\n");
-      return 1;
-    }
-    options.sparse = kind != "stc";
-    if (query_options.band != 0 && options.sparse) {
-      std::fprintf(stderr,
-                   "--band needs a dense index (--kind stc): sparse suffix "
-                   "recovery is unsound under a band\n");
-      return 1;
-    }
-    const long categories = FlagLong(argc, argv, "--categories", 8);
-    if (categories < 1) {
-      std::fprintf(stderr, "--categories must be >= 1 (got %ld)\n",
-                   categories);
-      return 1;
-    }
-    options.categories_per_dim = static_cast<std::size_t>(categories);
-    auto index = mv::MultiIndex::Build(&*mdb, options);
-    if (!index.ok()) {
-      std::fprintf(stderr, "index failed: %s\n",
-                   index.status().ToString().c_str());
-      return 1;
-    }
-    core::SearchStats stats;
-    matches = k == 0 ? index->Search(query, query_len, epsilon,
-                                     query_options, &stats)
-                     : index->SearchKnn(query, query_len, k, query_options,
-                                        &stats);
-    if (HasFlag(argc, argv, "--stats")) PrintStatsCounters(stats);
+  if (index_options.kind == IndexKind::kSuffixTree) {
+    std::fprintf(stderr,
+                 "--kind st (exact values) has no multivariate analogue; "
+                 "use --kind stc or sstc with --multi\n");
+    return false;
   }
+  mv::MultiIndexOptions options;
+  options.sparse = index_options.kind == IndexKind::kSparse;
+  if (!FlagCount(argc, argv, "--categories", 8,
+                 &options.categories_per_dim)) {
+    return false;
+  }
+  if (options.categories_per_dim < 1) {
+    std::fprintf(stderr, "--categories must be >= 1 with --multi\n");
+    return false;
+  }
+  auto index = mv::MultiIndex::Build(&*mdb, options);
+  if (!index.ok()) {
+    std::fprintf(stderr, "index failed: %s\n",
+                 index.status().ToString().c_str());
+    return false;
+  }
+  core::SearchStats stats;
+  *out = k == 0 ? index->Search(query, query_len, epsilon, query_options,
+                                &stats)
+                : index->SearchKnn(query, query_len, k, query_options,
+                                   &stats);
+  if (HasFlag(argc, argv, "--stats")) PrintStatsCounters(stats);
+  return true;
+}
+
+/// Prints an answer: its count line, then up to `limit` matches. `k > 0`
+/// marks the k nearest, `k == 0` the matches within `epsilon`; `dim > 0` a
+/// multivariate answer.
+void PrintMatches(std::span<const Match> matches, std::size_t k,
+                  Value epsilon, std::size_t dim, std::size_t limit) {
   if (k == 0) {
-    std::printf("%zu matches (epsilon %.3f, dim %zu)\n", matches.size(),
-                epsilon, dim);
+    std::printf("%zu matches (epsilon %.3f", matches.size(), epsilon);
+    if (dim != 0) std::printf(", dim %zu", dim);
+    std::printf(")\n");
   } else {
-    std::printf("%zu nearest subsequences (dim %zu):\n", matches.size(),
-                dim);
+    std::printf("%zu nearest subsequences", matches.size());
+    if (dim != 0) std::printf(" (dim %zu)", dim);
+    std::printf(":\n");
   }
   for (std::size_t i = 0; i < matches.size() && i < limit; ++i) {
     const Match& m = matches[i];
@@ -319,7 +279,6 @@ int RunMultiSearch(int argc, char** argv, const seqdb::SequenceDatabase& db,
   if (matches.size() > limit) {
     std::printf("  ... %zu more (raise --limit)\n", matches.size() - limit);
   }
-  return 0;
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -366,11 +325,8 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdInfo(int argc, char** argv) {
-  auto db = LoadDb(argc, argv);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
-    return 1;
-  }
+  const StatusOr<seqdb::SequenceDatabase> db = LoadDb(argc, argv);
+  if (!db.ok()) return 1;
   const auto [lo, hi] = db->ValueRange();
   std::printf("sequences:      %zu\n", db->size());
   std::printf("elements:       %zu\n", db->TotalElements());
@@ -381,13 +337,10 @@ int CmdInfo(int argc, char** argv) {
 }
 
 int CmdBuild(int argc, char** argv) {
-  auto db = LoadDb(argc, argv);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
-    return 1;
-  }
+  const StatusOr<seqdb::SequenceDatabase> db = LoadDb(argc, argv);
+  if (!db.ok()) return 1;
   IndexOptions options;
-  if (!OptionsFromFlags(argc, argv, &options)) return 1;
+  if (!IndexOptionsFromFlags(argc, argv, &options)) return 1;
   if (options.disk_path.empty()) {
     std::fprintf(stderr, "build requires --index PATH\n");
     return 2;
@@ -413,165 +366,88 @@ int CmdBuild(int argc, char** argv) {
   return 0;
 }
 
-int CmdSearch(int argc, char** argv) {
-  auto db = LoadDb(argc, argv);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
+/// `search` (k == 0: every subsequence within --epsilon of the query) and
+/// `knn` (the k nearest). A univariate query runs on the index the flags
+/// describe, opened or built by OpenOrBuildIndex, or by SeqScan with
+/// --scan; `--multi D` runs it through SearchMulti.
+int CmdQuery(int argc, char** argv, std::size_t k) {
+  const StatusOr<seqdb::SequenceDatabase> db = LoadDb(argc, argv);
+  if (!db.ok()) return 1;
+  std::vector<Value> query;
+  if (!ParseValues("--query", FlagValue(argc, argv, "--query", ""),
+                   &query)) {
     return 1;
   }
-  const std::vector<Value> query =
-      ParseQuery(FlagValue(argc, argv, "--query", nullptr));
   if (query.empty()) return Usage();
   const Value epsilon = FlagDouble(argc, argv, "--epsilon", 10.0);
-  // --multi D reads the database as D-dimensional sequences; 0 (the
-  // default) means univariate.
-  std::size_t limit = 0;
-  std::size_t multi_dim = 0;
-  if (!FlagCount(argc, argv, "--limit", 20, &limit) ||
-      !FlagCount(argc, argv, "--multi", 0, &multi_dim)) {
+  // A k-NN answer holds at most k matches and prints them all. --multi D
+  // reads the database as D-dimensional sequences; 0 (the default) means
+  // univariate.
+  std::size_t limit = k;
+  std::size_t dim = 0;
+  if ((k == 0 && !FlagCount(argc, argv, "--limit", 20, &limit)) ||
+      !FlagCount(argc, argv, "--multi", 0, &dim)) {
     return 1;
   }
-  if (multi_dim != 0) {
-    return RunMultiSearch(argc, argv, *db, query, multi_dim, epsilon,
-                          /*k=*/0, limit);
+  if (dim != 0 && query.size() % dim != 0) {
+    std::fprintf(stderr,
+                 "--multi %zu: the query has %zu values, not a multiple "
+                 "of the dimension\n",
+                 dim, query.size());
+    return 1;
+  }
+  const bool scan = HasFlag(argc, argv, "--scan");
+  IndexOptions options;
+  core::QueryOptions query_options;
+  if (!IndexOptionsFromFlags(argc, argv, &options) ||
+      !QueryOptionsFromFlags(
+          argc, argv, dim == 0 ? query.size() : query.size() / dim,
+          !scan && options.kind == IndexKind::kSparse, &query_options)) {
+    return 1;
   }
 
   std::vector<Match> matches;
-  const bool scanned = HasFlag(argc, argv, "--scan");
-  if (scanned) {
+  if (dim != 0) {
+    if (!SearchMulti(argc, argv, *db, query, dim, options, query_options,
+                     epsilon, k, &matches)) {
+      return 1;
+    }
+  } else if (scan) {
     core::SeqScanOptions scan_options;
-    if (!FlagBand(argc, argv, query.size(), &scan_options.band)) return 1;
-    scan_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
+    scan_options.band = query_options.band;
+    scan_options.use_lower_bound = query_options.use_lower_bound;
     matches = core::SeqScan(*db, query, epsilon, scan_options);
   } else {
-    IndexOptions options;
-    if (!OptionsFromFlags(argc, argv, &options)) return 1;
-    // Open-or-build in one expression: Index is not move-assignable (the
-    // snapshot handle has exactly one sanctioned swap path), so build the
-    // StatusOr once instead of reassigning it. Only a missing index is
-    // built; one built from other data or options is refused.
-    StatusOr<Index> index = [&]() -> StatusOr<Index> {
-      if (!options.disk_path.empty()) {
-        StatusOr<Index> opened = Index::Open(&*db, options);
-        if (opened.status().code() != StatusCode::kNotFound) return opened;
-      }
-      return Index::Build(&*db, options);
-    }();
-    if (!index.ok()) {
-      std::fprintf(stderr, "index failed for %s: %s\n", argv[2],
-                   index.status().ToString().c_str());
-      return 1;
-    }
-    core::QueryOptions query_options;
-    if (!FlagCount(argc, argv, "--threads", 0,
-                   &query_options.num_threads)) {
-      return 1;
-    }
-    if (!FlagBand(argc, argv, query.size(), &query_options.band)) return 1;
-    query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
-    if (query_options.band != 0 &&
-        index->options().kind == IndexKind::kSparse) {
-      std::fprintf(stderr,
-                   "--band needs a dense index (--kind stc or st): sparse "
-                   "suffix recovery is unsound under a band\n");
-      return 1;
-    }
+    const StatusOr<Index> index = OpenOrBuildIndex(argv[2], *db, options);
+    if (!index.ok()) return 1;
     core::SearchStats stats;
-    matches = index->Search(query, epsilon, query_options, &stats);
+    matches = k == 0 ? index->Search(query, epsilon, query_options, &stats)
+                     : index->SearchKnn(query, k, query_options, &stats);
     if (HasFlag(argc, argv, "--stats")) PrintSearchStats(*index, stats);
   }
-  std::printf("%zu matches (epsilon %.3f)\n", matches.size(), epsilon);
-  for (std::size_t i = 0; i < matches.size() && i < limit; ++i) {
-    const Match& m = matches[i];
-    std::printf("  S%u[%u..%u] len %u  D_tw %.4f\n", m.seq, m.start,
-                m.start + m.len - 1, m.len, m.distance);
-  }
-  if (matches.size() > limit) {
-    std::printf("  ... %zu more (raise --limit)\n", matches.size() - limit);
-  }
+  PrintMatches(matches, k, epsilon, dim, limit);
   return 0;
 }
 
 int CmdKnn(int argc, char** argv) {
-  auto db = LoadDb(argc, argv);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<Value> query =
-      ParseQuery(FlagValue(argc, argv, "--query", nullptr));
-  if (query.empty()) return Usage();
   std::size_t k = 0;
-  if (!FlagK(argc, argv, &k)) return 1;
-  std::size_t multi_dim = 0;
-  if (!FlagCount(argc, argv, "--multi", 0, &multi_dim)) return 1;
-  if (multi_dim != 0) {
-    return RunMultiSearch(argc, argv, *db, query, multi_dim, /*epsilon=*/0.0,
-                          k, /*limit=*/k);
-  }
-  IndexOptions options;
-  if (!OptionsFromFlags(argc, argv, &options)) return 1;
-  auto index = Index::Build(&*db, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "index failed: %s\n",
-                 index.status().ToString().c_str());
-    return 1;
-  }
-  core::QueryOptions query_options;
-  if (!FlagCount(argc, argv, "--threads", 0,
-                 &query_options.num_threads)) {
-    return 1;
-  }
-  if (!FlagBand(argc, argv, query.size(), &query_options.band)) return 1;
-  query_options.use_lower_bound = !HasFlag(argc, argv, "--no-lb");
-  if (query_options.band != 0 &&
-      index->options().kind == IndexKind::kSparse) {
-    std::fprintf(stderr,
-                 "--band needs a dense index (--kind stc or st): sparse "
-                 "suffix recovery is unsound under a band\n");
-    return 1;
-  }
-  core::SearchStats stats;
-  const std::vector<Match> knn =
-      index->SearchKnn(query, k, query_options, &stats);
-  if (HasFlag(argc, argv, "--stats")) PrintSearchStats(*index, stats);
-  std::printf("%zu nearest subsequences:\n", knn.size());
-  for (const Match& m : knn) {
-    std::printf("  S%u[%u..%u] len %u  D_tw %.4f\n", m.seq, m.start,
-                m.start + m.len - 1, m.len, m.distance);
-  }
-  return 0;
+  return FlagK(argc, argv, &k) ? CmdQuery(argc, argv, k) : 1;
 }
 
 int CmdDot(int argc, char** argv) {
-  auto db = LoadDb(argc, argv);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
-    return 1;
-  }
+  const StatusOr<seqdb::SequenceDatabase> db = LoadDb(argc, argv);
+  if (!db.ok()) return 1;
   IndexOptions options;
-  if (!OptionsFromFlags(argc, argv, &options) ||
-      !FlagCount(argc, argv, "--categories", 8, &options.num_categories)) {
-    return 1;
-  }
-  options.disk_path.clear();
-  // Build a small in-memory categorized tree and dump it. (Reaching the
-  // tree requires the suffixtree API directly.)
-  const std::vector<Value> values = categorize::CollectValues(*db);
-  auto alphabet = categorize::Build(options.method, values,
-                                    options.num_categories, options.seed);
-  if (!alphabet.ok()) {
-    std::fprintf(stderr, "%s\n", alphabet.status().ToString().c_str());
-    return 1;
-  }
-  categorize::CategorizedDatabase converted =
-      categorize::ConvertDatabase(*db, &*alphabet);
-  const suffixtree::SymbolDatabase symbols(std::move(converted.sequences));
-  suffixtree::BuildOptions build;
-  build.sparse = options.kind == IndexKind::kSparse;
-  const suffixtree::SuffixTree tree = BuildSuffixTree(symbols, build);
   suffixtree::DotOptions dot;
-  if (!FlagCount(argc, argv, "--max-nodes", 64, &dot.max_nodes)) return 1;
+  if (!IndexOptionsFromFlags(argc, argv, &options) ||
+      !FlagCount(argc, argv, "--categories", 8, &options.num_categories) ||
+      !FlagCount(argc, argv, "--max-nodes", 64, &dot.max_nodes)) {
+    return 1;
+  }
+  // No --index, so this builds the in-memory tree a search would use.
+  const StatusOr<Index> index = OpenOrBuildIndex(argv[2], *db, options);
+  if (!index.ok()) return 1;
+  const suffixtree::TreeView& tree = *index->snapshot()->tiers()[0]->view();
   std::fputs(suffixtree::ToDot(tree, dot).c_str(), stdout);
   return 0;
 }
@@ -599,7 +475,7 @@ int Main(int argc, char** argv) {
        {"--simd", "--index", "--kind", "--categories", "--method"},
        {}},
       {"search",
-       CmdSearch,
+       [](int argc, char** argv) { return CmdQuery(argc, argv, 0); },
        {"--simd", "--query", "--epsilon", "--kind", "--categories",
         "--method", "--index", "--limit", "--threads", "--band", "--multi"},
        {"--scan", "--no-lb", "--stats"}},

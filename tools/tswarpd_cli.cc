@@ -24,6 +24,7 @@
 // socket (healthz, one search, stats, and with --streaming one append),
 // drains, and exits — the CI hook.
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -47,7 +48,6 @@ namespace tswarp {
 namespace {
 
 using core::Index;
-using core::IndexKind;
 using core::IndexOptions;
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -110,14 +110,7 @@ int RunSmoke(server::Server& srv, bool streaming) {
 int Append(int argc, char** argv) {
   if (argc < 3) return Usage();
   std::vector<Value> values;
-  const char* p = argv[2];
-  char* end = nullptr;
-  while (*p != '\0') {
-    const double v = std::strtod(p, &end);
-    if (end == p) break;
-    values.push_back(v);
-    p = (*end == ',') ? end + 1 : end;
-  }
+  if (!ParseValues("append", argv[2], &values)) return 2;
   if (values.empty()) {
     std::fprintf(stderr, "append: could not parse any values from '%s'\n",
                  argv[2]);
@@ -158,7 +151,7 @@ int Serve(int argc, char** argv) {
   IndexOptions options;
   core::TieredOptions tiered_options;
   server::ServerOptions server_options;
-  if (!FlagCount(argc, argv, "--categories", 40, &options.num_categories) ||
+  if (!IndexOptionsFromFlags(argc, argv, &options) ||
       !FlagCount(argc, argv, "--memtable", 8,
                  &tiered_options.memtable_max_sequences) ||
       !FlagCount(argc, argv, "--sealed", 2,
@@ -170,39 +163,11 @@ int Serve(int argc, char** argv) {
                  &server_options.connection_threads)) {
     return 1;
   }
-  StatusOr<seqdb::SequenceDatabase> db =
-      seqdb::SequenceDatabase::Load(argv[2]);
-  if (!db.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", db.status().ToString().c_str());
-    return 1;
-  }
-
-  const std::string kind = FlagValue(argc, argv, "--kind", "sstc");
-  if (kind == "st") {
-    options.kind = IndexKind::kSuffixTree;
-  } else if (kind == "stc") {
-    options.kind = IndexKind::kCategorized;
-  } else {
-    options.kind = IndexKind::kSparse;
-  }
-  const char* index_path = FlagValue(argc, argv, "--index", nullptr);
-  if (index_path != nullptr) options.disk_path = index_path;
-
-  // A persisted bundle is reopened, or refused when it was built from
-  // other data or options; only a missing one is built (and persists for
-  // the next start). One expression because Index is not move-assignable.
-  StatusOr<Index> index = [&]() -> StatusOr<Index> {
-    if (index_path != nullptr) {
-      StatusOr<Index> opened = Index::Open(&*db, options);
-      if (opened.status().code() != StatusCode::kNotFound) return opened;
-    }
-    return Index::Build(&*db, options);
-  }();
-  if (!index.ok()) {
-    std::fprintf(stderr, "index failed for %s: %s\n", argv[2],
-                 index.status().ToString().c_str());
-    return 1;
-  }
+  const StatusOr<seqdb::SequenceDatabase> db = LoadDb(argc, argv);
+  if (!db.ok()) return 1;
+  // A missing bundle is built and persists for the next start.
+  StatusOr<Index> index = OpenOrBuildIndex(argv[2], *db, options);
+  if (!index.ok()) return 1;
 
   // --streaming wraps the base index in a TieredIndex so /append and the
   // continuous-query endpoints are live; otherwise the handle serves the
@@ -238,7 +203,8 @@ int Serve(int argc, char** argv) {
 
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
-  std::printf("tswarpd serving %s (%s%s) on %s:%d\n", argv[2], kind.c_str(),
+  std::printf("tswarpd serving %s (%s%s) on %s:%d\n", argv[2],
+              FlagValue(argc, argv, "--kind", "sstc"),
               streaming ? ", streaming" : "",
               server_options.address.c_str(), (*srv)->port());
   std::fflush(stdout);
