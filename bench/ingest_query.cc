@@ -7,9 +7,9 @@
 //
 // Every appender streams sequences drawn from a fixed seed; every Kth
 // appended sequence embeds a sentinel pattern the continuous query is
-// registered for, so the expected callback count is known exactly. The
+// registered for, so the expected delivery count is known exactly. The
 // run FAILS (exit 1) on any 5xx/transport error, on any lost or duplicate
-// continuous delivery, or on a dropped channel entry — the CI
+// continuous delivery, or on a dropped buffered match — the CI
 // ingest-smoke contract.
 //
 // --json writes BENCH_ingest_query.json (see report_json.h) with ingest/
@@ -233,7 +233,7 @@ int Run(int argc, char** argv) {
     });
   }
 
-  // Poll the continuous channel throughout so the bounded buffer never
+  // Poll the continuous query throughout so its bounded buffer never
   // overflows; every delivery names the sentinel pattern.
   std::atomic<std::size_t> deliveries{0};
   std::atomic<std::size_t> dropped{0};
@@ -305,10 +305,10 @@ int Run(int argc, char** argv) {
 
   // Each sentinel append delivers exactly one match (the verbatim pattern;
   // epsilon 0.01 admits no partial alignment of the 30-unit ramp), so
-  // lost callbacks show up as final_deliveries < sentinels and duplicate
+  // lost deliveries show up as final_deliveries < sentinels and duplicate
   // deliveries as >.
   const std::size_t sentinels = sentinels_sent.load();
-  const bool callbacks_ok = !poll_error.load() && final_dropped == 0 &&
+  const bool deliveries_ok = !poll_error.load() && final_dropped == 0 &&
                             final_deliveries == sentinels;
 
   std::vector<double> append_all, search_all;
@@ -366,7 +366,7 @@ int Run(int argc, char** argv) {
   }
 
   if (appends_ok.load() == 0 || appends_err.load() != 0 ||
-      searches_err.load() != 0 || !callbacks_ok) {
+      searches_err.load() != 0 || !deliveries_ok) {
     std::fprintf(stderr,
                  "ingest_query: FAILED (appends ok=%zu err=%zu, search "
                  "err=%zu, delivered=%zu/%zu, dropped=%zu, poll_error=%d)\n",

@@ -7,38 +7,14 @@
 #include <string>
 
 #include "dtw/simd.h"
+#include "server/json.h"
 
 namespace tswarp::bench {
 namespace {
 
-/// Minimal JSON string escaping: quotes, backslashes, and control bytes.
-/// Benchmark names are ASCII ("BM_Foo/8"), so this covers everything that
-/// can occur.
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// JSON has no infinity/NaN literals; clamp to null-safe numbers.
-std::string Number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+/// JSON has no infinity or NaN literal (AppendJsonNumber would print
+/// "inf"), so a non-finite measurement is written as 0.
+double Finite(double v) { return std::isfinite(v) ? v : 0; }
 
 }  // namespace
 
@@ -57,25 +33,27 @@ bool JsonReport::Write(const std::string& dir) const {
     std::fprintf(stderr, "report_json: cannot write %s\n", path.c_str());
     return false;
   }
-  out << "{\n  \"bench\": \"" << Escape(bench_name_) << "\",\n"
-      << "  \"simd_backend\": \"" << dtw::simd::ActiveBackend() << "\",\n"
-      << "  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    out << "    {\"name\": \"" << Escape(e.name) << "\", \"real_time_ns\": "
-        << Number(e.real_time_ns);
+  std::string body;
+  server::JsonWriter w(&body);
+  w.BeginObject()
+      .Key("bench").String(bench_name_)
+      .Key("simd_backend").String(dtw::simd::ActiveBackend())
+      .Key("entries").BeginArray();
+  for (const Entry& e : entries_) {
+    w.BeginObject()
+        .Key("name").String(e.name)
+        .Key("real_time_ns").Number(Finite(e.real_time_ns));
     if (!e.counters.empty()) {
-      out << ", \"counters\": {";
-      for (std::size_t j = 0; j < e.counters.size(); ++j) {
-        if (j != 0) out << ", ";
-        out << "\"" << Escape(e.counters[j].first)
-            << "\": " << Number(e.counters[j].second);
+      w.Key("counters").BeginObject();
+      for (const auto& [key, value] : e.counters) {
+        w.Key(key).Number(Finite(value));
       }
-      out << "}";
+      w.EndObject();
     }
-    out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
+    w.EndObject();
   }
-  out << "  ]\n}\n";
+  w.EndArray().EndObject();
+  out << body << "\n";
   out.flush();
   if (!out) {
     std::fprintf(stderr, "report_json: write to %s failed\n", path.c_str());

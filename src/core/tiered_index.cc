@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "core/seq_scan.h"
 #include "suffixtree/merge.h"
 
 namespace tswarp::core {
@@ -136,13 +137,6 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
     return Status::InvalidArgument("cannot append an empty sequence");
   }
 
-  struct Delivery {
-    std::uint64_t query_id;
-    ContinuousCallback callback;
-    std::vector<Match> matches;
-  };
-  std::vector<Delivery> deliveries;
-
   std::unique_lock<std::mutex> lock(mu_);
   const SeqId global_id =
       base_sequences_ + static_cast<SeqId>(appended_sequences_);
@@ -166,27 +160,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
     }
   }
 
-  // 2. Continuous queries scan the new sequence alone: a new match lies
-  // entirely within it, so the scan can neither miss nor re-deliver
-  // anything, and it reports exactly what a search of any index over the
-  // same values would.
-  {
-    std::lock_guard<std::recursive_mutex> cq_lock(cq_mu_);
-    if (!continuous_.empty()) {
-      seqdb::SequenceDatabase single;
-      single.Add(values);
-      for (const auto& [id, cq] : continuous_) {
-        std::vector<Match> matches =
-            SeqScan(single, cq.query, cq.epsilon, cq.scan);
-        for (Match& m : matches) m.seq = global_id;
-        if (!matches.empty()) {
-          deliveries.push_back({id, cq.callback, std::move(matches)});
-        }
-      }
-    }
-  }
-
-  // 3. Single-sequence tree: the unit the memtable grows by.
+  // 2. Single-sequence tree: the unit the memtable grows by.
   suffixtree::SymbolDatabase one_sym;
   one_sym.Add(syms);
   const suffixtree::BuildOptions build = BuildOptionsFrom(options_.index);
@@ -195,7 +169,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   suffixtree::SuffixTree single_tree = builder.Build();
   TSW_RETURN_IF_ERROR(single_tree.status());
 
-  // 4. Grow the memtable: merge the new sequence's tree onto the previous
+  // 3. Grow the memtable: merge the new sequence's tree onto the previous
   // memtable tree (tier-local id = position within the memtable).
   const SeqId local_id = static_cast<SeqId>(memtable_values_.size());
   suffixtree::SuffixTree mem_tree;
@@ -211,7 +185,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   memtable_values_.push_back(std::move(values));
   ++appended_sequences_;
 
-  // 5. Assemble the new memtable tier — or, at the seal threshold, the
+  // 4. Assemble the new memtable tier — or, at the seal threshold, the
   // new sealed tier (a tier's role is fixed at creation; nothing is ever
   // mutated after publication).
   auto tier = std::make_shared<Tier>();
@@ -227,6 +201,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
     tier->alphabet = FitAlphabetTo(*frozen_alphabet_, *tier->owned_db);
   }
   tier->memory_tree = std::move(mem_tree);
+  const seqdb::Sequence& appended = tier->owned_db->sequence(local_id);
   const bool seal = memtable_values_.size() >= options_.memtable_max_sequences;
   tier->is_memtable = !seal;
   tier->info = ComputeTierInfo(*tier);
@@ -239,6 +214,31 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   }
   PublishLocked();
 
+  // 5. Continuous queries scan the new sequence alone: a new match lies
+  // entirely within it, so the scan can neither miss nor re-buffer
+  // anything, and it reports exactly what a search of any index over the
+  // same values would. The buffers fill after the publish, so a polled
+  // match is always in the published snapshot.
+  {
+    std::lock_guard<std::mutex> cq_lock(cq_mu_);
+    if (!continuous_.empty()) {
+      seqdb::SequenceDatabase single;
+      single.Add(appended);
+      for (auto& [id, cq] : continuous_) {
+        std::vector<Match>& buffer = cq.pending.matches;
+        for (Match m : SeqScan(single, cq.query, cq.epsilon)) {
+          m.seq = global_id;
+          buffer.push_back(m);
+        }
+        if (buffer.size() > kContinuousBufferCap) {
+          const std::size_t excess = buffer.size() - kContinuousBufferCap;
+          buffer.erase(buffer.begin(), buffer.begin() + excess);
+          cq.pending.dropped += excess;
+        }
+      }
+    }
+  }
+
   const bool owed = PendingMergesLocked() > 0;
   if (owed && options_.merge_in_background) merge_cv_.notify_one();
   lock.unlock();
@@ -246,13 +246,6 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
   if (owed && !options_.merge_in_background) {
     while (MergeOnce()) {
     }
-  }
-
-  for (const Delivery& d : deliveries) {
-    std::lock_guard<std::recursive_mutex> cq_lock(cq_mu_);
-    // Skip queries unregistered between evaluation and delivery.
-    if (continuous_.find(d.query_id) == continuous_.end()) continue;
-    d.callback(d.query_id, d.matches);
   }
   return global_id;
 }
@@ -440,34 +433,42 @@ TieredStats TieredIndex::Stats() const {
     if (!merge_error_.ok()) stats.merge_error = merge_error_.ToString();
   }
   {
-    std::lock_guard<std::recursive_mutex> lock(cq_mu_);
+    std::lock_guard<std::mutex> lock(cq_mu_);
     stats.continuous_queries = continuous_.size();
   }
   return stats;
 }
 
-std::uint64_t TieredIndex::RegisterContinuous(
-    std::vector<Value> query, Value epsilon, ContinuousCallback callback,
-    const QueryOptions& query_options) {
+std::uint64_t TieredIndex::RegisterContinuous(std::vector<Value> query,
+                                              Value epsilon) {
   TSW_CHECK(!query.empty());
-  TSW_CHECK(callback != nullptr);
-  std::lock_guard<std::recursive_mutex> lock(cq_mu_);
+  std::lock_guard<std::mutex> lock(cq_mu_);
   const std::uint64_t id = next_query_id_++;
-  // Only the query-shape knobs apply: each evaluation is one serial
-  // scan under the append lock, and a stored registration must not keep
-  // using a caller's cancel token.
-  SeqScanOptions scan;
-  scan.band = query_options.band;
-  scan.prune = query_options.prune;
-  scan.use_lower_bound = query_options.use_lower_bound;
-  continuous_.emplace(id, ContinuousQuery{std::move(query), epsilon, scan,
-                                          std::move(callback)});
+  ContinuousQuery& cq = continuous_[id];
+  cq.query = std::move(query);
+  cq.epsilon = epsilon;
   return id;
 }
 
-void TieredIndex::Unregister(std::uint64_t query_id) {
-  std::lock_guard<std::recursive_mutex> lock(cq_mu_);
-  continuous_.erase(query_id);
+StatusOr<ContinuousPoll> TieredIndex::PollContinuous(std::uint64_t query_id) {
+  std::lock_guard<std::mutex> lock(cq_mu_);
+  auto it = continuous_.find(query_id);
+  if (it == continuous_.end()) {
+    return Status::NotFound("no continuous query with that id");
+  }
+  ContinuousPoll& pending = it->second.pending;
+  pending.delivered += pending.matches.size();
+  ContinuousPoll poll = std::move(pending);
+  pending.matches.clear();  // Moved from: valid, now empty.
+  return poll;
+}
+
+Status TieredIndex::UnregisterContinuous(std::uint64_t query_id) {
+  std::lock_guard<std::mutex> lock(cq_mu_);
+  if (continuous_.erase(query_id) == 0) {
+    return Status::NotFound("no continuous query with that id");
+  }
+  return Status::OK();
 }
 
 }  // namespace tswarp::core

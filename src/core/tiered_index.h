@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/index.h"
-#include "core/seq_scan.h"
 #include "core/tier.h"
 
 namespace tswarp::core {
@@ -61,17 +59,17 @@ struct TieredStats {
   std::size_t continuous_queries = 0;
 };
 
-/// Callback of a continuous query: invoked once per Append whose new
-/// sequence produced at least one match, with the matches (global ids,
-/// sorted) found in that sequence. Exactly-once per (query, match):
-/// appends are evaluated against only the newly added sequence, and
-/// background merges never re-run continuous queries, so a match is
-/// delivered at the single Append that created it. Callbacks run on the
-/// appending thread after the new snapshot is published; they may call
-/// Snapshot(), RegisterContinuous() and Unregister() (including
-/// unregistering themselves) but must not call Append().
-using ContinuousCallback =
-    std::function<void(std::uint64_t query_id, const std::vector<Match>&)>;
+/// Matches a continuous query buffers between polls; past it the oldest
+/// are dropped and counted.
+inline constexpr std::size_t kContinuousBufferCap = 4096;
+
+/// A continuous query's buffered matches (global ids, in append order and
+/// then SeqScan's order), and its running totals.
+struct ContinuousPoll {
+  std::vector<Match> matches;
+  std::uint64_t delivered = 0;  // Matches handed out by polls, these included.
+  std::uint64_t dropped = 0;    // Matches lost to a full buffer.
+};
 
 /// The mutable streaming face of the index layer: an LSM-style stack of
 /// immutable tiers with a single mutation entry point.
@@ -103,10 +101,10 @@ using ContinuousCallback =
 /// this, mid-merge included.
 ///
 /// Thread safety: Append is internally serialized; Snapshot/Stats/
-/// searches may run concurrently with Append and with background merges
-/// from any thread. The destructor cancels in-flight merges
-/// (cooperatively, through suffixtree::MergeTrees' cancel token) and
-/// joins the worker.
+/// searches and the continuous-query calls may run concurrently with
+/// Append and with background merges from any thread. The destructor
+/// cancels in-flight merges (cooperatively, through
+/// suffixtree::MergeTrees' cancel token) and joins the worker.
 class TieredIndex {
  public:
   /// Builds the base tier over `base_db` (which must outlive the
@@ -127,7 +125,7 @@ class TieredIndex {
   TieredIndex& operator=(const TieredIndex&) = delete;
 
   /// Appends one sequence, assigns it the next global SeqId, publishes a
-  /// snapshot containing it, evaluates continuous queries against it, and
+  /// snapshot containing it, buffers continuous-query matches in it, and
   /// (possibly in the background) compacts sealed tiers. Returns the
   /// global id. Serialized internally; safe to call concurrently with
   /// searches on any snapshot.
@@ -151,26 +149,25 @@ class TieredIndex {
   /// with each consecutive failure, inline at the next Append.
   Status merge_status() const;
 
-  /// Registers a standing query: every future Append whose new sequence
-  /// contains a subsequence within `epsilon` of `query` invokes `callback`
-  /// with those matches, found by a core::SeqScan of the new sequence
-  /// under `query_options`' band, prune and use_lower_bound (any index
-  /// kind). Returns the query id for Unregister.
-  std::uint64_t RegisterContinuous(std::vector<Value> query, Value epsilon,
-                                   ContinuousCallback callback,
-                                   const QueryOptions& query_options = {});
+  /// Registers a standing query: every later Append buffers the matches
+  /// within `epsilon` of `query` in the new sequence, found by a
+  /// core::SeqScan of it alone, so each match exactly once, on any index
+  /// kind. It lives until UnregisterContinuous or the index's end.
+  std::uint64_t RegisterContinuous(std::vector<Value> query, Value epsilon);
 
-  /// Removes a continuous query; safe from inside its own callback.
-  void Unregister(std::uint64_t query_id);
+  /// Drains `query_id`'s buffer (every match in it is in the published
+  /// snapshot). UnregisterContinuous drops the registration. Both return
+  /// NotFound for an id that is not registered.
+  StatusOr<ContinuousPoll> PollContinuous(std::uint64_t query_id);
+  Status UnregisterContinuous(std::uint64_t query_id);
 
   const TieredOptions& options() const { return options_; }
 
  private:
   struct ContinuousQuery {
     std::vector<Value> query;
-    Value epsilon;
-    SeqScanOptions scan;
-    ContinuousCallback callback;
+    Value epsilon = 0;
+    ContinuousPoll pending;  // At most kContinuousBufferCap matches.
   };
 
   TieredIndex(Index base, const TieredOptions& options);
@@ -230,9 +227,9 @@ class TieredIndex {
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
 
-  // Continuous queries. Recursive: callbacks may re-enter
-  // Register/Unregister.
-  mutable std::recursive_mutex cq_mu_;
+  // Continuous queries and their buffers. Append takes cq_mu_ under mu_;
+  // nothing takes mu_ under cq_mu_.
+  mutable std::mutex cq_mu_;
   std::map<std::uint64_t, ContinuousQuery> continuous_;
   std::uint64_t next_query_id_ = 1;
 

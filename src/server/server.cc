@@ -14,8 +14,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -144,31 +142,6 @@ bool SendAll(int fd, std::string_view data) {
   return true;
 }
 
-/// Per-registration delivery buffer of a continuous query served over
-/// HTTP: the TieredIndex callback pushes new matches here (bounded;
-/// overflow drops the oldest and counts), and /continuous/poll drains it.
-/// shared_ptr-owned by both the callback closure and the server map, so a
-/// late callback after unregister/shutdown is harmless.
-struct ContinuousChannel {
-  static constexpr std::size_t kBufferCap = 4096;
-
-  std::mutex mu;
-  std::deque<core::Match> buffer;
-  std::uint64_t delivered = 0;  // Matches handed to clients via poll.
-  std::uint64_t dropped = 0;    // Overflowed matches (client too slow).
-
-  void Push(const std::vector<core::Match>& matches) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const core::Match& m : matches) {
-      if (buffer.size() >= kBufferCap) {
-        buffer.pop_front();
-        ++dropped;
-      }
-      buffer.push_back(m);
-    }
-  }
-};
-
 }  // namespace
 
 std::string ErrorBody(std::string_view code, std::string_view message) {
@@ -227,10 +200,6 @@ struct Server::Impl {
   // never a reused one.
   std::mutex open_conns_mu;
   std::set<int> open_conns;
-
-  // HTTP-registered continuous queries, keyed by the TieredIndex query id.
-  std::mutex continuous_mu;
-  std::map<std::uint64_t, std::shared_ptr<ContinuousChannel>> continuous;
 
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
@@ -468,8 +437,8 @@ struct Server::Impl {
   }
 
   /// POST /continuous/register {"query":[...], "epsilon":E} — registers a
-  /// standing query on the TieredIndex; matches produced by future appends
-  /// accumulate in a bounded per-query buffer drained by /continuous/poll.
+  /// standing query on the TieredIndex, which buffers the matches of
+  /// future appends until /continuous/poll drains them.
   HttpResponse HandleContinuousRegister(const HttpRequest& request) {
     core::TieredIndex* tiered = index->tiered();
     if (tiered == nullptr) {
@@ -497,24 +466,25 @@ struct Server::Impl {
       return ErrorResponse(400, "invalid_query",
                            "\"query\" must contain only numbers");
     }
-    auto channel = std::make_shared<ContinuousChannel>();
-    const std::uint64_t id = tiered->RegisterContinuous(
-        std::move(q), epsilon->AsNumber(),
-        [channel](std::uint64_t, const std::vector<core::Match>& matches) {
-          channel->Push(matches);
-        });
-    {
-      std::lock_guard<std::mutex> lock(continuous_mu);
-      continuous[id] = std::move(channel);
-    }
+    const std::uint64_t id =
+        tiered->RegisterContinuous(std::move(q), epsilon->AsNumber());
     std::string out;
     JsonWriter(&out).BeginObject().Key("id").Number(id).EndObject();
     return JsonResponse(200, std::move(out));
   }
 
-  std::shared_ptr<ContinuousChannel> FindChannel(const HttpRequest& request,
-                                                 std::uint64_t* id,
-                                                 HttpResponse* error) {
+  HttpResponse UnknownId() {
+    CountProtocolError();
+    return ErrorResponse(404, "unknown_id", "no continuous query with that id");
+  }
+
+  /// The TieredIndex and registration `*id` that a /continuous/poll or
+  /// /continuous/unregister body names. Returns nullptr after filling
+  /// `*error`: 400 for a malformed id, 404 on a static index (it has no
+  /// registrations).
+  core::TieredIndex* RegistrationTarget(const HttpRequest& request,
+                                        std::uint64_t* id,
+                                        HttpResponse* error) {
     StatusOr<JsonValue> body = ParseJson(request.body);
     const JsonValue* idv = body.ok() ? body->Find("id") : nullptr;
     double id_num = 0;
@@ -525,43 +495,28 @@ struct Server::Impl {
       return nullptr;
     }
     *id = static_cast<std::uint64_t>(id_num);
-    std::lock_guard<std::mutex> lock(continuous_mu);
-    auto it = continuous.find(*id);
-    if (it == continuous.end()) {
-      CountProtocolError();
-      *error = ErrorResponse(404, "unknown_id",
-                             "no continuous query with that id");
-      return nullptr;
-    }
-    return it->second;
+    core::TieredIndex* tiered = index->tiered();
+    if (tiered == nullptr) *error = UnknownId();
+    return tiered;
   }
 
   /// POST /continuous/poll {"id":N} — drains the buffered matches.
   HttpResponse HandleContinuousPoll(const HttpRequest& request) {
     std::uint64_t id = 0;
     HttpResponse error;
-    std::shared_ptr<ContinuousChannel> channel =
-        FindChannel(request, &id, &error);
-    if (channel == nullptr) return error;
-    std::deque<core::Match> drained;
-    std::uint64_t dropped = 0;
-    std::uint64_t delivered = 0;
-    {
-      std::lock_guard<std::mutex> lock(channel->mu);
-      drained.swap(channel->buffer);
-      channel->delivered += drained.size();
-      delivered = channel->delivered;
-      dropped = channel->dropped;
-    }
+    core::TieredIndex* tiered = RegistrationTarget(request, &id, &error);
+    if (tiered == nullptr) return error;
+    StatusOr<core::ContinuousPoll> poll = tiered->PollContinuous(id);
+    if (!poll.ok()) return UnknownId();
     std::string out;
     JsonWriter w(&out);
     w.BeginObject()
-        .Key("count").Number(drained.size())
-        .Key("delivered").Number(delivered)
-        .Key("dropped").Number(dropped)
+        .Key("count").Number(poll->matches.size())
+        .Key("delivered").Number(poll->delivered)
+        .Key("dropped").Number(poll->dropped)
         .Key("id").Number(id)
         .Key("matches");
-    WriteMatches(w, drained);
+    WriteMatches(w, poll->matches);
     w.EndObject();
     return JsonResponse(200, std::move(out));
   }
@@ -570,14 +525,9 @@ struct Server::Impl {
   HttpResponse HandleContinuousUnregister(const HttpRequest& request) {
     std::uint64_t id = 0;
     HttpResponse error;
-    std::shared_ptr<ContinuousChannel> channel =
-        FindChannel(request, &id, &error);
-    if (channel == nullptr) return error;
-    index->tiered()->Unregister(id);
-    {
-      std::lock_guard<std::mutex> lock(continuous_mu);
-      continuous.erase(id);
-    }
+    core::TieredIndex* tiered = RegistrationTarget(request, &id, &error);
+    if (tiered == nullptr) return error;
+    if (!tiered->UnregisterContinuous(id).ok()) return UnknownId();
     return JsonResponse(200, "{\"status\":\"ok\"}");
   }
 
@@ -901,13 +851,6 @@ struct Server::Impl {
       if (listen_fd >= 0) {
         ::close(listen_fd);
         listen_fd = -1;
-      }
-      // Detach continuous queries so the tiered index never calls back
-      // into a server that is going away.
-      if (core::TieredIndex* tiered = index->tiered()) {
-        std::lock_guard<std::mutex> lock(continuous_mu);
-        for (const auto& [id, channel] : continuous) tiered->Unregister(id);
-        continuous.clear();
       }
     });
   }

@@ -86,6 +86,9 @@ std::string ErrorBody(std::string_view code, std::string_view message);
 /// Shutdown() (also run by the destructor) is a graceful drain: stop
 /// accepting, finish in-flight requests, answer everything already
 /// admitted, then join. Safe to call from a signal-watching thread.
+/// Continuous queries registered over HTTP belong to the TieredIndex, not
+/// the server: a shutdown leaves them, and their buffered matches, in
+/// place, and a later server over the same index polls them by id.
 class Server {
  public:
   /// Binds, spawns the threads, and returns a running server. `index`

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/index.h"
+#include "core/seq_scan.h"
 #include "core/tiered_index.h"
 #include "datagen/generators.h"
 #include "seqdb/sequence_database.h"
@@ -252,6 +253,66 @@ TEST(ServerStreamingTest, ContinuousRegisterPollUnregisterRoundTrip) {
   EXPECT_EQ(client->Post("/continuous/poll", id_body)->status, 404);
   EXPECT_EQ(client->Post("/continuous/unregister", id_body)->status, 404);
   EXPECT_EQ(client->Post("/continuous/poll", "{\"id\":\"x\"}")->status, 400);
+}
+
+// A registration's buffer keeps the newest 4096 matches: one append that
+// makes 5050 (every subsequence of 100 values is within a huge epsilon of
+// a one-value query) drops the oldest 954, and the poll returns the rest
+// in scan order.
+TEST(ServerStreamingTest, ContinuousBufferOverflowKeepsTheNewestMatches) {
+  const seqdb::SequenceDatabase db = TestDb();
+  StreamingServer ss = StartStreaming(&db);
+  auto client = HttpClient::Connect("127.0.0.1", ss.server->port());
+  ASSERT_TRUE(client.ok());
+
+  auto reg = client->Post("/continuous/register",
+                          "{\"query\":[50],\"epsilon\":1e9}");
+  ASSERT_TRUE(reg.ok());
+  ASSERT_EQ(reg->status, 200) << reg->body;
+  const std::string id_body =
+      "{\"id\":" + std::to_string(static_cast<std::uint64_t>(
+                       Parse(reg->body).Find("id")->AsNumber())) +
+      "}";
+
+  seqdb::Sequence fresh;
+  for (int i = 0; i < 100; ++i) fresh.push_back(0.5 * i);
+  ASSERT_EQ(client->Post("/append", SequenceBody("values", fresh))->status,
+            200);
+
+  seqdb::SequenceDatabase single;
+  single.Add(fresh);
+  const std::vector<core::Match> all =
+      core::SeqScan(single, std::vector<Value>{50}, 1e9);
+  ASSERT_EQ(all.size(), 5050u);
+
+  auto poll = client->Post("/continuous/poll", id_body);
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll->status, 200);
+  const JsonValue body = Parse(poll->body);
+  EXPECT_EQ(body.Find("count")->AsNumber(), 4096.0);
+  EXPECT_EQ(body.Find("delivered")->AsNumber(), 4096.0);
+  EXPECT_EQ(body.Find("dropped")->AsNumber(), 954.0);
+  const auto& matches = body.Find("matches")->AsArray();
+  ASSERT_EQ(matches.size(), 4096u);
+  for (std::size_t i = 0; i < matches.size(); ++i) {
+    const core::Match& want = all[954 + i];
+    const JsonValue& got = matches[i];
+    ASSERT_EQ(got.Find("seq")->AsNumber(), static_cast<double>(db.size()))
+        << "match " << i;
+    ASSERT_EQ(got.Find("start")->AsNumber(), static_cast<double>(want.start))
+        << "match " << i;
+    ASSERT_EQ(got.Find("len")->AsNumber(), static_cast<double>(want.len))
+        << "match " << i;
+    ASSERT_EQ(got.Find("distance")->AsNumber(), want.distance)
+        << "match " << i;
+  }
+
+  poll = client->Post("/continuous/poll", id_body);
+  ASSERT_TRUE(poll.ok());
+  const JsonValue again = Parse(poll->body);
+  EXPECT_EQ(again.Find("count")->AsNumber(), 0.0);
+  EXPECT_EQ(again.Find("delivered")->AsNumber(), 4096.0);
+  EXPECT_EQ(again.Find("dropped")->AsNumber(), 954.0);
 }
 
 // Every /stats body up to its per-tier entries, and the same body from

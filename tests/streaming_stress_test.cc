@@ -8,7 +8,6 @@
 // firing while Unregister runs.
 
 #include <atomic>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -123,27 +122,30 @@ TEST(StreamingStressTest, ContinuousDeliveryExactlyOnceUnderLoad) {
   const std::vector<Value> q = RandomSeq(&qrng, 5);
   const Value eps = 6.0;
 
-  std::mutex mu;
   std::set<std::tuple<SeqId, Pos, Pos>> seen;
-  std::atomic<bool> duplicate{false};
-  (*tiered)->RegisterContinuous(
-      q, eps, [&](std::uint64_t, const std::vector<Match>& matches) {
-        std::lock_guard<std::mutex> lock(mu);
-        for (const Match& m : matches) {
-          if (!seen.insert({m.seq, m.start, m.len}).second) {
-            duplicate.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
+  bool duplicate = false;
+  std::uint64_t dropped = 0;
+  const std::uint64_t qid = (*tiered)->RegisterContinuous(q, eps);
+  const auto poll = [&] {
+    StatusOr<core::ContinuousPoll> drained = (*tiered)->PollContinuous(qid);
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+    dropped = drained->dropped;
+    for (const Match& m : drained->matches) {
+      if (!seen.insert({m.seq, m.start, m.len}).second) duplicate = true;
+    }
+  };
 
-  // Searchers hammer snapshots while appends fire the callback and the
-  // merge worker compacts the sealed tiers the callback's matches came
-  // from — deliveries must still be exactly-once.
+  // Searchers hammer snapshots and a poller drains the buffer while
+  // appends fill it and the merge worker compacts the sealed tiers its
+  // matches came from — deliveries must still be exactly-once.
   std::atomic<bool> done{false};
   std::thread searcher([&] {
     while (!done.load(std::memory_order_relaxed)) {
       (*tiered)->Snapshot()->Search(q, eps);
     }
+  });
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_relaxed)) poll();
   });
 
   Rng arng(606);
@@ -153,8 +155,11 @@ TEST(StreamingStressTest, ContinuousDeliveryExactlyOnceUnderLoad) {
   (*tiered)->WaitForMerges();
   done.store(true, std::memory_order_relaxed);
   searcher.join();
+  poller.join();
+  poll();
 
-  EXPECT_FALSE(duplicate.load()) << "continuous match delivered twice";
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_FALSE(duplicate) << "continuous match delivered twice";
   // Ground truth: everything a search now finds in appended sequences was
   // delivered, and nothing else was.
   const std::vector<Match> full = (*tiered)->Snapshot()->Search(q, eps);
@@ -162,7 +167,6 @@ TEST(StreamingStressTest, ContinuousDeliveryExactlyOnceUnderLoad) {
   for (const Match& m : full) {
     if (m.seq >= db.size()) expected.insert({m.seq, m.start, m.len});
   }
-  std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(expected, seen);
 }
 

@@ -21,7 +21,6 @@
 
 #include "common/random.h"
 #include "core/index.h"
-#include "core/seq_scan.h"
 #include "seqdb/sequence_database.h"
 
 namespace tswarp {
@@ -252,23 +251,29 @@ TEST(TieredIndexTest, ContinuousQueryDeliversEveryMatchExactlyOnce) {
   std::vector<Match> delivered;
   std::set<std::tuple<SeqId, Pos, Pos>> seen;
   bool duplicate = false;
-  const std::uint64_t qid = (*tiered)->RegisterContinuous(
-      q, eps, [&](std::uint64_t, const std::vector<Match>& matches) {
-        for (const Match& m : matches) {
-          if (!seen.insert({m.seq, m.start, m.len}).second) duplicate = true;
-          delivered.push_back(m);
-        }
-      });
+  const std::uint64_t qid = (*tiered)->RegisterContinuous(q, eps);
+  const auto poll = [&] {
+    StatusOr<core::ContinuousPoll> drained = (*tiered)->PollContinuous(qid);
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+    EXPECT_EQ(drained->dropped, 0u);
+    for (const Match& m : drained->matches) {
+      if (!seen.insert({m.seq, m.start, m.len}).second) duplicate = true;
+      delivered.push_back(m);
+    }
+    EXPECT_EQ(drained->delivered, delivered.size());
+  };
 
-  // Appends interleaved with (inline) merges: compactions must never
-  // re-deliver a match from a merged-away tier.
+  // Appends interleaved with (inline) merges and polls: compactions must
+  // never re-deliver a match from a merged-away tier.
   std::vector<SeqId> appended_ids;
   for (int i = 0; i < 6; ++i) {
     auto id = (*tiered)->Append(RandomSeq(&rng, 14));
     ASSERT_TRUE(id.ok());
     appended_ids.push_back(*id);
+    if (i % 2 == 1) poll();
   }
   (*tiered)->WaitForMerges();
+  poll();
   EXPECT_FALSE(duplicate) << "a continuous match was delivered twice";
 
   // Ground truth: the matches a fresh search finds inside the appended
@@ -280,75 +285,10 @@ TEST(TieredIndexTest, ContinuousQueryDeliversEveryMatchExactlyOnce) {
   }
   EXPECT_EQ(expected, seen);
 
-  (*tiered)->Unregister(qid);
+  ASSERT_TRUE((*tiered)->UnregisterContinuous(qid).ok());
   ASSERT_TRUE((*tiered)->Append(RandomSeq(&rng, 14)).ok());
   EXPECT_EQ(seen.size(), delivered.size());
   EXPECT_EQ((*tiered)->Stats().continuous_queries, 0u);
-}
-
-// A band is unsound for a sparse index's tree search, but a continuous
-// query is a scan of the appended sequence, so a banded registration on a
-// sparse tiered index delivers exactly SeqScan's banded answers for each
-// append (global ids, distances bit for bit).
-TEST(TieredIndexTest, BandedContinuousQueryOnSparseIndexMatchesSeqScan) {
-  const seqdb::SequenceDatabase db = BaseDb(4);
-  auto tiered = TieredIndex::Create(&db, Opts(IndexKind::kSparse, 2, 1));
-  ASSERT_TRUE(tiered.ok());
-  Rng rng(43);
-  const std::vector<Value> q = RandomSeq(&rng, 6);
-  const Value eps = 8.0;
-  core::QueryOptions banded;
-  banded.band = 2;
-
-  std::vector<Match> delivered;
-  (*tiered)->RegisterContinuous(
-      q, eps,
-      [&](std::uint64_t, const std::vector<Match>& matches) {
-        delivered.insert(delivered.end(), matches.begin(), matches.end());
-      },
-      banded);
-
-  std::vector<Match> expected;
-  for (int i = 0; i < 5; ++i) {
-    // A random walk that ends in a noisy copy of the query.
-    seqdb::Sequence fresh = RandomSeq(&rng, 10);
-    for (const Value v : q) fresh.push_back(v + rng.Gaussian(0, 0.5));
-    auto id = (*tiered)->Append(fresh);
-    ASSERT_TRUE(id.ok());
-    seqdb::SequenceDatabase single;
-    single.Add(fresh);
-    core::SeqScanOptions scan;
-    scan.band = banded.band;
-    for (Match m : core::SeqScan(single, q, eps, scan)) {
-      m.seq = *id;
-      expected.push_back(m);
-    }
-  }
-  ASSERT_FALSE(expected.empty()) << "the appends should produce matches";
-  ExpectSameMatches(expected, delivered, "banded continuous query");
-}
-
-TEST(TieredIndexTest, ContinuousCallbackMayUnregisterItself) {
-  const seqdb::SequenceDatabase db = BaseDb(3);
-  auto tiered = TieredIndex::Create(&db, Opts(IndexKind::kCategorized, 4, 2));
-  ASSERT_TRUE(tiered.ok());
-  Rng rng(47);
-  const seqdb::Sequence fresh = RandomSeq(&rng, 12);
-
-  int deliveries = 0;
-  std::uint64_t qid = 0;
-  qid = (*tiered)->RegisterContinuous(
-      std::vector<Value>(fresh.begin(), fresh.begin() + 5), 0.01,
-      [&](std::uint64_t id, const std::vector<Match>&) {
-        ++deliveries;
-        (*tiered)->Unregister(id);
-      });
-  ASSERT_NE(qid, 0u);
-
-  ASSERT_TRUE((*tiered)->Append(fresh).ok());
-  EXPECT_EQ(deliveries, 1);
-  ASSERT_TRUE((*tiered)->Append(fresh).ok());  // Unregistered: no redelivery.
-  EXPECT_EQ(deliveries, 1);
 }
 
 TEST(TieredIndexTest, CleanupRemovesOnlyOrphanedTmpMergeBundles) {

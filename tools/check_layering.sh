@@ -145,6 +145,16 @@ forbid "one JSON serializer" \
   -E 'JsonValue::Make|(\.|->)Dump\(|MatchesToJson|StatsToJson' \
   src tools bench
 
+# --- one continuous-query registry
+# A standing query is registered on the TieredIndex, which buffers its
+# matches until a poll drains them. The callback API with its
+# re-entrant lock and the server's second per-id buffer map were
+# deleted and must not come back.
+forbid "one continuous-query registry" \
+  "continuous-query callback or second registry found — register, poll and unregister on TieredIndex; see docs/streaming.md" \
+  -E 'ContinuousCallback|ContinuousChannel|recursive_mutex' \
+  src tools bench
+
 # --- one index path in the tools
 # Both CLIs open a persisted bundle through OpenOrBuildIndex in
 # tools/cli_flags.h, which builds only a missing one. A second

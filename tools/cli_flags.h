@@ -127,7 +127,8 @@ inline StatusOr<seqdb::SequenceDatabase> LoadDb(int argc, char** argv) {
 
 /// Reads --kind (st, stc, or sstc: the default), --method (el, km, or me:
 /// the default), --categories (default 40) and --index into `out`.
-/// Returns false (after printing) on a bad --categories.
+/// Returns false (after printing) on a --kind or --method it does not
+/// know, or a bad --categories.
 inline bool IndexOptionsFromFlags(int argc, char** argv,
                                   core::IndexOptions* out) {
   core::IndexOptions options;
@@ -136,16 +137,24 @@ inline bool IndexOptionsFromFlags(int argc, char** argv,
     options.kind = core::IndexKind::kSuffixTree;
   } else if (kind == "stc") {
     options.kind = core::IndexKind::kCategorized;
-  } else {
+  } else if (kind == "sstc") {
     options.kind = core::IndexKind::kSparse;
+  } else {
+    std::fprintf(stderr, "--kind must be st, stc or sstc (got %s)\n",
+                 std::string(kind).c_str());
+    return false;
   }
   const std::string_view method = FlagValue(argc, argv, "--method", "me");
   if (method == "el") {
     options.method = categorize::Method::kEqualLength;
   } else if (method == "km") {
     options.method = categorize::Method::kKMeans;
-  } else {
+  } else if (method == "me") {
     options.method = categorize::Method::kMaxEntropy;
+  } else {
+    std::fprintf(stderr, "--method must be el, km or me (got %s)\n",
+                 std::string(method).c_str());
+    return false;
   }
   if (!FlagCount(argc, argv, "--categories", 40, &options.num_categories)) {
     return false;

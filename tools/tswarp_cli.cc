@@ -12,6 +12,7 @@
 //   tswarp_cli dot market.db --categories 8 --max-nodes 64
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -36,9 +37,18 @@ using core::IndexKind;
 using core::IndexOptions;
 using core::Match;
 
-double FlagDouble(int argc, char** argv, const char* flag, double fallback) {
-  const char* v = FlagValue(argc, argv, flag, nullptr);
-  return v == nullptr ? fallback : std::atof(v);
+// --epsilon must be one finite number >= 0, tswarpd's "invalid_epsilon"
+// rule. Returns false (after printing) on a bad value.
+bool FlagEpsilon(int argc, char** argv, Value* out) {
+  const char* text = FlagValue(argc, argv, "--epsilon", "10");
+  char* end = nullptr;
+  *out = std::strtod(text, &end);
+  if (end != text && *end == '\0' && std::isfinite(*out) && *out >= 0) {
+    return true;
+  }
+  std::fprintf(stderr, "--epsilon must be a finite number >= 0 (got %s)\n",
+               text);
+  return false;
 }
 
 // --k must be an integer in [1, 1e9], tswarpd's "invalid_k" rule: atol
@@ -379,7 +389,8 @@ int CmdQuery(int argc, char** argv, std::size_t k) {
     return 1;
   }
   if (query.empty()) return Usage();
-  const Value epsilon = FlagDouble(argc, argv, "--epsilon", 10.0);
+  Value epsilon = 0;
+  if (!FlagEpsilon(argc, argv, &epsilon)) return 1;
   // A k-NN answer holds at most k matches and prints them all. --multi D
   // reads the database as D-dimensional sequences; 0 (the default) means
   // univariate.
