@@ -61,16 +61,14 @@ std::uint64_t StorageReadBytes() {
   return 0;
 }
 
-/// Asks the kernel to drop the cached pages of every file of the bundle
-/// at `base`. Pages still mapped by a live index are not dropped, so the
+/// Asks the kernel to drop the cached pages of the bundle file at
+/// `base`. Pages still mapped by a live index are not dropped, so the
 /// caller closes the index first.
 void DropPageCache(const std::string& base) {
-  for (const char* suffix : {".meta", ".nodes", ".occs", ".labels"}) {
-    const int fd = ::open((base + suffix).c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) continue;
-    (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-    ::close(fd);
-  }
+  const int fd = ::open((base + ".tsw").c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return;
+  (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+  ::close(fd);
 }
 
 /// Runs every query once; returns the total answer count.

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cerrno>
-#include <cstdio>
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "core/distance_models.h"
 #include "core/search_driver.h"
 #include "dtw/envelope.h"
-#include "storage/mmap_file.h"
 
 namespace tswarp::core {
 
@@ -33,8 +31,8 @@ const char* IndexKindToString(IndexKind kind) {
 
 namespace {
 
-// On-disk fingerprint guarding Index::Open against mismatched databases or
-// options. Stored at <disk_path>.index.
+// The fingerprint a disk index stores in its bundle header, guarding
+// Index::Open against mismatched databases, options or alphabets.
 struct IndexFingerprint {
   std::uint64_t magic;
   std::uint32_t kind;
@@ -46,30 +44,44 @@ struct IndexFingerprint {
   std::uint64_t db_sequences;
   std::uint64_t db_elements;
   std::uint64_t db_content_hash;  // ContentHash of the database.
+  // HashValues of the alphabet's boundaries (ST_C, SST_C) or of the
+  // dictionary's symbol values (ST): what the symbols mean.
+  std::uint64_t symbols_hash;
 };
+static_assert(sizeof(IndexFingerprint) == 72);
 
-// "TSWIDME2". The fingerprint without db_content_hash ("TSWIDMET", 56
-// bytes) cannot prove the database matches, so it reads as Corruption.
-constexpr std::uint64_t kIndexMagic = 0x54535749444D4532ull;
+// "TSWIDME3".
+constexpr std::uint64_t kIndexMagic = 0x54535749444D4533ull;
 
-/// Hash of every sequence's length and every value's bits, in order. Each
-/// step is a bijection of the state, so one differing word always shows.
+/// Mixes `x` into the hash `h`. Each step is a bijection of the state, so
+/// one differing word always shows.
+void Mix(std::uint64_t* h, std::uint64_t x) {
+  *h = (*h ^ x) * 0xBF58476D1CE4E5B9ull;
+  *h ^= *h >> 31;
+}
+
+/// Hash of the count and every value's bits, in order.
+std::uint64_t HashValues(std::span<const Value> values) {
+  std::uint64_t h = 0;
+  Mix(&h, values.size());
+  for (const Value v : values) Mix(&h, std::bit_cast<std::uint64_t>(v));
+  return h;
+}
+
+/// Hash of every sequence's length and every value's bits, in order.
 std::uint64_t ContentHash(const seqdb::SequenceDatabase& db) {
   std::uint64_t h = 0;
-  const auto mix = [&h](std::uint64_t x) {
-    h = (h ^ x) * 0xBF58476D1CE4E5B9ull;
-    h ^= h >> 31;
-  };
   for (SeqId id = 0; id < db.size(); ++id) {
     const seqdb::Sequence& seq = db.sequence(id);
-    mix(seq.size());
-    for (const Value v : seq) mix(std::bit_cast<std::uint64_t>(v));
+    Mix(&h, seq.size());
+    for (const Value v : seq) Mix(&h, std::bit_cast<std::uint64_t>(v));
   }
   return h;
 }
 
 IndexFingerprint MakeFingerprint(const seqdb::SequenceDatabase& db,
-                                 const IndexOptions& options) {
+                                 const IndexOptions& options,
+                                 const Tier& tier) {
   IndexFingerprint fp{};
   fp.magic = kIndexMagic;
   fp.kind = static_cast<std::uint32_t>(options.kind);
@@ -81,33 +93,43 @@ IndexFingerprint MakeFingerprint(const seqdb::SequenceDatabase& db,
   fp.db_sequences = db.size();
   fp.db_elements = db.TotalElements();
   fp.db_content_hash = ContentHash(db);
+  fp.symbols_hash =
+      HashValues(tier.alphabet ? tier.alphabet->boundaries()
+                               : std::span<const Value>(tier.symbol_values));
   return fp;
 }
 
-Status WriteFingerprint(const std::string& path,
-                        const IndexFingerprint& fp) {
-  return storage::WriteFile(path, std::as_bytes(std::span(&fp, 1)));
-}
-
-StatusOr<IndexFingerprint> ReadFingerprint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return errno == ENOENT ? Status::NotFound("no index at " + path)
-                           : Status::IOError("cannot open " + path);
-  }
+/// Refuses a stored fingerprint that is not `want`, naming what differs.
+Status CheckFingerprint(const IndexFingerprint& want,
+                        const std::string& disk_path,
+                        std::span<const std::byte> stored) {
   IndexFingerprint fp{};
-  const std::size_t n = std::fread(&fp, sizeof(fp), 1, f);
-  std::fclose(f);
-  if (n != 1 || fp.magic != kIndexMagic) {
-    return Status::Corruption("bad index fingerprint " + path +
-                              " (damaged, or an older format without a "
-                              "database content hash); rebuild the index");
+  if (stored.size() == sizeof(fp)) std::memcpy(&fp, stored.data(), sizeof(fp));
+  if (fp.magic != kIndexMagic) {
+    return Status::Corruption("bad index fingerprint in " + disk_path +
+                              " (damaged, or written by another build); "
+                              "rebuild the index");
   }
-  return fp;
-}
-
-std::string FingerprintPath(const IndexOptions& options) {
-  return options.disk_path + ".index";
+  const auto mismatch = [&](const char* what) {
+    return Status::FailedPrecondition("index fingerprint mismatch: the index "
+                                      "at " + disk_path + " was built " +
+                                      what);
+  };
+  if (fp.db_sequences != want.db_sequences ||
+      fp.db_elements != want.db_elements ||
+      fp.db_content_hash != want.db_content_hash) {
+    return mismatch("from a different database");
+  }
+  if (fp.symbols_hash != want.symbols_hash &&
+      std::memcmp(&fp, &want, offsetof(IndexFingerprint, symbols_hash)) ==
+          0) {
+    return mismatch("over a different alphabet (the categorizer changed); "
+                    "rebuild the index");
+  }
+  if (std::memcmp(&fp, &want, sizeof(fp)) != 0) {
+    return mismatch("with different options");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -178,16 +200,14 @@ StatusOr<Index> Index::Build(const seqdb::SequenceDatabase* db,
     suffixtree::DiskBuildOptions disk;
     disk.build = build;
     disk.batch_sequences = options.disk_batch_sequences;
+    const IndexFingerprint fp = MakeFingerprint(*db, options, *tier);
     TSW_ASSIGN_OR_RETURN(
         tier->disk_tree,
-        suffixtree::BuildDiskTree(symbols, options.disk_path, disk));
+        suffixtree::BuildDiskTree(symbols, options.disk_path, disk,
+                                  std::as_bytes(std::span(&fp, 1))));
   }
   tier->info = ComputeTierInfo(*tier);
 
-  if (!options.disk_path.empty()) {
-    TSW_RETURN_IF_ERROR(WriteFingerprint(FingerprintPath(options),
-                                         MakeFingerprint(*db, options)));
-  }
   Index index;
   index.snapshot_ = std::make_shared<const IndexSnapshot>(
       options, base_info,
@@ -203,22 +223,6 @@ StatusOr<Index> Index::Open(const seqdb::SequenceDatabase* db,
   if (options.disk_path.empty()) {
     return Status::InvalidArgument("Open requires options.disk_path");
   }
-  TSW_ASSIGN_OR_RETURN(const IndexFingerprint fp,
-                       ReadFingerprint(FingerprintPath(options)));
-  const IndexFingerprint want = MakeFingerprint(*db, options);
-  if (fp.db_sequences != want.db_sequences ||
-      fp.db_elements != want.db_elements ||
-      fp.db_content_hash != want.db_content_hash) {
-    return Status::FailedPrecondition(
-        "index fingerprint mismatch: the index at " + options.disk_path +
-        " was built from a different database");
-  }
-  if (std::memcmp(&fp, &want, sizeof(fp)) != 0) {
-    return Status::FailedPrecondition(
-        "index fingerprint mismatch: the index at " + options.disk_path +
-        " was built with different options");
-  }
-
   auto tier = std::make_shared<Tier>();
   tier->first_seq = 0;
   tier->db = db;
@@ -226,8 +230,13 @@ StatusOr<Index> Index::Open(const seqdb::SequenceDatabase* db,
   suffixtree::SymbolDatabase symbols;
   TSW_RETURN_IF_ERROR(DeriveSymbols(*db, options, &symbols, &tier->alphabet,
                                     &tier->symbol_values, &base_info));
-  TSW_ASSIGN_OR_RETURN(tier->disk_tree,
-                       suffixtree::DiskSuffixTree::Open(options.disk_path));
+  const IndexFingerprint want = MakeFingerprint(*db, options, *tier);
+  TSW_ASSIGN_OR_RETURN(
+      tier->disk_tree,
+      suffixtree::DiskSuffixTree::Open(
+          options.disk_path, [&](std::span<const std::byte> stored) {
+            return CheckFingerprint(want, options.disk_path, stored);
+          }));
   tier->info = ComputeTierInfo(*tier);
   Index index;
   index.snapshot_ = std::make_shared<const IndexSnapshot>(

@@ -235,8 +235,11 @@ class Index {
   /// Reopens a disk-backed index previously Build()-t with
   /// `options.disk_path` set, against the same database. The categorizer
   /// state is re-derived deterministically from (db, options); the tree is
-  /// opened from the bundle without rebuilding. A fingerprint written at
-  /// build time guards against mismatched databases or options.
+  /// opened from the bundle without rebuilding. The fingerprint Build
+  /// stores in the bundle header guards against a mismatched database,
+  /// options or alphabet (FailedPrecondition); a missing bundle is
+  /// NotFound and one of an older format a Corruption that says to
+  /// rebuild.
   static StatusOr<Index> Open(const seqdb::SequenceDatabase* db,
                               const IndexOptions& options);
 

@@ -49,7 +49,8 @@ class MultiIndex {
 
   /// The k subsequences nearest to the query under the multivariate D_tw,
   /// sorted by distance (branch-and-bound over the same filter; ties at
-  /// the k-th distance are broken arbitrarily).
+  /// the k-th distance are broken deterministically by (distance, seq,
+  /// start, len), as core::ResultCollector orders them).
   std::vector<core::Match> SearchKnn(
       std::span<const Value> query, std::size_t query_len, std::size_t k,
       const core::QueryOptions& query_options = {},

@@ -131,23 +131,26 @@ Status MappedFile::Truncated(std::string_view what, std::uint64_t count,
 // WriteFile / SyncDir
 // ---------------------------------------------------------------------------
 
-Status WriteFile(const std::string& path, std::span<const std::byte> bytes) {
+Status WriteFile(const std::string& path,
+                 std::initializer_list<std::span<const std::byte>> pieces) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoStatus("create", path);
   Status result = Status::OK();
-  const std::byte* data = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      result = n < 0 ? ErrnoStatus("write", path)
-                     : Status::IOError("short write to " + path);
-      break;
+  for (const std::span<const std::byte> piece : pieces) {
+    const std::byte* data = piece.data();
+    std::size_t left = piece.size();
+    while (left > 0 && result.ok()) {
+      const ssize_t n = ::write(fd, data, left);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        result = n < 0 ? ErrnoStatus("write", path)
+                       : Status::IOError("short write to " + path);
+        break;
+      }
+      data += n;
+      left -= static_cast<std::size_t>(n);
     }
-    data += n;
-    left -= static_cast<std::size_t>(n);
   }
   if (result.ok() && ::fsync(fd) != 0) result = ErrnoStatus("fsync", path);
   if (::close(fd) != 0 && result.ok()) result = ErrnoStatus("close", path);

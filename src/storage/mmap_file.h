@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -48,17 +49,23 @@ class MappedFile {
   std::size_t size_bytes() const { return size_; }
   const std::string& path() const { return path_; }
 
-  /// The first `count` records of type T at the start of the mapping,
-  /// valid for the MappedFile's lifetime. A file too short to hold them
-  /// is Status::Corruption naming `what`, at open time instead of a
-  /// SIGBUS mid-query.
+  /// The `count` records of type T that start `offset` bytes into the
+  /// mapping, valid for the MappedFile's lifetime. A file too short to
+  /// hold them, or an offset that misaligns T, is Status::Corruption
+  /// naming `what`, at open time instead of a SIGBUS mid-query.
   template <typename T>
   StatusOr<std::span<const T>> Records(std::uint64_t count,
-                                       std::string_view what) const {
+                                       std::string_view what,
+                                       std::uint64_t offset = 0) const {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (count > size_ / sizeof(T)) return Truncated(what, count, sizeof(T));
-    return std::span<const T>(static_cast<const T*>(data_),
-                              static_cast<std::size_t>(count));
+    if (offset > size_ || offset % alignof(T) != 0 ||
+        count > (size_ - offset) / sizeof(T)) {
+      return Truncated(what, count, sizeof(T));
+    }
+    return std::span<const T>(
+        reinterpret_cast<const T*>(static_cast<const std::byte*>(data_) +
+                                   offset),
+        static_cast<std::size_t>(count));
   }
 
   /// Forwards `hint` to madvise over the whole mapping. Best-effort.
@@ -80,12 +87,14 @@ class MappedFile {
   std::size_t size_ = 0;
 };
 
-/// Creates (or truncates) `path`, writes `bytes` with one sequential
-/// write and fsyncs the file before closing it. Every durable file the
-/// library produces (bundle regions, the bundle meta page, the index
-/// fingerprint) goes through here, so a short write, a failed fsync or a
-/// failed close is an IOError instead of a silently lost file.
-Status WriteFile(const std::string& path, std::span<const std::byte> bytes);
+/// Creates (or truncates) `path`, writes `pieces` one after another with
+/// sequential writes and fsyncs the file once before closing it. Every
+/// durable file the library produces (a bundle: its header and sections
+/// straight from where they live) goes through here, so a short write, a
+/// failed fsync or a failed close is an IOError instead of a silently lost
+/// file.
+Status WriteFile(const std::string& path,
+                 std::initializer_list<std::span<const std::byte>> pieces);
 
 /// fsyncs a directory so a just-renamed file inside it survives power
 /// loss. Linux requires this for durable renames; the rename itself only

@@ -1,8 +1,11 @@
 #ifndef TSWARP_SUFFIXTREE_DISK_TREE_H_
 #define TSWARP_SUFFIXTREE_DISK_TREE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,41 +17,51 @@
 
 namespace tswarp::suffixtree {
 
-/// A disk-resident suffix tree is a bundle of four files:
-///   <base>.meta    counts + magic + v3 section table
-///   <base>.nodes   fixed 28-byte node records (internal::NodeRecord)
-///   <base>.occs    fixed 16-byte occurrence records (internal::OccRecord)
-///   <base>.labels  the tree's symbol text (4 bytes per symbol); node
-///                  records reference their edge labels in it by
-///                  (label_offset, label_len)
-/// The record regions hold a SuffixTree's node and occurrence vectors
-/// byte for byte. The bundle is relocatable: records reference each other
-/// by index only (no absolute offsets or embedded paths), so the files can
-/// be moved or renamed together freely (RenameDiskTree). Open validates
-/// every node and occurrence record against the counts, so a corrupt
-/// record is a Corruption at Open, never a read outside the bundle.
-/// Bundles of formats v1 (no section table) and v2 (32-byte node records,
-/// possibly with a `.sums` file) are refused with a Corruption that says
-/// to rebuild.
+/// A disk-resident suffix tree is one file, `<base>.tsw` (format v4):
+///   a 4 KiB header   magic, version, the section table and an opaque
+///                    fingerprint area
+///   nodes section    fixed 28-byte node records (internal::NodeRecord)
+///   occs section     fixed 16-byte occurrence records (internal::OccRecord)
+///   labels section   the tree's symbol text (4 bytes per symbol); node
+///                    records reference their edge labels in it by
+///                    (label_offset, label_len)
+/// The sections follow the header back to back, so the file is
+/// TreeView::SizeBytes() long. They hold a SuffixTree's node and
+/// occurrence vectors byte for byte, and records reference each other by
+/// index only, so the file can be moved freely (RenameDiskTree). The
+/// fingerprint is the caller's: this layer stores it and hands it back
+/// at Open without reading it. A bundle of an older format (v1-v3, four
+/// region files under a `<base>.meta` page) is refused with a Corruption
+/// that says to rebuild.
 
-/// The TreeView of a disk tree bundle. The three region files are mapped
-/// read-only at Open (their extents validated against the section table,
-/// so truncation is a clean Status::Corruption, never a SIGBUS, and every
-/// record id and label range checked) before the view's spans are pointed
-/// into the mappings: no pins, no locks and no private cache. The kernel
-/// page cache is the only cache, shared by every process serving the same
-/// bundle, and serves bundles larger than RAM. GetChildren hands out label
-/// spans straight into the mapped text.
+/// The TreeView of a disk tree bundle. The file is mapped read-only at
+/// Open; the section extents are checked against its size (so truncation
+/// is a clean Status::Corruption, never a SIGBUS), then the fingerprint,
+/// then every record id and label range, before the view's spans are
+/// pointed into the mapping: no pins, no locks and no private cache. The
+/// kernel page cache is the only cache, shared by every process serving
+/// the same bundle, and serves bundles larger than RAM. GetChildren hands
+/// out label spans straight into the mapped text.
 class DiskSuffixTree : public TreeView {
  public:
+  /// Decides whether a bundle's fingerprint bytes are the ones the caller
+  /// wants; a non-OK status refuses the bundle and is returned by Open.
+  using FingerprintCheck =
+      std::function<Status(std::span<const std::byte> fingerprint)>;
+
+  /// Opens `<base_path>.tsw`. A missing file is NotFound, unless a
+  /// `<base_path>.meta` of an older format is there: that is a Corruption
+  /// that says to rebuild. `check_fingerprint`, when set, sees the stored
+  /// fingerprint before any record is read.
   static StatusOr<std::unique_ptr<DiskSuffixTree>> Open(
-      const std::string& base_path);
+      const std::string& base_path,
+      const FingerprintCheck& check_fingerprint = nullptr);
 
   /// Primes for a front-to-back scan (BuildDiskTree's merges): madvise
-  /// MADV_SEQUENTIAL on the record regions.
+  /// MADV_SEQUENTIAL on the mapping.
   void HintSequentialScan() const;
 
-  /// Bytes mapped into the address space.
+  /// Bytes mapped into the address space: the whole file.
   std::uint64_t MappedBytes() const;
 
   /// Mapped bytes currently resident in the kernel page cache (best
@@ -58,31 +71,31 @@ class DiskSuffixTree : public TreeView {
  private:
   DiskSuffixTree() = default;
 
-  storage::MappedFile nodes_file_;
-  storage::MappedFile occs_file_;
-  storage::MappedFile labels_file_;
+  storage::MappedFile file_;
 };
 
-/// Writes `tree`, finalized and with an OK status(), as a v3 bundle at
-/// `base_path`: `.labels` from the tree's text, `.occs` and `.nodes`
-/// straight from its occurrence and node vectors, each file written
-/// sequentially and fsynced, then the meta page, then an fsync of
-/// the containing directory, so a bundle reported durable cannot vanish
-/// on power loss. An unfinalized tree is a FailedPrecondition and a failed
-/// tree returns its status(), both before any file is touched; an I/O
-/// error may leave a partial bundle without a meta page, which the caller
-/// removes (RemoveDiskTree). To serialize another TreeView, CopyTree it
-/// into a SuffixTree first.
-Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path);
+/// The largest fingerprint a bundle header holds.
+inline constexpr std::size_t kMaxFingerprintBytes = 4000;
 
-/// Deletes the files of a disk tree bundle, a legacy `.sums` file
-/// included (best-effort).
+/// Writes `tree`, finalized and with an OK status(), as `<base_path>.tsw`:
+/// the header (with `fingerprint`, at most kMaxFingerprintBytes, stored as
+/// given) and the node, occurrence and label sections straight from the
+/// tree's vectors, in one sequential pass over one file, fsynced once. The
+/// file's name is durable only once its directory is synced: publish it
+/// with RenameDiskTree. An unfinalized tree is a FailedPrecondition, a
+/// failed tree returns its status() and an oversized fingerprint is an
+/// InvalidArgument, all before any file is touched; an I/O error may leave
+/// a partial file, which the caller removes (RemoveDiskTree). To
+/// serialize another TreeView, CopyTree it into a SuffixTree first.
+Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path,
+                       std::span<const std::byte> fingerprint = {});
+
+/// Deletes the bundle file at `base_path` (best-effort).
 void RemoveDiskTree(const std::string& base_path);
 
-/// Moves the bundle at `from` to `to`: deletes whatever bundle `to` names
-/// (RemoveDiskTree), renames each file, then fsyncs the directory of `to`
-/// so the renames survive power loss. A failed rename is an IOError that
-/// may leave the bundle split between both names; the caller removes both.
+/// Moves the bundle at `from` to `to` with one rename, which replaces any
+/// bundle `to` names in one step, then fsyncs the directory of `to` so the
+/// rename survives power loss.
 Status RenameDiskTree(const std::string& from, const std::string& to);
 
 /// Build configuration for the batched, merge-based disk construction
@@ -96,22 +109,21 @@ struct DiskBuildOptions {
 
 /// Builds a disk tree over all sequences of `db`: batches are built in
 /// memory, copied (CopyTree) and spilled to `<base_path>.tmpN` bundles,
-/// then pairwise-merged until one tree remains at `base_path`. Each merge
+/// then pairwise-merged until one tree remains, which is renamed to
+/// `base_path` (RenameDiskTree: the one step that replaces a bundle
+/// already there). Every bundle written carries `fingerprint`. Each merge
 /// reads its two inputs mapped (hinted sequential) into an in-memory
 /// SuffixTree and writes it with WriteTreeToDisk. Every batch tree
 /// references one text, the database's sequences concatenated, so merges
 /// (MergeText::kShared) carry label references through unchanged and never
 /// grow the text.
 /// Intermediate bundles are scanned once and deleted; on any error every
-/// intermediate still on disk is removed before the error is returned.
+/// intermediate still on disk is removed before the error is returned. A
+/// bundle already at `base_path` is untouched until the final rename.
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SymbolDatabase& db, const std::string& base_path,
-    DiskBuildOptions options = {});
-
-/// Test hook: rewrites the meta page of a finalized bundle as format v1
-/// (the layouts share a common prefix), producing the bundle an older
-/// build would have written. Used to pin that v1 is refused.
-Status DowngradeBundleToV1ForTest(const std::string& base_path);
+    DiskBuildOptions options = {},
+    std::span<const std::byte> fingerprint = {});
 
 }  // namespace tswarp::suffixtree
 

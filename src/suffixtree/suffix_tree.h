@@ -22,7 +22,7 @@ namespace tswarp::suffixtree {
 /// usual suffix-tree representation, so the tree stores O(text) label
 /// symbols and the database it was built from may be destroyed after
 /// Build(). Its node and occurrence vectors hold the records a bundle's
-/// `.nodes` and `.occs` store, so SizeBytes() is the bundle footprint and
+/// node and occurrence sections store, so SizeBytes() is the bundle size and
 /// WriteTreeToDisk writes both vectors as they are; Table1Bytes() reports
 /// what materialized labels would cost, the quantity Table 1 of the paper
 /// reports.

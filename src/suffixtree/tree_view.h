@@ -73,7 +73,7 @@ namespace internal {
 /// heads of its child and occurrence chains (kNilNode / kNilOcc end them),
 /// the next node in its parent's child chain, and the subtree statistics
 /// Finalize computes. The 28-byte record a SuffixTree holds and the
-/// `.nodes` region of a disk bundle stores as it is.
+/// nodes section of a disk bundle stores as it is.
 struct NodeRecord {
   std::uint32_t label_offset;  // Symbol index into the text.
   std::uint32_t label_len;
@@ -87,7 +87,7 @@ static_assert(sizeof(NodeRecord) == 28);
 
 /// One stored suffix with the link to the next occurrence of its node
 /// (kNilOcc ends the chain): the 16-byte record a SuffixTree holds and the
-/// `.occs` region of a disk bundle stores as it is.
+/// occurrence section of a disk bundle stores as it is.
 struct OccRecord {
   SeqId seq;
   Pos pos;
@@ -98,9 +98,9 @@ static_assert(sizeof(OccRecord) == 16);
 
 inline constexpr std::uint32_t kNilOcc = 0xFFFFFFFFu;
 
-/// The meta page that heads every bundle; SizeBytes() counts it for every
+/// The header page that starts every bundle; SizeBytes() counts it for every
 /// tree, so an in-memory tree reports the bytes its bundle would take.
-inline constexpr std::uint64_t kMetaPageBytes = 4096;
+inline constexpr std::uint64_t kHeaderBytes = 4096;
 
 }  // namespace internal
 
@@ -171,10 +171,10 @@ class TreeView {
     return materialized_label_symbols_;
   }
 
-  /// Stored index size in bytes, the tree's bundle footprint: the meta
+  /// Stored index size in bytes, the tree's bundle size: the header
   /// page + 28 B per node + 16 B per occurrence + 4 B per text symbol.
   std::uint64_t SizeBytes() const {
-    return internal::kMetaPageBytes +
+    return internal::kHeaderBytes +
            NumNodes() * sizeof(internal::NodeRecord) +
            NumOccurrences() * sizeof(internal::OccRecord) +
            NumLabelSymbols() * sizeof(Symbol);
@@ -188,8 +188,8 @@ class TreeView {
            MaterializedLabelSymbols() * sizeof(Symbol);
   }
 
-  /// The node and occurrence records as a bundle's `.nodes` and `.occs`
-  /// store them, in id order.
+  /// The node and occurrence records as a bundle's node and occurrence
+  /// sections store them, in id order.
   std::span<const internal::NodeRecord> NodeRecords() const { return nodes_; }
   std::span<const internal::OccRecord> OccRecords() const { return occs_; }
 

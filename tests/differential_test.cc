@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <string>
@@ -1233,13 +1234,21 @@ TEST(DifferentialTest, V1BundleVersionGate) {
   ASSERT_NE(baseline->disk_tree(), nullptr);
   const std::vector<Match> reference = baseline->Search(q, eps);
 
-  // The v2 bundle reopens with the same answers...
+  // The bundle reopens with the same answers...
   auto reopened = Index::Open(&db, build);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ExpectByteIdentical(reference, reopened->Search(q, eps), "v2 range");
+  ExpectByteIdentical(reference, reopened->Search(q, eps), "reopened range");
 
-  // ...the same bundle downgraded to v1 is refused cleanly, no crash.
-  ASSERT_TRUE(suffixtree::DowngradeBundleToV1ForTest(build.disk_path).ok());
+  // ...the same bundle with its version field (u32 at byte 8) set to v1
+  // is refused cleanly, no crash.
+  {
+    std::fstream f(build.disk_path + ".tsw",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const std::uint32_t v1 = 1;
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
   auto refused = Index::Open(&db, build);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)

@@ -161,18 +161,19 @@ TEST_F(DiskTreeTest, BuildDiskTreeCleansTemporaries) {
         << "leftover temporary " << entry.path();
     ++files;
   }
-  EXPECT_EQ(files, 4u);  // meta, nodes, occs, labels.
+  EXPECT_EQ(files, 1u);  // clean.tsw
+  EXPECT_TRUE(std::filesystem::is_regular_file(Path("clean") + ".tsw"));
 }
 
 TEST_F(DiskTreeTest, BuildDiskTreeRemovesIntermediatesOnFailure) {
-  // A directory where the second spill's node region goes fails that
-  // write after the first spill is on disk: the build reports it and
-  // removes every intermediate bundle, the partial one included.
+  // A directory where the second spill's file goes fails that write after
+  // the first spill is on disk: the build reports it and removes every
+  // intermediate bundle.
   const SymbolDatabase db = RandomSymbolDb(23, 9, 15, 3);
   DiskBuildOptions options;
   options.batch_sequences = 2;
   const std::string base = Path("fail");
-  std::filesystem::create_directories(base + ".tmp1.nodes");
+  std::filesystem::create_directories(base + ".tmp1.tsw");
   EXPECT_FALSE(BuildDiskTree(db, base, options).ok());
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     EXPECT_FALSE(entry.is_regular_file() &&
@@ -198,7 +199,7 @@ TEST_F(DiskTreeTest, BuildDiskTreeStoresTheTextOnce) {
 }
 
 TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
-  // Bundles from builds that copied every edge label into `.labels` use
+  // Bundles from builds that copied every edge label into the text use
   // the same record layout (each label_offset points at its own copy), so
   // they open unchanged.
   const SymbolDatabase db = RandomSymbolDb(6, 6, 20, 3);
@@ -255,7 +256,7 @@ TEST_F(DiskTreeTest, MaterializedLabelBundlesStillOpen) {
 }
 
 // Writers never produce the legacy `.sums` section: a bundle written now
-// has the three-section v3 table and opens whole.
+// has the three-section table and opens whole.
 using NodeSummaryDiskTest = DiskTreeTest;
 
 TEST_F(NodeSummaryDiskTest, BundleWithoutSectionOpensCleanly) {
@@ -302,39 +303,49 @@ TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
   }
 }
 
-// --- bundle bytes: the exact files a build and a tier merge write. The
+// --- bundle bytes: the exact file a build and a tier merge write. The
 // constants pin the format and the record order (node and occurrence ids,
 // child and occurrence prepend order, subtree sums); a change to any of
 // them is a format change, not a refactoring. The data come from raw
 // mt19937_64 output, which the standard fixes, not from a distribution.
-// The `.nodes` pins are the hashes of the format v2 files with the zero
-// high word of each 32-byte record's u64 label_offset (bytes 4-7)
-// dropped: v3 stores the same records without it.
+// One constant pins the 4 KiB header and one each the node, occurrence
+// and label sections. The section pins are those of the format v3 region
+// files, whose records the sections hold unchanged; the node pins are
+// in turn the hashes of the format v2 files with the zero high word of
+// each 32-byte record's u64 label_offset (bytes 4-7) dropped.
 
-std::uint64_t FileFnv1a(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+std::uint64_t Fnv1a(const std::string& bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (char c; in.get(c);) {
+  for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ull;
   }
   return hash;
 }
 
-void ExpectBundleHashes(const std::string& base,
-                        const std::array<std::uint64_t, 4>& want) {
-  const char* exts[] = {".meta", ".nodes", ".occs", ".labels"};
-  for (std::size_t i = 0; i < 4; ++i) {
-    const std::string path = base + exts[i];
-    ASSERT_TRUE(std::filesystem::is_regular_file(path)) << path;
-    const std::uint64_t got = FileFnv1a(path);
-    EXPECT_EQ(got, want[i]) << path << " hashes to 0x" << std::hex << got;
-  }
-}
-
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The header page and the node, occurrence and label sections of the
+/// bundle at `base`.
+std::array<std::string, 4> BundleParts(const std::string& base) {
+  const std::string file = FileBytes(base + ".tsw");
+  return {file.substr(0, 4096), testutil::BundleSection(file, 0),
+          testutil::BundleSection(file, 1), testutil::BundleSection(file, 2)};
+}
+
+void ExpectBundleHashes(const std::string& base,
+                        const std::array<std::uint64_t, 4>& want) {
+  const char* names[] = {"header", "nodes", "occs", "labels"};
+  ASSERT_TRUE(std::filesystem::is_regular_file(base + ".tsw")) << base;
+  const std::array<std::string, 4> parts = BundleParts(base);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint64_t got = Fnv1a(parts[i]);
+    EXPECT_EQ(got, want[i]) << base << " " << names[i] << " hashes to 0x"
+                            << std::hex << got;
+  }
 }
 
 template <typename Record>
@@ -343,8 +354,9 @@ std::string RecordBytes(std::span<const Record> records) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
-// The record regions are the tree's node and occurrence vectors as they
-// are, and the mapped tree reads those same bytes.
+// The node and occurrence sections are the tree's vectors as they are, the
+// sections follow the header back to back, and the mapped tree reads those
+// same bytes.
 TEST_F(DiskTreeTest, RecordRegionsEqualTheInMemoryRecords) {
   BuildOptions options;
   options.sparse = true;
@@ -356,19 +368,21 @@ TEST_F(DiskTreeTest, RecordRegionsEqualTheInMemoryRecords) {
   const std::string occs = RecordBytes(tree.OccRecords());
   EXPECT_EQ(nodes.size(), tree.NumNodes() * 28);
   EXPECT_EQ(occs.size(), tree.NumOccurrences() * 16);
-  EXPECT_TRUE(FileBytes(Path("records") + ".nodes") == nodes);
-  EXPECT_TRUE(FileBytes(Path("records") + ".occs") == occs);
+  const std::array<std::string, 4> parts = BundleParts(Path("records"));
+  EXPECT_TRUE(parts[1] == nodes);
+  EXPECT_TRUE(parts[2] == occs);
+  EXPECT_TRUE(FileBytes(Path("records") + ".tsw") ==
+              parts[0] + parts[1] + parts[2] + parts[3]);
   auto disk = DiskSuffixTree::Open(Path("records"));
   ASSERT_TRUE(disk.ok()) << disk.status();
   EXPECT_TRUE(RecordBytes((*disk)->NodeRecords()) == nodes);
   EXPECT_TRUE(RecordBytes((*disk)->OccRecords()) == occs);
-  // Both report the bundle's footprint.
-  std::uint64_t footprint = 0;
-  for (const char* ext : {".meta", ".nodes", ".occs", ".labels"}) {
-    footprint += std::filesystem::file_size(Path("records") + ext);
-  }
+  // Both report the bundle's size, and the mapping is the whole file.
+  const std::uint64_t footprint =
+      std::filesystem::file_size(Path("records") + ".tsw");
   EXPECT_EQ(tree.SizeBytes(), footprint);
   EXPECT_EQ((*disk)->SizeBytes(), footprint);
+  EXPECT_EQ((*disk)->MappedBytes(), footprint);
 }
 
 TEST_F(DiskTreeTest, BuildDiskTreeBundleBytesArePinned) {
@@ -384,7 +398,7 @@ TEST_F(DiskTreeTest, BuildDiskTreeBundleBytesArePinned) {
   options.batch_sequences = 3;  // Four spills, three merges.
   ASSERT_TRUE(BuildDiskTree(db, Path("pinned"), options).ok());
   ExpectBundleHashes(Path("pinned"),
-                     {0x249b69aabe954396ull, 0xe943043d193ef8d7ull,
+                     {0x6250413e3f9ea8acull, 0xe943043d193ef8d7ull,
                       0x7c740f9c7e8f39f2ull, 0xe03d302ce0a249e7ull});
 }
 
@@ -412,7 +426,7 @@ TEST_F(DiskTreeTest, TierMergeBundleBytesArePinned) {
   }
   ASSERT_EQ((*tiered)->Stats().merges_completed, 1u);
   ExpectBundleHashes(Path("tiered") + ".tier-1",
-                     {0xfe1a95c7c2b1ab31ull, 0xba9a25cc3eb540cdull,
+                     {0x61cfe11b189025ebull, 0xba9a25cc3eb540cdull,
                       0xa0af8cc675b7368bull, 0x4e69c0cea46dfd51ull});
 }
 

@@ -1,16 +1,26 @@
-// Persistence of disk-backed indexes: Build writes a fingerprint next to
-// the tree bundle; Open re-derives the categorizer deterministically and
-// reuses the bundle, returning identical answers without rebuilding.
+// Persistence of disk-backed indexes: Build writes one bundle file with a
+// fingerprint in its header and publishes it with one rename; Open
+// re-derives the categorizer deterministically and reuses the bundle,
+// returning identical answers without rebuilding.
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+
+#include <csignal>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "categorize/categorizer.h"
 #include "common/random.h"
 #include "core/index.h"
 #include "core/seq_scan.h"
@@ -25,6 +35,20 @@ namespace {
 std::string ReadFile(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Asserts that `got` holds the matches of `want`, distances bit for bit.
+void ExpectByteIdentical(std::vector<Match> want, std::vector<Match> got,
+                         const std::string& context) {
+  std::sort(want.begin(), want.end(), MatchLess);
+  std::sort(got.begin(), got.end(), MatchLess);
+  ASSERT_EQ(want.size(), got.size()) << context;
+  for (std::size_t m = 0; m < want.size(); ++m) {
+    EXPECT_TRUE(want[m] == got[m] &&
+                std::memcmp(&want[m].distance, &got[m].distance,
+                            sizeof(Value)) == 0)
+        << context << " match " << m;
+  }
 }
 
 /// The fixture under tests/data/legacy_sums and the options its README
@@ -51,6 +75,8 @@ class IndexPersistenceTest : public testing::Test {
     data.avg_length = 40;
     data.seed = 404;
     db_ = datagen::GenerateRandomWalks(data);
+    data.seed = 405;
+    other_ = datagen::GenerateRandomWalks(data);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -65,6 +91,8 @@ class IndexPersistenceTest : public testing::Test {
 
   std::filesystem::path dir_;
   seqdb::SequenceDatabase db_;
+  // Another database of the same shape.
+  seqdb::SequenceDatabase other_;
 };
 
 TEST_F(IndexPersistenceTest, OpenReturnsIdenticalAnswers) {
@@ -99,6 +127,9 @@ TEST_F(IndexPersistenceTest, OpenReturnsIdenticalAnswers) {
 TEST_F(IndexPersistenceTest, OpenRejectsMissingBundle) {
   auto reopened = Index::Open(&db_, DiskOptions("missing"));
   EXPECT_FALSE(reopened.ok());
+  // NotFound is what tells the tools to build a bundle instead of
+  // refusing one.
+  EXPECT_EQ(reopened.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(IndexPersistenceTest, OpenRejectsMemoryOnlyOptions) {
@@ -117,17 +148,35 @@ TEST_F(IndexPersistenceTest, OpenRejectsChangedOptions) {
   auto reopened = Index::Open(&db_, changed);
   EXPECT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reopened.status().message().find("different options"),
+            std::string::npos)
+      << reopened.status();
 }
 
-TEST_F(IndexPersistenceTest, BuildFailsWhenTheFingerprintCannotBeWritten) {
-  // Every byte written to /dev/full fails with ENOSPC: a Build that could
-  // not persist its fingerprint must say so instead of reporting OK.
-  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  const IndexOptions options = DiskOptions("full");
-  std::filesystem::create_symlink("/dev/full", options.disk_path + ".index");
-  auto built = Index::Build(&db_, options);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kIOError) << built.status();
+// Same database and options, but the alphabet Open derives is not the one
+// the bundle's symbols were built over, as after a change to a
+// categorizer: the fingerprint's symbols hash (u64 at byte 64 of the
+// fingerprint, which starts at byte 88 of the bundle) tells.
+TEST_F(IndexPersistenceTest, OpenRejectsAChangedAlphabet) {
+  const IndexOptions options = DiskOptions("alphabet");
+  ASSERT_TRUE(Index::Build(&db_, options).ok());
+  {
+    std::fstream f(options.disk_path + ".tsw",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(88 + 64);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 1);
+    f.seekp(88 + 64);
+    f.write(&byte, 1);
+  }
+  auto reopened = Index::Open(&db_, options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reopened.status().message().find("different alphabet"),
+            std::string::npos)
+      << reopened.status();
 }
 
 TEST_F(IndexPersistenceTest, OpenRejectsChangedDatabase) {
@@ -147,11 +196,7 @@ TEST_F(IndexPersistenceTest, OpenRejectsChangedDatabase) {
 TEST_F(IndexPersistenceTest, OpenRejectsSameShapeWithDifferentValues) {
   const IndexOptions options = DiskOptions("d");
   ASSERT_TRUE(Index::Build(&db_, options).ok());
-  datagen::RandomWalkOptions data;
-  data.num_sequences = 12;
-  data.avg_length = 40;
-  data.seed = 405;
-  const seqdb::SequenceDatabase other = datagen::GenerateRandomWalks(data);
+  const seqdb::SequenceDatabase& other = other_;
   ASSERT_EQ(other.size(), db_.size());
   ASSERT_EQ(other.TotalElements(), db_.TotalElements());
   auto reopened = Index::Open(&other, options);
@@ -175,10 +220,10 @@ TEST_F(IndexPersistenceTest, OpenRejectsSameShapeWithDifferentValues) {
 
 // A bundle written while builds still attached node summaries: format v2,
 // with a 4-entry section table announcing `walk.sums` (see
-// tests/data/legacy_sums). This build reads format v3 only, so Open must
+// tests/data/legacy_sums). This build reads format v4 only, so Open must
 // refuse it with a Corruption that says to rebuild; a rebuild at the same
-// base replaces every file of it, `.sums` included, and answers exactly
-// like SeqScan.
+// base writes `walk.tsw` beside the old files and answers exactly like
+// SeqScan.
 TEST_F(IndexPersistenceTest,
        LegacyBundleIsRefusedAndRebuildAnswersLikeSeqScan) {
   for (const char* ext :
@@ -199,14 +244,10 @@ TEST_F(IndexPersistenceTest,
       << refused.status();
 
   ASSERT_TRUE(Index::Build(&*db, options).ok());
-  EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.sums"));
   auto index = Index::Open(&*db, options);
   ASSERT_TRUE(index.ok()) << index.status();
-  std::uintmax_t regions = 0;
-  for (const char* ext : {".nodes", ".occs", ".labels"}) {
-    regions += std::filesystem::file_size(dir_ / (std::string("walk") + ext));
-  }
-  EXPECT_EQ(index->MappedStats().mapped_bytes, regions);
+  EXPECT_EQ(index->MappedStats().mapped_bytes,
+            std::filesystem::file_size(dir_ / "walk.tsw"));
   std::size_t answers = 0;
   Rng rng(15);
   for (int qi = 0; qi < 6; ++qi) {
@@ -216,27 +257,17 @@ TEST_F(IndexPersistenceTest,
                          db->sequence(seq).begin() + start + 6);
     for (Value& v : q) v += rng.Gaussian(0, 0.5);
     const Value eps = rng.Uniform(2, 10);
-    std::vector<Match> want = SeqScan(*db, q, eps);
-    std::vector<Match> got = index->Search(q, eps);
-    std::sort(want.begin(), want.end(), MatchLess);
-    std::sort(got.begin(), got.end(), MatchLess);
-    ASSERT_EQ(want.size(), got.size()) << "query " << qi;
-    for (std::size_t m = 0; m < want.size(); ++m) {
-      EXPECT_TRUE(want[m] == got[m] &&
-                  std::memcmp(&want[m].distance, &got[m].distance,
-                              sizeof(Value)) == 0)
-          << "query " << qi << " match " << m;
-    }
+    const std::vector<Match> got = index->Search(q, eps);
+    ExpectByteIdentical(SeqScan(*db, q, eps), got,
+                        "query " + std::to_string(qi));
     answers += got.size();
   }
   EXPECT_GT(answers, 0u) << "the fixture queries should find answers";
 
-  // A `.sums` file left next to a bundle goes with it, and so does one
-  // left by the crash of an aborted tier merge.
-  std::ofstream(dir_ / "walk.sums") << "stale";
+  // Removing the bundle removes its one file, and a file left by the
+  // crash of an aborted tier merge goes too.
   suffixtree::RemoveDiskTree(options.disk_path);
-  EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.sums"));
-  EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.meta"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.tsw"));
   const std::filesystem::path orphan = dir_ / "walk.tmp-merge-3.sums";
   std::ofstream(orphan) << "stale";
   CleanupOrphanedMergeFiles(options.disk_path);
@@ -245,11 +276,12 @@ TEST_F(IndexPersistenceTest,
 
 // Writer pin: the fixture's record regions were written by an older
 // writer, which patched records in place through a page cache. Rebuilding
-// its database with the same options must reproduce them byte for byte,
-// up to each section's byte_length (the old writer zero-padded every
-// region file to a whole page). Its `.nodes` is format v2, 32-byte
-// records whose label_offset is a u64; the rebuilt format v3 records are
-// the same bytes without that u64's high word (bytes 4-7), always zero.
+// its database with the same options must reproduce them byte for byte in
+// the sections of the rebuilt `walk.tsw`, up to each fixture section's
+// byte_length (the old writer zero-padded every region file to a whole
+// page). Its `.nodes` is format v2, 32-byte records whose label_offset is
+// a u64; the rebuilt records are the same bytes without that u64's high
+// word (bytes 4-7), always zero.
 TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
   auto db =
       seqdb::SequenceDatabase::Load((kLegacyFixture / "walk.tsdb").string());
@@ -261,6 +293,7 @@ TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
   // then section_count and record_alignment); byte_length is its last
   // u64.
   const std::string meta = ReadFile(kLegacyFixture / "walk.meta");
+  const std::string rebuilt = ReadFile(dir_ / "walk.tsw");
   const char* exts[] = {".nodes", ".occs", ".labels"};
   for (std::size_t i = 0; i < 3; ++i) {
     std::uint64_t byte_length = 0;
@@ -270,7 +303,7 @@ TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
     EXPECT_GT(byte_length, 0u) << exts[i];
     const std::string want =
         ReadFile(kLegacyFixture / (std::string("walk") + exts[i]));
-    const std::string got = ReadFile(dir_ / (std::string("walk") + exts[i]));
+    const std::string got = testutil::BundleSection(rebuilt, i);
     ASSERT_GE(want.size(), byte_length) << exts[i];
     if (i == 0) {
       ASSERT_EQ(byte_length % 32, 0u);
@@ -288,6 +321,243 @@ TEST_F(IndexPersistenceTest, RebuildReproducesLegacyFixtureRegions) {
     EXPECT_TRUE(want.compare(0, byte_length, got, 0, byte_length) == 0)
         << exts[i] << " differs from the fixture";
   }
+}
+
+// --- crash windows. A Build over an existing bundle writes every file
+// under a temporary name and publishes the last with one rename, so
+// whatever byte a crash stops it at, the base path names either the old
+// bundle or the new one. The tests below stop a Build with SIGXFSZ at
+// chosen file sizes (RLIMIT_FSIZE in a forked child, so no clean-up runs)
+// and check that Open then refuses, or answers exactly like SeqScan, for
+// the old database and the new one.
+
+/// Opens the index at `options` for `db`: it must refuse (NotFound,
+/// Corruption or FailedPrecondition) or answer like SeqScan, bit for bit.
+/// Returns whether it opened.
+bool OpenRefusesOrAnswersLikeSeqScan(const seqdb::SequenceDatabase& db,
+                                     const IndexOptions& options,
+                                     const std::string& context) {
+  auto index = Index::Open(&db, options);
+  if (!index.ok()) {
+    const StatusCode code = index.status().code();
+    EXPECT_TRUE(code == StatusCode::kNotFound ||
+                code == StatusCode::kCorruption ||
+                code == StatusCode::kFailedPrecondition)
+        << context << ": " << index.status();
+    return false;
+  }
+  for (const SeqId seq : {0u, 5u, 11u}) {
+    const std::vector<Value> q(db.sequence(seq).begin(),
+                               db.sequence(seq).begin() + 6);
+    ExpectByteIdentical(SeqScan(db, q, 4.0), index->Search(q, 4.0),
+                        context + ", query from sequence " +
+                            std::to_string(seq));
+  }
+  return true;
+}
+
+/// The file sizes at which a Build of `db` under `options` moves from one
+/// part of a file to the next, for every file it writes: each spill of
+/// `disk_batch_sequences` sequences and each merge of the two oldest
+/// pending files, as BuildDiskTree does them. Per file: 0, the end of the
+/// 4 KiB header, and the ends of the node (28 B per node), occurrence
+/// (16 B each) and label (4 B per symbol of the whole database) sections.
+std::vector<std::uint64_t> BuildFileBoundaries(
+    const seqdb::SequenceDatabase& db, const IndexOptions& options) {
+  auto alphabet = categorize::Build(options.method,
+                                    categorize::CollectValues(db),
+                                    options.num_categories, options.seed);
+  EXPECT_TRUE(alphabet.ok()) << alphabet.status();
+  if (!alphabet.ok()) return {};
+  const categorize::CategorizedDatabase symbols =
+      categorize::ConvertDatabase(db, &*alphabet);
+  suffixtree::BuildOptions build;
+  build.sparse = options.kind == IndexKind::kSparse;
+  std::vector<std::vector<SeqId>> files;
+  std::deque<std::vector<SeqId>> pending;
+  for (SeqId begin = 0; begin < db.size();
+       begin += static_cast<SeqId>(options.disk_batch_sequences)) {
+    std::vector<SeqId> batch;
+    for (SeqId id = begin;
+         id < db.size() && id < begin + options.disk_batch_sequences; ++id) {
+      batch.push_back(id);
+    }
+    files.push_back(batch);
+    pending.push_back(batch);
+  }
+  while (pending.size() > 1) {
+    std::vector<SeqId> merged = pending.front();
+    pending.pop_front();
+    merged.insert(merged.end(), pending.front().begin(),
+                  pending.front().end());
+    pending.pop_front();
+    files.push_back(merged);
+    pending.push_back(merged);
+  }
+  std::vector<std::uint64_t> boundaries;
+  for (const std::vector<SeqId>& ids : files) {
+    suffixtree::SymbolDatabase part;
+    for (const SeqId id : ids) part.Add(symbols.sequence(id));
+    const suffixtree::SuffixTree tree =
+        suffixtree::BuildSuffixTree(part, build);
+    const std::uint64_t nodes_end = 4096 + 28 * tree.NumNodes();
+    const std::uint64_t occs_end = nodes_end + 16 * tree.NumOccurrences();
+    const std::uint64_t labels_end = occs_end + 4 * db.TotalElements();
+    boundaries.insert(boundaries.end(),
+                      {0, 4096, nodes_end, occs_end, labels_end});
+  }
+  return boundaries;
+}
+
+/// Runs in a forked child: builds under a file-size limit of `limit`
+/// bytes, so the first write past it raises SIGXFSZ, which kills the
+/// child where it stands. Exits 0 if the build finished.
+[[noreturn]] void BuildUnderWriteLimit(const seqdb::SequenceDatabase* db,
+                                       const IndexOptions& options,
+                                       std::uint64_t limit) {
+  // An RLIMIT_CORE of 1 byte writes no core file, also where cores are
+  // piped to a helper.
+  const rlimit core{1, 1};
+  ::setrlimit(RLIMIT_CORE, &core);
+  rlimit fsize{};
+  ::getrlimit(RLIMIT_FSIZE, &fsize);
+  fsize.rlim_cur = std::min<rlim_t>(limit, fsize.rlim_max);
+  ::setrlimit(RLIMIT_FSIZE, &fsize);
+  std::_Exit(Index::Build(db, options).ok() ? 0 : 1);
+}
+
+bool KilledByWriteLimitOrBuilt(int status) {
+  return (WIFSIGNALED(status) && WTERMSIG(status) == SIGXFSZ) ||
+         (WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST_F(IndexPersistenceTest, CrashAtAnyWriteServesOneBundleOrRefuses) {
+  const IndexOptions options = DiskOptions("idx");
+  ASSERT_TRUE(Index::Build(&db_, options).ok());
+  const std::string bundle = options.disk_path + ".tsw";
+  const std::string old_bundle = ReadFile(bundle);
+
+  // Every boundary of every file the build of other_ writes, one byte
+  // either side, and a 512-byte grid between them.
+  std::set<std::uint64_t> limits;
+  for (const std::uint64_t b : BuildFileBoundaries(other_, options)) {
+    if (b > 0) limits.insert(b - 1);
+    limits.insert(b);
+    limits.insert(b + 1);
+  }
+  ASSERT_GE(limits.size(), 10u);
+  for (std::uint64_t grid = 0; grid < *limits.rbegin(); grid += 512) {
+    limits.insert(grid);
+  }
+
+  int old_served = 0;
+  int new_served = 0;
+  for (const std::uint64_t limit : limits) {
+    const std::string context = "write limit " + std::to_string(limit);
+    EXPECT_EXIT(BuildUnderWriteLimit(&other_, options, limit),
+                KilledByWriteLimitOrBuilt, "")
+        << context;
+    const bool old_ok =
+        OpenRefusesOrAnswersLikeSeqScan(db_, options, context + ", old db");
+    const bool new_ok =
+        OpenRefusesOrAnswersLikeSeqScan(other_, options, context + ", new db");
+    // The rename is the one step between the two: never neither, never
+    // both.
+    EXPECT_NE(old_ok, new_ok) << context;
+    old_served += old_ok;
+    new_served += new_ok;
+
+    // Back to the old bundle alone.
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    std::ofstream(bundle, std::ios::binary) << old_bundle;
+  }
+  EXPECT_GT(old_served, 0);
+  EXPECT_GT(new_served, 0);
+
+  // The state no write limit reaches: a crash between the fsync and the
+  // rename of the last file leaves it complete under its temporary name,
+  // next to the old bundle.
+  IndexOptions elsewhere = DiskOptions("elsewhere");
+  ASSERT_TRUE(Index::Build(&other_, elsewhere).ok());
+  std::filesystem::rename(elsewhere.disk_path + ".tsw",
+                          options.disk_path + ".tmp4.tsw");
+  EXPECT_TRUE(OpenRefusesOrAnswersLikeSeqScan(db_, options,
+                                              "unpublished, old db"));
+  EXPECT_FALSE(OpenRefusesOrAnswersLikeSeqScan(other_, options,
+                                               "unpublished, new db"));
+  // The next build writes over it and publishes.
+  ASSERT_TRUE(Index::Build(&other_, options).ok());
+  EXPECT_TRUE(OpenRefusesOrAnswersLikeSeqScan(other_, options,
+                                              "rebuilt, new db"));
+  EXPECT_FALSE(std::filesystem::exists(options.disk_path + ".tmp4.tsw"));
+}
+
+// The whole-file form of a crash that pairs one database's fingerprint
+// with another's tree: the fingerprint lives in the file it guards, so
+// swapping whole bundle files between two databases is refused.
+TEST_F(IndexPersistenceTest, SwappedBundleFilesAreRefused) {
+  const IndexOptions a = DiskOptions("a");
+  const IndexOptions b = DiskOptions("b");
+  ASSERT_TRUE(Index::Build(&db_, a).ok());
+  ASSERT_TRUE(Index::Build(&other_, b).ok());
+  const std::string swap = (dir_ / "swap.tsw").string();
+  std::filesystem::rename(a.disk_path + ".tsw", swap);
+  std::filesystem::rename(b.disk_path + ".tsw", a.disk_path + ".tsw");
+  std::filesystem::rename(swap, b.disk_path + ".tsw");
+  for (const auto& [db, options] :
+       {std::pair{&db_, a}, std::pair{&other_, b}}) {
+    auto opened = Index::Open(db, options);
+    ASSERT_FALSE(opened.ok()) << options.disk_path;
+    EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(opened.status().message().find("different database"),
+              std::string::npos)
+        << opened.status();
+  }
+}
+
+/// Lowers this process's file-size limit to `limit` bytes with SIGXFSZ
+/// ignored, so a write past it fails with EFBIG; restores both on scope
+/// exit.
+class WriteLimit {
+ public:
+  explicit WriteLimit(std::uint64_t limit) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min<rlim_t>(limit, saved_.rlim_max);
+    ::setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~WriteLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  WriteLimit(const WriteLimit&) = delete;
+  WriteLimit& operator=(const WriteLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = nullptr;
+};
+
+TEST_F(IndexPersistenceTest, BuildThatCannotWriteFailsAndKeepsTheOldBundle) {
+  const IndexOptions options = DiskOptions("idx");
+  ASSERT_TRUE(Index::Build(&db_, options).ok());
+  {
+    // Room for a header and a few bytes: the first section write fails.
+    const WriteLimit limit(4096 + 100);
+    auto built = Index::Build(&other_, options);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kIOError) << built.status();
+  }
+  EXPECT_TRUE(OpenRefusesOrAnswersLikeSeqScan(db_, options, "old db"));
+  EXPECT_FALSE(OpenRefusesOrAnswersLikeSeqScan(other_, options, "new db"));
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string(), "idx.tsw");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 }  // namespace

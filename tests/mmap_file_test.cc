@@ -111,6 +111,13 @@ TEST_F(MmapFileTest, RegionValidatesExtentUpFront) {
   auto wrapped =
       file->Records<Record16>((std::uint64_t{1} << 60) + 1, "records");
   EXPECT_FALSE(wrapped.ok());
+
+  // At an offset: the records start there and must still fit the file.
+  auto tail = file->Records<Record16>(2, "records", 32);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_EQ(tail->data()->data(), file->bytes().data() + 32);
+  EXPECT_FALSE(file->Records<Record16>(3, "records", 32).ok());
+  EXPECT_FALSE(file->Records<Record16>(0, "records", 65).ok());
 }
 
 TEST_F(MmapFileTest, EmptyRegionOverEmptyFileIsFine) {
@@ -124,11 +131,14 @@ TEST_F(MmapFileTest, EmptyRegionOverEmptyFileIsFine) {
 }
 
 TEST_F(MmapFileTest, WriteFileWritesEveryByteDurably) {
-  const std::string body = "records then the meta page";
-  ASSERT_TRUE(WriteFile(Path("w"), std::as_bytes(std::span(body))).ok());
+  const std::string head = "a header, ";
+  const std::string body = "then the sections";
+  ASSERT_TRUE(WriteFile(Path("w"), {std::as_bytes(std::span(head)),
+                                    std::as_bytes(std::span(body))})
+                  .ok());
   auto file = MappedFile::Open(Path("w"));
   ASSERT_TRUE(file.ok()) << file.status();
-  EXPECT_EQ(file->view(), body);
+  EXPECT_EQ(file->view(), head + body);
   // Rewriting truncates: no stale tail survives a shorter write.
   ASSERT_TRUE(WriteFile(Path("w"), {}).ok());
   EXPECT_EQ(std::filesystem::file_size(Path("w")), 0u);
@@ -137,10 +147,10 @@ TEST_F(MmapFileTest, WriteFileWritesEveryByteDurably) {
 TEST_F(MmapFileTest, WriteFileReportsFailuresAsIOError) {
   const std::string body = "x";
   const Status missing_dir =
-      WriteFile(Path("nope") + "/w", std::as_bytes(std::span(body)));
+      WriteFile(Path("nope") + "/w", {std::as_bytes(std::span(body))});
   EXPECT_EQ(missing_dir.code(), StatusCode::kIOError) << missing_dir;
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  const Status full = WriteFile("/dev/full", std::as_bytes(std::span(body)));
+  const Status full = WriteFile("/dev/full", {std::as_bytes(std::span(body))});
   EXPECT_EQ(full.code(), StatusCode::kIOError) << full;
 }
 

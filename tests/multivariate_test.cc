@@ -1,10 +1,12 @@
 #include "multivariate/multi_index.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/result_collector.h"
 #include "dtw/dtw.h"
 #include "multivariate/grid_alphabet.h"
 #include "multivariate/grid_model.h"
@@ -259,6 +261,74 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param) ? "sparse" : "dense") +
              "_dim" + std::to_string(std::get<1>(info.param));
     });
+
+/// Integer plateaus in every dimension: levels in [0, 3], each element
+/// repeated 1-3 times, so many subsequences lie at equal distances.
+std::vector<Value> MultiPlateaus(std::size_t dim, std::size_t len, Rng* rng) {
+  std::vector<Value> flat;
+  while (flat.size() < len * dim) {
+    std::vector<Value> element(dim);
+    for (Value& v : element) v = static_cast<Value>(rng->UniformInt(0, 3));
+    const auto repeat = rng->UniformInt(1, 3);
+    for (int r = 0; r < repeat && flat.size() < len * dim; ++r) {
+      flat.insert(flat.end(), element.begin(), element.end());
+    }
+  }
+  return flat;
+}
+
+// k-NN runs the shared ResultCollector, so equal distances at the k-th
+// position are broken by (seq, start, len): the answer is exactly the
+// first k of every subsequence sorted by (distance, seq, start, len), at
+// any thread count.
+TEST(MultiIndexTest, KnnTiesAtTheKthDistanceBreakBySeqStartLen) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(7700 + seed);
+    const std::size_t dim = 2;
+    MultiSequenceDatabase db(dim);
+    for (int i = 0; i < 6; ++i) {
+      db.Add(MultiPlateaus(
+          dim, static_cast<std::size_t>(rng.UniformInt(8, 20)), &rng));
+    }
+    const auto qlen = static_cast<std::size_t>(rng.UniformInt(3, 5));
+    const std::vector<Value> q = MultiPlateaus(dim, qlen, &rng);
+
+    // The brute-force oracle: every subsequence, sorted, cut at the
+    // smallest k >= 3 whose k-th distance equals the next one.
+    std::vector<core::Match> all = MultiSeqScan(db, q, qlen, kInfinity);
+    std::sort(all.begin(), all.end(), core::KnnMatchLess);
+    std::size_t k = 3;
+    while (k < all.size() && all[k - 1].distance != all[k].distance) ++k;
+    ASSERT_LT(k, all.size()) << "seed " << seed << ": no tie to straddle";
+    const std::vector<core::Match> oracle(all.begin(), all.begin() + k);
+
+    for (const bool sparse : {false, true}) {
+      MultiIndexOptions options;
+      options.sparse = sparse;
+      options.categories_per_dim = 3;
+      auto index = MultiIndex::Build(&db, options);
+      ASSERT_TRUE(index.ok()) << index.status();
+      for (const std::size_t threads : {0u, 2u, 4u}) {
+        core::QueryOptions query_options;
+        query_options.num_threads = threads;
+        const std::vector<core::Match> got =
+            index->SearchKnn(q, qlen, k, query_options);
+        const std::string context =
+            "seed " + std::to_string(seed) + " sparse " +
+            std::to_string(sparse) + " threads " + std::to_string(threads) +
+            " k " + std::to_string(k);
+        ASSERT_EQ(oracle.size(), got.size()) << context;
+        for (std::size_t i = 0; i < k; ++i) {
+          EXPECT_EQ(oracle[i].seq, got[i].seq) << context << " at " << i;
+          EXPECT_EQ(oracle[i].start, got[i].start) << context << " at " << i;
+          EXPECT_EQ(oracle[i].len, got[i].len) << context << " at " << i;
+          EXPECT_EQ(oracle[i].distance, got[i].distance)
+              << context << " at " << i;
+        }
+      }
+    }
+  }
+}
 
 TEST(MultiIndexTest, RejectsEmptyDatabase) {
   MultiSequenceDatabase db(2);

@@ -8,6 +8,7 @@
 // firing while Unregister runs.
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -67,9 +68,25 @@ TEST(StreamingStressTest, AppendAndMergeWhileSearching) {
 
   std::atomic<bool> done{false};
   std::atomic<int> searches{0};
+  // The appender waits until every searcher has run one search, so the
+  // appends always race searches: otherwise all 48 can finish before any
+  // searcher is scheduled.
+  std::latch searching(kSearchers);
   std::vector<std::thread> searchers;
   for (int s = 0; s < kSearchers; ++s) {
     searchers.emplace_back([&, s] {
+      // Counts down after the first search, or when a failed assertion
+      // returns early, so the appender never waits for a searcher that
+      // has stopped.
+      struct Arrival {
+        std::latch* latch;
+        bool arrived = false;
+        void Arrive() {
+          if (!arrived) latch->count_down();
+          arrived = true;
+        }
+        ~Arrival() { Arrive(); }
+      } arrival{&searching};
       std::size_t last_total = 0;
       core::QueryOptions qo;
       qo.num_threads = static_cast<std::size_t>(s);  // Serial and parallel.
@@ -84,10 +101,12 @@ TEST(StreamingStressTest, AppendAndMergeWhileSearching) {
         }
         snapshot->SearchKnn(q, 5, qo);
         searches.fetch_add(1, std::memory_order_relaxed);
+        arrival.Arrive();
       }
     });
   }
 
+  searching.wait();
   Rng arng(303);
   for (int i = 0; i < kAppends; ++i) {
     auto id = (*tiered)->Append(RandomSeq(&arng, 12));

@@ -299,19 +299,19 @@ TEST(TieredIndexTest, CleanupRemovesOnlyOrphanedTmpMergeBundles) {
   const auto touch = [](const std::string& path) {
     std::ofstream(path) << "x";
   };
-  touch(base + ".tmp-merge-3.nodes");
-  touch(base + ".tmp-merge-3.meta");
-  touch(base + ".tmp-merge-12.occs");
-  touch(base + ".tier-1.nodes");  // A live merged tier: must survive.
-  touch(base + ".nodes");         // The base bundle: must survive.
+  touch(base + ".tmp-merge-3.tsw");
+  touch(base + ".tmp-merge-3.meta");  // From an older format: swept too.
+  touch(base + ".tmp-merge-12.tsw");
+  touch(base + ".tier-1.tsw");  // A live merged tier: must survive.
+  touch(base + ".tsw");         // The base bundle: must survive.
 
   core::CleanupOrphanedMergeFiles(base);
 
-  EXPECT_FALSE(fs::exists(base + ".tmp-merge-3.nodes"));
+  EXPECT_FALSE(fs::exists(base + ".tmp-merge-3.tsw"));
   EXPECT_FALSE(fs::exists(base + ".tmp-merge-3.meta"));
-  EXPECT_FALSE(fs::exists(base + ".tmp-merge-12.occs"));
-  EXPECT_TRUE(fs::exists(base + ".tier-1.nodes"));
-  EXPECT_TRUE(fs::exists(base + ".nodes"));
+  EXPECT_FALSE(fs::exists(base + ".tmp-merge-12.tsw"));
+  EXPECT_TRUE(fs::exists(base + ".tier-1.tsw"));
+  EXPECT_TRUE(fs::exists(base + ".tsw"));
 }
 
 TEST(TieredIndexTest, DiskBackedMergeLeavesNoTmpFilesAndStaysSearchable) {
@@ -324,11 +324,11 @@ TEST(TieredIndexTest, DiskBackedMergeLeavesNoTmpFilesAndStaysSearchable) {
   options.index.disk_path = dir + "/idx";
   options.index.disk_batch_sequences = 2;
   // Plant an orphan from a "crashed" merge: Create must remove it.
-  std::ofstream(options.index.disk_path + ".tmp-merge-9.nodes") << "junk";
+  std::ofstream(options.index.disk_path + ".tmp-merge-9.tsw") << "junk";
 
   auto tiered = TieredIndex::Create(&db, options);
   ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
-  EXPECT_FALSE(fs::exists(options.index.disk_path + ".tmp-merge-9.nodes"));
+  EXPECT_FALSE(fs::exists(options.index.disk_path + ".tmp-merge-9.tsw"));
 
   Rng rng(53);
   std::vector<seqdb::Sequence> appended;
@@ -402,12 +402,12 @@ void ExpectAppendsSearchable(const TieredIndex& tiered, SeqId first,
   }
 }
 
-// A directory where a disk merge's scratch `.nodes` file must go makes
-// that merge fail with an I/O error, as a full disk would.
+// A directory where a disk merge's scratch bundle file must go makes that
+// merge fail with an I/O error, as a full disk would.
 std::string BlockMergeGeneration(const TieredOptions& options,
                                  int generation) {
   const std::string blocker = options.index.disk_path + ".tmp-merge-" +
-                              std::to_string(generation) + ".nodes";
+                              std::to_string(generation) + ".tsw";
   std::filesystem::create_directories(blocker);
   return blocker;
 }

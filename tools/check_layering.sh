@@ -92,8 +92,8 @@ forbid "one tree builder" \
   src tools bench tests
 
 # --- one node record
-# A SuffixTree's node and occurrence vectors are the bundle's `.nodes`
-# and `.occs` records byte for byte, and TreeView is one concrete
+# A SuffixTree's node and occurrence vectors are the bundle's node
+# and occurrence sections byte for byte, and TreeView is one concrete
 # reader over them. The record conversion on write, the chunked
 # WriteFile it needed, the legacy `.sums` section table and a
 # virtual TreeView were deleted and must not come back.
@@ -103,6 +103,21 @@ forbid "one node record" \
 forbid "one node record" \
   "virtual member in TreeView — it is one concrete reader over the record spans; see docs/file_formats.md" \
   -w 'virtual' src/suffixtree/tree_view.h
+
+# --- one bundle file
+# A disk index is one file, `<base>.tsw`: the header with the section
+# table and the index fingerprint, then the sections, published by one
+# rename. The per-region files, the separate `.index` fingerprint and
+# their path helpers were deleted and must not come back. The one probe
+# for an older format's `.meta` page stays in the opener.
+forbid "one bundle file" \
+  "per-region bundle file or separate fingerprint found — write one <base>.tsw with the fingerprint in its header; see docs/file_formats.md" \
+  -E '"\.(nodes|occs|labels|index)"|kBundleFiles|FingerprintPath' \
+  src tools bench
+check="one bundle file"
+if grep -rn '"\.meta"' src tools bench | grep -v '^src/suffixtree/disk_tree\.cc:'; then
+  fail "$check" "\".meta\" outside the opener's older-format probe — a bundle is one <base>.tsw; see docs/file_formats.md"
+fi
 
 # --- one query path
 # Every univariate query reaches SearchDriver through

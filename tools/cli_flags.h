@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -28,12 +29,6 @@ inline const char* FlagValue(int argc, char** argv, const char* flag,
   return fallback;
 }
 
-/// `flag`'s value read with atol, or `fallback` if it is absent.
-inline long FlagLong(int argc, char** argv, const char* flag, long fallback) {
-  const char* v = FlagValue(argc, argv, flag, nullptr);
-  return v == nullptr ? fallback : std::atol(v);
-}
-
 /// True iff the switch `flag` appears in argv[2..].
 inline bool HasFlag(int argc, char** argv, const char* flag) {
   for (int i = 2; i < argc; ++i) {
@@ -42,12 +37,13 @@ inline bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// Reads the count `flag` into `out` (`fallback` if it is absent). A value
-/// that is not a non-negative integer is refused (printed, false
-/// returned): cast straight to std::size_t, -1 would wrap to SIZE_MAX and
-/// ask for that many queue slots or threads.
-inline bool FlagCount(int argc, char** argv, const char* flag,
-                      std::size_t fallback, std::size_t* out) {
+/// Reads the integer `flag` into `out` (`fallback` if it is absent). A
+/// value that is not wholly one integer in [lo, hi] is refused (printed,
+/// false returned) instead of being read as its leading digits ("2x" as 2)
+/// or as 0 ("abc").
+inline bool FlagInt(int argc, char** argv, const char* flag,
+                    long long fallback, long long lo, long long hi,
+                    long long* out) {
   const char* text = FlagValue(argc, argv, flag, nullptr);
   if (text == nullptr) {
     *out = fallback;
@@ -56,11 +52,39 @@ inline bool FlagCount(int argc, char** argv, const char* flag,
   char* end = nullptr;
   errno = 0;
   const long long raw = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0 || raw < 0) {
-    std::fprintf(stderr, "%s must be a count >= 0 (got %s)\n", flag, text);
+  if (end == text || *end != '\0' || errno != 0 || raw < lo || raw > hi) {
+    if (hi == LLONG_MAX) {
+      std::fprintf(stderr, "%s must be an integer >= %lld (got %s)\n", flag,
+                   lo, text);
+    } else {
+      std::fprintf(stderr, "%s must be an integer in [%lld, %lld] (got %s)\n",
+                   flag, lo, hi, text);
+    }
     return false;
   }
-  *out = static_cast<std::size_t>(raw);
+  *out = raw;
+  return true;
+}
+
+/// Reads the count `flag` into `out` (`fallback` if it is absent): a
+/// non-negative integer (FlagInt). Cast straight to std::size_t, -1 would
+/// wrap to SIZE_MAX and ask for that many queue slots or threads.
+inline bool FlagCount(int argc, char** argv, const char* flag,
+                      std::size_t fallback, std::size_t* out) {
+  long long value = 0;
+  if (!FlagInt(argc, argv, flag, static_cast<long long>(fallback), 0,
+               LLONG_MAX, &value)) {
+    return false;
+  }
+  *out = static_cast<std::size_t>(value);
+  return true;
+}
+
+/// Reads `--port` into `out`: an integer in [0, 65535], 8787 if absent.
+inline bool FlagPort(int argc, char** argv, int* out) {
+  long long port = 0;
+  if (!FlagInt(argc, argv, "--port", 8787, 0, 65535, &port)) return false;
+  *out = static_cast<int>(port);
   return true;
 }
 

@@ -81,14 +81,11 @@ bool QueryOptionsFromFlags(int argc, char** argv, std::size_t query_length,
   if (!FlagCount(argc, argv, "--threads", 0, &options.num_threads)) {
     return false;
   }
-  const long band = FlagLong(argc, argv, "--band", 0);
-  if (band < 0) {
-    std::fprintf(stderr, "--band must be >= 0 (got %ld)\n", band);
-    return false;
-  }
-  if (static_cast<std::size_t>(band) > query_length) {
+  long long band = 0;
+  if (!FlagInt(argc, argv, "--band", 0, 0, LLONG_MAX, &band)) return false;
+  if (static_cast<unsigned long long>(band) > query_length) {
     std::fprintf(stderr,
-                 "--band %ld exceeds the query length %zu; a band wider "
+                 "--band %lld exceeds the query length %zu; a band wider "
                  "than the query is meaningless (use --band 0 for "
                  "unconstrained warping)\n",
                  band, query_length);
@@ -297,12 +294,12 @@ int CmdGenerate(int argc, char** argv) {
   if (out == nullptr) return Usage();
   std::size_t n = 0;
   std::size_t len = 0;
+  long long seed = 0;
   if (!FlagCount(argc, argv, "--n", 0, &n) ||
-      !FlagCount(argc, argv, "--len", 0, &len)) {
+      !FlagCount(argc, argv, "--len", 0, &len) ||
+      !FlagInt(argc, argv, "--seed", 7, 0, LLONG_MAX, &seed)) {
     return 1;
   }
-  const auto seed =
-      static_cast<std::uint64_t>(FlagLong(argc, argv, "--seed", 7));
 
   seqdb::SequenceDatabase db;
   if (kind == "walk") {
@@ -371,7 +368,7 @@ int CmdBuild(int argc, char** argv) {
               info.compaction_ratio);
   std::printf("index bytes:    %llu\n",
               static_cast<unsigned long long>(info.index_bytes));
-  std::printf("bundle:         %s.{meta,nodes,occs,labels,index}\n",
+  std::printf("bundle:         %s.tsw\n",
               options.disk_path.c_str());
   return 0;
 }

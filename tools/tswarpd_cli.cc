@@ -117,7 +117,8 @@ int Append(int argc, char** argv) {
     return 2;
   }
   const char* address = FlagValue(argc, argv, "--address", "127.0.0.1");
-  const int port = static_cast<int>(FlagLong(argc, argv, "--port", 8787));
+  int port = 0;
+  if (!FlagPort(argc, argv, &port)) return 1;
   StatusOr<server::HttpClient> client =
       server::HttpClient::Connect(address, port);
   if (!client.ok()) {
@@ -147,11 +148,13 @@ int Append(int argc, char** argv) {
 
 int Serve(int argc, char** argv) {
   if (argc < 3) return Usage();
-  // Every count is checked before anything is loaded or started.
+  // Every count and the port are checked before anything is loaded or
+  // started.
   IndexOptions options;
   core::TieredOptions tiered_options;
   server::ServerOptions server_options;
   if (!IndexOptionsFromFlags(argc, argv, &options) ||
+      !FlagPort(argc, argv, &server_options.port) ||
       !FlagCount(argc, argv, "--memtable", 8,
                  &tiered_options.memtable_max_sequences) ||
       !FlagCount(argc, argv, "--sealed", 2,
@@ -184,8 +187,7 @@ int Serve(int argc, char** argv) {
 
   server_options.address = FlagValue(argc, argv, "--address", "127.0.0.1");
   const bool smoke = HasFlag(argc, argv, "--smoke");
-  server_options.port =
-      smoke ? 0 : static_cast<int>(FlagLong(argc, argv, "--port", 8787));
+  if (smoke) server_options.port = 0;
 
   StatusOr<std::unique_ptr<server::Server>> srv =
       server::Server::Start(&handle, server_options);
