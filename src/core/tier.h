@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "categorize/alphabet.h"
@@ -43,14 +42,12 @@ struct TierInfo {
 /// tier. Tiers are reference-counted (shared_ptr<const Tier>) and pinned
 /// by every snapshot that includes them: a tier retired by a background
 /// merge stays fully alive — tree, mappings, database fragment — until
-/// the last in-flight query drops its snapshot, and a disk tier that owns
-/// its bundle files deletes them at that point (the mapping lifetime is
-/// the tier lifetime).
+/// the last in-flight query drops its snapshot. A merged disk tier's file
+/// has no name (suffixtree::WriteScratchTree) and dies with the tier.
 struct Tier {
   Tier() = default;
   Tier(const Tier&) = delete;
   Tier& operator=(const Tier&) = delete;
-  ~Tier();
 
   /// Global id of tier-local sequence 0.
   SeqId first_seq = 0;
@@ -76,13 +73,6 @@ struct Tier {
   std::optional<suffixtree::SuffixTree> memory_tree;
   std::unique_ptr<suffixtree::DiskSuffixTree> disk_tree;
 
-  /// When owns_disk_files, the bundle at disk_base is deleted by ~Tier —
-  /// i.e. when the last snapshot pinning this tier is gone. Set for disk
-  /// tiers produced by background merges; the base tier's bundle is user
-  /// data and is never owned.
-  std::string disk_base;
-  bool owns_disk_files = false;
-
   bool is_memtable = false;
 
   TierInfo info;
@@ -95,7 +85,21 @@ struct Tier {
 
 /// Derives the TierInfo counters from a fully assembled tier (tree + db
 /// fragment in place).
-TierInfo ComputeTierInfo(const Tier& tier);
+inline TierInfo ComputeTierInfo(const Tier& tier) {
+  const suffixtree::TreeView* view = tier.view();
+  TierInfo info;
+  info.first_seq = tier.first_seq;
+  info.sequences = tier.db->size();
+  info.elements = tier.db->TotalElements();
+  info.nodes = view->NumNodes();
+  info.occurrences = view->NumOccurrences();
+  info.index_bytes = view->SizeBytes();
+  info.table1_bytes = view->Table1Bytes();
+  info.on_disk = tier.disk_tree != nullptr;
+  info.memtable = tier.is_memtable;
+  info.mapped_bytes = info.on_disk ? tier.disk_tree->MappedBytes() : 0;
+  return info;
+}
 
 }  // namespace tswarp::core
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <utility>
 
 #include "common/logging.h"
@@ -39,31 +38,8 @@ suffixtree::BuildOptions BuildOptionsFrom(const IndexOptions& options) {
 
 }  // namespace
 
-void CleanupOrphanedMergeFiles(const std::string& disk_path) {
-  namespace fs = std::filesystem;
-  const fs::path base(disk_path);
-  fs::path dir = base.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string prefix = base.filename().string() + ".tmp-merge-";
-  std::error_code ec;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0) {
-      std::error_code remove_ec;
-      fs::remove(entry.path(), remove_ec);
-    }
-  }
-}
-
 StatusOr<std::unique_ptr<TieredIndex>> TieredIndex::Create(
     const seqdb::SequenceDatabase* base_db, const TieredOptions& options) {
-  if (!options.index.disk_path.empty()) {
-    // Crash recovery: a background merge aborted mid-write (process died)
-    // leaves a partial <disk_path>.tmp-merge-<n> bundle behind; no tier
-    // ever referenced it, so it is garbage.
-    CleanupOrphanedMergeFiles(options.index.disk_path);
-  }
   TSW_ASSIGN_OR_RETURN(Index base, Index::Build(base_db, options.index));
   return FromIndex(std::move(base), options);
 }
@@ -252,7 +228,7 @@ StatusOr<SeqId> TieredIndex::Append(seqdb::Sequence values) {
 
 StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
     const std::shared_ptr<const Tier>& a,
-    const std::shared_ptr<const Tier>& b, std::uint64_t generation) {
+    const std::shared_ptr<const Tier>& b) {
   const std::size_t na = a->info.sequences;
 
   auto tier = std::make_shared<Tier>();
@@ -284,35 +260,10 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
   if (options_.index.disk_path.empty()) {
     tier->memory_tree = std::move(out);
   } else {
-    const std::string tmp =
-        options_.index.disk_path + ".tmp-merge-" + std::to_string(generation);
-    // The merged tree is released once written, before the bundle is
-    // mapped; a failed write unlinks the partial bundle so no orphan
-    // survives.
-    const Status written = suffixtree::WriteTreeToDisk(out, tmp);
-    out = suffixtree::SuffixTree();
-    if (!written.ok()) {
-      suffixtree::RemoveDiskTree(tmp);
-      return written;
-    }
-
-    const std::string final_base =
-        options_.index.disk_path + ".tier-" + std::to_string(generation);
-    const Status renamed = suffixtree::RenameDiskTree(tmp, final_base);
-    if (!renamed.ok()) {
-      suffixtree::RemoveDiskTree(tmp);
-      suffixtree::RemoveDiskTree(final_base);
-      return renamed;
-    }
-    StatusOr<std::unique_ptr<suffixtree::DiskSuffixTree>> opened =
-        suffixtree::DiskSuffixTree::Open(final_base);
-    if (!opened.ok()) {
-      suffixtree::RemoveDiskTree(final_base);
-      return opened.status();
-    }
-    tier->disk_tree = std::move(*opened);
-    tier->disk_base = final_base;
-    tier->owns_disk_files = true;
+    // An unnamed file beside the base bundle, freed with the tier.
+    TSW_ASSIGN_OR_RETURN(
+        tier->disk_tree,
+        suffixtree::WriteScratchTree(out, options_.index.disk_path));
   }
   tier->info = ComputeTierInfo(*tier);
   return std::shared_ptr<const Tier>(std::move(tier));
@@ -321,7 +272,6 @@ StatusOr<std::shared_ptr<const Tier>> TieredIndex::BuildMergedTier(
 bool TieredIndex::MergeOnce() {
   std::shared_ptr<const Tier> a;
   std::shared_ptr<const Tier> b;
-  std::uint64_t generation = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);
     merge_done_cv_.wait(lock, [&] {
@@ -333,14 +283,12 @@ bool TieredIndex::MergeOnce() {
     // the back, so the two oldest stay at the front until we swap them.
     a = sealed_tiers_[0];
     b = sealed_tiers_[1];
-    generation = ++merge_generation_;
     merge_running_ = true;
   }
 
   // The compaction runs on the calling thread: the merge thread, or the
   // appending thread when merges are not in the background.
-  StatusOr<std::shared_ptr<const Tier>> built =
-      BuildMergedTier(a, b, generation);
+  StatusOr<std::shared_ptr<const Tier>> built = BuildMergedTier(a, b);
 
   std::unique_lock<std::mutex> lock(mu_);
   merge_running_ = false;

@@ -17,12 +17,6 @@
 
 namespace tswarp::core {
 
-/// Removes orphaned `<disk_path>.tmp-merge-*` bundle files left behind by
-/// background merges that aborted without cleanup (process crash).
-/// TieredIndex::Create runs this automatically for disk-backed indexes;
-/// exposed for tests and ops tooling. Best-effort, never throws.
-void CleanupOrphanedMergeFiles(const std::string& disk_path);
-
 /// Configuration of a TieredIndex on top of the base IndexOptions.
 struct TieredOptions {
   /// How the base tier is built and how every appended/merged tier is
@@ -88,7 +82,9 @@ struct ContinuousPoll {
 /// std::shared_ptr<const IndexSnapshot> that pins every tier it lists.
 /// Queries running against an old snapshot keep their tiers (trees,
 /// mappings, database fragments) alive until they drop the
-/// pointer; a merged-away disk tier deletes its bundle files only then.
+/// pointer; a merged-away disk tier's unnamed file is freed only then.
+/// Appended data is volatile: it dies with the process, however it ends,
+/// and a restart serves the base index alone.
 ///
 /// Symbolization is frozen at base build so every tier speaks the same
 /// alphabet: categorized modes reuse the base category *boundaries* (each
@@ -108,9 +104,7 @@ struct ContinuousPoll {
 class TieredIndex {
  public:
   /// Builds the base tier over `base_db` (which must outlive the
-  /// TieredIndex) per `options.index` and wraps it. With a disk path this
-  /// also removes orphaned `<disk_path>.tmp-merge-*` bundles left behind
-  /// by merges aborted in a previous process (crash recovery).
+  /// TieredIndex) per `options.index` and wraps it.
   static StatusOr<std::unique_ptr<TieredIndex>> Create(
       const seqdb::SequenceDatabase* base_db, const TieredOptions& options);
 
@@ -144,9 +138,9 @@ class TieredIndex {
   /// compaction succeeds. Either way the tiers of a failed compaction stay
   /// live and searchable, unmerged. OutOfRange (a merged tier too large
   /// for 32-bit offsets) fails the same way on every attempt and stops
-  /// compaction for good; any other failure (a full disk, a failed
-  /// rename) is retried, in the background after a delay that doubles
-  /// with each consecutive failure, inline at the next Append.
+  /// compaction for good; any other failure (a full disk) is retried,
+  /// in the background after a delay that doubles with each consecutive
+  /// failure, inline at the next Append.
   Status merge_status() const;
 
   /// Registers a standing query: every later Append buffers the matches
@@ -190,7 +184,7 @@ class TieredIndex {
   /// merge fails.
   StatusOr<std::shared_ptr<const Tier>> BuildMergedTier(
       const std::shared_ptr<const Tier>& a,
-      const std::shared_ptr<const Tier>& b, std::uint64_t generation);
+      const std::shared_ptr<const Tier>& b);
 
   void MergeWorkerLoop();
 
@@ -217,7 +211,6 @@ class TieredIndex {
   std::uint64_t merges_failed_ = 0;
   Status merge_error_;          // Latest compaction's failure; OK after a success.
   bool merges_stopped_ = false;  // Set by an OutOfRange failure.
-  std::uint64_t merge_generation_ = 0;
   bool merge_running_ = false;
   std::condition_variable merge_cv_;     // Signals worker: work or stop.
   std::condition_variable merge_done_cv_;  // Signals WaitForMerges.

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -17,6 +18,26 @@ Status ErrnoStatus(const std::string& op, const std::string& path) {
   return Status::IOError(op + " " + path + ": " + std::strerror(errno));
 }
 
+/// Writes `pieces` to `fd` one after another, resuming short writes.
+Status WriteAll(int fd, const std::string& path,
+                std::initializer_list<std::span<const std::byte>> pieces) {
+  for (const std::span<const std::byte> piece : pieces) {
+    const std::byte* data = piece.data();
+    std::size_t left = piece.size();
+    while (left > 0) {
+      const ssize_t n = ::write(fd, data, left);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        return n < 0 ? ErrnoStatus("write", path)
+                     : Status::IOError("short write to " + path);
+      }
+      data += n;
+      left -= static_cast<std::size_t>(n);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -24,31 +45,56 @@ Status ErrnoStatus(const std::string& op, const std::string& path) {
 // ---------------------------------------------------------------------------
 
 StatusOr<MappedFile> MappedFile::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return ErrnoStatus("open", path);
+  return WriteMapAndClose(::open(path.c_str(), O_RDONLY | O_CLOEXEC), path,
+                          {});
+}
 
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const Status s = ErrnoStatus("fstat", path);
+StatusOr<MappedFile> MappedFile::WriteScratch(
+    const std::string& dir,
+    std::initializer_list<std::span<const std::byte>> pieces) {
+  const int fd = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
+  // EOPNOTSUPP: no unnamed files on this filesystem; EISDIR: old kernel.
+  if (fd < 0 && (errno == EOPNOTSUPP || errno == EISDIR)) {
+    return WriteScratchUnlinked(dir, pieces);
+  }
+  return WriteMapAndClose(fd, "scratch file in " + dir, pieces);
+}
+
+StatusOr<MappedFile> MappedFile::WriteScratchUnlinked(
+    const std::string& dir,
+    std::initializer_list<std::span<const std::byte>> pieces) {
+  std::string name = dir + "/.tswarp-scratch-XXXXXX";
+  const int fd = ::mkostemp(name.data(), O_CLOEXEC);
+  if (fd >= 0 && ::unlink(name.c_str()) != 0) {
+    const Status s = ErrnoStatus("unlink", name);
     ::close(fd);
     return s;
   }
+  return WriteMapAndClose(fd, "scratch file in " + dir, pieces);
+}
 
+StatusOr<MappedFile> MappedFile::WriteMapAndClose(
+    int fd, std::string path,
+    std::initializer_list<std::span<const std::byte>> pieces) {
+  if (fd < 0) return ErrnoStatus("open", path);
   MappedFile file;
-  file.path_ = path;
+  file.path_ = std::move(path);
+  Status status = WriteAll(fd, file.path_, pieces);
+  struct stat st{};
+  if (status.ok() && ::fstat(fd, &st) != 0) {
+    status = ErrnoStatus("fstat", file.path_);
+  }
   file.size_ = static_cast<std::size_t>(st.st_size);
-  if (file.size_ > 0) {
-    void* data =
-        ::mmap(nullptr, file.size_, PROT_READ, MAP_SHARED, fd, 0);
-    if (data == MAP_FAILED) {
-      const Status s = ErrnoStatus("mmap", path);
-      ::close(fd);
-      return s;
+  if (status.ok() && file.size_ > 0) {
+    file.data_ = ::mmap(nullptr, file.size_, PROT_READ, MAP_SHARED, fd, 0);
+    if (file.data_ == MAP_FAILED) {
+      file.data_ = nullptr;
+      status = ErrnoStatus("mmap", file.path_);
     }
-    file.data_ = data;
   }
   // The mapping keeps the file alive; the descriptor is no longer needed.
   ::close(fd);
+  if (!status.ok()) return status;
   return file;
 }
 
@@ -136,22 +182,7 @@ Status WriteFile(const std::string& path,
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoStatus("create", path);
-  Status result = Status::OK();
-  for (const std::span<const std::byte> piece : pieces) {
-    const std::byte* data = piece.data();
-    std::size_t left = piece.size();
-    while (left > 0 && result.ok()) {
-      const ssize_t n = ::write(fd, data, left);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        result = n < 0 ? ErrnoStatus("write", path)
-                       : Status::IOError("short write to " + path);
-        break;
-      }
-      data += n;
-      left -= static_cast<std::size_t>(n);
-    }
-  }
+  Status result = WriteAll(fd, path, pieces);
   if (result.ok() && ::fsync(fd) != 0) result = ErrnoStatus("fsync", path);
   if (::close(fd) != 0 && result.ok()) result = ErrnoStatus("close", path);
   return result;

@@ -33,6 +33,18 @@ class MappedFile {
  public:
   static StatusOr<MappedFile> Open(const std::string& path);
 
+  /// Writes `pieces` into a new, unnamed file (O_TMPFILE) in `dir`, never
+  /// fsynced, and maps it: the last unmap or the process's end frees it.
+  /// Falls back to WriteScratchUnlinked where O_TMPFILE is refused.
+  static StatusOr<MappedFile> WriteScratch(
+      const std::string& dir,
+      std::initializer_list<std::span<const std::byte>> pieces);
+
+  /// WriteScratch's fallback: a unique name, unlinked before any write.
+  static StatusOr<MappedFile> WriteScratchUnlinked(
+      const std::string& dir,
+      std::initializer_list<std::span<const std::byte>> pieces);
+
   MappedFile() = default;
   ~MappedFile();
   MappedFile(MappedFile&& other) noexcept;
@@ -78,6 +90,11 @@ class MappedFile {
   std::uint64_t ResidentBytes() const;
 
  private:
+  /// Writes `pieces` to `fd` (< 0: `path` failed to open), maps and closes.
+  static StatusOr<MappedFile> WriteMapAndClose(
+      int fd, std::string path,
+      std::initializer_list<std::span<const std::byte>> pieces);
+
   void Reset();
   Status Truncated(std::string_view what, std::uint64_t count,
                    std::size_t record_size) const;
@@ -88,11 +105,11 @@ class MappedFile {
 };
 
 /// Creates (or truncates) `path`, writes `pieces` one after another with
-/// sequential writes and fsyncs the file once before closing it. Every
-/// durable file the library produces (a bundle: its header and sections
-/// straight from where they live) goes through here, so a short write, a
-/// failed fsync or a failed close is an IOError instead of a silently lost
-/// file.
+/// sequential writes and fsyncs the file once before closing it. The one
+/// durable file the library produces (a published bundle: its header and
+/// sections straight from where they live) goes through here, so a short
+/// write, a failed fsync or a failed close is an IOError instead of a
+/// silently lost file. Scratch data goes through MappedFile::WriteScratch.
 Status WriteFile(const std::string& path,
                  std::initializer_list<std::span<const std::byte>> pieces);
 

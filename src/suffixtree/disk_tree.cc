@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 
 #include "common/logging.h"
@@ -66,7 +67,8 @@ static_assert(sizeof(Header) + kMaxFingerprintBytes <= kHeaderBytes);
 std::string BundlePath(const std::string& base) { return base + ".tsw"; }
 
 std::string ParentDir(const std::string& base_path) {
-  return std::filesystem::path(base_path).parent_path().string();
+  const std::string dir = std::filesystem::path(base_path).parent_path();
+  return dir.empty() ? "." : dir;
 }
 
 /// The header of the mapped bundle `file`, its section table checked:
@@ -194,6 +196,59 @@ StatusOr<std::uint64_t> ValidateRecords(const std::string& path,
   return Status::Corruption("inconsistent records in " + path);
 }
 
+/// The header page of `tree`'s bundle, carrying `fingerprint`. An
+/// unfinalized tree, a failed tree or an oversized fingerprint is refused
+/// before anything is written to `where`.
+StatusOr<std::array<std::byte, kHeaderBytes>> MakeHeaderPage(
+    const SuffixTree& tree, std::span<const std::byte> fingerprint,
+    const std::string& where) {
+  if (!tree.finalized()) {
+    return Status::FailedPrecondition("writing an unfinalized tree to " +
+                                      where);
+  }
+  TSW_RETURN_IF_ERROR(tree.status());
+  if (fingerprint.size() > kMaxFingerprintBytes) {
+    return Status::InvalidArgument(
+        "fingerprint of " + std::to_string(fingerprint.size()) +
+        " bytes exceeds the bundle header's " +
+        std::to_string(kMaxFingerprintBytes));
+  }
+  const std::uint64_t nodes = tree.NumNodes();
+  const std::uint64_t occs = tree.NumOccurrences();
+  const std::uint64_t occs_offset = kHeaderBytes + nodes * sizeof(NodeRecord);
+  const std::uint64_t labels_offset = occs_offset + occs * sizeof(OccRecord);
+  const Header header{
+      kMagic,
+      kVersion,
+      static_cast<std::uint32_t>(fingerprint.size()),
+      {{kSectionNodes, sizeof(NodeRecord), nodes, kHeaderBytes},
+       {kSectionOccs, sizeof(OccRecord), occs, occs_offset},
+       {kSectionLabels, sizeof(Symbol), tree.Text().size(), labels_offset}}};
+  std::array<std::byte, kHeaderBytes> page{};
+  std::memcpy(page.data(), &header, sizeof(header));
+  if (!fingerprint.empty()) {
+    std::memcpy(page.data() + sizeof(header), fingerprint.data(),
+                fingerprint.size());
+  }
+  return page;
+}
+
+/// Writes `tree` to `<base_path>.tmp.tsw`, renames it over `<base_path>.tsw`
+/// and fsyncs the directory. A failure removes the `.tmp` file.
+Status PublishTree(const SuffixTree& tree, const std::string& base_path,
+                   std::span<const std::byte> fingerprint) {
+  const std::string tmp = base_path + ".tmp";
+  Status status = WriteTreeToDisk(tree, tmp, fingerprint);
+  if (status.ok() && std::rename(BundlePath(tmp).c_str(),
+                                 BundlePath(base_path).c_str()) != 0) {
+    status = Status::IOError("rename " + BundlePath(tmp) + ": " +
+                             std::strerror(errno));
+  }
+  if (status.ok()) return storage::SyncDir(ParentDir(base_path));
+  RemoveDiskTree(tmp);
+  return status;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -214,8 +269,14 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
     }
     return Status::NotFound("no index bundle at " + path);
   }
+  return FromFile(storage::MappedFile::Open(path), check_fingerprint);
+}
+
+StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::FromFile(
+    StatusOr<storage::MappedFile> mapped,
+    const FingerprintCheck& check_fingerprint) {
   std::unique_ptr<DiskSuffixTree> tree(new DiskSuffixTree());
-  TSW_ASSIGN_OR_RETURN(tree->file_, storage::MappedFile::Open(path));
+  TSW_ASSIGN_OR_RETURN(tree->file_, std::move(mapped));
   const storage::MappedFile& file = tree->file_;
   TSW_ASSIGN_OR_RETURN(const Header header, ReadHeader(file));
   if (check_fingerprint) {
@@ -240,8 +301,9 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   file.Advise(storage::AccessHint::kWillNeed);
   // The section extents are checked; now every id and label range, after
   // which no accessor can read outside the mapping.
-  TSW_ASSIGN_OR_RETURN(const std::uint64_t label_symbols,
-                       ValidateRecords(path, nodes, occs, labels.size()));
+  TSW_ASSIGN_OR_RETURN(
+      const std::uint64_t label_symbols,
+      ValidateRecords(file.path(), nodes, occs, labels.size()));
   tree->SetRecords(nodes, occs, labels, label_symbols);
   return tree;
 }
@@ -264,52 +326,28 @@ std::uint64_t DiskSuffixTree::ResidentBytes() const {
 
 Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path,
                        std::span<const std::byte> fingerprint) {
-  if (!tree.finalized()) {
-    return Status::FailedPrecondition("writing an unfinalized tree to " +
-                                      base_path);
-  }
-  TSW_RETURN_IF_ERROR(tree.status());
-  if (fingerprint.size() > kMaxFingerprintBytes) {
-    return Status::InvalidArgument(
-        "fingerprint of " + std::to_string(fingerprint.size()) +
-        " bytes exceeds the bundle header's " +
-        std::to_string(kMaxFingerprintBytes));
-  }
-  const std::span<const NodeRecord> nodes = tree.NodeRecords();
-  const std::span<const OccRecord> occs = tree.OccRecords();
-  const std::span<const Symbol> text = tree.Text();
-  const std::uint64_t occs_offset = kHeaderBytes + nodes.size_bytes();
-  const std::uint64_t labels_offset = occs_offset + occs.size_bytes();
-  const Header header{
-      kMagic,
-      kVersion,
-      static_cast<std::uint32_t>(fingerprint.size()),
-      {{kSectionNodes, sizeof(NodeRecord), nodes.size(), kHeaderBytes},
-       {kSectionOccs, sizeof(OccRecord), occs.size(), occs_offset},
-       {kSectionLabels, sizeof(Symbol), text.size(), labels_offset}}};
-  std::array<std::byte, kHeaderBytes> page{};
-  std::memcpy(page.data(), &header, sizeof(header));
-  if (!fingerprint.empty()) {
-    std::memcpy(page.data() + sizeof(header), fingerprint.data(),
-                fingerprint.size());
-  }
-  return storage::WriteFile(BundlePath(base_path),
-                            {page, std::as_bytes(nodes), std::as_bytes(occs),
-                             std::as_bytes(text)});
+  TSW_ASSIGN_OR_RETURN(const auto page,
+                       MakeHeaderPage(tree, fingerprint, base_path));
+  return storage::WriteFile(
+      BundlePath(base_path),
+      {page, std::as_bytes(tree.NodeRecords()),
+       std::as_bytes(tree.OccRecords()), std::as_bytes(tree.Text())});
+}
+
+StatusOr<std::unique_ptr<DiskSuffixTree>> WriteScratchTree(
+    const SuffixTree& tree, const std::string& base_path) {
+  TSW_ASSIGN_OR_RETURN(const auto page,
+                       MakeHeaderPage(tree, {}, "a scratch file"));
+  return DiskSuffixTree::FromFile(
+      storage::MappedFile::WriteScratch(
+          ParentDir(base_path),
+          {page, std::as_bytes(tree.NodeRecords()),
+           std::as_bytes(tree.OccRecords()), std::as_bytes(tree.Text())}),
+      nullptr);
 }
 
 void RemoveDiskTree(const std::string& base_path) {
   std::remove(BundlePath(base_path).c_str());
-}
-
-Status RenameDiskTree(const std::string& from, const std::string& to) {
-  const std::string source = BundlePath(from);
-  const std::string target = BundlePath(to);
-  if (std::rename(source.c_str(), target.c_str()) != 0) {
-    return Status::IOError("rename " + source + " -> " + target + ": " +
-                           std::strerror(errno));
-  }
-  return storage::SyncDir(ParentDir(to));
 }
 
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
@@ -319,59 +357,51 @@ StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
   if (db.size() == 0) {
     return Status::InvalidArgument("empty symbol database");
   }
-  // Every batch tree references this one text, so every intermediate
-  // bundle stores the same labels section and merges share it.
+  // Every batch tree references this one text, so every scratch tree
+  // stores the same labels section and merges share it.
   const auto shared_text = std::make_shared<const SymbolText>(db);
 
-  // The intermediate bundles, in creation order (bundle i is `.tmp<i>`);
-  // pending[head..] are still on disk.
-  std::vector<std::string> pending;
-  std::size_t head = 0;
-  const auto next_tmp = [&] {
-    pending.push_back(base_path + ".tmp" + std::to_string(pending.size()));
-    return pending.back();
+  // n spills and n - 1 merges write 2n - 1 trees. The last is published;
+  // the others are scratch trees waiting for their merge, oldest first.
+  std::size_t to_write = 2 * ((db.size() + options.batch_sequences - 1) /
+                              options.batch_sequences) - 1;
+  std::deque<std::unique_ptr<DiskSuffixTree>> pending;
+  const auto write = [&](const SuffixTree& tree) -> Status {
+    if (--to_write == 0) return PublishTree(tree, base_path, fingerprint);
+    TSW_ASSIGN_OR_RETURN(pending.emplace_back(),
+                         WriteScratchTree(tree, base_path));
+    return Status::OK();
   };
-  const Status built = [&]() -> Status {
-    // Phase 1: spill batch trees. The copy fixes each spill's node order.
-    for (SeqId begin = 0; begin < db.size();
-         begin += static_cast<SeqId>(options.batch_sequences)) {
-      const SeqId end = static_cast<SeqId>(
-          std::min<std::size_t>(db.size(), begin + options.batch_sequences));
-      SuffixTreeBuilder builder(shared_text, options.build);
-      for (SeqId id = begin; id < end; ++id) builder.InsertSequence(id);
-      const SuffixTree batch = builder.Build();
-      TSW_RETURN_IF_ERROR(batch.status());
-      SuffixTree spill;
-      CopyTree(batch, &spill);
-      TSW_RETURN_IF_ERROR(WriteTreeToDisk(spill, next_tmp(), fingerprint));
-    }
 
-    // Phase 2: binary merges of trees of increasing size (FIFO pairing).
-    // A merge visits both inputs roughly front to back (node ids are
-    // allocated in creation order), so their mappings stream.
-    while (pending.size() - head > 1) {
-      {
-        TSW_ASSIGN_OR_RETURN(auto view_a, DiskSuffixTree::Open(pending[head]));
-        TSW_ASSIGN_OR_RETURN(auto view_b,
-                             DiskSuffixTree::Open(pending[head + 1]));
-        view_a->HintSequentialScan();
-        view_b->HintSequentialScan();
-        SuffixTree merged;
-        MergeTrees(*view_a, *view_b, &merged, nullptr, MergeText::kShared);
-        TSW_RETURN_IF_ERROR(WriteTreeToDisk(merged, next_tmp(), fingerprint));
-      }
-      RemoveDiskTree(pending[head++]);
-      RemoveDiskTree(pending[head++]);
-    }
+  // Phase 1: spill batch trees. The copy fixes each spill's node order.
+  for (SeqId begin = 0; begin < db.size();
+       begin += static_cast<SeqId>(options.batch_sequences)) {
+    const SeqId end = static_cast<SeqId>(
+        std::min<std::size_t>(db.size(), begin + options.batch_sequences));
+    SuffixTreeBuilder builder(shared_text, options.build);
+    for (SeqId id = begin; id < end; ++id) builder.InsertSequence(id);
+    const SuffixTree batch = builder.Build();
+    TSW_RETURN_IF_ERROR(batch.status());
+    SuffixTree spill;
+    CopyTree(batch, &spill);
+    TSW_RETURN_IF_ERROR(write(spill));
+  }
 
-    // Publish the survivor: the one rename replaces any older bundle.
-    return RenameDiskTree(pending[head], base_path);
-  }();
-  if (!built.ok()) {
-    for (std::size_t i = head; i < pending.size(); ++i) {
-      RemoveDiskTree(pending[i]);
+  // Phase 2: binary merges of trees of increasing size (FIFO pairing).
+  // A merge visits both inputs roughly front to back (node ids are
+  // allocated in creation order), so their mappings stream. The inputs
+  // are dropped, and their files freed, before the result is written.
+  while (pending.size() > 1) {
+    SuffixTree merged;
+    {
+      const std::unique_ptr<DiskSuffixTree> a = std::move(pending[0]);
+      const std::unique_ptr<DiskSuffixTree> b = std::move(pending[1]);
+      pending.erase(pending.begin(), pending.begin() + 2);
+      a->HintSequentialScan();
+      b->HintSequentialScan();
+      MergeTrees(*a, *b, &merged, nullptr, MergeText::kShared);
     }
-    return built;
+    TSW_RETURN_IF_ERROR(write(merged));
   }
   return DiskSuffixTree::Open(base_path);
 }

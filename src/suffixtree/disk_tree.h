@@ -28,11 +28,12 @@ namespace tswarp::suffixtree {
 /// The sections follow the header back to back, so the file is
 /// TreeView::SizeBytes() long. They hold a SuffixTree's node and
 /// occurrence vectors byte for byte, and records reference each other by
-/// index only, so the file can be moved freely (RenameDiskTree). The
-/// fingerprint is the caller's: this layer stores it and hands it back
-/// at Open without reading it. A bundle of an older format (v1-v3, four
-/// region files under a `<base>.meta` page) is refused with a Corruption
-/// that says to rebuild.
+/// index only, so the file can be moved freely. The fingerprint is the
+/// caller's: this layer stores it and hands it back at Open without
+/// reading it. A bundle of an older format (v1-v3, four region files under
+/// a `<base>.meta` page) is refused with a Corruption that says to rebuild.
+/// Only the bundle BuildDiskTree publishes has a name; every other tree is
+/// a scratch tree (WriteScratchTree), the same bytes in an unnamed file.
 
 /// The TreeView of a disk tree bundle. The file is mapped read-only at
 /// Open; the section extents are checked against its size (so truncation
@@ -69,7 +70,15 @@ class DiskSuffixTree : public TreeView {
   std::uint64_t ResidentBytes() const;
 
  private:
+  friend StatusOr<std::unique_ptr<DiskSuffixTree>> WriteScratchTree(
+      const SuffixTree& tree, const std::string& base_path);
+
   DiskSuffixTree() = default;
+
+  /// Open's checks, on a file already mapped.
+  static StatusOr<std::unique_ptr<DiskSuffixTree>> FromFile(
+      StatusOr<storage::MappedFile> mapped,
+      const FingerprintCheck& check_fingerprint);
 
   storage::MappedFile file_;
 };
@@ -81,22 +90,23 @@ inline constexpr std::size_t kMaxFingerprintBytes = 4000;
 /// the header (with `fingerprint`, at most kMaxFingerprintBytes, stored as
 /// given) and the node, occurrence and label sections straight from the
 /// tree's vectors, in one sequential pass over one file, fsynced once. The
-/// file's name is durable only once its directory is synced: publish it
-/// with RenameDiskTree. An unfinalized tree is a FailedPrecondition, a
-/// failed tree returns its status() and an oversized fingerprint is an
-/// InvalidArgument, all before any file is touched; an I/O error may leave
-/// a partial file, which the caller removes (RemoveDiskTree). To
-/// serialize another TreeView, CopyTree it into a SuffixTree first.
+/// file's name is durable only once its directory is synced. An
+/// unfinalized tree is a FailedPrecondition, a failed tree returns its
+/// status() and an oversized fingerprint is an InvalidArgument, all before
+/// any file is touched; an I/O error may leave a partial file, which the
+/// caller removes (RemoveDiskTree). To serialize another TreeView,
+/// CopyTree it into a SuffixTree first.
 Status WriteTreeToDisk(const SuffixTree& tree, const std::string& base_path,
                        std::span<const std::byte> fingerprint = {});
 
+/// Writes `tree` as WriteTreeToDisk would, with no fingerprint, into an
+/// unnamed file in the directory of `base_path` (MappedFile::WriteScratch)
+/// and opens it as Open would: the file dies with the returned tree.
+StatusOr<std::unique_ptr<DiskSuffixTree>> WriteScratchTree(
+    const SuffixTree& tree, const std::string& base_path);
+
 /// Deletes the bundle file at `base_path` (best-effort).
 void RemoveDiskTree(const std::string& base_path);
-
-/// Moves the bundle at `from` to `to` with one rename, which replaces any
-/// bundle `to` names in one step, then fsyncs the directory of `to` so the
-/// rename survives power loss.
-Status RenameDiskTree(const std::string& from, const std::string& to);
 
 /// Build configuration for the batched, merge-based disk construction
 /// (paper Section 4.1: "a series of binary merges of suffix trees of
@@ -108,18 +118,15 @@ struct DiskBuildOptions {
 };
 
 /// Builds a disk tree over all sequences of `db`: batches are built in
-/// memory, copied (CopyTree) and spilled to `<base_path>.tmpN` bundles,
-/// then pairwise-merged until one tree remains, which is renamed to
-/// `base_path` (RenameDiskTree: the one step that replaces a bundle
-/// already there). Every bundle written carries `fingerprint`. Each merge
-/// reads its two inputs mapped (hinted sequential) into an in-memory
-/// SuffixTree and writes it with WriteTreeToDisk. Every batch tree
+/// memory, copied (CopyTree) and spilled as scratch trees, then
+/// pairwise-merged, each merge reading its inputs mapped (hinted
+/// sequential) into an in-memory SuffixTree. The final tree (the last
+/// merge, or the only spill) is written with `fingerprint` to
+/// `<base_path>.tmp`, fsynced and renamed to `base_path`, the one step
+/// that replaces a bundle already there; a crash may leave
+/// `<base_path>.tmp`, which the next build writes over. Every batch tree
 /// references one text, the database's sequences concatenated, so merges
-/// (MergeText::kShared) carry label references through unchanged and never
-/// grow the text.
-/// Intermediate bundles are scanned once and deleted; on any error every
-/// intermediate still on disk is removed before the error is returned. A
-/// bundle already at `base_path` is untouched until the final rename.
+/// (MergeText::kShared) carry label references through unchanged.
 StatusOr<std::unique_ptr<DiskSuffixTree>> BuildDiskTree(
     const SymbolDatabase& db, const std::string& base_path,
     DiskBuildOptions options = {},

@@ -166,20 +166,29 @@ TEST_F(DiskTreeTest, BuildDiskTreeCleansTemporaries) {
 }
 
 TEST_F(DiskTreeTest, BuildDiskTreeRemovesIntermediatesOnFailure) {
-  // A directory where the second spill's file goes fails that write after
-  // the first spill is on disk: the build reports it and removes every
-  // intermediate bundle.
+  // A write that fails, in the first spill or in the final tree only (as
+  // on a full disk), fails the build and leaves no file: spills and
+  // intermediate merges have no name, and the build removes the final
+  // tree's unpublished file.
   const SymbolDatabase db = RandomSymbolDb(23, 9, 15, 3);
   DiskBuildOptions options;
   options.batch_sequences = 2;
-  const std::string base = Path("fail");
-  std::filesystem::create_directories(base + ".tmp1.tsw");
-  EXPECT_FALSE(BuildDiskTree(db, base, options).ok());
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    EXPECT_FALSE(entry.is_regular_file() &&
-                 entry.path().filename().string().find(".tmp") !=
-                     std::string::npos)
-        << "leftover temporary " << entry.path();
+  ASSERT_TRUE(BuildDiskTree(db, Path("probe"), options).ok());
+  // Every intermediate tree is smaller than the final one.
+  const std::uint64_t final_size =
+      std::filesystem::file_size(Path("probe") + ".tsw");
+  std::filesystem::remove(Path("probe") + ".tsw");
+  for (const std::uint64_t limit :
+       {std::uint64_t{4096 + 100}, final_size - 1}) {
+    Status built;
+    {
+      const testutil::WriteLimit lowered(limit);
+      built = BuildDiskTree(db, Path("fail"), options).status();
+    }
+    EXPECT_EQ(built.code(), StatusCode::kIOError) << limit << ": " << built;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      ADD_FAILURE() << "limit " << limit << " left " << entry.path();
+    }
   }
 }
 
@@ -303,16 +312,16 @@ TEST_F(DiskTreeTest, DiskBackedIndexMatchesSeqScan) {
   }
 }
 
-// --- bundle bytes: the exact file a build and a tier merge write. The
-// constants pin the format and the record order (node and occurrence ids,
-// child and occurrence prepend order, subtree sums); a change to any of
-// them is a format change, not a refactoring. The data come from raw
-// mt19937_64 output, which the standard fixes, not from a distribution.
-// One constant pins the 4 KiB header and one each the node, occurrence
-// and label sections. The section pins are those of the format v3 region
-// files, whose records the sections hold unchanged; the node pins are
-// in turn the hashes of the format v2 files with the zero high word of
-// each 32-byte record's u64 label_offset (bytes 4-7) dropped.
+// --- bundle bytes: the exact file a build writes, and the sections a tier
+// merge maps. The constants pin the format and the record order (node and
+// occurrence ids, child and occurrence prepend order, subtree sums); a
+// change to any of them is a format change, not a refactoring. The data
+// come from raw mt19937_64 output, which the standard fixes, not from a
+// distribution. One constant pins the 4 KiB header and one each the node,
+// occurrence and label sections. The section pins are those of the format
+// v3 region files, whose records the sections hold unchanged; the node
+// pins are in turn the hashes of the format v2 files with the zero high
+// word of each 32-byte record's u64 label_offset (bytes 4-7) dropped.
 
 std::uint64_t Fnv1a(const std::string& bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -420,14 +429,22 @@ TEST_F(DiskTreeTest, TierMergeBundleBytesArePinned) {
   auto tiered = core::TieredIndex::Create(&db, options);
   ASSERT_TRUE(tiered.ok()) << tiered.status();
   // Appends 2 and 4 seal two-sequence tiers; the second seal, over a
-  // budget of one sealed tier, merges both into generation 1 on disk.
+  // budget of one sealed tier, merges both on disk.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE((*tiered)->Append(sequence()).ok());
   }
   ASSERT_EQ((*tiered)->Stats().merges_completed, 1u);
-  ExpectBundleHashes(Path("tiered") + ".tier-1",
-                     {0x61cfe11b189025ebull, 0xba9a25cc3eb540cdull,
-                      0xa0af8cc675b7368bull, 0x4e69c0cea46dfd51ull});
+  // The merged tier is a scratch tree with no file name: its sections are
+  // read through its mapping.
+  const std::shared_ptr<const core::IndexSnapshot> snapshot =
+      (*tiered)->Snapshot();
+  ASSERT_GE(snapshot->tiers().size(), 2u);
+  const DiskSuffixTree* merged = snapshot->tiers()[1]->disk_tree.get();
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(Fnv1a(RecordBytes(merged->NodeRecords())),
+            0xba9a25cc3eb540cdull);
+  EXPECT_EQ(Fnv1a(RecordBytes(merged->OccRecords())), 0xa0af8cc675b7368bull);
+  EXPECT_EQ(Fnv1a(RecordBytes(merged->Text())), 0x4e69c0cea46dfd51ull);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // re-derives the categorizer deterministically and reuses the bundle,
 // returning identical answers without rebuilding.
 
-#include <sys/resource.h>
 #include <sys/wait.h>
 
 #include <csignal>
@@ -24,7 +23,6 @@
 #include "common/random.h"
 #include "core/index.h"
 #include "core/seq_scan.h"
-#include "core/tiered_index.h"
 #include "datagen/generators.h"
 #include "suffixtree/disk_tree.h"
 #include "test_util.h"
@@ -264,14 +262,9 @@ TEST_F(IndexPersistenceTest,
   }
   EXPECT_GT(answers, 0u) << "the fixture queries should find answers";
 
-  // Removing the bundle removes its one file, and a file left by the
-  // crash of an aborted tier merge goes too.
+  // Removing the bundle removes its one file.
   suffixtree::RemoveDiskTree(options.disk_path);
   EXPECT_FALSE(std::filesystem::exists(dir_ / "walk.tsw"));
-  const std::filesystem::path orphan = dir_ / "walk.tmp-merge-3.sums";
-  std::ofstream(orphan) << "stale";
-  CleanupOrphanedMergeFiles(options.disk_path);
-  EXPECT_FALSE(std::filesystem::exists(orphan));
 }
 
 // Writer pin: the fixture's record regions were written by an older
@@ -359,9 +352,11 @@ bool OpenRefusesOrAnswersLikeSeqScan(const seqdb::SequenceDatabase& db,
 /// The file sizes at which a Build of `db` under `options` moves from one
 /// part of a file to the next, for every file it writes: each spill of
 /// `disk_batch_sequences` sequences and each merge of the two oldest
-/// pending files, as BuildDiskTree does them. Per file: 0, the end of the
-/// 4 KiB header, and the ends of the node (28 B per node), occurrence
-/// (16 B each) and label (4 B per symbol of the whole database) sections.
+/// pending trees, as BuildDiskTree does them. The file-size limit applies
+/// to the unnamed scratch files as to the named last one. Per file: 0, the
+/// end of the 4 KiB header, and the ends of the node (28 B per node),
+/// occurrence (16 B each) and label (4 B per symbol of the whole database)
+/// sections.
 std::vector<std::uint64_t> BuildFileBoundaries(
     const seqdb::SequenceDatabase& db, const IndexOptions& options) {
   auto alphabet = categorize::Build(options.method,
@@ -415,14 +410,7 @@ std::vector<std::uint64_t> BuildFileBoundaries(
 [[noreturn]] void BuildUnderWriteLimit(const seqdb::SequenceDatabase* db,
                                        const IndexOptions& options,
                                        std::uint64_t limit) {
-  // An RLIMIT_CORE of 1 byte writes no core file, also where cores are
-  // piped to a helper.
-  const rlimit core{1, 1};
-  ::setrlimit(RLIMIT_CORE, &core);
-  rlimit fsize{};
-  ::getrlimit(RLIMIT_FSIZE, &fsize);
-  fsize.rlim_cur = std::min<rlim_t>(limit, fsize.rlim_max);
-  ::setrlimit(RLIMIT_FSIZE, &fsize);
+  testutil::KillAtWriteLimit(limit);
   std::_Exit(Index::Build(db, options).ok() ? 0 : 1);
 }
 
@@ -457,6 +445,11 @@ TEST_F(IndexPersistenceTest, CrashAtAnyWriteServesOneBundleOrRefuses) {
     EXPECT_EXIT(BuildUnderWriteLimit(&other_, options, limit),
                 KilledByWriteLimitOrBuilt, "")
         << context;
+    // Spills and intermediate merges have no name: a kill leaves the
+    // bundle and at most the final tree's unpublished file.
+    std::set<std::string> names = testutil::FileNames(dir_);
+    names.erase("idx.tmp.tsw");
+    EXPECT_EQ(names, std::set<std::string>{"idx.tsw"}) << context;
     const bool old_ok =
         OpenRefusesOrAnswersLikeSeqScan(db_, options, context + ", old db");
     const bool new_ok =
@@ -481,7 +474,7 @@ TEST_F(IndexPersistenceTest, CrashAtAnyWriteServesOneBundleOrRefuses) {
   IndexOptions elsewhere = DiskOptions("elsewhere");
   ASSERT_TRUE(Index::Build(&other_, elsewhere).ok());
   std::filesystem::rename(elsewhere.disk_path + ".tsw",
-                          options.disk_path + ".tmp4.tsw");
+                          options.disk_path + ".tmp.tsw");
   EXPECT_TRUE(OpenRefusesOrAnswersLikeSeqScan(db_, options,
                                               "unpublished, old db"));
   EXPECT_FALSE(OpenRefusesOrAnswersLikeSeqScan(other_, options,
@@ -490,7 +483,35 @@ TEST_F(IndexPersistenceTest, CrashAtAnyWriteServesOneBundleOrRefuses) {
   ASSERT_TRUE(Index::Build(&other_, options).ok());
   EXPECT_TRUE(OpenRefusesOrAnswersLikeSeqScan(other_, options,
                                               "rebuilt, new db"));
-  EXPECT_FALSE(std::filesystem::exists(options.disk_path + ".tmp4.tsw"));
+  EXPECT_FALSE(std::filesystem::exists(options.disk_path + ".tmp.tsw"));
+
+  // A build of many batches killed mid-merge, then a build of fewer
+  // batches at the same base: the second build leaves the bundle alone,
+  // whatever the first was writing when it died.
+  std::filesystem::remove_all(dir_);
+  std::filesystem::create_directories(dir_);
+  datagen::RandomWalkOptions data;
+  data.num_sequences = 40;
+  data.avg_length = 40;
+  data.seed = 406;
+  const seqdb::SequenceDatabase many = datagen::GenerateRandomWalks(data);
+  // Room for every spill (each file's last boundary is its size), not
+  // for every merge.
+  const std::vector<std::uint64_t> bounds = BuildFileBoundaries(many, options);
+  const std::size_t batch = options.disk_batch_sequences;
+  const std::size_t spills = (many.size() + batch - 1) / batch;
+  ASSERT_EQ(bounds.size(), 5 * (2 * spills - 1));
+  std::uint64_t largest_spill = 0;
+  for (std::size_t f = 0; f < spills; ++f) {
+    largest_spill = std::max(largest_spill, bounds[5 * f + 4]);
+  }
+  ASSERT_LT(largest_spill, bounds.back());
+  EXPECT_EXIT(BuildUnderWriteLimit(&many, options, largest_spill),
+              testing::KilledBySignal(SIGXFSZ), "");
+  ASSERT_TRUE(Index::Build(&db_, options).ok());
+  EXPECT_EQ(testutil::FileNames(dir_), std::set<std::string>{"idx.tsw"});
+  EXPECT_TRUE(OpenRefusesOrAnswersLikeSeqScan(db_, options,
+                                              "after a killed larger build"));
 }
 
 // The whole-file form of a crash that pairs one database's fingerprint
@@ -516,36 +537,12 @@ TEST_F(IndexPersistenceTest, SwappedBundleFilesAreRefused) {
   }
 }
 
-/// Lowers this process's file-size limit to `limit` bytes with SIGXFSZ
-/// ignored, so a write past it fails with EFBIG; restores both on scope
-/// exit.
-class WriteLimit {
- public:
-  explicit WriteLimit(std::uint64_t limit) {
-    ::getrlimit(RLIMIT_FSIZE, &saved_);
-    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
-    rlimit lowered = saved_;
-    lowered.rlim_cur = std::min<rlim_t>(limit, saved_.rlim_max);
-    ::setrlimit(RLIMIT_FSIZE, &lowered);
-  }
-  ~WriteLimit() {
-    ::setrlimit(RLIMIT_FSIZE, &saved_);
-    std::signal(SIGXFSZ, saved_handler_);
-  }
-  WriteLimit(const WriteLimit&) = delete;
-  WriteLimit& operator=(const WriteLimit&) = delete;
-
- private:
-  rlimit saved_{};
-  void (*saved_handler_)(int) = nullptr;
-};
-
 TEST_F(IndexPersistenceTest, BuildThatCannotWriteFailsAndKeepsTheOldBundle) {
   const IndexOptions options = DiskOptions("idx");
   ASSERT_TRUE(Index::Build(&db_, options).ok());
   {
     // Room for a header and a few bytes: the first section write fails.
-    const WriteLimit limit(4096 + 100);
+    const testutil::WriteLimit limit(4096 + 100);
     auto built = Index::Build(&other_, options);
     ASSERT_FALSE(built.ok());
     EXPECT_EQ(built.status().code(), StatusCode::kIOError) << built.status();

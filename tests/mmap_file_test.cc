@@ -2,7 +2,8 @@
 // storage::WriteFile, the durable-write choke point. Mapping semantics
 // (whole file, read-only, empty-file special case), up-front record
 // extent checks (truncation -> Corruption, never a later SIGBUS),
-// move-only ownership, write and directory fsync errors.
+// move-only ownership, write and directory fsync errors, and scratch
+// files that have no name.
 
 #include <array>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/mmap_file.h"
+#include "test_util.h"
 
 namespace tswarp::storage {
 namespace {
@@ -152,6 +154,46 @@ TEST_F(MmapFileTest, WriteFileReportsFailuresAsIOError) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const Status full = WriteFile("/dev/full", {std::as_bytes(std::span(body))});
   EXPECT_EQ(full.code(), StatusCode::kIOError) << full;
+}
+
+// Both scratch writers: WriteScratch (O_TMPFILE where the filesystem has
+// it) and the fallback it takes where not, called directly so it runs on
+// every filesystem.
+using ScratchWriter = StatusOr<MappedFile> (*)(
+    const std::string&, std::initializer_list<std::span<const std::byte>>);
+constexpr std::pair<const char*, ScratchWriter> kScratchWriters[] = {
+    {"WriteScratch", &MappedFile::WriteScratch},
+    {"WriteScratchUnlinked", &MappedFile::WriteScratchUnlinked}};
+
+TEST_F(MmapFileTest, ScratchFileIsMappedAndHasNoName) {
+  const std::string head = "a header, ";
+  const std::string body(10000, 's');
+  for (const auto& [name, write] : kScratchWriters) {
+    auto file = write(dir_.string(), {std::as_bytes(std::span(head)),
+                                      std::as_bytes(std::span(body))});
+    ASSERT_TRUE(file.ok()) << name << ": " << file.status();
+    EXPECT_EQ(file->view(), head + body) << name;
+    EXPECT_TRUE(testutil::FileNames(dir_).empty()) << name;
+  }
+}
+
+TEST_F(MmapFileTest, ScratchFileReportsFailuresAndLeavesNothing) {
+  const std::string body(8192, 'f');
+  for (const auto& [name, write] : kScratchWriters) {
+    const auto missing_dir =
+        write(Path("nope"), {std::as_bytes(std::span(body))});
+    EXPECT_EQ(missing_dir.status().code(), StatusCode::kIOError) << name;
+    Status full;
+    {
+      const testutil::WriteLimit limit(4096);
+      full = write(dir_.string(), {std::as_bytes(std::span(body))}).status();
+    }
+    EXPECT_EQ(full.code(), StatusCode::kIOError) << name;
+    EXPECT_NE(full.message().find("scratch file in " + dir_.string()),
+              std::string::npos)
+        << name << ": " << full;
+    EXPECT_TRUE(testutil::FileNames(dir_).empty()) << name;
+  }
 }
 
 TEST_F(MmapFileTest, SyncDirSucceedsOnARealDirectory) {

@@ -1,9 +1,14 @@
 #ifndef TSWARP_TESTS_TEST_UTIL_H_
 #define TSWARP_TESTS_TEST_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,6 +52,53 @@ inline std::string BundleSection(const std::string& file, std::size_t i) {
   std::memcpy(&offset, file.data() + entry + 16, sizeof(offset));
   return file.substr(offset, count * record_size);
 }
+
+/// The names of the files in `dir`.
+inline std::set<std::string> FileNames(const std::filesystem::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+/// For a forked death-test child: from here on the first write that would
+/// take any file, named or not, past `limit` bytes kills the process with
+/// SIGXFSZ where it stands, as a crash would. Writes no core file: an
+/// RLIMIT_CORE of 1 byte holds also where cores are piped to a helper.
+inline void KillAtWriteLimit(std::uint64_t limit) {
+  const rlimit core{1, 1};
+  ::setrlimit(RLIMIT_CORE, &core);
+  rlimit fsize{};
+  ::getrlimit(RLIMIT_FSIZE, &fsize);
+  fsize.rlim_cur = std::min<rlim_t>(limit, fsize.rlim_max);
+  ::setrlimit(RLIMIT_FSIZE, &fsize);
+}
+
+/// Lowers this process's file-size limit to `limit` bytes with SIGXFSZ
+/// ignored, so a write past it fails with EFBIG, as on a full disk, named
+/// file or not; restores both on scope exit. The limit holds for every
+/// thread of the process.
+class WriteLimit {
+ public:
+  explicit WriteLimit(std::uint64_t limit) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min<rlim_t>(limit, saved_.rlim_max);
+    ::setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~WriteLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  WriteLimit(const WriteLimit&) = delete;
+  WriteLimit& operator=(const WriteLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = nullptr;
+};
 
 }  // namespace tswarp::testutil
 

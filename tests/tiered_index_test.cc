@@ -1,15 +1,19 @@
 // TieredIndex unit and integration tests: append/seal/merge lifecycle,
-// snapshot immutability, continuous-query exactly-once delivery, orphaned
-// merge-file recovery, and the frozen-symbolization contract that makes
-// tiered search results byte-identical to a monolithic rebuild (the full
-// differential sweep lives in differential_test.cc).
+// snapshot immutability, continuous-query exactly-once delivery, disk
+// merges that leave no file behind however the process ends, and the
+// frozen-symbolization contract that makes tiered search results
+// byte-identical to a monolithic rebuild (the full differential sweep
+// lives in differential_test.cc).
 
 #include "core/tiered_index.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "common/random.h"
 #include "core/index.h"
 #include "seqdb/sequence_database.h"
+#include "test_util.h"
 
 namespace tswarp {
 namespace {
@@ -291,44 +296,19 @@ TEST(TieredIndexTest, ContinuousQueryDeliversEveryMatchExactlyOnce) {
   EXPECT_EQ((*tiered)->Stats().continuous_queries, 0u);
 }
 
-TEST(TieredIndexTest, CleanupRemovesOnlyOrphanedTmpMergeBundles) {
-  namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "/tiered_cleanup";
-  fs::create_directories(dir);
-  const std::string base = dir + "/idx";
-  const auto touch = [](const std::string& path) {
-    std::ofstream(path) << "x";
-  };
-  touch(base + ".tmp-merge-3.tsw");
-  touch(base + ".tmp-merge-3.meta");  // From an older format: swept too.
-  touch(base + ".tmp-merge-12.tsw");
-  touch(base + ".tier-1.tsw");  // A live merged tier: must survive.
-  touch(base + ".tsw");         // The base bundle: must survive.
-
-  core::CleanupOrphanedMergeFiles(base);
-
-  EXPECT_FALSE(fs::exists(base + ".tmp-merge-3.tsw"));
-  EXPECT_FALSE(fs::exists(base + ".tmp-merge-3.meta"));
-  EXPECT_FALSE(fs::exists(base + ".tmp-merge-12.tsw"));
-  EXPECT_TRUE(fs::exists(base + ".tier-1.tsw"));
-  EXPECT_TRUE(fs::exists(base + ".tsw"));
-}
-
 TEST(TieredIndexTest, DiskBackedMergeLeavesNoTmpFilesAndStaysSearchable) {
   namespace fs = std::filesystem;
   const std::string dir = ::testing::TempDir() + "/tiered_disk";
+  fs::remove_all(dir);
   fs::create_directories(dir);
   const seqdb::SequenceDatabase db = BaseDb(4);
 
   TieredOptions options = Opts(IndexKind::kCategorized, 1, 1);
   options.index.disk_path = dir + "/idx";
   options.index.disk_batch_sequences = 2;
-  // Plant an orphan from a "crashed" merge: Create must remove it.
-  std::ofstream(options.index.disk_path + ".tmp-merge-9.tsw") << "junk";
 
   auto tiered = TieredIndex::Create(&db, options);
   ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
-  EXPECT_FALSE(fs::exists(options.index.disk_path + ".tmp-merge-9.tsw"));
 
   Rng rng(53);
   std::vector<seqdb::Sequence> appended;
@@ -351,21 +331,92 @@ TEST(TieredIndexTest, DiskBackedMergeLeavesNoTmpFilesAndStaysSearchable) {
     return m.seq == db.size();
   }));
 
-  // No merge temp files survive a successful compaction.
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().filename().string().find(".tmp-merge-"),
-              std::string::npos)
-        << "orphan: " << entry.path();
-  }
-
-  // Dropping the index drops the merged tiers' bundles too (the base
+  // Merged tiers have no file name: the directory holds the base bundle
+  // alone, while the index lives and after it is dropped (the base
   // bundle persists for reopening).
+  EXPECT_EQ(testutil::FileNames(dir), std::set<std::string>{"idx.tsw"});
   tiered->reset();
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().filename().string().find(".tier-"),
-              std::string::npos)
-        << "leaked tier bundle: " << entry.path();
+  EXPECT_EQ(testutil::FileNames(dir), std::set<std::string>{"idx.tsw"});
+  fs::remove_all(dir);
+}
+
+/// For a forked child: creates a disk-backed TieredIndex with a merge
+/// inline at every append after the first, lowers the file-size limit to
+/// `limit` (KillAtWriteLimit: the base bundle is written by then), makes
+/// `appends` appends and ends with _Exit, which runs no destructor.
+[[noreturn]] void AppendUnderWriteLimit(const seqdb::SequenceDatabase* db,
+                                        const TieredOptions& options,
+                                        std::uint64_t limit, int appends) {
+  auto tiered = TieredIndex::Create(db, options);
+  if (!tiered.ok()) std::_Exit(2);
+  testutil::KillAtWriteLimit(limit);
+  Rng rng(97);
+  for (int i = 0; i < appends; ++i) {
+    if (!(*tiered)->Append(RandomSeq(&rng, 16)).ok()) std::_Exit(3);
   }
+  std::_Exit((*tiered)->Stats().merges_failed == 0 ? 0 : 4);
+}
+
+// A disk-backed TieredIndex killed inside any merge's write, or ended
+// without its destructor, leaves only the base bundle behind: appended
+// data is volatile and merged tiers are unnamed files.
+TEST(TieredIndexTest, KilledDiskMergesLeaveOnlyTheBaseBundle) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/tiered_crash";
+  const seqdb::SequenceDatabase db = BaseDb(4);
+  TieredOptions options = Opts(IndexKind::kCategorized, 1, 1);
+  options.index.disk_path = dir + "/idx";
+  constexpr int kAppends = 10;
+  const auto fresh_dir = [&] {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+  };
+  const std::set<std::string> base_only{"idx.tsw"};
+
+  // The same run, complete: its merges, the size of its largest merged
+  // tier's file, and a clean drop.
+  fresh_dir();
+  std::uint64_t largest_merged = 0;
+  {
+    auto tiered = TieredIndex::Create(&db, options);
+    ASSERT_TRUE(tiered.ok()) << tiered.status();
+    Rng rng(97);
+    for (int i = 0; i < kAppends; ++i) {
+      ASSERT_TRUE((*tiered)->Append(RandomSeq(&rng, 16)).ok());
+    }
+    const TieredStats stats = (*tiered)->Stats();
+    ASSERT_GE(stats.merges_completed, 5u);
+    for (const core::TierInfo& tier : stats.tiers) {
+      if (tier.on_disk && tier.first_seq >= db.size()) {
+        largest_merged = std::max(largest_merged, tier.index_bytes);
+      }
+    }
+  }
+  EXPECT_EQ(testutil::FileNames(dir), base_only) << "after a clean drop";
+  ASSERT_GT(largest_merged, 4096u);
+
+  // Every limit below the largest merged tier kills some merge's write:
+  // the header's edges, then a grid over the rest.
+  std::set<std::uint64_t> limits = {0, 1, 4095, 4096, 4097};
+  for (std::uint64_t limit = 4096; limit < largest_merged;
+       limit += largest_merged / 16) {
+    limits.insert(limit);
+  }
+  for (const std::uint64_t limit : limits) {
+    fresh_dir();
+    EXPECT_EXIT(AppendUnderWriteLimit(&db, options, limit, kAppends),
+                testing::KilledBySignal(SIGXFSZ), "")
+        << "write limit " << limit;
+    EXPECT_EQ(testutil::FileNames(dir), base_only) << "write limit " << limit;
+  }
+  for (int appends = 1; appends <= kAppends; appends += 3) {
+    fresh_dir();
+    EXPECT_EXIT(AppendUnderWriteLimit(&db, options, RLIM_INFINITY, appends),
+                testing::ExitedWithCode(0), "")
+        << appends << " appends";
+    EXPECT_EQ(testutil::FileNames(dir), base_only) << appends << " appends";
+  }
+  fs::remove_all(dir);
 }
 
 TEST(TieredIndexTest, BackgroundWorkerDrainsPendingMerges) {
@@ -402,16 +453,6 @@ void ExpectAppendsSearchable(const TieredIndex& tiered, SeqId first,
   }
 }
 
-// A directory where a disk merge's scratch bundle file must go makes that
-// merge fail with an I/O error, as a full disk would.
-std::string BlockMergeGeneration(const TieredOptions& options,
-                                 int generation) {
-  const std::string blocker = options.index.disk_path + ".tmp-merge-" +
-                              std::to_string(generation) + ".tsw";
-  std::filesystem::create_directories(blocker);
-  return blocker;
-}
-
 TEST(TieredIndexTest, FailedInlineDiskMergeIsReportedAndRetried) {
   namespace fs = std::filesystem;
   const std::string dir = ::testing::TempDir() + "/tiered_merge_fail";
@@ -423,31 +464,32 @@ TEST(TieredIndexTest, FailedInlineDiskMergeIsReportedAndRetried) {
   options.index.disk_batch_sequences = 2;
   auto tiered = TieredIndex::Create(&db, options);
   ASSERT_TRUE(tiered.ok()) << tiered.status();
-  const std::string blocker = BlockMergeGeneration(options, 1);
 
   // The second append seals a second tier over a budget of one; its
-  // inline merge fails.
+  // inline merge cannot write (as on a full disk) and fails.
   Rng rng(71);
   std::vector<seqdb::Sequence> appended;
-  for (int i = 0; i < 2; ++i) {
-    appended.push_back(RandomSeq(&rng, 12));
-    ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+  {
+    const testutil::WriteLimit full_disk(0);
+    for (int i = 0; i < 2; ++i) {
+      appended.push_back(RandomSeq(&rng, 12));
+      ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+    }
   }
   TieredStats stats = (*tiered)->Stats();
   EXPECT_EQ(stats.merges_failed, 1u);
   EXPECT_EQ(stats.merges_completed, 0u);
   EXPECT_EQ(stats.sealed_tiers, 2u);
   EXPECT_EQ(stats.pending_merges, 1u);
-  EXPECT_NE(stats.merge_error.find("tmp-merge-1"), std::string::npos)
+  EXPECT_NE(stats.merge_error.find("scratch file"), std::string::npos)
       << stats.merge_error;
   EXPECT_EQ((*tiered)->merge_status().code(), StatusCode::kIOError)
       << (*tiered)->merge_status();
   (*tiered)->WaitForMerges();  // Returns: the latest merge failed.
   ExpectAppendsSearchable(**tiered, db.size(), appended);
 
-  // An I/O failure is not final: the next append's merges (fresh
-  // generations) succeed and clear the error.
-  fs::remove(blocker);
+  // An I/O failure is not final: with room to write again, the next
+  // append's merges succeed and clear the error.
   appended.push_back(RandomSeq(&rng, 12));
   ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
   stats = (*tiered)->Stats();
@@ -474,21 +516,24 @@ TEST(TieredIndexTest, FailedBackgroundDiskMergeIsRetriedAfterBackoff) {
   options.index.disk_batch_sequences = 2;
   auto tiered = TieredIndex::Create(&db, options);
   ASSERT_TRUE(tiered.ok()) << tiered.status();
-  const std::string blocker = BlockMergeGeneration(options, 1);
 
   Rng rng(73);
   std::vector<seqdb::Sequence> appended;
-  for (int i = 0; i < 2; ++i) {
-    appended.push_back(RandomSeq(&rng, 12));
-    ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+  {
+    // Room to write again once the merge has failed (as on a full disk):
+    // the first retry, after the backoff, succeeds.
+    const testutil::WriteLimit full_disk(0);
+    for (int i = 0; i < 2; ++i) {
+      appended.push_back(RandomSeq(&rng, 12));
+      ASSERT_TRUE((*tiered)->Append(appended.back()).ok());
+    }
+    (*tiered)->WaitForMerges();  // Returns once the merge failed.
   }
-  (*tiered)->WaitForMerges();  // Returns once the blocked merge failed.
   EXPECT_EQ((*tiered)->Stats().merges_failed, 1u);
   EXPECT_EQ((*tiered)->merge_status().code(), StatusCode::kIOError);
   ExpectAppendsSearchable(**tiered, db.size(), appended);
 
   // The worker retries on its own, with no further append.
-  fs::remove(blocker);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while ((*tiered)->Stats().merges_completed == 0 &&

@@ -119,6 +119,24 @@ if grep -rn '"\.meta"' src tools bench | grep -v '^src/suffixtree/disk_tree\.cc:
   fail "$check" "\".meta\" outside the opener's older-format probe — a bundle is one <base>.tsw; see docs/file_formats.md"
 fi
 
+# --- scratch bundles have no name
+# Only the bundle a build publishes is named, fsynced and renamed.
+# Spills, intermediate merges and merged tiers are unnamed files that
+# die with their mapping, so no crash leaves one behind. The merge
+# temporary and tier names, their sweep and the tier-owned files were
+# deleted and must not come back, and O_TMPFILE stays behind
+# storage::MappedFile::WriteScratch.
+forbid "scratch bundles have no name" \
+  "named scratch bundle or its clean-up found — write it with WriteScratchTree; see docs/file_formats.md" \
+  -E 'tmp-merge|\.tier-|CleanupOrphanedMergeFiles|owns_disk_files|merge_generation_' \
+  src tools bench
+check="scratch bundles have no name"
+if grep -rn 'O_TMPFILE' src tools bench examples \
+    --include='*.h' --include='*.cc' --include='*.cpp' \
+    | grep -v '^src/storage/'; then
+  fail "$check" "O_TMPFILE outside src/storage — write scratch data with storage::MappedFile::WriteScratch"
+fi
+
 # --- one query path
 # Every univariate query reaches SearchDriver through
 # core::SearchTiers, and every tswarpd search through RunSearch.
